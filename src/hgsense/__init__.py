@@ -83,6 +83,7 @@ from .modes import (
     OperatorMatrix,
     beam_params,
     hermite_eval,
+    hg_factor,
     hg_wavefunction,
     ladder_matrices,
     lz_matrix,
@@ -93,6 +94,7 @@ from .modes import (
 from .weak import (
     Coupling,
     DensityMatrix,
+    Generator,
     PauliAxis,
     QubitState,
     WeakScenario,

@@ -41,7 +41,7 @@ from .errors import (
     SeparationError,
     UnreachableAmplitudeError,
 )
-from .modes import ModeIndex, ModeState, beam_params, BeamGeometry, hg_wavefunction, index_to_mode
+from .modes import ModeIndex, ModeState, beam_params, BeamGeometry, hg_factor
 
 MIN_SIDE = 128
 MIN_COVERAGE_SIGMA = 6.0
@@ -89,7 +89,7 @@ class FieldGrid:
     @property
     def coords(self) -> np.ndarray:
         """1-D sample coordinates shared by both axes."""
-        return (np.arange(self.side) - (self.side - 1) / 2.0) * self.pitch
+        return _axis(self.side, self.pitch)
 
     @property
     def power(self) -> float:
@@ -99,9 +99,12 @@ class FieldGrid:
         return FieldGrid(samples, self.pitch, self.sigma0, self.wavelength, self.z)
 
 
-def _grid_axes(side: int, pitch: float) -> tuple[np.ndarray, np.ndarray]:
-    c = (np.arange(side) - (side - 1) / 2.0) * pitch
-    return np.meshgrid(c, c, indexing="xy")  # X varies along columns, Y along rows
+def _axis(side: int, pitch: float) -> np.ndarray:
+    return (np.arange(side) - (side - 1) / 2.0) * pitch
+
+
+def _unit_power(f: np.ndarray, pitch: float) -> np.ndarray:
+    return f / math.sqrt(float(np.sum(np.abs(f) ** 2)) * pitch ** 2)
 
 
 def synthesize_hg_field(idx: ModeIndex, sigma0: float, side: int = DEFAULT_SIDE,
@@ -110,54 +113,51 @@ def synthesize_hg_field(idx: ModeIndex, sigma0: float, side: int = DEFAULT_SIDE,
                         z: float = 0.0) -> FieldGrid:
     """Sample HG(m, n) on a symmetric grid, renormalized to unit grid power.
 
-    At z = 0 the waist wavefunction is sampled directly. Away from the waist
-    the profile is rescaled by sigma(z) and picks up the wavefront curvature
-    and the (m + n + 1) multiple of the Gouy phase.
+    The field is the outer product of a y factor (rows) and an x factor
+    (columns), each an hg_factor term. Away from the waist the profile is
+    rescaled by sigma(z) and picks up the wavefront curvature and the
+    (m + n + 1) multiple of the Gouy phase; at z = 0 both are exactly trivial.
     """
     if window_sigma < MIN_COVERAGE_SIGMA:
         raise CoverageError(
             f"window of {window_sigma} sigma0 below minimum {MIN_COVERAGE_SIGMA}")
     pitch = 2.0 * window_sigma * sigma0 / side
-    x, y = _grid_axes(side, pitch)
-    if z == 0.0:
-        f = hg_wavefunction(idx, sigma0, x, y).astype(complex)
-    else:
-        geom = BeamGeometry(sigma0, wavelength, z)
-        sigma_z, gouy, q_inv = beam_params(geom)
-        scale = sigma0 / sigma_z
-        curvature = -(q_inv.imag)  # k / q
-        phase = 0.5 * curvature * (x ** 2 + y ** 2) - (idx.total + 1) * gouy
-        f = (scale * hg_wavefunction(idx, sigma0, scale * x, scale * y)
-             * np.exp(1j * phase))
-    f = f / math.sqrt(float(np.sum(np.abs(f) ** 2)) * pitch ** 2)
-    return FieldGrid(f, pitch, sigma0, wavelength, z)
+    c = _axis(side, pitch)
+    sigma_z, gouy, q_inv = beam_params(BeamGeometry(sigma0, wavelength, z))
+    scale = sigma0 / sigma_z
+    front = np.exp(-0.5j * q_inv.imag * c ** 2)  # curvature k / q = -Im(q_inv)
+    f = (np.outer(hg_factor(idx.n, sigma0, scale * c) * front,
+                  hg_factor(idx.m, sigma0, scale * c) * front)
+         * (scale * np.exp(-1j * (idx.total + 1) * gouy)))
+    return FieldGrid(_unit_power(f, pitch), pitch, sigma0, wavelength, z)
 
 
 def synthesize_superposition(state: ModeState, sigma0: float,
                              side: int = DEFAULT_SIDE,
                              window_sigma: float = DEFAULT_WINDOW_SIGMA,
                              wavelength: float = DEFAULT_WAVELENGTH) -> FieldGrid:
-    """Waist-plane field of an amplitude vector over the HG basis."""
-    pitch = 2.0 * window_sigma * sigma0 / side
-    x, y = _grid_axes(side, pitch)
-    total = np.zeros_like(x, dtype=complex)
-    for i, amp in enumerate(state.amplitudes):
-        if amp == 0:
-            continue
-        m, n = index_to_mode(i, state.cutoff)
-        total += amp * hg_wavefunction(ModeIndex(m, n), sigma0, x, y)
-    norm = math.sqrt(float(np.sum(np.abs(total) ** 2)) * pitch ** 2)
-    if norm == 0.0:
+    """Waist-plane field of an amplitude vector over the HG basis.
+
+    One product Phi^T A^T Phi, with Phi[k] the hg_factor of order k on the
+    grid axis and A[m, n] the amplitudes, restricted to the orders that
+    carry amplitude.
+    """
+    amp = state.amplitudes.reshape(state.cutoff + 1, state.cutoff + 1)
+    orders = np.flatnonzero(np.any(amp != 0, axis=0) | np.any(amp != 0, axis=1))
+    if len(orders) == 0:
         raise ValueError("zero superposition")
-    return FieldGrid(total / norm, pitch, sigma0, wavelength, 0.0)
+    pitch = 2.0 * window_sigma * sigma0 / side
+    axis = _axis(side, pitch)
+    phi = np.array([hg_factor(int(k), sigma0, axis) for k in orders])
+    total = phi.T @ amp[np.ix_(orders, orders)].T @ phi
+    return FieldGrid(_unit_power(total, pitch), pitch, sigma0, wavelength, 0.0)
 
 
 def gaussian_illumination(sigma: float, grid_like: FieldGrid) -> FieldGrid:
     """Fundamental-mode beam of width sigma sampled on an existing grid."""
-    x, y = _grid_axes(grid_like.side, grid_like.pitch)
-    f = hg_wavefunction(ModeIndex(0, 0), sigma, x, y).astype(complex)
-    f = f / math.sqrt(float(np.sum(np.abs(f) ** 2)) * grid_like.pitch ** 2)
-    return grid_like.with_samples(f)
+    g = hg_factor(0, sigma, grid_like.coords)
+    f = np.outer(g, g).astype(complex)
+    return grid_like.with_samples(_unit_power(f, grid_like.pitch))
 
 
 def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
@@ -170,7 +170,7 @@ def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
     """
     if abs(angle) > math.pi / 2.0 + 1e-12:
         raise ValueError("|angle| above pi/2 not supported by the resampler")
-    x, y = _grid_axes(field.side, field.pitch)
+    x, y = field.coords[None, :], field.coords[:, None]
     c, s = math.cos(angle), math.sin(angle)
     xs = c * x + s * y
     ys = -s * x + c * y
@@ -178,21 +178,19 @@ def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
     half = (field.side - 1) / 2.0
     fc = xs / field.pitch + half
     fr = ys / field.pitch + half
-    c0 = np.floor(fc).astype(int)
-    r0 = np.floor(fr).astype(int)
+    c0 = np.floor(fc)
+    r0 = np.floor(fr)
     tc = fc - c0
     tr = fr - r0
-
-    def gather(rr, cc):
-        inside = (rr >= 0) & (rr < field.side) & (cc >= 0) & (cc < field.side)
-        out = np.zeros(rr.shape, dtype=complex)
-        out[inside] = field.samples[rr[inside], cc[inside]]
-        return out
-
-    rotated = ((1 - tr) * (1 - tc) * gather(r0, c0)
-               + (1 - tr) * tc * gather(r0, c0 + 1)
-               + tr * (1 - tc) * gather(r0 + 1, c0)
-               + tr * tc * gather(r0 + 1, c0 + 1))
+    # a zero border two samples wide: indices clipped into it read zero for
+    # both neighbours of a node outside the grid
+    padded = np.pad(field.samples, 2)
+    ci = np.clip(c0.astype(int), -2, field.side) + 2
+    ri = np.clip(r0.astype(int), -2, field.side) + 2
+    rotated = ((1 - tr) * (1 - tc) * padded[ri, ci]
+               + (1 - tr) * tc * padded[ri, ci + 1]
+               + tr * (1 - tc) * padded[ri + 1, ci]
+               + tr * tc * padded[ri + 1, ci + 1])
     return field.with_samples(rotated)
 
 

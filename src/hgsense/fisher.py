@@ -1,10 +1,11 @@
 """Quantum and classical Fisher information and the derived precision bounds.
 
-Three routes are kept deliberately independent so they can cross-check each
-other: a numeric route (finite-difference Fisher information of any state
-family), a quadratic weak-coupling route (4 |dM_w/dg|^2 <delta Omega^2>),
-and closed forms for special cases. The symmetric logarithmic derivative
-solver handles the dephased-monitor mixture.
+Routes: a numeric one (finite-difference Fisher information of any state
+family, the exact rotation QFI included), a quadratic weak-coupling one
+(4 |dM_w/dg|^2 <delta Omega^2>), and closed forms for special cases. All of
+them evolve the pointer through the one weak.Generator kernel, so they check
+approximations against each other, not independent evolution code. The
+symmetric logarithmic derivative solver handles the dephased-monitor mixture.
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ from .modes import (
 from .weak import (
     Coupling,
     DensityMatrix,
+    Generator,
     PauliAxis,
     QubitState,
     WeakScenario,
-    coupling_matrix,
+    final_pointer_exact,
     monitor_branches,
     pauli_weak_values,
+    qubit_monitor_channel,
 )
 
 PROBABILITY_FLOOR = 1e-15
@@ -78,23 +81,32 @@ def default_step(g: float) -> float:
     return max(1e-6, 1e-4 * abs(g))
 
 
-def _derivative4(fn: Callable[[float], np.ndarray], g: float, h: float) -> np.ndarray:
-    """Fourth-order central difference; fn may return vectors."""
-    return (np.asarray(fn(g - 2 * h)) - 8 * np.asarray(fn(g - h))
-            + 8 * np.asarray(fn(g + h)) - np.asarray(fn(g + 2 * h))) / (12.0 * h)
+def _stencil_value(fn: Callable[[float], np.ndarray],
+                   reduce: Callable[[np.ndarray], float], g: float,
+                   step: float | None) -> float:
+    """reduce(d fn / dg) from the fourth-order central difference at step h.
 
+    fn may return vectors. Recomputing at 2h guards against a step small
+    enough to hit round-off cancellation (or too coarse to resolve the
+    curvature): values that disagree by more than _STENCIL_RTOL raise
+    StepSizeError.
+    """
+    h = default_step(g) if step is None else step
+    if h <= 0:
+        raise ValueError("step must be positive")
 
-def _check_stencils(q_h: float, q_2h: float):
+    def derivative(d: float) -> np.ndarray:
+        return (np.asarray(fn(g - 2 * d)) - 8 * np.asarray(fn(g - d))
+                + 8 * np.asarray(fn(g + d)) - np.asarray(fn(g + 2 * d))) / (12.0 * d)
+
+    q_h = reduce(derivative(h))
+    q_2h = reduce(derivative(2 * h))
     scale = max(abs(q_h), abs(q_2h), 1e-30)
     if abs(q_h - q_2h) > _STENCIL_RTOL * scale:
         raise StepSizeError(
             f"stencil values disagree ({q_h:.6g} vs {q_2h:.6g}); "
             "adjust the differentiation step")
-
-
-def _qfi_from_derivative(psi: np.ndarray, dpsi: np.ndarray) -> float:
-    overlap = np.vdot(psi, dpsi)
-    return 4.0 * float(np.real(np.vdot(dpsi, dpsi)) - abs(overlap) ** 2)
+    return q_h
 
 
 def qfi_pure_numeric(state_fn: Callable[[float], ModeState], g: float,
@@ -105,15 +117,14 @@ def qfi_pure_numeric(state_fn: Callable[[float], ModeState], g: float,
     4 (<d psi|d psi> - |<psi|d psi>|^2). A doubled-step recomputation guards
     against a step small enough to hit round-off cancellation.
     """
-    h = default_step(g) if step is None else step
-    if h <= 0:
-        raise ValueError("step must be positive")
     vec = lambda x: state_fn(x).amplitudes
     psi = vec(g)
-    q_h = _qfi_from_derivative(psi, _derivative4(vec, g, h))
-    q_2h = _qfi_from_derivative(psi, _derivative4(vec, g, 2 * h))
-    _check_stencils(q_h, q_2h)
-    return q_h
+
+    def qfi(dpsi: np.ndarray) -> float:
+        overlap = np.vdot(psi, dpsi)
+        return 4.0 * float(np.real(np.vdot(dpsi, dpsi)) - abs(overlap) ** 2)
+
+    return _stencil_value(vec, qfi, g, step)
 
 
 def _parameter_derivative(s: WeakScenario, parameter: Parameter) -> complex:
@@ -188,9 +199,6 @@ def cfi_povm(state_fn: Callable[[float], ModeState], g: float, povm: PovmSet,
     SmallProbabilityWarning. Same stencil and disagreement guard as the
     quantum counterpart.
     """
-    h = default_step(g) if step is None else step
-    if h <= 0:
-        raise ValueError("step must be positive")
 
     def probs(x: float) -> np.ndarray:
         amp = state_fn(x).amplitudes
@@ -205,15 +213,12 @@ def cfi_povm(state_fn: Callable[[float], ModeState], g: float, povm: PovmSet,
             if pk < PROBABILITY_FLOOR:
                 warnings.warn(
                     f"outcome probability {pk:.3g} below floor; contributes 0",
-                    SmallProbabilityWarning, stacklevel=3)
+                    SmallProbabilityWarning, stacklevel=4)
                 continue
             total += dpk ** 2 / pk
         return total
 
-    f_h = fisher_sum(_derivative4(probs, g, h))
-    f_2h = fisher_sum(_derivative4(probs, g, 2 * h))
-    _check_stencils(f_h, f_2h)
-    return f_h
+    return _stencil_value(probs, fisher_sum, g, step)
 
 
 def min_detectable_rotation(idx: ModeIndex, epsilon: float, n_photons: float) -> float:
@@ -224,9 +229,9 @@ def min_detectable_rotation(idx: ModeIndex, epsilon: float, n_photons: float) ->
         raise ValueError("photon number must be positive")
     if math.isclose(math.sin(epsilon), 0.0, abs_tol=1e-12):
         raise ValueError("post-selection angle must not be a multiple of pi")
-    cot = abs(math.cos(epsilon) / math.sin(epsilon))
-    if cot == 0.0:
+    if math.isclose(math.cos(epsilon), 0.0, abs_tol=1e-12):
         raise ValueError("cot(epsilon) vanishes; no amplification")
+    cot = abs(math.cos(epsilon) / math.sin(epsilon))
     return 1.0 / (math.sqrt(oam_variance(idx)) * 2.0 * cot * math.sqrt(n_photons))
 
 
@@ -268,16 +273,6 @@ def sld_solve(rho: DensityMatrix, drho: np.ndarray) -> OperatorMatrix:
     return OperatorMatrix(rho.cutoff, l_mat, hermitian=True)
 
 
-def _monitor_pieces(qubit: QubitState, alpha: float, pointer: ModeState,
-                    coupling: Coupling = Coupling.OAM, sigma0: float = 1.0):
-    fwd, bwd = monitor_branches(alpha, coupling, pointer, sigma0)
-    w0, w1 = abs(qubit.c0) ** 2, abs(qubit.c1) ** 2
-    p_plus = np.outer(fwd, fwd.conj())
-    p_minus = np.outer(bwd, bwd.conj())
-    rho = DensityMatrix(pointer.cutoff, w0 * p_plus + w1 * p_minus)
-    return rho, p_plus, p_minus, fwd, bwd
-
-
 def qfi_mixed_monitor(qubit: QubitState, alpha: float, pointer: ModeState,
                       coupling: Coupling = Coupling.OAM, sigma0: float = 1.0) -> float:
     """Exact Fisher information about the qubit polar angle after dephasing.
@@ -286,10 +281,10 @@ def qfi_mixed_monitor(qubit: QubitState, alpha: float, pointer: ModeState,
     analytically (d rho/d theta = |c0||c1| (P- - P+)), solves for the SLD
     and returns Tr(rho L^2).
     """
-    rho, p_plus, p_minus, _, _ = _monitor_pieces(qubit, alpha, pointer,
-                                                 coupling, sigma0)
+    rho = qubit_monitor_channel(qubit, alpha, coupling, pointer, sigma0)
+    fwd, bwd = monitor_branches(alpha, coupling, pointer, sigma0)
     half_sin = abs(qubit.c0) * abs(qubit.c1)  # sin(theta)/2
-    drho = half_sin * (p_minus - p_plus)
+    drho = half_sin * (np.outer(bwd, bwd.conj()) - np.outer(fwd, fwd.conj()))
     sld = sld_solve(rho, drho)
     return float(np.real(np.trace(rho.entries @ sld.entries @ sld.entries)))
 
@@ -310,7 +305,7 @@ def qfi_mixed_quadratic(alpha: float, pointer: ModeState,
                         coupling: Coupling = Coupling.OAM,
                         sigma0: float = 1.0) -> float:
     """Small-alpha approximation 4 alpha^2 <Omega^2> of the monitor QFI."""
-    op = coupling_matrix(coupling, pointer.cutoff, sigma0)
+    op = Generator(coupling, pointer.cutoff, sigma0)
     return 4.0 * alpha ** 2 * second_moment(op, pointer)
 
 
@@ -319,39 +314,17 @@ def qfi_rotation_exact(pre: QubitState, post: QubitState, axis: PauliAxis,
                        step: float | None = None) -> float:
     """Exact QFI about alpha for a basis pointer under rotation coupling.
 
-    The rotation generator conserves m + n, so the evolution is confined to
-    the (m + n + 1)-dimensional shell of the pointer; this path scales to
-    high orders where the full truncated basis would not. Cross-checked in
-    tests against the generic route at small order.
+    qfi_pure_numeric on the exact post-selected family of HG(m, n) truncated
+    at cutoff m + n. Lz conserves m + n, so the evolution stays in the
+    (m + n + 1)-dimensional shell of the pointer and scales to high orders.
     """
-    s = idx.total
-    j0 = idx.m
-    t = np.zeros((s + 1, s + 1), dtype=complex)
-    for j in range(s + 1):  # basis |j, s - j>, j = x-axis order
-        if j >= 1:
-            t[j - 1, j] = 1j * math.sqrt(j * (s - j + 1))
-        if j + 1 <= s:
-            t[j + 1, j] = -1j * math.sqrt((j + 1) * (s - j))
-    w, v = np.linalg.eigh(t)
-    start = np.zeros(s + 1, dtype=complex)
-    start[j0] = 1.0
-    braket = complex(np.vdot(post.vector, pre.vector))
-    bra_a_ket = complex(post.vector.conj() @ (axis.matrix @ pre.vector))
-    amp_plus = 0.5 * (braket + bra_a_ket)
-    amp_minus = 0.5 * (braket - bra_a_ket)
+    pointer = ModeState.basis(idx.total, idx.m, idx.n)
 
-    def state(a: float) -> np.ndarray:
-        phases = v.conj().T @ start
-        vec = v @ ((amp_plus * np.exp(-1j * a * w)
-                    + amp_minus * np.exp(1j * a * w)) * phases)
-        return vec / np.linalg.norm(vec)
+    def family(a: float) -> ModeState:
+        s = WeakScenario(a, pre, post, axis, Coupling.OAM, pointer)
+        return final_pointer_exact(s).pointer
 
-    h = default_step(alpha) if step is None else step
-    psi = state(alpha)
-    q_h = _qfi_from_derivative(psi, _derivative4(state, alpha, h))
-    q_2h = _qfi_from_derivative(psi, _derivative4(state, alpha, 2 * h))
-    _check_stencils(q_h, q_2h)
-    return q_h
+    return qfi_pure_numeric(family, alpha, step)
 
 
 BOUND_CSV_COLUMNS = ("m", "n", "parameter", "fisher_info", "variance_bound")

@@ -8,6 +8,10 @@ Fisher bounds, field synthesis) builds on the ladder algebra defined here.
 Basis order is row-major in (m, n): flat index = m * (cutoff + 1) + n.
 Raising past the cutoff discards the raised amplitude; matrices are exact
 on the interior block m, n <= cutoff - 1.
+
+The dense matrices here (lz_matrix, ladder_matrices, momentum_matrix_x) are
+the small-cutoff oracle for the block kernel weak.Generator, which does the
+evolution. HG amplitudes factor into one-axis hg_factor terms.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -179,44 +183,55 @@ class OperatorMatrix:
         return cls(int(data["cutoff"]), ent, bool(data.get("hermitian", False)))
 
 
-def expectation(op: OperatorMatrix, state: ModeState) -> complex:
+class StateOperator(Protocol):
+    """Maps a state to op|state>: OperatorMatrix or weak.Generator."""
+
+    def apply(self, state: ModeState) -> np.ndarray: ...
+
+
+def expectation(op: StateOperator, state: ModeState) -> complex:
     return complex(np.vdot(state.amplitudes, op.apply(state)))
 
 
-def second_moment(op: OperatorMatrix, state: ModeState) -> float:
+def second_moment(op: StateOperator, state: ModeState) -> float:
     """<state| op^dagger op |state>; equals <op^2> for Hermitian op."""
     v = op.apply(state)
     return float(np.real(np.vdot(v, v)))
 
 
-def variance(op: OperatorMatrix, state: ModeState) -> float:
+def variance(op: StateOperator, state: ModeState) -> float:
     mu = expectation(op, state)
     return second_moment(op, state) - abs(mu) ** 2
+
+
+def hg_factor(order: int, sigma0: float, x):
+    """One-axis factor of the waist HG amplitude, unit L2 norm along the axis.
+
+    phi_k(x) = H_k(x / (sqrt2 sigma0)) exp(-x^2 / (4 sigma0^2))
+               / sqrt(2^k k! sqrt(2 pi) sigma0)
+    """
+    if sigma0 <= 0:
+        raise ValueError("sigma0 must be positive")
+    xs = np.asarray(x, dtype=float)
+    norm = math.sqrt(2.0 ** order * math.factorial(order)
+                     * math.sqrt(2.0 * math.pi) * sigma0)
+    val = (hermite_eval(order, xs / (math.sqrt(2.0) * sigma0))
+           * np.exp(-xs ** 2 / (4.0 * sigma0 ** 2)) / norm)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def hg_wavefunction(idx: ModeIndex, sigma0: float, x, y):
     """Waist-plane HG amplitude, unit L2 norm over the transverse plane.
 
-    psi_mn(x, y) = H_m(x / (sqrt2 sigma0)) H_n(y / (sqrt2 sigma0))
+    psi_mn(x, y) = phi_m(x) phi_n(y) with the hg_factor terms, i.e.
+                   H_m(x / (sqrt2 sigma0)) H_n(y / (sqrt2 sigma0))
                    * exp(-(x^2 + y^2) / (4 sigma0^2))
                    / sqrt(2^(m+n+1) pi sigma0^2 m! n!)
 
     Real-valued; sigma0 is the intensity-profile standard deviation of the
     fundamental mode.
     """
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    norm = math.sqrt(
-        2.0 ** (idx.m + idx.n + 1) * math.pi * sigma0 ** 2
-        * math.factorial(idx.m) * math.factorial(idx.n))
-    s = math.sqrt(2.0) * sigma0
-    val = (hermite_eval(idx.m, xs / s) * hermite_eval(idx.n, ys / s)
-           * np.exp(-(xs ** 2 + ys ** 2) / (4.0 * sigma0 ** 2)) / norm)
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
+    return hg_factor(idx.m, sigma0, x) * hg_factor(idx.n, sigma0, y)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@ To first order the post-selected pointer is N (1 - i alpha A_w Omega)|psi_i>
 with the weak value A_w = <f|A|i> / <f|i>; the exact evolution splits the
 coupling along the +-1 eigenspaces of the Pauli axis, which only needs
 exp(-+ i alpha Omega) acting on the pointer.
+
+Omega is applied and exponentiated by one block kernel, Generator: one
+tridiagonal Lz block per shell m + n, or one px block along the m axis.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +36,6 @@ from .modes import (
     ModeState,
     OperatorMatrix,
     basis_dim,
-    flat_index,
     lz_matrix,
     momentum_matrix_x,
 )
@@ -166,20 +167,67 @@ def coupling_matrix(coupling: Coupling, cutoff: int, sigma0: float = 1.0) -> Ope
     raise ValueError(f"unknown coupling {coupling!r}")
 
 
-@lru_cache(maxsize=64)
-def _coupling_eig(coupling: Coupling, cutoff: int, sigma0: float):
-    op = coupling_matrix(coupling, cutoff, sigma0)
-    w, v = np.linalg.eigh(op.entries)
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return w, v
+def _tridiagonal(upper: np.ndarray) -> np.ndarray:
+    """Hermitian block with i * upper above and -i * upper below the diagonal."""
+    return np.diag(1j * upper, 1) + np.diag(-1j * upper, -1)
 
 
-def _evolve(coupling: Coupling, cutoff: int, sigma0: float,
-            alpha: float, vec: np.ndarray) -> np.ndarray:
-    """exp(-i alpha Omega) vec via the cached eigendecomposition."""
-    w, v = _coupling_eig(coupling, cutoff, sigma0)
-    return v @ (np.exp(-1j * alpha * w) * (v.conj().T @ vec))
+@dataclass(frozen=True)
+class Generator:
+    """Pointer generator Omega of a coupling, applied block by block.
+
+    OAM: one tridiagonal block per shell s = m + n, over j = m from
+    max(0, s - cutoff) to min(s, cutoff), with <j-1|Lz|j> = i sqrt(j (s-j+1))
+    (exactly the truncation of lz_matrix). MOMENTUM_X: px = p (x) 1, one
+    (cutoff + 1)-square block along m, <j-1|p|j> = -i sqrt(j) / (2 sigma0).
+    Only blocks a state has support on are formed: O((cutoff + 1)^2) memory.
+    """
+
+    coupling: Coupling
+    cutoff: int
+    sigma0: float = 1.0
+
+    def __post_init__(self):
+        if not isinstance(self.coupling, Coupling):
+            raise ValueError(f"unknown coupling {self.coupling!r}")
+        if self.cutoff < 0 or self.sigma0 <= 0:
+            raise ValueError("cutoff must be non-negative and sigma0 positive")
+
+    def _grid(self, state: ModeState) -> np.ndarray:
+        if state.cutoff != self.cutoff:
+            raise ValueError("operator and state truncations differ")
+        return state.amplitudes.reshape(self.cutoff + 1, self.cutoff + 1)
+
+    def _blocks(self, x: np.ndarray):
+        """Yield (block, (rows, cols) in the grid) per block x has support on."""
+        if self.coupling is Coupling.MOMENTUM_X:
+            yield (_tridiagonal(-np.sqrt(np.arange(1, self.cutoff + 1))
+                                / (2.0 * self.sigma0)),
+                   (slice(None), np.flatnonzero(np.any(x != 0, axis=0))))
+            return
+        for s in np.unique(np.add(*np.nonzero(x))):
+            j = np.arange(max(0, s - self.cutoff), min(s, self.cutoff) + 1)
+            yield (_tridiagonal(np.sqrt(j[1:] * (s - j[1:] + 1))),
+                   (j[:, None], s - j[:, None]))
+
+    def apply(self, state: ModeState) -> np.ndarray:
+        """Omega |state> as a flat amplitude vector."""
+        x = self._grid(state)
+        out = np.zeros_like(x)
+        for block, (rows, cols) in self._blocks(x):
+            out[rows, cols] = block @ x[rows, cols]
+        return out.reshape(-1)
+
+    def evolve(self, alphas, state: ModeState) -> np.ndarray:
+        """exp(-i alpha Omega) |state> for each alpha, one flat row per alpha."""
+        x = self._grid(state)
+        alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+        out = np.zeros((len(alphas),) + x.shape, dtype=complex)
+        for block, (rows, cols) in self._blocks(x):
+            w, v = np.linalg.eigh(block)
+            phases = np.exp(-1j * np.multiply.outer(alphas, w))[:, :, None]
+            out[:, rows, cols] = v @ (phases * (v.conj().T @ x[rows, cols]))
+        return out.reshape(len(alphas), -1)
 
 
 @dataclass(frozen=True)
@@ -216,8 +264,8 @@ class WeakScenario:
         """M_w = alpha * A_w, the small parameter of the expansion."""
         return self.alpha * self.weak_value
 
-    def operator(self) -> OperatorMatrix:
-        return coupling_matrix(self.coupling, self.pointer.cutoff, self.sigma0)
+    def operator(self) -> Generator:
+        return Generator(self.coupling, self.pointer.cutoff, self.sigma0)
 
     def require_weak_regime(self):
         m = abs(self.coupling_strength)
@@ -230,7 +278,8 @@ def carrier_state(idx: ModeIndex, cutoff: int) -> ModeState:
     """Normalized mode the rotation signal is deposited into.
 
     [sqrt(m(n+1)) |m-1, n+1> - sqrt((m+1)n) |m+1, n-1>] / sqrt(2mn + m + n);
-    Lz |m, n> = i sqrt(2mn + m + n) times this state.
+    Lz |m, n> = i sqrt(2mn + m + n) times this state. Both the pointer and
+    its carrier must lie inside the truncation.
     """
     m, n = idx.m, idx.n
     if m == 0 and n == 0:
@@ -238,12 +287,8 @@ def carrier_state(idx: ModeIndex, cutoff: int) -> ModeState:
     if (m >= 1 and n + 1 > cutoff) or (n >= 1 and m + 1 > cutoff):
         raise ValueError(
             f"cutoff {cutoff} cannot hold the carrier of ({m}, {n})")
-    amp = np.zeros(basis_dim(cutoff), dtype=complex)
-    if m >= 1:
-        amp[flat_index(m - 1, n + 1, cutoff)] = math.sqrt(m * (n + 1))
-    if n >= 1:
-        amp[flat_index(m + 1, n - 1, cutoff)] = -math.sqrt((m + 1) * n)
-    return ModeState(cutoff, amp / math.sqrt(2 * m * n + m + n))
+    lz_psi = Generator(Coupling.OAM, cutoff).apply(ModeState.basis(cutoff, m, n))
+    return ModeState(cutoff, lz_psi / (1j * math.sqrt(2 * m * n + m + n)))
 
 
 def final_pointer_first_order(s: WeakScenario) -> ModeState:
@@ -276,14 +321,12 @@ def final_pointer_exact(s: WeakScenario) -> ExactPointer:
     bra_a_ket = _bracket(s.post, s.axis.matrix, s.pre)
     amp_plus = 0.5 * (braket + bra_a_ket)
     amp_minus = 0.5 * (braket - bra_a_ket)
-    cutoff = s.pointer.cutoff
-    fwd = _evolve(s.coupling, cutoff, s.sigma0, s.alpha, s.pointer.amplitudes)
-    bwd = _evolve(s.coupling, cutoff, s.sigma0, -s.alpha, s.pointer.amplitudes)
+    fwd, bwd = s.operator().evolve((s.alpha, -s.alpha), s.pointer)
     vec = amp_plus * fwd + amp_minus * bwd
     prob = float(np.real(np.vdot(vec, vec)))
     if prob < 1e-300:
         raise TotalExtinctionError("post-selected amplitude underflowed")
-    return ExactPointer(ModeState(cutoff, vec / math.sqrt(prob)), prob)
+    return ExactPointer(ModeState(s.pointer.cutoff, vec / math.sqrt(prob)), prob)
 
 
 @dataclass(frozen=True)
@@ -316,9 +359,8 @@ class DensityMatrix:
 def monitor_branches(alpha: float, coupling: Coupling, pointer: ModeState,
                      sigma0: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Pointer branches exp(-+ i alpha Omega)|psi_i> tagged by the qubit basis."""
-    cutoff = pointer.cutoff
-    fwd = _evolve(coupling, cutoff, sigma0, alpha, pointer.amplitudes)
-    bwd = _evolve(coupling, cutoff, sigma0, -alpha, pointer.amplitudes)
+    fwd, bwd = Generator(coupling, pointer.cutoff, sigma0).evolve(
+        (alpha, -alpha), pointer)
     return fwd, bwd
 
 

@@ -17,6 +17,7 @@ from hgsense.errors import (
     CoverageError,
     GridMismatchError,
     UnreachableAmplitudeError,
+    UnsupportedOrderError,
 )
 from hgsense.fields import (
     DEFAULT_WAVELENGTH,
@@ -37,7 +38,17 @@ from hgsense.fields import (
     write_phase_binary,
     write_phase_pgm,
 )
-from hgsense.modes import BeamGeometry, ModeIndex, beam_params, oam_variance
+from hgsense.modes import (
+    BeamGeometry,
+    ModeIndex,
+    ModeState,
+    basis_dim,
+    beam_params,
+    flat_index,
+    hg_wavefunction,
+    index_to_mode,
+    oam_variance,
+)
 from hgsense.weak import carrier_state
 
 SIDE = 256  # plenty for sub-percent overlaps, keeps the suite quick
@@ -51,6 +62,63 @@ def test_grid_modes_orthonormal():
         for j, b in enumerate(fields):
             want = 1.0 if i == j else 0.0
             assert abs(overlap(a, b) - want) < 1e-6
+
+
+def _direct_field(terms, sigma0: float, grid: FieldGrid) -> np.ndarray:
+    """sum amp * psi_mn on a full meshgrid, at unit grid power."""
+    x, y = np.meshgrid(grid.coords, grid.coords, indexing="xy")
+    f = sum(amp * hg_wavefunction(idx, sigma0, x, y) for idx, amp in terms)
+    return f / math.sqrt(float(np.sum(np.abs(f) ** 2)) * grid.pitch ** 2)
+
+
+def test_separable_synthesis_matches_direct_evaluation():
+    sigma0 = 0.8
+    for idx in (ModeIndex(0, 0), ModeIndex(2, 1), ModeIndex(1, 5)):
+        grid = synthesize_hg_field(idx, sigma0, side=SIDE)
+        want = _direct_field([(idx, 1.0)], sigma0, grid)
+        assert np.max(np.abs(grid.samples - want)) <= 1e-12 * np.max(np.abs(want))
+    cutoff = 6
+    rng = np.random.default_rng(7)
+    amp = rng.normal(size=basis_dim(cutoff)) + 1j * rng.normal(size=basis_dim(cutoff))
+    grid = synthesize_superposition(ModeState(cutoff, amp), sigma0, side=SIDE)
+    terms = [(ModeIndex(*index_to_mode(i, cutoff)), a) for i, a in enumerate(amp)]
+    want = _direct_field(terms, sigma0, grid)
+    assert np.max(np.abs(grid.samples - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_superposition_needs_only_orders_with_amplitude():
+    # the truncation may exceed the Hermite order cap as long as the support
+    # stays below it
+    wide, narrow = np.zeros(basis_dim(70), complex), np.zeros(basis_dim(64), complex)
+    for m, n, a in ((64, 1, 0.6), (2, 3, 0.8j)):
+        wide[flat_index(m, n, 70)] = narrow[flat_index(m, n, 64)] = a
+    got = synthesize_superposition(ModeState(70, wide), 1.0, side=SIDE)
+    want = synthesize_superposition(ModeState(64, narrow), 1.0, side=SIDE)
+    assert np.array_equal(got.samples, want.samples)
+    wide[flat_index(65, 0, 70)] = 0.1
+    with pytest.raises(UnsupportedOrderError):
+        synthesize_superposition(ModeState(70, wide), 1.0, side=SIDE)
+
+
+def test_rotated_constant_field_reads_zero_outside_and_one_inside():
+    side = 128
+    flat = FieldGrid(np.ones((side, side)), 16.0 / side, 1.0)
+    angle = 0.3
+    got = rotate_field(flat, angle).samples
+    assert np.all(got.imag == 0.0)
+    x, y = flat.coords[None, :], flat.coords[:, None]
+    half = (side - 1) / 2.0
+    col = np.floor((math.cos(angle) * x + math.sin(angle) * y) / flat.pitch + half)
+    row = np.floor((-math.sin(angle) * x + math.cos(angle) * y) / flat.pitch + half)
+    inside = lambda k: (k >= 0) & (k < side)
+    all_in = inside(col) & inside(col + 1) & inside(row) & inside(row + 1)
+    none_in = ~((inside(col) | inside(col + 1)) & (inside(row) | inside(row + 1)))
+    assert all_in.sum() > 0 and none_in.sum() > 0
+    # the four bilinear weights sum to one up to rounding
+    assert np.max(np.abs(got[all_in] - 1.0)) <= 4 * np.finfo(float).eps
+    assert np.all(got[none_in] == 0.0)
+    edge = got.real[~all_in & ~none_in]
+    assert np.all((edge >= 0.0) & (edge <= 1.0))
 
 
 def test_right_angle_rotation_is_exact():

@@ -2,11 +2,14 @@
 
 Everything that matters is computed at least twice: finite differences
 against closed forms, classical readouts against the quantum ceiling, the
-dense solve against the shell solve, the SLD pipeline against the rank-2
-closed form. The compared routes share state constructors and nothing else.
+SLD pipeline against the rank-2 closed form. Pointer evolution itself has
+one implementation, weak.Generator, pinned against the dense matrices in
+test_weak.
 """
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +208,9 @@ def test_min_detectable_rotation_frozen_values():
         min_detectable_rotation(ModeIndex(1, 1), eps, 0.0)
     with pytest.raises(ValueError):
         min_detectable_rotation(ModeIndex(1, 1), math.pi, 1e6)
+    for vanishing_cot in (math.pi / 2, 3 * math.pi / 2):
+        with pytest.raises(ValueError):
+            min_detectable_rotation(ModeIndex(1, 1), vanishing_cot, 1e6)
 
 
 def test_min_detectable_matches_fisher_bound_route():
@@ -303,6 +309,7 @@ def test_mixed_fisher_three_routes():
 
 
 def test_shell_route_matches_dense_route():
+    # both sides run the same Generator kernel; the oracle is in test_weak
     pre, post = post_selected_pair(0.1)
     for m, n in ((1, 1), (2, 1), (3, 3)):
         fam = rotation_family(0.1, ModeIndex(m, n))
@@ -326,6 +333,40 @@ def test_step_guard_trips_on_coarse_step():
         cfi_povm(fam, 1e-3,
                  carrier_projection_povm(carrier_state(ModeIndex(1, 1), 2)),
                  step=-1.0)
+
+
+def test_high_order_evolution_is_fast_and_small():
+    # block evolution: a dense (cutoff + 1)^2 eigendecomposition at these
+    # orders would take seconds and gigabytes. The memory bound runs first,
+    # at a size where a dense matrix is still only megabytes, so that a
+    # dense regression fails there instead of allocating at cutoff 128.
+    pre, post = post_selected_pair(0.1)
+    for coupling in Coupling:
+        s = WeakScenario(1e-3, pre, post, PauliAxis.z(), coupling,
+                         ModeState.basis(24, 12, 12))
+        tracemalloc.start()
+        try:
+            final_pointer_exact(s)
+            s.operator().apply(s.pointer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 16 * basis_dim(24)  # 16 complex amplitude vectors
+
+    def best_time(fn) -> float:
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    for coupling in Coupling:
+        s = WeakScenario(1e-3, pre, post, PauliAxis.z(), coupling,
+                         ModeState.basis(64, 32, 32))
+        assert best_time(lambda: final_pointer_exact(s)) < 1.0
+    assert best_time(lambda: qfi_rotation_exact(
+        pre, post, PauliAxis.z(), 1e-5, ModeIndex(64, 64))) < 1.0
 
 
 def test_weak_regime_guard():

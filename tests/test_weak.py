@@ -16,10 +16,12 @@ from hgsense.modes import (
     basis_dim,
     flat_index,
     lz_matrix,
+    momentum_matrix_x,
     oam_variance,
 )
 from hgsense.weak import (
     Coupling,
+    Generator,
     PauliAxis,
     QubitState,
     WeakScenario,
@@ -108,6 +110,8 @@ def test_carrier_guards():
         carrier_state(ModeIndex(0, 0), 4)
     with pytest.raises(ValueError):
         carrier_state(ModeIndex(2, 2), 2)  # needs room for m+1
+    with pytest.raises(ValueError):
+        carrier_state(ModeIndex(0, 5), 4)  # pointer outside the truncation
 
 
 def test_first_order_normalization_formula():
@@ -225,3 +229,30 @@ def test_momentum_coupling_displaces_fundamental():
     overlap = abs(np.vdot(pointer.amplitudes, ex.pointer.amplitudes)) ** 2
     beta = alpha / (2.0 * sigma0)
     assert overlap == pytest.approx(math.exp(-beta ** 2), rel=1e-6)
+
+
+def test_generator_matches_dense_oracle():
+    # random states fill every shell, including the truncated ones s > cutoff
+    rng = np.random.default_rng(20140519)
+    alpha, sigma0 = 0.37, 0.7
+    for cutoff in range(7):
+        dim = basis_dim(cutoff)
+        for coupling, dense in ((Coupling.OAM, lz_matrix(cutoff)),
+                                (Coupling.MOMENTUM_X,
+                                 momentum_matrix_x(cutoff, sigma0))):
+            gen = Generator(coupling, cutoff, sigma0)
+            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            state = ModeState(cutoff, vec)
+            assert np.max(np.abs(gen.apply(state) - dense.apply(state))) < 1e-12
+            w, v = np.linalg.eigh(dense.entries)
+            evolved = gen.evolve((alpha, -alpha), state)
+            for row, a in zip(evolved, (alpha, -alpha)):
+                want = v @ (np.exp(-1j * a * w) * (v.conj().T @ vec))
+                assert np.max(np.abs(row - want)) < 1e-12
+    gen = Generator(Coupling.OAM, 3)
+    with pytest.raises(ValueError):
+        gen.apply(ModeState.basis(4, 1, 1))
+    with pytest.raises(ValueError):
+        gen.evolve((0.1,), ModeState.basis(4, 1, 1))
+    with pytest.raises(ValueError):
+        Generator("oam", 3)
