@@ -79,8 +79,9 @@ class PhotonBudget:
     efficiency: float = 1.0
 
     def __post_init__(self):
-        if self.power <= 0 or self.integration <= 0 or self.wavelength <= 0:
-            raise ConfigError("power, integration and wavelength must be positive")
+        if not all(0 < v < math.inf for v in
+                   (self.power, self.integration, self.wavelength)):
+            raise ConfigError("power, integration and wavelength must be finite and > 0")
         if not 0.0 < self.efficiency <= 1.0:
             raise ConfigError("efficiency must lie in (0, 1]")
         if self.power > DETECTOR_SATURATION_W:

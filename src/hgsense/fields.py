@@ -5,6 +5,8 @@ algebra, so it can serve as an independent oracle for the mode-space results
 (and vice versa). Grids are square with symmetric sample coordinates
 x_i = (i - (side - 1) / 2) * pitch, so the beam axis sits between the four
 central pixels and right-angle rotations land exactly on grid nodes.
+Holograms use the J1-type phase-only encoding of Arrizon et al., JOSA A 24,
+3500 (2007); the depth inverts J1 by one polynomial fitted at import.
 
 File formats
 ------------
@@ -31,9 +33,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import j1 as _bessel_j1
-from scipy.special import jvp as _bessel_jvp
 
 from .errors import (
     CoverageError,
@@ -49,9 +48,13 @@ DEFAULT_SIDE = 512
 DEFAULT_WINDOW_SIGMA = 8.0
 DEFAULT_WAVELENGTH = 780e-9
 
-# First maximum of J1: the invertible range of the amplitude encoding.
-J1_PEAK_X = float(brentq(lambda x: _bessel_jvp(1, x, 1), 1.0, 3.0, xtol=1e-14))
-J1_PEAK = float(_bessel_j1(J1_PEAK_X))
+# First maximum of J1, the end of the invertible branch; pinned by a test.
+J1_PEAK_X = 1.8411837813406593
+# J1(x) = sum_k (-1)^k (x/2)^(2k+1) / (k! (k+1)!), double precision in 13 terms
+_J1_SERIES = np.polynomial.Polynomial(np.ravel(
+    [[0.0, (-0.25) ** k / (2 * math.factorial(k) * math.factorial(k + 1))]
+     for k in range(13)]))
+J1_PEAK = float(_J1_SERIES(J1_PEAK_X))
 
 _RENORM_FLOOR = 1e-9
 
@@ -214,7 +217,7 @@ def mode_purity(field: FieldGrid, idx: ModeIndex) -> float:
 def j1_inverse(target: float) -> float:
     """Depth f with J1(f) = target on the rising branch [0, J1_PEAK_X].
 
-    Bisection to 1e-10; targets outside [0, J1_PEAK] are unreachable.
+    One series evaluation; targets outside [0, J1_PEAK] are unreachable.
     """
     if not (0.0 <= target <= J1_PEAK):
         raise UnreachableAmplitudeError(
@@ -222,15 +225,30 @@ def j1_inverse(target: float) -> float:
     return float(_j1_inverse_array(np.array([target]))[0])
 
 
+def _newton_depth(y: np.ndarray) -> np.ndarray:
+    # Newton from 0: J1 is concave and rising on the branch, so the iterates
+    # climb to each root without crossing the peak.
+    t = J1_PEAK * (1.0 - 0.25 * (y + 1.0) ** 2)
+    x = np.zeros_like(t)
+    for _ in range(20):  # enough for the node nearest the peak
+        x -= (_J1_SERIES(x) - t) / _J1_SERIES.deriv()(x)
+    return x
+
+
+# The depth is analytic in sqrt(J1_PEAK - t) on the whole branch, peak
+# included: one Chebyshev interpolant in y = 2 sqrt(1 - t / J1_PEAK) - 1 covers
+# it, and its power-basis coefficients sum to ~2, so Horner in y is as exact.
+_J1_INVERSE_POLY = np.polynomial.chebyshev.cheb2poly(
+    np.polynomial.chebyshev.chebinterpolate(_newton_depth, 24))
+
+
 def _j1_inverse_array(targets: np.ndarray) -> np.ndarray:
-    lo = np.zeros_like(targets)
-    hi = np.full_like(targets, J1_PEAK_X)
-    for _ in range(48):  # 1.85 / 2^48 ~ 7e-15, well under the 1e-10 contract
-        mid = 0.5 * (lo + hi)
-        below = _bessel_j1(mid) < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    y = 2.0 * np.sqrt(1.0 - targets / J1_PEAK) - 1.0
+    depth = np.full_like(y, _J1_INVERSE_POLY[-1])
+    for a in _J1_INVERSE_POLY[-2::-1]:  # Horner in place
+        depth *= y
+        depth += a
+    return np.clip(depth, 0.0, J1_PEAK_X, out=depth)
 
 
 @dataclass(frozen=True)

@@ -205,7 +205,8 @@ class Generator:
                                 / (2.0 * self.sigma0)),
                    (slice(None), np.flatnonzero(np.any(x != 0, axis=0))))
             return
-        for s in np.unique(np.add(*np.nonzero(x))):
+        # occupied shells, sorted; np.unique would import numpy.ma on first use
+        for s in np.flatnonzero(np.bincount(np.add(*np.nonzero(x)))):
             j = np.arange(max(0, s - self.cutoff), min(s, self.cutoff) + 1)
             yield (_tridiagonal(np.sqrt(j[1:] * (s - j[1:] + 1))),
                    (j[:, None], s - j[:, None]))

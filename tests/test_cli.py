@@ -6,10 +6,14 @@ regenerating it is a deliberate act, not a side effect of other edits.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hgsense
 from hgsense.cli import main
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table2_golden.csv"
@@ -103,6 +107,28 @@ def test_montecarlo_out_and_config(tmp_path):
     assert settings["trials"] == "10"
     assert float(settings["alpha_rad"]) == pytest.approx(1e-6)
     assert list(settings) == sorted(settings)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table2", "--power-w", "nan"],
+    ["table2", "--tau-s", "inf"],
+    ["montecarlo", "--mode", "1,1", "--tau-s", "inf", "--trials", "10"],
+])
+def test_non_finite_photon_budget_exits_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(hgsense.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, hgsense, hgsense.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_montecarlo_rejects_bad_modes(capsys):

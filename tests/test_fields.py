@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import j1 as bessel_j1
+from scipy.special import jvp
 
 from hgsense.errors import (
     CoverageError,
@@ -25,6 +27,7 @@ from hgsense.fields import (
     J1_PEAK_X,
     FieldGrid,
     PhaseMap,
+    _j1_inverse_array,
     gaussian_illumination,
     j1_inverse,
     mode_purity,
@@ -281,6 +284,31 @@ def test_j1_inverse_guards():
         j1_inverse(-0.1)
     with pytest.raises(UnreachableAmplitudeError):
         j1_inverse(J1_PEAK + 1e-6)
+
+
+def test_j1_peak_constants_match_scipy():
+    peak_x = brentq(lambda x: jvp(1, x, 1), 1.0, 3.0, xtol=1e-14)
+    assert J1_PEAK_X == pytest.approx(peak_x, abs=1e-14)
+    assert J1_PEAK == pytest.approx(float(bessel_j1(J1_PEAK_X)), abs=1e-15)
+
+
+def test_j1_inverse_array_matches_bisection_oracle():
+    targets = np.concatenate([np.linspace(0.0, J1_PEAK, 200001), [0.0, J1_PEAK]])
+    lo = np.zeros_like(targets)
+    hi = np.full_like(targets, J1_PEAK_X)
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        below = bessel_j1(mid) < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    reference = 0.5 * (lo + hi)
+    depth = _j1_inverse_array(targets)
+    assert np.max(np.abs(bessel_j1(depth) - targets)) <= 1e-13
+    # bisection on the flat top of J1 resolves the depth only to ~sqrt(eps)
+    away_from_peak = targets <= J1_PEAK - 1e-6
+    assert np.max(np.abs(depth - reference)[away_from_peak]) <= 1e-10
+    assert np.all(np.diff(depth[:-2]) >= 0.0)
+    assert depth.min() >= 0.0 and depth.max() <= J1_PEAK_X
 
 
 def test_phase_map_validation():
