@@ -12,14 +12,15 @@ montecarlo  photon-counting lock-in simulation, per-trial SNR samples
 hologram    phase-only hologram for a target mode plus the simulated
             first-order readout
 
-Domain precondition failures exit with status 2 and a message on stderr.
+Domain precondition failures and unwritable outputs exit with status 2 and
+a one-line message on stderr. Files go through output.write_atomic; stdout
+gets the same text a file would.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import math
 import sys
 
@@ -37,9 +38,9 @@ from .experiment import (
     montecarlo_lockin,
     sensitivity_table,
     snr as analytic_snr,
+    table_csv,
+    table_json,
     write_run_config,
-    write_table_csv,
-    write_table_json,
 )
 from .fields import (
     first_order_extract,
@@ -60,6 +61,7 @@ from .fisher import (
     write_bound_csv,
 )
 from .modes import ModeIndex, ModeState, oam_variance
+from .output import format_cell, write_atomic
 from .weak import (
     Coupling,
     PauliAxis,
@@ -106,8 +108,7 @@ def _calibration(args) -> DriveCalibration:
 
 def _emit(args, text: str):
     if args.out:
-        from .experiment import _atomic_write_text
-        _atomic_write_text(args.out, text)
+        write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -201,17 +202,7 @@ def cmd_table2(args) -> int:
     budget = _budget(args)
     cal = _calibration(args)
     rows = sensitivity_table(epsilon, budget, cal)
-    if args.out:
-        writer = write_table_json if args.format == "json" else write_table_csv
-        writer(args.out, rows)
-    elif args.format == "json":
-        print(json.dumps([row._asdict() for row in rows], indent=2))
-    else:
-        print(",".join(rows[0]._fields))
-        for row in rows:
-            cells = [str(row.m), str(row.n)]
-            cells += [format(v, ".12g") for v in row[2:]]
-            print(",".join(cells))
+    _emit(args, (table_json if args.format == "json" else table_csv)(rows))
     _maybe_config(args, {
         "epsilon_rad": epsilon, "photons": budget.photons,
         "power_w": budget.power, "integration_s": budget.integration,
@@ -238,13 +229,14 @@ def cmd_montecarlo(args) -> int:
     lines = [
         f"# seed = {result.seed}",
         f"# mode = {idx.m},{idx.n}",
-        f"# alpha_rad = {alpha:.12g}",
-        f"# analytic_snr = {reference:.12g}",
+        f"# alpha_rad = {format_cell(alpha)}",
+        f"# analytic_snr = {format_cell(reference)}",
         "label,snr",
     ]
-    lines += [f"trial{k:04d},{v:.12g}" for k, v in enumerate(result.samples)]
-    lines.append(f"mean,{result.mean_snr:.12g}")
-    lines.append(f"std,{result.std_snr:.12g}")
+    lines += [f"trial{k:04d},{format_cell(v)}"
+              for k, v in enumerate(result.samples)]
+    lines.append(f"mean,{format_cell(result.mean_snr)}")
+    lines.append(f"std,{format_cell(result.std_snr)}")
     _emit(args, "\n".join(lines) + "\n")
     _maybe_config(args, {
         "epsilon_rad": epsilon, "alpha_rad": alpha,
@@ -370,7 +362,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (HgSenseError, ValueError) as exc:
+    except (HgSenseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -38,6 +36,7 @@ from .errors import (
     SaturationWarning,
 )
 from .modes import ModeIndex, oam_variance
+from .output import format_cell, write_atomic
 
 PLANCK = 6.62607015e-34
 LIGHT_SPEED = 299792458.0
@@ -117,8 +116,8 @@ class DriveCalibration:
     rotation_per_volt: float = DEFAULT_ROTATION_PER_VOLT
 
     def __post_init__(self):
-        if self.rotation_per_volt <= 0:
-            raise ConfigError("calibration must be positive")
+        if not 0 < self.rotation_per_volt < math.inf:
+            raise ConfigError("calibration must be finite and positive")
 
     def rotation(self, volts: float) -> float:
         return volts * self.rotation_per_volt
@@ -134,10 +133,11 @@ class NoiseModel:
     electrical_v: float = DEFAULT_ELECTRICAL_V
 
     def __post_init__(self):
-        if self.dither_rad <= 0 or self.drive_frequency <= 0:
-            raise ConfigError("dither and drive frequency must be positive")
-        if self.electrical_v < 0:
-            raise ConfigError("electrical noise cannot be negative")
+        if not all(0 < v < math.inf
+                   for v in (self.dither_rad, self.drive_frequency)):
+            raise ConfigError("dither and drive frequency must be finite and > 0")
+        if not 0 <= self.electrical_v < math.inf:
+            raise ConfigError("electrical noise must be finite and >= 0")
 
 
 def _check_epsilon(epsilon: float):
@@ -293,31 +293,24 @@ def sensitivity_table(epsilon: float,
     return rows
 
 
-def _atomic_write_text(path, text: str):
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def table_csv(rows: Sequence[ModeSensitivity]) -> str:
+    """The sensitivity table as CSV text, cells by output.format_cell."""
+    lines = [",".join(ModeSensitivity._fields)]
+    lines += [",".join(format_cell(value) for value in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def table_json(rows: Sequence[ModeSensitivity]) -> str:
+    """The sensitivity table as an indented JSON list of row objects."""
+    return json.dumps([row._asdict() for row in rows], indent=2) + "\n"
 
 
 def write_table_csv(path, rows: Sequence[ModeSensitivity]):
-    lines = [",".join(ModeSensitivity._fields)]
-    for row in rows:
-        cells = [str(row.m), str(row.n)] + [
-            format(value, ".12g") for value in row[2:]]
-        lines.append(",".join(cells))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    write_atomic(path, table_csv(rows))
 
 
 def write_table_json(path, rows: Sequence[ModeSensitivity]):
-    payload = [row._asdict() for row in rows]
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    write_atomic(path, table_json(rows))
 
 
 def write_run_config(path, settings: dict):
@@ -327,4 +320,4 @@ def write_run_config(path, settings: dict):
         value = settings[key]
         rendered = repr(value) if isinstance(value, float) else str(value)
         lines.append(f"{key} = {rendered}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -27,9 +27,7 @@ Phase-map image dump: 8-bit binary PGM (P5), phases mapped linearly from
 from __future__ import annotations
 
 import math
-import os
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +39,7 @@ from .errors import (
     UnreachableAmplitudeError,
 )
 from .modes import ModeIndex, ModeState, beam_params, BeamGeometry, hg_factor
+from .output import write_atomic
 
 MIN_SIDE = 128
 MIN_COVERAGE_SIGMA = 6.0
@@ -263,8 +262,8 @@ class PhaseMap:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("phase map must be square")
-        if np.max(np.abs(arr)) > math.pi + 1e-9:
-            raise ValueError("phase values must lie in [-pi, pi]")
+        if not np.max(np.abs(arr)) <= math.pi + 1e-9:  # NaN fails too
+            raise ValueError("phase values must be finite and lie in [-pi, pi]")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -311,8 +310,8 @@ def hologram_phase(target: FieldGrid, incident: FieldGrid,
         grating = np.zeros(target.side)
         period = 0.0
     else:
-        if grating_period <= 0:
-            raise ValueError("grating period must be positive")
+        if not 0 < grating_period < math.inf:
+            raise ValueError("grating period must be finite and positive")
         grating = 2.0 * math.pi * cols / grating_period
         period = float(grating_period)
     phi = np.angle(target.samples) - np.angle(incident.samples) + grating[None, :]
@@ -336,9 +335,10 @@ def first_order_extract(modulated: FieldGrid, grating_period: float) -> FieldGri
     (below 1e-9) so that a blank mask legitimately yields a dark output.
     """
     side = modulated.side
-    if grating_period < 4.0:
+    if not grating_period >= 4.0:  # NaN fails too; inf fails the next guard
         raise SeparationError(
-            f"grating period {grating_period} px below the 4 px resolution bound")
+            f"grating period {grating_period} px must reach the 4 px "
+            "resolution bound")
     if grating_period > side / 2.0:
         raise SeparationError(
             f"grating period {grating_period} px puts the carrier inside the "
@@ -357,19 +357,6 @@ def first_order_extract(modulated: FieldGrid, grating_period: float) -> FieldGri
     return out
 
 
-def _atomic_write_bytes(path, payload: bytes):
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 _FGRD_HEADER = struct.Struct("<4sII4d")
 _PMAP_HEADER = struct.Struct("<4sIId")
 
@@ -379,7 +366,7 @@ def write_field_binary(path, field: FieldGrid):
     header = _FGRD_HEADER.pack(b"FGRD", 1, field.side, field.pitch,
                                field.sigma0, field.wavelength, field.z)
     data = np.ascontiguousarray(field.samples, dtype="<c16").tobytes()
-    _atomic_write_bytes(path, header + data)
+    write_atomic(path, header + data)
 
 
 def read_field_binary(path) -> FieldGrid:
@@ -398,7 +385,7 @@ def read_field_binary(path) -> FieldGrid:
 def write_phase_binary(path, phase: PhaseMap):
     header = _PMAP_HEADER.pack(b"PMAP", 1, phase.side, phase.grating_period)
     data = np.ascontiguousarray(phase.values, dtype="<f8").tobytes()
-    _atomic_write_bytes(path, header + data)
+    write_atomic(path, header + data)
 
 
 def read_phase_binary(path) -> PhaseMap:
@@ -418,4 +405,4 @@ def write_phase_pgm(path, phase: PhaseMap):
     levels = np.clip(np.round((phase.values + math.pi) / (2 * math.pi) * 255.0),
                      0, 255).astype(np.uint8)
     header = f"P5\n{phase.side} {phase.side}\n255\n".encode("ascii")
-    _atomic_write_bytes(path, header + levels.tobytes())
+    write_atomic(path, header + levels.tobytes())

@@ -11,9 +11,8 @@ symmetric logarithmic derivative solver handles the dephased-monitor mixture.
 from __future__ import annotations
 
 import csv
+import io
 import math
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -31,11 +30,12 @@ from .modes import (
     ModeIndex,
     ModeState,
     OperatorMatrix,
-    basis_dim,
     oam_variance,
+    require_psd,
     second_moment,
     variance,
 )
+from .output import format_cell, write_atomic
 from .weak import (
     Coupling,
     DensityMatrix,
@@ -165,15 +165,15 @@ class PovmSet:
         if not self.elements:
             raise ValueError("POVM needs at least one element")
         cutoff = self.elements[0].cutoff
-        dim = basis_dim(cutoff)
-        total = np.zeros((dim, dim), dtype=complex)
         for el in self.elements:
             if el.cutoff != cutoff:
                 raise ValueError("POVM elements live in different truncations")
-            if float(np.linalg.eigvalsh(el.entries)[0]) < -1e-10:
-                raise InvalidStateError("POVM element not positive semidefinite")
-            total = total + el.entries
-        if np.max(np.abs(total - np.eye(dim))) > 1e-10:
+            require_psd(el.entries, "POVM element")
+        total = np.zeros_like(self.elements[0].entries)
+        for el in self.elements:
+            total += el.entries
+        total.flat[::len(total) + 1] -= 1.0
+        if np.max(np.abs(total)) > 1e-10:
             raise InvalidStateError("POVM elements do not sum to identity")
         object.__setattr__(self, "elements", tuple(self.elements))
 
@@ -185,10 +185,11 @@ class PovmSet:
 def carrier_projection_povm(carrier: ModeState) -> PovmSet:
     """Two-outcome set {|carrier><carrier|, 1 - |carrier><carrier|}."""
     c = carrier.normalize().amplitudes
-    proj = np.outer(c, c.conj())
-    rest = np.eye(len(c)) - proj
-    return PovmSet((OperatorMatrix(carrier.cutoff, proj, hermitian=True),
-                    OperatorMatrix(carrier.cutoff, rest, hermitian=True)))
+    # no raw array outlives its copy: the peak memory of a high-order run
+    proj = OperatorMatrix(carrier.cutoff, np.outer(c, c.conj()), hermitian=True)
+    rest = OperatorMatrix(carrier.cutoff, np.eye(len(c)) - proj.entries,
+                          hermitian=True)
+    return PovmSet((proj, rest))
 
 
 def cfi_povm(state_fn: Callable[[float], ModeState], g: float, povm: PovmSet,
@@ -331,30 +332,16 @@ BOUND_CSV_COLUMNS = ("m", "n", "parameter", "fisher_info", "variance_bound")
 
 
 def write_bound_csv(path, rows: Iterable[Mapping], extra_columns: Sequence[str] = ()):
-    """Emit bound-sweep rows as CSV (atomic: temp file then rename).
+    """Emit bound-sweep rows as CSV through output.write_atomic.
 
     Core columns are m, n, parameter, fisher_info, variance_bound; callers
-    may prepend extra context columns. Floats use 12 significant digits so
-    output is reproducible byte for byte.
+    may prepend extra context columns. Cells use output.format_cell, so
+    output is reproducible byte for byte. Lines end in CRLF, the csv default.
     """
     fieldnames = list(extra_columns) + list(BOUND_CSV_COLUMNS)
-    rows = list(rows)
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fieldnames)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _format_cell(row.get(k, "")) for k in fieldnames})
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+    buffer = io.StringIO(newline="")
+    writer = csv.DictWriter(buffer, fieldnames=fieldnames)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: format_cell(row.get(k, "")) for k in fieldnames})
+    write_atomic(path, buffer.getvalue())

@@ -23,7 +23,7 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .errors import UnsupportedOrderError
+from .errors import InvalidStateError, UnsupportedOrderError
 
 MAX_HERMITE_ORDER = 64
 
@@ -183,6 +183,17 @@ class OperatorMatrix:
         return cls(int(data["cutoff"]), ent, bool(data.get("hermitian", False)))
 
 
+def require_psd(entries: np.ndarray, what: str):
+    """Raise InvalidStateError if a Hermitian matrix has an eigenvalue below
+    -1e-10: Cholesky of a copy shifted up by 1e-10, cheaper than eigvalsh."""
+    shifted = np.array(entries, dtype=complex)
+    shifted.flat[::len(shifted) + 1] += 1e-10
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        raise InvalidStateError(f"{what} not positive semidefinite") from None
+
+
 class StateOperator(Protocol):
     """Maps a state to op|state>: OperatorMatrix or weak.Generator."""
 
@@ -210,8 +221,8 @@ def hg_factor(order: int, sigma0: float, x):
     phi_k(x) = H_k(x / (sqrt2 sigma0)) exp(-x^2 / (4 sigma0^2))
                / sqrt(2^k k! sqrt(2 pi) sigma0)
     """
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
+    if not 0 < sigma0 < math.inf:
+        raise ValueError("sigma0 must be finite and positive")
     xs = np.asarray(x, dtype=float)
     norm = math.sqrt(2.0 ** order * math.factorial(order)
                      * math.sqrt(2.0 * math.pi) * sigma0)

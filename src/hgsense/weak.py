@@ -38,6 +38,7 @@ from .modes import (
     basis_dim,
     lz_matrix,
     momentum_matrix_x,
+    require_psd,
 )
 
 ORTHOGONALITY_FLOOR = 1e-12
@@ -348,8 +349,7 @@ class DensityMatrix:
         tr = float(np.real(np.trace(ent)))
         if abs(tr - 1.0) > 1e-10:
             raise InvalidStateError(f"trace {tr} differs from 1")
-        if float(np.linalg.eigvalsh(ent)[0]) < -1e-10:
-            raise InvalidStateError("density matrix not positive semidefinite")
+        require_psd(ent, "density matrix")
         ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
 

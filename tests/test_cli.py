@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -160,3 +161,46 @@ def test_hologram_rejects_tight_grating(tmp_path, capsys):
     assert main(["hologram", "--mode", "1,1", "--grating-period", "2",
                  "--out", str(tmp_path / "x")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hologram", "--mode", "1,1", "--grating-period", "nan"],
+    ["hologram", "--mode", "1,1", "--grating-period", "inf"],
+    ["hologram", "--mode", "1,1", "--illum-scale", "nan"],
+    ["montecarlo", "--mode", "1,1", "--f-drive", "nan", "--trials", "10"],
+    ["montecarlo", "--mode", "1,1", "--alpha0-rad", "nan", "--trials", "10"],
+    ["montecarlo", "--mode", "1,1", "--electrical-v", "nan", "--trials", "10"],
+    ["table2", "--volts-per-rad-cal", "nan"],
+])
+def test_non_finite_physics_inputs_exit_2(argv, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a 2nd line
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "finite" in captured.err  # names the cause, not a symptom
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "table.csv"
+    assert main(["table2", "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["table2", "--format", "json"],  # the CSV form is pinned by the golden file
+    ["montecarlo", "--mode", "3,3", "--trials", "10", "--seed", "4",
+     "--electrical-v", "3e-5"],
+])
+def test_stdout_equals_out_file(argv, tmp_path, capsys):
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    target = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == stdout.encode()

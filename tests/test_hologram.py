@@ -6,6 +6,8 @@ purity of the extracted beam and the textbook power split of a constant-depth
 sinusoidal mask.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import j0, j1
@@ -129,3 +131,18 @@ def test_grating_and_grid_guards():
         hologram_phase(grid, gaussian_illumination(3.0, other), PERIOD)
     with pytest.raises(GridMismatchError):
         modulate(other, PhaseMap(np.zeros((256, 256)), PERIOD))
+
+
+def test_non_finite_period_and_phase_rejected():
+    grid = synthesize_hg_field(ModeIndex(1, 1), 1.0, side=256)
+    illum = gaussian_illumination(3.0, grid)
+    for period in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            hologram_phase(grid, illum, period)
+    with pytest.raises(SeparationError):
+        first_order_extract(grid, math.nan)
+    with pytest.raises(SeparationError):
+        first_order_extract(grid, math.inf)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PhaseMap(np.full((64, 64), bad), 16.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hgsense.errors import (
     DegeneratePostSelectionError,
+    InvalidStateError,
     NoCarrierError,
     TotalExtinctionError,
     WeakRegimeError,
@@ -21,6 +22,7 @@ from hgsense.modes import (
 )
 from hgsense.weak import (
     Coupling,
+    DensityMatrix,
     Generator,
     PauliAxis,
     QubitState,
@@ -256,3 +258,26 @@ def test_generator_matches_dense_oracle():
         gen.evolve((0.1,), ModeState.basis(4, 1, 1))
     with pytest.raises(ValueError):
         Generator("oam", 3)
+
+
+def test_density_matrix_validation():
+    cutoff = 2
+    dim = basis_dim(cutoff)
+    rng = np.random.default_rng(7)
+    u = np.linalg.qr(rng.normal(size=(dim, dim))
+                     + 1j * rng.normal(size=(dim, dim)))[0]
+
+    def rotated(eigenvalues):
+        return u @ np.diag(eigenvalues) @ u.conj().T
+
+    asymmetric = np.eye(dim) / dim
+    asymmetric[0, 1] = 0.1
+    indefinite = rotated([0.6, 0.6, -0.2] + [0.0] * (dim - 3))
+    for entries in (asymmetric, 2.0 * np.eye(dim) / dim, indefinite,
+                    rotated([1.0 + 1e-9, -1e-9] + [0.0] * (dim - 2))):
+        with pytest.raises(InvalidStateError):
+            DensityMatrix(cutoff, entries)
+    # within the -1e-10 tolerance, including rank-1 boundary states
+    for eigenvalues in ([1.0] + [0.0] * (dim - 1),
+                        [1.0 + 1e-11, -1e-11] + [0.0] * (dim - 2)):
+        DensityMatrix(cutoff, rotated(eigenvalues))
