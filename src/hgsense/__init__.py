@@ -64,6 +64,7 @@ from .fisher import (
     BoundResult,
     Parameter,
     PovmSet,
+    Projector,
     carrier_projection_povm,
     cfi_povm,
     hamiltonian_bound,

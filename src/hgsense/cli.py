@@ -35,6 +35,7 @@ from .experiment import (
     DriveCalibration,
     NoiseModel,
     PhotonBudget,
+    check_epsilon,
     montecarlo_lockin,
     sensitivity_table,
     snr as analytic_snr,
@@ -120,6 +121,7 @@ def _maybe_config(args, settings: dict):
 
 def cmd_bounds(args) -> int:
     epsilon = math.radians(args.epsilon_deg)
+    check_epsilon(epsilon)
     budget = _budget(args)
     n_photons = budget.photons
     cot2 = 1.0 / math.tan(epsilon) ** 2

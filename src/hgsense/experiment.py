@@ -53,6 +53,9 @@ DEFAULT_DITHER_RAD = 6.3e-3
 DEFAULT_ELECTRICAL_V = 35.75e-6
 
 SAMPLES_PER_CYCLE = 20
+# Largest count of time bins one Monte Carlo trial may hold (about 8 MB per
+# float64 array); the defaults need 2180.
+MAX_SAMPLES_PER_TRIAL = 10 ** 6
 
 # Measured benchmarks for diagonal modes: drive voltage giving unit SNR and
 # the shot-noise floor at the lock-in output. Model predictions track these
@@ -140,7 +143,8 @@ class NoiseModel:
             raise ConfigError("electrical noise must be finite and >= 0")
 
 
-def _check_epsilon(epsilon: float):
+def check_epsilon(epsilon: float):
+    """Raise ConfigError unless the post-selection angle lies in (0, pi/2)."""
     if not 0.0 < epsilon < math.pi / 2:
         raise ConfigError("post-selection angle must lie in (0, pi/2)")
 
@@ -165,7 +169,7 @@ def demod_signal(idx: ModeIndex, epsilon: float, alpha: float,
                  budget: PhotonBudget = PhotonBudget(),
                  dither_rad: float = DEFAULT_DITHER_RAD) -> float:
     """Mean demodulated lock-in voltage for a static rotation alpha."""
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     k_var = _check_mode(idx)
     _check_expansion(alpha, dither_rad)
     cot = 1.0 / math.tan(epsilon)
@@ -177,7 +181,7 @@ def shot_noise_level(idx: ModeIndex, epsilon: float,
                      budget: PhotonBudget = PhotonBudget(),
                      dither_rad: float = DEFAULT_DITHER_RAD) -> float:
     """Poisson noise of the window-mean voltage at the dark port, in volts."""
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     k_var = _check_mode(idx)
     cot = abs(1.0 / math.tan(epsilon))
     return (budget.volts_per_rate * math.sqrt(k_var) * cot * dither_rad
@@ -225,11 +229,17 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     """
     if trials < 10:
         raise ConfigError("need at least 10 trials for a meaningful average")
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     k_var = _check_mode(idx)
-    if abs(alpha) >= noise.dither_rad:
+    if not abs(alpha) < noise.dither_rad:  # NaN fails too
         raise ExpansionInvalidError(
-            f"rotation {alpha} must stay below the dither {noise.dither_rad}")
+            f"rotation {alpha} must be finite and below the dither "
+            f"{noise.dither_rad}")
+    if SAMPLES_PER_CYCLE * noise.drive_frequency * budget.integration \
+            > MAX_SAMPLES_PER_TRIAL:
+        raise ConfigError(
+            f"drive frequency x integration window asks for more than "
+            f"{MAX_SAMPLES_PER_TRIAL} samples per trial")
 
     dt = 1.0 / (SAMPLES_PER_CYCLE * noise.drive_frequency)
     cycles = math.floor(noise.drive_frequency * budget.integration)
@@ -282,7 +292,7 @@ def sensitivity_table(epsilon: float,
     """Minimum detectable rotation per mode, with measured benchmarks."""
     from .fisher import min_detectable_rotation
 
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     rows = []
     for m, n in modes:
         alpha_min = min_detectable_rotation(ModeIndex(m, n), epsilon,

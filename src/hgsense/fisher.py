@@ -4,8 +4,10 @@ Routes: a numeric one (finite-difference Fisher information of any state
 family, the exact rotation QFI included), a quadratic weak-coupling one
 (4 |dM_w/dg|^2 <delta Omega^2>), and closed forms for special cases. All of
 them evolve the pointer through the one weak.Generator kernel, so they check
-approximations against each other, not independent evolution code. The
-symmetric logarithmic derivative solver handles the dephased-monitor mixture.
+approximations against each other, not independent evolution code.
+Readouts work on the vectors they span: the carrier readout is two rank-1
+Projector elements and the dephased-monitor SLD is solved on the branch
+plane, with dense POVMs and sld_solve as the reference.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .modes import (
     ModeIndex,
     ModeState,
     OperatorMatrix,
+    expectation,
     oam_variance,
     require_psd,
     second_moment,
@@ -46,7 +49,7 @@ from .weak import (
     final_pointer_exact,
     monitor_branches,
     pauli_weak_values,
-    qubit_monitor_channel,
+    require_density,
 )
 
 PROBABILITY_FLOOR = 1e-15
@@ -156,25 +159,74 @@ def qfi_weak_approx(s: WeakScenario, parameter: Parameter,
 
 
 @dataclass(frozen=True)
-class PovmSet:
-    """Positive operators summing to the identity on the truncated basis."""
+class Projector:
+    """Rank-one projector |c><c| onto a mode state c, or its complement
+    1 - |c><c|, applied as c <c|psi> without forming a matrix."""
 
-    elements: tuple[OperatorMatrix, ...]
+    vector: ModeState
+    complement: bool = False
+
+    @property
+    def cutoff(self) -> int:
+        return self.vector.cutoff
+
+    def apply(self, state: ModeState) -> np.ndarray:
+        if state.cutoff != self.cutoff:
+            raise ValueError("operator and state truncations differ")
+        c = self.vector.amplitudes
+        along = c * np.vdot(c, state.amplitudes)
+        return state.amplitudes - along if self.complement else along
+
+
+def _check_projector_povm(elements: Sequence[Projector]):
+    """Positivity and completeness of a Projector set, no d x d array formed.
+
+    |c><c| and 1 - |c><c| are positive iff |c| = 1. With one complement the
+    set sums to 1 iff S = sum_k s_k |c_k><c_k| = 0 (s = -1 for the
+    complement); |S|_F = |R diag(s) R^dagger|_F with R the K x K factor of
+    the QR decomposition of [c_1 ... c_K] (R^dagger R is their Gram matrix).
+    """
+    vectors = np.array([el.vector.amplitudes for el in elements]).T
+    norms2 = np.sum(np.abs(vectors) ** 2, axis=0)
+    if not np.all(np.abs(norms2 - 1.0) <= 1e-10):
+        raise InvalidStateError(
+            "projector vector not of unit norm: POVM element not positive "
+            "semidefinite")
+    signs = np.array([-1.0 if el.complement else 1.0 for el in elements])
+    if np.count_nonzero(signs < 0) != 1:
+        raise InvalidStateError("a projector POVM needs exactly one complement")
+    r = np.linalg.qr(vectors, mode="r")
+    if not np.linalg.norm((r * signs) @ r.conj().T) <= 1e-10:
+        raise InvalidStateError("POVM elements do not sum to identity")
+
+
+@dataclass(frozen=True)
+class PovmSet:
+    """Positive operators summing to the identity on the truncated basis:
+    all dense OperatorMatrix elements, or all Projector elements."""
+
+    elements: tuple[OperatorMatrix | Projector, ...]
 
     def __post_init__(self):
         if not self.elements:
             raise ValueError("POVM needs at least one element")
         cutoff = self.elements[0].cutoff
-        for el in self.elements:
-            if el.cutoff != cutoff:
-                raise ValueError("POVM elements live in different truncations")
-            require_psd(el.entries, "POVM element")
-        total = np.zeros_like(self.elements[0].entries)
-        for el in self.elements:
-            total += el.entries
-        total.flat[::len(total) + 1] -= 1.0
-        if np.max(np.abs(total)) > 1e-10:
-            raise InvalidStateError("POVM elements do not sum to identity")
+        if any(el.cutoff != cutoff for el in self.elements):
+            raise ValueError("POVM elements live in different truncations")
+        projectors = [isinstance(el, Projector) for el in self.elements]
+        if all(projectors):
+            _check_projector_povm(self.elements)
+        elif any(projectors):
+            raise ValueError("POVM mixes Projector and dense elements")
+        else:
+            for el in self.elements:
+                require_psd(el.entries, "POVM element")
+            total = np.zeros_like(self.elements[0].entries)
+            for el in self.elements:
+                total += el.entries
+            total.flat[::len(total) + 1] -= 1.0
+            if np.max(np.abs(total)) > 1e-10:
+                raise InvalidStateError("POVM elements do not sum to identity")
         object.__setattr__(self, "elements", tuple(self.elements))
 
     @property
@@ -183,27 +235,25 @@ class PovmSet:
 
 
 def carrier_projection_povm(carrier: ModeState) -> PovmSet:
-    """Two-outcome set {|carrier><carrier|, 1 - |carrier><carrier|}."""
-    c = carrier.normalize().amplitudes
-    # no raw array outlives its copy: the peak memory of a high-order run
-    proj = OperatorMatrix(carrier.cutoff, np.outer(c, c.conj()), hermitian=True)
-    rest = OperatorMatrix(carrier.cutoff, np.eye(len(c)) - proj.entries,
-                          hermitian=True)
-    return PovmSet((proj, rest))
+    """Two-outcome set {|c><c|, 1 - |c><c|} on the normalized carrier c, as
+    two Projector elements: O(cutoff^2) memory, no square matrix."""
+    c = carrier.normalize()
+    return PovmSet((Projector(c), Projector(c, complement=True)))
 
 
 def cfi_povm(state_fn: Callable[[float], ModeState], g: float, povm: PovmSet,
              step: float | None = None) -> float:
     """Classical Fisher information sum_k (d p_k/dg)^2 / p_k.
 
-    Outcomes with probability below 1e-15 contribute zero and raise a
-    SmallProbabilityWarning. Same stencil and disagreement guard as the
-    quantum counterpart.
+    Every probability is modes.expectation(element, state), for dense and
+    Projector elements alike. Outcomes with probability below 1e-15
+    contribute zero and raise a SmallProbabilityWarning. Same stencil and
+    disagreement guard as the quantum counterpart.
     """
 
     def probs(x: float) -> np.ndarray:
-        amp = state_fn(x).amplitudes
-        return np.array([float(np.real(np.vdot(amp, el.entries @ amp)))
+        state = state_fn(x)
+        return np.array([float(np.real(expectation(el, state)))
                          for el in povm.elements])
 
     p0 = probs(g)
@@ -251,43 +301,54 @@ def hamiltonian_bound(parameter: Parameter, s: WeakScenario,
     return BoundResult.from_fisher(parameter, fisher, n_samples)
 
 
+def _sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
+    """SLD of raw arrays, solved in the eigenbasis of rho:
+    L_jk = 2 <j|drho|k> / (lambda_j + lambda_k), with pairs below 1e-12 set
+    to zero (kernel convention)."""
+    lam, vec = np.linalg.eigh(rho)
+    d_eig = vec.conj().T @ drho @ vec
+    pair = lam[:, None] + lam[None, :]
+    coeff = np.zeros_like(pair)
+    support = pair >= 1e-12
+    coeff[support] = 2.0 / pair[support]
+    l_mat = vec @ (coeff * d_eig) @ vec.conj().T
+    return 0.5 * (l_mat + l_mat.conj().T)  # scrub round-off asymmetry
+
+
 def sld_solve(rho: DensityMatrix, drho: np.ndarray) -> OperatorMatrix:
     """Symmetric logarithmic derivative L with rho L + L rho = 2 drho.
 
-    Solved in the eigenbasis of rho: L_jk = 2 <j|drho|k> / (lambda_j +
-    lambda_k), with pairs below 1e-12 set to zero (kernel convention).
+    The dense reference on the full truncated basis; qfi_mixed_monitor
+    solves the same equation on the branch plane.
     """
     d = np.asarray(drho, dtype=complex)
     if d.shape != rho.entries.shape:
         raise InvalidStateError("derivative shape differs from the state")
     if np.max(np.abs(d - d.conj().T)) > 1e-10:
         raise InvalidStateError("derivative matrix not Hermitian")
-    lam, vec = np.linalg.eigh(rho.entries)
-    d_eig = vec.conj().T @ d @ vec
-    pair = lam[:, None] + lam[None, :]
-    coeff = np.zeros_like(pair)
-    support = pair >= 1e-12
-    coeff[support] = 2.0 / pair[support]
-    l_eig = coeff * d_eig
-    l_mat = vec @ l_eig @ vec.conj().T
-    l_mat = 0.5 * (l_mat + l_mat.conj().T)  # scrub round-off asymmetry
-    return OperatorMatrix(rho.cutoff, l_mat, hermitian=True)
+    return OperatorMatrix(rho.cutoff, _sld(rho.entries, d), hermitian=True)
 
 
 def qfi_mixed_monitor(qubit: QubitState, alpha: float, pointer: ModeState,
                       coupling: Coupling = Coupling.OAM, sigma0: float = 1.0) -> float:
     """Exact Fisher information about the qubit polar angle after dephasing.
 
-    Builds the rank-2 monitor mixture, differentiates the mixing weights
-    analytically (d rho/d theta = |c0||c1| (P- - P+)), solves for the SLD
-    and returns Tr(rho L^2).
+    rho = cos^2(theta/2) P+ + sin^2(theta/2) P- and d rho/d theta =
+    |c0||c1| (P- - P+) vanish off the plane of the two branches, so the SLD
+    does too. Both are written 2 x 2 in an orthonormal basis Q of the plane
+    (the branch coordinates are R = Q^dagger [fwd, bwd] from a QR
+    decomposition, well defined also for parallel branches, as at alpha =
+    0), where the SLD is solved; returns Tr(rho L^2). The dense reference is
+    sld_solve on qubit_monitor_channel.
     """
-    rho = qubit_monitor_channel(qubit, alpha, coupling, pointer, sigma0)
     fwd, bwd = monitor_branches(alpha, coupling, pointer, sigma0)
+    f, b = np.linalg.qr(np.column_stack((fwd, bwd)), mode="r").T
+    p_plus, p_minus = np.outer(f, f.conj()), np.outer(b, b.conj())
+    rho = abs(qubit.c0) ** 2 * p_plus + abs(qubit.c1) ** 2 * p_minus
+    require_density(rho)
     half_sin = abs(qubit.c0) * abs(qubit.c1)  # sin(theta)/2
-    drho = half_sin * (np.outer(bwd, bwd.conj()) - np.outer(fwd, fwd.conj()))
-    sld = sld_solve(rho, drho)
-    return float(np.real(np.trace(rho.entries @ sld.entries @ sld.entries)))
+    sld = _sld(rho, half_sin * (p_minus - p_plus))
+    return float(np.real(np.trace(rho @ sld @ sld)))
 
 
 def qfi_mixed_closed_form(qubit: QubitState, alpha: float, pointer: ModeState,

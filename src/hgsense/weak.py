@@ -54,7 +54,7 @@ class QubitState:
 
     def __post_init__(self):
         n = math.hypot(abs(self.c0), abs(self.c1))
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"qubit norm {n} differs from 1")
 
     @classmethod
@@ -250,6 +250,8 @@ class WeakScenario:
     weak_limit: float = DEFAULT_WEAK_LIMIT
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.sigma0 <= 0:
             raise ValueError("sigma0 must be positive")
         if self.weak_limit <= 0:
@@ -326,14 +328,25 @@ def final_pointer_exact(s: WeakScenario) -> ExactPointer:
     fwd, bwd = s.operator().evolve((s.alpha, -s.alpha), s.pointer)
     vec = amp_plus * fwd + amp_minus * bwd
     prob = float(np.real(np.vdot(vec, vec)))
-    if prob < 1e-300:
+    if not prob >= 1e-300:  # NaN fails too
         raise TotalExtinctionError("post-selected amplitude underflowed")
     return ExactPointer(ModeState(s.pointer.cutoff, vec / math.sqrt(prob)), prob)
 
 
+def require_density(entries: np.ndarray):
+    """Raise InvalidStateError unless a square matrix is a density operator:
+    Hermitian to 1e-12, trace 1 to 1e-10, no eigenvalue below -1e-10."""
+    if not np.max(np.abs(entries - entries.conj().T)) <= 1e-12:
+        raise InvalidStateError("density matrix not Hermitian")
+    tr = float(np.real(np.trace(entries)))
+    if not abs(tr - 1.0) <= 1e-10:
+        raise InvalidStateError(f"trace {tr} differs from 1")
+    require_psd(entries, "density matrix")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Pointer density operator; validated Hermitian, unit trace, PSD."""
+    """Pointer density operator; validated by require_density."""
 
     cutoff: int
     entries: np.ndarray
@@ -344,12 +357,7 @@ class DensityMatrix:
         if ent.shape != (dim, dim):
             raise InvalidStateError(
                 f"expected {dim}x{dim} entries, got {ent.shape}")
-        if np.max(np.abs(ent - ent.conj().T)) > 1e-12:
-            raise InvalidStateError("density matrix not Hermitian")
-        tr = float(np.real(np.trace(ent)))
-        if abs(tr - 1.0) > 1e-10:
-            raise InvalidStateError(f"trace {tr} differs from 1")
-        require_psd(ent, "density matrix")
+        require_density(ent)
         ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
 

@@ -171,6 +171,7 @@ def test_hologram_rejects_tight_grating(tmp_path, capsys):
     ["montecarlo", "--mode", "1,1", "--alpha0-rad", "nan", "--trials", "10"],
     ["montecarlo", "--mode", "1,1", "--electrical-v", "nan", "--trials", "10"],
     ["table2", "--volts-per-rad-cal", "nan"],
+    ["montecarlo", "--mode", "1,1", "--alpha-rad", "nan", "--trials", "10"],
 ])
 def test_non_finite_physics_inputs_exit_2(argv, tmp_path, capsys):
     with warnings.catch_warnings():
@@ -181,6 +182,25 @@ def test_non_finite_physics_inputs_exit_2(argv, tmp_path, capsys):
     assert "finite" in captured.err  # names the cause, not a symptom
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--epsilon-deg", "nan"],
+    ["--epsilon-deg", "0"],
+    ["--epsilon-deg", "90"],
+    ["--alpha-rad", "nan"],
+    ["--alpha-rad", "inf"],
+    ["--breakdown-epsilons", "nan"],
+])
+def test_bounds_rejects_bad_angle_or_coupling(flags, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a 2nd line
+        assert main(["bounds", "--grid-max", "2", "--sweep-max", "2",
+                     "--out", str(tmp_path / "b.csv")] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

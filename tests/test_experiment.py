@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 
+from hgsense import experiment
+from hgsense.cli import main
 from hgsense.errors import (
     ConfigError,
     ExpansionInvalidError,
@@ -186,6 +188,26 @@ def test_montecarlo_guards():
                           PhotonBudget(integration=1e-4), noise)
     with pytest.raises(NoSensitivityError):
         montecarlo_lockin(ModeIndex(0, 0), EPSILON, 1e-6, budget, noise)
+
+
+def test_montecarlo_rejects_nan_rotation_and_oversized_trials(monkeypatch):
+    with pytest.raises(ExpansionInvalidError, match="finite"):
+        montecarlo_lockin(MODE, EPSILON, math.nan, PhotonBudget(),
+                          NoiseModel())
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("sample arrays allocated before the size guard")
+
+    # the guard must fire before the first per-trial array is built
+    monkeypatch.setattr(experiment.np, "arange", no_allocation)
+    with pytest.raises(ConfigError, match="samples per trial"):
+        montecarlo_lockin(MODE, EPSILON, 1e-6, PhotonBudget(),
+                          NoiseModel(drive_frequency=1e9))
+    assert main(["montecarlo", "--mode", "1,1", "--f-drive", "1e9"]) == 2
+    # every default fits well under the limit
+    assert (experiment.SAMPLES_PER_CYCLE * experiment.DEFAULT_DRIVE_HZ
+            * experiment.DEFAULT_INTEGRATION_S
+            < experiment.MAX_SAMPLES_PER_TRIAL / 100)
 
 
 def test_sensitivity_table_contents():

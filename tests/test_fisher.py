@@ -26,6 +26,7 @@ from hgsense.fisher import (
     BoundResult,
     Parameter,
     PovmSet,
+    Projector,
     carrier_projection_povm,
     cfi_povm,
     default_step,
@@ -60,6 +61,7 @@ from hgsense.weak import (
     final_pointer_exact,
     monitor_branches,
     post_selected_pair,
+    qubit_monitor_channel,
 )
 
 DIAG = QubitState.from_amplitudes(1.0, complex(np.exp(1j * math.pi / 4)))
@@ -189,6 +191,81 @@ def test_carrier_projection_saturates_quantum_limit():
         classical = cfi_povm(rotation_family(epsilon, idx), alpha, povm)
         assert classical == pytest.approx(
             qfi_weak_approx(s, Parameter.ALPHA), rel=0.01)
+
+
+def test_projector_povm_matches_dense_povm():
+    pre, post = post_selected_pair(0.1)
+    for cutoff in range(1, 7):
+        idx = ModeIndex(1, cutoff - 1)
+        pointer = ModeState.basis(cutoff, idx.m, idx.n)
+
+        def family(a: float) -> ModeState:
+            s = WeakScenario(a, pre, post, PauliAxis.z(), Coupling.OAM,
+                             pointer)
+            return final_pointer_exact(s).pointer
+
+        carrier = carrier_state(idx, cutoff)
+        c = carrier.amplitudes
+        proj = np.outer(c, c.conj())
+        dense = PovmSet((
+            OperatorMatrix(cutoff, proj, hermitian=True),
+            OperatorMatrix(cutoff, np.eye(len(c)) - proj, hermitian=True)))
+        povm = carrier_projection_povm(carrier)
+        assert all(isinstance(el, Projector) for el in povm.elements)
+        for el, ref in zip(povm.elements, dense.elements):
+            assert np.allclose(el.apply(family(1e-3)),
+                               ref.apply(family(1e-3)), atol=1e-15)
+        assert cfi_povm(family, 1e-3, povm) == pytest.approx(
+            cfi_povm(family, 1e-3, dense), rel=1e-12)
+
+
+def test_projector_povm_validation():
+    cutoff = 2
+    idx = ModeIndex(1, 1)
+    c = carrier_state(idx, cutoff)
+    other = ModeState.basis(cutoff, 1, 1)
+    PovmSet((Projector(c), Projector(c, complement=True)))
+    # a phase on the vector leaves the projector unchanged
+    PovmSet((Projector(ModeState(cutoff, 1j * c.amplitudes)),
+             Projector(c, complement=True)))
+    long = ModeState(cutoff, 2.0 * c.amplitudes)
+    for elements in (
+            (Projector(long), Projector(long, complement=True)),  # not unit
+            (Projector(c, complement=True), Projector(c, complement=True)),
+            (Projector(c), Projector(other, complement=True)),
+            (Projector(c), Projector(other))):
+        with pytest.raises(InvalidStateError):
+            PovmSet(elements)
+    dense = OperatorMatrix(cutoff, np.eye(basis_dim(cutoff)), hermitian=True)
+    with pytest.raises(ValueError):
+        PovmSet((Projector(c), dense))
+    with pytest.raises(ValueError):
+        PovmSet((Projector(c), Projector(carrier_state(idx, 3),
+                                          complement=True)))
+
+
+def test_monitor_plane_matches_dense_sld():
+    for m, n in ((1, 1), (2, 2), (3, 1)):
+        pointer = ModeState.basis(m + n, m, n)
+        for theta_q in (0.0, 0.4, 1.1, math.pi / 2, 2.8, math.pi):
+            qubit = QubitState.from_angles(theta_q, 0.0)
+            for alpha in (0.0, 1e-3, 0.05, 0.3):
+                rho = qubit_monitor_channel(qubit, alpha, Coupling.OAM,
+                                            pointer)
+                fwd, bwd = monitor_branches(alpha, Coupling.OAM, pointer)
+                drho = abs(qubit.c0) * abs(qubit.c1) * (
+                    np.outer(bwd, bwd.conj()) - np.outer(fwd, fwd.conj()))
+                sld = sld_solve(rho, drho).entries
+                dense = float(np.real(np.trace(rho.entries @ sld @ sld)))
+                plane = qfi_mixed_monitor(qubit, alpha, pointer)
+                if 0.0 < theta_q < math.pi and alpha > 0.0:
+                    # the dense eigensolve misses the closed form by up to
+                    # 4.2e-10 at alpha = 1e-3; the 2 x 2 one does not
+                    closed = qfi_mixed_closed_form(qubit, alpha, pointer)
+                    assert plane == pytest.approx(closed, rel=1e-11)
+                    assert plane == pytest.approx(dense, rel=5e-10)
+                else:
+                    assert plane == pytest.approx(dense, rel=1e-10, abs=1e-30)
 
 
 def test_min_detectable_rotation_frozen_values():
@@ -341,13 +418,23 @@ def test_high_order_evolution_is_fast_and_small():
     # at a size where a dense matrix is still only megabytes, so that a
     # dense regression fails there instead of allocating at cutoff 128.
     pre, post = post_selected_pair(0.1)
+    runs = []
     for coupling in Coupling:
         s = WeakScenario(1e-3, pre, post, PauliAxis.z(), coupling,
                          ModeState.basis(24, 12, 12))
+        runs.append(lambda s=s: (final_pointer_exact(s),
+                                 s.operator().apply(s.pointer)))
+    # the rank-1 carrier readout and the rank-2 monitor mixture
+    idx = ModeIndex(12, 12)
+    runs.append(lambda: cfi_povm(
+        rotation_family(0.1, idx), 1e-3,
+        carrier_projection_povm(carrier_state(idx, 24))))
+    runs.append(lambda: qfi_mixed_monitor(
+        QubitState.from_angles(1.1, 0.0), 1e-3, ModeState.basis(24, 12, 12)))
+    for run in runs:
         tracemalloc.start()
         try:
-            final_pointer_exact(s)
-            s.operator().apply(s.pointer)
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -71,6 +71,25 @@ def test_qubit_from_angles_roundtrip(theta, phi):
     assert q.polar_angle == pytest.approx(theta, abs=1e-9)
 
 
+def test_non_finite_qubit_and_coupling_rejected():
+    nan = float("nan")
+    for build in (lambda: QubitState(nan, 0.0),
+                  lambda: QubitState.from_amplitudes(nan, 1.0),
+                  lambda: QubitState(1.0, complex(0.0, nan))):
+        with pytest.raises(ValueError):
+            build()
+    pre, post = post_selected_pair(0.1)
+    pointer = ModeState.basis(2, 1, 1)
+    for alpha in (nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            WeakScenario(alpha, pre, post, PauliAxis.z(), Coupling.OAM,
+                         pointer)
+    blank = ModeState(2, np.full(basis_dim(2), nan))
+    with pytest.raises(TotalExtinctionError):  # a NaN probability
+        final_pointer_exact(WeakScenario(1e-3, pre, post, PauliAxis.z(),
+                                         Coupling.OAM, blank))
+
+
 def test_weak_value_consistency_with_pauli_components():
     pre = QubitState.from_angles(0.7, 1.1)
     post = QubitState.from_angles(2.1, 5.0)
