@@ -126,6 +126,8 @@ def cmd_bounds(args) -> int:
     n_photons = budget.photons
     cot2 = 1.0 / math.tan(epsilon) ** 2
     alpha_breakdown = args.alpha_rad if args.alpha_rad is not None else 1e-3
+    if not math.isfinite(alpha_breakdown):
+        raise ValueError(f"--alpha-rad must be finite, got {alpha_breakdown}")
     rows = []
 
     for m in range(1, args.grid_max + 1):

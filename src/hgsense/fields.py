@@ -369,6 +369,17 @@ def write_field_binary(path, field: FieldGrid):
     write_atomic(path, header + data)
 
 
+def _payload(raw: bytes, offset: int, side: int, dtype: str) -> np.ndarray:
+    """The side x side samples after a header of offset bytes; a payload of
+    any other length is refused."""
+    want = side * side * np.dtype(dtype).itemsize
+    if len(raw) - offset != want:
+        raise ValueError(
+            f"payload of {len(raw) - offset} bytes; a {side} x {side} grid "
+            f"needs {want}")
+    return np.frombuffer(raw, dtype=dtype, offset=offset).reshape(side, side)
+
+
 def read_field_binary(path) -> FieldGrid:
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -377,9 +388,8 @@ def read_field_binary(path) -> FieldGrid:
     magic, version, side, pitch, sigma0, wavelength, z = _FGRD_HEADER.unpack_from(raw)
     if magic != b"FGRD" or version != 1:
         raise ValueError("not a version-1 field binary")
-    samples = np.frombuffer(raw, dtype="<c16", offset=_FGRD_HEADER.size)
-    return FieldGrid(samples.reshape(side, side).astype(complex),
-                     pitch, sigma0, wavelength, z)
+    samples = _payload(raw, _FGRD_HEADER.size, side, "<c16")
+    return FieldGrid(samples.astype(complex), pitch, sigma0, wavelength, z)
 
 
 def write_phase_binary(path, phase: PhaseMap):
@@ -396,8 +406,8 @@ def read_phase_binary(path) -> PhaseMap:
     magic, version, side, period = _PMAP_HEADER.unpack_from(raw)
     if magic != b"PMAP" or version != 1:
         raise ValueError("not a version-1 phase binary")
-    values = np.frombuffer(raw, dtype="<f8", offset=_PMAP_HEADER.size)
-    return PhaseMap(values.reshape(side, side).copy(), period)
+    values = _payload(raw, _PMAP_HEADER.size, side, "<f8")
+    return PhaseMap(values.copy(), period)
 
 
 def write_phase_pgm(path, phase: PhaseMap):

@@ -1,7 +1,8 @@
 """Quantum and classical Fisher information and the derived precision bounds.
 
 Routes: a numeric one (finite-difference Fisher information of any state
-family, the exact rotation QFI included), a quadratic weak-coupling one
+family), the exact post-selected rotation QFI from the closed-form
+derivative of its family, a quadratic weak-coupling one
 (4 |dM_w/dg|^2 <delta Omega^2>), and closed forms for special cases. All of
 them evolve the pointer through the one weak.Generator kernel, so they check
 approximations against each other, not independent evolution code.
@@ -46,7 +47,7 @@ from .weak import (
     PauliAxis,
     QubitState,
     WeakScenario,
-    final_pointer_exact,
+    _post_selected_branches,
     monitor_branches,
     pauli_weak_values,
     require_density,
@@ -376,17 +377,27 @@ def qfi_rotation_exact(pre: QubitState, post: QubitState, axis: PauliAxis,
                        step: float | None = None) -> float:
     """Exact QFI about alpha for a basis pointer under rotation coupling.
 
-    qfi_pure_numeric on the exact post-selected family of HG(m, n) truncated
-    at cutoff m + n. Lz conserves m + n, so the evolution stays in the
-    (m + n + 1)-dimensional shell of the pointer and scales to high orders.
+    The post-selected family phi = a+ exp(-i alpha Lz)|m, n>
+    + a- exp(+i alpha Lz)|m, n> (unnormalized, as in final_pointer_exact)
+    has d phi/d alpha = -i Lz (a+ exp(-i alpha Lz) - a- exp(+i alpha Lz))|m, n>
+    in closed form, so F = 4 (<dphi|dphi> / <phi|phi>
+    - |<phi|dphi>|^2 / <phi|phi>^2) needs one evolution at +-alpha and one
+    Lz application, and no finite differences. Lz conserves m + n, so the
+    work stays in the (m + n + 1)-dimensional shell of the pointer and
+    scales to high orders. Raises TotalExtinctionError where
+    final_pointer_exact does. step is deprecated and ignored.
     """
+    if step is not None:
+        warnings.warn("qfi_rotation_exact differentiates in closed form; "
+                      "step is ignored", DeprecationWarning, stacklevel=2)
     pointer = ModeState.basis(idx.total, idx.m, idx.n)
-
-    def family(a: float) -> ModeState:
-        s = WeakScenario(a, pre, post, axis, Coupling.OAM, pointer)
-        return final_pointer_exact(s).pointer
-
-    return qfi_pure_numeric(family, alpha, step)
+    s = WeakScenario(alpha, pre, post, axis, Coupling.OAM, pointer)
+    plus, minus, norm2 = _post_selected_branches(s)
+    phi = plus + minus
+    dphi = -1j * s.operator().apply(ModeState(pointer.cutoff, plus - minus))
+    overlap = np.vdot(phi, dphi)
+    return 4.0 * (float(np.real(np.vdot(dphi, dphi))) / norm2
+                  - abs(overlap) ** 2 / norm2 ** 2)
 
 
 BOUND_CSV_COLUMNS = ("m", "n", "parameter", "fisher_info", "variance_bound")

@@ -211,8 +211,10 @@ def second_moment(op: StateOperator, state: ModeState) -> float:
 
 
 def variance(op: StateOperator, state: ModeState) -> float:
-    mu = expectation(op, state)
-    return second_moment(op, state) - abs(mu) ** 2
+    """<op^dagger op> - |<op>|^2, both moments from one op.apply."""
+    v = op.apply(state)
+    mu = complex(np.vdot(state.amplitudes, v))
+    return float(np.real(np.vdot(v, v))) - abs(mu) ** 2
 
 
 def hg_factor(order: int, sigma0: float, x):
@@ -352,8 +354,8 @@ def lz_matrix(cutoff: int) -> OperatorMatrix:
 
 def momentum_matrix_x(cutoff: int, sigma0: float) -> OperatorMatrix:
     """Transverse momentum px = -i (ax - ax_dag) / (2 sigma0)."""
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
+    if not 0 < sigma0 < math.inf:
+        raise ValueError("sigma0 must be finite and positive")
     ops = ladder_matrices(cutoff)
     px = -1j * (ops.ax.entries - ops.ax_dag.entries) / (2.0 * sigma0)
     return OperatorMatrix(cutoff, px, hermitian=True)
@@ -366,6 +368,6 @@ def oam_variance(idx: ModeIndex) -> float:
 
 def momentum_variance_x(idx: ModeIndex, sigma0: float) -> float:
     """<delta px^2> on |m, n>: (2m + 1) / (4 sigma0^2)."""
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
+    if not 0 < sigma0 < math.inf:
+        raise ValueError("sigma0 must be finite and positive")
     return (2 * idx.m + 1) / (4.0 * sigma0 ** 2)

@@ -191,8 +191,9 @@ class Generator:
     def __post_init__(self):
         if not isinstance(self.coupling, Coupling):
             raise ValueError(f"unknown coupling {self.coupling!r}")
-        if self.cutoff < 0 or self.sigma0 <= 0:
-            raise ValueError("cutoff must be non-negative and sigma0 positive")
+        if self.cutoff < 0 or not 0 < self.sigma0 < math.inf:
+            raise ValueError(
+                "cutoff must be non-negative and sigma0 finite and positive")
 
     def _grid(self, state: ModeState) -> np.ndarray:
         if state.cutoff != self.cutoff:
@@ -252,10 +253,12 @@ class WeakScenario:
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
-        if self.weak_limit <= 0:
-            raise ValueError("weak_limit must be positive")
+        if not 0 < self.sigma0 < math.inf:
+            raise ValueError(
+                f"sigma0 must be finite and positive, got {self.sigma0}")
+        if not 0 < self.weak_limit < math.inf:
+            raise ValueError(
+                f"weak_limit must be finite and positive, got {self.weak_limit}")
         # fails fast when the selections are orthogonal
         weak_value(self.pre, self.post, self.axis)
 
@@ -312,24 +315,39 @@ class ExactPointer(NamedTuple):
     success_prob: float
 
 
-def final_pointer_exact(s: WeakScenario) -> ExactPointer:
-    """Exact post-selected pointer at any coupling strength.
+def _post_selected_branches(
+        s: WeakScenario) -> tuple[np.ndarray, np.ndarray, float]:
+    """The two branches of the exact post-selected pointer and its norm.
 
     Splits exp(-i alpha A x Omega) along the +-1 projectors of the axis:
-    |psi~> = <f|P+|i> exp(-i alpha Omega)|psi_i>
-           + <f|P-|i> exp(+i alpha Omega)|psi_i>.
-    Returns the normalized pointer and the post-selection probability
-    |psi~|^2 (exact within the truncation).
+    returns a+ exp(-i alpha Omega)|psi_i> and a- exp(+i alpha Omega)|psi_i>,
+    with a+- = <f|P+-|i>, and the post-selection probability |sum|^2
+    (exact within the truncation). Raises TotalExtinctionError when the sum
+    underflows.
     """
     braket = complex(np.vdot(s.post.vector, s.pre.vector))
     bra_a_ket = _bracket(s.post, s.axis.matrix, s.pre)
     amp_plus = 0.5 * (braket + bra_a_ket)
     amp_minus = 0.5 * (braket - bra_a_ket)
     fwd, bwd = s.operator().evolve((s.alpha, -s.alpha), s.pointer)
-    vec = amp_plus * fwd + amp_minus * bwd
+    plus, minus = amp_plus * fwd, amp_minus * bwd
+    vec = plus + minus
     prob = float(np.real(np.vdot(vec, vec)))
     if not prob >= 1e-300:  # NaN fails too
         raise TotalExtinctionError("post-selected amplitude underflowed")
+    return plus, minus, prob
+
+
+def final_pointer_exact(s: WeakScenario) -> ExactPointer:
+    """Exact post-selected pointer at any coupling strength.
+
+    |psi~> = <f|P+|i> exp(-i alpha Omega)|psi_i>
+           + <f|P-|i> exp(+i alpha Omega)|psi_i>.
+    Returns the normalized pointer and the post-selection probability
+    |psi~|^2 (exact within the truncation).
+    """
+    plus, minus, prob = _post_selected_branches(s)
+    vec = plus + minus
     return ExactPointer(ModeState(s.pointer.cutoff, vec / math.sqrt(prob)), prob)
 
 

@@ -172,8 +172,12 @@ def test_hologram_rejects_tight_grating(tmp_path, capsys):
     ["montecarlo", "--mode", "1,1", "--electrical-v", "nan", "--trials", "10"],
     ["table2", "--volts-per-rad-cal", "nan"],
     ["montecarlo", "--mode", "1,1", "--alpha-rad", "nan", "--trials", "10"],
+    # no breakdown row is built at --sweep-max 0, so nothing else sees alpha
+    ["bounds", "--grid-max", "2", "--sweep-max", "0", "--alpha-rad", "nan",
+     "--config-out", "{tmp}/c.cfg"],
 ])
 def test_non_finite_physics_inputs_exit_2(argv, tmp_path, capsys):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning would be a 2nd line
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2

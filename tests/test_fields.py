@@ -254,6 +254,20 @@ def test_phase_binary_roundtrip(tmp_path):
         read_phase_binary(tmp_path / "junk.pmap")
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_binary_readers_check_payload_length(tmp_path, extra):
+    field = tmp_path / "mode.fgrd"
+    write_field_binary(field,
+                       synthesize_hg_field(ModeIndex(1, 1), 1.0, side=128))
+    phase = tmp_path / "mask.pmap"
+    write_phase_binary(phase, PhaseMap(np.zeros((128, 128)), 8.0))
+    for path, read in ((field, read_field_binary), (phase, read_phase_binary)):
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-1] if extra < 0 else raw + b"\0")
+        with pytest.raises(ValueError, match="payload"):
+            read(path)
+
+
 def test_phase_pgm_bytes(tmp_path):
     values = np.zeros((128, 128))
     values[0, 0] = -math.pi

@@ -4,7 +4,8 @@ Everything that matters is computed at least twice: finite differences
 against closed forms, classical readouts against the quantum ceiling, the
 SLD pipeline against the rank-2 closed form. Pointer evolution itself has
 one implementation, weak.Generator, pinned against the dense matrices in
-test_weak.
+test_weak and here against a Wigner small-d (Jacobi polynomial) oracle,
+which also gives the exact rotation QFI in closed form.
 """
 
 import math
@@ -19,6 +20,7 @@ from hgsense.errors import (
     NoSensitivityError,
     SmallProbabilityWarning,
     StepSizeError,
+    TotalExtinctionError,
     WeakRegimeError,
 )
 from hgsense.fisher import (
@@ -54,6 +56,7 @@ from hgsense.modes import (
 from hgsense.weak import (
     Coupling,
     DensityMatrix,
+    Generator,
     PauliAxis,
     QubitState,
     WeakScenario,
@@ -386,7 +389,8 @@ def test_mixed_fisher_three_routes():
 
 
 def test_shell_route_matches_dense_route():
-    # both sides run the same Generator kernel; the oracle is in test_weak
+    # the stencil on the exact family differentiates it numerically, an
+    # independent check of the closed-form derivative in qfi_rotation_exact
     pre, post = post_selected_pair(0.1)
     for m, n in ((1, 1), (2, 1), (3, 3)):
         fam = rotation_family(0.1, ModeIndex(m, n))
@@ -396,12 +400,127 @@ def test_shell_route_matches_dense_route():
         assert dense == pytest.approx(shell, rel=1e-9)
 
 
+def _jacobi_near_one(n: int, b: int, s: float) -> tuple[float, float, float]:
+    """(1 - P, dP/ds, d2P/ds2) of P = P_n^(0,b)(1 - 2s), three-term recurrence.
+
+    P_k(1) = 1, so 1 - P_k follows the same recurrence plus a source term
+    and is carried as its own sequence, free of cancellation at small s.
+    """
+    if n == 0:
+        return 0.0, 0.0, 0.0
+    prev = np.array([0.0, 1.0, 0.0, 0.0])  # (1 - P, P, P_s, P_ss) of P_0
+    cur = np.array([(b + 2) * s, 1.0 - (b + 2) * s, -(b + 2.0), 0.0])
+    for k in range(2, n + 1):
+        c = 2 * k + b
+        a1 = 2 * k * (k + b) * (c - 2)
+        a3 = (c - 1) * c * (c - 2)
+        a4 = 2 * (k - 1) * (k + b - 1) * c
+        lin = a1 + a4  # a2 + a3 of the x-form, since P_k(1) = 1
+        # a1 P_k = (lin - 2 a3 s) P_{k-1} - a4 P_{k-2}, differentiated in s
+        nxt = np.array([
+            lin * cur[0] - a4 * prev[0] + 2 * a3 * s * cur[1],
+            (lin - 2 * a3 * s) * cur[1] - a4 * prev[1],
+            (lin - 2 * a3 * s) * cur[2] - 2 * a3 * cur[1] - a4 * prev[2],
+            (lin - 2 * a3 * s) * cur[3] - 4 * a3 * cur[2] - a4 * prev[3],
+        ]) / a1
+        prev, cur = cur, nxt
+    return cur[0], cur[2], cur[3]
+
+
+def _diagonal_rotation_element(m: int, n: int,
+                               theta: float) -> tuple[float, float, float]:
+    """(1 - C, C', C'') of C(theta) = <m,n|exp(-i theta Lz)|m,n>.
+
+    C = P_n^(0,m-n)(cos 2 theta) cos^(m-n) theta for m >= n, a Wigner small-d
+    element (Lz is twice a Schwinger SU(2) generator); C is symmetric in
+    m, n. No truncation and no weak.Generator.
+    """
+    n, b = min(m, n), abs(m - n)
+    s1, s2 = math.sin(2 * theta), 2.0 * math.cos(2 * theta)  # s' and s''
+    q, p_s, p_ss = _jacobi_near_one(n, b, math.sin(theta) ** 2)
+    p, p1, p2 = 1.0 - q, p_s * s1, p_ss * s1 ** 2 + p_s * s2
+    c, sn = math.cos(theta), math.sin(theta)
+    g = c ** b
+    g1 = -b * c ** (b - 1) * sn if b >= 1 else 0.0
+    g2 = (b * (b - 1) * c ** (b - 2) * sn ** 2 if b >= 2 else 0.0) - b * g
+    # 1 - cos^b theta without cancellation near theta = 0
+    one_minus_g = -math.expm1(b * math.log(c)) if c > 0 else 1.0 - g
+    return (one_minus_g + g * q, p1 * g + p * g1,
+            p2 * g + 2.0 * p1 * g1 + p * g2)
+
+
+def _rotation_qfi_closed_form(epsilon: float, alpha: float, m: int,
+                              n: int) -> float:
+    """F(alpha) of the post-selected rotation family from C at 2 alpha.
+
+    With a+ = <f|0><0|i>, a- = <f|1><1|i>, S = |a+|^2 + |a-|^2,
+    r = 2 Re(a+* a-) and <Lz^2> = 2mn + m + n on |m, n>:
+    <phi|phi> = |a+ + a-|^2 - r (1 - C), <dphi|dphi> = S <Lz^2> + r C'',
+    <phi|dphi> = r C'. The norm is written with 1 - C, since it cancels
+    near extinction.
+    """
+    pre, post = post_selected_pair(epsilon)
+    a_plus = post.c0.conjugate() * pre.c0
+    a_minus = post.c1.conjugate() * pre.c1
+    r = 2.0 * (a_plus.conjugate() * a_minus).real
+    one_minus_c, c1, c2 = _diagonal_rotation_element(m, n, 2.0 * alpha)
+    norm2 = abs(a_plus + a_minus) ** 2 - r * one_minus_c
+    spread = oam_variance(ModeIndex(m, n))
+    dphi2 = (abs(a_plus) ** 2 + abs(a_minus) ** 2) * spread + r * c2
+    return 4.0 * (dphi2 / norm2 - (r * c1) ** 2 / norm2 ** 2)
+
+
+def test_wigner_d_oracle_matches_block_evolution():
+    thetas = np.array([1e-3, 0.1, 0.7, 1.3, 2.9])
+    for m in range(21):
+        for n in range(21 - m):
+            cutoff = m + n
+            rows = Generator(Coupling.OAM, cutoff).evolve(
+                thetas, ModeState.basis(cutoff, m, n))
+            got = rows[:, flat_index(m, n, cutoff)]
+            want = [1.0 - _diagonal_rotation_element(m, n, t)[0]
+                    for t in thetas]
+            assert np.max(np.abs(got - want)) <= 1e-13, (m, n)
+
+
+def test_rotation_qfi_matches_wigner_d_closed_form():
+    # F = 4 (<dphi|dphi> <phi|phi> - |<phi|dphi>|^2) / <phi|phi>^2 subtracts
+    # terms whose difference shrinks with |<f|i>|^2 ~ epsilon^2, so the
+    # round-off of the closed form's C, C', C'' grows as 1 / epsilon^2 in F
+    # (the vector route keeps its inner products consistent)
+    for epsilon in (0.3, 0.1, 0.01, 1e-3):
+        pre, post = post_selected_pair(epsilon)
+        for alpha in (0.2, 0.02, 1e-3, 1e-5):
+            for m, n in ((1, 0), (1, 1), (2, 1), (3, 9), (7, 7), (20, 20)):
+                got = qfi_rotation_exact(pre, post, PauliAxis.z(), alpha,
+                                         ModeIndex(m, n))
+                want = _rotation_qfi_closed_form(epsilon, alpha, m, n)
+                rel = 1e-13 + 1e-15 / epsilon ** 2
+                assert got == pytest.approx(want, rel=rel), (epsilon, alpha)
+
+
+def test_rotation_qfi_shares_the_extinction_guard(monkeypatch):
+    # a basis pointer cannot underflow the norm; a kernel returning NaN
+    # branches must stop both routes at the same guard
+    monkeypatch.setattr(
+        Generator, "evolve",
+        lambda self, alphas, state: np.full((2, basis_dim(self.cutoff)),
+                                            np.nan, dtype=complex))
+    pre, post = post_selected_pair(0.1)
+    s = WeakScenario(1e-3, pre, post, PauliAxis.z(), Coupling.OAM,
+                     ModeState.basis(2, 1, 1))
+    with pytest.raises(TotalExtinctionError):
+        final_pointer_exact(s)
+    with pytest.raises(TotalExtinctionError):
+        qfi_rotation_exact(pre, post, PauliAxis.z(), 1e-3, ModeIndex(1, 1))
+
+
 def test_step_guard_trips_on_coarse_step():
     fam = rotation_family(0.1, ModeIndex(1, 1))
     with pytest.raises(StepSizeError):
         qfi_pure_numeric(fam, 1e-3, step=0.5)
     pre, post = post_selected_pair(0.1)
-    with pytest.raises(StepSizeError):
+    with pytest.warns(DeprecationWarning):  # no stencil left to guard
         qfi_rotation_exact(pre, post, PauliAxis.z(), 1e-3, ModeIndex(1, 1),
                            step=0.5)
     with pytest.raises(ValueError):

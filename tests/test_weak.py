@@ -18,6 +18,7 @@ from hgsense.modes import (
     flat_index,
     lz_matrix,
     momentum_matrix_x,
+    momentum_variance_x,
     oam_variance,
 )
 from hgsense.weak import (
@@ -88,6 +89,24 @@ def test_non_finite_qubit_and_coupling_rejected():
     with pytest.raises(TotalExtinctionError):  # a NaN probability
         final_pointer_exact(WeakScenario(1e-3, pre, post, PauliAxis.z(),
                                          Coupling.OAM, blank))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), math.inf, 0.0, -1.0])
+def test_non_finite_or_non_positive_scales_rejected(bad):
+    pre, post = post_selected_pair(0.1)
+    pointer = ModeState.basis(2, 1, 1)
+    builds = (
+        lambda: WeakScenario(1e-3, pre, post, PauliAxis.z(),
+                             Coupling.MOMENTUM_X, pointer, sigma0=bad),
+        lambda: WeakScenario(1e-3, pre, post, PauliAxis.z(), Coupling.OAM,
+                             pointer, weak_limit=bad),
+        lambda: Generator(Coupling.MOMENTUM_X, 2, bad),
+        lambda: momentum_matrix_x(2, bad),
+        lambda: momentum_variance_x(ModeIndex(1, 1), bad),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="finite and positive"):
+            build()
 
 
 def test_weak_value_consistency_with_pauli_components():
