@@ -75,26 +75,20 @@ from .fisher import (
     qfi_pure_numeric,
     qfi_rotation_exact,
     qfi_weak_approx,
-    sld_solve,
 )
 from .modes import (
     BeamGeometry,
     ModeIndex,
     ModeState,
-    OperatorMatrix,
     beam_params,
     hermite_eval,
     hg_factor,
     hg_wavefunction,
-    ladder_matrices,
-    lz_matrix,
-    momentum_matrix_x,
     momentum_variance_x,
     oam_variance,
 )
 from .weak import (
     Coupling,
-    DensityMatrix,
     Generator,
     PauliAxis,
     QubitState,
@@ -104,7 +98,6 @@ from .weak import (
     final_pointer_first_order,
     pauli_weak_values,
     post_selected_pair,
-    qubit_monitor_channel,
     weak_value,
 )
 

@@ -74,8 +74,10 @@ class FieldGrid:
             raise ValueError("samples must be a square 2-D array")
         if arr.shape[0] < MIN_SIDE:
             raise ValueError(f"grid side {arr.shape[0]} below minimum {MIN_SIDE}")
-        if self.pitch <= 0 or self.sigma0 <= 0 or self.wavelength <= 0:
-            raise ValueError("pitch, sigma0 and wavelength must be positive")
+        if not all(0 < v < math.inf
+                   for v in (self.pitch, self.sigma0, self.wavelength)):
+            raise ValueError(
+                "pitch, sigma0 and wavelength must be finite and positive")
         half = 0.5 * arr.shape[0] * self.pitch
         if half < MIN_COVERAGE_SIGMA * self.sigma0:
             raise CoverageError(
@@ -120,9 +122,9 @@ def synthesize_hg_field(idx: ModeIndex, sigma0: float, side: int = DEFAULT_SIDE,
     rescaled by sigma(z) and picks up the wavefront curvature and the
     (m + n + 1) multiple of the Gouy phase; at z = 0 both are exactly trivial.
     """
-    if window_sigma < MIN_COVERAGE_SIGMA:
-        raise CoverageError(
-            f"window of {window_sigma} sigma0 below minimum {MIN_COVERAGE_SIGMA}")
+    if not MIN_COVERAGE_SIGMA <= window_sigma < math.inf:
+        raise CoverageError(f"window of {window_sigma} sigma0 not finite or "
+                            f"below minimum {MIN_COVERAGE_SIGMA}")
     pitch = 2.0 * window_sigma * sigma0 / side
     c = _axis(side, pitch)
     sigma_z, gouy, q_inv = beam_params(BeamGeometry(sigma0, wavelength, z))
@@ -170,8 +172,9 @@ def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
     because right angles map grid nodes onto grid nodes exactly. Samples
     pulled from outside the window are zero.
     """
-    if abs(angle) > math.pi / 2.0 + 1e-12:
-        raise ValueError("|angle| above pi/2 not supported by the resampler")
+    if not abs(angle) <= math.pi / 2.0 + 1e-12:  # NaN fails too
+        raise ValueError(
+            f"angle must be finite with |angle| <= pi/2, got {angle}")
     x, y = field.coords[None, :], field.coords[:, None]
     c, s = math.cos(angle), math.sin(angle)
     xs = c * x + s * y

@@ -6,9 +6,10 @@ derivative of its family, a quadratic weak-coupling one
 (4 |dM_w/dg|^2 <delta Omega^2>), and closed forms for special cases. All of
 them evolve the pointer through the one weak.Generator kernel, so they check
 approximations against each other, not independent evolution code.
-Readouts work on the vectors they span: the carrier readout is two rank-1
-Projector elements and the dephased-monitor SLD is solved on the branch
-plane, with dense POVMs and sld_solve as the reference.
+Readouts work on the vectors they span: a POVM is a set of rank-1
+Projector elements (the carrier readout is two of them), and the
+dephased-monitor SLD is solved on the branch plane, with sld_solve on the
+full truncated basis as the reference.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .modes import (
     OperatorMatrix,
     expectation,
     oam_variance,
-    require_psd,
     second_moment,
     variance,
 )
@@ -179,55 +179,41 @@ class Projector:
         return state.amplitudes - along if self.complement else along
 
 
-def _check_projector_povm(elements: Sequence[Projector]):
-    """Positivity and completeness of a Projector set, no d x d array formed.
-
-    |c><c| and 1 - |c><c| are positive iff |c| = 1. With one complement the
-    set sums to 1 iff S = sum_k s_k |c_k><c_k| = 0 (s = -1 for the
-    complement); |S|_F = |R diag(s) R^dagger|_F with R the K x K factor of
-    the QR decomposition of [c_1 ... c_K] (R^dagger R is their Gram matrix).
-    """
-    vectors = np.array([el.vector.amplitudes for el in elements]).T
-    norms2 = np.sum(np.abs(vectors) ** 2, axis=0)
-    if not np.all(np.abs(norms2 - 1.0) <= 1e-10):
-        raise InvalidStateError(
-            "projector vector not of unit norm: POVM element not positive "
-            "semidefinite")
-    signs = np.array([-1.0 if el.complement else 1.0 for el in elements])
-    if np.count_nonzero(signs < 0) != 1:
-        raise InvalidStateError("a projector POVM needs exactly one complement")
-    r = np.linalg.qr(vectors, mode="r")
-    if not np.linalg.norm((r * signs) @ r.conj().T) <= 1e-10:
-        raise InvalidStateError("POVM elements do not sum to identity")
-
-
 @dataclass(frozen=True)
 class PovmSet:
-    """Positive operators summing to the identity on the truncated basis:
-    all dense OperatorMatrix elements, or all Projector elements."""
+    """Projector elements summing to the identity on the truncated basis.
 
-    elements: tuple[OperatorMatrix | Projector, ...]
+    Positivity and completeness are checked without a d x d array: |c><c|
+    and 1 - |c><c| are positive iff |c| = 1. With one complement the set
+    sums to 1 iff S = sum_k s_k |c_k><c_k| = 0 (s = -1 for the complement);
+    |S|_F = |R diag(s) R^dagger|_F with R the K x K factor of the QR
+    decomposition of [c_1 ... c_K] (R^dagger R is their Gram matrix).
+    """
+
+    elements: tuple[Projector, ...]
 
     def __post_init__(self):
         if not self.elements:
             raise ValueError("POVM needs at least one element")
+        if not all(isinstance(el, Projector) for el in self.elements):
+            raise ValueError("POVM elements must be Projector instances")
         cutoff = self.elements[0].cutoff
         if any(el.cutoff != cutoff for el in self.elements):
             raise ValueError("POVM elements live in different truncations")
-        projectors = [isinstance(el, Projector) for el in self.elements]
-        if all(projectors):
-            _check_projector_povm(self.elements)
-        elif any(projectors):
-            raise ValueError("POVM mixes Projector and dense elements")
-        else:
-            for el in self.elements:
-                require_psd(el.entries, "POVM element")
-            total = np.zeros_like(self.elements[0].entries)
-            for el in self.elements:
-                total += el.entries
-            total.flat[::len(total) + 1] -= 1.0
-            if np.max(np.abs(total)) > 1e-10:
-                raise InvalidStateError("POVM elements do not sum to identity")
+        vectors = np.array([el.vector.amplitudes for el in self.elements]).T
+        norms2 = np.sum(np.abs(vectors) ** 2, axis=0)
+        if not np.all(np.abs(norms2 - 1.0) <= 1e-10):
+            raise InvalidStateError(
+                "projector vector not of unit norm: POVM element not positive "
+                "semidefinite")
+        signs = np.array([-1.0 if el.complement else 1.0
+                          for el in self.elements])
+        if np.count_nonzero(signs < 0) != 1:
+            raise InvalidStateError(
+                "a projector POVM needs exactly one complement")
+        r = np.linalg.qr(vectors, mode="r")
+        if not np.linalg.norm((r * signs) @ r.conj().T) <= 1e-10:
+            raise InvalidStateError("POVM elements do not sum to identity")
         object.__setattr__(self, "elements", tuple(self.elements))
 
     @property
@@ -246,10 +232,10 @@ def cfi_povm(state_fn: Callable[[float], ModeState], g: float, povm: PovmSet,
              step: float | None = None) -> float:
     """Classical Fisher information sum_k (d p_k/dg)^2 / p_k.
 
-    Every probability is modes.expectation(element, state), for dense and
-    Projector elements alike. Outcomes with probability below 1e-15
-    contribute zero and raise a SmallProbabilityWarning. Same stencil and
-    disagreement guard as the quantum counterpart.
+    Every probability is modes.expectation(element, state). Outcomes with
+    probability below 1e-15 contribute zero and raise a
+    SmallProbabilityWarning. Same stencil and disagreement guard as the
+    quantum counterpart.
     """
 
     def probs(x: float) -> np.ndarray:
@@ -277,8 +263,11 @@ def min_detectable_rotation(idx: ModeIndex, epsilon: float, n_photons: float) ->
     """Unit-SNR rotation 1 / (sqrt(2mn+m+n) * 2 |cot eps| * sqrt(N))."""
     if idx.m == 0 and idx.n == 0:
         raise NoSensitivityError("fundamental mode has no rotation sensitivity")
-    if n_photons <= 0:
-        raise ValueError("photon number must be positive")
+    if not 0 < n_photons < math.inf:
+        raise ValueError(f"photon number must be finite and positive, "
+                         f"got {n_photons}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"post-selection angle must be finite, got {epsilon}")
     if math.isclose(math.sin(epsilon), 0.0, abs_tol=1e-12):
         raise ValueError("post-selection angle must not be a multiple of pi")
     if math.isclose(math.cos(epsilon), 0.0, abs_tol=1e-12):
@@ -294,8 +283,9 @@ def hamiltonian_bound(parameter: Parameter, s: WeakScenario,
     Requires the weak regime; estimating theta or phi additionally needs a
     nonzero coupling strength (their signal enters multiplied by alpha).
     """
-    if n_samples <= 0:
-        raise ValueError("sample count must be positive")
+    if not 0 < n_samples < math.inf:
+        raise ValueError(f"sample count must be finite and positive, "
+                         f"got {n_samples}")
     if parameter is not Parameter.ALPHA and s.alpha <= 0:
         raise ValueError("axis-angle estimation needs alpha > 0")
     fisher = qfi_weak_approx(s, parameter)
@@ -373,8 +363,7 @@ def qfi_mixed_quadratic(alpha: float, pointer: ModeState,
 
 
 def qfi_rotation_exact(pre: QubitState, post: QubitState, axis: PauliAxis,
-                       alpha: float, idx: ModeIndex,
-                       step: float | None = None) -> float:
+                       alpha: float, idx: ModeIndex) -> float:
     """Exact QFI about alpha for a basis pointer under rotation coupling.
 
     The post-selected family phi = a+ exp(-i alpha Lz)|m, n>
@@ -385,11 +374,8 @@ def qfi_rotation_exact(pre: QubitState, post: QubitState, axis: PauliAxis,
     Lz application, and no finite differences. Lz conserves m + n, so the
     work stays in the (m + n + 1)-dimensional shell of the pointer and
     scales to high orders. Raises TotalExtinctionError where
-    final_pointer_exact does. step is deprecated and ignored.
+    final_pointer_exact does.
     """
-    if step is not None:
-        warnings.warn("qfi_rotation_exact differentiates in closed form; "
-                      "step is ignored", DeprecationWarning, stacklevel=2)
     pointer = ModeState.basis(idx.total, idx.m, idx.n)
     s = WeakScenario(alpha, pre, post, axis, Coupling.OAM, pointer)
     plus, minus, norm2 = _post_selected_branches(s)

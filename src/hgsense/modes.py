@@ -9,9 +9,11 @@ Basis order is row-major in (m, n): flat index = m * (cutoff + 1) + n.
 Raising past the cutoff discards the raised amplitude; matrices are exact
 on the interior block m, n <= cutoff - 1.
 
-The dense matrices here (lz_matrix, ladder_matrices, momentum_matrix_x) are
-the small-cutoff oracle for the block kernel weak.Generator, which does the
-evolution. HG amplitudes factor into one-axis hg_factor terms.
+The dense matrices here (ladder_matrices, lz_matrix, momentum_matrix_x) are
+built from one 1-D lowering matrix by Kronecker products. They are not
+exported from the package: they are the small-cutoff reference that tests
+pin the block kernel weak.Generator against, which does the evolution. HG
+amplitudes factor into one-axis hg_factor terms.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .errors import InvalidStateError, UnsupportedOrderError
+from .errors import UnsupportedOrderError
 
 MAX_HERMITE_ORDER = 64
 
@@ -167,32 +169,6 @@ class OperatorMatrix:
             raise ValueError("operator and state truncations differ")
         return self.entries @ state.amplitudes
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "cutoff": self.cutoff,
-            "index_order": "m*(cutoff+1)+n",
-            "hermitian": self.hermitian,
-            "entries": [[[z.real, z.imag] for z in row] for row in self.entries],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "OperatorMatrix":
-        data = json.loads(text)
-        ent = np.array([[complex(re, im) for re, im in row]
-                        for row in data["entries"]])
-        return cls(int(data["cutoff"]), ent, bool(data.get("hermitian", False)))
-
-
-def require_psd(entries: np.ndarray, what: str):
-    """Raise InvalidStateError if a Hermitian matrix has an eigenvalue below
-    -1e-10: Cholesky of a copy shifted up by 1e-10, cheaper than eigvalsh."""
-    shifted = np.array(entries, dtype=complex)
-    shifted.flat[::len(shifted) + 1] += 1e-10
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        raise InvalidStateError(f"{what} not positive semidefinite") from None
-
 
 class StateOperator(Protocol):
     """Maps a state to op|state>: OperatorMatrix or weak.Generator."""
@@ -261,8 +237,10 @@ class BeamGeometry:
     rayleigh: float = field(default=0.0)
 
     def __post_init__(self):
-        if self.sigma0 <= 0 or self.wavelength <= 0:
-            raise ValueError("sigma0 and wavelength must be positive")
+        if not (0 < self.sigma0 < math.inf and 0 < self.wavelength < math.inf
+                and math.isfinite(self.z)):
+            raise ValueError(
+                "sigma0 and wavelength must be finite and positive, z finite")
         b = 2.0 * self.wavenumber * self.sigma0 ** 2
         if self.rayleigh == 0.0:
             object.__setattr__(self, "rayleigh", b)
@@ -309,46 +287,30 @@ class LadderOps(NamedTuple):
 def ladder_matrices(cutoff: int) -> LadderOps:
     """Truncated ladder operators for both transverse axes.
 
-    ax |m, n> = sqrt(m) |m-1, n>, ax_dag |m, n> = sqrt(m+1) |m+1, n> while
-    m + 1 <= cutoff; amplitude raised out of the basis is discarded.
+    ax = a (x) 1 and ay = 1 (x) a from the one-axis lowering matrix a with
+    <k-1|a|k> = sqrt(k), so ax |m, n> = sqrt(m) |m-1, n> and
+    ax_dag |m, n> = sqrt(m+1) |m+1, n> while m + 1 <= cutoff; amplitude
+    raised out of the basis is discarded.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    dim = basis_dim(cutoff)
-    ax = np.zeros((dim, dim), dtype=complex)
-    ay = np.zeros((dim, dim), dtype=complex)
-    for m in range(cutoff + 1):
-        for n in range(cutoff + 1):
-            col = flat_index(m, n, cutoff)
-            if m >= 1:
-                ax[flat_index(m - 1, n, cutoff), col] = math.sqrt(m)
-            if n >= 1:
-                ay[flat_index(m, n - 1, cutoff), col] = math.sqrt(n)
-    return LadderOps(
-        OperatorMatrix(cutoff, ax),
-        OperatorMatrix(cutoff, ax.conj().T),
-        OperatorMatrix(cutoff, ay),
-        OperatorMatrix(cutoff, ay.conj().T),
-    )
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+    eye = np.eye(cutoff + 1)
+    ax, ay = np.kron(a, eye), np.kron(eye, a)
+    return LadderOps(*(OperatorMatrix(cutoff, op)
+                       for op in (ax, ax.T, ay, ay.T)))
 
 
 def lz_matrix(cutoff: int) -> OperatorMatrix:
     """Orbital angular momentum i(ax ay_dag - ax_dag ay) on the truncated basis.
 
-    Built entry-wise from the ladder action (a test pins this against the
-    explicit matrix product). Exact, and Hermitian, everywhere; the action on
-    boundary modes m = cutoff or n = cutoff loses the raised component, so
-    moment checks should stay on the interior block.
+    Hermitian everywhere; the action on boundary modes m = cutoff or
+    n = cutoff loses the raised component, so moment checks should stay on
+    the interior block.
     """
-    dim = basis_dim(cutoff)
-    lz = np.zeros((dim, dim), dtype=complex)
-    for m in range(cutoff + 1):
-        for n in range(cutoff + 1):
-            col = flat_index(m, n, cutoff)
-            if m >= 1 and n + 1 <= cutoff:
-                lz[flat_index(m - 1, n + 1, cutoff), col] = 1j * math.sqrt(m * (n + 1))
-            if n >= 1 and m + 1 <= cutoff:
-                lz[flat_index(m + 1, n - 1, cutoff), col] = -1j * math.sqrt((m + 1) * n)
+    ops = ladder_matrices(cutoff)
+    lz = 1j * (ops.ax.entries @ ops.ay_dag.entries
+               - ops.ax_dag.entries @ ops.ay.entries)
     return OperatorMatrix(cutoff, lz, hermitian=True)
 
 

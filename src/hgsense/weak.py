@@ -38,7 +38,6 @@ from .modes import (
     basis_dim,
     lz_matrix,
     momentum_matrix_x,
-    require_psd,
 )
 
 ORTHOGONALITY_FLOOR = 1e-12
@@ -323,7 +322,8 @@ def _post_selected_branches(
     returns a+ exp(-i alpha Omega)|psi_i> and a- exp(+i alpha Omega)|psi_i>,
     with a+- = <f|P+-|i>, and the post-selection probability |sum|^2
     (exact within the truncation). Raises TotalExtinctionError when the sum
-    underflows.
+    underflows, or falls below ORTHOGONALITY_FLOOR^2 times
+    |plus|^2 + |minus|^2, where it is round-off of cancelling branches.
     """
     braket = complex(np.vdot(s.post.vector, s.pre.vector))
     bra_a_ket = _bracket(s.post, s.axis.matrix, s.pre)
@@ -333,8 +333,10 @@ def _post_selected_branches(
     plus, minus = amp_plus * fwd, amp_minus * bwd
     vec = plus + minus
     prob = float(np.real(np.vdot(vec, vec)))
-    if not prob >= 1e-300:  # NaN fails too
-        raise TotalExtinctionError("post-selected amplitude underflowed")
+    branches = float(np.real(np.vdot(plus, plus) + np.vdot(minus, minus)))
+    if not prob >= max(1e-300, ORTHOGONALITY_FLOOR ** 2 * branches):  # NaN too
+        raise TotalExtinctionError(
+            "post-selected amplitude underflowed or cancelled to round-off")
     return plus, minus, prob
 
 
@@ -353,13 +355,19 @@ def final_pointer_exact(s: WeakScenario) -> ExactPointer:
 
 def require_density(entries: np.ndarray):
     """Raise InvalidStateError unless a square matrix is a density operator:
-    Hermitian to 1e-12, trace 1 to 1e-10, no eigenvalue below -1e-10."""
+    Hermitian to 1e-12, trace 1 to 1e-10, no eigenvalue below -1e-10 (by
+    Cholesky of a copy shifted up by 1e-10, cheaper than eigvalsh)."""
     if not np.max(np.abs(entries - entries.conj().T)) <= 1e-12:
         raise InvalidStateError("density matrix not Hermitian")
     tr = float(np.real(np.trace(entries)))
     if not abs(tr - 1.0) <= 1e-10:
         raise InvalidStateError(f"trace {tr} differs from 1")
-    require_psd(entries, "density matrix")
+    shifted = np.array(entries, dtype=complex)
+    shifted.flat[::len(shifted) + 1] += 1e-10
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        raise InvalidStateError("density matrix not positive semidefinite") from None
 
 
 @dataclass(frozen=True)

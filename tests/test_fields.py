@@ -6,6 +6,7 @@ generator matrix, with no shared code between the two routes.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,27 @@ def test_coverage_and_shape_guards():
     with pytest.raises(ValueError):
         FieldGrid(np.zeros((128, 128), dtype=complex), -0.2, 1.0,
                   DEFAULT_WAVELENGTH, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_grid_and_synthesis_inputs_rejected(bad):
+    f = synthesize_hg_field(ModeIndex(1, 1), 1.0, side=128)
+    builds = [
+        lambda: FieldGrid(f.samples, bad, 1.0),
+        lambda: FieldGrid(f.samples, f.pitch, bad),
+        lambda: FieldGrid(f.samples, f.pitch, 1.0, bad),
+        lambda: BeamGeometry(bad, DEFAULT_WAVELENGTH),
+        lambda: synthesize_hg_field(ModeIndex(1, 1), 1.0, side=128,
+                                    window_sigma=bad),
+        lambda: synthesize_hg_field(ModeIndex(1, 1), 1.0, side=128, z=bad),
+        lambda: BeamGeometry(1.0, DEFAULT_WAVELENGTH, z=bad),
+        lambda: rotate_field(f, bad),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in builds:
+            with pytest.raises(ValueError, match="finite"):
+                build()
 
 
 def test_overlap_requires_matching_grids():

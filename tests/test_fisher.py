@@ -5,7 +5,9 @@ against closed forms, classical readouts against the quantum ceiling, the
 SLD pipeline against the rank-2 closed form. Pointer evolution itself has
 one implementation, weak.Generator, pinned against the dense matrices in
 test_weak and here against a Wigner small-d (Jacobi polynomial) oracle,
-which also gives the exact rotation QFI in closed form.
+which also gives the exact rotation QFI in closed form, and against the
+displacement (Laguerre polynomial) oracle of the momentum coupling. Dense
+POVMs are computed on the test side, in reference.dense_cfi.
 """
 
 import math
@@ -66,6 +68,7 @@ from hgsense.weak import (
     post_selected_pair,
     qubit_monitor_channel,
 )
+from reference import dense_cfi
 
 DIAG = QubitState.from_amplitudes(1.0, complex(np.exp(1j * math.pi / 4)))
 TILTED = PauliAxis(math.pi / 4, 0.0)
@@ -177,10 +180,8 @@ def test_classical_readout_never_beats_quantum():
         total = sum(raw)
         w, v = np.linalg.eigh(total)
         inv_half = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-        povm = PovmSet(tuple(
-            OperatorMatrix(cutoff, inv_half @ r @ inv_half, hermitian=True)
-            for r in raw))
-        assert cfi_povm(fam, alpha, povm) <= ceiling * (1.0 + 1e-9)
+        povm = [inv_half @ r @ inv_half for r in raw]
+        assert dense_cfi(fam, alpha, povm) <= ceiling * (1.0 + 1e-9)
 
 
 def test_carrier_projection_saturates_quantum_limit():
@@ -210,16 +211,15 @@ def test_projector_povm_matches_dense_povm():
         carrier = carrier_state(idx, cutoff)
         c = carrier.amplitudes
         proj = np.outer(c, c.conj())
-        dense = PovmSet((
-            OperatorMatrix(cutoff, proj, hermitian=True),
-            OperatorMatrix(cutoff, np.eye(len(c)) - proj, hermitian=True)))
+        dense = (proj, np.eye(len(c)) - proj)
         povm = carrier_projection_povm(carrier)
         assert all(isinstance(el, Projector) for el in povm.elements)
-        for el, ref in zip(povm.elements, dense.elements):
-            assert np.allclose(el.apply(family(1e-3)),
-                               ref.apply(family(1e-3)), atol=1e-15)
+        psi = family(1e-3)
+        for el, ref in zip(povm.elements, dense):
+            assert np.allclose(el.apply(psi), ref @ psi.amplitudes,
+                               atol=1e-15)
         assert cfi_povm(family, 1e-3, povm) == pytest.approx(
-            cfi_povm(family, 1e-3, dense), rel=1e-12)
+            dense_cfi(family, 1e-3, dense), rel=1e-12)
 
 
 def test_projector_povm_validation():
@@ -240,8 +240,9 @@ def test_projector_povm_validation():
         with pytest.raises(InvalidStateError):
             PovmSet(elements)
     dense = OperatorMatrix(cutoff, np.eye(basis_dim(cutoff)), hermitian=True)
-    with pytest.raises(ValueError):
-        PovmSet((Projector(c), dense))
+    for elements in ((Projector(c), dense), (dense,)):  # not a Projector
+        with pytest.raises(ValueError):
+            PovmSet(elements)
     with pytest.raises(ValueError):
         PovmSet((Projector(c), Projector(carrier_state(idx, 3),
                                           complement=True)))
@@ -284,8 +285,11 @@ def test_min_detectable_rotation_frozen_values():
     assert ratio == pytest.approx(math.sqrt(15.0), rel=1e-12)
     with pytest.raises(NoSensitivityError):
         min_detectable_rotation(ModeIndex(0, 0), eps, 1e6)
+    for n_photons in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            min_detectable_rotation(ModeIndex(1, 1), eps, n_photons)
     with pytest.raises(ValueError):
-        min_detectable_rotation(ModeIndex(1, 1), eps, 0.0)
+        min_detectable_rotation(ModeIndex(1, 1), math.nan, 1e6)
     with pytest.raises(ValueError):
         min_detectable_rotation(ModeIndex(1, 1), math.pi, 1e6)
     for vanishing_cot in (math.pi / 2, 3 * math.pi / 2):
@@ -483,6 +487,31 @@ def test_wigner_d_oracle_matches_block_evolution():
             assert np.max(np.abs(got - want)) <= 1e-13, (m, n)
 
 
+def _laguerre(m: int, x: float) -> float:
+    """L_m(x) by (k + 1) L_{k+1} = (2k + 1 - x) L_k - k L_{k-1}."""
+    prev, cur = 0.0, 1.0
+    for k in range(m):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+    return cur
+
+
+def test_displacement_oracle_matches_momentum_evolution():
+    # exp(-i theta p) is the displacement D(theta / (2 sigma0)) along x, so
+    # <m|exp(-i theta p)|m> = exp(-theta^2 / (8 sigma0^2))
+    #                         * L_m(theta^2 / (4 sigma0^2)), whatever n is
+    cutoff = 60
+    thetas = np.array([0.05, 0.3, 1.0])
+    for sigma0 in (0.5, 1.0 / math.sqrt(2.0), 1.0):
+        gen = Generator(Coupling.MOMENTUM_X, cutoff, sigma0)
+        for m in range(11):
+            for n in (0, 3):
+                rows = gen.evolve(thetas, ModeState.basis(cutoff, m, n))
+                got = rows[:, flat_index(m, n, cutoff)]
+                x = thetas ** 2 / (4.0 * sigma0 ** 2)
+                want = np.exp(-x / 2.0) * [_laguerre(m, xi) for xi in x]
+                assert np.max(np.abs(got - want)) <= 1e-13, (sigma0, m, n)
+
+
 def test_rotation_qfi_matches_wigner_d_closed_form():
     # F = 4 (<dphi|dphi> <phi|phi> - |<phi|dphi>|^2) / <phi|phi>^2 subtracts
     # terms whose difference shrinks with |<f|i>|^2 ~ epsilon^2, so the
@@ -500,6 +529,20 @@ def test_rotation_qfi_matches_wigner_d_closed_form():
 
 
 def test_rotation_qfi_shares_the_extinction_guard(monkeypatch):
+    # exact extinction: a+ = a- and cos(pi/2 Lz) = 0 on an odd shell, so the
+    # branches cancel to round-off (3.7e-33), which no route may normalize
+    plus, z = QubitState.plus(), PauliAxis.z()
+    dark = WeakScenario(math.pi / 2, plus, plus, z, Coupling.OAM,
+                        ModeState.basis(1, 1, 0))
+    with pytest.raises(TotalExtinctionError):
+        final_pointer_exact(dark)
+    with pytest.raises(TotalExtinctionError):
+        qfi_rotation_exact(plus, plus, z, math.pi / 2, ModeIndex(1, 0))
+    # 1e-8 short of it the probability sin^2(1e-8) is genuine
+    near = WeakScenario(math.pi / 2 - 1e-8, plus, plus, z, Coupling.OAM,
+                        ModeState.basis(1, 1, 0))
+    assert final_pointer_exact(near).success_prob == pytest.approx(
+        math.sin(1e-8) ** 2, rel=1e-6)
     # a basis pointer cannot underflow the norm; a kernel returning NaN
     # branches must stop both routes at the same guard
     monkeypatch.setattr(
@@ -520,7 +563,7 @@ def test_step_guard_trips_on_coarse_step():
     with pytest.raises(StepSizeError):
         qfi_pure_numeric(fam, 1e-3, step=0.5)
     pre, post = post_selected_pair(0.1)
-    with pytest.warns(DeprecationWarning):  # no stencil left to guard
+    with pytest.raises(TypeError):  # closed form: no step to pass
         qfi_rotation_exact(pre, post, PauliAxis.z(), 1e-3, ModeIndex(1, 1),
                            step=0.5)
     with pytest.raises(ValueError):
@@ -612,18 +655,10 @@ def test_small_probability_outcomes_warn_and_drop():
 
 
 def test_povm_validation():
-    cutoff = 1
-    dim = basis_dim(cutoff)
-    eye = OperatorMatrix(cutoff, np.eye(dim), hermitian=True)
-    half = OperatorMatrix(cutoff, 0.5 * np.eye(dim), hermitian=True)
-    with pytest.raises(InvalidStateError):
-        PovmSet((half, eye))  # sums to 1.5 x identity
-    neg = OperatorMatrix(cutoff, -0.5 * np.eye(dim), hermitian=True)
-    with pytest.raises(InvalidStateError):
-        PovmSet((neg, OperatorMatrix(cutoff, 1.5 * np.eye(dim), hermitian=True)))
-    other = OperatorMatrix(2, np.eye(basis_dim(2)), hermitian=True)
+    c = ModeState.basis(1, 0, 0)
+    other = ModeState.basis(2, 0, 0)
     with pytest.raises(ValueError):
-        PovmSet((half, other))
+        PovmSet((Projector(c), Projector(other, complement=True)))
     with pytest.raises(ValueError):
         PovmSet(())
 
@@ -633,8 +668,9 @@ def test_hamiltonian_bound_guards():
     still = WeakScenario(0.0, DIAG, DIAG, TILTED, Coupling.OAM, pointer)
     with pytest.raises(ValueError):
         hamiltonian_bound(Parameter.THETA, still)
-    with pytest.raises(ValueError):
-        hamiltonian_bound(Parameter.ALPHA, still, n_samples=0.0)
+    for n_samples in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            hamiltonian_bound(Parameter.ALPHA, still, n_samples=n_samples)
     assert BoundResult.from_fisher(Parameter.ALPHA, 0.0, 10.0).variance_bound \
         == math.inf
     result = hamiltonian_bound(Parameter.ALPHA, still, n_samples=100.0)
