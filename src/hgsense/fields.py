@@ -7,6 +7,8 @@ x_i = (i - (side - 1) / 2) * pitch, so the beam axis sits between the four
 central pixels and right-angle rotations land exactly on grid nodes.
 Holograms use the J1-type phase-only encoding of Arrizon et al., JOSA A 24,
 3500 (2007); the depth inverts J1 by one polynomial fitted at import.
+The readout is separable: only the band of the first-order pinhole is
+Fourier transformed, and purity contracts the 1-D factors of the ideal mode.
 
 File formats
 ------------
@@ -56,6 +58,7 @@ _J1_SERIES = np.polynomial.Polynomial(np.ravel(
 J1_PEAK = float(_J1_SERIES(J1_PEAK_X))
 
 _RENORM_FLOOR = 1e-9
+_J1_BLOCK = 16384  # samples per Horner block: y and depth stay in cache
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,11 @@ class FieldGrid:
             raise ValueError("samples must be a square 2-D array")
         if arr.shape[0] < MIN_SIDE:
             raise ValueError(f"grid side {arr.shape[0]} below minimum {MIN_SIDE}")
-        if not all(0 < v < math.inf
-                   for v in (self.pitch, self.sigma0, self.wavelength)):
-            raise ValueError(
-                "pitch, sigma0 and wavelength must be finite and positive")
+        if not (all(0 < v < math.inf
+                    for v in (self.pitch, self.sigma0, self.wavelength))
+                and math.isfinite(self.z)):
+            raise ValueError("pitch, sigma0 and wavelength must be finite "
+                             "and positive, and z finite")
         half = 0.5 * arr.shape[0] * self.pitch
         if half < MIN_COVERAGE_SIGMA * self.sigma0:
             raise CoverageError(
@@ -111,6 +115,26 @@ def _unit_power(f: np.ndarray, pitch: float) -> np.ndarray:
     return f / math.sqrt(float(np.sum(np.abs(f) ** 2)) * pitch ** 2)
 
 
+def _window(side: int, window_sigma: float, sigma0: float):
+    """Pitch and axis of a side-pixel window spanning +-window_sigma sigma0."""
+    if not MIN_COVERAGE_SIGMA <= window_sigma < math.inf:
+        raise CoverageError(f"window of {window_sigma} sigma0 not finite or "
+                            f"below minimum {MIN_COVERAGE_SIGMA}")
+    pitch = 2.0 * window_sigma * sigma0 / side
+    return pitch, _axis(side, pitch)
+
+
+def _plane_factors(idx: ModeIndex, sigma0: float, wavelength: float,
+                   z: float, c: np.ndarray):
+    """y (row) and x (column) factors of HG(m, n) at plane z on axis c, the
+    amplitude scale sigma0 / sigma(z) and the Gouy phase."""
+    sigma_z, gouy, q_inv = beam_params(BeamGeometry(sigma0, wavelength, z))
+    scale = sigma0 / sigma_z
+    front = np.exp(-0.5j * q_inv.imag * c ** 2)  # curvature k / q = -Im(q_inv)
+    return (hg_factor(idx.n, sigma0, scale * c) * front,
+            hg_factor(idx.m, sigma0, scale * c) * front, scale, gouy)
+
+
 def synthesize_hg_field(idx: ModeIndex, sigma0: float, side: int = DEFAULT_SIDE,
                         window_sigma: float = DEFAULT_WINDOW_SIGMA,
                         wavelength: float = DEFAULT_WAVELENGTH,
@@ -122,17 +146,9 @@ def synthesize_hg_field(idx: ModeIndex, sigma0: float, side: int = DEFAULT_SIDE,
     rescaled by sigma(z) and picks up the wavefront curvature and the
     (m + n + 1) multiple of the Gouy phase; at z = 0 both are exactly trivial.
     """
-    if not MIN_COVERAGE_SIGMA <= window_sigma < math.inf:
-        raise CoverageError(f"window of {window_sigma} sigma0 not finite or "
-                            f"below minimum {MIN_COVERAGE_SIGMA}")
-    pitch = 2.0 * window_sigma * sigma0 / side
-    c = _axis(side, pitch)
-    sigma_z, gouy, q_inv = beam_params(BeamGeometry(sigma0, wavelength, z))
-    scale = sigma0 / sigma_z
-    front = np.exp(-0.5j * q_inv.imag * c ** 2)  # curvature k / q = -Im(q_inv)
-    f = (np.outer(hg_factor(idx.n, sigma0, scale * c) * front,
-                  hg_factor(idx.m, sigma0, scale * c) * front)
-         * (scale * np.exp(-1j * (idx.total + 1) * gouy)))
+    pitch, c = _window(side, window_sigma, sigma0)
+    fy, fx, scale, gouy = _plane_factors(idx, sigma0, wavelength, z, c)
+    f = np.outer(fy, fx) * (scale * np.exp(-1j * (idx.total + 1) * gouy))
     return FieldGrid(_unit_power(f, pitch), pitch, sigma0, wavelength, z)
 
 
@@ -150,8 +166,7 @@ def synthesize_superposition(state: ModeState, sigma0: float,
     orders = np.flatnonzero(np.any(amp != 0, axis=0) | np.any(amp != 0, axis=1))
     if len(orders) == 0:
         raise ValueError("zero superposition")
-    pitch = 2.0 * window_sigma * sigma0 / side
-    axis = _axis(side, pitch)
+    pitch, axis = _window(side, window_sigma, sigma0)
     phi = np.array([hg_factor(int(k), sigma0, axis) for k in orders])
     total = phi.T @ amp[np.ix_(orders, orders)].T @ phi
     return FieldGrid(_unit_power(total, pitch), pitch, sigma0, wavelength, 0.0)
@@ -209,11 +224,13 @@ def overlap(a: FieldGrid, b: FieldGrid) -> complex:
 
 
 def mode_purity(field: FieldGrid, idx: ModeIndex) -> float:
-    """|overlap|^2 against the ideal grid mode with matching geometry."""
-    ideal = synthesize_hg_field(
-        idx, field.sigma0, field.side,
-        0.5 * field.side * field.pitch / field.sigma0, field.wavelength)
-    return abs(overlap(ideal, field)) ** 2
+    """|overlap|^2 against the ideal HG(m, n) on the field's grid and plane:
+    pitch^2 |a_n^H F conj(a_m)|^2 / (|a_n|^2 |a_m|^2) with a_k its 1-D
+    factors; its Gouy phase and sigma(z) scale drop out."""
+    fy, fx, _, _ = _plane_factors(idx, field.sigma0, field.wavelength,
+                                  field.z, field.coords)
+    amp = abs(np.vdot(fy, field.samples @ fx.conj())) * field.pitch
+    return float(amp ** 2 / (np.vdot(fy, fy).real * np.vdot(fx, fx).real))
 
 
 def j1_inverse(target: float) -> float:
@@ -245,12 +262,15 @@ _J1_INVERSE_POLY = np.polynomial.chebyshev.cheb2poly(
 
 
 def _j1_inverse_array(targets: np.ndarray) -> np.ndarray:
-    y = 2.0 * np.sqrt(1.0 - targets / J1_PEAK) - 1.0
-    depth = np.full_like(y, _J1_INVERSE_POLY[-1])
-    for a in _J1_INVERSE_POLY[-2::-1]:  # Horner in place
-        depth *= y
-        depth += a
-    return np.clip(depth, 0.0, J1_PEAK_X, out=depth)
+    flat = np.ravel(targets)
+    depth = np.full_like(flat, _J1_INVERSE_POLY[-1])
+    for start in range(0, flat.size, _J1_BLOCK):
+        y = 2.0 * np.sqrt(1.0 - flat[start:start + _J1_BLOCK] / J1_PEAK) - 1.0
+        block = depth[start:start + _J1_BLOCK]
+        for a in _J1_INVERSE_POLY[-2::-1]:  # Horner in place
+            block *= y
+            block += a
+    return np.clip(depth, 0.0, J1_PEAK_X, out=depth).reshape(np.shape(targets))
 
 
 @dataclass(frozen=True)
@@ -289,51 +309,49 @@ def hologram_phase(target: FieldGrid, incident: FieldGrid,
     if target.side != incident.side or not math.isclose(
             target.pitch, incident.pitch, rel_tol=1e-12):
         raise GridMismatchError("target and incident grids differ")
-    a_in = np.abs(incident.samples)
-    a_out = np.abs(target.samples)
-    floor = 1e-8 * float(a_in.max())
-    valid = a_in > floor
+    if grating_period is not None and not 0 < grating_period < math.inf:
+        raise ValueError("grating period must be finite and positive")
+    a_in, a_out = np.abs(incident.samples), np.abs(target.samples)
+    valid = a_in > 1e-8 * float(a_in.max())
     if np.any(a_out[~valid] > 1e-6 * float(a_out.max())):
         raise UnreachableAmplitudeError(
             "target has weight where the illumination is empty")
-    rel = np.zeros_like(a_out)
-    rel[valid] = a_out[valid] / a_in[valid]
+    rel = np.divide(a_out, a_in, where=valid, out=np.zeros_like(a_out))
     peak = float(rel.max())
-    if peak == 0.0:
-        depth_target = rel
-        clipped = 0.0
-    else:
-        scale = J1_PEAK / peak if amplitude_scale is None else amplitude_scale
-        scaled = rel * scale
-        clipped = float(np.mean(scaled > J1_PEAK * (1 + 1e-12)))
-        depth_target = np.minimum(scaled, J1_PEAK)
-    depth = _j1_inverse_array(depth_target)
+    clipped = 0.0
+    if peak != 0.0:  # scaled in place, so rel becomes the depth target
+        rel *= J1_PEAK / peak if amplitude_scale is None else amplitude_scale
+        clipped = float(np.mean(rel > J1_PEAK * (1 + 1e-12)))
+        np.minimum(rel, J1_PEAK, out=rel)
+    depth = _j1_inverse_array(rel)
     cols = np.arange(target.side, dtype=float)
-    if grating_period is None:
-        grating = np.zeros(target.side)
-        period = 0.0
-    else:
-        if not 0 < grating_period < math.inf:
-            raise ValueError("grating period must be finite and positive")
-        grating = 2.0 * math.pi * cols / grating_period
-        period = float(grating_period)
-    phi = np.angle(target.samples) - np.angle(incident.samples) + grating[None, :]
-    return PhaseMap(depth * np.sin(phi), period, clipped)
+    period = 0.0 if grating_period is None else float(grating_period)
+    grating = 2.0 * math.pi * cols / period if period else np.zeros(target.side)
+    phi = np.angle(target.samples) - np.angle(incident.samples)
+    phi += grating
+    return PhaseMap(np.multiply(depth, np.sin(phi, out=phi), out=phi),
+                    period, clipped)
 
 
 def modulate(incident: FieldGrid, phase: PhaseMap) -> FieldGrid:
     """Field right after the phase mask: incident * exp(i H)."""
     if phase.side != incident.side:
         raise GridMismatchError("phase map and field sides differ")
-    return incident.with_samples(incident.samples * np.exp(1j * phase.values))
+    transmission = np.empty(phase.values.shape, dtype=complex)
+    np.cos(phase.values, out=transmission.real)
+    np.sin(phase.values, out=transmission.imag)
+    transmission *= incident.samples
+    return incident.with_samples(transmission)
 
 
 def first_order_extract(modulated: FieldGrid, grating_period: float) -> FieldGrid:
     """Isolate the +1 diffraction order (simulated far-field pinhole).
 
-    Fourier transform, keep a square window of half-width equal to half the
-    carrier frequency around the carrier, inverse transform, remove the
-    carrier by a conjugate-grating multiply, and renormalize to unit power.
+    The pinhole, |f_x - 1/P| <= 1/2P by |f_y| <= 1/2P, is separable, so only
+    its band is transformed: a row FFT kept on the b ~ side/P window columns,
+    a column FFT of that band kept on the window rows, and their inverses,
+    equal to the masked fft2 / ifft2 pair to round-off. A conjugate-grating
+    multiply removes the carrier; the field is renormalized to unit power.
     Renormalization is skipped when the windowed power is numerically empty
     (below 1e-9) so that a blank mask legitimately yields a dark output.
     """
@@ -347,17 +365,19 @@ def first_order_extract(modulated: FieldGrid, grating_period: float) -> FieldGri
             f"grating period {grating_period} px puts the carrier inside the "
             "zeroth-order window")
     carrier = 1.0 / grating_period  # cycles per pixel along x
-    fx = np.fft.fftfreq(side)
-    mask = ((np.abs(fx[None, :] - carrier) <= carrier / 2.0)
-            & (np.abs(fx[:, None]) <= carrier / 2.0))
-    spectrum = np.fft.fft2(modulated.samples)
-    windowed = np.fft.ifft2(spectrum * mask)
-    cols = np.arange(side, dtype=float)
-    baseband = windowed * np.exp(-2j * math.pi * cols[None, :] / grating_period)
-    out = modulated.with_samples(baseband)
-    if out.power >= _RENORM_FLOOR:
-        out = out.with_samples(baseband / math.sqrt(out.power))
-    return out
+    freq = np.fft.fftfreq(side)
+    kx = np.flatnonzero(np.abs(freq - carrier) <= carrier / 2.0)
+    rows = np.fft.fft(modulated.samples, axis=1)
+    band = np.fft.fft(rows[:, kx], axis=0)
+    band[np.abs(freq) > carrier / 2.0] = 0.0
+    rows[...] = 0.0  # reused as the zeroed grid of the inverse row FFT
+    rows[:, kx] = np.fft.ifft(band, axis=0)
+    baseband = np.fft.ifft(rows, axis=1)
+    baseband *= np.exp(-2j * math.pi * np.arange(side) / grating_period)
+    power = float(np.sum(np.abs(baseband) ** 2)) * modulated.pitch ** 2
+    if power >= _RENORM_FLOOR:
+        baseband /= math.sqrt(power)
+    return modulated.with_samples(baseband)
 
 
 _FGRD_HEADER = struct.Struct("<4sII4d")

@@ -1,12 +1,23 @@
 """Dense reference routes that live beside the tests, not in the package.
 
 The package computes every readout on the vectors it spans (rank-1
-fisher.Projector elements). The helpers here take dense operator matrices
-instead, so a test can check the structured route against the textbook one.
+fisher.Projector elements) and on the bands and 1-D factors of separable
+fields. The helpers here take dense operator matrices, full 2-D transforms
+and full 2-D mode grids instead, so a test can check the structured route
+against the textbook one.
 """
+
+import math
 
 import numpy as np
 
+from hgsense.errors import SeparationError
+from hgsense.fields import (
+    _RENORM_FLOOR,
+    FieldGrid,
+    overlap,
+    synthesize_hg_field,
+)
 from hgsense.fisher import PROBABILITY_FLOOR, _stencil_value
 
 
@@ -35,3 +46,45 @@ def dense_cfi(state_fn, g, elements, step=None):
                     if pk >= PROBABILITY_FLOOR), 0.0)
 
     return _stencil_value(probs, fisher_sum, g, step)
+
+
+def first_order_extract_fft(modulated: FieldGrid, grating_period: float) -> FieldGrid:
+    """Isolate the +1 diffraction order (simulated far-field pinhole).
+
+    Fourier transform, keep a square window of half-width equal to half the
+    carrier frequency around the carrier, inverse transform, remove the
+    carrier by a conjugate-grating multiply, and renormalize to unit power.
+    Renormalization is skipped when the windowed power is numerically empty
+    (below 1e-9) so that a blank mask legitimately yields a dark output.
+    """
+    side = modulated.side
+    if not grating_period >= 4.0:  # NaN fails too; inf fails the next guard
+        raise SeparationError(
+            f"grating period {grating_period} px must reach the 4 px "
+            "resolution bound")
+    if grating_period > side / 2.0:
+        raise SeparationError(
+            f"grating period {grating_period} px puts the carrier inside the "
+            "zeroth-order window")
+    carrier = 1.0 / grating_period  # cycles per pixel along x
+    fx = np.fft.fftfreq(side)
+    mask = ((np.abs(fx[None, :] - carrier) <= carrier / 2.0)
+            & (np.abs(fx[:, None]) <= carrier / 2.0))
+    spectrum = np.fft.fft2(modulated.samples)
+    windowed = np.fft.ifft2(spectrum * mask)
+    cols = np.arange(side, dtype=float)
+    baseband = windowed * np.exp(-2j * math.pi * cols[None, :] / grating_period)
+    out = modulated.with_samples(baseband)
+    if out.power >= _RENORM_FLOOR:
+        out = out.with_samples(baseband / math.sqrt(out.power))
+    return out
+
+
+def mode_purity_2d(field: FieldGrid, idx) -> float:
+    """|overlap|^2 against the ideal mode synthesized as a full 2-D grid on
+    the field's grid and plane."""
+    ideal = synthesize_hg_field(
+        idx, field.sigma0, field.side,
+        0.5 * field.side * field.pitch / field.sigma0, field.wavelength,
+        field.z)
+    return abs(overlap(ideal, field)) ** 2

@@ -26,12 +26,18 @@ from hgsense.fields import (
     DEFAULT_WAVELENGTH,
     J1_PEAK,
     J1_PEAK_X,
+    MIN_COVERAGE_SIGMA,
     FieldGrid,
     PhaseMap,
+    _J1_BLOCK,
+    _J1_INVERSE_POLY,
     _j1_inverse_array,
+    first_order_extract,
     gaussian_illumination,
+    hologram_phase,
     j1_inverse,
     mode_purity,
+    modulate,
     overlap,
     read_field_binary,
     read_phase_binary,
@@ -54,6 +60,7 @@ from hgsense.modes import (
     oam_variance,
 )
 from hgsense.weak import carrier_state
+from reference import mode_purity_2d
 
 SIDE = 256  # plenty for sub-percent overlaps, keeps the suite quick
 
@@ -191,6 +198,7 @@ def test_non_finite_grid_and_synthesis_inputs_rejected(bad):
         lambda: FieldGrid(f.samples, bad, 1.0),
         lambda: FieldGrid(f.samples, f.pitch, bad),
         lambda: FieldGrid(f.samples, f.pitch, 1.0, bad),
+        lambda: FieldGrid(f.samples, f.pitch, 1.0, DEFAULT_WAVELENGTH, bad),
         lambda: BeamGeometry(bad, DEFAULT_WAVELENGTH),
         lambda: synthesize_hg_field(ModeIndex(1, 1), 1.0, side=128,
                                     window_sigma=bad),
@@ -203,6 +211,17 @@ def test_non_finite_grid_and_synthesis_inputs_rejected(bad):
         for build in builds:
             with pytest.raises(ValueError, match="finite"):
                 build()
+
+
+def test_superposition_window_guard():
+    state = carrier_state(ModeIndex(1, 1), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.nan, math.inf, -math.inf, 5.9):
+            with pytest.raises(CoverageError,
+                               match=f"finite.*{MIN_COVERAGE_SIGMA}"):
+                synthesize_superposition(state, 1.0, side=128,
+                                         window_sigma=bad)
 
 
 def test_overlap_requires_matching_grids():
@@ -244,6 +263,55 @@ def test_mode_purity_self_and_cross():
     f = synthesize_hg_field(ModeIndex(3, 3), 1.0, side=SIDE)
     assert mode_purity(f, ModeIndex(3, 3)) == pytest.approx(1.0, abs=1e-9)
     assert mode_purity(f, ModeIndex(2, 2)) < 1e-6
+
+
+def test_mode_purity_at_the_field_plane():
+    z_r = BeamGeometry(1.0, DEFAULT_WAVELENGTH).rayleigh
+    for z in (z_r, -0.5 * z_r):
+        f = synthesize_hg_field(ModeIndex(3, 2), 1.0, side=SIDE, z=z)
+        assert mode_purity(f, ModeIndex(3, 2)) == pytest.approx(1.0, abs=1e-12)
+        for other in (ModeIndex(2, 2), ModeIndex(3, 1), ModeIndex(1, 2)):
+            assert mode_purity(f, other) < 1e-6
+        assert abs(mode_purity(f, ModeIndex(2, 1))
+                   - mode_purity_2d(f, ModeIndex(2, 1))) <= 1e-13
+
+
+def test_separable_purity_matches_2d_overlap():
+    side, period = 512, 16.0
+    grid = synthesize_hg_field(ModeIndex(0, 0), 1.0, side=side)
+    illum = gaussian_illumination(3.0, grid)
+    fields = [synthesize_hg_field(ModeIndex(2, 5), 1.0, side=side)]
+    for idx in (ModeIndex(3, 4), ModeIndex(6, 6)):
+        target = synthesize_hg_field(idx, 1.0, side=side)
+        mask = hologram_phase(target, illum, period)
+        fields.append(first_order_extract(modulate(illum, mask), period))
+    for f in fields:
+        for m in range(7):
+            for n in range(7):
+                idx = ModeIndex(m, n)
+                assert abs(mode_purity(f, idx) - mode_purity_2d(f, idx)) <= 1e-13
+
+
+def _unblocked_j1_inverse(targets):
+    y = 2.0 * np.sqrt(1.0 - targets / J1_PEAK) - 1.0
+    depth = np.full_like(y, _J1_INVERSE_POLY[-1])
+    for a in _J1_INVERSE_POLY[-2::-1]:
+        depth *= y
+        depth += a
+    return np.clip(depth, 0.0, J1_PEAK_X, out=depth)
+
+
+def test_blocked_j1_inverse_is_bitwise_the_whole_array_horner():
+    rng = np.random.default_rng(11)
+    for size in (1, _J1_BLOCK - 1, _J1_BLOCK, _J1_BLOCK + 1):
+        targets = rng.uniform(0.0, J1_PEAK, size)
+        assert np.array_equal(_j1_inverse_array(targets),
+                              _unblocked_j1_inverse(targets))
+    grid = rng.uniform(0.0, J1_PEAK, (512, 512))
+    grid[:, :3] = (0.0, J1_PEAK, 0.5 * J1_PEAK)
+    got = _j1_inverse_array(grid)
+    assert got.shape == grid.shape
+    assert np.array_equal(got, _unblocked_j1_inverse(grid))
 
 
 def test_field_binary_roundtrip(tmp_path):

@@ -19,6 +19,7 @@ from hgsense.errors import (
 )
 from hgsense.fields import (
     J1_PEAK_X,
+    FieldGrid,
     PhaseMap,
     first_order_extract,
     gaussian_illumination,
@@ -28,6 +29,7 @@ from hgsense.fields import (
     synthesize_hg_field,
 )
 from hgsense.modes import ModeIndex
+from reference import first_order_extract_fft
 
 PERIOD = 16.0
 
@@ -146,3 +148,39 @@ def test_non_finite_period_and_phase_rejected():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             PhaseMap(np.full((64, 64), bad), 16.0)
+
+
+@pytest.mark.parametrize("side", [128, 129, 257, 512, 1024])
+def test_band_extraction_matches_full_fft(side):
+    # a random field fills the whole spectrum, so every band edge, the odd
+    # sides and the fractional periods are exercised
+    rng = np.random.default_rng(side)
+    field = FieldGrid(rng.normal(size=(side, side))
+                      + 1j * rng.normal(size=(side, side)), 1.0, 1.0)
+    for period in (4.0, 7.3, 16.0, 16.5, side / 2.0):
+        got = first_order_extract(field, period)
+        want = first_order_extract_fft(field, period)
+        peak = np.max(np.abs(want.samples))
+        assert np.max(np.abs(got.samples - want.samples)) <= 1e-13 * peak
+        assert (got.pitch, got.sigma0, got.wavelength, got.z) == (
+            want.pitch, want.sigma0, want.wavelength, want.z)
+
+
+def test_band_extraction_matches_full_fft_on_a_hologram():
+    for period in (4.0, 7.5):
+        grid = synthesize_hg_field(ModeIndex(2, 3), 1.0, side=300)
+        illum = gaussian_illumination(3.0, grid)
+        modulated = modulate(illum, hologram_phase(grid, illum, period))
+        got = first_order_extract(modulated, period)
+        want = first_order_extract_fft(modulated, period)
+        peak = np.max(np.abs(want.samples))
+        assert np.max(np.abs(got.samples - want.samples)) <= 1e-13 * peak
+
+
+def test_modulate_matches_complex_exponential():
+    grid = synthesize_hg_field(ModeIndex(3, 1), 1.0, side=256)
+    illum = gaussian_illumination(3.0, grid)
+    mask = hologram_phase(grid, illum, PERIOD)
+    got = modulate(illum, mask).samples
+    want = illum.samples * np.exp(1j * mask.values)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
