@@ -166,17 +166,6 @@ def test_band_extraction_matches_full_fft(side):
             want.pitch, want.sigma0, want.wavelength, want.z)
 
 
-def test_band_extraction_matches_full_fft_on_a_hologram():
-    for period in (4.0, 7.5):
-        grid = synthesize_hg_field(ModeIndex(2, 3), 1.0, side=300)
-        illum = gaussian_illumination(3.0, grid)
-        modulated = modulate(illum, hologram_phase(grid, illum, period))
-        got = first_order_extract(modulated, period)
-        want = first_order_extract_fft(modulated, period)
-        peak = np.max(np.abs(want.samples))
-        assert np.max(np.abs(got.samples - want.samples)) <= 1e-13 * peak
-
-
 def test_modulate_matches_complex_exponential():
     grid = synthesize_hg_field(ModeIndex(3, 1), 1.0, side=256)
     illum = gaussian_illumination(3.0, grid)
