@@ -33,11 +33,9 @@ from .experiment import (
     PhotonBudget,
     demod_signal,
     montecarlo_lockin,
-    photon_number,
     sensitivity_table,
     shot_noise_level,
     snr,
-    volts_to_rotation,
 )
 from .fields import (
     FieldGrid,

@@ -71,9 +71,6 @@ from .weak import (
     post_selected_pair,
 )
 
-_EXTRA_BOUND_COLUMNS = ("family", "method", "coupling", "epsilon")
-
-
 def _parse_mode(text: str) -> ModeIndex:
     parts = text.split(",")
     if len(parts) != 2:
@@ -94,8 +91,7 @@ def _budget(args) -> PhotonBudget:
     if getattr(args, "photons", None) is not None:
         if args.photons <= 0:
             raise ValueError("--photons must be positive")
-        power = (args.photons * budget.photon_energy
-                 / (budget.efficiency * budget.integration))
+        power = args.photons * budget.photon_energy / budget.integration
         budget = PhotonBudget(power=power, integration=args.tau_s,
                               wavelength=args.wavelength_m)
     return budget
@@ -128,6 +124,8 @@ def cmd_bounds(args) -> int:
     alpha_breakdown = args.alpha_rad if args.alpha_rad is not None else 1e-3
     if not math.isfinite(alpha_breakdown):
         raise ValueError(f"--alpha-rad must be finite, got {alpha_breakdown}")
+    # the breakdown family's largest pointer: refuse it before any sweep runs
+    ModeIndex(max(args.sweep_max, 0), max(args.sweep_max, 0))
     rows = []
 
     for m in range(1, args.grid_max + 1):
@@ -190,7 +188,7 @@ def cmd_bounds(args) -> int:
     if not rows:
         print("error: sweep limits produce no rows", file=sys.stderr)
         return 2
-    write_bound_csv(args.out, rows, extra_columns=_EXTRA_BOUND_COLUMNS)
+    write_bound_csv(args.out, rows)
     _maybe_config(args, {
         "epsilon_rad": epsilon, "photons": n_photons,
         "power_w": budget.power, "integration_s": budget.integration,
@@ -267,8 +265,6 @@ def cmd_hologram(args) -> int:
     write_field_binary(args.out + ".fgrd", extracted)
     print(f"wrote {args.out}.pgm and {args.out}.fgrd")
     print(f"first-order purity: {purity:.6f}")
-    if phase.clipped_fraction > 0:
-        print(f"amplitude clipped on {phase.clipped_fraction:.3%} of pixels")
     _maybe_config(args, {
         "mode_m": idx.m, "mode_n": idx.n, "grid": args.grid,
         "grating_period_px": args.grating_period,

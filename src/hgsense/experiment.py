@@ -73,19 +73,16 @@ REFERENCE_SHOT_LEVEL_V = {
 
 @dataclass(frozen=True)
 class PhotonBudget:
-    """Optical power, integration window and detection efficiency."""
+    """Detected optical power, integration window and wavelength."""
 
     power: float = DEFAULT_POWER_W
     integration: float = DEFAULT_INTEGRATION_S
     wavelength: float = DEFAULT_WAVELENGTH_M
-    efficiency: float = 1.0
 
     def __post_init__(self):
         if not all(0 < v < math.inf for v in
                    (self.power, self.integration, self.wavelength)):
             raise ConfigError("power, integration and wavelength must be finite and > 0")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ConfigError("efficiency must lie in (0, 1]")
         if self.power > DETECTOR_SATURATION_W:
             warnings.warn(
                 f"power {self.power:.3g} W exceeds detector saturation "
@@ -99,17 +96,12 @@ class PhotonBudget:
     @property
     def photons(self) -> float:
         """Detected photons per integration window."""
-        return (self.efficiency * self.power * self.integration
-                / self.photon_energy)
+        return self.power * self.integration / self.photon_energy
 
     @property
     def volts_per_rate(self) -> float:
         """Lock-in volts per unit detected photon rate."""
-        return DETECTOR_GAIN_V_PER_W * self.photon_energy / self.efficiency
-
-
-def photon_number(budget: PhotonBudget) -> float:
-    return budget.photons
+        return DETECTOR_GAIN_V_PER_W * self.photon_energy
 
 
 @dataclass(frozen=True)
@@ -202,11 +194,6 @@ def snr(idx: ModeIndex, epsilon: float, alpha: float,
     return signal / math.hypot(shot, electrical_v)
 
 
-def volts_to_rotation(voltage: float,
-                      cal: DriveCalibration = DriveCalibration()) -> float:
-    return cal.rotation(voltage)
-
-
 class LockinResult(NamedTuple):
     mean_snr: float
     std_snr: float
@@ -250,7 +237,7 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
 
     t = (np.arange(n_dem) + 0.5) * dt
     ref = np.cos(2.0 * math.pi * noise.drive_frequency * t)
-    rate_in = budget.efficiency * budget.power / budget.photon_energy
+    rate_in = budget.power / budget.photon_energy
     cot2 = 1.0 / math.tan(epsilon) ** 2
     geometry = rate_in * k_var * cot2
     rates = geometry * (noise.dither_rad ** 2 + alpha ** 2
@@ -287,17 +274,16 @@ class ModeSensitivity(NamedTuple):
 def sensitivity_table(epsilon: float,
                       budget: PhotonBudget = PhotonBudget(),
                       cal: DriveCalibration = DriveCalibration(),
-                      modes: Sequence[tuple[int, int]] = ((1, 1), (3, 3), (5, 5)),
                       ) -> list[ModeSensitivity]:
-    """Minimum detectable rotation per mode, with measured benchmarks."""
+    """Minimum detectable rotation per benchmarked mode
+    (REFERENCE_DRIVE_SNR1_V), with the measured drive and rotation."""
     from .fisher import min_detectable_rotation
 
     check_epsilon(epsilon)
     rows = []
-    for m, n in modes:
+    for (m, n), ref_v in REFERENCE_DRIVE_SNR1_V.items():
         alpha_min = min_detectable_rotation(ModeIndex(m, n), epsilon,
                                             budget.photons)
-        ref_v = REFERENCE_DRIVE_SNR1_V.get((m, n), float("nan"))
         rows.append(ModeSensitivity(
             m, n, alpha_min, cal.volts(alpha_min), ref_v, cal.rotation(ref_v)))
     return rows

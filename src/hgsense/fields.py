@@ -6,7 +6,8 @@ algebra, so it can serve as an independent oracle for the mode-space results
 x_i = (i - (side - 1) / 2) * pitch, so the beam axis sits between the four
 central pixels and right-angle rotations land exactly on grid nodes.
 Holograms use the J1-type phase-only encoding of Arrizon et al., JOSA A 24,
-3500 (2007); the depth inverts J1 by one polynomial fitted at import.
+3500 (2007), at full modulation depth on a carrier grating; the depth
+inverts J1 by one polynomial fitted at import.
 The readout is separable: only the band of the first-order pinhole is
 Fourier transformed, and purity contracts the 1-D factors of the ideal mode.
 
@@ -44,6 +45,7 @@ from .modes import ModeIndex, ModeState, beam_params, BeamGeometry, hg_factor
 from .output import write_atomic
 
 MIN_SIDE = 128
+MAX_SIDE = 4096  # 256 MiB per complex128 grid
 MIN_COVERAGE_SIGMA = 6.0
 DEFAULT_SIDE = 512
 DEFAULT_WINDOW_SIGMA = 8.0
@@ -117,6 +119,8 @@ def _unit_power(f: np.ndarray, pitch: float) -> np.ndarray:
 
 def _window(side: int, window_sigma: float, sigma0: float):
     """Pitch and axis of a side-pixel window spanning +-window_sigma sigma0."""
+    if not MIN_SIDE <= side <= MAX_SIDE:
+        raise ValueError(f"grid side {side} outside [{MIN_SIDE}, {MAX_SIDE}]")
     if not MIN_COVERAGE_SIGMA <= window_sigma < math.inf:
         raise CoverageError(f"window of {window_sigma} sigma0 not finite or "
                             f"below minimum {MIN_COVERAGE_SIGMA}")
@@ -154,8 +158,7 @@ def synthesize_hg_field(idx: ModeIndex, sigma0: float, side: int = DEFAULT_SIDE,
 
 def synthesize_superposition(state: ModeState, sigma0: float,
                              side: int = DEFAULT_SIDE,
-                             window_sigma: float = DEFAULT_WINDOW_SIGMA,
-                             wavelength: float = DEFAULT_WAVELENGTH) -> FieldGrid:
+                             window_sigma: float = DEFAULT_WINDOW_SIGMA) -> FieldGrid:
     """Waist-plane field of an amplitude vector over the HG basis.
 
     One product Phi^T A^T Phi, with Phi[k] the hg_factor of order k on the
@@ -169,7 +172,7 @@ def synthesize_superposition(state: ModeState, sigma0: float,
     pitch, axis = _window(side, window_sigma, sigma0)
     phi = np.array([hg_factor(int(k), sigma0, axis) for k in orders])
     total = phi.T @ amp[np.ix_(orders, orders)].T @ phi
-    return FieldGrid(_unit_power(total, pitch), pitch, sigma0, wavelength, 0.0)
+    return FieldGrid(_unit_power(total, pitch), pitch, sigma0)
 
 
 def gaussian_illumination(sigma: float, grid_like: FieldGrid) -> FieldGrid:
@@ -279,7 +282,6 @@ class PhaseMap:
 
     values: np.ndarray
     grating_period: float
-    clipped_fraction: float = 0.0
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
@@ -296,20 +298,17 @@ class PhaseMap:
 
 
 def hologram_phase(target: FieldGrid, incident: FieldGrid,
-                   grating_period: float | None,
-                   amplitude_scale: float | None = None) -> PhaseMap:
+                   grating_period: float) -> PhaseMap:
     """Phase-only encoding H = f(A_rel) sin(phi_out - phi_in + phi_grating).
 
     The relative amplitude A_rel = |target| / |incident| is scaled so its
-    maximum reaches the peak of J1 (full modulation depth) unless an explicit
-    amplitude_scale is given; values that would exceed the invertible branch
-    are clipped and reported via clipped_fraction. grating_period is in
-    pixels along x; None encodes without a carrier.
+    maximum reaches the peak of J1 (full modulation depth). grating_period
+    is in pixels along x.
     """
     if target.side != incident.side or not math.isclose(
             target.pitch, incident.pitch, rel_tol=1e-12):
         raise GridMismatchError("target and incident grids differ")
-    if grating_period is not None and not 0 < grating_period < math.inf:
+    if not 0 < grating_period < math.inf:
         raise ValueError("grating period must be finite and positive")
     a_in, a_out = np.abs(incident.samples), np.abs(target.samples)
     valid = a_in > 1e-8 * float(a_in.max())
@@ -318,19 +317,14 @@ def hologram_phase(target: FieldGrid, incident: FieldGrid,
             "target has weight where the illumination is empty")
     rel = np.divide(a_out, a_in, where=valid, out=np.zeros_like(a_out))
     peak = float(rel.max())
-    clipped = 0.0
     if peak != 0.0:  # scaled in place, so rel becomes the depth target
-        rel *= J1_PEAK / peak if amplitude_scale is None else amplitude_scale
-        clipped = float(np.mean(rel > J1_PEAK * (1 + 1e-12)))
-        np.minimum(rel, J1_PEAK, out=rel)
+        rel *= J1_PEAK / peak
+        np.minimum(rel, J1_PEAK, out=rel)  # the peak may land an ulp above
     depth = _j1_inverse_array(rel)
-    cols = np.arange(target.side, dtype=float)
-    period = 0.0 if grating_period is None else float(grating_period)
-    grating = 2.0 * math.pi * cols / period if period else np.zeros(target.side)
+    period = float(grating_period)
     phi = np.angle(target.samples) - np.angle(incident.samples)
-    phi += grating
-    return PhaseMap(np.multiply(depth, np.sin(phi, out=phi), out=phi),
-                    period, clipped)
+    phi += 2.0 * math.pi * np.arange(target.side, dtype=float) / period
+    return PhaseMap(np.multiply(depth, np.sin(phi, out=phi), out=phi), period)
 
 
 def modulate(incident: FieldGrid, phase: PhaseMap) -> FieldGrid:

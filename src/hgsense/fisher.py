@@ -20,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -320,8 +320,7 @@ def sld_solve(rho: DensityMatrix, drho: np.ndarray) -> OperatorMatrix:
     return OperatorMatrix(rho.cutoff, _sld(rho.entries, d), hermitian=True)
 
 
-def qfi_mixed_monitor(qubit: QubitState, alpha: float, pointer: ModeState,
-                      coupling: Coupling = Coupling.OAM, sigma0: float = 1.0) -> float:
+def qfi_mixed_monitor(qubit: QubitState, alpha: float, pointer: ModeState) -> float:
     """Exact Fisher information about the qubit polar angle after dephasing.
 
     rho = cos^2(theta/2) P+ + sin^2(theta/2) P- and d rho/d theta =
@@ -332,7 +331,7 @@ def qfi_mixed_monitor(qubit: QubitState, alpha: float, pointer: ModeState,
     0), where the SLD is solved; returns Tr(rho L^2). The dense reference is
     sld_solve on qubit_monitor_channel.
     """
-    fwd, bwd = monitor_branches(alpha, coupling, pointer, sigma0)
+    fwd, bwd = monitor_branches(alpha, pointer)
     f, b = np.linalg.qr(np.column_stack((fwd, bwd)), mode="r").T
     p_plus, p_minus = np.outer(f, f.conj()), np.outer(b, b.conj())
     rho = abs(qubit.c0) ** 2 * p_plus + abs(qubit.c1) ** 2 * p_minus
@@ -342,23 +341,20 @@ def qfi_mixed_monitor(qubit: QubitState, alpha: float, pointer: ModeState,
     return float(np.real(np.trace(rho @ sld @ sld)))
 
 
-def qfi_mixed_closed_form(qubit: QubitState, alpha: float, pointer: ModeState,
-                          coupling: Coupling = Coupling.OAM,
-                          sigma0: float = 1.0) -> float:
+def qfi_mixed_closed_form(qubit: QubitState, alpha: float,
+                          pointer: ModeState) -> float:
     """Closed form 1 - delta^2 with delta = Re <psi_+|psi_->.
 
     Independent of the SLD pipeline; shares only the branch propagation.
     """
-    fwd, bwd = monitor_branches(alpha, coupling, pointer, sigma0)
+    fwd, bwd = monitor_branches(alpha, pointer)
     delta = float(np.real(np.vdot(fwd, bwd)))
     return 1.0 - delta ** 2
 
 
-def qfi_mixed_quadratic(alpha: float, pointer: ModeState,
-                        coupling: Coupling = Coupling.OAM,
-                        sigma0: float = 1.0) -> float:
-    """Small-alpha approximation 4 alpha^2 <Omega^2> of the monitor QFI."""
-    op = Generator(coupling, pointer.cutoff, sigma0)
+def qfi_mixed_quadratic(alpha: float, pointer: ModeState) -> float:
+    """Small-alpha approximation 4 alpha^2 <Lz^2> of the monitor QFI."""
+    op = Generator(Coupling.OAM, pointer.cutoff)
     return 4.0 * alpha ** 2 * second_moment(op, pointer)
 
 
@@ -386,20 +382,22 @@ def qfi_rotation_exact(pre: QubitState, post: QubitState, axis: PauliAxis,
                   - abs(overlap) ** 2 / norm2 ** 2)
 
 
-BOUND_CSV_COLUMNS = ("m", "n", "parameter", "fisher_info", "variance_bound")
+BOUND_CSV_COLUMNS = ("family", "method", "coupling", "epsilon", "m", "n",
+                     "parameter", "fisher_info", "variance_bound")
 
 
-def write_bound_csv(path, rows: Iterable[Mapping], extra_columns: Sequence[str] = ()):
+def write_bound_csv(path, rows: Iterable[Mapping]):
     """Emit bound-sweep rows as CSV through output.write_atomic.
 
-    Core columns are m, n, parameter, fisher_info, variance_bound; callers
-    may prepend extra context columns. Cells use output.format_cell, so
-    output is reproducible byte for byte. Lines end in CRLF, the csv default.
+    Columns are BOUND_CSV_COLUMNS: the row family, the method, the coupling
+    and the post-selection angle, then m, n, parameter, fisher_info and
+    variance_bound; a key a row lacks gives an empty cell. Cells use
+    output.format_cell, so output is reproducible byte for byte. Lines end
+    in CRLF, the csv default.
     """
-    fieldnames = list(extra_columns) + list(BOUND_CSV_COLUMNS)
     buffer = io.StringIO(newline="")
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames)
+    writer = csv.DictWriter(buffer, fieldnames=BOUND_CSV_COLUMNS)
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: format_cell(row.get(k, "")) for k in fieldnames})
+    writer.writerows({k: format_cell(row.get(k, "")) for k in BOUND_CSV_COLUMNS}
+                     for row in rows)
     write_atomic(path, buffer.getvalue())

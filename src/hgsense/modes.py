@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
 import numpy as np
@@ -225,34 +225,28 @@ def hg_wavefunction(idx: ModeIndex, sigma0: float, x, y):
 
 @dataclass(frozen=True)
 class BeamGeometry:
-    """Waist size, wavelength and propagation distance of a paraxial beam.
-
-    The confocal parameter b is fixed by the waist through b = 2 k sigma0^2;
-    passing an inconsistent explicit value is an error.
-    """
+    """Waist size, wavelength and propagation distance of a paraxial beam."""
 
     sigma0: float
     wavelength: float
     z: float = 0.0
-    rayleigh: float = field(default=0.0)
 
     def __post_init__(self):
         if not (0 < self.sigma0 < math.inf and 0 < self.wavelength < math.inf
                 and math.isfinite(self.z)):
             raise ValueError(
                 "sigma0 and wavelength must be finite and positive, z finite")
-        b = 2.0 * self.wavenumber * self.sigma0 ** 2
-        if self.rayleigh == 0.0:
-            object.__setattr__(self, "rayleigh", b)
-        elif not math.isclose(self.rayleigh, b, rel_tol=1e-6):
-            raise ValueError(
-                f"rayleigh {self.rayleigh} inconsistent with waist (expected {b})")
-        if self.rayleigh <= 0:
+        if self.rayleigh <= 0:  # underflow for a tiny sigma0
             raise ValueError("rayleigh must be positive")
 
     @property
     def wavenumber(self) -> float:
         return 2.0 * math.pi / self.wavelength
+
+    @property
+    def rayleigh(self) -> float:
+        """Confocal parameter b = 2 k sigma0^2, fixed by the waist."""
+        return 2.0 * self.wavenumber * self.sigma0 ** 2
 
 
 class BeamParams(NamedTuple):

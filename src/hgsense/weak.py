@@ -41,7 +41,7 @@ from .modes import (
 )
 
 ORTHOGONALITY_FLOOR = 1e-12
-DEFAULT_WEAK_LIMIT = 0.1
+WEAK_LIMIT = 0.1  # bound on |alpha A_w| for the first-order expansion
 
 
 @dataclass(frozen=True)
@@ -236,8 +236,8 @@ class Generator:
 class WeakScenario:
     """One measurement configuration: coupling, selections, pointer.
 
-    weak_limit bounds |alpha * A_w| for the operations that rely on the
-    first-order expansion; the exact evolution ignores it.
+    The operations that rely on the first-order expansion require
+    |alpha * A_w| < WEAK_LIMIT; the exact evolution ignores it.
     """
 
     alpha: float
@@ -247,7 +247,6 @@ class WeakScenario:
     coupling: Coupling
     pointer: ModeState
     sigma0: float = 1.0
-    weak_limit: float = DEFAULT_WEAK_LIMIT
 
     def __post_init__(self):
         if not math.isfinite(self.alpha):
@@ -255,9 +254,6 @@ class WeakScenario:
         if not 0 < self.sigma0 < math.inf:
             raise ValueError(
                 f"sigma0 must be finite and positive, got {self.sigma0}")
-        if not 0 < self.weak_limit < math.inf:
-            raise ValueError(
-                f"weak_limit must be finite and positive, got {self.weak_limit}")
         # fails fast when the selections are orthogonal
         weak_value(self.pre, self.post, self.axis)
 
@@ -275,9 +271,9 @@ class WeakScenario:
 
     def require_weak_regime(self):
         m = abs(self.coupling_strength)
-        if m >= self.weak_limit:
+        if m >= WEAK_LIMIT:
             raise WeakRegimeError(
-                f"|alpha * A_w| = {m:.4g} outside weak regime (< {self.weak_limit})")
+                f"|alpha * A_w| = {m:.4g} outside weak regime (< {WEAK_LIMIT})")
 
 
 def carrier_state(idx: ModeIndex, cutoff: int) -> ModeState:
@@ -391,22 +387,23 @@ class DensityMatrix:
         return float(np.real(np.trace(self.entries @ self.entries)))
 
 
-def monitor_branches(alpha: float, coupling: Coupling, pointer: ModeState,
-                     sigma0: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Pointer branches exp(-+ i alpha Omega)|psi_i> tagged by the qubit basis."""
-    fwd, bwd = Generator(coupling, pointer.cutoff, sigma0).evolve(
+def monitor_branches(alpha: float,
+                     pointer: ModeState) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer branches exp(-+ i alpha Lz)|psi_i> tagged by the qubit basis."""
+    fwd, bwd = Generator(Coupling.OAM, pointer.cutoff).evolve(
         (alpha, -alpha), pointer)
     return fwd, bwd
 
 
-def qubit_monitor_channel(qubit: QubitState, alpha: float, coupling: Coupling,
-                          pointer: ModeState, sigma0: float = 1.0) -> DensityMatrix:
+def qubit_monitor_channel(qubit: QubitState, alpha: float,
+                          pointer: ModeState) -> DensityMatrix:
     """Pointer state after the qubit which-path record is traced out.
 
-    With qubit weights cos^2(theta/2), sin^2(theta/2) the pointer dephases
-    into a rank-<=2 mixture of the two rotated branches.
+    The monitor couples through rotation (Lz). With qubit weights
+    cos^2(theta/2), sin^2(theta/2) the pointer dephases into a rank-<=2
+    mixture of the two rotated branches.
     """
-    fwd, bwd = monitor_branches(alpha, coupling, pointer, sigma0)
+    fwd, bwd = monitor_branches(alpha, pointer)
     w0, w1 = abs(qubit.c0) ** 2, abs(qubit.c1) ** 2
     rho = w0 * np.outer(fwd, fwd.conj()) + w1 * np.outer(bwd, bwd.conj())
     return DensityMatrix(pointer.cutoff, rho)

@@ -17,7 +17,6 @@ from hgsense.experiment import (
     NoiseModel,
     PhotonBudget,
     montecarlo_lockin,
-    photon_number,
     snr as analytic_snr,
 )
 from hgsense.fields import (
@@ -193,7 +192,7 @@ def test_criterion_05():
     cutoff = 4
     pointer = ModeState.basis(cutoff, 2, 2)
     q2 = QubitState.from_angles(theta_q, 0.0)
-    fwd, bwd = monitor_branches(alpha, Coupling.OAM, pointer)
+    fwd, bwd = monitor_branches(alpha, pointer)
     p_plus = np.outer(fwd, fwd.conj())
     p_minus = np.outer(bwd, bwd.conj())
     rho = DensityMatrix(cutoff, abs(q2.c0) ** 2 * p_plus
@@ -368,7 +367,7 @@ def test_criterion_09():
 
 def test_criterion_10():
     failures = []
-    count = photon_number(PhotonBudget(94.34e-12, 0.10908, 780e-9))
+    count = PhotonBudget(94.34e-12, 0.10908, 780e-9).photons
     if abs(count / 4.04e7 - 1.0) > 0.005:
         failures.append(f"photon count {count:.6g}")
     _check(10, "stated power and window integrate to 4.04e7 photons",

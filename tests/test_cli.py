@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import hgsense
+from hgsense import cli, fields
 from hgsense.cli import main
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table2_golden.csv"
@@ -63,6 +64,21 @@ def test_bounds_empty_sweep_fails(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "no rows" in capsys.readouterr().err
+
+
+def test_bounds_refuses_unsupported_order_before_sweeping(
+        tmp_path, capsys, monkeypatch):
+    # the breakdown family cannot build HG(65, 65): nothing may run first
+    def no_sweep(*args, **kwargs):
+        pytest.fail("Hamiltonian family swept before the order was checked")
+
+    monkeypatch.setattr(cli, "hamiltonian_bound", no_sweep)
+    assert main(["bounds", "--sweep-max", "65",
+                 "--out", str(tmp_path / "b.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(65, 65)" in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bounds_photon_override(tmp_path):
@@ -161,6 +177,24 @@ def test_hologram_rejects_tight_grating(tmp_path, capsys):
     assert main(["hologram", "--mode", "1,1", "--grating-period", "2",
                  "--out", str(tmp_path / "x")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["0", "-4", "4097"])
+def test_hologram_rejects_grid_side_before_allocating(
+        side, tmp_path, capsys, monkeypatch):
+    def no_axis(*args):  # the first array a synthesis builds
+        pytest.fail("grid axis built before the side was checked")
+
+    monkeypatch.setattr(fields, "_axis", no_axis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a 2nd line
+        assert main(["hologram", "--mode", "1,1", "--grid", side,
+                     "--out", str(tmp_path / "x"),
+                     "--config-out", str(tmp_path / "c.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: grid side {side} outside [128, 4096]\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,11 +28,9 @@ from hgsense.experiment import (
     PhotonBudget,
     demod_signal,
     montecarlo_lockin,
-    photon_number,
     sensitivity_table,
     shot_noise_level,
     snr,
-    volts_to_rotation,
     write_run_config,
     write_table_csv,
     write_table_json,
@@ -46,13 +44,8 @@ MODE = ModeIndex(1, 1)
 
 def test_photon_budget_count():
     budget = PhotonBudget()
-    assert photon_number(budget) == pytest.approx(40407210.632563554, rel=1e-12)
-    assert photon_number(budget) == pytest.approx(4.04e7, rel=5e-3)
-    half = PhotonBudget(efficiency=0.5)
-    assert half.photons == pytest.approx(budget.photons / 2, rel=1e-12)
-    # volts per rate rises to keep volts per optical watt fixed
-    assert half.volts_per_rate == pytest.approx(2 * budget.volts_per_rate,
-                                                rel=1e-12)
+    assert budget.photons == pytest.approx(40407210.632563554, rel=1e-12)
+    assert budget.photons == pytest.approx(4.04e7, rel=5e-3)
 
 
 def test_budget_guards_and_saturation():
@@ -62,10 +55,6 @@ def test_budget_guards_and_saturation():
         PhotonBudget(integration=-1.0)
     with pytest.raises(ConfigError):
         PhotonBudget(wavelength=0.0)
-    with pytest.raises(ConfigError):
-        PhotonBudget(efficiency=0.0)
-    with pytest.raises(ConfigError):
-        PhotonBudget(efficiency=1.2)
     with pytest.warns(SaturationWarning):
         PhotonBudget(power=2e-9)
 
@@ -81,7 +70,7 @@ def test_noise_and_calibration_guards():
         DriveCalibration(0.0)
     cal = DriveCalibration(4.4e-6)
     assert cal.volts(cal.rotation(0.7)) == pytest.approx(0.7, rel=1e-15)
-    assert volts_to_rotation(0.5, cal) == pytest.approx(2.2e-6, rel=1e-12)
+    assert cal.rotation(0.5) == pytest.approx(2.2e-6, rel=1e-12)
 
 
 def test_snr_closed_form():
@@ -115,9 +104,12 @@ def test_snr_scaling_with_power_and_time():
 
 
 def test_shot_level_tracks_measured_benchmarks():
+    # model / measured reads 0.977-1.130 (HG(2,2) high); K grows 21x from
+    # (1,1) to (6,6), so a K or K^0 law instead of sqrt(K) leaves the band
     for (m, n), reference in REFERENCE_SHOT_LEVEL_V.items():
-        level = shot_noise_level(ModeIndex(m, n), EPSILON)
-        assert 0.85 < level / reference < 1.15
+        level = shot_noise_level(ModeIndex(m, n), EPSILON, PhotonBudget(),
+                                 experiment.DEFAULT_DITHER_RAD)
+        assert 0.85 < level / reference < 1.15, (m, n, level / reference)
 
 
 def test_demod_guards():
@@ -225,8 +217,6 @@ def test_sensitivity_table_contents():
             row.drive_v_reference * cal.rotation_per_volt, rel=1e-12)
         # model and measured drive voltages agree to a few percent
         assert abs(row.drive_v_model / row.drive_v_reference - 1.0) < 0.03
-    extra = sensitivity_table(EPSILON, modes=((2, 1),))
-    assert math.isnan(extra[0].drive_v_reference)
 
 
 def test_table_serialization(tmp_path):

@@ -254,9 +254,8 @@ def test_monitor_plane_matches_dense_sld():
         for theta_q in (0.0, 0.4, 1.1, math.pi / 2, 2.8, math.pi):
             qubit = QubitState.from_angles(theta_q, 0.0)
             for alpha in (0.0, 1e-3, 0.05, 0.3):
-                rho = qubit_monitor_channel(qubit, alpha, Coupling.OAM,
-                                            pointer)
-                fwd, bwd = monitor_branches(alpha, Coupling.OAM, pointer)
+                rho = qubit_monitor_channel(qubit, alpha, pointer)
+                fwd, bwd = monitor_branches(alpha, pointer)
                 drho = abs(qubit.c0) * abs(qubit.c1) * (
                     np.outer(bwd, bwd.conj()) - np.outer(fwd, fwd.conj()))
                 sld = sld_solve(rho, drho).entries
@@ -341,7 +340,7 @@ def test_sld_solves_lyapunov_residual():
         qubit = QubitState.from_angles(theta_q, 0.0)
         cutoff = m + n
         pointer = ModeState.basis(cutoff, m, n)
-        fwd, bwd = monitor_branches(alpha, Coupling.OAM, pointer)
+        fwd, bwd = monitor_branches(alpha, pointer)
         w0, w1 = abs(qubit.c0) ** 2, abs(qubit.c1) ** 2
         p_plus = np.outer(fwd, fwd.conj())
         p_minus = np.outer(bwd, bwd.conj())
@@ -360,7 +359,7 @@ def test_sld_closed_form_on_branch_plane():
     cutoff = 4
     pointer = ModeState.basis(cutoff, 2, 2)
     qubit = QubitState.from_angles(theta_q, 0.0)
-    fwd, bwd = monitor_branches(alpha, Coupling.OAM, pointer)
+    fwd, bwd = monitor_branches(alpha, pointer)
     p_plus = np.outer(fwd, fwd.conj())
     p_minus = np.outer(bwd, bwd.conj())
     rho = DensityMatrix(cutoff, abs(qubit.c0) ** 2 * p_plus
@@ -687,8 +686,10 @@ def test_bound_csv_output(tmp_path):
     path = tmp_path / "bounds.csv"
     rows = [{"family": "projective", "m": 1, "n": 1, "parameter": "alpha",
              "fisher_info": 1234.5678901234567, "variance_bound": 1.0 / 3.0}]
-    write_bound_csv(path, rows, extra_columns=("family",))
+    write_bound_csv(path, rows)
     text = path.read_text().splitlines()
-    assert text[0] == "family," + ",".join(BOUND_CSV_COLUMNS)
-    assert text[1] == "projective,1,1,alpha,1234.56789012,0.333333333333"
+    assert text[0] == ",".join(BOUND_CSV_COLUMNS) == (
+        "family,method,coupling,epsilon,m,n,parameter,fisher_info,"
+        "variance_bound")
+    assert text[1] == "projective,,,,1,1,alpha,1234.56789012,0.333333333333"
     assert not list(tmp_path.glob("*.tmp"))

@@ -43,8 +43,7 @@ def encode_extract(idx: ModeIndex, side: int):
 
 def test_encoded_modes_come_back_pure():
     for m, n in ((0, 0), (3, 3), (5, 1)):
-        mask, out = encode_extract(ModeIndex(m, n), 512)
-        assert mask.clipped_fraction == 0.0
+        _, out = encode_extract(ModeIndex(m, n), 512)
         assert mode_purity(out, ModeIndex(m, n)) >= 0.99
         assert out.power == pytest.approx(1.0, rel=1e-9)
 
@@ -101,26 +100,6 @@ def test_unreachable_target_weight():
     pinprick = gaussian_illumination(0.3, grid)
     with pytest.raises(UnreachableAmplitudeError):
         hologram_phase(grid, pinprick, PERIOD)
-
-
-def test_explicit_scale_clips_and_reports():
-    grid = synthesize_hg_field(ModeIndex(1, 1), 1.0, side=256)
-    illum = gaussian_illumination(3.0, grid)
-    hot = hologram_phase(grid, illum, PERIOD, amplitude_scale=1e4)
-    assert hot.clipped_fraction > 0.5
-    assert hot.values.max() <= J1_PEAK_X + 1e-12
-    cold = hologram_phase(grid, illum, PERIOD, amplitude_scale=1e-4)
-    assert cold.clipped_fraction == 0.0
-    assert cold.values.max() < 0.01
-
-
-def test_carrier_free_encoding():
-    grid = synthesize_hg_field(ModeIndex(1, 1), 1.0, side=256)
-    illum = gaussian_illumination(3.0, grid)
-    mask = hologram_phase(grid, illum, None)
-    assert mask.grating_period == 0.0
-    with pytest.raises(SeparationError):
-        first_order_extract(modulate(illum, mask), mask.grating_period)
 
 
 def test_grating_and_grid_guards():

@@ -96,11 +96,11 @@ def test_beam_params_collapse_to_single_complex_form():
         assert abs(p.gouy) <= math.pi / 2
 
 
-def test_beam_geometry_rejects_inconsistent_rayleigh():
+def test_beam_geometry_rayleigh_follows_the_waist():
     geom = BeamGeometry(1.0, 0.8)
-    BeamGeometry(1.0, 0.8, rayleigh=geom.rayleigh)  # consistent value passes
-    with pytest.raises(ValueError):
-        BeamGeometry(1.0, 0.8, rayleigh=geom.rayleigh * 1.01)
+    assert geom.rayleigh == 2.0 * geom.wavenumber * 1.0 ** 2
+    with pytest.raises(ValueError, match="rayleigh"):  # 2 k sigma0^2 underflows
+        BeamGeometry(1e-170, 0.8)
 
 
 def test_ladder_commutator_on_interior_block():

@@ -70,11 +70,11 @@ def test_write_atomic_replaces_without_newline_translation(tmp_path):
 def test_bound_csv_keeps_crlf_and_twelve_digits(tmp_path):
     target = tmp_path / "b.csv"
     write_bound_csv(target, [{"m": 1, "n": 2, "parameter": "alpha",
-                              "fisher_info": 3.0, "variance_bound": 1 / 3}],
-                    extra_columns=("epsilon",))
+                              "fisher_info": 3.0, "variance_bound": 1 / 3}])
     assert target.read_bytes() == (
-        b"epsilon,m,n,parameter,fisher_info,variance_bound\r\n"
-        b",1,2,alpha,3,0.333333333333\r\n")
+        b"family,method,coupling,epsilon,m,n,parameter,fisher_info,"
+        b"variance_bound\r\n"
+        b",,,,1,2,alpha,3,0.333333333333\r\n")
 
 
 def test_format_cell():

@@ -98,8 +98,6 @@ def test_non_finite_or_non_positive_scales_rejected(bad):
     builds = (
         lambda: WeakScenario(1e-3, pre, post, PauliAxis.z(),
                              Coupling.MOMENTUM_X, pointer, sigma0=bad),
-        lambda: WeakScenario(1e-3, pre, post, PauliAxis.z(), Coupling.OAM,
-                             pointer, weak_limit=bad),
         lambda: Generator(Coupling.MOMENTUM_X, 2, bad),
         lambda: momentum_matrix_x(2, bad),
         lambda: momentum_variance_x(ModeIndex(1, 1), bad),
@@ -240,8 +238,8 @@ def test_monitor_channel_purity():
     pointer = ModeState.basis(4, 2, 1)
     alpha = 0.05
     rho = qubit_monitor_channel(QubitState.from_angles(math.pi / 2, 0.0),
-                                alpha, Coupling.OAM, pointer)
-    fwd, bwd = monitor_branches(alpha, Coupling.OAM, pointer)
+                                alpha, pointer)
+    fwd, bwd = monitor_branches(alpha, pointer)
     ov2 = abs(np.vdot(fwd, bwd)) ** 2
     assert rho.purity() == pytest.approx((1.0 + ov2) / 2.0, rel=1e-12)
 
@@ -249,10 +247,10 @@ def test_monitor_channel_purity():
 def test_monitor_channel_pure_limits():
     pointer = ModeState.basis(3, 1, 1)
     rho0 = qubit_monitor_channel(QubitState.from_angles(0.0, 0.0), 0.3,
-                                 Coupling.OAM, pointer)
+                                 pointer)
     assert rho0.purity() == pytest.approx(1.0, abs=1e-12)
     rho_id = qubit_monitor_channel(QubitState.from_angles(1.0, 0.0), 0.0,
-                                   Coupling.OAM, pointer)
+                                   pointer)
     assert rho_id.purity() == pytest.approx(1.0, abs=1e-12)
 
 
