@@ -10,6 +10,8 @@ Holograms use the J1-type phase-only encoding of Arrizon et al., JOSA A 24,
 inverts J1 by one polynomial fitted at import.
 The readout is separable: only the band of the first-order pinhole is
 Fourier transformed, and purity contracts the 1-D factors of the ideal mode.
+Rotation resamples in row blocks. FieldGrid adopts a read-only complex array
+that owns its data, so the producers here freeze their fresh buffers.
 
 File formats
 ------------
@@ -61,6 +63,7 @@ J1_PEAK = float(_J1_SERIES(J1_PEAK_X))
 
 _RENORM_FLOOR = 1e-9
 _J1_BLOCK = 16384  # samples per Horner block: y and depth stay in cache
+_ROTATE_BLOCK = 32  # grid rows per resampling block, as above
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,10 @@ class FieldGrid:
     z: float = 0.0
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=complex)
+        arr = self.samples
+        if not (type(arr) is np.ndarray and arr.dtype == complex
+                and arr.flags.owndata and not arr.flags.writeable):
+            arr = np.array(arr, dtype=complex)  # never alias a writeable array
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("samples must be a square 2-D array")
         if arr.shape[0] < MIN_SIDE:
@@ -113,8 +119,15 @@ def _axis(side: int, pitch: float) -> np.ndarray:
     return (np.arange(side) - (side - 1) / 2.0) * pitch
 
 
+def _frozen(f: np.ndarray) -> np.ndarray:
+    f.flags.writeable = False  # a fresh buffer: FieldGrid adopts it uncopied
+    return f
+
+
 def _unit_power(f: np.ndarray, pitch: float) -> np.ndarray:
-    return f / math.sqrt(float(np.sum(np.abs(f) ** 2)) * pitch ** 2)
+    sq = np.abs(f)  # f is fresh: scaled in place
+    f /= math.sqrt(float(np.sum(np.square(sq, out=sq))) * pitch ** 2)
+    return _frozen(f)
 
 
 def _window(side: int, window_sigma: float, sigma0: float):
@@ -193,28 +206,28 @@ def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
     if not abs(angle) <= math.pi / 2.0 + 1e-12:  # NaN fails too
         raise ValueError(
             f"angle must be finite with |angle| <= pi/2, got {angle}")
-    x, y = field.coords[None, :], field.coords[:, None]
+    side, pitch, coords = field.side, field.pitch, field.coords
     c, s = math.cos(angle), math.sin(angle)
-    xs = c * x + s * y
-    ys = -s * x + c * y
-    # fractional source indices; col tracks x, row tracks y
-    half = (field.side - 1) / 2.0
-    fc = xs / field.pitch + half
-    fr = ys / field.pitch + half
-    c0 = np.floor(fc)
-    r0 = np.floor(fr)
-    tc = fc - c0
-    tr = fr - r0
-    # a zero border two samples wide: indices clipped into it read zero for
-    # both neighbours of a node outside the grid
-    padded = np.pad(field.samples, 2)
-    ci = np.clip(c0.astype(int), -2, field.side) + 2
-    ri = np.clip(r0.astype(int), -2, field.side) + 2
-    rotated = ((1 - tr) * (1 - tc) * padded[ri, ci]
-               + (1 - tr) * tc * padded[ri, ci + 1]
-               + tr * (1 - tc) * padded[ri + 1, ci]
-               + tr * tc * padded[ri + 1, ci + 1])
-    return field.with_samples(rotated)
+    cx, sx, half = c * coords, -s * coords, (side - 1) / 2.0
+    # a flat zero border two samples wide: indices clipped into it read zero
+    # for both neighbours of a node outside the grid, and one flat index
+    # reads all four neighbours through offset views
+    width, padded = side + 4, np.pad(field.samples, 2).ravel()
+    rotated = np.empty((side, side), dtype=complex)
+    for start in range(0, side, _ROTATE_BLOCK):
+        y = coords[start:start + _ROTATE_BLOCK, None]
+        fc = (cx + s * y) / pitch + half  # fractional source column (x)
+        fr = (sx + c * y) / pitch + half  # and row (y)
+        c0, r0 = np.floor(fc), np.floor(fr)
+        tc, tr = fc - c0, fr - r0
+        k = ((np.clip(r0, -2, side) + 2) * width
+             + np.clip(c0, -2, side) + 2).astype(np.intp)
+        rotated[start:start + _ROTATE_BLOCK] = (
+            (1 - tr) * (1 - tc) * padded.take(k)
+            + (1 - tr) * tc * padded[1:].take(k)
+            + tr * (1 - tc) * padded[width:].take(k)
+            + tr * tc * padded[width + 1:].take(k))
+    return field.with_samples(_frozen(rotated))
 
 
 def overlap(a: FieldGrid, b: FieldGrid) -> complex:
@@ -289,6 +302,8 @@ class PhaseMap:
             raise ValueError("phase map must be square")
         if not np.max(np.abs(arr)) <= math.pi + 1e-9:  # NaN fails too
             raise ValueError("phase values must be finite and lie in [-pi, pi]")
+        if not 0 < self.grating_period < math.inf:
+            raise ValueError("grating period must be finite and positive")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -335,7 +350,7 @@ def modulate(incident: FieldGrid, phase: PhaseMap) -> FieldGrid:
     np.cos(phase.values, out=transmission.real)
     np.sin(phase.values, out=transmission.imag)
     transmission *= incident.samples
-    return incident.with_samples(transmission)
+    return incident.with_samples(_frozen(transmission))
 
 
 def first_order_extract(modulated: FieldGrid, grating_period: float) -> FieldGrid:
@@ -371,7 +386,7 @@ def first_order_extract(modulated: FieldGrid, grating_period: float) -> FieldGri
     power = float(np.sum(np.abs(baseband) ** 2)) * modulated.pitch ** 2
     if power >= _RENORM_FLOOR:
         baseband /= math.sqrt(power)
-    return modulated.with_samples(baseband)
+    return modulated.with_samples(_frozen(baseband))
 
 
 _FGRD_HEADER = struct.Struct("<4sII4d")
@@ -382,8 +397,7 @@ def write_field_binary(path, field: FieldGrid):
     """Serialize a FieldGrid in the documented FGRD layout (atomic write)."""
     header = _FGRD_HEADER.pack(b"FGRD", 1, field.side, field.pitch,
                                field.sigma0, field.wavelength, field.z)
-    data = np.ascontiguousarray(field.samples, dtype="<c16").tobytes()
-    write_atomic(path, header + data)
+    write_atomic(path, header, np.ascontiguousarray(field.samples, "<c16"))
 
 
 def _payload(raw: bytes, offset: int, side: int, dtype: str) -> np.ndarray:
@@ -405,14 +419,15 @@ def read_field_binary(path) -> FieldGrid:
     magic, version, side, pitch, sigma0, wavelength, z = _FGRD_HEADER.unpack_from(raw)
     if magic != b"FGRD" or version != 1:
         raise ValueError("not a version-1 field binary")
-    samples = _payload(raw, _FGRD_HEADER.size, side, "<c16")
-    return FieldGrid(samples.astype(complex), pitch, sigma0, wavelength, z)
+    samples = _payload(raw, _FGRD_HEADER.size, side, "<c16").astype(complex)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("field binary holds samples that are not finite")
+    return FieldGrid(_frozen(samples), pitch, sigma0, wavelength, z)
 
 
 def write_phase_binary(path, phase: PhaseMap):
     header = _PMAP_HEADER.pack(b"PMAP", 1, phase.side, phase.grating_period)
-    data = np.ascontiguousarray(phase.values, dtype="<f8").tobytes()
-    write_atomic(path, header + data)
+    write_atomic(path, header, np.ascontiguousarray(phase.values, "<f8"))
 
 
 def read_phase_binary(path) -> PhaseMap:
@@ -432,4 +447,4 @@ def write_phase_pgm(path, phase: PhaseMap):
     levels = np.clip(np.round((phase.values + math.pi) / (2 * math.pi) * 255.0),
                      0, 255).astype(np.uint8)
     header = f"P5\n{phase.side} {phase.side}\n255\n".encode("ascii")
-    write_atomic(path, header + levels.tobytes())
+    write_atomic(path, header, levels)

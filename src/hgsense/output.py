@@ -6,16 +6,16 @@ import os
 import tempfile
 
 
-def write_atomic(path, payload: str | bytes):
-    """Write through a temp sibling and os.replace, so that a failure leaves
-    an existing target untouched and no temp file behind. Text is written as
-    UTF-8 with no newline translation."""
-    data = payload.encode() if isinstance(payload, str) else payload
+def write_atomic(path, *parts):
+    """Write the parts in order through a temp sibling and os.replace, so that
+    a failure leaves an existing target untouched and no temp file behind.
+    Text goes out as UTF-8, untranslated; bytes-like parts (arrays) uncopied."""
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for part in parts:
+                handle.write(part.encode() if isinstance(part, str) else part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -32,6 +32,7 @@ from hgsense.fields import (
     _J1_BLOCK,
     _J1_INVERSE_POLY,
     _j1_inverse_array,
+    _unit_power,
     first_order_extract,
     gaussian_illumination,
     hologram_phase,
@@ -60,7 +61,7 @@ from hgsense.modes import (
     oam_variance,
 )
 from hgsense.weak import carrier_state
-from reference import mode_purity_2d
+from reference import mode_purity_2d, rotate_field_fancy
 
 SIDE = 256  # plenty for sub-percent overlaps, keeps the suite quick
 
@@ -171,6 +172,75 @@ def test_rotation_angle_guard():
         rotate_field(f, 1.6)
     with pytest.raises(ValueError):
         rotate_field(f, -2.0)
+
+
+@pytest.mark.parametrize("side", [128, 129, 257, 512, 1024])
+def test_row_blocked_rotation_is_bitwise_the_fancy_index_route(side):
+    # 129 and 257 leave a partial last row block
+    rng = np.random.default_rng(side)
+    noise = FieldGrid(rng.normal(size=(side, side))
+                      + 1j * rng.normal(size=(side, side)), 1.0, 1.0)
+    mode = synthesize_hg_field(ModeIndex(3, 2), 1.0, side=side)
+    for angle in (0.0, 1e-3, -1e-3, 0.3, math.pi / 4, -math.pi / 4,
+                  math.pi / 2, -math.pi / 2):
+        for field in (noise, mode):
+            got = rotate_field(field, angle)
+            assert np.array_equal(got.samples,
+                                  rotate_field_fancy(field, angle).samples)
+            assert (got.pitch, got.sigma0, got.wavelength, got.z) == (
+                field.pitch, field.sigma0, field.wavelength, field.z)
+
+
+@pytest.mark.parametrize("side", [128, 129, 1024])
+def test_in_place_unit_power_is_bitwise_the_division(side):
+    rng = np.random.default_rng(side)
+    f = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    pitch = 16.0 / side
+    want = f / math.sqrt(float(np.sum(np.abs(f) ** 2)) * pitch ** 2)
+    got = _unit_power(f.copy(), pitch)
+    assert np.array_equal(got, want)
+    assert not got.flags.writeable
+
+
+def test_field_grid_copies_writeable_arrays_and_adopts_frozen_ones(tmp_path):
+    side = 128
+    caller = np.ones((side, side), dtype=complex)
+    grid = FieldGrid(caller, 16.0 / side, 1.0)
+    caller[0, 0] = 2.0
+    assert grid.samples[0, 0] == 1.0
+    assert caller.flags.writeable and not grid.samples.flags.writeable
+    frozen = np.ones((side, side), dtype=complex)
+    frozen.flags.writeable = False
+    assert np.shares_memory(FieldGrid(frozen, 16.0 / side, 1.0).samples, frozen)
+    view = frozen[::-1]  # read-only, but a view: copied
+    assert not np.shares_memory(FieldGrid(view, 16.0 / side, 1.0).samples, frozen)
+
+    idx = ModeIndex(2, 1)
+    mode = synthesize_hg_field(idx, 1.0, side=side)
+    illum = gaussian_illumination(3.0, mode)
+    mask = hologram_phase(mode, illum, 16.0)
+    modulated = modulate(illum, mask)
+    path = tmp_path / "mode.fgrd"
+    write_field_binary(path, mode)
+    produced = [mode, illum, modulated, rotate_field(mode, 0.3),
+                first_order_extract(modulated, 16.0), read_field_binary(path),
+                synthesize_superposition(carrier_state(idx, idx.total), 1.0,
+                                         side=side)]
+    for field in produced:
+        assert not field.samples.flags.writeable
+        assert field.samples.flags.owndata
+
+
+def test_field_binary_refuses_non_finite_samples(tmp_path):
+    path = tmp_path / "mode.fgrd"
+    write_field_binary(path, synthesize_hg_field(ModeIndex(1, 1), 1.0, side=128))
+    raw = bytearray(path.read_bytes())
+    for bad in (math.nan, math.inf, -math.inf):
+        corrupt = raw.copy()
+        corrupt[-8:] = np.float64(bad).tobytes()  # imaginary part of the last
+        path.write_bytes(corrupt)
+        with pytest.raises(ValueError, match="finite"):
+            read_field_binary(path)
 
 
 def test_coverage_and_shape_guards():
@@ -413,6 +483,19 @@ def test_j1_inverse_array_matches_bisection_oracle():
     assert np.max(np.abs(depth - reference)[away_from_peak]) <= 1e-10
     assert np.all(np.diff(depth[:-2]) >= 0.0)
     assert depth.min() >= 0.0 and depth.max() <= J1_PEAK_X
+
+
+@pytest.mark.parametrize("period", [math.nan, math.inf, 0.0, -8.0])
+def test_phase_map_refuses_bad_grating_period(tmp_path, period):
+    with pytest.raises(ValueError, match="grating period"):
+        PhaseMap(np.zeros((64, 64)), period)
+    path = tmp_path / "mask.pmap"
+    write_phase_binary(path, PhaseMap(np.zeros((128, 128)), 8.0))
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = np.float64(period).tobytes()  # the header's grating period
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="grating period"):
+        read_phase_binary(path)
 
 
 def test_phase_map_validation():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ _PHASE = PhaseMap(np.zeros((64, 64)), 16.0)
 WRITERS = {
     "text": lambda path: write_atomic(path, "new\n"),
     "bytes": lambda path: write_atomic(path, b"new"),
+    "parts": lambda path: write_atomic(path, "head\n", b"\0",
+                                       np.arange(8, dtype=np.uint8)),
     "bound_csv": lambda path: write_bound_csv(
         path, [{"m": 1, "n": 1, "parameter": "alpha", "fisher_info": 1.0,
                 "variance_bound": 1.0}]),
@@ -65,6 +68,28 @@ def test_write_atomic_replaces_without_newline_translation(tmp_path):
     assert target.read_bytes() == b"a\r\nb\n"
     write_atomic(str(target), b"\x00\xff")
     assert target.read_bytes() == b"\x00\xff"
+    grid = np.arange(6, dtype="<f8").reshape(2, 3)
+    write_atomic(target, "a\r\n", b"\x00", memoryview(b"mv"), grid)
+    assert target.read_bytes() == b"a\r\n\x00mv" + grid.tobytes()
+
+
+def test_binary_writers_emit_header_then_samples(tmp_path):
+    # the documented layouts, built the long way: header bytes + tobytes()
+    field = synthesize_hg_field(ModeIndex(2, 1), 1.0, side=129, z=3e4)
+    write_field_binary(tmp_path / "f", field)
+    assert (tmp_path / "f").read_bytes() == struct.pack(
+        "<4sII4d", b"FGRD", 1, 129, field.pitch, field.sigma0,
+        field.wavelength, field.z) + field.samples.astype("<c16").tobytes()
+    rng = np.random.default_rng(5)
+    phase = PhaseMap(rng.uniform(-math.pi, math.pi, (128, 128)), 7.5)
+    write_phase_binary(tmp_path / "p", phase)
+    assert (tmp_path / "p").read_bytes() == struct.pack(
+        "<4sIId", b"PMAP", 1, 128, 7.5) + phase.values.astype("<f8").tobytes()
+    write_phase_pgm(tmp_path / "g", phase)
+    levels = np.clip(np.round((phase.values + math.pi) / (2 * math.pi) * 255),
+                     0, 255).astype(np.uint8)
+    assert (tmp_path / "g").read_bytes() == (b"P5\n128 128\n255\n"
+                                            + levels.tobytes())
 
 
 def test_bound_csv_keeps_crlf_and_twelve_digits(tmp_path):
