@@ -60,9 +60,8 @@ from .fields import (
 )
 from .fisher import (
     BoundResult,
+    CarrierReadout,
     Parameter,
-    PovmSet,
-    Projector,
     carrier_projection_povm,
     cfi_povm,
     hamiltonian_bound,
@@ -93,7 +92,6 @@ from .weak import (
     WeakScenario,
     carrier_state,
     final_pointer_exact,
-    final_pointer_first_order,
     pauli_weak_values,
     post_selected_pair,
     weak_value,

@@ -224,10 +224,11 @@ def cmd_montecarlo(args) -> int:
     alpha = args.alpha_rad
     if alpha is None:
         alpha = 2.0 * min_detectable_rotation(idx, epsilon, budget.photons)
-    result = montecarlo_lockin(idx, epsilon, alpha, budget, noise,
-                               seed=args.seed, trials=args.trials)
+    # the analytic reference guards the expansion: check it before simulating
     reference = analytic_snr(idx, epsilon, alpha, budget,
                              noise.dither_rad, noise.electrical_v)
+    result = montecarlo_lockin(idx, epsilon, alpha, budget, noise,
+                               seed=args.seed, trials=args.trials)
     lines = [
         f"# seed = {result.seed}",
         f"# mode = {idx.m},{idx.n}",

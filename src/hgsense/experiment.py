@@ -56,6 +56,9 @@ SAMPLES_PER_CYCLE = 20
 # Largest count of time bins one Monte Carlo trial may hold (about 8 MB per
 # float64 array); the defaults need 2180.
 MAX_SAMPLES_PER_TRIAL = 10 ** 6
+# Largest trial count of one Monte Carlo run (a trial takes about 0.2 ms at
+# the defaults).
+MAX_TRIALS = 10 ** 5
 
 # Measured benchmarks for diagonal modes: drive voltage giving unit SNR and
 # the shot-noise floor at the lock-in output. Model predictions track these
@@ -216,6 +219,8 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     """
     if trials < 10:
         raise ConfigError("need at least 10 trials for a meaningful average")
+    if trials > MAX_TRIALS:
+        raise ConfigError(f"{trials} trials above the limit of {MAX_TRIALS}")
     check_epsilon(epsilon)
     k_var = _check_mode(idx)
     if not abs(alpha) < noise.dither_rad:  # NaN fails too
@@ -299,14 +304,6 @@ def table_csv(rows: Sequence[ModeSensitivity]) -> str:
 def table_json(rows: Sequence[ModeSensitivity]) -> str:
     """The sensitivity table as an indented JSON list of row objects."""
     return json.dumps([row._asdict() for row in rows], indent=2) + "\n"
-
-
-def write_table_csv(path, rows: Sequence[ModeSensitivity]):
-    write_atomic(path, table_csv(rows))
-
-
-def write_table_json(path, rows: Sequence[ModeSensitivity]):
-    write_atomic(path, table_json(rows))
 
 
 def write_run_config(path, settings: dict):

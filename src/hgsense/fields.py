@@ -124,9 +124,13 @@ def _frozen(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def _unit_power(f: np.ndarray, pitch: float) -> np.ndarray:
+def _unit_power(f: np.ndarray, pitch: float, name: str) -> np.ndarray:
     sq = np.abs(f)  # f is fresh: scaled in place
-    f /= math.sqrt(float(np.sum(np.square(sq, out=sq))) * pitch ** 2)
+    power = float(np.sum(np.square(sq, out=sq))) * pitch ** 2
+    if not 0 < power < math.inf:  # NaN fails too
+        raise ValueError(f"{name} has power {power:.3g} on the grid: "
+                         "empty, or beyond the float range")
+    f /= math.sqrt(power)
     return _frozen(f)
 
 
@@ -166,7 +170,8 @@ def synthesize_hg_field(idx: ModeIndex, sigma0: float, side: int = DEFAULT_SIDE,
     pitch, c = _window(side, window_sigma, sigma0)
     fy, fx, scale, gouy = _plane_factors(idx, sigma0, wavelength, z, c)
     f = np.outer(fy, fx) * (scale * np.exp(-1j * (idx.total + 1) * gouy))
-    return FieldGrid(_unit_power(f, pitch), pitch, sigma0, wavelength, z)
+    return FieldGrid(_unit_power(f, pitch, f"HG({idx.m}, {idx.n}) field"),
+                     pitch, sigma0, wavelength, z)
 
 
 def synthesize_superposition(state: ModeState, sigma0: float,
@@ -185,14 +190,15 @@ def synthesize_superposition(state: ModeState, sigma0: float,
     pitch, axis = _window(side, window_sigma, sigma0)
     phi = np.array([hg_factor(int(k), sigma0, axis) for k in orders])
     total = phi.T @ amp[np.ix_(orders, orders)].T @ phi
-    return FieldGrid(_unit_power(total, pitch), pitch, sigma0)
+    return FieldGrid(_unit_power(total, pitch, "superposition"), pitch, sigma0)
 
 
 def gaussian_illumination(sigma: float, grid_like: FieldGrid) -> FieldGrid:
     """Fundamental-mode beam of width sigma sampled on an existing grid."""
     g = hg_factor(0, sigma, grid_like.coords)
     f = np.outer(g, g).astype(complex)
-    return grid_like.with_samples(_unit_power(f, grid_like.pitch))
+    return grid_like.with_samples(
+        _unit_power(f, grid_like.pitch, "gaussian illumination"))
 
 
 def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:

@@ -6,10 +6,10 @@ derivative of its family, a quadratic weak-coupling one
 (4 |dM_w/dg|^2 <delta Omega^2>), and closed forms for special cases. All of
 them evolve the pointer through the one weak.Generator kernel, so they check
 approximations against each other, not independent evolution code.
-Readouts work on the vectors they span: a POVM is a set of rank-1
-Projector elements (the carrier readout is two of them), and the
-dephased-monitor SLD is solved on the branch plane, with sld_solve on the
-full truncated basis as the reference.
+Readouts work on the vectors they span: the carrier readout, the paper's
+final projective measurement, is the two-outcome CarrierReadout
+{|c><c|, 1 - |c><c|}, and the dephased-monitor SLD is solved on the branch
+plane, with sld_solve on the full truncated basis as the reference.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .modes import (
     ModeIndex,
     ModeState,
     OperatorMatrix,
-    expectation,
     oam_variance,
     second_moment,
     variance,
@@ -160,89 +159,46 @@ def qfi_weak_approx(s: WeakScenario, parameter: Parameter,
 
 
 @dataclass(frozen=True)
-class Projector:
-    """Rank-one projector |c><c| onto a mode state c, or its complement
-    1 - |c><c|, applied as c <c|psi> without forming a matrix."""
+class CarrierReadout:
+    """Projective readout {|c><c|, 1 - |c><c|} on a unit carrier mode c.
 
-    vector: ModeState
-    complement: bool = False
-
-    @property
-    def cutoff(self) -> int:
-        return self.vector.cutoff
-
-    def apply(self, state: ModeState) -> np.ndarray:
-        if state.cutoff != self.cutoff:
-            raise ValueError("operator and state truncations differ")
-        c = self.vector.amplitudes
-        along = c * np.vdot(c, state.amplitudes)
-        return state.amplitudes - along if self.complement else along
-
-
-@dataclass(frozen=True)
-class PovmSet:
-    """Projector elements summing to the identity on the truncated basis.
-
-    Positivity and completeness are checked without a d x d array: |c><c|
-    and 1 - |c><c| are positive iff |c| = 1. With one complement the set
-    sums to 1 iff S = sum_k s_k |c_k><c_k| = 0 (s = -1 for the complement);
-    |S|_F = |R diag(s) R^dagger|_F with R the K x K factor of the QR
-    decomposition of [c_1 ... c_K] (R^dagger R is their Gram matrix).
+    Both outcomes follow from one inner product: p = |<c|psi>|^2 and
+    |psi|^2 - p, so no matrix is formed. The elements are positive iff
+    |c| = 1 (to 1e-10).
     """
 
-    elements: tuple[Projector, ...]
+    carrier: ModeState
 
     def __post_init__(self):
-        if not self.elements:
-            raise ValueError("POVM needs at least one element")
-        if not all(isinstance(el, Projector) for el in self.elements):
-            raise ValueError("POVM elements must be Projector instances")
-        cutoff = self.elements[0].cutoff
-        if any(el.cutoff != cutoff for el in self.elements):
-            raise ValueError("POVM elements live in different truncations")
-        vectors = np.array([el.vector.amplitudes for el in self.elements]).T
-        norms2 = np.sum(np.abs(vectors) ** 2, axis=0)
-        if not np.all(np.abs(norms2 - 1.0) <= 1e-10):
-            raise InvalidStateError(
-                "projector vector not of unit norm: POVM element not positive "
-                "semidefinite")
-        signs = np.array([-1.0 if el.complement else 1.0
-                          for el in self.elements])
-        if np.count_nonzero(signs < 0) != 1:
-            raise InvalidStateError(
-                "a projector POVM needs exactly one complement")
-        r = np.linalg.qr(vectors, mode="r")
-        if not np.linalg.norm((r * signs) @ r.conj().T) <= 1e-10:
-            raise InvalidStateError("POVM elements do not sum to identity")
-        object.__setattr__(self, "elements", tuple(self.elements))
+        if not abs(self.carrier.norm ** 2 - 1.0) <= 1e-10:
+            raise InvalidStateError("carrier not of unit norm: readout "
+                                    "element not positive semidefinite")
 
-    @property
-    def cutoff(self) -> int:
-        return self.elements[0].cutoff
+    def probabilities(self, state: ModeState) -> np.ndarray:
+        """The two outcome probabilities (p, |psi|^2 - p) for state."""
+        if state.cutoff != self.carrier.cutoff:
+            raise ValueError("readout and state truncations differ")
+        psi = state.amplitudes
+        p = abs(np.vdot(self.carrier.amplitudes, psi)) ** 2
+        return np.array([p, float(np.real(np.vdot(psi, psi))) - p])
 
 
-def carrier_projection_povm(carrier: ModeState) -> PovmSet:
-    """Two-outcome set {|c><c|, 1 - |c><c|} on the normalized carrier c, as
-    two Projector elements: O(cutoff^2) memory, no square matrix."""
-    c = carrier.normalize()
-    return PovmSet((Projector(c), Projector(c, complement=True)))
+def carrier_projection_povm(carrier: ModeState) -> CarrierReadout:
+    """The carrier readout on the normalized carrier c: O(cutoff^2) memory,
+    no square matrix."""
+    return CarrierReadout(carrier.normalize())
 
 
-def cfi_povm(state_fn: Callable[[float], ModeState], g: float, povm: PovmSet,
-             step: float | None = None) -> float:
+def cfi_povm(state_fn: Callable[[float], ModeState], g: float,
+             povm: CarrierReadout, step: float | None = None) -> float:
     """Classical Fisher information sum_k (d p_k/dg)^2 / p_k.
 
-    Every probability is modes.expectation(element, state). Outcomes with
+    The probabilities are the readout's two outcomes. Outcomes with
     probability below 1e-15 contribute zero and raise a
     SmallProbabilityWarning. Same stencil and disagreement guard as the
     quantum counterpart.
     """
-
-    def probs(x: float) -> np.ndarray:
-        state = state_fn(x)
-        return np.array([float(np.real(expectation(el, state)))
-                         for el in povm.elements])
-
+    probs = lambda x: povm.probabilities(state_fn(x))
     p0 = probs(g)
 
     def fisher_sum(dp: np.ndarray) -> float:

@@ -5,7 +5,8 @@ eigenstates: HG(m, n) with intensity-profile standard deviation sigma0 at
 the waist is the |m, n> number state. Everything downstream (weak coupling,
 Fisher bounds, field synthesis) builds on the ladder algebra defined here.
 
-Basis order is row-major in (m, n): flat index = m * (cutoff + 1) + n.
+Basis order is row-major in (m, n): flat index = m * (cutoff + 1) + n, and
+divmod(index, cutoff + 1) gives (m, n) back.
 Raising past the cutoff discards the raised amplitude; matrices are exact
 on the interior block m, n <= cutoff - 1.
 
@@ -18,7 +19,6 @@ amplitudes factor into one-axis hg_factor terms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Protocol
@@ -77,10 +77,6 @@ def flat_index(m: int, n: int, cutoff: int) -> int:
     return m * (cutoff + 1) + n
 
 
-def index_to_mode(i: int, cutoff: int) -> tuple[int, int]:
-    return divmod(i, cutoff + 1)
-
-
 def basis_dim(cutoff: int) -> int:
     return (cutoff + 1) ** 2
 
@@ -130,19 +126,6 @@ class ModeState:
             raise ValueError("states live in different truncations")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "cutoff": self.cutoff,
-            "index_order": "m*(cutoff+1)+n",
-            "amplitudes": [[z.real, z.imag] for z in self.amplitudes],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModeState":
-        data = json.loads(text)
-        amp = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return cls(int(data["cutoff"]), amp)
-
 
 @dataclass(frozen=True)
 class OperatorMatrix:
@@ -176,10 +159,6 @@ class StateOperator(Protocol):
     def apply(self, state: ModeState) -> np.ndarray: ...
 
 
-def expectation(op: StateOperator, state: ModeState) -> complex:
-    return complex(np.vdot(state.amplitudes, op.apply(state)))
-
-
 def second_moment(op: StateOperator, state: ModeState) -> float:
     """<state| op^dagger op |state>; equals <op^2> for Hermitian op."""
     v = op.apply(state)
@@ -199,13 +178,15 @@ def hg_factor(order: int, sigma0: float, x):
     phi_k(x) = H_k(x / (sqrt2 sigma0)) exp(-x^2 / (4 sigma0^2))
                / sqrt(2^k k! sqrt(2 pi) sigma0)
     """
-    if not 0 < sigma0 < math.inf:
-        raise ValueError("sigma0 must be finite and positive")
+    if not (sigma0 > 0 and 0 < sigma0 * sigma0 < math.inf):
+        raise ValueError(f"sigma0 {sigma0} must be positive with a finite, "
+                         "nonzero square")
     xs = np.asarray(x, dtype=float)
     norm = math.sqrt(2.0 ** order * math.factorial(order)
                      * math.sqrt(2.0 * math.pi) * sigma0)
-    val = (hermite_eval(order, xs / (math.sqrt(2.0) * sigma0))
-           * np.exp(-xs ** 2 / (4.0 * sigma0 ** 2)) / norm)
+    with np.errstate(over="ignore"):  # far out in the tail: exp(-inf) = 0
+        gauss = np.exp(-xs ** 2 / (4.0 * sigma0 ** 2))
+    val = hermite_eval(order, xs / (math.sqrt(2.0) * sigma0)) * gauss / norm
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -236,6 +217,8 @@ class BeamGeometry:
                 and math.isfinite(self.z)):
             raise ValueError(
                 "sigma0 and wavelength must be finite and positive, z finite")
+        if not self.sigma0 * self.sigma0 < math.inf:  # sigma0 ** 2 would raise
+            raise ValueError(f"sigma0 {self.sigma0} has no finite square")
         if self.rayleigh <= 0:  # underflow for a tiny sigma0
             raise ValueError("rayleigh must be positive")
 

@@ -5,10 +5,10 @@ with strength alpha through a qubit observable (a Pauli axis) and a pointer
 generator (orbital angular momentum for beam rotation, transverse momentum
 for displacement), post-select the qubit on |f>, and read the pointer out.
 
-To first order the post-selected pointer is N (1 - i alpha A_w Omega)|psi_i>
-with the weak value A_w = <f|A|i> / <f|i>; the exact evolution splits the
-coupling along the +-1 eigenspaces of the Pauli axis, which only needs
-exp(-+ i alpha Omega) acting on the pointer.
+The pointer is evolved exactly: the coupling splits along the +-1
+eigenspaces of the Pauli axis, which only needs exp(-+ i alpha Omega) acting
+on the pointer. The weak value A_w = <f|A|i> / <f|i> and the weak-regime
+guard serve the first-order Fisher formula in fisher.
 
 Omega is applied and exponentiated by one block kernel, Generator: one
 tridiagonal Lz block per shell m + n, or one px block along the m axis.
@@ -291,18 +291,6 @@ def carrier_state(idx: ModeIndex, cutoff: int) -> ModeState:
             f"cutoff {cutoff} cannot hold the carrier of ({m}, {n})")
     lz_psi = Generator(Coupling.OAM, cutoff).apply(ModeState.basis(cutoff, m, n))
     return ModeState(cutoff, lz_psi / (1j * math.sqrt(2 * m * n + m + n)))
-
-
-def final_pointer_first_order(s: WeakScenario) -> ModeState:
-    """Post-selected pointer N (1 - i M_w Omega)|psi_i>, normalized.
-
-    Valid only inside the weak-regime guard.
-    """
-    s.require_weak_regime()
-    mw = s.coupling_strength
-    omega = s.operator()
-    vec = s.pointer.amplitudes - 1j * mw * omega.apply(s.pointer)
-    return ModeState(s.pointer.cutoff, vec).normalize()
 
 
 class ExactPointer(NamedTuple):

@@ -1,11 +1,13 @@
-"""Dense reference routes that live beside the tests, not in the package.
+"""Reference routes that live beside the tests, not in the package.
 
-The package computes every readout on the vectors it spans (rank-1
-fisher.Projector elements) and on the bands and 1-D factors of separable
-fields, and resamples rotated fields in row blocks. The helpers here take
-dense operator matrices, full 2-D transforms, full 2-D mode grids and
-whole-grid fancy indexing instead, so a test can check the structured route
-against the textbook one.
+The package computes every readout on the vectors it spans (the
+two-outcome fisher.CarrierReadout) and on the bands and 1-D factors of
+separable fields, and resamples rotated fields in row blocks. The helpers
+here take dense operator matrices, full 2-D transforms, full 2-D mode grids
+and whole-grid fancy indexing instead, so a test can check the structured
+route against the textbook one. final_pointer_first_order is the
+first-order post-selected pointer that the tests hold against the exact
+evolution; no package route uses it.
 """
 
 import math
@@ -20,6 +22,20 @@ from hgsense.fields import (
     synthesize_hg_field,
 )
 from hgsense.fisher import PROBABILITY_FLOOR, _stencil_value
+from hgsense.modes import ModeState
+from hgsense.weak import WeakScenario
+
+
+def final_pointer_first_order(s: WeakScenario) -> ModeState:
+    """Post-selected pointer N (1 - i M_w Omega)|psi_i>, normalized.
+
+    Valid only inside the weak-regime guard.
+    """
+    s.require_weak_regime()
+    mw = s.coupling_strength
+    omega = s.operator()
+    vec = s.pointer.amplitudes - 1j * mw * omega.apply(s.pointer)
+    return ModeState(s.pointer.cutoff, vec).normalize()
 
 
 def dense_cfi(state_fn, g, elements, step=None):

@@ -223,6 +223,40 @@ def test_non_finite_physics_inputs_exit_2(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("scale, cause", [
+    ("1e-9", "gaussian illumination has power 0 on the grid"),  # underflow
+    ("1e-160", "gaussian illumination has power 0 on the grid"),  # overflow
+    ("1e-300", "sigma0 1e-300 must be positive with a finite, nonzero"),
+    ("1e160", "sigma0 1e+160 must be positive with a finite, nonzero"),
+])
+def test_hologram_refuses_illumination_out_of_range(scale, cause, tmp_path,
+                                                    capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a 2nd line
+        assert main(["hologram", "--mode", "3,3", "--grid", "128",
+                     "--illum-scale", scale, "--out", str(tmp_path / "x"),
+                     "--config-out", str(tmp_path / "c.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {cause}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_montecarlo_checks_expansion_before_simulating(monkeypatch, tmp_path,
+                                                       capsys):
+    def no_simulation(*args, **kwargs):
+        pytest.fail("trials simulated before the analytic guard")
+
+    monkeypatch.setattr(cli, "montecarlo_lockin", no_simulation)
+    assert main(["montecarlo", "--mode", "1,1", "--alpha-rad", "1e-3",
+                 "--out", str(tmp_path / "mc.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rotation 0.001 not small against the dither")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags", [
     ["--epsilon-deg", "nan"],
     ["--epsilon-deg", "0"],

@@ -31,12 +31,13 @@ from hgsense.experiment import (
     sensitivity_table,
     shot_noise_level,
     snr,
+    table_csv,
+    table_json,
     write_run_config,
-    write_table_csv,
-    write_table_json,
 )
 from hgsense.fisher import min_detectable_rotation
 from hgsense.modes import ModeIndex
+from hgsense.output import write_atomic
 
 EPSILON = math.radians(5.0)
 MODE = ModeIndex(1, 1)
@@ -202,6 +203,21 @@ def test_montecarlo_rejects_nan_rotation_and_oversized_trials(monkeypatch):
             < experiment.MAX_SAMPLES_PER_TRIAL / 100)
 
 
+def test_montecarlo_caps_trials_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("sample array allocated before the trial cap")
+
+    monkeypatch.setattr(experiment.np, "empty", no_allocation)
+    with pytest.raises(ConfigError, match="trials above the limit"):
+        montecarlo_lockin(MODE, EPSILON, 1e-6, PhotonBudget(), NoiseModel(),
+                          trials=experiment.MAX_TRIALS + 1)
+    monkeypatch.undo()
+    assert main(["montecarlo", "--mode", "1,1", "--trials",
+                 str(experiment.MAX_TRIALS + 1)]) == 2
+    # the cap sits far above the trial counts in use (400 by default)
+    assert experiment.MAX_TRIALS >= 50 * 1600
+
+
 def test_sensitivity_table_contents():
     rows = sensitivity_table(EPSILON)
     assert [(row.m, row.n) for row in rows] == [(1, 1), (3, 3), (5, 5)]
@@ -222,7 +238,7 @@ def test_sensitivity_table_contents():
 def test_table_serialization(tmp_path):
     rows = sensitivity_table(EPSILON)
     csv_path = tmp_path / "table.csv"
-    write_table_csv(csv_path, rows)
+    write_atomic(csv_path, table_csv(rows))
     lines = csv_path.read_text().splitlines()
     assert lines[0] == ",".join(ModeSensitivity._fields)
     assert len(lines) == 4
@@ -231,7 +247,7 @@ def test_table_serialization(tmp_path):
     assert float(first[2]) == pytest.approx(rows[0].alpha_min_rad, rel=1e-11)
 
     json_path = tmp_path / "table.json"
-    write_table_json(json_path, rows)
+    write_atomic(json_path, table_json(rows))
     payload = json.loads(json_path.read_text())
     assert payload[0]["m"] == 1
     assert payload[2]["drive_v_reference"] == pytest.approx(0.203)

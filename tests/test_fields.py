@@ -57,7 +57,6 @@ from hgsense.modes import (
     beam_params,
     flat_index,
     hg_wavefunction,
-    index_to_mode,
     oam_variance,
 )
 from hgsense.weak import carrier_state
@@ -93,7 +92,7 @@ def test_separable_synthesis_matches_direct_evaluation():
     rng = np.random.default_rng(7)
     amp = rng.normal(size=basis_dim(cutoff)) + 1j * rng.normal(size=basis_dim(cutoff))
     grid = synthesize_superposition(ModeState(cutoff, amp), sigma0, side=SIDE)
-    terms = [(ModeIndex(*index_to_mode(i, cutoff)), a) for i, a in enumerate(amp)]
+    terms = [(ModeIndex(*divmod(i, cutoff + 1)), a) for i, a in enumerate(amp)]
     want = _direct_field(terms, sigma0, grid)
     assert np.max(np.abs(grid.samples - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -197,9 +196,20 @@ def test_in_place_unit_power_is_bitwise_the_division(side):
     f = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
     pitch = 16.0 / side
     want = f / math.sqrt(float(np.sum(np.abs(f) ** 2)) * pitch ** 2)
-    got = _unit_power(f.copy(), pitch)
+    got = _unit_power(f.copy(), pitch, "field")
     assert np.array_equal(got, want)
     assert not got.flags.writeable
+
+
+def test_unit_power_refuses_an_empty_or_overflowing_field():
+    for fill in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="superposition has power"):
+            _unit_power(np.full((128, 128), fill, complex), 0.1, "superposition")
+    target = synthesize_hg_field(ModeIndex(3, 3), 1.0, side=128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero warning first
+        with pytest.raises(ValueError, match="gaussian illumination has power 0"):
+            gaussian_illumination(1e-9, target)  # underflows to all zeros
 
 
 def test_field_grid_copies_writeable_arrays_and_adopts_frozen_ones(tmp_path):

@@ -28,9 +28,8 @@ from hgsense.errors import (
 from hgsense.fisher import (
     BOUND_CSV_COLUMNS,
     BoundResult,
+    CarrierReadout,
     Parameter,
-    PovmSet,
-    Projector,
     carrier_projection_povm,
     cfi_povm,
     default_step,
@@ -48,7 +47,6 @@ from hgsense.fisher import (
 from hgsense.modes import (
     ModeIndex,
     ModeState,
-    OperatorMatrix,
     basis_dim,
     flat_index,
     lz_matrix,
@@ -213,39 +211,25 @@ def test_projector_povm_matches_dense_povm():
         proj = np.outer(c, c.conj())
         dense = (proj, np.eye(len(c)) - proj)
         povm = carrier_projection_povm(carrier)
-        assert all(isinstance(el, Projector) for el in povm.elements)
-        psi = family(1e-3)
-        for el, ref in zip(povm.elements, dense):
-            assert np.allclose(el.apply(psi), ref @ psi.amplitudes,
-                               atol=1e-15)
+        state = family(1e-3)
+        psi = state.amplitudes
+        assert np.allclose(
+            povm.probabilities(state),
+            [np.real(np.vdot(psi, ref @ psi)) for ref in dense], atol=1e-15)
         assert cfi_povm(family, 1e-3, povm) == pytest.approx(
             dense_cfi(family, 1e-3, dense), rel=1e-12)
 
 
 def test_projector_povm_validation():
     cutoff = 2
-    idx = ModeIndex(1, 1)
-    c = carrier_state(idx, cutoff)
-    other = ModeState.basis(cutoff, 1, 1)
-    PovmSet((Projector(c), Projector(c, complement=True)))
-    # a phase on the vector leaves the projector unchanged
-    PovmSet((Projector(ModeState(cutoff, 1j * c.amplitudes)),
-             Projector(c, complement=True)))
-    long = ModeState(cutoff, 2.0 * c.amplitudes)
-    for elements in (
-            (Projector(long), Projector(long, complement=True)),  # not unit
-            (Projector(c, complement=True), Projector(c, complement=True)),
-            (Projector(c), Projector(other, complement=True)),
-            (Projector(c), Projector(other))):
-        with pytest.raises(InvalidStateError):
-            PovmSet(elements)
-    dense = OperatorMatrix(cutoff, np.eye(basis_dim(cutoff)), hermitian=True)
-    for elements in ((Projector(c), dense), (dense,)):  # not a Projector
-        with pytest.raises(ValueError):
-            PovmSet(elements)
-    with pytest.raises(ValueError):
-        PovmSet((Projector(c), Projector(carrier_state(idx, 3),
-                                          complement=True)))
+    c = carrier_state(ModeIndex(1, 1), cutoff)
+    psi = ModeState(cutoff, np.arange(basis_dim(cutoff)) + 0.5j)
+    # a phase on the carrier leaves the projector unchanged
+    assert np.allclose(
+        CarrierReadout(ModeState(cutoff, 1j * c.amplitudes)).probabilities(psi),
+        CarrierReadout(c).probabilities(psi), rtol=1e-15, atol=0.0)
+    with pytest.raises(InvalidStateError):  # not unit: not positive
+        CarrierReadout(ModeState(cutoff, 2.0 * c.amplitudes))
 
 
 def test_monitor_plane_matches_dense_sld():
@@ -654,12 +638,9 @@ def test_small_probability_outcomes_warn_and_drop():
 
 
 def test_povm_validation():
-    c = ModeState.basis(1, 0, 0)
-    other = ModeState.basis(2, 0, 0)
-    with pytest.raises(ValueError):
-        PovmSet((Projector(c), Projector(other, complement=True)))
-    with pytest.raises(ValueError):
-        PovmSet(())
+    readout = CarrierReadout(ModeState.basis(1, 0, 0))
+    with pytest.raises(ValueError):  # a state in another truncation
+        readout.probabilities(ModeState.basis(2, 0, 0))
 
 
 def test_hamiltonian_bound_guards():

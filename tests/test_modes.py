@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -14,11 +13,10 @@ from hgsense.modes import (
     OperatorMatrix,
     basis_dim,
     beam_params,
-    expectation,
     flat_index,
     hermite_eval,
+    hg_factor,
     hg_wavefunction,
-    index_to_mode,
     ladder_matrices,
     lz_matrix,
     momentum_matrix_x,
@@ -73,7 +71,7 @@ def test_flat_index_roundtrip():
     for m in range(cutoff + 1):
         for n in range(cutoff + 1):
             i = flat_index(m, n, cutoff)
-            assert index_to_mode(i, cutoff) == (m, n)
+            assert divmod(i, cutoff + 1) == (m, n)
             seen.add(i)
     assert seen == set(range(basis_dim(cutoff)))
     with pytest.raises(ValueError):
@@ -101,6 +99,11 @@ def test_beam_geometry_rayleigh_follows_the_waist():
     assert geom.rayleigh == 2.0 * geom.wavenumber * 1.0 ** 2
     with pytest.raises(ValueError, match="rayleigh"):  # 2 k sigma0^2 underflows
         BeamGeometry(1e-170, 0.8)
+    with pytest.raises(ValueError, match="finite square"):  # sigma0^2 overflows
+        BeamGeometry(1e160, 780e-9)
+    for sigma0 in (1e160, 1e-170, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite, nonzero square"):
+            hg_factor(0, sigma0, 0.0)
 
 
 def test_ladder_commutator_on_interior_block():
@@ -149,7 +152,8 @@ def test_lz_variance_formula_interior(m, n):
     cutoff = max(m, n) + 1
     lz = lz_matrix(cutoff)
     state = ModeState.basis(cutoff, m, n)
-    assert expectation(lz, state) == pytest.approx(0.0, abs=1e-12)
+    assert np.vdot(state.amplitudes, lz.apply(state)) == pytest.approx(
+        0.0, abs=1e-12)
     assert variance(lz, state) == pytest.approx(oam_variance(ModeIndex(m, n)),
                                                 rel=1e-12, abs=1e-12)
 
@@ -160,7 +164,8 @@ def test_momentum_variance_formula(m):
     cutoff = m + 1
     px = momentum_matrix_x(cutoff, sigma0)
     state = ModeState.basis(cutoff, m, 0)
-    assert expectation(px, state) == pytest.approx(0.0, abs=1e-12)
+    assert np.vdot(state.amplitudes, px.apply(state)) == pytest.approx(
+        0.0, abs=1e-12)
     assert variance(px, state) == pytest.approx(
         momentum_variance_x(ModeIndex(m, 0), sigma0), rel=1e-12)
 
@@ -171,17 +176,6 @@ def test_momentum_variance_ratio_nine():
     r = momentum_variance_x(ModeIndex(4, 0), sigma0) / momentum_variance_x(
         ModeIndex(0, 0), sigma0)
     assert r == pytest.approx(9.0, rel=1e-14)
-
-
-def test_mode_state_json_roundtrip_and_layout():
-    cutoff = 2
-    state = ModeState.basis(cutoff, 1, 1)
-    text = state.to_json()
-    payload = json.loads(text)
-    assert payload["index_order"] == "m*(cutoff+1)+n"
-    back = ModeState.from_json(text)
-    assert back.cutoff == cutoff
-    assert np.array_equal(back.amplitudes, state.amplitudes)
 
 
 def test_operator_matrix_hermitian_validation():

@@ -9,9 +9,9 @@ import pytest
 
 from hgsense.experiment import (
     sensitivity_table,
+    table_csv,
+    table_json,
     write_run_config,
-    write_table_csv,
-    write_table_json,
 )
 from hgsense.fields import (
     PhaseMap,
@@ -34,8 +34,10 @@ WRITERS = {
     "bound_csv": lambda path: write_bound_csv(
         path, [{"m": 1, "n": 1, "parameter": "alpha", "fisher_info": 1.0,
                 "variance_bound": 1.0}]),
-    "table_csv": lambda path: write_table_csv(path, sensitivity_table(0.1)),
-    "table_json": lambda path: write_table_json(path, sensitivity_table(0.1)),
+    "table_csv": lambda path: write_atomic(path,
+                                           table_csv(sensitivity_table(0.1))),
+    "table_json": lambda path: write_atomic(
+        path, table_json(sensitivity_table(0.1))),
     "run_config": lambda path: write_run_config(path, {"seed": 1}),
     "field_binary": lambda path: write_field_binary(
         path, synthesize_hg_field(ModeIndex(0, 0), 1.0, side=128)),

@@ -30,13 +30,13 @@ from hgsense.weak import (
     WeakScenario,
     carrier_state,
     final_pointer_exact,
-    final_pointer_first_order,
     monitor_branches,
     pauli_weak_values,
     post_selected_pair,
     qubit_monitor_channel,
     weak_value,
 )
+from reference import final_pointer_first_order
 
 _SIGMAS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
