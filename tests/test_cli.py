@@ -1,7 +1,8 @@
 """End-to-end command line checks through main(argv).
 
-The golden table file freezes the default table2 output byte for byte;
-regenerating it is a deliberate act, not a side effect of other edits.
+The golden table and bounds files freeze the table2 and bounds output byte
+for byte; regenerating one is a deliberate act, not a side effect of other
+edits.
 """
 
 import json
@@ -19,6 +20,10 @@ from hgsense import cli, fields
 from hgsense.cli import main
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table2_golden.csv"
+GOLDEN_BOUNDS = Path(__file__).parent / "data" / "bounds_golden.csv"
+GOLDEN_BOUNDS_ARGV = ["bounds", "--grid-max", "3", "--sweep-max", "6",
+                      "--breakdown-epsilons", "0.1,0.05,0.01",
+                      "--alpha-rad", "0.02"]
 
 
 def test_table2_stdout_matches_golden(capsys):
@@ -40,6 +45,12 @@ def test_table2_json_format(capsys):
     assert rows[0]["drive_v_reference"] == pytest.approx(0.801)
     assert rows[0]["alpha_min_rad"] == pytest.approx(3.4408231795e-06,
                                                      rel=1e-9)
+
+
+def test_bounds_out_file_matches_golden(tmp_path):
+    target = tmp_path / "bounds.csv"
+    assert main(GOLDEN_BOUNDS_ARGV + ["--out", str(target)]) == 0
+    assert target.read_bytes() == GOLDEN_BOUNDS.read_bytes()
 
 
 def test_bounds_sweep_deterministic(tmp_path):
