@@ -54,17 +54,18 @@ from .fields import (
     write_phase_pgm,
 )
 from .fisher import (
+    BOUND_CSV_COLUMNS,
     Parameter,
-    hamiltonian_bound,
     min_detectable_rotation,
-    qfi_rotation_exact,
-    qfi_weak_approx,
+    qfi_rotation_exact_selections,
+    weak_fisher,
     write_bound_csv,
 )
-from .modes import ModeIndex, ModeState, oam_variance
+from .modes import ModeIndex, ModeState, oam_variance, variance
 from .output import format_cell, write_atomic
 from .weak import (
     Coupling,
+    Generator,
     PauliAxis,
     QubitState,
     WeakScenario,
@@ -115,6 +116,12 @@ def _maybe_config(args, settings: dict):
         write_run_config(args.config_out, settings)
 
 
+def _bound_row(*cells) -> dict:
+    """A bounds CSV row: seven leading cells, then the Fisher information."""
+    bound = math.inf if cells[-1] == 0.0 else 1.0 / cells[-1]
+    return dict(zip(BOUND_CSV_COLUMNS, cells + (bound,)))
+
+
 def cmd_bounds(args) -> int:
     epsilon = math.radians(args.epsilon_deg)
     check_epsilon(epsilon)
@@ -124,66 +131,54 @@ def cmd_bounds(args) -> int:
     alpha_breakdown = args.alpha_rad if args.alpha_rad is not None else 1e-3
     if not math.isfinite(alpha_breakdown):
         raise ValueError(f"--alpha-rad must be finite, got {alpha_breakdown}")
-    # the breakdown family's largest pointer: refuse it before any sweep runs
+    # refuse the breakdown family's largest pointer and selections up front
     ModeIndex(max(args.sweep_max, 0), max(args.sweep_max, 0))
-    rows = []
-
-    for m in range(1, args.grid_max + 1):
-        for n in range(1, args.grid_max + 1):
-            fisher = 4.0 * cot2 * oam_variance(ModeIndex(m, n)) * n_photons
-            rows.append({
-                "family": "projective", "method": "carrier-povm",
-                "coupling": "oam", "epsilon": epsilon,
-                "m": m, "n": n, "parameter": "alpha",
-                "fisher_info": fisher, "variance_bound": 1.0 / fisher,
-            })
+    vacuum = ModeState.basis(0, 0, 0)  # selection factors ignore the pointer
+    breakdown = [WeakScenario(alpha_breakdown, *post_selected_pair(eps_b),
+                              PauliAxis.z(), Coupling.OAM, vacuum)
+                 for eps_b in args.breakdown_epsilons]
+    rows = [_bound_row("projective", "carrier-povm", "oam", epsilon, m, n,
+                       "alpha",
+                       4.0 * cot2 * oam_variance(ModeIndex(m, n)) * n_photons)
+            for m in range(1, args.grid_max + 1)
+            for n in range(1, args.grid_max + 1)]
 
     # symmetric selection pair with unit success: A_w = 1/2 on the tilted axis
     diag = QubitState.from_amplitudes(1.0, cmath.exp(1j * math.pi / 4.0))
-    axis = PauliAxis(math.pi / 4.0, 0.0)
+    selection = WeakScenario(1e-3, diag, diag, PauliAxis(math.pi / 4.0, 0.0),
+                             Coupling.OAM, vacuum)
     sigma0 = 1.0 / math.sqrt(2.0)
+    variances = {}  # <delta Omega^2> by (coupling label, order)
     for order in range(0, args.sweep_max + 1):
-        cutoff = order + 1
-        pointer = ModeState.basis(cutoff, order, order)
-        gauss = ModeState.basis(cutoff, 0, 0)
-        variants = (
-            ("oam", Coupling.OAM, pointer, order, order),
-            ("momentum-x", Coupling.MOMENTUM_X, pointer, order, order),
-            ("gaussian-pointer", Coupling.MOMENTUM_X, gauss, order, order),
-        )
-        for label, coupling, state, m, n in variants:
-            scenario = WeakScenario(1e-3, diag, diag, axis, coupling, state,
-                                    sigma0=sigma0)
-            for parameter in Parameter:
-                bound = hamiltonian_bound(parameter, scenario, n_samples=1.0)
-                rows.append({
-                    "family": "hamiltonian", "method": "quantum-bound",
-                    "coupling": label, "epsilon": "",
-                    "m": m, "n": n, "parameter": parameter.value,
-                    "fisher_info": bound.fisher_info,
-                    "variance_bound": bound.variance_bound,
-                })
+        pointer = ModeState.basis(order + 1, order, order)
+        gauss = ModeState.basis(order + 1, 0, 0)
+        for label, coupling, state in (
+                ("oam", Coupling.OAM, pointer),
+                ("momentum-x", Coupling.MOMENTUM_X, pointer),
+                ("gaussian-pointer", Coupling.MOMENTUM_X, gauss)):
+            variances[label, order] = variance(
+                Generator(coupling, order + 1, sigma0), state)
+    fishers = weak_fisher(selection, tuple(Parameter), variances.values())
+    for (label, order), row in zip(variances, fishers):
+        rows += [_bound_row("hamiltonian", "quantum-bound", label, "", order,
+                            order, parameter.value, fisher)
+                 for parameter, fisher in zip(Parameter, row)]
 
-    for eps_b in args.breakdown_epsilons:
-        pre, post = post_selected_pair(eps_b)
-        for order in range(1, args.sweep_max + 1):
-            idx = ModeIndex(order, order)
-            exact = qfi_rotation_exact(pre, post, PauliAxis.z(),
-                                       alpha_breakdown, idx)
-            scenario = WeakScenario(alpha_breakdown, pre, post, PauliAxis.z(),
-                                    Coupling.OAM,
-                                    ModeState.basis(order + 1, order, order))
-            approx = qfi_weak_approx(scenario, Parameter.ALPHA,
-                                     check_regime=False)
-            for method, fisher in (("exact", exact), ("weak-approx", approx)):
-                rows.append({
-                    "family": "postselection", "method": method,
-                    "coupling": "oam", "epsilon": eps_b,
-                    "m": order, "n": order, "parameter": "alpha",
-                    "fisher_info": fisher,
-                    "variance_bound":
-                        math.inf if fisher == 0.0 else 1.0 / fisher,
-                })
+    # one evolution and one Lz variance of |o, o> serve every epsilon
+    orders = range(1, args.sweep_max + 1)
+    exact = zip(*[qfi_rotation_exact_selections(
+        [(s.pre, s.post) for s in breakdown], PauliAxis.z(), alpha_breakdown,
+        ModeIndex(order, order)) for order in orders])
+    for eps_b, s, by_order in zip(args.breakdown_epsilons, breakdown, exact):
+        approx = weak_fisher(s, (Parameter.ALPHA,),
+                             [variances["oam", order] for order in orders],
+                             check_regime=False)
+        rows += [_bound_row("postselection", method, "oam", eps_b, order,
+                            order, "alpha", fisher)
+                 for order, exact_qfi, (approx_qfi,) in zip(orders, by_order,
+                                                            approx)
+                 for method, fisher in (("exact", exact_qfi),
+                                        ("weak-approx", approx_qfi))]
 
     if not rows:
         print("error: sweep limits produce no rows", file=sys.stderr)

@@ -57,8 +57,9 @@ SAMPLES_PER_CYCLE = 20
 # float64 array); the defaults need 2180.
 MAX_SAMPLES_PER_TRIAL = 10 ** 6
 # Largest trial count of one Monte Carlo run (a trial takes about 0.2 ms at
-# the defaults).
+# the defaults), and largest count of time bins over all its trials.
 MAX_TRIALS = 10 ** 5
+MAX_RUN_BINS = MAX_TRIALS * 2200
 
 # Measured benchmarks for diagonal modes: drive voltage giving unit SNR and
 # the shot-noise floor at the lock-in output. Model predictions track these
@@ -238,6 +239,9 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     if cycles < 1:
         raise ConfigError("integration window shorter than one drive cycle")
     n_dem = SAMPLES_PER_CYCLE * cycles
+    if trials * n_dem > MAX_RUN_BINS:
+        raise ConfigError(f"{trials} trials of {n_dem} time bins above the "
+                          f"limit of {MAX_RUN_BINS} bins a run")
     t_dem = n_dem * dt
 
     t = (np.arange(n_dem) + 0.5) * dt

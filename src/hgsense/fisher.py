@@ -2,12 +2,13 @@
 
 Routes: a numeric one (finite-difference Fisher information of any state
 family), the exact post-selected rotation QFI from the closed-form
-derivative of its family, a quadratic weak-coupling one
-(4 |dM_w/dg|^2 <delta Omega^2>), and closed forms for special cases. All of
-them evolve the pointer through the one weak.Generator kernel, so they check
-approximations against each other, not independent evolution code.
-Readouts work on the vectors they span: the carrier readout, the paper's
-final projective measurement, is the two-outcome CarrierReadout
+derivative of its family, a quadratic weak-coupling one, and closed forms
+for special cases. All evolve the pointer through the one weak.Generator
+kernel, so they cross-check approximations, not evolution code. Sweeps
+share invariants: weak_fisher forms the selection factor 4 |dM_w/dg|^2 once
+for all pointer variances, and the exact QFI evolves once for all selection
+pairs. Readouts work on the vectors they span: the carrier readout, the
+paper's final projective measurement, is the two-outcome CarrierReadout
 {|c><c|, 1 - |c><c|}, and the dephased-monitor SLD is solved on the branch
 plane, with sld_solve on the full truncated basis as the reference.
 """
@@ -20,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -130,32 +131,31 @@ def qfi_pure_numeric(state_fn: Callable[[float], ModeState], g: float,
     return _stencil_value(vec, qfi, g, step)
 
 
-def _parameter_derivative(s: WeakScenario, parameter: Parameter) -> complex:
-    """dM_w/dg from the Pauli weak values of the selection pair."""
+def weak_fisher(s: WeakScenario, parameters: Sequence[Parameter],
+                variances: Iterable[float],
+                check_regime: bool = True) -> list[list[float]]:
+    """4 |dM_w/dg|^2 <dOmega^2> per pointer variance (rows) and parameter,
+    with each selection factor 4 |dM_w/dg|^2 computed once from the Pauli
+    weak values of s, whose pointer plays no part. check_regime=False skips
+    the |alpha A_w| guard, so breakdown sweeps can run past its validity.
+    """
+    if check_regime:
+        s.require_weak_regime()
     sxw, syw, szw = pauli_weak_values(s.pre, s.post)
-    t, p = s.axis.theta, s.axis.phi
-    st, ct = math.sin(t), math.cos(t)
-    sp, cp = math.sin(p), math.cos(p)
-    if parameter is Parameter.ALPHA:
-        return sxw * st * cp + syw * st * sp + szw * ct
-    if parameter is Parameter.THETA:
-        return s.alpha * (sxw * ct * cp + syw * ct * sp - szw * st)
-    if parameter is Parameter.PHI:
-        return s.alpha * (syw * st * cp - sxw * st * sp)
-    raise ValueError(f"unknown parameter {parameter!r}")
+    st, ct = math.sin(s.axis.theta), math.cos(s.axis.theta)
+    sp, cp = math.sin(s.axis.phi), math.cos(s.axis.phi)
+    dm = {Parameter.ALPHA: sxw * st * cp + syw * st * sp + szw * ct,
+          Parameter.THETA: s.alpha * (sxw * ct * cp + syw * ct * sp - szw * st),
+          Parameter.PHI: s.alpha * (syw * st * cp - sxw * st * sp)}
+    factors = [4.0 * abs(dm[Parameter(g)]) ** 2 for g in parameters]
+    return [[f * var for f in factors] for var in variances]
 
 
 def qfi_weak_approx(s: WeakScenario, parameter: Parameter,
                     check_regime: bool = True) -> float:
-    """Quadratic weak-coupling Fisher information 4 |dM_w/dg|^2 <dOmega^2>.
-
-    check_regime=False skips the |alpha A_w| guard; breakdown sweeps use it
-    to draw the naive reference curve past its own validity.
-    """
-    if check_regime:
-        s.require_weak_regime()
-    dm = _parameter_derivative(s, parameter)
-    return 4.0 * abs(dm) ** 2 * variance(s.operator(), s.pointer)
+    """weak_fisher for one parameter at the pointer variance of s."""
+    return weak_fisher(s, (parameter,), (variance(s.operator(), s.pointer),),
+                       check_regime)[0][0]
 
 
 @dataclass(frozen=True)
@@ -316,26 +316,36 @@ def qfi_mixed_quadratic(alpha: float, pointer: ModeState) -> float:
 
 def qfi_rotation_exact(pre: QubitState, post: QubitState, axis: PauliAxis,
                        alpha: float, idx: ModeIndex) -> float:
-    """Exact QFI about alpha for a basis pointer under rotation coupling.
+    """qfi_rotation_exact_selections for one selection pair."""
+    return qfi_rotation_exact_selections([(pre, post)], axis, alpha, idx)[0]
+
+
+def qfi_rotation_exact_selections(pairs: Sequence[tuple], axis: PauliAxis,
+                                  alpha: float, idx: ModeIndex) -> list[float]:
+    """Exact QFI about alpha of a basis pointer under rotation coupling, one
+    value per (pre, post) selection pair.
 
     The post-selected family phi = a+ exp(-i alpha Lz)|m, n>
-    + a- exp(+i alpha Lz)|m, n> (unnormalized, as in final_pointer_exact)
-    has d phi/d alpha = -i Lz (a+ exp(-i alpha Lz) - a- exp(+i alpha Lz))|m, n>
-    in closed form, so F = 4 (<dphi|dphi> / <phi|phi>
-    - |<phi|dphi>|^2 / <phi|phi>^2) needs one evolution at +-alpha and one
-    Lz application, and no finite differences. Lz conserves m + n, so the
-    work stays in the (m + n + 1)-dimensional shell of the pointer and
-    scales to high orders. Raises TotalExtinctionError where
-    final_pointer_exact does.
+    + a- exp(+i alpha Lz)|m, n> (as in final_pointer_exact) has
+    d phi/d alpha = -i Lz (a+ exp(-i alpha Lz) - a- exp(+i alpha Lz))|m, n>,
+    so F = 4 (<dphi|dphi> / <phi|phi> - |<phi|dphi>|^2 / <phi|phi>^2) needs
+    one evolution at +-alpha for all pairs, one Lz application per pair and
+    no stencil. Lz keeps the work in the pointer's shell m + n. Raises
+    TotalExtinctionError where final_pointer_exact does.
     """
     pointer = ModeState.basis(idx.total, idx.m, idx.n)
-    s = WeakScenario(alpha, pre, post, axis, Coupling.OAM, pointer)
-    plus, minus, norm2 = _post_selected_branches(s)
-    phi = plus + minus
-    dphi = -1j * s.operator().apply(ModeState(pointer.cutoff, plus - minus))
-    overlap = np.vdot(phi, dphi)
-    return 4.0 * (float(np.real(np.vdot(dphi, dphi))) / norm2
-                  - abs(overlap) ** 2 / norm2 ** 2)
+    scenarios = [WeakScenario(alpha, pre, post, axis, Coupling.OAM, pointer)
+                 for pre, post in pairs]
+    lz = Generator(Coupling.OAM, pointer.cutoff)
+    fwd, bwd = lz.evolve((alpha, -alpha), pointer)
+    out = []
+    for s in scenarios:
+        plus, minus, norm2 = _post_selected_branches(s, fwd, bwd)
+        dphi = -1j * lz.apply(ModeState(pointer.cutoff, plus - minus))
+        overlap = np.vdot(plus + minus, dphi)
+        out.append(4.0 * (float(np.real(np.vdot(dphi, dphi))) / norm2
+                          - abs(overlap) ** 2 / norm2 ** 2))
+    return out
 
 
 BOUND_CSV_COLUMNS = ("family", "method", "coupling", "epsilon", "m", "n",

@@ -307,6 +307,7 @@ def oam_variance(idx: ModeIndex) -> float:
 
 def momentum_variance_x(idx: ModeIndex, sigma0: float) -> float:
     """<delta px^2> on |m, n>: (2m + 1) / (4 sigma0^2)."""
-    if not 0 < sigma0 < math.inf:
-        raise ValueError("sigma0 must be finite and positive")
+    if not (sigma0 > 0 and 0 < sigma0 * sigma0 < math.inf):
+        raise ValueError(f"sigma0 {sigma0} must be finite and positive, "
+                         "with a finite, nonzero square")
     return (2 * idx.m + 1) / (4.0 * sigma0 ** 2)

@@ -298,22 +298,21 @@ class ExactPointer(NamedTuple):
     success_prob: float
 
 
-def _post_selected_branches(
-        s: WeakScenario) -> tuple[np.ndarray, np.ndarray, float]:
+def _post_selected_branches(s: WeakScenario, fwd: np.ndarray, bwd: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray, float]:
     """The two branches of the exact post-selected pointer and its norm.
 
     Splits exp(-i alpha A x Omega) along the +-1 projectors of the axis:
-    returns a+ exp(-i alpha Omega)|psi_i> and a- exp(+i alpha Omega)|psi_i>,
-    with a+- = <f|P+-|i>, and the post-selection probability |sum|^2
-    (exact within the truncation). Raises TotalExtinctionError when the sum
-    underflows, or falls below ORTHOGONALITY_FLOOR^2 times
-    |plus|^2 + |minus|^2, where it is round-off of cancelling branches.
+    returns a+ fwd and a- bwd (fwd, bwd: the pointer after exp(-+ i alpha
+    Omega); a+- = <f|P+-|i>) and the probability |sum|^2 (exact within the
+    truncation). Raises TotalExtinctionError when the sum underflows, or
+    falls below ORTHOGONALITY_FLOOR^2 times |plus|^2 + |minus|^2, where it
+    is round-off of cancelling branches.
     """
     braket = complex(np.vdot(s.post.vector, s.pre.vector))
     bra_a_ket = _bracket(s.post, s.axis.matrix, s.pre)
     amp_plus = 0.5 * (braket + bra_a_ket)
     amp_minus = 0.5 * (braket - bra_a_ket)
-    fwd, bwd = s.operator().evolve((s.alpha, -s.alpha), s.pointer)
     plus, minus = amp_plus * fwd, amp_minus * bwd
     vec = plus + minus
     prob = float(np.real(np.vdot(vec, vec)))
@@ -332,7 +331,8 @@ def final_pointer_exact(s: WeakScenario) -> ExactPointer:
     Returns the normalized pointer and the post-selection probability
     |psi~|^2 (exact within the truncation).
     """
-    plus, minus, prob = _post_selected_branches(s)
+    plus, minus, prob = _post_selected_branches(
+        s, *s.operator().evolve((s.alpha, -s.alpha), s.pointer))
     vec = plus + minus
     return ExactPointer(ModeState(s.pointer.cutoff, vec / math.sqrt(prob)), prob)
 

@@ -79,17 +79,23 @@ def test_bounds_empty_sweep_fails(tmp_path, capsys):
 
 def test_bounds_refuses_unsupported_order_before_sweeping(
         tmp_path, capsys, monkeypatch):
-    # the breakdown family cannot build HG(65, 65): nothing may run first
+    # the breakdown family cannot build HG(65, 65), nor select at epsilon 0:
+    # nothing may run first. The carrier grid's oam_variance is the sweep's
+    # first call, and variance the first of the Hamiltonian family.
     def no_sweep(*args, **kwargs):
-        pytest.fail("Hamiltonian family swept before the order was checked")
+        pytest.fail("bounds swept before the breakdown inputs were checked")
 
-    monkeypatch.setattr(cli, "hamiltonian_bound", no_sweep)
-    assert main(["bounds", "--sweep-max", "65",
-                 "--out", str(tmp_path / "b.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "(65, 65)" in err
-    assert err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(cli, "oam_variance", no_sweep)
+    monkeypatch.setattr(cli, "variance", no_sweep)
+    for flags, needle in ((["--sweep-max", "65"], "(65, 65)"),
+                          (["--breakdown-epsilons", "0"],
+                           "pre- and post-selection are orthogonal")):
+        assert main(["bounds", *flags,
+                     "--out", str(tmp_path / "b.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_bounds_photon_override(tmp_path):

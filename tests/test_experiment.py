@@ -218,6 +218,25 @@ def test_montecarlo_caps_trials_before_allocating(monkeypatch):
     assert experiment.MAX_TRIALS >= 50 * 1600
 
 
+def test_montecarlo_caps_run_bins_before_simulating(monkeypatch):
+    # 9.8e5 bins a trial passes the per-trial cap, but 100000 such trials
+    # would run for hours
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulation started before the run cap")
+
+    monkeypatch.setattr(experiment.np, "empty", no_simulation)
+    monkeypatch.setattr(experiment.np.random, "default_rng", no_simulation)
+    with pytest.raises(ConfigError, match="bins a run"):
+        montecarlo_lockin(MODE, EPSILON, 1e-6, PhotonBudget(),
+                          NoiseModel(drive_frequency=4.5e5),
+                          trials=experiment.MAX_TRIALS)
+    monkeypatch.undo()
+    assert main(["montecarlo", "--mode", "1,1", "--f-drive", "4.5e5",
+                 "--trials", str(experiment.MAX_TRIALS)]) == 2
+    # every trial count valid at the defaults (2180 bins a trial) stays valid
+    assert experiment.MAX_RUN_BINS >= experiment.MAX_TRIALS * 2180
+
+
 def test_sensitivity_table_contents():
     rows = sensitivity_table(EPSILON)
     assert [(row.m, row.n) for row in rows] == [(1, 1), (3, 3), (5, 5)]

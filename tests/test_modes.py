@@ -170,6 +170,13 @@ def test_momentum_variance_formula(m):
         momentum_variance_x(ModeIndex(m, 0), sigma0), rel=1e-12)
 
 
+def test_momentum_variance_refuses_a_square_out_of_range():
+    # 1e160 ** 2 overflows and 1e-170 ** 2 underflows to zero
+    for sigma0 in (1e160, 1e-170):
+        with pytest.raises(ValueError, match="finite, nonzero square"):
+            momentum_variance_x(ModeIndex(1, 0), sigma0)
+
+
 def test_momentum_variance_ratio_nine():
     # (2m+1) scaling: order 4 carries 9x the momentum spread of order 0
     sigma0 = 1.3
