@@ -24,7 +24,7 @@ import cmath
 import math
 import sys
 
-from .errors import HgSenseError
+from .errors import ConfigError, HgSenseError, finite, finite_positive
 from .experiment import (
     DEFAULT_DITHER_RAD,
     DEFAULT_DRIVE_HZ,
@@ -90,18 +90,16 @@ def _budget(args) -> PhotonBudget:
     budget = PhotonBudget(power=args.power_w, integration=args.tau_s,
                           wavelength=args.wavelength_m)
     if getattr(args, "photons", None) is not None:
-        if args.photons <= 0:
-            raise ValueError("--photons must be positive")
-        power = args.photons * budget.photon_energy / budget.integration
+        photons = finite_positive("--photons", args.photons)
+        power = photons * budget.photon_energy / budget.integration
         budget = PhotonBudget(power=power, integration=args.tau_s,
                               wavelength=args.wavelength_m)
     return budget
 
 
 def _calibration(args) -> DriveCalibration:
-    if args.volts_per_rad_cal <= 0:
-        raise ValueError("--volts-per-rad-cal must be positive")
-    return DriveCalibration(rotation_per_volt=1.0 / args.volts_per_rad_cal)
+    volts = finite_positive("--volts-per-rad-cal", args.volts_per_rad_cal)
+    return DriveCalibration(rotation_per_volt=1.0 / volts)
 
 
 def _emit(args, text: str):
@@ -124,13 +122,11 @@ def _bound_row(*cells) -> dict:
 
 def cmd_bounds(args) -> int:
     epsilon = math.radians(args.epsilon_deg)
-    check_epsilon(epsilon)
+    cot2 = check_epsilon(epsilon)
     budget = _budget(args)
     n_photons = budget.photons
-    cot2 = 1.0 / math.tan(epsilon) ** 2
-    alpha_breakdown = args.alpha_rad if args.alpha_rad is not None else 1e-3
-    if not math.isfinite(alpha_breakdown):
-        raise ValueError(f"--alpha-rad must be finite, got {alpha_breakdown}")
+    alpha_breakdown = finite(
+        "--alpha-rad", args.alpha_rad if args.alpha_rad is not None else 1e-3)
     # refuse the breakdown family's largest pointer and selections up front
     ModeIndex(max(args.sweep_max, 0), max(args.sweep_max, 0))
     vacuum = ModeState.basis(0, 0, 0)  # selection factors ignore the pointer
@@ -181,8 +177,7 @@ def cmd_bounds(args) -> int:
                                         ("weak-approx", approx_qfi))]
 
     if not rows:
-        print("error: sweep limits produce no rows", file=sys.stderr)
-        return 2
+        raise ConfigError("sweep limits produce no rows")
     write_bound_csv(args.out, rows)
     _maybe_config(args, {
         "epsilon_rad": epsilon, "photons": n_photons,
@@ -212,6 +207,7 @@ def cmd_table2(args) -> int:
 def cmd_montecarlo(args) -> int:
     idx = _parse_mode(args.mode)
     epsilon = math.radians(args.epsilon_deg)
+    check_epsilon(epsilon)
     budget = _budget(args)
     noise = NoiseModel(dither_rad=args.alpha0_rad,
                        drive_frequency=args.f_drive,

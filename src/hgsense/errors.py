@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the guards that raise them.
 
 Most derive from ValueError as well so callers that only know stdlib
-semantics still catch precondition failures.
+semantics still catch precondition failures. The guards are the one spelling
+of "this value must be finite and in range": each returns the value it
+checked, or raises error (ConfigError unless a caller names a narrower class)
+with a message that gives the value's name, the value and the rule.
 """
+
+import math
 
 
 class HgSenseError(Exception):
@@ -62,7 +67,8 @@ class ExpansionInvalidError(HgSenseError, ValueError):
 
 
 class ConfigError(HgSenseError, ValueError):
-    """Invalid run configuration."""
+    """Invalid run configuration: an input, or a value derived from the
+    inputs, outside its domain."""
 
 
 class SmallProbabilityWarning(UserWarning):
@@ -71,3 +77,37 @@ class SmallProbabilityWarning(UserWarning):
 
 class SaturationWarning(UserWarning):
     """Detected optical power exceeds the detector's linear range."""
+
+
+def finite(name, value, error=ConfigError):
+    """value, unless it is NaN or infinite."""
+    if not math.isfinite(value):
+        raise error(f"{name} {value} must be finite")
+    return value
+
+
+def finite_positive(name, value, error=ConfigError):
+    """value, unless it is not finite and above zero (NaN fails too)."""
+    if not 0 < value < math.inf:
+        raise error(f"{name} {value} must be finite and positive")
+    return value
+
+
+def finite_in(name, value, lo, hi, error=ConfigError, ends="[]"):
+    """value, unless it is not finite or lies outside the interval from lo to
+    hi, each end closed ("[", "]") or open ("(", ")") as ends spells it."""
+    above = value >= lo if ends[0] == "[" else value > lo
+    below = value <= hi if ends[1] == "]" else value < hi
+    if not (above and below and math.isfinite(value)):
+        raise error(f"{name} {value} must be finite and lie in "
+                    f"{ends[0]}{lo}, {hi}{ends[1]}")
+    return value
+
+
+def positive_square(name, value):
+    """The beam-waist rule: value, unless it is not positive or its square
+    overflows or underflows to zero."""
+    if not (value > 0 and 0 < value * value < math.inf):
+        raise ConfigError(f"{name} {value} must be positive with a finite, "
+                          "nonzero square")
+    return value

@@ -30,10 +30,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    ConfigError,
     ExpansionInvalidError,
     NoSensitivityError,
     SaturationWarning,
+    finite,
+    finite_in,
+    finite_positive,
 )
 from .modes import ModeIndex, oam_variance
 from .output import format_cell, write_atomic
@@ -77,16 +79,17 @@ REFERENCE_SHOT_LEVEL_V = {
 
 @dataclass(frozen=True)
 class PhotonBudget:
-    """Detected optical power, integration window and wavelength."""
+    """Detected optical power, integration window and wavelength; the photon
+    energy and the photons per window they give must be finite and positive."""
 
     power: float = DEFAULT_POWER_W
     integration: float = DEFAULT_INTEGRATION_S
     wavelength: float = DEFAULT_WAVELENGTH_M
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in
-                   (self.power, self.integration, self.wavelength)):
-            raise ConfigError("power, integration and wavelength must be finite and > 0")
+        for name in ("power", "integration", "wavelength", "photon_energy",
+                     "photons"):  # in this order: each derives from those before
+            finite_positive(name, getattr(self, name))
         if self.power > DETECTOR_SATURATION_W:
             warnings.warn(
                 f"power {self.power:.3g} W exceeds detector saturation "
@@ -115,8 +118,7 @@ class DriveCalibration:
     rotation_per_volt: float = DEFAULT_ROTATION_PER_VOLT
 
     def __post_init__(self):
-        if not 0 < self.rotation_per_volt < math.inf:
-            raise ConfigError("calibration must be finite and positive")
+        finite_positive("rotation per volt", self.rotation_per_volt)
 
     def rotation(self, volts: float) -> float:
         return volts * self.rotation_per_volt
@@ -132,30 +134,30 @@ class NoiseModel:
     electrical_v: float = DEFAULT_ELECTRICAL_V
 
     def __post_init__(self):
-        if not all(0 < v < math.inf
-                   for v in (self.dither_rad, self.drive_frequency)):
-            raise ConfigError("dither and drive frequency must be finite and > 0")
-        if not 0 <= self.electrical_v < math.inf:
-            raise ConfigError("electrical noise must be finite and >= 0")
+        finite_positive("dither", self.dither_rad)
+        finite_positive("drive frequency", self.drive_frequency)
+        finite_in("electrical noise", self.electrical_v, 0.0, math.inf,
+                  ends="[)")
 
 
-def check_epsilon(epsilon: float):
-    """Raise ConfigError unless the post-selection angle lies in (0, pi/2)."""
-    if not 0.0 < epsilon < math.pi / 2:
-        raise ConfigError("post-selection angle must lie in (0, pi/2)")
+def check_epsilon(epsilon: float) -> float:
+    """cot(epsilon)^2, or ConfigError unless the post-selection angle lies in
+    (0, pi/2) with a finite cot^2 (an angle under ~1e-154 rad has none)."""
+    finite_in("post-selection angle", epsilon, 0.0, math.pi / 2, ends="()")
+    tan2 = math.tan(epsilon) ** 2
+    return finite(f"cot^2 of the post-selection angle {epsilon}:",
+                  1.0 / tan2 if tan2 else math.inf)
 
 
 def _check_mode(idx: ModeIndex) -> float:
-    k_var = oam_variance(idx)
-    if k_var == 0:
-        raise NoSensitivityError("fundamental mode carries no rotation signal")
-    return float(k_var)
+    return finite_positive(f"OAM variance of mode ({idx.m}, {idx.n})",
+                           oam_variance(idx), NoSensitivityError)
 
 
 def _check_expansion(alpha: float, dither_rad: float):
-    if dither_rad >= 0.1:
-        raise ExpansionInvalidError(
-            f"dither depth {dither_rad} outside the small-rotation regime")
+    finite_in("dither depth", dither_rad, 0.0, 0.1, ExpansionInvalidError,
+              "()")
+    finite("rotation", alpha, ExpansionInvalidError)
     if abs(alpha) > 0.1 * dither_rad:
         raise ExpansionInvalidError(
             f"rotation {alpha} not small against the dither {dither_rad}")
@@ -218,36 +220,24 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     demodulated quadrature carries sqrt(2) more Poisson noise than the
     window mean, so per-trial SNR values scatter accordingly.
     """
-    if trials < 10:
-        raise ConfigError("need at least 10 trials for a meaningful average")
-    if trials > MAX_TRIALS:
-        raise ConfigError(f"{trials} trials above the limit of {MAX_TRIALS}")
-    check_epsilon(epsilon)
+    finite_in("trials", trials, 10, MAX_TRIALS)  # 10 for a meaningful average
+    cot2 = check_epsilon(epsilon)
     k_var = _check_mode(idx)
-    if not abs(alpha) < noise.dither_rad:  # NaN fails too
-        raise ExpansionInvalidError(
-            f"rotation {alpha} must be finite and below the dither "
-            f"{noise.dither_rad}")
-    if SAMPLES_PER_CYCLE * noise.drive_frequency * budget.integration \
-            > MAX_SAMPLES_PER_TRIAL:
-        raise ConfigError(
-            f"drive frequency x integration window asks for more than "
-            f"{MAX_SAMPLES_PER_TRIAL} samples per trial")
+    finite_in("rotation", alpha, -noise.dither_rad, noise.dither_rad,
+              ExpansionInvalidError, "()")
+    finite_in("samples per trial", SAMPLES_PER_CYCLE * noise.drive_frequency
+              * budget.integration, 0, MAX_SAMPLES_PER_TRIAL)
 
     dt = 1.0 / (SAMPLES_PER_CYCLE * noise.drive_frequency)
-    cycles = math.floor(noise.drive_frequency * budget.integration)
-    if cycles < 1:
-        raise ConfigError("integration window shorter than one drive cycle")
+    cycles = finite_in("whole drive cycles a window", math.floor(
+        noise.drive_frequency * budget.integration), 1, math.inf, ends="[)")
     n_dem = SAMPLES_PER_CYCLE * cycles
-    if trials * n_dem > MAX_RUN_BINS:
-        raise ConfigError(f"{trials} trials of {n_dem} time bins above the "
-                          f"limit of {MAX_RUN_BINS} bins a run")
+    finite_in("time bins a run", trials * n_dem, 0, MAX_RUN_BINS)
     t_dem = n_dem * dt
 
     t = (np.arange(n_dem) + 0.5) * dt
     ref = np.cos(2.0 * math.pi * noise.drive_frequency * t)
     rate_in = budget.power / budget.photon_energy
-    cot2 = 1.0 / math.tan(epsilon) ** 2
     geometry = rate_in * k_var * cot2
     rates = geometry * (noise.dither_rad ** 2 + alpha ** 2
                         + 2.0 * alpha * noise.dither_rad * ref)

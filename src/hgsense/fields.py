@@ -42,6 +42,10 @@ from .errors import (
     GridMismatchError,
     SeparationError,
     UnreachableAmplitudeError,
+    finite,
+    finite_in,
+    finite_positive,
+    positive_square,
 )
 from .modes import ModeIndex, ModeState, beam_params, BeamGeometry, hg_factor
 from .output import write_atomic
@@ -83,18 +87,14 @@ class FieldGrid:
             arr = np.array(arr, dtype=complex)  # never alias a writeable array
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("samples must be a square 2-D array")
-        if arr.shape[0] < MIN_SIDE:
-            raise ValueError(f"grid side {arr.shape[0]} below minimum {MIN_SIDE}")
-        if not (all(0 < v < math.inf
-                    for v in (self.pitch, self.sigma0, self.wavelength))
-                and math.isfinite(self.z)):
-            raise ValueError("pitch, sigma0 and wavelength must be finite "
-                             "and positive, and z finite")
-        half = 0.5 * arr.shape[0] * self.pitch
-        if half < MIN_COVERAGE_SIGMA * self.sigma0:
-            raise CoverageError(
-                f"window half-width {half:.4g} below "
-                f"{MIN_COVERAGE_SIGMA} sigma0 = {MIN_COVERAGE_SIGMA * self.sigma0:.4g}")
+        finite_in("grid side", arr.shape[0], MIN_SIDE, math.inf, ends="[)")
+        finite_positive("pitch", self.pitch)
+        positive_square("sigma0", self.sigma0)
+        finite_positive("wavelength", self.wavelength)
+        finite("z", self.z)
+        finite_in("window half-width", 0.5 * arr.shape[0] * self.pitch,
+                  MIN_COVERAGE_SIGMA * self.sigma0, math.inf, CoverageError,
+                  "[)")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
@@ -127,20 +127,15 @@ def _frozen(f: np.ndarray) -> np.ndarray:
 def _unit_power(f: np.ndarray, pitch: float, name: str) -> np.ndarray:
     sq = np.abs(f)  # f is fresh: scaled in place
     power = float(np.sum(np.square(sq, out=sq))) * pitch ** 2
-    if not 0 < power < math.inf:  # NaN fails too
-        raise ValueError(f"{name} has power {power:.3g} on the grid: "
-                         "empty, or beyond the float range")
-    f /= math.sqrt(power)
+    f /= math.sqrt(finite_positive(f"{name} has power", power))
     return _frozen(f)
 
 
 def _window(side: int, window_sigma: float, sigma0: float):
     """Pitch and axis of a side-pixel window spanning +-window_sigma sigma0."""
-    if not MIN_SIDE <= side <= MAX_SIDE:
-        raise ValueError(f"grid side {side} outside [{MIN_SIDE}, {MAX_SIDE}]")
-    if not MIN_COVERAGE_SIGMA <= window_sigma < math.inf:
-        raise CoverageError(f"window of {window_sigma} sigma0 not finite or "
-                            f"below minimum {MIN_COVERAGE_SIGMA}")
+    finite_in("grid side", side, MIN_SIDE, MAX_SIDE)
+    finite_in("window half-width in sigma0", window_sigma, MIN_COVERAGE_SIGMA,
+              math.inf, CoverageError, "[)")
     pitch = 2.0 * window_sigma * sigma0 / side
     return pitch, _axis(side, pitch)
 
@@ -209,9 +204,8 @@ def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
     because right angles map grid nodes onto grid nodes exactly. Samples
     pulled from outside the window are zero.
     """
-    if not abs(angle) <= math.pi / 2.0 + 1e-12:  # NaN fails too
-        raise ValueError(
-            f"angle must be finite with |angle| <= pi/2, got {angle}")
+    finite_in("rotation angle", angle, -math.pi / 2.0 - 1e-12,
+              math.pi / 2.0 + 1e-12)
     side, pitch, coords = field.side, field.pitch, field.coords
     c, s = math.cos(angle), math.sin(angle)
     cx, sx, half = c * coords, -s * coords, (side - 1) / 2.0
@@ -260,9 +254,7 @@ def j1_inverse(target: float) -> float:
 
     One series evaluation; targets outside [0, J1_PEAK] are unreachable.
     """
-    if not (0.0 <= target <= J1_PEAK):
-        raise UnreachableAmplitudeError(
-            f"amplitude {target} outside encodable range [0, {J1_PEAK:.6f}]")
+    finite_in("amplitude", target, 0.0, J1_PEAK, UnreachableAmplitudeError)
     return float(_j1_inverse_array(np.array([target]))[0])
 
 
@@ -306,10 +298,9 @@ class PhaseMap:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("phase map must be square")
-        if not np.max(np.abs(arr)) <= math.pi + 1e-9:  # NaN fails too
-            raise ValueError("phase values must be finite and lie in [-pi, pi]")
-        if not 0 < self.grating_period < math.inf:
-            raise ValueError("grating period must be finite and positive")
+        finite_in("largest phase magnitude", float(np.max(np.abs(arr))),
+                  0.0, math.pi + 1e-9)
+        finite_positive("grating period", self.grating_period)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -329,8 +320,7 @@ def hologram_phase(target: FieldGrid, incident: FieldGrid,
     if target.side != incident.side or not math.isclose(
             target.pitch, incident.pitch, rel_tol=1e-12):
         raise GridMismatchError("target and incident grids differ")
-    if not 0 < grating_period < math.inf:
-        raise ValueError("grating period must be finite and positive")
+    finite_positive("grating period", grating_period)
     a_in, a_out = np.abs(incident.samples), np.abs(target.samples)
     valid = a_in > 1e-8 * float(a_in.max())
     if np.any(a_out[~valid] > 1e-6 * float(a_out.max())):
@@ -371,14 +361,9 @@ def first_order_extract(modulated: FieldGrid, grating_period: float) -> FieldGri
     (below 1e-9) so that a blank mask legitimately yields a dark output.
     """
     side = modulated.side
-    if not grating_period >= 4.0:  # NaN fails too; inf fails the next guard
-        raise SeparationError(
-            f"grating period {grating_period} px must reach the 4 px "
-            "resolution bound")
-    if grating_period > side / 2.0:
-        raise SeparationError(
-            f"grating period {grating_period} px puts the carrier inside the "
-            "zeroth-order window")
+    # 4 px resolve the carrier; above side / 2 it falls in the zeroth order
+    finite_in("grating period in px", grating_period, 4.0, side / 2.0,
+              SeparationError)
     carrier = 1.0 / grating_period  # cycles per pixel along x
     freq = np.fft.fftfreq(side)
     kx = np.flatnonzero(np.abs(freq - carrier) <= carrier / 2.0)

@@ -30,6 +30,9 @@ from .errors import (
     NoSensitivityError,
     SmallProbabilityWarning,
     StepSizeError,
+    finite,
+    finite_in,
+    finite_positive,
 )
 from .modes import (
     ModeIndex,
@@ -95,9 +98,7 @@ def _stencil_value(fn: Callable[[float], np.ndarray],
     curvature): values that disagree by more than _STENCIL_RTOL raise
     StepSizeError.
     """
-    h = default_step(g) if step is None else step
-    if h <= 0:
-        raise ValueError("step must be positive")
+    h = finite_positive("step", default_step(g) if step is None else step)
 
     def derivative(d: float) -> np.ndarray:
         return (np.asarray(fn(g - 2 * d)) - 8 * np.asarray(fn(g - d))
@@ -170,9 +171,8 @@ class CarrierReadout:
     carrier: ModeState
 
     def __post_init__(self):
-        if not abs(self.carrier.norm ** 2 - 1.0) <= 1e-10:
-            raise InvalidStateError("carrier not of unit norm: readout "
-                                    "element not positive semidefinite")
+        finite_in("carrier norm squared", self.carrier.norm ** 2,
+                  1.0 - 1e-10, 1.0 + 1e-10, InvalidStateError)
 
     def probabilities(self, state: ModeState) -> np.ndarray:
         """The two outcome probabilities (p, |psi|^2 - p) for state."""
@@ -219,15 +219,13 @@ def min_detectable_rotation(idx: ModeIndex, epsilon: float, n_photons: float) ->
     """Unit-SNR rotation 1 / (sqrt(2mn+m+n) * 2 |cot eps| * sqrt(N))."""
     if idx.m == 0 and idx.n == 0:
         raise NoSensitivityError("fundamental mode has no rotation sensitivity")
-    if not 0 < n_photons < math.inf:
-        raise ValueError(f"photon number must be finite and positive, "
-                         f"got {n_photons}")
-    if not math.isfinite(epsilon):
-        raise ValueError(f"post-selection angle must be finite, got {epsilon}")
-    if math.isclose(math.sin(epsilon), 0.0, abs_tol=1e-12):
-        raise ValueError("post-selection angle must not be a multiple of pi")
-    if math.isclose(math.cos(epsilon), 0.0, abs_tol=1e-12):
-        raise ValueError("cot(epsilon) vanishes; no amplification")
+    finite_positive("photon number", n_photons)
+    finite("post-selection angle", epsilon)
+    # |cot epsilon| neither infinite nor zero: no amplification at cos = 0
+    finite_in("|sin| of the post-selection angle", abs(math.sin(epsilon)),
+              1e-12, 1.0, ends="(]")
+    finite_in("|cos| of the post-selection angle", abs(math.cos(epsilon)),
+              1e-12, 1.0, ends="(]")
     cot = abs(math.cos(epsilon) / math.sin(epsilon))
     return 1.0 / (math.sqrt(oam_variance(idx)) * 2.0 * cot * math.sqrt(n_photons))
 
@@ -239,11 +237,9 @@ def hamiltonian_bound(parameter: Parameter, s: WeakScenario,
     Requires the weak regime; estimating theta or phi additionally needs a
     nonzero coupling strength (their signal enters multiplied by alpha).
     """
-    if not 0 < n_samples < math.inf:
-        raise ValueError(f"sample count must be finite and positive, "
-                         f"got {n_samples}")
-    if parameter is not Parameter.ALPHA and s.alpha <= 0:
-        raise ValueError("axis-angle estimation needs alpha > 0")
+    finite_positive("sample count", n_samples)
+    if parameter is not Parameter.ALPHA:
+        finite_positive("alpha of an axis-angle estimate", s.alpha)
     fisher = qfi_weak_approx(s, parameter)
     return BoundResult.from_fisher(parameter, fisher, n_samples)
 

@@ -25,7 +25,13 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .errors import UnsupportedOrderError
+from .errors import (
+    UnsupportedOrderError,
+    finite,
+    finite_in,
+    finite_positive,
+    positive_square,
+)
 
 MAX_HERMITE_ORDER = 64
 
@@ -36,8 +42,7 @@ def hermite_eval(order: int, x):
     Accepts scalars or arrays. Orders above MAX_HERMITE_ORDER are refused
     rather than silently losing precision.
     """
-    if order < 0:
-        raise ValueError("polynomial order must be non-negative")
+    finite_in("polynomial order", order, 0, math.inf, ends="[)")
     if order > MAX_HERMITE_ORDER:
         raise UnsupportedOrderError(
             f"order {order} above supported bound {MAX_HERMITE_ORDER}")
@@ -59,9 +64,8 @@ class ModeIndex:
     n: int
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 0:
-            raise ValueError("mode indices must be non-negative")
-        if self.m > MAX_HERMITE_ORDER or self.n > MAX_HERMITE_ORDER:
+        finite_in("mode index", min(self.m, self.n), 0, math.inf, ends="[)")
+        if max(self.m, self.n) > MAX_HERMITE_ORDER:
             raise UnsupportedOrderError(
                 f"mode ({self.m}, {self.n}) above supported order bound")
 
@@ -93,8 +97,7 @@ class ModeState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be non-negative")
+        finite_in("cutoff", self.cutoff, 0, math.inf, ends="[)")
         amp = np.array(self.amplitudes, dtype=complex)
         if amp.shape != (basis_dim(self.cutoff),):
             raise ValueError(
@@ -113,10 +116,8 @@ class ModeState:
         return float(np.linalg.norm(self.amplitudes))
 
     def normalize(self) -> "ModeState":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return ModeState(self.cutoff, self.amplitudes / n)
+        return ModeState(self.cutoff,
+                         self.amplitudes / finite_positive("norm", self.norm))
 
     def amplitude(self, m: int, n: int) -> complex:
         return complex(self.amplitudes[flat_index(m, n, self.cutoff)])
@@ -178,9 +179,7 @@ def hg_factor(order: int, sigma0: float, x):
     phi_k(x) = H_k(x / (sqrt2 sigma0)) exp(-x^2 / (4 sigma0^2))
                / sqrt(2^k k! sqrt(2 pi) sigma0)
     """
-    if not (sigma0 > 0 and 0 < sigma0 * sigma0 < math.inf):
-        raise ValueError(f"sigma0 {sigma0} must be positive with a finite, "
-                         "nonzero square")
+    positive_square("sigma0", sigma0)
     xs = np.asarray(x, dtype=float)
     norm = math.sqrt(2.0 ** order * math.factorial(order)
                      * math.sqrt(2.0 * math.pi) * sigma0)
@@ -213,14 +212,10 @@ class BeamGeometry:
     z: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.sigma0 < math.inf and 0 < self.wavelength < math.inf
-                and math.isfinite(self.z)):
-            raise ValueError(
-                "sigma0 and wavelength must be finite and positive, z finite")
-        if not self.sigma0 * self.sigma0 < math.inf:  # sigma0 ** 2 would raise
-            raise ValueError(f"sigma0 {self.sigma0} has no finite square")
-        if self.rayleigh <= 0:  # underflow for a tiny sigma0
-            raise ValueError("rayleigh must be positive")
+        positive_square("sigma0", self.sigma0)  # before sigma0 ** 2 raises
+        finite_positive("wavelength", self.wavelength)
+        finite("z", self.z)
+        finite_positive("rayleigh", self.rayleigh)  # 2 k sigma0^2 underflows
 
     @property
     def wavenumber(self) -> float:
@@ -269,8 +264,7 @@ def ladder_matrices(cutoff: int) -> LadderOps:
     ax_dag |m, n> = sqrt(m+1) |m+1, n> while m + 1 <= cutoff; amplitude
     raised out of the basis is discarded.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
+    finite_in("cutoff", cutoff, 0, math.inf, ends="[)")
     a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
     eye = np.eye(cutoff + 1)
     ax, ay = np.kron(a, eye), np.kron(eye, a)
@@ -293,8 +287,7 @@ def lz_matrix(cutoff: int) -> OperatorMatrix:
 
 def momentum_matrix_x(cutoff: int, sigma0: float) -> OperatorMatrix:
     """Transverse momentum px = -i (ax - ax_dag) / (2 sigma0)."""
-    if not 0 < sigma0 < math.inf:
-        raise ValueError("sigma0 must be finite and positive")
+    positive_square("sigma0", sigma0)
     ops = ladder_matrices(cutoff)
     px = -1j * (ops.ax.entries - ops.ax_dag.entries) / (2.0 * sigma0)
     return OperatorMatrix(cutoff, px, hermitian=True)
@@ -306,8 +299,6 @@ def oam_variance(idx: ModeIndex) -> float:
 
 
 def momentum_variance_x(idx: ModeIndex, sigma0: float) -> float:
-    """<delta px^2> on |m, n>: (2m + 1) / (4 sigma0^2)."""
-    if not (sigma0 > 0 and 0 < sigma0 * sigma0 < math.inf):
-        raise ValueError(f"sigma0 {sigma0} must be finite and positive, "
-                         "with a finite, nonzero square")
-    return (2 * idx.m + 1) / (4.0 * sigma0 ** 2)
+    """<delta px^2> on |m, n>: (2m + 1) / (4 sigma0^2), which must be finite."""
+    positive_square("sigma0", sigma0)
+    return finite("momentum variance", (2 * idx.m + 1) / (4.0 * sigma0 ** 2))

@@ -30,6 +30,10 @@ from .errors import (
     NoCarrierError,
     TotalExtinctionError,
     WeakRegimeError,
+    finite,
+    finite_in,
+    finite_positive,
+    positive_square,
 )
 from .modes import (
     ModeIndex,
@@ -52,15 +56,12 @@ class QubitState:
     c1: complex
 
     def __post_init__(self):
-        n = math.hypot(abs(self.c0), abs(self.c1))
-        if not abs(n - 1.0) <= 1e-12:  # NaN fails too
-            raise ValueError(f"qubit norm {n} differs from 1")
+        finite_in("qubit norm", math.hypot(abs(self.c0), abs(self.c1)),
+                  1.0 - 1e-12, 1.0 + 1e-12)
 
     @classmethod
     def from_amplitudes(cls, c0: complex, c1: complex) -> "QubitState":
-        n = math.hypot(abs(c0), abs(c1))
-        if n == 0.0:
-            raise ValueError("zero qubit state")
+        n = finite_positive("qubit amplitude norm", math.hypot(abs(c0), abs(c1)))
         return cls(c0 / n, c1 / n)
 
     @classmethod
@@ -87,6 +88,7 @@ def post_selected_pair(epsilon: float) -> tuple[QubitState, QubitState]:
 
     The pair gives weak value A_w = cot(epsilon) for the sigma_z observable.
     """
+    finite("post-selection angle", epsilon)
     pre = QubitState.plus()
     post = QubitState.from_amplitudes(
         math.cos(math.pi / 4.0 - epsilon), -math.sin(math.pi / 4.0 - epsilon))
@@ -101,10 +103,8 @@ class PauliAxis:
     phi: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError("theta must lie in [0, pi]")
-        if not (0.0 <= self.phi < 2.0 * math.pi):
-            raise ValueError("phi must lie in [0, 2 pi)")
+        finite_in("theta", self.theta, 0.0, math.pi)
+        finite_in("phi", self.phi, 0.0, 2.0 * math.pi, ends="[)")
 
     @classmethod
     def z(cls) -> "PauliAxis":
@@ -190,9 +190,8 @@ class Generator:
     def __post_init__(self):
         if not isinstance(self.coupling, Coupling):
             raise ValueError(f"unknown coupling {self.coupling!r}")
-        if self.cutoff < 0 or not 0 < self.sigma0 < math.inf:
-            raise ValueError(
-                "cutoff must be non-negative and sigma0 finite and positive")
+        finite_in("cutoff", self.cutoff, 0, math.inf, ends="[)")
+        positive_square("sigma0", self.sigma0)
 
     def _grid(self, state: ModeState) -> np.ndarray:
         if state.cutoff != self.cutoff:
@@ -249,11 +248,8 @@ class WeakScenario:
     sigma0: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if not 0 < self.sigma0 < math.inf:
-            raise ValueError(
-                f"sigma0 must be finite and positive, got {self.sigma0}")
+        finite("alpha", self.alpha)
+        positive_square("sigma0", self.sigma0)
         # fails fast when the selections are orthogonal
         weak_value(self.pre, self.post, self.axis)
 
@@ -270,10 +266,8 @@ class WeakScenario:
         return Generator(self.coupling, self.pointer.cutoff, self.sigma0)
 
     def require_weak_regime(self):
-        m = abs(self.coupling_strength)
-        if m >= WEAK_LIMIT:
-            raise WeakRegimeError(
-                f"|alpha * A_w| = {m:.4g} outside weak regime (< {WEAK_LIMIT})")
+        finite_in("weak-regime |alpha * A_w|", abs(self.coupling_strength),
+                  0.0, WEAK_LIMIT, WeakRegimeError, "[)")
 
 
 def carrier_state(idx: ModeIndex, cutoff: int) -> ModeState:
@@ -343,9 +337,8 @@ def require_density(entries: np.ndarray):
     Cholesky of a copy shifted up by 1e-10, cheaper than eigvalsh)."""
     if not np.max(np.abs(entries - entries.conj().T)) <= 1e-12:
         raise InvalidStateError("density matrix not Hermitian")
-    tr = float(np.real(np.trace(entries)))
-    if not abs(tr - 1.0) <= 1e-10:
-        raise InvalidStateError(f"trace {tr} differs from 1")
+    finite_in("trace", float(np.real(np.trace(entries))), 1.0 - 1e-10,
+              1.0 + 1e-10, InvalidStateError)
     shifted = np.array(entries, dtype=complex)
     shifted.flat[::len(shifted) + 1] += 1e-10
     try:

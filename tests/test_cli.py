@@ -5,6 +5,7 @@ for byte; regenerating one is a deliberate act, not a side effect of other
 edits.
 """
 
+import argparse
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import pytest
 import hgsense
 from hgsense import cli, fields
 from hgsense.cli import main
+from hgsense.errors import SaturationWarning
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table2_golden.csv"
 GOLDEN_BOUNDS = Path(__file__).parent / "data" / "bounds_golden.csv"
@@ -209,7 +211,8 @@ def test_hologram_rejects_grid_side_before_allocating(
                      "--out", str(tmp_path / "x"),
                      "--config-out", str(tmp_path / "c.cfg")]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: grid side {side} outside [128, 4096]\n"
+    assert captured.err == (f"error: grid side {side} must be finite and lie "
+                            "in [128, 4096]\n")
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -241,8 +244,10 @@ def test_non_finite_physics_inputs_exit_2(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scale, cause", [
-    ("1e-9", "gaussian illumination has power 0 on the grid"),  # underflow
-    ("1e-160", "gaussian illumination has power 0 on the grid"),  # overflow
+    ("1e-9", "gaussian illumination has power 0.0 must be finite and "
+             "positive"),  # underflow
+    ("1e-160", "gaussian illumination has power 0.0 must be finite and "
+               "positive"),  # overflow
     ("1e-300", "sigma0 1e-300 must be positive with a finite, nonzero"),
     ("1e160", "sigma0 1e+160 must be positive with a finite, nonzero"),
 ])
@@ -313,3 +318,48 @@ def test_stdout_equals_out_file(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == stdout.encode()
+
+
+# the small sweep, trial count and grid each subcommand runs at
+SWEEP_ARGV = {"bounds": ["--grid-max", "2", "--sweep-max", "2"],
+              "table2": [],
+              "montecarlo": ["--mode", "1,1", "--trials", "10"],
+              "hologram": ["--mode", "1,1", "--grid", "128"]}
+
+
+def _float_flags():
+    """(subcommand, flag) for every flag the parser reads as floats."""
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return [(command, action.option_strings[0])
+            for command, parser in sub.choices.items()
+            for action in parser._actions
+            if action.type in (float, cli._parse_float_list)]
+
+
+@pytest.mark.parametrize("value",
+                         ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"])
+@pytest.mark.parametrize("command, flag", _float_flags())
+def test_every_float_flag_gives_a_finite_run_or_one_error_line(
+        command, flag, value, tmp_path, capsys):
+    # --flag=value form: a bare -inf would parse as an option
+    out, cfg = tmp_path / "out", tmp_path / "run.cfg"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, *SWEEP_ARGV[command], f"{flag}={value}",
+                     "--out", str(out), "--config-out", str(cfg)])
+    captured = capsys.readouterr()
+    assert [w.message for w in caught
+            if w.category is not SaturationWarning] == []
+    if value in ("nan", "inf", "-inf"):  # refused, naming the cause
+        assert code == 2 and "finite" in captured.err, captured.err
+    if code == 2:
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+        return
+    assert code == 0 and captured.err == ""
+    settings = dict(line.split(" = ") for line in cfg.read_text().splitlines())
+    assert all(math.isfinite(float(v)) for v in settings.values()), settings
+    if command != "hologram":
+        assert "nan" not in out.read_text()

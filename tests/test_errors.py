@@ -1,0 +1,142 @@
+"""The guard helpers, and the domain every public constructor keeps.
+
+The property test draws each constructor's numeric inputs from finite
+values, both infinities, NaN, zero, negatives, subnormals and values whose
+square over- or underflows; each call must build an object whose numbers
+(fields and the derived values its guards promise) are all finite, or raise
+an HgSenseError.
+"""
+
+import dataclasses
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hgsense.errors import (
+    ConfigError,
+    HgSenseError,
+    SaturationWarning,
+    SeparationError,
+    finite,
+    finite_in,
+    finite_positive,
+    positive_square,
+)
+from hgsense.experiment import DriveCalibration, NoiseModel, PhotonBudget
+from hgsense.fields import FieldGrid, PhaseMap
+from hgsense.modes import (
+    BeamGeometry,
+    ModeIndex,
+    ModeState,
+    basis_dim,
+    momentum_variance_x,
+)
+from hgsense.weak import (
+    Coupling,
+    Generator,
+    PauliAxis,
+    QubitState,
+    WeakScenario,
+    post_selected_pair,
+)
+
+
+def test_guards_return_the_value_or_name_it_in_the_error():
+    assert finite("z", -2.5) == -2.5
+    assert finite_positive("pitch", 5e-324) == 5e-324
+    assert positive_square("sigma0", 1e-150) == 1e-150
+    assert finite_in("side", 128, 128, 4096) == 128
+    assert finite_in("angle", 0.5, 0.0, 1.0, ends="()") == 0.5
+    with pytest.raises(ConfigError, match=r"^angle 0.0 must be finite and "
+                                          r"lie in \(0.0, 1.0\)$"):
+        finite_in("angle", 0.0, 0.0, 1.0, ends="()")
+    with pytest.raises(SeparationError, match=r"lie in \[4.0, 8.0\)$"):
+        finite_in("period", 8.0, 4.0, 8.0, SeparationError, "[)")
+    for bad in (math.nan, math.inf, -math.inf):
+        for guard in (lambda: finite("x", bad),
+                      lambda: finite_positive("x", bad),
+                      lambda: finite_in("x", bad, -math.inf, math.inf),
+                      lambda: positive_square("x", bad)):
+            with pytest.raises(ConfigError, match=f"^x {bad} must be"):
+                guard()
+    for bad in (0.0, -1.0, 1e-170, 1e160):  # the square underflows or overflows
+        with pytest.raises(ConfigError, match="finite, nonzero square"):
+            positive_square("sigma0", bad)
+
+
+REALS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324,
+                     1e-300, 1e-160, 1e-3, 1.0, 780e-9, 1e160, 1e300]),
+    st.floats())
+ORDERS = st.integers(-2, 70)
+CUTOFFS = st.integers(-2, 3)
+ZEROS = np.zeros((128, 128), dtype=complex)
+
+
+def _pointer_scenario(draw) -> WeakScenario:
+    pre, post = post_selected_pair(draw(REALS))
+    return WeakScenario(draw(REALS), pre, post, PauliAxis.z(),
+                        Coupling.MOMENTUM_X, ModeState.basis(2, 1, 1),
+                        draw(REALS))
+
+
+def _mode_state(draw) -> ModeState:
+    cutoff = draw(CUTOFFS)
+    amplitude = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return ModeState(cutoff, np.full(basis_dim(max(cutoff, 0)), amplitude))
+
+
+BUILDS = {
+    "ModeIndex": lambda draw: ModeIndex(draw(ORDERS), draw(ORDERS)),
+    "ModeState": _mode_state,
+    "QubitState": lambda draw: QubitState(draw(REALS), draw(REALS)),
+    "QubitState.from_amplitudes":
+        lambda draw: QubitState.from_amplitudes(draw(REALS), draw(REALS)),
+    "PauliAxis": lambda draw: PauliAxis(draw(REALS), draw(REALS)),
+    "WeakScenario": _pointer_scenario,
+    "Generator": lambda draw: Generator(Coupling.MOMENTUM_X, draw(CUTOFFS),
+                                        draw(REALS)),
+    "BeamGeometry": lambda draw: BeamGeometry(draw(REALS), draw(REALS),
+                                              draw(REALS)),
+    "FieldGrid": lambda draw: FieldGrid(ZEROS, draw(REALS), draw(REALS),
+                                        draw(REALS), draw(REALS)),
+    "PhaseMap": lambda draw: PhaseMap(np.full((4, 4), draw(REALS)),
+                                      draw(REALS)),
+    "PhotonBudget": lambda draw: PhotonBudget(draw(REALS), draw(REALS),
+                                              draw(REALS)),
+    "NoiseModel": lambda draw: NoiseModel(draw(REALS), draw(REALS),
+                                          draw(REALS)),
+    "DriveCalibration": lambda draw: DriveCalibration(draw(REALS)),
+    "momentum_variance_x":
+        lambda draw: momentum_variance_x(ModeIndex(1, 0), draw(REALS)),
+}
+
+# derived values a constructor's guards vouch for, beyond its fields
+DERIVED = {BeamGeometry: ("wavenumber", "rayleigh"),
+           PhotonBudget: ("photon_energy", "photons", "volts_per_rate")}
+
+
+def _numbers(result) -> list:
+    if not dataclasses.is_dataclass(result):
+        return [result]
+    values = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    values += [getattr(result, name) for name in DERIVED.get(type(result), ())]
+    return [v for value in values
+            if isinstance(value, (int, float, complex, np.ndarray))
+            for v in np.ravel(value)]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_public_constructors_build_finite_values_or_refuse(name, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationWarning)
+        try:
+            result = BUILDS[name](data.draw)
+        except HgSenseError:
+            return
+    assert np.all(np.isfinite(_numbers(result)))

@@ -26,6 +26,7 @@ from hgsense.experiment import (
     ModeSensitivity,
     NoiseModel,
     PhotonBudget,
+    check_epsilon,
     demod_signal,
     montecarlo_lockin,
     sensitivity_table,
@@ -56,6 +57,14 @@ def test_budget_guards_and_saturation():
         PhotonBudget(integration=-1.0)
     with pytest.raises(ConfigError):
         PhotonBudget(wavelength=0.0)
+    # the derived values: h c / lambda underflows, P tau / (h c / lambda)
+    # overflows; refused before the saturation warning
+    with pytest.raises(ConfigError,
+                       match="photon_energy 0.0 must be finite and positive"):
+        PhotonBudget(wavelength=1e300)
+    with pytest.raises(ConfigError,
+                       match="photons inf must be finite and positive"):
+        PhotonBudget(power=1e300)
     with pytest.warns(SaturationWarning):
         PhotonBudget(power=2e-9)
 
@@ -118,6 +127,12 @@ def test_demod_guards():
         demod_signal(MODE, 0.0, 1e-7)
     with pytest.raises(ConfigError):
         demod_signal(MODE, math.pi / 2, 1e-7)
+    # tan(epsilon)^2 underflows to zero, or to a subnormal whose reciprocal
+    # overflows: cot^2 has no finite value
+    for epsilon in (1e-300, 1e-155):
+        with pytest.raises(ConfigError, match=r"cot\^2 .* must be finite"):
+            demod_signal(MODE, epsilon, 1e-7)
+    assert check_epsilon(EPSILON) == 1.0 / math.tan(EPSILON) ** 2
     with pytest.raises(NoSensitivityError):
         demod_signal(ModeIndex(0, 0), EPSILON, 1e-7)
     with pytest.raises(ExpansionInvalidError):
@@ -208,7 +223,8 @@ def test_montecarlo_caps_trials_before_allocating(monkeypatch):
         raise AssertionError("sample array allocated before the trial cap")
 
     monkeypatch.setattr(experiment.np, "empty", no_allocation)
-    with pytest.raises(ConfigError, match="trials above the limit"):
+    with pytest.raises(ConfigError, match=r"trials 100001 must be finite and "
+                                          r"lie in \[10, 100000\]"):
         montecarlo_lockin(MODE, EPSILON, 1e-6, PhotonBudget(), NoiseModel(),
                           trials=experiment.MAX_TRIALS + 1)
     monkeypatch.undo()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import hermite as np_hermite
 
-from hgsense.errors import UnsupportedOrderError
+from hgsense.errors import ConfigError, UnsupportedOrderError
 from hgsense.modes import (
     BeamGeometry,
     ModeIndex,
@@ -97,9 +97,15 @@ def test_beam_params_collapse_to_single_complex_form():
 def test_beam_geometry_rayleigh_follows_the_waist():
     geom = BeamGeometry(1.0, 0.8)
     assert geom.rayleigh == 2.0 * geom.wavenumber * 1.0 ** 2
-    with pytest.raises(ValueError, match="rayleigh"):  # 2 k sigma0^2 underflows
+    with pytest.raises(ValueError, match="rayleigh 0.0 must be finite and "
+                                         "positive"):  # 2 k sigma0^2 underflows
+        BeamGeometry(1e-160, 1e300)
+    # sigma0^2 underflows to zero, or overflows
+    with pytest.raises(ValueError, match="sigma0 1e-170 must be positive with "
+                                         "a finite, nonzero square"):
         BeamGeometry(1e-170, 0.8)
-    with pytest.raises(ValueError, match="finite square"):  # sigma0^2 overflows
+    with pytest.raises(ValueError, match=r"sigma0 1e\+160 must be positive with "
+                                         "a finite, nonzero square"):
         BeamGeometry(1e160, 780e-9)
     for sigma0 in (1e160, 1e-170, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite, nonzero square"):
@@ -175,6 +181,9 @@ def test_momentum_variance_refuses_a_square_out_of_range():
     for sigma0 in (1e160, 1e-170):
         with pytest.raises(ValueError, match="finite, nonzero square"):
             momentum_variance_x(ModeIndex(1, 0), sigma0)
+    # 1e-160 ** 2 is a subnormal: the square is nonzero, the variance inf
+    with pytest.raises(ConfigError, match="momentum variance inf must be finite"):
+        momentum_variance_x(ModeIndex(1, 0), 1e-160)
 
 
 def test_momentum_variance_ratio_nine():

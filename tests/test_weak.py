@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hgsense.errors import (
+    ConfigError,
     DegeneratePostSelectionError,
     InvalidStateError,
     NoCarrierError,
@@ -79,6 +80,10 @@ def test_non_finite_qubit_and_coupling_rejected():
                   lambda: QubitState(1.0, complex(0.0, nan))):
         with pytest.raises(ValueError):
             build()
+    for epsilon in (nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError,
+                           match="post-selection angle .* must be finite"):
+            post_selected_pair(epsilon)
     pre, post = post_selected_pair(0.1)
     pointer = ModeState.basis(2, 1, 1)
     for alpha in (nan, math.inf, -math.inf):
@@ -103,7 +108,8 @@ def test_non_finite_or_non_positive_scales_rejected(bad):
         lambda: momentum_variance_x(ModeIndex(1, 1), bad),
     )
     for build in builds:
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(ValueError, match="sigma0 .* must be positive with "
+                                             "a finite, nonzero square"):
             build()
 
 
