@@ -250,8 +250,11 @@ def cmd_hologram(args) -> int:
     target = synthesize_hg_field(idx, 1.0, side=args.grid)
     incident = gaussian_illumination(args.illum_scale, target)
     phase = hologram_phase(target, incident, args.grating_period)
-    extracted = first_order_extract(modulate(incident, phase),
-                                    args.grating_period)
+    del target  # each grid goes after its last reader: three at most
+    modulated = modulate(incident, phase)
+    del incident
+    extracted = first_order_extract(modulated, args.grating_period)
+    del modulated
     purity = mode_purity(extracted, idx)
     write_phase_pgm(args.out + ".pgm", phase)
     write_field_binary(args.out + ".fgrd", extracted)

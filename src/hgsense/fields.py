@@ -10,8 +10,9 @@ Holograms use the J1-type phase-only encoding of Arrizon et al., JOSA A 24,
 inverts J1 by one polynomial fitted at import.
 The readout is separable: only the band of the first-order pinhole is
 Fourier transformed, and purity contracts the 1-D factors of the ideal mode.
-Rotation resamples in row blocks. FieldGrid adopts a read-only complex array
-that owns its data, so the producers here freeze their fresh buffers.
+Rotation, the hologram encoding and the inverse row FFT of the readout work
+in row blocks. FieldGrid and PhaseMap adopt a read-only array that owns its
+data, so the producers here freeze their fresh buffers.
 
 File formats
 ------------
@@ -81,10 +82,7 @@ class FieldGrid:
     z: float = 0.0
 
     def __post_init__(self):
-        arr = self.samples
-        if not (type(arr) is np.ndarray and arr.dtype == complex
-                and arr.flags.owndata and not arr.flags.writeable):
-            arr = np.array(arr, dtype=complex)  # never alias a writeable array
+        arr = _adopted(self.samples, complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("samples must be a square 2-D array")
         finite_in("grid side", arr.shape[0], MIN_SIDE, math.inf, ends="[)")
@@ -95,7 +93,6 @@ class FieldGrid:
         finite_in("window half-width", 0.5 * arr.shape[0] * self.pitch,
                   MIN_COVERAGE_SIGMA * self.sigma0, math.inf, CoverageError,
                   "[)")
-        arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -117,6 +114,21 @@ class FieldGrid:
 
 def _axis(side: int, pitch: float) -> np.ndarray:
     return (np.arange(side) - (side - 1) / 2.0) * pitch
+
+
+def _adopted(arr, dtype) -> np.ndarray:
+    """arr if read-only, owning its data and of dtype; else a frozen copy."""
+    if not (type(arr) is np.ndarray and arr.dtype == dtype
+            and arr.flags.owndata and not arr.flags.writeable):
+        arr = np.array(arr, dtype=dtype)
+        arr.flags.writeable = False
+    return arr
+
+
+def _row_blocks(side: int) -> list:
+    """Row slices of about _J1_BLOCK samples each, the last one partial."""
+    rows = max(1, _J1_BLOCK // side)
+    return [slice(start, start + rows) for start in range(0, side, rows)]
 
 
 def _frozen(f: np.ndarray) -> np.ndarray:
@@ -295,13 +307,12 @@ class PhaseMap:
     grating_period: float
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        arr = _adopted(self.values, float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("phase map must be square")
-        finite_in("largest phase magnitude", float(np.max(np.abs(arr))),
-                  0.0, math.pi + 1e-9)
+        top = max(float(arr.max()), -float(arr.min()))  # max |H|, no abs grid
+        finite_in("largest phase magnitude", top, 0.0, math.pi + 1e-9)
         finite_positive("grating period", self.grating_period)
-        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     @property
@@ -315,27 +326,35 @@ def hologram_phase(target: FieldGrid, incident: FieldGrid,
 
     The relative amplitude A_rel = |target| / |incident| is scaled so its
     maximum reaches the peak of J1 (full modulation depth). grating_period
-    is in pixels along x.
+    is in pixels along x. Each pass works on row blocks of one float grid.
     """
     if target.side != incident.side or not math.isclose(
             target.pitch, incident.pitch, rel_tol=1e-12):
         raise GridMismatchError("target and incident grids differ")
     finite_positive("grating period", grating_period)
-    a_in, a_out = np.abs(incident.samples), np.abs(target.samples)
-    valid = a_in > 1e-8 * float(a_in.max())
-    if np.any(a_out[~valid] > 1e-6 * float(a_out.max())):
-        raise UnreachableAmplitudeError(
-            "target has weight where the illumination is empty")
-    rel = np.divide(a_out, a_in, where=valid, out=np.zeros_like(a_out))
-    peak = float(rel.max())
-    if peak != 0.0:  # scaled in place, so rel becomes the depth target
-        rel *= J1_PEAK / peak
-        np.minimum(rel, J1_PEAK, out=rel)  # the peak may land an ulp above
-    depth = _j1_inverse_array(rel)
-    period = float(grating_period)
-    phi = np.angle(target.samples) - np.angle(incident.samples)
-    phi += 2.0 * math.pi * np.arange(target.side, dtype=float) / period
-    return PhaseMap(np.multiply(depth, np.sin(phi, out=phi), out=phi), period)
+    period, blocks = float(grating_period), _row_blocks(target.side)
+    out = np.abs(target.samples)  # the one grid: |target|, then A_rel, then H
+    in_floor = 1e-8 * float(np.max(  # np.max of the block maxima keeps a NaN
+        [np.abs(incident.samples[b]).max() for b in blocks]))
+    out_floor = 1e-6 * float(out.max())
+    for b in blocks:
+        a_in, a_out = np.abs(incident.samples[b]), out[b]
+        valid = a_in > in_floor
+        if np.any(a_out[~valid] > out_floor):
+            raise UnreachableAmplitudeError(
+                "target has weight where the illumination is empty")
+        out[b] = np.divide(a_out, a_in, where=valid, out=np.zeros_like(a_in))
+    peak = float(out.max())
+    grating = 2.0 * math.pi * np.arange(target.side, dtype=float) / period
+    for b in blocks:
+        rel = out[b]
+        if peak != 0.0:  # scaled in place, so rel becomes the depth target
+            rel *= J1_PEAK / peak
+            np.minimum(rel, J1_PEAK, out=rel)  # the peak may land an ulp above
+        phi = np.angle(target.samples[b]) - np.angle(incident.samples[b])
+        phi += grating
+        np.multiply(_j1_inverse_array(rel), np.sin(phi, out=phi), out=rel)
+    return PhaseMap(_frozen(out), period)
 
 
 def modulate(incident: FieldGrid, phase: PhaseMap) -> FieldGrid:
@@ -372,12 +391,13 @@ def first_order_extract(modulated: FieldGrid, grating_period: float) -> FieldGri
     band[np.abs(freq) > carrier / 2.0] = 0.0
     rows[...] = 0.0  # reused as the zeroed grid of the inverse row FFT
     rows[:, kx] = np.fft.ifft(band, axis=0)
-    baseband = np.fft.ifft(rows, axis=1)
-    baseband *= np.exp(-2j * math.pi * np.arange(side) / grating_period)
-    power = float(np.sum(np.abs(baseband) ** 2)) * modulated.pitch ** 2
+    for b in _row_blocks(side):  # in place, bitwise the whole-grid ifft
+        rows[b] = np.fft.ifft(rows[b], axis=1)
+    rows *= np.exp(-2j * math.pi * np.arange(side) / grating_period)
+    power = float(np.sum(np.abs(rows) ** 2)) * modulated.pitch ** 2
     if power >= _RENORM_FLOOR:
-        baseband /= math.sqrt(power)
-    return modulated.with_samples(_frozen(baseband))
+        rows /= math.sqrt(power)
+    return modulated.with_samples(_frozen(rows))
 
 
 _FGRD_HEADER = struct.Struct("<4sII4d")
@@ -429,13 +449,15 @@ def read_phase_binary(path) -> PhaseMap:
     magic, version, side, period = _PMAP_HEADER.unpack_from(raw)
     if magic != b"PMAP" or version != 1:
         raise ValueError("not a version-1 phase binary")
-    values = _payload(raw, _PMAP_HEADER.size, side, "<f8")
-    return PhaseMap(values.copy(), period)
+    values = _payload(raw, _PMAP_HEADER.size, side, "<f8").astype(float)
+    return PhaseMap(_frozen(values), period)
 
 
 def write_phase_pgm(path, phase: PhaseMap):
     """Dump the phase map as an 8-bit binary PGM, [-pi, pi] -> [0, 255]."""
-    levels = np.clip(np.round((phase.values + math.pi) / (2 * math.pi) * 255.0),
-                     0, 255).astype(np.uint8)
+    levels = phase.values + math.pi  # one scratch grid, scaled in place
+    levels /= 2 * math.pi
+    levels *= 255.0
+    np.clip(np.round(levels, out=levels), 0, 255, out=levels)
     header = f"P5\n{phase.side} {phase.side}\n255\n".encode("ascii")
-    write_atomic(path, header, levels)
+    write_atomic(path, header, levels.astype(np.uint8))

@@ -163,14 +163,14 @@ class StateOperator(Protocol):
 def second_moment(op: StateOperator, state: ModeState) -> float:
     """<state| op^dagger op |state>; equals <op^2> for Hermitian op."""
     v = op.apply(state)
-    return float(np.real(np.vdot(v, v)))
+    return finite("second moment", float(np.real(np.vdot(v, v))))
 
 
 def variance(op: StateOperator, state: ModeState) -> float:
     """<op^dagger op> - |<op>|^2, both moments from one op.apply."""
     v = op.apply(state)
     mu = complex(np.vdot(state.amplitudes, v))
-    return float(np.real(np.vdot(v, v))) - abs(mu) ** 2
+    return finite("variance", float(np.real(np.vdot(v, v))) - abs(mu) ** 2)
 
 
 def hg_factor(order: int, sigma0: float, x):

@@ -2,10 +2,10 @@
 
 The package computes every readout on the vectors it spans (the
 two-outcome fisher.CarrierReadout) and on the bands and 1-D factors of
-separable fields, and resamples rotated fields in row blocks. The helpers
-here take dense operator matrices, full 2-D transforms, full 2-D mode grids
-and whole-grid fancy indexing instead, so a test can check the structured
-route against the textbook one. final_pointer_first_order is the
+separable fields, and resamples rotated fields and encodes holograms in row
+blocks. The helpers here take dense operator matrices, full 2-D transforms,
+full 2-D mode grids, whole-grid fancy indexing and whole-grid temporaries
+instead, so a test can check the structured route against the textbook one. final_pointer_first_order is the
 first-order post-selected pointer that the tests hold against the exact
 evolution; no package route uses it.
 """
@@ -14,10 +14,18 @@ import math
 
 import numpy as np
 
-from hgsense.errors import SeparationError
+from hgsense.errors import (
+    GridMismatchError,
+    SeparationError,
+    UnreachableAmplitudeError,
+    finite_positive,
+)
 from hgsense.fields import (
     _RENORM_FLOOR,
+    J1_PEAK,
     FieldGrid,
+    PhaseMap,
+    _j1_inverse_array,
     overlap,
     synthesize_hg_field,
 )
@@ -140,3 +148,33 @@ def rotate_field_fancy(field: FieldGrid, angle: float) -> FieldGrid:
                + tr * (1 - tc) * padded[ri + 1, ci]
                + tr * tc * padded[ri + 1, ci + 1])
     return field.with_samples(rotated)
+
+
+def hologram_phase_whole_grid(target: FieldGrid, incident: FieldGrid,
+                              grating_period: float) -> PhaseMap:
+    """Phase-only encoding H = f(A_rel) sin(phi_out - phi_in + phi_grating),
+    computed on whole-grid temporaries.
+
+    The relative amplitude A_rel = |target| / |incident| is scaled so its
+    maximum reaches the peak of J1 (full modulation depth). grating_period
+    is in pixels along x.
+    """
+    if target.side != incident.side or not math.isclose(
+            target.pitch, incident.pitch, rel_tol=1e-12):
+        raise GridMismatchError("target and incident grids differ")
+    finite_positive("grating period", grating_period)
+    a_in, a_out = np.abs(incident.samples), np.abs(target.samples)
+    valid = a_in > 1e-8 * float(a_in.max())
+    if np.any(a_out[~valid] > 1e-6 * float(a_out.max())):
+        raise UnreachableAmplitudeError(
+            "target has weight where the illumination is empty")
+    rel = np.divide(a_out, a_in, where=valid, out=np.zeros_like(a_out))
+    peak = float(rel.max())
+    if peak != 0.0:  # scaled in place, so rel becomes the depth target
+        rel *= J1_PEAK / peak
+        np.minimum(rel, J1_PEAK, out=rel)  # the peak may land an ulp above
+    depth = _j1_inverse_array(rel)
+    period = float(grating_period)
+    phi = np.angle(target.samples) - np.angle(incident.samples)
+    phi += 2.0 * math.pi * np.arange(target.side, dtype=float) / period
+    return PhaseMap(np.multiply(depth, np.sin(phi, out=phi), out=phi), period)

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -190,6 +191,22 @@ def test_hologram_writes_outputs(tmp_path, capsys):
     assert fgrd[:4] == b"FGRD"
     settings = dict(line.split(" = ") for line in cfg.read_text().splitlines())
     assert float(settings["first_order_purity"]) >= 0.99
+
+
+def test_hologram_holds_at_most_four_complex_grids(tmp_path, capsys):
+    # each grid is freed after its last reader, and the mask is encoded in
+    # row blocks of one float grid: the 512 px chain stays below four
+    # complex grids of 4 MiB (it held about six when every grid lived to
+    # the end and the encoder built whole-grid temporaries)
+    tracemalloc.start()
+    try:
+        assert main(["hologram", "--mode", "3,3", "--grid", "512",
+                     "--out", str(tmp_path / "holo")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 16 * 512 ** 2
+    assert "first-order purity: 0.999864" in capsys.readouterr().out
 
 
 def test_hologram_rejects_tight_grating(tmp_path, capsys):

@@ -241,6 +241,36 @@ def test_field_grid_copies_writeable_arrays_and_adopts_frozen_ones(tmp_path):
         assert field.samples.flags.owndata
 
 
+def test_phase_map_copies_writeable_arrays_and_adopts_frozen_ones(tmp_path):
+    side = 128
+    caller = np.zeros((side, side))
+    mask = PhaseMap(caller, 16.0)
+    caller[0, 0] = 1.0
+    assert mask.values[0, 0] == 0.0
+    assert caller.flags.writeable and not mask.values.flags.writeable
+    frozen = np.linspace(-math.pi, math.pi, side * side).reshape(side, side)
+    frozen = frozen.copy()  # the reshape is a view; its copy owns its data
+    frozen.flags.writeable = False
+    assert np.shares_memory(PhaseMap(frozen, 16.0).values, frozen)
+    view = frozen[::-1]  # read-only, but a view: copied
+    assert not np.shares_memory(PhaseMap(view, 16.0).values, frozen)
+    ints = np.zeros((side, side), dtype=int)
+    ints.flags.writeable = False  # frozen, but not float64: copied
+    assert PhaseMap(ints, 16.0).values.dtype == float
+    # the range check is max(max H, -min H), so either sign may exceed pi
+    for bad in (math.pi + 1e-6, -math.pi - 1e-6):
+        values = np.zeros((side, side))
+        values[3, 5] = bad
+        with pytest.raises(ValueError, match="largest phase magnitude"):
+            PhaseMap(values, 16.0)
+
+    path = tmp_path / "mask.pmap"
+    write_phase_binary(path, PhaseMap(frozen, 16.0))
+    back = read_phase_binary(path).values
+    assert not back.flags.writeable and back.flags.owndata
+    assert back.dtype == float and np.array_equal(back, frozen)
+
+
 def test_field_binary_refuses_non_finite_samples(tmp_path):
     path = tmp_path / "mode.fgrd"
     write_field_binary(path, synthesize_hg_field(ModeIndex(1, 1), 1.0, side=128))

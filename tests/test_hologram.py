@@ -29,7 +29,7 @@ from hgsense.fields import (
     synthesize_hg_field,
 )
 from hgsense.modes import ModeIndex
-from reference import first_order_extract_fft
+from reference import first_order_extract_fft, hologram_phase_whole_grid
 
 PERIOD = 16.0
 
@@ -100,6 +100,48 @@ def test_unreachable_target_weight():
     pinprick = gaussian_illumination(0.3, grid)
     with pytest.raises(UnreachableAmplitudeError):
         hologram_phase(grid, pinprick, PERIOD)
+
+
+def _outcome(encode, target, incident, period):
+    """The phase values and period, or the exception type and message."""
+    try:
+        mask = encode(target, incident, period)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return mask.values, mask.grating_period
+
+
+@pytest.mark.parametrize("side", [128, 129, 257, 512, 1024])
+def test_row_blocked_hologram_is_bitwise_the_whole_grid_route(side):
+    # 129 and 257 leave a partial last row block; 1024 runs 16-row blocks
+    mode = synthesize_hg_field(ModeIndex(3, 2), 1.0, side=side)
+    illum, pinprick = (gaussian_illumination(s, mode) for s in (3.0, 0.3))
+
+    def with_nan(field, row, col):
+        samples = field.samples.copy()
+        samples[row, col] = math.nan
+        return field.with_samples(samples)
+
+    cases = [
+        (mode, illum, PERIOD),  # a normal mode
+        (mode, illum, 7.5),
+        (illum, illum, PERIOD),  # A_rel = 1 wherever the beam exists
+        (mode.with_samples(np.zeros((side, side))), illum, PERIOD),  # peak 0
+        (mode, pinprick, PERIOD),  # weight where the illumination is empty
+        (pinprick, pinprick, PERIOD),  # an empty rim, where A_rel is 0
+        (with_nan(mode, side // 3, side // 2), illum, PERIOD),  # NaN samples
+        (mode, with_nan(illum, -1, -1), PERIOD),  # where the mode is ~0
+    ]
+    got = [_outcome(hologram_phase, *case) for case in cases]
+    for case, (values, rest) in zip(cases, got):
+        want = _outcome(hologram_phase_whole_grid, *case)
+        if isinstance(want[0], type):  # the same exception, same message
+            assert (values, rest) == want
+        else:
+            assert np.array_equal(values, want[0]) and rest == want[1]
+            assert not values.flags.writeable and values.flags.owndata
+    assert isinstance(got[3][0], np.ndarray)
+    assert got[4][0] is UnreachableAmplitudeError
 
 
 def test_grating_and_grid_guards():

@@ -22,8 +22,10 @@ from hgsense.modes import (
     momentum_matrix_x,
     momentum_variance_x,
     oam_variance,
+    second_moment,
     variance,
 )
+from hgsense.weak import Coupling, Generator
 
 
 @settings(max_examples=80, deadline=None)
@@ -184,6 +186,17 @@ def test_momentum_variance_refuses_a_square_out_of_range():
     # 1e-160 ** 2 is a subnormal: the square is nonzero, the variance inf
     with pytest.raises(ConfigError, match="momentum variance inf must be finite"):
         momentum_variance_x(ModeIndex(1, 0), 1e-160)
+
+
+def test_moments_refuse_a_non_finite_result():
+    # a subnormal sigma0 square passes the beam-waist rule, but the px block
+    # scales as 1 / sigma0, so both moments overflow to inf
+    px = Generator(Coupling.MOMENTUM_X, 2, 1e-160)
+    state = ModeState.basis(2, 1, 0)
+    with pytest.raises(ConfigError, match="variance inf must be finite"):
+        variance(px, state)
+    with pytest.raises(ConfigError, match="second moment inf must be finite"):
+        second_moment(px, state)
 
 
 def test_momentum_variance_ratio_nine():
