@@ -455,9 +455,11 @@ def read_phase_binary(path) -> PhaseMap:
 
 def write_phase_pgm(path, phase: PhaseMap):
     """Dump the phase map as an 8-bit binary PGM, [-pi, pi] -> [0, 255]."""
-    levels = phase.values + math.pi  # one scratch grid, scaled in place
-    levels /= 2 * math.pi
-    levels *= 255.0
-    np.clip(np.round(levels, out=levels), 0, 255, out=levels)
+    image = np.empty(phase.values.shape, dtype=np.uint8)
+    for b in _row_blocks(phase.side):  # float scratch one row block at a time
+        levels = phase.values[b] + math.pi
+        levels /= 2 * math.pi
+        levels *= 255.0
+        image[b] = np.clip(np.round(levels, out=levels), 0, 255, out=levels)
     header = f"P5\n{phase.side} {phase.side}\n255\n".encode("ascii")
-    write_atomic(path, header, levels.astype(np.uint8))
+    write_atomic(path, header, image)

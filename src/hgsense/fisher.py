@@ -16,6 +16,7 @@ plane, with sld_solve on the full truncated basis as the reference.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import warnings
@@ -96,16 +97,18 @@ def _stencil_value(fn: Callable[[float], np.ndarray],
     fn may return vectors. Recomputing at 2h guards against a step small
     enough to hit round-off cancellation (or too coarse to resolve the
     curvature): values that disagree by more than _STENCIL_RTOL raise
-    StepSizeError.
+    StepSizeError. The two stencils share g +- 2h, so fn runs once at each of
+    the six points g + k h, k in {+-1, +-2, +-4}: with the caller's value at
+    g, a Fisher routine evaluates its family 7 times.
     """
     h = finite_positive("step", default_step(g) if step is None else step)
+    at = functools.cache(lambda k: np.asarray(fn(g + k * h)))
 
-    def derivative(d: float) -> np.ndarray:
-        return (np.asarray(fn(g - 2 * d)) - 8 * np.asarray(fn(g - d))
-                + 8 * np.asarray(fn(g + d)) - np.asarray(fn(g + 2 * d))) / (12.0 * d)
+    def derivative(k: int) -> np.ndarray:
+        return (at(-2 * k) - 8 * at(-k) + 8 * at(k) - at(2 * k)) / (12.0 * (k * h))
 
-    q_h = reduce(derivative(h))
-    q_2h = reduce(derivative(2 * h))
+    q_h = reduce(derivative(1))
+    q_2h = reduce(derivative(2))
     scale = max(abs(q_h), abs(q_2h), 1e-30)
     if abs(q_h - q_2h) > _STENCIL_RTOL * scale:
         raise StepSizeError(

@@ -2,12 +2,15 @@
 
 The package computes every readout on the vectors it spans (the
 two-outcome fisher.CarrierReadout) and on the bands and 1-D factors of
-separable fields, and resamples rotated fields and encodes holograms in row
-blocks. The helpers here take dense operator matrices, full 2-D transforms,
-full 2-D mode grids, whole-grid fancy indexing and whole-grid temporaries
-instead, so a test can check the structured route against the textbook one. final_pointer_first_order is the
-first-order post-selected pointer that the tests hold against the exact
-evolution; no package route uses it.
+separable fields, resamples rotated fields and encodes and writes holograms
+in row blocks, memoizes each generator block's eigendecomposition and
+evaluates each stencil point once. The helpers here take dense operator
+matrices, full 2-D transforms, full 2-D mode grids, whole-grid fancy
+indexing and whole-grid temporaries, a fresh eigendecomposition per call
+and the nine-evaluation stencil instead, so a test can check the structured
+route against the textbook one. final_pointer_first_order is the first-order
+post-selected pointer that the tests hold against the exact evolution; no
+package route uses it.
 """
 
 import math
@@ -17,6 +20,7 @@ import numpy as np
 from hgsense.errors import (
     GridMismatchError,
     SeparationError,
+    StepSizeError,
     UnreachableAmplitudeError,
     finite_positive,
 )
@@ -29,9 +33,15 @@ from hgsense.fields import (
     overlap,
     synthesize_hg_field,
 )
-from hgsense.fisher import PROBABILITY_FLOOR, _stencil_value
+from hgsense.fisher import (
+    _STENCIL_RTOL,
+    PROBABILITY_FLOOR,
+    _stencil_value,
+    default_step,
+)
 from hgsense.modes import ModeState
-from hgsense.weak import WeakScenario
+from hgsense.output import write_atomic
+from hgsense.weak import Coupling, Generator, WeakScenario, _tridiagonal
 
 
 def final_pointer_first_order(s: WeakScenario) -> ModeState:
@@ -44,6 +54,50 @@ def final_pointer_first_order(s: WeakScenario) -> ModeState:
     omega = s.operator()
     vec = s.pointer.amplitudes - 1j * mw * omega.apply(s.pointer)
     return ModeState(s.pointer.cutoff, vec).normalize()
+
+
+def evolve_uncached(gen: Generator, alphas, state: ModeState) -> np.ndarray:
+    """exp(-i alpha Omega) |state> for each alpha, one flat row per alpha,
+    building every block and running its eigh on each call."""
+    if state.cutoff != gen.cutoff:
+        raise ValueError("operator and state truncations differ")
+    x = state.amplitudes.reshape(gen.cutoff + 1, gen.cutoff + 1)
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    out = np.zeros((len(alphas),) + x.shape, dtype=complex)
+    if gen.coupling is Coupling.MOMENTUM_X:
+        blocks = [(_tridiagonal(-np.sqrt(np.arange(1, gen.cutoff + 1))
+                                / (2.0 * gen.sigma0)),
+                   (slice(None), np.flatnonzero(np.any(x != 0, axis=0))))]
+    else:
+        blocks = []
+        for s in np.flatnonzero(np.bincount(np.add(*np.nonzero(x)))):
+            j = np.arange(max(0, s - gen.cutoff), min(s, gen.cutoff) + 1)
+            blocks.append((_tridiagonal(np.sqrt(j[1:] * (s - j[1:] + 1))),
+                           (j[:, None], s - j[:, None])))
+    for block, (rows, cols) in blocks:
+        w, v = np.linalg.eigh(block)
+        phases = np.exp(-1j * np.multiply.outer(alphas, w))[:, :, None]
+        out[:, rows, cols] = v @ (phases * (v.conj().T @ x[rows, cols]))
+    return out.reshape(len(alphas), -1)
+
+
+def stencil_value_nine_calls(fn, reduce, g, step):
+    """fisher._stencil_value evaluating fn at all four points of each of the
+    h and 2h stencils, so at g +- 2h twice."""
+    h = finite_positive("step", default_step(g) if step is None else step)
+
+    def derivative(d: float) -> np.ndarray:
+        return (np.asarray(fn(g - 2 * d)) - 8 * np.asarray(fn(g - d))
+                + 8 * np.asarray(fn(g + d)) - np.asarray(fn(g + 2 * d))) / (12.0 * d)
+
+    q_h = reduce(derivative(h))
+    q_2h = reduce(derivative(2 * h))
+    scale = max(abs(q_h), abs(q_2h), 1e-30)
+    if abs(q_h - q_2h) > _STENCIL_RTOL * scale:
+        raise StepSizeError(
+            f"stencil values disagree ({q_h:.6g} vs {q_2h:.6g}); "
+            "adjust the differentiation step")
+    return q_h
 
 
 def dense_cfi(state_fn, g, elements, step=None):
@@ -178,3 +232,14 @@ def hologram_phase_whole_grid(target: FieldGrid, incident: FieldGrid,
     phi = np.angle(target.samples) - np.angle(incident.samples)
     phi += 2.0 * math.pi * np.arange(target.side, dtype=float) / period
     return PhaseMap(np.multiply(depth, np.sin(phi, out=phi), out=phi), period)
+
+
+def write_phase_pgm_whole_grid(path, phase: PhaseMap):
+    """8-bit binary PGM of the phase map, [-pi, pi] -> [0, 255], scaled on
+    one whole-grid float scratch array."""
+    levels = phase.values + math.pi  # one scratch grid, scaled in place
+    levels /= 2 * math.pi
+    levels *= 255.0
+    np.clip(np.round(levels, out=levels), 0, 255, out=levels)
+    header = f"P5\n{phase.side} {phase.side}\n255\n".encode("ascii")
+    write_atomic(path, header, levels.astype(np.uint8))

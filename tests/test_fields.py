@@ -60,7 +60,11 @@ from hgsense.modes import (
     oam_variance,
 )
 from hgsense.weak import carrier_state
-from reference import mode_purity_2d, rotate_field_fancy
+from reference import (
+    mode_purity_2d,
+    rotate_field_fancy,
+    write_phase_pgm_whole_grid,
+)
 
 SIDE = 256  # plenty for sub-percent overlaps, keeps the suite quick
 
@@ -483,6 +487,22 @@ def test_phase_pgm_bytes(tmp_path):
     assert pixels[0] == 0
     assert pixels[1] == 255
     assert pixels[2] == 128  # zero phase sits mid-scale
+
+
+@pytest.mark.parametrize("side", (128, 129, 1024))
+def test_phase_pgm_blocks_match_whole_grid(tmp_path, side):
+    # random phases plus both ends of the range and the half-level ties
+    values = np.random.default_rng(side).uniform(-math.pi, math.pi,
+                                                 (side, side))
+    values[0, :2] = -math.pi, math.pi
+    levels = np.arange(side) % 256 + 0.5
+    values[-1] = np.clip(levels / 255.0 * 2 * math.pi - math.pi,
+                         -math.pi, math.pi)
+    phase = PhaseMap(values, 16.0)
+    write_phase_pgm(tmp_path / "blocks.pgm", phase)
+    write_phase_pgm_whole_grid(tmp_path / "whole.pgm", phase)
+    assert ((tmp_path / "blocks.pgm").read_bytes()
+            == (tmp_path / "whole.pgm").read_bytes())
 
 
 @settings(max_examples=60, deadline=None)

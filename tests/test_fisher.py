@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hgsense import fisher
 from hgsense.errors import (
     InvalidStateError,
     NoSensitivityError,
@@ -66,7 +67,7 @@ from hgsense.weak import (
     post_selected_pair,
     qubit_monitor_channel,
 )
-from reference import dense_cfi
+from reference import dense_cfi, stencil_value_nine_calls
 
 DIAG = QubitState.from_amplitudes(1.0, complex(np.exp(1j * math.pi / 4)))
 TILTED = PauliAxis(math.pi / 4, 0.0)
@@ -555,6 +556,31 @@ def test_step_guard_trips_on_coarse_step():
         cfi_povm(fam, 1e-3,
                  carrier_projection_povm(carrier_state(ModeIndex(1, 1), 2)),
                  step=-1.0)
+
+
+def test_stencil_evaluates_each_point_once(monkeypatch):
+    idx, g = ModeIndex(3, 4), 1e-3
+    family = rotation_family(0.1, idx)
+    readout = carrier_projection_povm(carrier_state(idx, idx.total))
+    routes = (lambda fam: qfi_pure_numeric(fam, g),
+              lambda fam: cfi_povm(fam, g, readout))
+
+    def counted(route):
+        points = []
+
+        def counting_family(a):
+            points.append(a)
+            return family(a)
+
+        return route(counting_family), points
+
+    got = [counted(route) for route in routes]
+    monkeypatch.setattr(fisher, "_stencil_value", stencil_value_nine_calls)
+    want = [counted(route) for route in routes]
+    for (value, points), (nine_value, nine_points) in zip(got, want):
+        assert len(points) == 7 and sorted(points) == sorted(set(nine_points))
+        assert len(nine_points) == 9
+        assert value.hex() == nine_value.hex()  # bitwise, sign included
 
 
 def test_high_order_evolution_is_fast_and_small():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hgsense import weak
 from hgsense.errors import (
     ConfigError,
     DegeneratePostSelectionError,
@@ -37,7 +38,7 @@ from hgsense.weak import (
     qubit_monitor_channel,
     weak_value,
 )
-from reference import final_pointer_first_order
+from reference import evolve_uncached, final_pointer_first_order
 
 _SIGMAS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -300,6 +301,45 @@ def test_generator_matches_dense_oracle():
         gen.evolve((0.1,), ModeState.basis(4, 1, 1))
     with pytest.raises(ValueError):
         Generator("oam", 3)
+
+
+@pytest.mark.parametrize("coupling", list(Coupling))
+def test_memoized_evolution_is_bitwise_the_uncached_one(coupling):
+    # random states fill every shell, including the truncated ones s > cutoff;
+    # the first call fills the memo and the repeated one reads it
+    weak._coupling_eig.cache_clear()
+    rng = np.random.default_rng(20140519)
+    alphas = (0.37, -1e-3, 2.5)
+    for cutoff in range(25):
+        dim = basis_dim(cutoff)
+        state = ModeState(cutoff, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        for sigma0 in (0.7, 1.3):  # keys the p block only
+            gen = Generator(coupling, cutoff, sigma0)
+            want = evolve_uncached(gen, alphas, state)
+            for _ in range(2):
+                got = gen.evolve(alphas, state)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+                assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+def test_block_memo_is_read_only_bounded_and_hit_on_repeat():
+    info = weak._coupling_eig.cache_info()
+    assert info.maxsize == weak._EIG_CACHE_SIZE
+    gen = Generator(Coupling.OAM, 7)
+    state = ModeState.basis(7, 3, 4)
+    gen.evolve((1e-3,), state)
+    before = weak._coupling_eig.cache_info()
+    gen.evolve((1e-3,), state)
+    gen.apply(state)
+    after = weak._coupling_eig.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    for entry in (weak._coupling_eig(Coupling.OAM, 7, 7, None),
+                  weak._coupling_eig(Coupling.MOMENTUM_X, 7, None, 0.7)):
+        for array in entry:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 def test_density_matrix_validation():
