@@ -50,12 +50,10 @@ from .fields import (
     modulate,
     overlap,
     read_field_binary,
-    read_phase_binary,
     rotate_field,
     synthesize_hg_field,
     synthesize_superposition,
     write_field_binary,
-    write_phase_binary,
     write_phase_pgm,
 )
 from .fisher import (
@@ -74,10 +72,8 @@ from .fisher import (
     qfi_weak_approx,
 )
 from .modes import (
-    BeamGeometry,
     ModeIndex,
     ModeState,
-    beam_params,
     hermite_eval,
     hg_factor,
     hg_wavefunction,

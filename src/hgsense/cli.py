@@ -12,9 +12,9 @@ montecarlo  photon-counting lock-in simulation, per-trial SNR samples
 hologram    phase-only hologram for a target mode plus the simulated
             first-order readout
 
-Domain precondition failures and unwritable outputs exit with status 2 and
-a one-line message on stderr. Files go through output.write_atomic; stdout
-gets the same text a file would.
+Domain precondition failures, unwritable outputs and running out of memory
+exit with status 2 and a one-line message on stderr. Files go through
+output.write_atomic; stdout gets the same text a file would.
 """
 
 from __future__ import annotations
@@ -359,6 +359,10 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (HgSenseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {args.command} ran out of memory: {exc}",
+              file=sys.stderr)
         return 2
 
 

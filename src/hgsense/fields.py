@@ -2,7 +2,11 @@
 
 This layer works purely on pixel grids and never touches the ladder-operator
 algebra, so it can serve as an independent oracle for the mode-space results
-(and vice versa). Grids are square with symmetric sample coordinates
+(and vice versa). Fields are sampled at the waist plane. That is enough: the
+paraxial propagator acts on the shell N = m + n as one common rescale and
+curvature times exp(-i (N + 1) chi(z)), and Lz conserves N, so a pointer and
+the mode it is read out in share one shell and one Gouy phase at any plane.
+Grids are square with symmetric sample coordinates
 x_i = (i - (side - 1) / 2) * pitch, so the beam axis sits between the four
 central pixels and right-angle rotations land exactly on grid nodes.
 Holograms use the J1-type phase-only encoding of Arrizon et al., JOSA A 24,
@@ -20,11 +24,9 @@ Field binary ("FGRD", version 1): little-endian header
     magic 4s | version u32 | side u32 | pitch f64 | sigma0 f64
     | wavelength f64 | z f64
 followed by side*side complex128 samples (interleaved float64 re, im),
-row-major with the row index running along y.
-
-Phase-map binary ("PMAP", version 1): little-endian header
-    magic 4s | version u32 | side u32 | grating_period f64
-followed by side*side float64 phase values in radians.
+row-major with the row index running along y. The writer puts 780e-9 and 0
+in wavelength and z; the reader refuses z != 0 or a wavelength that is not
+finite and positive, and drops both.
 
 Phase-map image dump: 8-bit binary PGM (P5), phases mapped linearly from
 [-pi, pi] to [0, 255].
@@ -43,12 +45,11 @@ from .errors import (
     GridMismatchError,
     SeparationError,
     UnreachableAmplitudeError,
-    finite,
     finite_in,
     finite_positive,
     positive_square,
 )
-from .modes import ModeIndex, ModeState, beam_params, BeamGeometry, hg_factor
+from .modes import ModeIndex, ModeState, hg_factor
 from .output import write_atomic
 
 MIN_SIDE = 128
@@ -56,7 +57,6 @@ MAX_SIDE = 4096  # 256 MiB per complex128 grid
 MIN_COVERAGE_SIGMA = 6.0
 DEFAULT_SIDE = 512
 DEFAULT_WINDOW_SIGMA = 8.0
-DEFAULT_WAVELENGTH = 780e-9
 
 # First maximum of J1, the end of the invertible branch; pinned by a test.
 J1_PEAK_X = 1.8411837813406593
@@ -73,13 +73,11 @@ _ROTATE_BLOCK = 32  # grid rows per resampling block, as above
 
 @dataclass(frozen=True)
 class FieldGrid:
-    """Complex field samples on a square symmetric grid."""
+    """Complex waist-plane field samples on a square symmetric grid."""
 
     samples: np.ndarray
     pitch: float
     sigma0: float
-    wavelength: float = DEFAULT_WAVELENGTH
-    z: float = 0.0
 
     def __post_init__(self):
         arr = _adopted(self.samples, complex)
@@ -88,8 +86,6 @@ class FieldGrid:
         finite_in("grid side", arr.shape[0], MIN_SIDE, math.inf, ends="[)")
         finite_positive("pitch", self.pitch)
         positive_square("sigma0", self.sigma0)
-        finite_positive("wavelength", self.wavelength)
-        finite("z", self.z)
         finite_in("window half-width", 0.5 * arr.shape[0] * self.pitch,
                   MIN_COVERAGE_SIGMA * self.sigma0, math.inf, CoverageError,
                   "[)")
@@ -109,7 +105,7 @@ class FieldGrid:
         return float(np.sum(np.abs(self.samples) ** 2) * self.pitch ** 2)
 
     def with_samples(self, samples: np.ndarray) -> "FieldGrid":
-        return FieldGrid(samples, self.pitch, self.sigma0, self.wavelength, self.z)
+        return FieldGrid(samples, self.pitch, self.sigma0)
 
 
 def _axis(side: int, pitch: float) -> np.ndarray:
@@ -152,33 +148,20 @@ def _window(side: int, window_sigma: float, sigma0: float):
     return pitch, _axis(side, pitch)
 
 
-def _plane_factors(idx: ModeIndex, sigma0: float, wavelength: float,
-                   z: float, c: np.ndarray):
-    """y (row) and x (column) factors of HG(m, n) at plane z on axis c, the
-    amplitude scale sigma0 / sigma(z) and the Gouy phase."""
-    sigma_z, gouy, q_inv = beam_params(BeamGeometry(sigma0, wavelength, z))
-    scale = sigma0 / sigma_z
-    front = np.exp(-0.5j * q_inv.imag * c ** 2)  # curvature k / q = -Im(q_inv)
-    return (hg_factor(idx.n, sigma0, scale * c) * front,
-            hg_factor(idx.m, sigma0, scale * c) * front, scale, gouy)
-
-
-def synthesize_hg_field(idx: ModeIndex, sigma0: float, side: int = DEFAULT_SIDE,
-                        window_sigma: float = DEFAULT_WINDOW_SIGMA,
-                        wavelength: float = DEFAULT_WAVELENGTH,
-                        z: float = 0.0) -> FieldGrid:
+def synthesize_hg_field(idx: ModeIndex, sigma0: float,
+                        side: int = DEFAULT_SIDE,
+                        window_sigma: float = DEFAULT_WINDOW_SIGMA) -> FieldGrid:
     """Sample HG(m, n) on a symmetric grid, renormalized to unit grid power.
 
     The field is the outer product of a y factor (rows) and an x factor
-    (columns), each an hg_factor term. Away from the waist the profile is
-    rescaled by sigma(z) and picks up the wavefront curvature and the
-    (m + n + 1) multiple of the Gouy phase; at z = 0 both are exactly trivial.
+    (columns), each an hg_factor term.
     """
     pitch, c = _window(side, window_sigma, sigma0)
-    fy, fx, scale, gouy = _plane_factors(idx, sigma0, wavelength, z, c)
-    f = np.outer(fy, fx) * (scale * np.exp(-1j * (idx.total + 1) * gouy))
+    f = np.zeros((side, side), dtype=complex)  # outer().astype took 2x as long
+    np.multiply.outer(hg_factor(idx.n, sigma0, c), hg_factor(idx.m, sigma0, c),
+                      out=f.real)
     return FieldGrid(_unit_power(f, pitch, f"HG({idx.m}, {idx.n}) field"),
-                     pitch, sigma0, wavelength, z)
+                     pitch, sigma0)
 
 
 def synthesize_superposition(state: ModeState, sigma0: float,
@@ -246,17 +229,16 @@ def overlap(a: FieldGrid, b: FieldGrid) -> complex:
     """Discrete inner product <a|b> = pitch^2 sum conj(a) b."""
     if a.side != b.side or not math.isclose(a.pitch, b.pitch, rel_tol=1e-12):
         raise GridMismatchError("fields sampled on different grids")
-    if not math.isclose(a.z, b.z, abs_tol=1e-12):
-        raise GridMismatchError("fields sampled at different planes")
     return complex(np.vdot(a.samples, b.samples) * a.pitch ** 2)
 
 
 def mode_purity(field: FieldGrid, idx: ModeIndex) -> float:
-    """|overlap|^2 against the ideal HG(m, n) on the field's grid and plane:
+    """|overlap|^2 against the ideal HG(m, n) on the field's grid:
     pitch^2 |a_n^H F conj(a_m)|^2 / (|a_n|^2 |a_m|^2) with a_k its 1-D
-    factors; its Gouy phase and sigma(z) scale drop out."""
-    fy, fx, _, _ = _plane_factors(idx, field.sigma0, field.wavelength,
-                                  field.z, field.coords)
+    factors."""
+    # complex factors keep the contraction's rounding: real ones move it 2 ulp
+    fy, fx = (hg_factor(k, field.sigma0, field.coords).astype(complex)
+              for k in (idx.n, idx.m))
     amp = abs(np.vdot(fy, field.samples @ fx.conj())) * field.pitch
     return float(amp ** 2 / (np.vdot(fy, fy).real * np.vdot(fx, fx).real))
 
@@ -401,28 +383,18 @@ def first_order_extract(modulated: FieldGrid, grating_period: float) -> FieldGri
 
 
 _FGRD_HEADER = struct.Struct("<4sII4d")
-_PMAP_HEADER = struct.Struct("<4sIId")
 
 
 def write_field_binary(path, field: FieldGrid):
     """Serialize a FieldGrid in the documented FGRD layout (atomic write)."""
     header = _FGRD_HEADER.pack(b"FGRD", 1, field.side, field.pitch,
-                               field.sigma0, field.wavelength, field.z)
+                               field.sigma0, 780e-9, 0.0)  # the waist plane
     write_atomic(path, header, np.ascontiguousarray(field.samples, "<c16"))
 
 
-def _payload(raw: bytes, offset: int, side: int, dtype: str) -> np.ndarray:
-    """The side x side samples after a header of offset bytes; a payload of
-    any other length is refused."""
-    want = side * side * np.dtype(dtype).itemsize
-    if len(raw) - offset != want:
-        raise ValueError(
-            f"payload of {len(raw) - offset} bytes; a {side} x {side} grid "
-            f"needs {want}")
-    return np.frombuffer(raw, dtype=dtype, offset=offset).reshape(side, side)
-
-
 def read_field_binary(path) -> FieldGrid:
+    """Read an FGRD file; a header whose plane is not the waist, or whose
+    wavelength is not finite and positive, is refused."""
     with open(path, "rb") as handle:
         raw = handle.read()
     if len(raw) < _FGRD_HEADER.size:
@@ -430,27 +402,19 @@ def read_field_binary(path) -> FieldGrid:
     magic, version, side, pitch, sigma0, wavelength, z = _FGRD_HEADER.unpack_from(raw)
     if magic != b"FGRD" or version != 1:
         raise ValueError("not a version-1 field binary")
-    samples = _payload(raw, _FGRD_HEADER.size, side, "<c16").astype(complex)
+    finite_positive("wavelength", wavelength)
+    if z != 0.0:
+        raise ValueError(f"field binary at z = {z}, not at the waist z = 0")
+    want = side * side * 16
+    if len(raw) - _FGRD_HEADER.size != want:
+        raise ValueError(
+            f"payload of {len(raw) - _FGRD_HEADER.size} bytes; a {side} x "
+            f"{side} grid needs {want}")
+    samples = np.frombuffer(raw, "<c16", offset=_FGRD_HEADER.size).reshape(
+        side, side).astype(complex)
     if not np.all(np.isfinite(samples)):
         raise ValueError("field binary holds samples that are not finite")
-    return FieldGrid(_frozen(samples), pitch, sigma0, wavelength, z)
-
-
-def write_phase_binary(path, phase: PhaseMap):
-    header = _PMAP_HEADER.pack(b"PMAP", 1, phase.side, phase.grating_period)
-    write_atomic(path, header, np.ascontiguousarray(phase.values, "<f8"))
-
-
-def read_phase_binary(path) -> PhaseMap:
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    if len(raw) < _PMAP_HEADER.size:
-        raise ValueError("not a version-1 phase binary")
-    magic, version, side, period = _PMAP_HEADER.unpack_from(raw)
-    if magic != b"PMAP" or version != 1:
-        raise ValueError("not a version-1 phase binary")
-    values = _payload(raw, _PMAP_HEADER.size, side, "<f8").astype(float)
-    return PhaseMap(_frozen(values), period)
+    return FieldGrid(_frozen(samples), pitch, sigma0)
 
 
 def write_phase_pgm(path, phase: PhaseMap):

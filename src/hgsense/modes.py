@@ -203,52 +203,6 @@ def hg_wavefunction(idx: ModeIndex, sigma0: float, x, y):
     return hg_factor(idx.m, sigma0, x) * hg_factor(idx.n, sigma0, y)
 
 
-@dataclass(frozen=True)
-class BeamGeometry:
-    """Waist size, wavelength and propagation distance of a paraxial beam."""
-
-    sigma0: float
-    wavelength: float
-    z: float = 0.0
-
-    def __post_init__(self):
-        positive_square("sigma0", self.sigma0)  # before sigma0 ** 2 raises
-        finite_positive("wavelength", self.wavelength)
-        finite("z", self.z)
-        finite_positive("rayleigh", self.rayleigh)  # 2 k sigma0^2 underflows
-
-    @property
-    def wavenumber(self) -> float:
-        return 2.0 * math.pi / self.wavelength
-
-    @property
-    def rayleigh(self) -> float:
-        """Confocal parameter b = 2 k sigma0^2, fixed by the waist."""
-        return 2.0 * self.wavenumber * self.sigma0 ** 2
-
-
-class BeamParams(NamedTuple):
-    sigma: float
-    gouy: float
-    q_inv: complex
-
-
-def beam_params(geom: BeamGeometry) -> BeamParams:
-    """Size, Gouy phase and complex curvature combination at geom.z.
-
-    Returns (sigma(z), chi(z), 1/(2 sigma^2) - i k / q), the last being the
-    combination that collapses to k / (b + i z). sigma and the wavefront
-    curvature q are computed from their own closed forms so the identity is
-    a real check, not a tautology.
-    """
-    b, z, k = geom.rayleigh, geom.z, geom.wavenumber
-    sigma = geom.sigma0 * math.sqrt(1.0 + (z / b) ** 2)
-    gouy = math.atan2(z, b)
-    inv_q = z / (b ** 2 + z ** 2)  # 1/q, curvature of the wavefront
-    q_inv = 1.0 / (2.0 * sigma ** 2) - 1j * k * inv_q
-    return BeamParams(sigma, gouy, q_inv)
-
-
 class LadderOps(NamedTuple):
     ax: OperatorMatrix
     ax_dag: OperatorMatrix

@@ -13,9 +13,10 @@ guard serve the first-order Fisher formula in fisher.
 Omega is applied and exponentiated by one block kernel, Generator: one
 tridiagonal Lz block per shell m + n, or one px block along the m axis.
 A block depends only on the coupling, the cutoff and its shell (Lz) or
-sigma0 (px), so _coupling_eig memoizes each block with its eigh pair under
-that key, least recently used out past _EIG_CACHE_SIZE = 128 entries. A
-k-row entry holds 32 k^2 + 8 k bytes (block, eigenvectors, eigenvalues),
+sigma0 (px), so _coupling_block memoizes each block under that key and
+_coupling_eig its eigh pair, each least recently used out past
+_EIG_CACHE_SIZE = 128 entries; apply reads only the block. A k-row key
+holds 32 k^2 + 8 k bytes (block, eigenvectors, eigenvalues),
 with k <= cutoff + 1: at most 4.0 MB up to cutoff 30, 68 MB at cutoff 128
 (HG(64, 64) in its own shell).
 """
@@ -53,7 +54,7 @@ from .modes import (
 
 ORTHOGONALITY_FLOOR = 1e-12
 WEAK_LIMIT = 0.1  # bound on |alpha A_w| for the first-order expansion
-_EIG_CACHE_SIZE = 128  # invariant blocks _coupling_eig keeps, least recent out
+_EIG_CACHE_SIZE = 128  # entries each block memo keeps, least recent out
 
 
 @dataclass(frozen=True)
@@ -186,20 +187,25 @@ def _shell_rows(cutoff: int, s: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_EIG_CACHE_SIZE)
-def _coupling_eig(coupling: Coupling, cutoff: int, shell: int | None,
-                  sigma0: float | None) -> tuple:
-    """One invariant block of a coupling and its eigh pair, (block, w, v),
-    all read-only: the Lz block of shell (sigma0 None) or the p block of
-    sigma0 (shell None)."""
+def _coupling_block(coupling: Coupling, cutoff: int, shell: int | None,
+                    sigma0: float | None) -> np.ndarray:
+    """One read-only invariant block of a coupling: the Lz block of shell
+    (sigma0 None) or the p block of sigma0 (shell None)."""
     if coupling is Coupling.MOMENTUM_X:
         block = _tridiagonal(-np.sqrt(np.arange(1, cutoff + 1)) / (2.0 * sigma0))
     else:
         j = _shell_rows(cutoff, shell)[1:]
         block = _tridiagonal(np.sqrt(j * (shell - j + 1)))
-    entry = (block, *np.linalg.eigh(block))
-    for a in entry:
-        a.flags.writeable = False
-    return entry
+    block.flags.writeable = False
+    return block
+
+
+@functools.lru_cache(maxsize=_EIG_CACHE_SIZE)
+def _coupling_eig(*key) -> tuple:
+    """The read-only eigh pair (w, v) of _coupling_block(*key)."""
+    w, v = np.linalg.eigh(_coupling_block(*key))
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
 
 
 @dataclass(frozen=True)
@@ -210,7 +216,7 @@ class Generator:
     max(0, s - cutoff) to min(s, cutoff), with <j-1|Lz|j> = i sqrt(j (s-j+1))
     (exactly the truncation of lz_matrix). MOMENTUM_X: px = p (x) 1, one
     (cutoff + 1)-square block along m, <j-1|p|j> = -i sqrt(j) / (2 sigma0).
-    Only blocks a state has support on are read, each from _coupling_eig
+    Only blocks a state has support on are read, each from the memos
     and none larger than (cutoff + 1)-square.
     """
 
@@ -230,24 +236,24 @@ class Generator:
         return state.amplitudes.reshape(self.cutoff + 1, self.cutoff + 1)
 
     def _blocks(self, x: np.ndarray):
-        """Yield ((block, w, v) from _coupling_eig, (rows, cols) in the grid)
-        per block x has support on."""
+        """Yield (memo key, (rows, cols) in the grid) per block x has
+        support on."""
         if self.coupling is Coupling.MOMENTUM_X:
-            yield (_coupling_eig(self.coupling, self.cutoff, None, self.sigma0),
+            yield ((self.coupling, self.cutoff, None, self.sigma0),
                    (slice(None), np.flatnonzero(np.any(x != 0, axis=0))))
             return
         # occupied shells, sorted; np.unique would import numpy.ma on first use
         for s in map(int, np.flatnonzero(np.bincount(np.add(*np.nonzero(x))))):
             j = _shell_rows(self.cutoff, s)
-            yield (_coupling_eig(self.coupling, self.cutoff, s, None),
+            yield ((self.coupling, self.cutoff, s, None),
                    (j[:, None], s - j[:, None]))
 
     def apply(self, state: ModeState) -> np.ndarray:
         """Omega |state> as a flat amplitude vector."""
         x = self._grid(state)
         out = np.zeros_like(x)
-        for (block, _, _), (rows, cols) in self._blocks(x):
-            out[rows, cols] = block @ x[rows, cols]
+        for key, (rows, cols) in self._blocks(x):
+            out[rows, cols] = _coupling_block(*key) @ x[rows, cols]
         return out.reshape(-1)
 
     def evolve(self, alphas, state: ModeState) -> np.ndarray:
@@ -255,7 +261,8 @@ class Generator:
         x = self._grid(state)
         alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
         out = np.zeros((len(alphas),) + x.shape, dtype=complex)
-        for (_, w, v), (rows, cols) in self._blocks(x):
+        for key, (rows, cols) in self._blocks(x):
+            w, v = _coupling_eig(*key)
             phases = np.exp(-1j * np.multiply.outer(alphas, w))[:, :, None]
             out[:, rows, cols] = v @ (phases * (v.conj().T @ x[rows, cols]))
         return out.reshape(len(alphas), -1)

@@ -161,11 +161,10 @@ def first_order_extract_fft(modulated: FieldGrid, grating_period: float) -> Fiel
 
 def mode_purity_2d(field: FieldGrid, idx) -> float:
     """|overlap|^2 against the ideal mode synthesized as a full 2-D grid on
-    the field's grid and plane."""
+    the field's grid."""
     ideal = synthesize_hg_field(
         idx, field.sigma0, field.side,
-        0.5 * field.side * field.pitch / field.sigma0, field.wavelength,
-        field.z)
+        0.5 * field.side * field.pitch / field.sigma0)
     return abs(overlap(ideal, field)) ** 2
 
 

@@ -234,6 +234,33 @@ def test_hologram_rejects_grid_side_before_allocating(
     assert list(tmp_path.iterdir()) == []
 
 
+_NO_MEMORY = ("Unable to allocate 256. MiB for an array with shape "
+              "(4096, 4096) and data type complex128")
+
+
+@pytest.mark.parametrize("argv, owner, name", [
+    # the first array a 4096 px synthesis builds: nothing large is allocated
+    (["hologram", "--mode", "3,3", "--grid", "4096"], fields, "_axis"),
+    (["bounds", "--grid-max", "2", "--sweep-max", "2"], cli, "weak_fisher"),
+    (["montecarlo", "--mode", "1,1", "--trials", "10"], cli,
+     "montecarlo_lockin"),
+    (["table2"], cli, "sensitivity_table"),
+])
+def test_out_of_memory_is_one_error_line_naming_the_command(
+        argv, owner, name, tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(_NO_MEMORY)
+
+    monkeypatch.setattr(owner, name, exhausted)
+    assert main(argv + ["--out", str(tmp_path / "x"),
+                        "--config-out", str(tmp_path / "c.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {argv[0]} ran out of memory: "
+                            f"{_NO_MEMORY}\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["hologram", "--mode", "1,1", "--grating-period", "nan"],
     ["hologram", "--mode", "1,1", "--grating-period", "inf"],

@@ -28,7 +28,6 @@ from hgsense.errors import (
 from hgsense.experiment import DriveCalibration, NoiseModel, PhotonBudget
 from hgsense.fields import FieldGrid, PhaseMap
 from hgsense.modes import (
-    BeamGeometry,
     ModeIndex,
     ModeState,
     basis_dim,
@@ -99,10 +98,7 @@ BUILDS = {
     "WeakScenario": _pointer_scenario,
     "Generator": lambda draw: Generator(Coupling.MOMENTUM_X, draw(CUTOFFS),
                                         draw(REALS)),
-    "BeamGeometry": lambda draw: BeamGeometry(draw(REALS), draw(REALS),
-                                              draw(REALS)),
-    "FieldGrid": lambda draw: FieldGrid(ZEROS, draw(REALS), draw(REALS),
-                                        draw(REALS), draw(REALS)),
+    "FieldGrid": lambda draw: FieldGrid(ZEROS, draw(REALS), draw(REALS)),
     "PhaseMap": lambda draw: PhaseMap(np.full((4, 4), draw(REALS)),
                                       draw(REALS)),
     "PhotonBudget": lambda draw: PhotonBudget(draw(REALS), draw(REALS),
@@ -115,8 +111,7 @@ BUILDS = {
 }
 
 # derived values a constructor's guards vouch for, beyond its fields
-DERIVED = {BeamGeometry: ("wavenumber", "rayleigh"),
-           PhotonBudget: ("photon_energy", "photons", "volts_per_rate")}
+DERIVED = {PhotonBudget: ("photon_energy", "photons", "volts_per_rate")}
 
 
 def _numbers(result) -> list:

@@ -23,7 +23,6 @@ from hgsense.errors import (
     UnsupportedOrderError,
 )
 from hgsense.fields import (
-    DEFAULT_WAVELENGTH,
     J1_PEAK,
     J1_PEAK_X,
     MIN_COVERAGE_SIGMA,
@@ -41,20 +40,16 @@ from hgsense.fields import (
     modulate,
     overlap,
     read_field_binary,
-    read_phase_binary,
     rotate_field,
     synthesize_hg_field,
     synthesize_superposition,
     write_field_binary,
-    write_phase_binary,
     write_phase_pgm,
 )
 from hgsense.modes import (
-    BeamGeometry,
     ModeIndex,
     ModeState,
     basis_dim,
-    beam_params,
     flat_index,
     hg_wavefunction,
     oam_variance,
@@ -190,8 +185,7 @@ def test_row_blocked_rotation_is_bitwise_the_fancy_index_route(side):
             got = rotate_field(field, angle)
             assert np.array_equal(got.samples,
                                   rotate_field_fancy(field, angle).samples)
-            assert (got.pitch, got.sigma0, got.wavelength, got.z) == (
-                field.pitch, field.sigma0, field.wavelength, field.z)
+            assert (got.pitch, got.sigma0) == (field.pitch, field.sigma0)
 
 
 @pytest.mark.parametrize("side", [128, 129, 1024])
@@ -245,7 +239,7 @@ def test_field_grid_copies_writeable_arrays_and_adopts_frozen_ones(tmp_path):
         assert field.samples.flags.owndata
 
 
-def test_phase_map_copies_writeable_arrays_and_adopts_frozen_ones(tmp_path):
+def test_phase_map_copies_writeable_arrays_and_adopts_frozen_ones():
     side = 128
     caller = np.zeros((side, side))
     mask = PhaseMap(caller, 16.0)
@@ -268,12 +262,6 @@ def test_phase_map_copies_writeable_arrays_and_adopts_frozen_ones(tmp_path):
         with pytest.raises(ValueError, match="largest phase magnitude"):
             PhaseMap(values, 16.0)
 
-    path = tmp_path / "mask.pmap"
-    write_phase_binary(path, PhaseMap(frozen, 16.0))
-    back = read_phase_binary(path).values
-    assert not back.flags.writeable and back.flags.owndata
-    assert back.dtype == float and np.array_equal(back, frozen)
-
 
 def test_field_binary_refuses_non_finite_samples(tmp_path):
     path = tmp_path / "mode.fgrd"
@@ -292,17 +280,13 @@ def test_coverage_and_shape_guards():
         synthesize_hg_field(ModeIndex(1, 1), 1.0, side=SIDE, window_sigma=4.0)
     with pytest.raises(CoverageError):
         # half-width 128 * 0.01 / 2 = 0.64 sigma0, far under coverage
-        FieldGrid(np.zeros((128, 128), dtype=complex), 0.01, 1.0,
-                  DEFAULT_WAVELENGTH, 0.0)
+        FieldGrid(np.zeros((128, 128), dtype=complex), 0.01, 1.0)
     with pytest.raises(ValueError):
-        FieldGrid(np.zeros((64, 64), dtype=complex), 0.2, 1.0,
-                  DEFAULT_WAVELENGTH, 0.0)
+        FieldGrid(np.zeros((64, 64), dtype=complex), 0.2, 1.0)
     with pytest.raises(ValueError):
-        FieldGrid(np.zeros((128, 64), dtype=complex), 0.2, 1.0,
-                  DEFAULT_WAVELENGTH, 0.0)
+        FieldGrid(np.zeros((128, 64), dtype=complex), 0.2, 1.0)
     with pytest.raises(ValueError):
-        FieldGrid(np.zeros((128, 128), dtype=complex), -0.2, 1.0,
-                  DEFAULT_WAVELENGTH, 0.0)
+        FieldGrid(np.zeros((128, 128), dtype=complex), -0.2, 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -311,13 +295,8 @@ def test_non_finite_grid_and_synthesis_inputs_rejected(bad):
     builds = [
         lambda: FieldGrid(f.samples, bad, 1.0),
         lambda: FieldGrid(f.samples, f.pitch, bad),
-        lambda: FieldGrid(f.samples, f.pitch, 1.0, bad),
-        lambda: FieldGrid(f.samples, f.pitch, 1.0, DEFAULT_WAVELENGTH, bad),
-        lambda: BeamGeometry(bad, DEFAULT_WAVELENGTH),
         lambda: synthesize_hg_field(ModeIndex(1, 1), 1.0, side=128,
                                     window_sigma=bad),
-        lambda: synthesize_hg_field(ModeIndex(1, 1), 1.0, side=128, z=bad),
-        lambda: BeamGeometry(1.0, DEFAULT_WAVELENGTH, z=bad),
         lambda: rotate_field(f, bad),
     ]
     with warnings.catch_warnings():
@@ -346,9 +325,6 @@ def test_overlap_requires_matching_grids():
     c = synthesize_hg_field(ModeIndex(0, 0), 1.0, side=SIDE, window_sigma=7.0)
     with pytest.raises(GridMismatchError):
         overlap(a, c)
-    d = synthesize_hg_field(ModeIndex(0, 0), 1.0, side=SIDE, z=1e6)
-    with pytest.raises(GridMismatchError):
-        overlap(a, d)
 
 
 def test_gaussian_illumination_width():
@@ -361,33 +337,10 @@ def test_gaussian_illumination_width():
     assert g.power == pytest.approx(1.0, rel=1e-12)
 
 
-def test_synthesis_away_from_waist_tracks_beam_width():
-    z = 5e6  # several Rayleigh ranges in waist units
-    geom = BeamGeometry(1.0, DEFAULT_WAVELENGTH, z)
-    sigma_z, _, _ = beam_params(geom)
-    f = synthesize_hg_field(ModeIndex(0, 0), 1.0, side=SIDE, z=z)
-    x = f.coords
-    mean_sq = float(np.sum(np.abs(f.samples) ** 2 * x[None, :] ** 2)
-                    * f.pitch ** 2)
-    assert math.sqrt(mean_sq) == pytest.approx(sigma_z, rel=1e-6)
-    assert f.power == pytest.approx(1.0, rel=1e-12)
-
-
 def test_mode_purity_self_and_cross():
     f = synthesize_hg_field(ModeIndex(3, 3), 1.0, side=SIDE)
     assert mode_purity(f, ModeIndex(3, 3)) == pytest.approx(1.0, abs=1e-9)
     assert mode_purity(f, ModeIndex(2, 2)) < 1e-6
-
-
-def test_mode_purity_at_the_field_plane():
-    z_r = BeamGeometry(1.0, DEFAULT_WAVELENGTH).rayleigh
-    for z in (z_r, -0.5 * z_r):
-        f = synthesize_hg_field(ModeIndex(3, 2), 1.0, side=SIDE, z=z)
-        assert mode_purity(f, ModeIndex(3, 2)) == pytest.approx(1.0, abs=1e-12)
-        for other in (ModeIndex(2, 2), ModeIndex(3, 1), ModeIndex(1, 2)):
-            assert mode_purity(f, other) < 1e-6
-        assert abs(mode_purity(f, ModeIndex(2, 1))
-                   - mode_purity_2d(f, ModeIndex(2, 1))) <= 1e-13
 
 
 def test_separable_purity_matches_2d_overlap():
@@ -429,33 +382,33 @@ def test_blocked_j1_inverse_is_bitwise_the_whole_array_horner():
 
 
 def test_field_binary_roundtrip(tmp_path):
-    f = synthesize_hg_field(ModeIndex(2, 1), 0.7, side=128, z=2e5)
+    f = synthesize_hg_field(ModeIndex(2, 1), 0.7, side=128)
     path = tmp_path / "mode.fgrd"
     write_field_binary(path, f)
     back = read_field_binary(path)
     assert np.array_equal(back.samples, f.samples)
     assert back.pitch == f.pitch
     assert back.sigma0 == f.sigma0
-    assert back.wavelength == f.wavelength
-    assert back.z == f.z
     assert not list(tmp_path.glob("*.tmp"))
     (tmp_path / "junk.fgrd").write_bytes(b"JUNK" + bytes(44))
     with pytest.raises(ValueError):
         read_field_binary(tmp_path / "junk.fgrd")
 
 
-def test_phase_binary_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    values = rng.uniform(-math.pi, math.pi, size=(128, 128))
-    pm = PhaseMap(values, 12.0)
-    path = tmp_path / "mask.pmap"
-    write_phase_binary(path, pm)
-    back = read_phase_binary(path)
-    assert np.array_equal(back.values, pm.values)
-    assert back.grating_period == 12.0
-    (tmp_path / "junk.pmap").write_bytes(b"XXXX" + bytes(12))
-    with pytest.raises(ValueError):
-        read_phase_binary(tmp_path / "junk.pmap")
+@pytest.mark.parametrize("offset, bad", [
+    (36, 3e4), (36, -1e-12), (36, math.nan), (36, math.inf),  # z
+    (28, math.nan), (28, 0.0), (28, -780e-9), (28, math.inf)])  # wavelength
+def test_field_binary_refuses_a_header_off_the_waist_plane(tmp_path, offset,
+                                                           bad):
+    path = tmp_path / "mode.fgrd"
+    write_field_binary(path,
+                       synthesize_hg_field(ModeIndex(1, 1), 1.0, side=128))
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 8] = np.float64(bad).tobytes()
+    path.write_bytes(raw)
+    name = "z" if offset == 36 else "wavelength"
+    with pytest.raises(ValueError, match=name):
+        read_field_binary(path)
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -463,13 +416,10 @@ def test_binary_readers_check_payload_length(tmp_path, extra):
     field = tmp_path / "mode.fgrd"
     write_field_binary(field,
                        synthesize_hg_field(ModeIndex(1, 1), 1.0, side=128))
-    phase = tmp_path / "mask.pmap"
-    write_phase_binary(phase, PhaseMap(np.zeros((128, 128)), 8.0))
-    for path, read in ((field, read_field_binary), (phase, read_phase_binary)):
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-1] if extra < 0 else raw + b"\0")
-        with pytest.raises(ValueError, match="payload"):
-            read(path)
+    raw = field.read_bytes()
+    field.write_bytes(raw[:-1] if extra < 0 else raw + b"\0")
+    with pytest.raises(ValueError, match="payload"):
+        read_field_binary(field)
 
 
 def test_phase_pgm_bytes(tmp_path):
@@ -546,16 +496,9 @@ def test_j1_inverse_array_matches_bisection_oracle():
 
 
 @pytest.mark.parametrize("period", [math.nan, math.inf, 0.0, -8.0])
-def test_phase_map_refuses_bad_grating_period(tmp_path, period):
+def test_phase_map_refuses_bad_grating_period(period):
     with pytest.raises(ValueError, match="grating period"):
         PhaseMap(np.zeros((64, 64)), period)
-    path = tmp_path / "mask.pmap"
-    write_phase_binary(path, PhaseMap(np.zeros((128, 128)), 8.0))
-    raw = bytearray(path.read_bytes())
-    raw[12:20] = np.float64(period).tobytes()  # the header's grating period
-    path.write_bytes(raw)
-    with pytest.raises(ValueError, match="grating period"):
-        read_phase_binary(path)
 
 
 def test_phase_map_validation():

@@ -7,12 +7,10 @@ from numpy.polynomial import hermite as np_hermite
 
 from hgsense.errors import ConfigError, UnsupportedOrderError
 from hgsense.modes import (
-    BeamGeometry,
     ModeIndex,
     ModeState,
     OperatorMatrix,
     basis_dim,
-    beam_params,
     flat_index,
     hermite_eval,
     hg_factor,
@@ -80,35 +78,14 @@ def test_flat_index_roundtrip():
         flat_index(7, 0, 6)
 
 
-def test_beam_params_collapse_to_single_complex_form():
-    # sigma, Gouy and curvature computed separately must satisfy
-    # 1/(2 sigma^2) - i k/q == k / (b + i z)
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        sigma0 = float(rng.uniform(0.2, 3.0))
-        wavelength = float(rng.uniform(0.4, 1.6))
-        z = float(rng.uniform(-50.0, 50.0))
-        geom = BeamGeometry(sigma0, wavelength, z)
-        p = beam_params(geom)
-        expected = geom.wavenumber / (geom.rayleigh + 1j * z)
-        assert p.q_inv == pytest.approx(expected, rel=1e-12)
-        assert p.sigma >= sigma0
-        assert abs(p.gouy) <= math.pi / 2
-
-
-def test_beam_geometry_rayleigh_follows_the_waist():
-    geom = BeamGeometry(1.0, 0.8)
-    assert geom.rayleigh == 2.0 * geom.wavenumber * 1.0 ** 2
-    with pytest.raises(ValueError, match="rayleigh 0.0 must be finite and "
-                                         "positive"):  # 2 k sigma0^2 underflows
-        BeamGeometry(1e-160, 1e300)
+def test_hg_factor_refuses_a_waist_without_a_finite_square():
     # sigma0^2 underflows to zero, or overflows
     with pytest.raises(ValueError, match="sigma0 1e-170 must be positive with "
                                          "a finite, nonzero square"):
-        BeamGeometry(1e-170, 0.8)
+        hg_factor(0, 1e-170, 0.0)
     with pytest.raises(ValueError, match=r"sigma0 1e\+160 must be positive with "
                                          "a finite, nonzero square"):
-        BeamGeometry(1e160, 780e-9)
+        hg_factor(0, 1e160, 0.0)
     for sigma0 in (1e160, 1e-170, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite, nonzero square"):
             hg_factor(0, sigma0, 0.0)

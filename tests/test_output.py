@@ -17,7 +17,6 @@ from hgsense.fields import (
     PhaseMap,
     synthesize_hg_field,
     write_field_binary,
-    write_phase_binary,
     write_phase_pgm,
 )
 from hgsense.fisher import write_bound_csv
@@ -41,7 +40,6 @@ WRITERS = {
     "run_config": lambda path: write_run_config(path, {"seed": 1}),
     "field_binary": lambda path: write_field_binary(
         path, synthesize_hg_field(ModeIndex(0, 0), 1.0, side=128)),
-    "phase_binary": lambda path: write_phase_binary(path, _PHASE),
     "phase_pgm": lambda path: write_phase_pgm(path, _PHASE),
 }
 
@@ -77,16 +75,16 @@ def test_write_atomic_replaces_without_newline_translation(tmp_path):
 
 def test_binary_writers_emit_header_then_samples(tmp_path):
     # the documented layouts, built the long way: header bytes + tobytes()
-    field = synthesize_hg_field(ModeIndex(2, 1), 1.0, side=129, z=3e4)
+    field = synthesize_hg_field(ModeIndex(2, 1), 0.7, side=129)
     write_field_binary(tmp_path / "f", field)
-    assert (tmp_path / "f").read_bytes() == struct.pack(
-        "<4sII4d", b"FGRD", 1, 129, field.pitch, field.sigma0,
-        field.wavelength, field.z) + field.samples.astype("<c16").tobytes()
+    raw = (tmp_path / "f").read_bytes()
+    # the waist plane: wavelength 780e-9 and z 0 fill the header's last two
+    assert raw[:44] == (b"FGRD" + struct.pack("<II", 1, 129)
+                        + struct.pack("<4d", field.pitch, 0.7, 780e-9, 0.0))
+    assert raw[36:44] == bytes(8)  # z = +0.0
+    assert raw[44:] == field.samples.astype("<c16").tobytes()
     rng = np.random.default_rng(5)
     phase = PhaseMap(rng.uniform(-math.pi, math.pi, (128, 128)), 7.5)
-    write_phase_binary(tmp_path / "p", phase)
-    assert (tmp_path / "p").read_bytes() == struct.pack(
-        "<4sIId", b"PMAP", 1, 128, 7.5) + phase.values.astype("<f8").tobytes()
     write_phase_pgm(tmp_path / "g", phase)
     levels = np.clip(np.round((phase.values + math.pi) / (2 * math.pi) * 255),
                      0, 255).astype(np.uint8)
