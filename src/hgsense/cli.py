@@ -44,6 +44,8 @@ from .experiment import (
     write_run_config,
 )
 from .fields import (
+    check_grating_period,
+    check_side,
     first_order_extract,
     gaussian_illumination,
     hologram_phase,
@@ -54,18 +56,16 @@ from .fields import (
     write_phase_pgm,
 )
 from .fisher import (
-    BOUND_CSV_COLUMNS,
     Parameter,
     min_detectable_rotation,
     qfi_rotation_exact_selections,
     weak_fisher,
     write_bound_csv,
 )
-from .modes import ModeIndex, ModeState, oam_variance, variance
+from .modes import ModeIndex, ModeState, momentum_variance_x, oam_variance
 from .output import format_cell, write_atomic
 from .weak import (
     Coupling,
-    Generator,
     PauliAxis,
     QubitState,
     WeakScenario,
@@ -89,12 +89,19 @@ def _parse_float_list(text: str) -> list[float]:
 def _budget(args) -> PhotonBudget:
     budget = PhotonBudget(power=args.power_w, integration=args.tau_s,
                           wavelength=args.wavelength_m)
-    if getattr(args, "photons", None) is not None:
+    if args.photons is not None:
         photons = finite_positive("--photons", args.photons)
         power = photons * budget.photon_energy / budget.integration
         budget = PhotonBudget(power=power, integration=args.tau_s,
                               wavelength=args.wavelength_m)
     return budget
+
+
+def _budget_keys(epsilon: float, budget: PhotonBudget) -> dict:
+    """The --config-out keys of the post-selection angle and photon budget."""
+    return {"epsilon_rad": epsilon, "photons": budget.photons,
+            "power_w": budget.power, "integration_s": budget.integration,
+            "wavelength_m": budget.wavelength}
 
 
 def _calibration(args) -> DriveCalibration:
@@ -114,19 +121,16 @@ def _maybe_config(args, settings: dict):
         write_run_config(args.config_out, settings)
 
 
-def _bound_row(*cells) -> dict:
-    """A bounds CSV row: seven leading cells, then the Fisher information."""
-    bound = math.inf if cells[-1] == 0.0 else 1.0 / cells[-1]
-    return dict(zip(BOUND_CSV_COLUMNS, cells + (bound,)))
+def _bound_row(*cells) -> tuple:
+    """A bounds CSV row: seven cells, the Fisher information, the bound."""
+    return cells + (math.inf if cells[-1] == 0.0 else 1.0 / cells[-1],)
 
 
 def cmd_bounds(args) -> int:
     epsilon = math.radians(args.epsilon_deg)
     cot2 = check_epsilon(epsilon)
     budget = _budget(args)
-    n_photons = budget.photons
-    alpha_breakdown = finite(
-        "--alpha-rad", args.alpha_rad if args.alpha_rad is not None else 1e-3)
+    alpha_breakdown = finite("--alpha-rad", args.alpha_rad)
     # refuse the breakdown family's largest pointer and selections up front
     ModeIndex(max(args.sweep_max, 0), max(args.sweep_max, 0))
     vacuum = ModeState.basis(0, 0, 0)  # selection factors ignore the pointer
@@ -134,8 +138,8 @@ def cmd_bounds(args) -> int:
                               PauliAxis.z(), Coupling.OAM, vacuum)
                  for eps_b in args.breakdown_epsilons]
     rows = [_bound_row("projective", "carrier-povm", "oam", epsilon, m, n,
-                       "alpha",
-                       4.0 * cot2 * oam_variance(ModeIndex(m, n)) * n_photons)
+                       "alpha", 4.0 * cot2 * oam_variance(ModeIndex(m, n))
+                       * budget.photons)
             for m in range(1, args.grid_max + 1)
             for n in range(1, args.grid_max + 1)]
 
@@ -144,16 +148,13 @@ def cmd_bounds(args) -> int:
     selection = WeakScenario(1e-3, diag, diag, PauliAxis(math.pi / 4.0, 0.0),
                              Coupling.OAM, vacuum)
     sigma0 = 1.0 / math.sqrt(2.0)
-    variances = {}  # <delta Omega^2> by (coupling label, order)
+    variances = {}  # <delta Omega^2> of the pointer by (coupling label, order)
     for order in range(0, args.sweep_max + 1):
-        pointer = ModeState.basis(order + 1, order, order)
-        gauss = ModeState.basis(order + 1, 0, 0)
-        for label, coupling, state in (
-                ("oam", Coupling.OAM, pointer),
-                ("momentum-x", Coupling.MOMENTUM_X, pointer),
-                ("gaussian-pointer", Coupling.MOMENTUM_X, gauss)):
-            variances[label, order] = variance(
-                Generator(coupling, order + 1, sigma0), state)
+        pointer = ModeIndex(order, order)
+        variances["oam", order] = oam_variance(pointer)
+        variances["momentum-x", order] = momentum_variance_x(pointer, sigma0)
+        variances["gaussian-pointer", order] = momentum_variance_x(
+            ModeIndex(0, 0), sigma0)
     fishers = weak_fisher(selection, tuple(Parameter), variances.values())
     for (label, order), row in zip(variances, fishers):
         rows += [_bound_row("hamiltonian", "quantum-bound", label, "", order,
@@ -167,8 +168,7 @@ def cmd_bounds(args) -> int:
         ModeIndex(order, order)) for order in orders])
     for eps_b, s, by_order in zip(args.breakdown_epsilons, breakdown, exact):
         approx = weak_fisher(s, (Parameter.ALPHA,),
-                             [variances["oam", order] for order in orders],
-                             check_regime=False)
+                             [variances["oam", order] for order in orders])
         rows += [_bound_row("postselection", method, "oam", eps_b, order,
                             order, "alpha", fisher)
                  for order, exact_qfi, (approx_qfi,) in zip(orders, by_order,
@@ -180,12 +180,8 @@ def cmd_bounds(args) -> int:
         raise ConfigError("sweep limits produce no rows")
     write_bound_csv(args.out, rows)
     _maybe_config(args, {
-        "epsilon_rad": epsilon, "photons": n_photons,
-        "power_w": budget.power, "integration_s": budget.integration,
-        "wavelength_m": budget.wavelength,
-        "alpha_breakdown_rad": alpha_breakdown,
-        "grid_max": args.grid_max, "sweep_max": args.sweep_max,
-    })
+        **_budget_keys(epsilon, budget), "alpha_breakdown_rad": alpha_breakdown,
+        "grid_max": args.grid_max, "sweep_max": args.sweep_max})
     return 0
 
 
@@ -195,12 +191,8 @@ def cmd_table2(args) -> int:
     cal = _calibration(args)
     rows = sensitivity_table(epsilon, budget, cal)
     _emit(args, (table_json if args.format == "json" else table_csv)(rows))
-    _maybe_config(args, {
-        "epsilon_rad": epsilon, "photons": budget.photons,
-        "power_w": budget.power, "integration_s": budget.integration,
-        "wavelength_m": budget.wavelength,
-        "rotation_per_volt": cal.rotation_per_volt,
-    })
+    _maybe_config(args, {**_budget_keys(epsilon, budget),
+                         "rotation_per_volt": cal.rotation_per_volt})
     return 0
 
 
@@ -233,20 +225,17 @@ def cmd_montecarlo(args) -> int:
     lines.append(f"std,{format_cell(result.std_snr)}")
     _emit(args, "\n".join(lines) + "\n")
     _maybe_config(args, {
-        "epsilon_rad": epsilon, "alpha_rad": alpha,
-        "dither_rad": noise.dither_rad,
+        **_budget_keys(epsilon, budget), "alpha_rad": alpha,
+        "dither_rad": noise.dither_rad, "electrical_v": noise.electrical_v,
         "drive_frequency_hz": noise.drive_frequency,
-        "electrical_v": noise.electrical_v,
-        "photons": budget.photons, "power_w": budget.power,
-        "integration_s": budget.integration,
-        "wavelength_m": budget.wavelength,
-        "seed": args.seed, "trials": args.trials,
-    })
+        "seed": args.seed, "trials": args.trials})
     return 0
 
 
 def cmd_hologram(args) -> int:
     idx = _parse_mode(args.mode)
+    # refused before the first grid is built, the side first
+    check_grating_period(args.grating_period, check_side(args.grid))
     target = synthesize_hg_field(idx, 1.0, side=args.grid)
     incident = gaussian_illumination(args.illum_scale, target)
     phase = hologram_phase(target, incident, args.grating_period)
@@ -300,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="largest m and n for the carrier-readout grid")
     p_bounds.add_argument("--sweep-max", type=int, default=25,
                           help="largest diagonal order for the bound sweeps")
-    p_bounds.add_argument("--alpha-rad", type=float, default=None,
+    p_bounds.add_argument("--alpha-rad", type=float, default=1e-3,
                           help="coupling strength for the breakdown family "
                                "(default 1e-3)")
     p_bounds.add_argument("--breakdown-epsilons", type=_parse_float_list,

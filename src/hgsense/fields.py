@@ -67,8 +67,7 @@ _J1_SERIES = np.polynomial.Polynomial(np.ravel(
 J1_PEAK = float(_J1_SERIES(J1_PEAK_X))
 
 _RENORM_FLOOR = 1e-9
-_J1_BLOCK = 16384  # samples per Horner block: y and depth stay in cache
-_ROTATE_BLOCK = 32  # grid rows per resampling block, as above
+_J1_BLOCK = 16384  # samples per row block: its temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -139,9 +138,19 @@ def _unit_power(f: np.ndarray, pitch: float, name: str) -> np.ndarray:
     return _frozen(f)
 
 
+def check_side(side: int) -> int:
+    return finite_in("grid side", side, MIN_SIDE, MAX_SIDE)
+
+
+def check_grating_period(grating_period: float, side: int) -> float:
+    """4 px resolve the carrier; above side / 2 it falls in the zeroth order."""
+    return finite_in("grating period in px", grating_period, 4.0, side / 2.0,
+                     SeparationError)
+
+
 def _window(side: int, window_sigma: float, sigma0: float):
     """Pitch and axis of a side-pixel window spanning +-window_sigma sigma0."""
-    finite_in("grid side", side, MIN_SIDE, MAX_SIDE)
+    check_side(side)
     finite_in("window half-width in sigma0", window_sigma, MIN_COVERAGE_SIGMA,
               math.inf, CoverageError, "[)")
     pitch = 2.0 * window_sigma * sigma0 / side
@@ -209,15 +218,15 @@ def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
     # reads all four neighbours through offset views
     width, padded = side + 4, np.pad(field.samples, 2).ravel()
     rotated = np.empty((side, side), dtype=complex)
-    for start in range(0, side, _ROTATE_BLOCK):
-        y = coords[start:start + _ROTATE_BLOCK, None]
+    for b in _row_blocks(side):
+        y = coords[b, None]
         fc = (cx + s * y) / pitch + half  # fractional source column (x)
         fr = (sx + c * y) / pitch + half  # and row (y)
         c0, r0 = np.floor(fc), np.floor(fr)
         tc, tr = fc - c0, fr - r0
         k = ((np.clip(r0, -2, side) + 2) * width
              + np.clip(c0, -2, side) + 2).astype(np.intp)
-        rotated[start:start + _ROTATE_BLOCK] = (
+        rotated[b] = (
             (1 - tr) * (1 - tc) * padded.take(k)
             + (1 - tr) * tc * padded[1:].take(k)
             + tr * (1 - tc) * padded[width:].take(k)
@@ -270,15 +279,12 @@ _J1_INVERSE_POLY = np.polynomial.chebyshev.cheb2poly(
 
 
 def _j1_inverse_array(targets: np.ndarray) -> np.ndarray:
-    flat = np.ravel(targets)
-    depth = np.full_like(flat, _J1_INVERSE_POLY[-1])
-    for start in range(0, flat.size, _J1_BLOCK):
-        y = 2.0 * np.sqrt(1.0 - flat[start:start + _J1_BLOCK] / J1_PEAK) - 1.0
-        block = depth[start:start + _J1_BLOCK]
-        for a in _J1_INVERSE_POLY[-2::-1]:  # Horner in place
-            block *= y
-            block += a
-    return np.clip(depth, 0.0, J1_PEAK_X, out=depth).reshape(np.shape(targets))
+    y = 2.0 * np.sqrt(1.0 - targets / J1_PEAK) - 1.0  # a row block at most
+    depth = np.full_like(y, _J1_INVERSE_POLY[-1])
+    for a in _J1_INVERSE_POLY[-2::-1]:  # Horner in place
+        depth *= y
+        depth += a
+    return np.clip(depth, 0.0, J1_PEAK_X, out=depth)
 
 
 @dataclass(frozen=True)
@@ -362,9 +368,7 @@ def first_order_extract(modulated: FieldGrid, grating_period: float) -> FieldGri
     (below 1e-9) so that a blank mask legitimately yields a dark output.
     """
     side = modulated.side
-    # 4 px resolve the carrier; above side / 2 it falls in the zeroth order
-    finite_in("grating period in px", grating_period, 4.0, side / 2.0,
-              SeparationError)
+    check_grating_period(grating_period, side)
     carrier = 1.0 / grating_period  # cycles per pixel along x
     freq = np.fft.fftfreq(side)
     kx = np.flatnonzero(np.abs(freq - carrier) <= carrier / 2.0)

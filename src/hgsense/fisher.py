@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -136,15 +136,12 @@ def qfi_pure_numeric(state_fn: Callable[[float], ModeState], g: float,
 
 
 def weak_fisher(s: WeakScenario, parameters: Sequence[Parameter],
-                variances: Iterable[float],
-                check_regime: bool = True) -> list[list[float]]:
+                variances: Iterable[float]) -> list[list[float]]:
     """4 |dM_w/dg|^2 <dOmega^2> per pointer variance (rows) and parameter,
     with each selection factor 4 |dM_w/dg|^2 computed once from the Pauli
-    weak values of s, whose pointer plays no part. check_regime=False skips
-    the |alpha A_w| guard, so breakdown sweeps can run past its validity.
+    weak values of s, whose pointer plays no part. The |alpha A_w| guard is
+    the caller's, so breakdown sweeps can run past its validity.
     """
-    if check_regime:
-        s.require_weak_regime()
     sxw, syw, szw = pauli_weak_values(s.pre, s.post)
     st, ct = math.sin(s.axis.theta), math.cos(s.axis.theta)
     sp, cp = math.sin(s.axis.phi), math.cos(s.axis.phi)
@@ -157,9 +154,12 @@ def weak_fisher(s: WeakScenario, parameters: Sequence[Parameter],
 
 def qfi_weak_approx(s: WeakScenario, parameter: Parameter,
                     check_regime: bool = True) -> float:
-    """weak_fisher for one parameter at the pointer variance of s."""
-    return weak_fisher(s, (parameter,), (variance(s.operator(), s.pointer),),
-                       check_regime)[0][0]
+    """weak_fisher for one parameter at the pointer variance of s;
+    check_regime=False skips the |alpha A_w| guard."""
+    if check_regime:
+        s.require_weak_regime()
+    return weak_fisher(s, (parameter,),
+                       (variance(s.operator(), s.pointer),))[0][0]
 
 
 @dataclass(frozen=True)
@@ -351,18 +351,17 @@ BOUND_CSV_COLUMNS = ("family", "method", "coupling", "epsilon", "m", "n",
                      "parameter", "fisher_info", "variance_bound")
 
 
-def write_bound_csv(path, rows: Iterable[Mapping]):
+def write_bound_csv(path, rows: Iterable[Sequence]):
     """Emit bound-sweep rows as CSV through output.write_atomic.
 
-    Columns are BOUND_CSV_COLUMNS: the row family, the method, the coupling
-    and the post-selection angle, then m, n, parameter, fisher_info and
-    variance_bound; a key a row lacks gives an empty cell. Cells use
+    Each row is a sequence of cells in the order of BOUND_CSV_COLUMNS, the
+    header: the row family, the method, the coupling and the post-selection
+    angle, then m, n, parameter, fisher_info and variance_bound. Cells use
     output.format_cell, so output is reproducible byte for byte. Lines end
     in CRLF, the csv default.
     """
     buffer = io.StringIO(newline="")
-    writer = csv.DictWriter(buffer, fieldnames=BOUND_CSV_COLUMNS)
-    writer.writeheader()
-    writer.writerows({k: format_cell(row.get(k, "")) for k in BOUND_CSV_COLUMNS}
-                     for row in rows)
+    writer = csv.writer(buffer)
+    writer.writerow(BOUND_CSV_COLUMNS)
+    writer.writerows(map(format_cell, row) for row in rows)
     write_atomic(path, buffer.getvalue())

@@ -1,4 +1,4 @@
-"""Freeze the hologram outputs that tests/test_golden_hologram.py checks.
+"""Freeze the CLI outputs that tests/test_golden_hologram.py checks.
 
 Run it against the source tree whose outputs are to be frozen, from the
 repository root:
@@ -13,6 +13,10 @@ samples are pinned as values: every STRIDE-th row and column of the grid, to
 SAMPLE_TOLERANCE in max-abs. The exact .fgrd digest is recorded together with
 the numpy version and CPU features it was made on, for comparing by hand on
 that platform; the test does not read it.
+
+The text outputs of bounds, table2 and montecarlo do not depend on the CPU,
+so for each TEXT_CASES run the SHA-256 of every output is pinned: stdout,
+the --config-out file and, for bounds, the --out CSV.
 """
 
 import hashlib
@@ -30,6 +34,16 @@ CASES = {
     "3,3 at 512 px": ["--mode", "3,3", "--grid", "512"],
     "2,1 at 129 px, period 4": ["--mode", "2,1", "--grid", "129",
                                 "--grating-period", "4"],
+}
+TEXT_CASES = {
+    "bounds, defaults": ["bounds"],
+    "table2 as CSV": ["table2"],
+    "table2 as JSON": ["table2", "--format", "json"],
+    "montecarlo 3,3, 50 trials": ["montecarlo", "--mode", "3,3",
+                                  "--trials", "50"],
+    "montecarlo 1,2 at 1e7 photons": ["montecarlo", "--mode", "1,2",
+                                      "--photons", "1e7",
+                                      "--electrical-v", "1e-5"],
 }
 FGRD_HEADER_BYTES = 44
 STRIDE = 16  # a 32 x 32 sample lattice at 512 px, 9 x 9 at 129 px
@@ -65,6 +79,27 @@ def run_case(argv: list) -> dict:
     }
 
 
+def run_text_case(argv: list) -> dict:
+    """Run a text-output subcommand in process; return its outputs' SHA-256."""
+    from hgsense.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"config": Path(tmp) / "run.cfg"}
+        extra = ["--config-out", str(files["config"])]
+        if argv[0] == "bounds":  # the one command with no stdout form
+            files["out"] = Path(tmp) / "bounds.csv"
+            extra += ["--out", str(files["out"])]
+        out = StringIO()
+        with redirect_stdout(out):
+            status = main([*argv, *extra])
+        if status != 0:
+            raise RuntimeError(f"{argv} exited {status}")
+        outputs = {"stdout": out.getvalue().encode(),
+                   **{key: path.read_bytes() for key, path in files.items()}}
+    return {key: hashlib.sha256(data).hexdigest()
+            for key, data in sorted(outputs.items())}
+
+
 def _cpu_features() -> list:
     try:
         from numpy._core._multiarray_umath import __cpu_features__
@@ -81,6 +116,8 @@ def main() -> int:
                                 "cpu_features": _cpu_features()},
         "cases": {name: {"argv": argv, **run_case(argv)}
                   for name, argv in CASES.items()},
+        "text_cases": {name: {"argv": argv, "sha256": run_text_case(argv)}
+                       for name, argv in TEXT_CASES.items()},
     }
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {GOLDEN}")

@@ -84,12 +84,12 @@ def test_bounds_refuses_unsupported_order_before_sweeping(
         tmp_path, capsys, monkeypatch):
     # the breakdown family cannot build HG(65, 65), nor select at epsilon 0:
     # nothing may run first. The carrier grid's oam_variance is the sweep's
-    # first call, and variance the first of the Hamiltonian family.
+    # first call; the Hamiltonian family also reads momentum_variance_x.
     def no_sweep(*args, **kwargs):
         pytest.fail("bounds swept before the breakdown inputs were checked")
 
     monkeypatch.setattr(cli, "oam_variance", no_sweep)
-    monkeypatch.setattr(cli, "variance", no_sweep)
+    monkeypatch.setattr(cli, "momentum_variance_x", no_sweep)
     for flags, needle in ((["--sweep-max", "65"], "(65, 65)"),
                           (["--breakdown-epsilons", "0"],
                            "pre- and post-selection are orthogonal")):
@@ -230,6 +230,24 @@ def test_hologram_rejects_grid_side_before_allocating(
     captured = capsys.readouterr()
     assert captured.err == (f"error: grid side {side} must be finite and lie "
                             "in [128, 4096]\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid, period, top", [
+    ("512", "2", "256.0"), ("512", "257", "256.0"), ("4096", "2", "2048.0")])
+def test_hologram_rejects_grating_period_before_allocating(
+        grid, period, top, tmp_path, capsys, monkeypatch):
+    def no_axis(*args):  # the first array a synthesis builds
+        pytest.fail("grid axis built before the grating period was checked")
+
+    monkeypatch.setattr(fields, "_axis", no_axis)
+    assert main(["hologram", "--mode", "3,3", "--grid", grid,
+                 "--grating-period", period, "--out", str(tmp_path / "x"),
+                 "--config-out", str(tmp_path / "c.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: grating period in px {float(period)} "
+                            f"must be finite and lie in [4.0, {top}]\n")
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 

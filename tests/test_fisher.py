@@ -691,8 +691,8 @@ def test_default_step_floors():
 
 def test_bound_csv_output(tmp_path):
     path = tmp_path / "bounds.csv"
-    rows = [{"family": "projective", "m": 1, "n": 1, "parameter": "alpha",
-             "fisher_info": 1234.5678901234567, "variance_bound": 1.0 / 3.0}]
+    rows = [("projective", "", "", "", 1, 1, "alpha", 1234.5678901234567,
+             1.0 / 3.0)]
     write_bound_csv(path, rows)
     text = path.read_text().splitlines()
     assert text[0] == ",".join(BOUND_CSV_COLUMNS) == (

@@ -94,8 +94,7 @@ def test_binary_writers_emit_header_then_samples(tmp_path):
 
 def test_bound_csv_keeps_crlf_and_twelve_digits(tmp_path):
     target = tmp_path / "b.csv"
-    write_bound_csv(target, [{"m": 1, "n": 2, "parameter": "alpha",
-                              "fisher_info": 3.0, "variance_bound": 1 / 3}])
+    write_bound_csv(target, [("", "", "", "", 1, 2, "alpha", 3.0, 1 / 3)])
     assert target.read_bytes() == (
         b"family,method,coupling,epsilon,m,n,parameter,fisher_info,"
         b"variance_bound\r\n"
