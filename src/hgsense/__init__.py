@@ -76,7 +76,6 @@ from .modes import (
     ModeState,
     hermite_eval,
     hg_factor,
-    hg_wavefunction,
     momentum_variance_x,
     oam_variance,
 )

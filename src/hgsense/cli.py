@@ -73,10 +73,11 @@ from .weak import (
 )
 
 def _parse_mode(text: str) -> ModeIndex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--mode expects 'm,n', got {text!r}")
-    return ModeIndex(int(parts[0]), int(parts[1]))
+    try:
+        m, n = map(int, text.split(","))
+    except ValueError:
+        raise ValueError(f"--mode expects 'm,n', got {text!r}") from None
+    return ModeIndex(m, n)
 
 
 def _parse_float_list(text: str) -> list[float]:

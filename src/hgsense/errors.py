@@ -98,7 +98,7 @@ def finite_in(name, value, lo, hi, error=ConfigError, ends="[]"):
     hi, each end closed ("[", "]") or open ("(", ")") as ends spells it."""
     above = value >= lo if ends[0] == "[" else value > lo
     below = value <= hi if ends[1] == "]" else value < hi
-    if not (above and below and math.isfinite(value)):
+    if not (above and below and -math.inf < value < math.inf):  # ints of any size too
         raise error(f"{name} {value} must be finite and lie in "
                     f"{ends[0]}{lo}, {hi}{ends[1]}")
     return value

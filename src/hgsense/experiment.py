@@ -221,6 +221,7 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     window mean, so per-trial SNR values scatter accordingly.
     """
     finite_in("trials", trials, 10, MAX_TRIALS)  # 10 for a meaningful average
+    finite_in("seed", seed, 0, math.inf, ends="[)")
     cot2 = check_epsilon(epsilon)
     k_var = _check_mode(idx)
     finite_in("rotation", alpha, -noise.dither_rad, noise.dither_rad,

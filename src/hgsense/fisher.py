@@ -152,12 +152,9 @@ def weak_fisher(s: WeakScenario, parameters: Sequence[Parameter],
     return [[f * var for f in factors] for var in variances]
 
 
-def qfi_weak_approx(s: WeakScenario, parameter: Parameter,
-                    check_regime: bool = True) -> float:
-    """weak_fisher for one parameter at the pointer variance of s;
-    check_regime=False skips the |alpha A_w| guard."""
-    if check_regime:
-        s.require_weak_regime()
+def qfi_weak_approx(s: WeakScenario, parameter: Parameter) -> float:
+    """weak_fisher at the pointer variance of s, inside the |alpha A_w| guard."""
+    s.require_weak_regime()
     return weak_fisher(s, (parameter,),
                        (variance(s.operator(), s.pointer),))[0][0]
 

@@ -13,8 +13,8 @@ on the interior block m, n <= cutoff - 1.
 The dense matrices here (ladder_matrices, lz_matrix, momentum_matrix_x) are
 built from one 1-D lowering matrix by Kronecker products. They are not
 exported from the package: they are the small-cutoff reference that tests
-pin the block kernel weak.Generator against, which does the evolution. HG
-amplitudes factor into one-axis hg_factor terms.
+pin the block kernel weak.Generator against, which does the evolution. Nor
+is hg_wavefunction, the product of two one-axis hg_factor terms.
 """
 
 from __future__ import annotations
@@ -118,14 +118,6 @@ class ModeState:
     def normalize(self) -> "ModeState":
         return ModeState(self.cutoff,
                          self.amplitudes / finite_positive("norm", self.norm))
-
-    def amplitude(self, m: int, n: int) -> complex:
-        return complex(self.amplitudes[flat_index(m, n, self.cutoff)])
-
-    def overlap(self, other: "ModeState") -> complex:
-        if other.cutoff != self.cutoff:
-            raise ValueError("states live in different truncations")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,11 @@ guard serve the first-order Fisher formula in fisher.
 Omega is applied and exponentiated by one block kernel, Generator: one
 tridiagonal Lz block per shell m + n, or one px block along the m axis.
 A block depends only on the coupling, the cutoff and its shell (Lz) or
-sigma0 (px), so _coupling_block memoizes each block under that key and
-_coupling_eig its eigh pair, each least recently used out past
-_EIG_CACHE_SIZE = 128 entries; apply reads only the block. A k-row key
-holds 32 k^2 + 8 k bytes (block, eigenvectors, eigenvalues),
-with k <= cutoff + 1: at most 4.0 MB up to cutoff 30, 68 MB at cutoff 128
-(HG(64, 64) in its own shell).
+sigma0 (px), so _coupling_eig memoizes each block with its eigh pair under
+that key, least recently used out past _EIG_CACHE_SIZE = 128 entries; apply
+reads the block and evolve the pair. A k-row key holds 32 k^2 + 8 k bytes
+(block, eigenvectors, eigenvalues), with k <= cutoff + 1: at most 4.0 MB up
+to cutoff 30, 68 MB at cutoff 128 (HG(64, 64) in its own shell).
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .modes import (
 
 ORTHOGONALITY_FLOOR = 1e-12
 WEAK_LIMIT = 0.1  # bound on |alpha A_w| for the first-order expansion
-_EIG_CACHE_SIZE = 128  # entries each block memo keeps, least recent out
+_EIG_CACHE_SIZE = 128  # entries the block memo keeps, least recent out
 
 
 @dataclass(frozen=True)
@@ -137,13 +136,18 @@ def _bracket(post: QubitState, mat: np.ndarray, pre: QubitState) -> complex:
     return complex(post.vector.conj() @ (mat @ pre.vector))
 
 
-def weak_value(pre: QubitState, post: QubitState, axis: PauliAxis) -> complex:
-    """<f|A|i> / <f|i> for A = axis observable."""
+def _weak_value(pre: QubitState, post: QubitState, mat: np.ndarray) -> complex:
+    """<f|mat|i> / <f|i>, refused where the selections are orthogonal."""
     denom = complex(np.vdot(post.vector, pre.vector))
     if abs(denom) <= ORTHOGONALITY_FLOOR:
         raise DegeneratePostSelectionError(
             "pre- and post-selection are orthogonal; weak value undefined")
-    return _bracket(post, axis.matrix, pre) / denom
+    return _bracket(post, mat, pre) / denom
+
+
+def weak_value(pre: QubitState, post: QubitState, axis: PauliAxis) -> complex:
+    """<f|A|i> / <f|i> for A = axis observable."""
+    return _weak_value(pre, post, axis.matrix)
 
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -153,12 +157,7 @@ _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def pauli_weak_values(pre: QubitState, post: QubitState) -> tuple[complex, complex, complex]:
     """Weak values of sigma_x, sigma_y, sigma_z for the selection pair."""
-    denom = complex(np.vdot(post.vector, pre.vector))
-    if abs(denom) <= ORTHOGONALITY_FLOOR:
-        raise DegeneratePostSelectionError(
-            "pre- and post-selection are orthogonal; weak value undefined")
-    return tuple(_bracket(post, s, pre) / denom
-                 for s in (_SIGMA_X, _SIGMA_Y, _SIGMA_Z))
+    return tuple(_weak_value(pre, post, s) for s in (_SIGMA_X, _SIGMA_Y, _SIGMA_Z))
 
 
 class Coupling(Enum):
@@ -187,25 +186,18 @@ def _shell_rows(cutoff: int, s: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_EIG_CACHE_SIZE)
-def _coupling_block(coupling: Coupling, cutoff: int, shell: int | None,
-                    sigma0: float | None) -> np.ndarray:
-    """One read-only invariant block of a coupling: the Lz block of shell
-    (sigma0 None) or the p block of sigma0 (shell None)."""
+def _coupling_eig(coupling: Coupling, cutoff: int, shell: int | None,
+                  sigma0: float | None) -> tuple:
+    """Read-only (block, w, v), one invariant block of a coupling and its eigh
+    pair: the Lz block of shell (sigma0 None) or the p block of sigma0."""
     if coupling is Coupling.MOMENTUM_X:
         block = _tridiagonal(-np.sqrt(np.arange(1, cutoff + 1)) / (2.0 * sigma0))
     else:
         j = _shell_rows(cutoff, shell)[1:]
         block = _tridiagonal(np.sqrt(j * (shell - j + 1)))
-    block.flags.writeable = False
-    return block
-
-
-@functools.lru_cache(maxsize=_EIG_CACHE_SIZE)
-def _coupling_eig(*key) -> tuple:
-    """The read-only eigh pair (w, v) of _coupling_block(*key)."""
-    w, v = np.linalg.eigh(_coupling_block(*key))
-    w.flags.writeable = v.flags.writeable = False
-    return w, v
+    w, v = np.linalg.eigh(block)
+    block.flags.writeable = w.flags.writeable = v.flags.writeable = False
+    return block, w, v
 
 
 @dataclass(frozen=True)
@@ -216,7 +208,7 @@ class Generator:
     max(0, s - cutoff) to min(s, cutoff), with <j-1|Lz|j> = i sqrt(j (s-j+1))
     (exactly the truncation of lz_matrix). MOMENTUM_X: px = p (x) 1, one
     (cutoff + 1)-square block along m, <j-1|p|j> = -i sqrt(j) / (2 sigma0).
-    Only blocks a state has support on are read, each from the memos
+    Only blocks a state has support on are read, each from the memo
     and none larger than (cutoff + 1)-square.
     """
 
@@ -253,7 +245,7 @@ class Generator:
         x = self._grid(state)
         out = np.zeros_like(x)
         for key, (rows, cols) in self._blocks(x):
-            out[rows, cols] = _coupling_block(*key) @ x[rows, cols]
+            out[rows, cols] = _coupling_eig(*key)[0] @ x[rows, cols]
         return out.reshape(-1)
 
     def evolve(self, alphas, state: ModeState) -> np.ndarray:
@@ -262,7 +254,7 @@ class Generator:
         alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
         out = np.zeros((len(alphas),) + x.shape, dtype=complex)
         for key, (rows, cols) in self._blocks(x):
-            w, v = _coupling_eig(*key)
+            _, w, v = _coupling_eig(*key)
             phases = np.exp(-1j * np.multiply.outer(alphas, w))[:, :, None]
             out[:, rows, cols] = v @ (phases * (v.conj().T @ x[rows, cols]))
         return out.reshape(len(alphas), -1)
@@ -291,13 +283,9 @@ class WeakScenario:
         weak_value(self.pre, self.post, self.axis)
 
     @property
-    def weak_value(self) -> complex:
-        return weak_value(self.pre, self.post, self.axis)
-
-    @property
     def coupling_strength(self) -> complex:
         """M_w = alpha * A_w, the small parameter of the expansion."""
-        return self.alpha * self.weak_value
+        return self.alpha * weak_value(self.pre, self.post, self.axis)
 
     def operator(self) -> Generator:
         return Generator(self.coupling, self.pointer.cutoff, self.sigma0)

@@ -34,6 +34,10 @@ CASES = {
     "3,3 at 512 px": ["--mode", "3,3", "--grid", "512"],
     "2,1 at 129 px, period 4": ["--mode", "2,1", "--grid", "129",
                                 "--grating-period", "4"],
+    "3,3 at 1024 px": ["--mode", "3,3", "--grid", "1024"],
+    "4,1 at 300 px, period 7.5": ["--mode", "4,1", "--grid", "300",
+                                  "--grating-period", "7.5"],
+    "0,0 at 256 px": ["--mode", "0,0", "--grid", "256"],
 }
 TEXT_CASES = {
     "bounds, defaults": ["bounds"],

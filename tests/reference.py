@@ -31,7 +31,6 @@ from hgsense.fields import (
     PhaseMap,
     _j1_inverse_array,
     overlap,
-    synthesize_hg_field,
 )
 from hgsense.fisher import (
     _STENCIL_RTOL,
@@ -39,7 +38,7 @@ from hgsense.fisher import (
     _stencil_value,
     default_step,
 )
-from hgsense.modes import ModeState
+from hgsense.modes import ModeState, hg_wavefunction
 from hgsense.output import write_atomic
 from hgsense.weak import Coupling, Generator, WeakScenario, _tridiagonal
 
@@ -160,12 +159,12 @@ def first_order_extract_fft(modulated: FieldGrid, grating_period: float) -> Fiel
 
 
 def mode_purity_2d(field: FieldGrid, idx) -> float:
-    """|overlap|^2 against the ideal mode synthesized as a full 2-D grid on
-    the field's grid."""
-    ideal = synthesize_hg_field(
-        idx, field.sigma0, field.side,
-        0.5 * field.side * field.pitch / field.sigma0)
-    return abs(overlap(ideal, field)) ** 2
+    """|overlap|^2 against the ideal mode evaluated as a full 2-D grid on
+    the field's coordinates, at unit grid power."""
+    x, y = np.meshgrid(field.coords, field.coords)
+    ideal = hg_wavefunction(idx, field.sigma0, x, y).astype(complex)
+    ideal /= math.sqrt(float(np.sum(np.abs(ideal) ** 2))) * field.pitch
+    return abs(overlap(field.with_samples(ideal), field)) ** 2
 
 
 def rotate_field_fancy(field: FieldGrid, angle: float) -> FieldGrid:
@@ -227,10 +226,9 @@ def hologram_phase_whole_grid(target: FieldGrid, incident: FieldGrid,
         rel *= J1_PEAK / peak
         np.minimum(rel, J1_PEAK, out=rel)  # the peak may land an ulp above
     depth = _j1_inverse_array(rel)
-    period = float(grating_period)
     phi = np.angle(target.samples) - np.angle(incident.samples)
-    phi += 2.0 * math.pi * np.arange(target.side, dtype=float) / period
-    return PhaseMap(np.multiply(depth, np.sin(phi, out=phi), out=phi), period)
+    phi += 2.0 * math.pi * np.arange(target.side, dtype=float) / grating_period
+    return PhaseMap(np.multiply(depth, np.sin(phi, out=phi), out=phi))
 
 
 def write_phase_pgm_whole_grid(path, phase: PhaseMap):

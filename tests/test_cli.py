@@ -193,20 +193,40 @@ def test_hologram_writes_outputs(tmp_path, capsys):
     assert float(settings["first_order_purity"]) >= 0.99
 
 
-def test_hologram_holds_at_most_four_complex_grids(tmp_path, capsys):
-    # each grid is freed after its last reader, and the mask is encoded in
-    # row blocks of one float grid: the 512 px chain stays below four
-    # complex grids of 4 MiB (it held about six when every grid lived to
-    # the end and the encoder built whole-grid temporaries)
+@pytest.mark.parametrize("side, purity", [(256, "0.986747"),
+                                          (512, "0.999864")])
+def test_hologram_peak_is_the_declared_three_complex_grids(
+        side, purity, tmp_path, capsys):
+    # the declared peak is 3.07 complex grids, set in first_order_extract:
+    # each grid is freed after its last reader and the mask is encoded in
+    # row blocks. One grid more breaks the bound at either side. A 128 px
+    # run first takes the one-time allocations (about 0.2 MiB) out of it
+    assert main(["hologram", "--mode", "1,1", "--grid", "128",
+                 "--out", str(tmp_path / "warm")]) == 0
     tracemalloc.start()
     try:
-        assert main(["hologram", "--mode", "3,3", "--grid", "512",
+        assert main(["hologram", "--mode", "3,3", "--grid", str(side),
                      "--out", str(tmp_path / "holo")]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 16 * 512 ** 2
-    assert "first-order purity: 0.999864" in capsys.readouterr().out
+    assert peak <= 3.1 * 16 * side ** 2 + 0.25 * 2 ** 20
+    assert f"first-order purity: {purity}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["montecarlo", "--mode", "1,1", "--seed", "-1"], "seed -1"),
+    (["hologram", "--mode", "1,"], "--mode expects 'm,n', got '1,'"),
+    (["hologram", "--mode", "1,x"], "--mode expects 'm,n', got '1,x'"),
+])
+def test_refusal_names_the_input(argv, name, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "x"),
+                        "--config-out", str(tmp_path / "c.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_hologram_rejects_tight_grating(tmp_path, capsys):

@@ -99,8 +99,7 @@ BUILDS = {
     "Generator": lambda draw: Generator(Coupling.MOMENTUM_X, draw(CUTOFFS),
                                         draw(REALS)),
     "FieldGrid": lambda draw: FieldGrid(ZEROS, draw(REALS), draw(REALS)),
-    "PhaseMap": lambda draw: PhaseMap(np.full((4, 4), draw(REALS)),
-                                      draw(REALS)),
+    "PhaseMap": lambda draw: PhaseMap(np.full((4, 4), draw(REALS))),
     "PhotonBudget": lambda draw: PhotonBudget(draw(REALS), draw(REALS),
                                               draw(REALS)),
     "NoiseModel": lambda draw: NoiseModel(draw(REALS), draw(REALS),

@@ -196,6 +196,12 @@ def test_montecarlo_guards():
                           PhotonBudget(integration=1e-4), noise)
     with pytest.raises(NoSensitivityError):
         montecarlo_lockin(ModeIndex(0, 0), EPSILON, 1e-6, budget, noise)
+    with pytest.raises(ConfigError, match="seed -1"):
+        montecarlo_lockin(MODE, EPSILON, 1e-6, budget, noise, seed=-1)
+    # numpy seeds from any non-negative int, also past the float range
+    huge = montecarlo_lockin(MODE, EPSILON, 1e-6, budget, noise,
+                             seed=10 ** 400, trials=10)
+    assert huge.seed == 10 ** 400 and len(huge.samples) == 10
 
 
 def test_montecarlo_rejects_nan_rotation_and_oversized_trials(monkeypatch):

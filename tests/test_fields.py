@@ -25,11 +25,8 @@ from hgsense.errors import (
 from hgsense.fields import (
     J1_PEAK,
     J1_PEAK_X,
-    MIN_COVERAGE_SIGMA,
     FieldGrid,
     PhaseMap,
-    _J1_BLOCK,
-    _J1_INVERSE_POLY,
     _j1_inverse_array,
     _unit_power,
     first_order_extract,
@@ -242,25 +239,25 @@ def test_field_grid_copies_writeable_arrays_and_adopts_frozen_ones(tmp_path):
 def test_phase_map_copies_writeable_arrays_and_adopts_frozen_ones():
     side = 128
     caller = np.zeros((side, side))
-    mask = PhaseMap(caller, 16.0)
+    mask = PhaseMap(caller)
     caller[0, 0] = 1.0
     assert mask.values[0, 0] == 0.0
     assert caller.flags.writeable and not mask.values.flags.writeable
     frozen = np.linspace(-math.pi, math.pi, side * side).reshape(side, side)
     frozen = frozen.copy()  # the reshape is a view; its copy owns its data
     frozen.flags.writeable = False
-    assert np.shares_memory(PhaseMap(frozen, 16.0).values, frozen)
+    assert np.shares_memory(PhaseMap(frozen).values, frozen)
     view = frozen[::-1]  # read-only, but a view: copied
-    assert not np.shares_memory(PhaseMap(view, 16.0).values, frozen)
+    assert not np.shares_memory(PhaseMap(view).values, frozen)
     ints = np.zeros((side, side), dtype=int)
     ints.flags.writeable = False  # frozen, but not float64: copied
-    assert PhaseMap(ints, 16.0).values.dtype == float
+    assert PhaseMap(ints).values.dtype == float
     # the range check is max(max H, -min H), so either sign may exceed pi
     for bad in (math.pi + 1e-6, -math.pi - 1e-6):
         values = np.zeros((side, side))
         values[3, 5] = bad
         with pytest.raises(ValueError, match="largest phase magnitude"):
-            PhaseMap(values, 16.0)
+            PhaseMap(values)
 
 
 def test_field_binary_refuses_non_finite_samples(tmp_path):
@@ -276,8 +273,6 @@ def test_field_binary_refuses_non_finite_samples(tmp_path):
 
 
 def test_coverage_and_shape_guards():
-    with pytest.raises(CoverageError):
-        synthesize_hg_field(ModeIndex(1, 1), 1.0, side=SIDE, window_sigma=4.0)
     with pytest.raises(CoverageError):
         # half-width 128 * 0.01 / 2 = 0.64 sigma0, far under coverage
         FieldGrid(np.zeros((128, 128), dtype=complex), 0.01, 1.0)
@@ -295,8 +290,6 @@ def test_non_finite_grid_and_synthesis_inputs_rejected(bad):
     builds = [
         lambda: FieldGrid(f.samples, bad, 1.0),
         lambda: FieldGrid(f.samples, f.pitch, bad),
-        lambda: synthesize_hg_field(ModeIndex(1, 1), 1.0, side=128,
-                                    window_sigma=bad),
         lambda: rotate_field(f, bad),
     ]
     with warnings.catch_warnings():
@@ -306,23 +299,12 @@ def test_non_finite_grid_and_synthesis_inputs_rejected(bad):
                 build()
 
 
-def test_superposition_window_guard():
-    state = carrier_state(ModeIndex(1, 1), 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for bad in (math.nan, math.inf, -math.inf, 5.9):
-            with pytest.raises(CoverageError,
-                               match=f"finite.*{MIN_COVERAGE_SIGMA}"):
-                synthesize_superposition(state, 1.0, side=128,
-                                         window_sigma=bad)
-
-
 def test_overlap_requires_matching_grids():
     a = synthesize_hg_field(ModeIndex(0, 0), 1.0, side=SIDE)
     b = synthesize_hg_field(ModeIndex(0, 0), 1.0, side=128)
     with pytest.raises(GridMismatchError):
         overlap(a, b)
-    c = synthesize_hg_field(ModeIndex(0, 0), 1.0, side=SIDE, window_sigma=7.0)
+    c = FieldGrid(a.samples, a.pitch * 7 / 8, a.sigma0)
     with pytest.raises(GridMismatchError):
         overlap(a, c)
 
@@ -357,28 +339,6 @@ def test_separable_purity_matches_2d_overlap():
             for n in range(7):
                 idx = ModeIndex(m, n)
                 assert abs(mode_purity(f, idx) - mode_purity_2d(f, idx)) <= 1e-13
-
-
-def _unblocked_j1_inverse(targets):
-    y = 2.0 * np.sqrt(1.0 - targets / J1_PEAK) - 1.0
-    depth = np.full_like(y, _J1_INVERSE_POLY[-1])
-    for a in _J1_INVERSE_POLY[-2::-1]:
-        depth *= y
-        depth += a
-    return np.clip(depth, 0.0, J1_PEAK_X, out=depth)
-
-
-def test_blocked_j1_inverse_is_bitwise_the_whole_array_horner():
-    rng = np.random.default_rng(11)
-    for size in (1, _J1_BLOCK - 1, _J1_BLOCK, _J1_BLOCK + 1):
-        targets = rng.uniform(0.0, J1_PEAK, size)
-        assert np.array_equal(_j1_inverse_array(targets),
-                              _unblocked_j1_inverse(targets))
-    grid = rng.uniform(0.0, J1_PEAK, (512, 512))
-    grid[:, :3] = (0.0, J1_PEAK, 0.5 * J1_PEAK)
-    got = _j1_inverse_array(grid)
-    assert got.shape == grid.shape
-    assert np.array_equal(got, _unblocked_j1_inverse(grid))
 
 
 def test_field_binary_roundtrip(tmp_path):
@@ -426,7 +386,7 @@ def test_phase_pgm_bytes(tmp_path):
     values = np.zeros((128, 128))
     values[0, 0] = -math.pi
     values[0, 1] = math.pi
-    pm = PhaseMap(values, 16.0)
+    pm = PhaseMap(values)
     path = tmp_path / "mask.pgm"
     write_phase_pgm(path, pm)
     raw = path.read_bytes()
@@ -448,7 +408,7 @@ def test_phase_pgm_blocks_match_whole_grid(tmp_path, side):
     levels = np.arange(side) % 256 + 0.5
     values[-1] = np.clip(levels / 255.0 * 2 * math.pi - math.pi,
                          -math.pi, math.pi)
-    phase = PhaseMap(values, 16.0)
+    phase = PhaseMap(values)
     write_phase_pgm(tmp_path / "blocks.pgm", phase)
     write_phase_pgm_whole_grid(tmp_path / "whole.pgm", phase)
     assert ((tmp_path / "blocks.pgm").read_bytes()
@@ -496,16 +456,18 @@ def test_j1_inverse_array_matches_bisection_oracle():
 
 
 @pytest.mark.parametrize("period", [math.nan, math.inf, 0.0, -8.0])
-def test_phase_map_refuses_bad_grating_period(period):
+def test_hologram_phase_refuses_bad_grating_period(period):
+    target = synthesize_hg_field(ModeIndex(1, 1), 1.0, side=128)
+    incident = gaussian_illumination(3.0, target)
     with pytest.raises(ValueError, match="grating period"):
-        PhaseMap(np.zeros((64, 64)), period)
+        hologram_phase(target, incident, period)
 
 
 def test_phase_map_validation():
     with pytest.raises(ValueError):
-        PhaseMap(np.zeros((64, 32)), 16.0)
+        PhaseMap(np.zeros((64, 32)))
     with pytest.raises(ValueError):
-        PhaseMap(np.full((64, 64), 3.5), 16.0)
-    pm = PhaseMap(np.zeros((64, 64)), 16.0)
+        PhaseMap(np.full((64, 64), 3.5))
+    pm = PhaseMap(np.zeros((64, 64)))
     with pytest.raises(ValueError):
         pm.values[0, 0] = 1.0

@@ -23,7 +23,7 @@ from hgsense.fisher import write_bound_csv
 from hgsense.modes import ModeIndex
 from hgsense.output import format_cell, write_atomic
 
-_PHASE = PhaseMap(np.zeros((64, 64)), 16.0)
+_PHASE = PhaseMap(np.zeros((64, 64)))
 
 WRITERS = {
     "text": lambda path: write_atomic(path, "new\n"),
@@ -84,7 +84,7 @@ def test_binary_writers_emit_header_then_samples(tmp_path):
     assert raw[36:44] == bytes(8)  # z = +0.0
     assert raw[44:] == field.samples.astype("<c16").tobytes()
     rng = np.random.default_rng(5)
-    phase = PhaseMap(rng.uniform(-math.pi, math.pi, (128, 128)), 7.5)
+    phase = PhaseMap(rng.uniform(-math.pi, math.pi, (128, 128)))
     write_phase_pgm(tmp_path / "g", phase)
     levels = np.clip(np.round((phase.values + math.pi) / (2 * math.pi) * 255),
                      0, 255).astype(np.uint8)
