@@ -12,15 +12,17 @@ montecarlo  photon-counting lock-in simulation, per-trial SNR samples
 hologram    phase-only hologram for a target mode plus the simulated
             first-order readout
 
-Domain precondition failures, unwritable outputs and running out of memory
-exit with status 2 and a one-line message on stderr. Files go through
-output.write_atomic; stdout gets the same text a file would.
+Parse failures, domain precondition failures, unwritable outputs and
+running out of memory exit with status 2 and a one-line message on stderr.
+Files go through output.write_atomic; stdout gets the same text a file
+would.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 
@@ -81,9 +83,13 @@ def _parse_mode(text: str) -> ModeIndex:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    values = [float(p) for p in text.split(",") if p.strip()]
+    try:
+        values = [float(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        values = []
     if not values:
-        raise ValueError(f"expected a comma-separated float list, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated float list, got {text!r}")
     return values
 
 
@@ -164,9 +170,9 @@ def cmd_bounds(args) -> int:
 
     # one evolution and one Lz variance of |o, o> serve every epsilon
     orders = range(1, args.sweep_max + 1)
-    exact = zip(*[qfi_rotation_exact_selections(
+    exact = zip(*qfi_rotation_exact_selections(
         [(s.pre, s.post) for s in breakdown], PauliAxis.z(), alpha_breakdown,
-        ModeIndex(order, order)) for order in orders])
+        [ModeIndex(order, order) for order in orders]))
     for eps_b, s, by_order in zip(args.breakdown_epsilons, breakdown, exact):
         approx = weak_fisher(s, (Parameter.ALPHA,),
                              [variances["oam", order] for order in orders])
@@ -259,8 +265,20 @@ def cmd_hologram(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, its subparsers included, whose parse failures raise
+    ConfigError, so that main prints one line and no usage block."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command line parser, built on the first call and shared by every
+    later one, so a process that calls main more than once (perfbench, the
+    tests) builds it once: no default it holds is mutable."""
+    parser = _Parser(
         prog="hgsense",
         description="Rotation sensing with structured-beam pointers: "
                     "precision bounds, lock-in simulation, holograms.")
@@ -294,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="coupling strength for the breakdown family "
                                "(default 1e-3)")
     p_bounds.add_argument("--breakdown-epsilons", type=_parse_float_list,
-                          default=[0.1, 0.05, 0.01],
+                          default=(0.1, 0.05, 0.01),
                           help="comma-separated post-selection angles, radians")
     p_bounds.add_argument("--out", required=True, help="output CSV path")
     p_bounds.set_defaults(handler=cmd_bounds)
@@ -344,7 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.handler(args)
     except (HgSenseError, ValueError, OSError) as exc:

@@ -6,7 +6,8 @@ derivative of its family, a quadratic weak-coupling one, and closed forms
 for special cases. All evolve the pointer through the one weak.Generator
 kernel, so they cross-check approximations, not evolution code. Sweeps
 share invariants: weak_fisher forms the selection factor 4 |dM_w/dg|^2 once
-for all pointer variances, and the exact QFI evolves once for all selection
+for all pointer variances, and the exact QFI forms each selection pair's
+amplitudes once for all pointers and evolves each pointer once for all
 pairs. Readouts work on the vectors they span: the carrier readout, the
 paper's final projective measurement, is the two-outcome CarrierReadout
 {|c><c|, 1 - |c><c|}, and the dephased-monitor SLD is solved on the branch
@@ -15,9 +16,7 @@ plane, with sld_solve on the full truncated basis as the reference.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -52,6 +51,7 @@ from .weak import (
     QubitState,
     WeakScenario,
     _post_selected_branches,
+    _selection_amplitudes,
     monitor_branches,
     pauli_weak_values,
     require_density,
@@ -312,35 +312,43 @@ def qfi_mixed_quadratic(alpha: float, pointer: ModeState) -> float:
 
 def qfi_rotation_exact(pre: QubitState, post: QubitState, axis: PauliAxis,
                        alpha: float, idx: ModeIndex) -> float:
-    """qfi_rotation_exact_selections for one selection pair."""
-    return qfi_rotation_exact_selections([(pre, post)], axis, alpha, idx)[0]
+    """qfi_rotation_exact_selections for one selection pair and pointer."""
+    return qfi_rotation_exact_selections([(pre, post)], axis, alpha,
+                                         [idx])[0][0]
 
 
 def qfi_rotation_exact_selections(pairs: Sequence[tuple], axis: PauliAxis,
-                                  alpha: float, idx: ModeIndex) -> list[float]:
-    """Exact QFI about alpha of a basis pointer under rotation coupling, one
-    value per (pre, post) selection pair.
+                                  alpha: float, indices: Iterable[ModeIndex]
+                                  ) -> list[list[float]]:
+    """Exact QFI about alpha of basis pointers under rotation coupling, one
+    row per pointer index and one value per (pre, post) selection pair.
 
     The post-selected family phi = a+ exp(-i alpha Lz)|m, n>
     + a- exp(+i alpha Lz)|m, n> (as in final_pointer_exact) has
     d phi/d alpha = -i Lz (a+ exp(-i alpha Lz) - a- exp(+i alpha Lz))|m, n>,
     so F = 4 (<dphi|dphi> / <phi|phi> - |<phi|dphi>|^2 / <phi|phi>^2) needs
-    one evolution at +-alpha for all pairs, one Lz application per pair and
-    no stencil. Lz keeps the work in the pointer's shell m + n. Raises
-    TotalExtinctionError where final_pointer_exact does.
+    no stencil. Each pair is checked and its a+- formed once for all
+    pointers, each pointer evolves once at +-alpha for all pairs, and Lz
+    applies to each branch difference's flat amplitudes, on the one shell
+    m + n they occupy. Raises TotalExtinctionError where
+    final_pointer_exact does.
     """
-    pointer = ModeState.basis(idx.total, idx.m, idx.n)
-    scenarios = [WeakScenario(alpha, pre, post, axis, Coupling.OAM, pointer)
-                 for pre, post in pairs]
-    lz = Generator(Coupling.OAM, pointer.cutoff)
-    fwd, bwd = lz.evolve((alpha, -alpha), pointer)
+    finite("alpha", alpha)
+    amplitudes = [_selection_amplitudes(pre, post, axis)
+                  for pre, post in pairs]
     out = []
-    for s in scenarios:
-        plus, minus, norm2 = _post_selected_branches(s, fwd, bwd)
-        dphi = -1j * lz.apply(ModeState(pointer.cutoff, plus - minus))
-        overlap = np.vdot(plus + minus, dphi)
-        out.append(4.0 * (float(np.real(np.vdot(dphi, dphi))) / norm2
-                          - abs(overlap) ** 2 / norm2 ** 2))
+    for idx in indices:
+        pointer = ModeState.basis(idx.total, idx.m, idx.n)
+        lz = Generator(Coupling.OAM, pointer.cutoff)
+        fwd, bwd = lz.evolve((alpha, -alpha), pointer)
+        row = []
+        for amps in amplitudes:
+            plus, minus, norm2 = _post_selected_branches(amps, fwd, bwd)
+            dphi = -1j * lz.apply(plus - minus)
+            overlap = np.vdot(plus + minus, dphi)
+            row.append(4.0 * (float(np.real(np.vdot(dphi, dphi))) / norm2
+                              - abs(overlap) ** 2 / norm2 ** 2))
+        out.append(row)
     return out
 
 
@@ -354,11 +362,11 @@ def write_bound_csv(path, rows: Iterable[Sequence]):
     Each row is a sequence of cells in the order of BOUND_CSV_COLUMNS, the
     header: the row family, the method, the coupling and the post-selection
     angle, then m, n, parameter, fisher_info and variance_bound. Cells use
-    output.format_cell, so output is reproducible byte for byte. Lines end
-    in CRLF, the csv default.
+    output.format_cell, so output is reproducible byte for byte. A line is
+    its cells joined by commas and ends in CRLF: csv.writer's bytes for
+    numbers and labels, which hold no comma, quote or line break.
     """
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(BOUND_CSV_COLUMNS)
-    writer.writerows(map(format_cell, row) for row in rows)
-    write_atomic(path, buffer.getvalue())
+    lines = [",".join(BOUND_CSV_COLUMNS)]
+    lines += [",".join(map(format_cell, row)) for row in rows]
+    lines.append("")
+    write_atomic(path, "\r\n".join(lines))

@@ -136,12 +136,18 @@ def _bracket(post: QubitState, mat: np.ndarray, pre: QubitState) -> complex:
     return complex(post.vector.conj() @ (mat @ pre.vector))
 
 
-def _weak_value(pre: QubitState, post: QubitState, mat: np.ndarray) -> complex:
-    """<f|mat|i> / <f|i>, refused where the selections are orthogonal."""
+def _overlap(pre: QubitState, post: QubitState) -> complex:
+    """<f|i>, refused where the selections are orthogonal."""
     denom = complex(np.vdot(post.vector, pre.vector))
     if abs(denom) <= ORTHOGONALITY_FLOOR:
         raise DegeneratePostSelectionError(
             "pre- and post-selection are orthogonal; weak value undefined")
+    return denom
+
+
+def _weak_value(pre: QubitState, post: QubitState, mat: np.ndarray) -> complex:
+    """<f|mat|i> / <f|i>, refused where the selections are orthogonal."""
+    denom = _overlap(pre, post)
     return _bracket(post, mat, pre) / denom
 
 
@@ -222,10 +228,12 @@ class Generator:
         finite_in("cutoff", self.cutoff, 0, math.inf, ends="[)")
         positive_square("sigma0", self.sigma0)
 
-    def _grid(self, state: ModeState) -> np.ndarray:
-        if state.cutoff != self.cutoff:
-            raise ValueError("operator and state truncations differ")
-        return state.amplitudes.reshape(self.cutoff + 1, self.cutoff + 1)
+    def _grid(self, state: ModeState | np.ndarray) -> np.ndarray:
+        if isinstance(state, ModeState):
+            if state.cutoff != self.cutoff:
+                raise ValueError("operator and state truncations differ")
+            state = state.amplitudes
+        return state.reshape(self.cutoff + 1, self.cutoff + 1)
 
     def _blocks(self, x: np.ndarray):
         """Yield (memo key, (rows, cols) in the grid) per block x has
@@ -240,8 +248,9 @@ class Generator:
             yield ((self.coupling, self.cutoff, s, None),
                    (j[:, None], s - j[:, None]))
 
-    def apply(self, state: ModeState) -> np.ndarray:
-        """Omega |state> as a flat amplitude vector."""
+    def apply(self, state: ModeState | np.ndarray) -> np.ndarray:
+        """Omega |state> as a flat amplitude vector; state is a ModeState or
+        its flat amplitudes."""
         x = self._grid(state)
         out = np.zeros_like(x)
         for key, (rows, cols) in self._blocks(x):
@@ -317,21 +326,28 @@ class ExactPointer(NamedTuple):
     success_prob: float
 
 
-def _post_selected_branches(s: WeakScenario, fwd: np.ndarray, bwd: np.ndarray
+def _selection_amplitudes(pre: QubitState, post: QubitState,
+                          axis: PauliAxis) -> tuple[complex, complex]:
+    """a+- = <f|P+-|i> = (<f|i> +- <f|A|i>) / 2 over the +-1 projectors of
+    the axis, refused where the selections are orthogonal."""
+    braket = _overlap(pre, post)
+    bra_a_ket = _bracket(post, axis.matrix, pre)
+    return 0.5 * (braket + bra_a_ket), 0.5 * (braket - bra_a_ket)
+
+
+def _post_selected_branches(amplitudes: tuple[complex, complex],
+                            fwd: np.ndarray, bwd: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray, float]:
     """The two branches of the exact post-selected pointer and its norm.
 
     Splits exp(-i alpha A x Omega) along the +-1 projectors of the axis:
     returns a+ fwd and a- bwd (fwd, bwd: the pointer after exp(-+ i alpha
-    Omega); a+- = <f|P+-|i>) and the probability |sum|^2 (exact within the
-    truncation). Raises TotalExtinctionError when the sum underflows, or
-    falls below ORTHOGONALITY_FLOOR^2 times |plus|^2 + |minus|^2, where it
-    is round-off of cancelling branches.
+    Omega); amplitudes: a+- from _selection_amplitudes) and the probability
+    |sum|^2 (exact within the truncation). Raises TotalExtinctionError when
+    the sum underflows, or falls below ORTHOGONALITY_FLOOR^2 times |plus|^2
+    + |minus|^2, where it is round-off of cancelling branches.
     """
-    braket = complex(np.vdot(s.post.vector, s.pre.vector))
-    bra_a_ket = _bracket(s.post, s.axis.matrix, s.pre)
-    amp_plus = 0.5 * (braket + bra_a_ket)
-    amp_minus = 0.5 * (braket - bra_a_ket)
+    amp_plus, amp_minus = amplitudes
     plus, minus = amp_plus * fwd, amp_minus * bwd
     vec = plus + minus
     prob = float(np.real(np.vdot(vec, vec)))
@@ -351,7 +367,8 @@ def final_pointer_exact(s: WeakScenario) -> ExactPointer:
     |psi~|^2 (exact within the truncation).
     """
     plus, minus, prob = _post_selected_branches(
-        s, *s.operator().evolve((s.alpha, -s.alpha), s.pointer))
+        _selection_amplitudes(s.pre, s.post, s.axis),
+        *s.operator().evolve((s.alpha, -s.alpha), s.pointer))
     vec = plus + minus
     return ExactPointer(ModeState(s.pointer.cutoff, vec / math.sqrt(prob)), prob)
 

@@ -10,7 +10,11 @@ indexing and whole-grid temporaries, a fresh eigendecomposition per call
 and the nine-evaluation stencil instead, so a test can check the structured
 route against the textbook one. final_pointer_first_order is the first-order
 post-selected pointer that the tests hold against the exact evolution; no
-package route uses it.
+package route uses it. qfi_rotation_exact_selections_per_order is the exact
+rotation QFI as one call per pointer, checking every selection pair through
+a WeakScenario and applying Lz through a ModeState after a shell search; the
+package forms each pair's amplitudes once per sweep and applies Lz on the
+known shell, and a test requires the same floats bit for bit.
 """
 
 import math
@@ -21,6 +25,7 @@ from hgsense.errors import (
     GridMismatchError,
     SeparationError,
     StepSizeError,
+    TotalExtinctionError,
     UnreachableAmplitudeError,
     finite_positive,
 )
@@ -38,9 +43,17 @@ from hgsense.fisher import (
     _stencil_value,
     default_step,
 )
-from hgsense.modes import ModeState, hg_wavefunction
+from hgsense.modes import ModeIndex, ModeState, hg_wavefunction
 from hgsense.output import write_atomic
-from hgsense.weak import Coupling, Generator, WeakScenario, _tridiagonal
+from hgsense.weak import (
+    ORTHOGONALITY_FLOOR,
+    Coupling,
+    Generator,
+    PauliAxis,
+    WeakScenario,
+    _bracket,
+    _tridiagonal,
+)
 
 
 def final_pointer_first_order(s: WeakScenario) -> ModeState:
@@ -53,6 +66,45 @@ def final_pointer_first_order(s: WeakScenario) -> ModeState:
     omega = s.operator()
     vec = s.pointer.amplitudes - 1j * mw * omega.apply(s.pointer)
     return ModeState(s.pointer.cutoff, vec).normalize()
+
+
+def _post_selected_branches_of(s: WeakScenario, fwd: np.ndarray,
+                               bwd: np.ndarray):
+    """(a+ fwd, a- bwd, |a+ fwd + a- bwd|^2) with a+- formed from the
+    scenario's selections on each call; TotalExtinctionError where the sum
+    underflows or cancels to round-off."""
+    braket = complex(np.vdot(s.post.vector, s.pre.vector))
+    bra_a_ket = _bracket(s.post, s.axis.matrix, s.pre)
+    amp_plus = 0.5 * (braket + bra_a_ket)
+    amp_minus = 0.5 * (braket - bra_a_ket)
+    plus, minus = amp_plus * fwd, amp_minus * bwd
+    vec = plus + minus
+    prob = float(np.real(np.vdot(vec, vec)))
+    branches = float(np.real(np.vdot(plus, plus) + np.vdot(minus, minus)))
+    if not prob >= max(1e-300, ORTHOGONALITY_FLOOR ** 2 * branches):  # NaN too
+        raise TotalExtinctionError(
+            "post-selected amplitude underflowed or cancelled to round-off")
+    return plus, minus, prob
+
+
+def qfi_rotation_exact_selections_per_order(pairs, axis: PauliAxis,
+                                            alpha: float,
+                                            idx: ModeIndex) -> list[float]:
+    """Exact QFI about alpha of the basis pointer idx under rotation
+    coupling, one value per (pre, post) selection pair."""
+    pointer = ModeState.basis(idx.total, idx.m, idx.n)
+    scenarios = [WeakScenario(alpha, pre, post, axis, Coupling.OAM, pointer)
+                 for pre, post in pairs]
+    lz = Generator(Coupling.OAM, pointer.cutoff)
+    fwd, bwd = lz.evolve((alpha, -alpha), pointer)
+    out = []
+    for s in scenarios:
+        plus, minus, norm2 = _post_selected_branches_of(s, fwd, bwd)
+        dphi = -1j * lz.apply(ModeState(pointer.cutoff, plus - minus))
+        overlap = np.vdot(plus + minus, dphi)
+        out.append(4.0 * (float(np.real(np.vdot(dphi, dphi))) / norm2
+                          - abs(overlap) ** 2 / norm2 ** 2))
+    return out
 
 
 def evolve_uncached(gen: Generator, alphas, state: ModeState) -> np.ndarray:

@@ -218,6 +218,11 @@ def test_hologram_peak_is_the_declared_three_complex_grids(
     (["montecarlo", "--mode", "1,1", "--seed", "-1"], "seed -1"),
     (["hologram", "--mode", "1,"], "--mode expects 'm,n', got '1,'"),
     (["hologram", "--mode", "1,x"], "--mode expects 'm,n', got '1,x'"),
+    # parse failures: one line, no usage block
+    (["bounds", "--breakdown-epsilons", "x"], "argument --breakdown-epsilons: "
+     "expected a comma-separated float list, got 'x'"),
+    (["montecarlo", "--mode", "1,1", "--seed", "x"],
+     "argument --seed: invalid int value: 'x'"),
 ])
 def test_refusal_names_the_input(argv, name, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x"),
@@ -227,6 +232,43 @@ def test_refusal_names_the_input(argv, name, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command",
+                         [["bounds"], ["hologram", "--mode", "1,1"]])
+def test_missing_out_is_one_error_line(command, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    assert main([*command, "--config-out", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the following arguments are required: "
+                            "--out\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["bounds", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hgsense")
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert main(GOLDEN_BOUNDS_ARGV + ["--out", str(first)]) == 0
+    assert main(["hologram", "--mode", "1,1", "--grid", "128",
+                 "--out", str(tmp_path / "holo")]) == 0
+    assert main(["bounds", "--breakdown-epsilons", "x",
+                 "--out", str(tmp_path / "refused.csv")]) == 2
+    assert main(GOLDEN_BOUNDS_ARGV + ["--out", str(again)]) == 0
+    assert first.read_bytes() == GOLDEN_BOUNDS.read_bytes()
+    assert again.read_bytes() == GOLDEN_BOUNDS.read_bytes()
+    assert cli.build_parser() is cli.build_parser()
+    # a tuple: no parse can change the default the next one hands out
+    assert cli.build_parser().parse_args(
+        ["bounds", "--out", "x"]).breakdown_epsilons == (0.1, 0.05, 0.01)
+    assert not (tmp_path / "refused.csv").exists()
 
 
 def test_hologram_rejects_tight_grating(tmp_path, capsys):

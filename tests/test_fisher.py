@@ -10,6 +10,7 @@ displacement (Laguerre polynomial) oracle of the momentum coupling. Dense
 POVMs are computed on the test side, in reference.dense_cfi.
 """
 
+import cmath
 import math
 import time
 import tracemalloc
@@ -41,6 +42,7 @@ from hgsense.fisher import (
     qfi_mixed_quadratic,
     qfi_pure_numeric,
     qfi_rotation_exact,
+    qfi_rotation_exact_selections,
     qfi_weak_approx,
     sld_solve,
     weak_fisher,
@@ -68,7 +70,11 @@ from hgsense.weak import (
     post_selected_pair,
     qubit_monitor_channel,
 )
-from reference import dense_cfi, stencil_value_nine_calls
+from reference import (
+    dense_cfi,
+    qfi_rotation_exact_selections_per_order,
+    stencil_value_nine_calls,
+)
 
 DIAG = QubitState.from_amplitudes(1.0, complex(np.exp(1j * math.pi / 4)))
 TILTED = PauliAxis(math.pi / 4, 0.0)
@@ -511,6 +517,31 @@ def test_rotation_qfi_matches_wigner_d_closed_form():
                 want = _rotation_qfi_closed_form(epsilon, alpha, m, n)
                 rel = 1e-13 + 1e-15 / epsilon ** 2
                 assert got == pytest.approx(want, rel=rel), (epsilon, alpha)
+
+
+def test_rotation_qfi_sweep_is_bitwise_the_per_order_route():
+    # one call over orders 0-30 against one reference call per order, which
+    # checks each pair in a WeakScenario and searches the shell to apply Lz
+    indices = [ModeIndex(order, order) for order in range(31)]
+    z_pairs = [post_selected_pair(eps) for eps in (0.01, 0.05, 0.1, 0.5)]
+    cli_diag = QubitState.from_amplitudes(1.0, cmath.exp(1j * math.pi / 4.0))
+    for axis, pairs in ((PauliAxis.z(), z_pairs),
+                        (PauliAxis(math.pi / 4.0, 0.0),
+                         [(cli_diag, cli_diag)] + z_pairs)):
+        for alpha in (1e-3, 0.02, 0.3):
+            got = qfi_rotation_exact_selections(pairs, axis, alpha, indices)
+            want = [qfi_rotation_exact_selections_per_order(
+                pairs, axis, alpha, idx) for idx in indices]
+            assert got == want, (axis, alpha)
+    # at exact extinction both refuse with the same error
+    plus, z = QubitState.plus(), PauliAxis.z()
+    with pytest.raises(TotalExtinctionError) as want:
+        qfi_rotation_exact_selections_per_order([(plus, plus)], z,
+                                                math.pi / 2, ModeIndex(1, 0))
+    with pytest.raises(TotalExtinctionError) as got:
+        qfi_rotation_exact_selections([(plus, plus)], z, math.pi / 2,
+                                      [ModeIndex(1, 1), ModeIndex(1, 0)])
+    assert str(got.value) == str(want.value)
 
 
 def test_rotation_qfi_shares_the_extinction_guard(monkeypatch):

@@ -1,5 +1,7 @@
 """The one write path: atomic replacement and the 12-digit cell format."""
 
+import csv
+import io
 import math
 import os
 import struct
@@ -19,7 +21,7 @@ from hgsense.fields import (
     write_field_binary,
     write_phase_pgm,
 )
-from hgsense.fisher import write_bound_csv
+from hgsense.fisher import BOUND_CSV_COLUMNS, write_bound_csv
 from hgsense.modes import ModeIndex
 from hgsense.output import format_cell, write_atomic
 
@@ -99,6 +101,26 @@ def test_bound_csv_keeps_crlf_and_twelve_digits(tmp_path):
         b"family,method,coupling,epsilon,m,n,parameter,fisher_info,"
         b"variance_bound\r\n"
         b",,,,1,2,alpha,3,0.333333333333\r\n")
+
+
+def test_bound_csv_bytes_are_csv_writers(tmp_path):
+    # every kind of cell a bounds sweep writes: the labels, an empty
+    # epsilon, ints, floats down to the smallest normal, inf and numpy floats
+    rows = [("projective", "carrier-povm", "oam", 0.0872664625997, 1, 1,
+             "alpha", 9.80665e21, 1.0197e-22),
+            ("hamiltonian", "quantum-bound", "gaussian-pointer", "", 0, 0,
+             "theta", 0.0, math.inf),
+            ("postselection", "weak-approx", "momentum-x", 0.05, 16, 16,
+             "phi", np.float64(2.0) / 3, 2.2250738585072014e-308),
+            ("postselection", "exact", "oam", 1e-300, 64, 64, "alpha",
+             -1.5, np.float64(1e300))]
+    target = tmp_path / "b.csv"
+    write_bound_csv(target, rows)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(BOUND_CSV_COLUMNS)
+    writer.writerows(map(format_cell, row) for row in rows)
+    assert target.read_bytes() == buffer.getvalue().encode()
 
 
 def test_format_cell():

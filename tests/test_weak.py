@@ -303,6 +303,27 @@ def test_generator_matches_dense_oracle():
         Generator("oam", 3)
 
 
+def test_apply_on_flat_amplitudes_is_bitwise_the_mode_state_one():
+    # flat amplitudes, as the exact rotation QFI passes its branch
+    # differences, give the bits of the same amplitudes in a ModeState
+    rng = np.random.default_rng(20221212)
+    for coupling in Coupling:
+        for cutoff in range(9):
+            gen = Generator(coupling, cutoff)
+            grid = np.add.outer(np.arange(cutoff + 1), np.arange(cutoff + 1))
+            for shells in ([cutoff], [0, cutoff], list(range(2 * cutoff + 1))):
+                on = np.isin(grid, shells).reshape(-1)
+                vec = np.where(on, rng.normal(size=on.size)
+                               + 1j * rng.normal(size=on.size), 0.0)
+                want = gen.apply(ModeState(cutoff, vec))
+                got = gen.apply(vec)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got.view(float)),
+                                      np.signbit(want.view(float)))
+    with pytest.raises(ValueError):  # flat amplitudes of another truncation
+        Generator(Coupling.OAM, 3).apply(np.zeros(basis_dim(4), complex))
+
+
 @pytest.mark.parametrize("coupling", list(Coupling))
 def test_memoized_evolution_is_bitwise_the_uncached_one(coupling):
     # random states fill every shell, including the truncated ones s > cutoff;
