@@ -13,7 +13,8 @@ hologram    phase-only hologram for a target mode plus the simulated
             first-order readout
 
 Parse failures, domain precondition failures, unwritable outputs and
-running out of memory exit with status 2 and a one-line message on stderr.
+running out of memory exit with status 2 and a one-line message on stderr;
+the directory of every --out and --config-out is checked before any work.
 Files go through output.write_atomic; stdout gets the same text a file
 would.
 """
@@ -65,7 +66,7 @@ from .fisher import (
     write_bound_csv,
 )
 from .modes import ModeIndex, ModeState, momentum_variance_x, oam_variance
-from .output import format_cell, write_atomic
+from .output import check_writable, format_cell, staged, write_atomic
 from .weak import (
     Coupling,
     PauliAxis,
@@ -246,14 +247,17 @@ def cmd_hologram(args) -> int:
     target = synthesize_hg_field(idx, 1.0, side=args.grid)
     incident = gaussian_illumination(args.illum_scale, target)
     phase = hologram_phase(target, incident, args.grating_period)
-    del target  # each grid goes after its last reader: three at most
-    modulated = modulate(incident, phase)
-    del incident
-    extracted = first_order_extract(modulated, args.grating_period)
-    del modulated
-    purity = mode_purity(extracted, idx)
-    write_phase_pgm(args.out + ".pgm", phase)
-    write_field_binary(args.out + ".fgrd", extracted)
+    del target  # each grid goes after its last reader: 2.5 grids at most
+    # the mask is written before the readout, so the extraction runs without
+    # it; it is renamed into place after the .fgrd, or removed if a step fails
+    with staged(args.out + ".pgm") as pgm:
+        write_phase_pgm(pgm, phase)
+        modulated = modulate(incident, phase)
+        del incident, phase
+        extracted = first_order_extract(modulated, args.grating_period)
+        del modulated
+        purity = mode_purity(extracted, idx)
+        write_field_binary(args.out + ".fgrd", extracted)
     print(f"wrote {args.out}.pgm and {args.out}.fgrd")
     print(f"first-order purity: {purity:.6f}")
     _maybe_config(args, {
@@ -368,6 +372,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
+        for path in (args.out, getattr(args, "config_out", None)):
+            if path is not None:
+                check_writable(path)
         return args.handler(args)
     except (HgSenseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,9 @@ Fourier transformed, and purity contracts the 1-D factors of the ideal mode.
 Rotation, the hologram encoding and the inverse row FFT of the readout work
 in row blocks. FieldGrid and PhaseMap adopt a read-only array that owns its
 data, so the producers here freeze their fresh buffers. The CLI chain peaks
-at 3.07 complex grids: 12.3, 49.1, 196.1, ~786 MiB at 512, 1024, 2048, 4096 px.
+at 2.5 complex grids plus the larger of the encoder's row-block temporaries
+(about 0.65 MiB) and the readout's pinhole band (side^2 / P samples): 10.6,
+41.0, 164.0, ~656 MiB at 512, 1024, 2048, 4096 px and P = 16.
 
 File formats
 ------------

@@ -2,25 +2,51 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 
+from .errors import ConfigError
 
-def write_atomic(path, *parts):
-    """Write the parts in order through a temp sibling and os.replace, so that
-    a failure leaves an existing target untouched and no temp file behind.
-    Text goes out as UTF-8, untranslated; bytes-like parts (arrays) uncopied."""
+
+def check_writable(path):
+    """Refuse, naming path, an output whose directory is missing, is not a
+    directory or is not writable, so a run can fail before it computes."""
+    directory = os.path.dirname(os.fspath(path)) or "."
+    if not os.path.exists(directory):
+        problem = "does not exist"
+    elif not os.path.isdir(directory):
+        problem = "is not a directory"
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        problem = "is not writable"
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: directory {directory} {problem}")
+
+
+@contextlib.contextmanager
+def staged(path):
+    """A temp sibling of path to write into: renamed onto path when the block
+    completes and removed when it raises, so a failure leaves an existing
+    target untouched and no temp file behind."""
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            for part in parts:
-                handle.write(part.encode() if isinstance(part, str) else part)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_atomic(path, *parts):
+    """Write the parts in order to a staged temp sibling, then os.replace.
+    Text goes out as UTF-8, untranslated; bytes-like parts (arrays) uncopied."""
+    with staged(path) as tmp, open(tmp, "wb") as handle:
+        for part in parts:
+            handle.write(part.encode() if isinstance(part, str) else part)
 
 
 def format_cell(value) -> str:
