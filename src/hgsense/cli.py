@@ -65,15 +65,9 @@ from .fisher import (
     weak_fisher,
     write_bound_csv,
 )
-from .modes import ModeIndex, ModeState, momentum_variance_x, oam_variance
+from .modes import ModeIndex, momentum_variance_x, oam_variance
 from .output import check_writable, format_cell, staged, write_atomic
-from .weak import (
-    Coupling,
-    PauliAxis,
-    QubitState,
-    WeakScenario,
-    post_selected_pair,
-)
+from .weak import PauliAxis, QubitState, post_selected_pair
 
 def _parse_mode(text: str) -> ModeIndex:
     try:
@@ -125,7 +119,7 @@ def _emit(args, text: str):
 
 
 def _maybe_config(args, settings: dict):
-    if getattr(args, "config_out", None):
+    if args.config_out:
         write_run_config(args.config_out, settings)
 
 
@@ -139,12 +133,14 @@ def cmd_bounds(args) -> int:
     cot2 = check_epsilon(epsilon)
     budget = _budget(args)
     alpha_breakdown = finite("--alpha-rad", args.alpha_rad)
-    # refuse the breakdown family's largest pointer and selections up front
-    ModeIndex(max(args.sweep_max, 0), max(args.sweep_max, 0))
-    vacuum = ModeState.basis(0, 0, 0)  # selection factors ignore the pointer
-    breakdown = [WeakScenario(alpha_breakdown, *post_selected_pair(eps_b),
-                              PauliAxis.z(), Coupling.OAM, vacuum)
-                 for eps_b in args.breakdown_epsilons]
+    # the breakdown family's exact sweep runs first: its largest pointer and
+    # each selection pair are refused before anything evolves. One evolution
+    # of |o, o> serves every epsilon
+    breakdown = [post_selected_pair(eps_b) for eps_b in args.breakdown_epsilons]
+    orders = range(1, args.sweep_max + 1)
+    exact = qfi_rotation_exact_selections(
+        breakdown, PauliAxis.z(), alpha_breakdown,
+        [ModeIndex(order, order) for order in orders])
     rows = [_bound_row("projective", "carrier-povm", "oam", epsilon, m, n,
                        "alpha", 4.0 * cot2 * oam_variance(ModeIndex(m, n))
                        * budget.photons)
@@ -153,8 +149,6 @@ def cmd_bounds(args) -> int:
 
     # symmetric selection pair with unit success: A_w = 1/2 on the tilted axis
     diag = QubitState.from_amplitudes(1.0, cmath.exp(1j * math.pi / 4.0))
-    selection = WeakScenario(1e-3, diag, diag, PauliAxis(math.pi / 4.0, 0.0),
-                             Coupling.OAM, vacuum)
     sigma0 = 1.0 / math.sqrt(2.0)
     variances = {}  # <delta Omega^2> of the pointer by (coupling label, order)
     for order in range(0, args.sweep_max + 1):
@@ -163,19 +157,17 @@ def cmd_bounds(args) -> int:
         variances["momentum-x", order] = momentum_variance_x(pointer, sigma0)
         variances["gaussian-pointer", order] = momentum_variance_x(
             ModeIndex(0, 0), sigma0)
-    fishers = weak_fisher(selection, tuple(Parameter), variances.values())
+    fishers = weak_fisher((diag, diag), PauliAxis(math.pi / 4.0, 0.0), 1e-3,
+                          tuple(Parameter), variances.values())
     for (label, order), row in zip(variances, fishers):
         rows += [_bound_row("hamiltonian", "quantum-bound", label, "", order,
                             order, parameter.value, fisher)
                  for parameter, fisher in zip(Parameter, row)]
 
-    # one evolution and one Lz variance of |o, o> serve every epsilon
-    orders = range(1, args.sweep_max + 1)
-    exact = zip(*qfi_rotation_exact_selections(
-        [(s.pre, s.post) for s in breakdown], PauliAxis.z(), alpha_breakdown,
-        [ModeIndex(order, order) for order in orders]))
-    for eps_b, s, by_order in zip(args.breakdown_epsilons, breakdown, exact):
-        approx = weak_fisher(s, (Parameter.ALPHA,),
+    for eps_b, pair, by_order in zip(args.breakdown_epsilons, breakdown,
+                                     zip(*exact)):
+        approx = weak_fisher(pair, PauliAxis.z(), alpha_breakdown,
+                             (Parameter.ALPHA,),
                              [variances["oam", order] for order in orders])
         rows += [_bound_row("postselection", method, "oam", eps_b, order,
                             order, "alpha", fisher)
@@ -372,7 +364,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        for path in (args.out, getattr(args, "config_out", None)):
+        for path in (args.out, args.config_out):
             if path is not None:
                 check_writable(path)
         return args.handler(args)

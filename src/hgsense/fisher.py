@@ -4,14 +4,15 @@ Routes: a numeric one (finite-difference Fisher information of any state
 family), the exact post-selected rotation QFI from the closed-form
 derivative of its family, a quadratic weak-coupling one, and closed forms
 for special cases. All evolve the pointer through the one weak.Generator
-kernel, so they cross-check approximations, not evolution code. Sweeps
-share invariants: weak_fisher forms the selection factor 4 |dM_w/dg|^2 once
-for all pointer variances, and the exact QFI forms each selection pair's
-amplitudes once for all pointers and evolves each pointer once for all
-pairs. Readouts work on the vectors they span: the carrier readout, the
-paper's final projective measurement, is the two-outcome CarrierReadout
-{|c><c|, 1 - |c><c|}, and the dephased-monitor SLD is solved on the branch
-plane, with sld_solve on the full truncated basis as the reference.
+kernel, so they cross-check approximations, not evolution code. Sweeps over
+(pre, post) pairs share invariants: weak_fisher forms a pair's selection
+factor 4 |dM_w/dg|^2 once for all pointer variances, and the exact QFI
+forms each pair's amplitudes once for all pointers and evolves each pointer
+once for all pairs. Readouts work on the vectors they span: the carrier
+readout, the paper's final projective measurement, is the two-outcome
+CarrierReadout {|c><c|, 1 - |c><c|}, and the dephased-monitor SLD is solved
+on the branch plane, with sld_solve on the full truncated basis as the
+reference.
 """
 
 from __future__ import annotations
@@ -135,19 +136,21 @@ def qfi_pure_numeric(state_fn: Callable[[float], ModeState], g: float,
     return _stencil_value(vec, qfi, g, step)
 
 
-def weak_fisher(s: WeakScenario, parameters: Sequence[Parameter],
+def weak_fisher(pair: tuple[QubitState, QubitState], axis: PauliAxis,
+                alpha: float, parameters: Sequence[Parameter],
                 variances: Iterable[float]) -> list[list[float]]:
     """4 |dM_w/dg|^2 <dOmega^2> per pointer variance (rows) and parameter,
-    with each selection factor 4 |dM_w/dg|^2 computed once from the Pauli
-    weak values of s, whose pointer plays no part. The |alpha A_w| guard is
-    the caller's, so breakdown sweeps can run past its validity.
+    M_w = alpha A_w of the (pre, post) pair on axis, with each selection
+    factor computed once from the pair's Pauli weak values. The |alpha A_w|
+    guard is the caller's, so breakdown sweeps can run past its validity.
     """
-    sxw, syw, szw = pauli_weak_values(s.pre, s.post)
-    st, ct = math.sin(s.axis.theta), math.cos(s.axis.theta)
-    sp, cp = math.sin(s.axis.phi), math.cos(s.axis.phi)
+    finite("alpha", alpha)
+    sxw, syw, szw = pauli_weak_values(*pair)
+    st, ct = math.sin(axis.theta), math.cos(axis.theta)
+    sp, cp = math.sin(axis.phi), math.cos(axis.phi)
     dm = {Parameter.ALPHA: sxw * st * cp + syw * st * sp + szw * ct,
-          Parameter.THETA: s.alpha * (sxw * ct * cp + syw * ct * sp - szw * st),
-          Parameter.PHI: s.alpha * (syw * st * cp - sxw * st * sp)}
+          Parameter.THETA: alpha * (sxw * ct * cp + syw * ct * sp - szw * st),
+          Parameter.PHI: alpha * (syw * st * cp - sxw * st * sp)}
     factors = [4.0 * abs(dm[Parameter(g)]) ** 2 for g in parameters]
     return [[f * var for f in factors] for var in variances]
 
@@ -155,7 +158,7 @@ def weak_fisher(s: WeakScenario, parameters: Sequence[Parameter],
 def qfi_weak_approx(s: WeakScenario, parameter: Parameter) -> float:
     """weak_fisher at the pointer variance of s, inside the |alpha A_w| guard."""
     s.require_weak_regime()
-    return weak_fisher(s, (parameter,),
+    return weak_fisher((s.pre, s.post), s.axis, s.alpha, (parameter,),
                        (variance(s.operator(), s.pointer),))[0][0]
 
 

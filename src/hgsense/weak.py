@@ -7,8 +7,9 @@ for displacement), post-select the qubit on |f>, and read the pointer out.
 
 The pointer is evolved exactly: the coupling splits along the +-1
 eigenspaces of the Pauli axis, which only needs exp(-+ i alpha Omega) acting
-on the pointer. The weak value A_w = <f|A|i> / <f|i> and the weak-regime
-guard serve the first-order Fisher formula in fisher.
+on the pointer. A selection pair has one reader, _brackets (<f|i> and
+<f|M|i>): the weak value A_w = <f|A|i> / <f|i>, the Pauli weak values of
+fisher.weak_fisher and the branch amplitudes <f|P+-|i> are built on it.
 
 Omega is applied and exponentiated by one block kernel, Generator: one
 tridiagonal Lz block per shell m + n, or one px block along the m axis.
@@ -49,6 +50,7 @@ from .modes import (
     basis_dim,
     lz_matrix,
     momentum_matrix_x,
+    oam_variance,
 )
 
 ORTHOGONALITY_FLOOR = 1e-12
@@ -132,28 +134,22 @@ class PauliAxis:
         return np.array([[ct, st / ep], [st * ep, -ct]], dtype=complex)
 
 
-def _bracket(post: QubitState, mat: np.ndarray, pre: QubitState) -> complex:
-    return complex(post.vector.conj() @ (mat @ pre.vector))
-
-
-def _overlap(pre: QubitState, post: QubitState) -> complex:
-    """<f|i>, refused where the selections are orthogonal."""
-    denom = complex(np.vdot(post.vector, pre.vector))
-    if abs(denom) <= ORTHOGONALITY_FLOOR:
+def _brackets(pre: QubitState, post: QubitState,
+              *mats: np.ndarray) -> tuple[complex, ...]:
+    """(<f|i>, <f|M|i> for each M), refused where the selections are
+    orthogonal: the one reader of a selection pair."""
+    overlap = complex(np.vdot(post.vector, pre.vector))
+    if abs(overlap) <= ORTHOGONALITY_FLOOR:
         raise DegeneratePostSelectionError(
             "pre- and post-selection are orthogonal; weak value undefined")
-    return denom
-
-
-def _weak_value(pre: QubitState, post: QubitState, mat: np.ndarray) -> complex:
-    """<f|mat|i> / <f|i>, refused where the selections are orthogonal."""
-    denom = _overlap(pre, post)
-    return _bracket(post, mat, pre) / denom
+    bra = post.vector.conj()
+    return (overlap, *(complex(bra @ (mat @ pre.vector)) for mat in mats))
 
 
 def weak_value(pre: QubitState, post: QubitState, axis: PauliAxis) -> complex:
     """<f|A|i> / <f|i> for A = axis observable."""
-    return _weak_value(pre, post, axis.matrix)
+    overlap, bra_a_ket = _brackets(pre, post, axis.matrix)
+    return bra_a_ket / overlap
 
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -163,7 +159,8 @@ _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def pauli_weak_values(pre: QubitState, post: QubitState) -> tuple[complex, complex, complex]:
     """Weak values of sigma_x, sigma_y, sigma_z for the selection pair."""
-    return tuple(_weak_value(pre, post, s) for s in (_SIGMA_X, _SIGMA_Y, _SIGMA_Z))
+    overlap, *brackets = _brackets(pre, post, _SIGMA_X, _SIGMA_Y, _SIGMA_Z)
+    return tuple(b / overlap for b in brackets)
 
 
 class Coupling(Enum):
@@ -288,8 +285,7 @@ class WeakScenario:
     def __post_init__(self):
         finite("alpha", self.alpha)
         positive_square("sigma0", self.sigma0)
-        # fails fast when the selections are orthogonal
-        weak_value(self.pre, self.post, self.axis)
+        _brackets(self.pre, self.post)  # refuses orthogonal selections
 
     @property
     def coupling_strength(self) -> complex:
@@ -318,7 +314,7 @@ def carrier_state(idx: ModeIndex, cutoff: int) -> ModeState:
         raise ValueError(
             f"cutoff {cutoff} cannot hold the carrier of ({m}, {n})")
     lz_psi = Generator(Coupling.OAM, cutoff).apply(ModeState.basis(cutoff, m, n))
-    return ModeState(cutoff, lz_psi / (1j * math.sqrt(2 * m * n + m + n)))
+    return ModeState(cutoff, lz_psi / (1j * math.sqrt(oam_variance(idx))))
 
 
 class ExactPointer(NamedTuple):
@@ -330,8 +326,7 @@ def _selection_amplitudes(pre: QubitState, post: QubitState,
                           axis: PauliAxis) -> tuple[complex, complex]:
     """a+- = <f|P+-|i> = (<f|i> +- <f|A|i>) / 2 over the +-1 projectors of
     the axis, refused where the selections are orthogonal."""
-    braket = _overlap(pre, post)
-    bra_a_ket = _bracket(post, axis.matrix, pre)
+    braket, bra_a_ket = _brackets(pre, post, axis.matrix)
     return 0.5 * (braket + bra_a_ket), 0.5 * (braket - bra_a_ket)
 
 

@@ -51,7 +51,6 @@ from hgsense.weak import (
     Generator,
     PauliAxis,
     WeakScenario,
-    _bracket,
     _tridiagonal,
 )
 
@@ -74,7 +73,7 @@ def _post_selected_branches_of(s: WeakScenario, fwd: np.ndarray,
     scenario's selections on each call; TotalExtinctionError where the sum
     underflows or cancels to round-off."""
     braket = complex(np.vdot(s.post.vector, s.pre.vector))
-    bra_a_ket = _bracket(s.post, s.axis.matrix, s.pre)
+    bra_a_ket = complex(s.post.vector.conj() @ (s.axis.matrix @ s.pre.vector))
     amp_plus = 0.5 * (braket + bra_a_ket)
     amp_minus = 0.5 * (braket - bra_a_ket)
     plus, minus = amp_plus * fwd, amp_minus * bwd

@@ -83,8 +83,9 @@ def test_bounds_empty_sweep_fails(tmp_path, capsys):
 def test_bounds_refuses_unsupported_order_before_sweeping(
         tmp_path, capsys, monkeypatch):
     # the breakdown family cannot build HG(65, 65), nor select at epsilon 0:
-    # nothing may run first. The carrier grid's oam_variance is the sweep's
-    # first call; the Hamiltonian family also reads momentum_variance_x.
+    # its exact sweep runs first and refuses both before evolving anything,
+    # so neither the carrier grid's oam_variance nor the Hamiltonian
+    # family's momentum_variance_x may run.
     def no_sweep(*args, **kwargs):
         pytest.fail("bounds swept before the breakdown inputs were checked")
 
@@ -324,6 +325,8 @@ _NO_MEMORY = ("Unable to allocate 256. MiB for an array with shape "
     # the first array a 4096 px synthesis builds: nothing large is allocated
     (["hologram", "--mode", "3,3", "--grid", "4096"], fields, "_axis"),
     (["bounds", "--grid-max", "2", "--sweep-max", "2"], cli, "weak_fisher"),
+    (["bounds", "--grid-max", "2", "--sweep-max", "2"], cli,
+     "qfi_rotation_exact_selections"),
     (["montecarlo", "--mode", "1,1", "--trials", "10"], cli,
      "montecarlo_lockin"),
     (["table2"], cli, "sensitivity_table"),
@@ -449,6 +452,7 @@ def _no_work(*args, **kwargs):
 @pytest.mark.parametrize("argv, name", [
     (["table2"], "sensitivity_table"),
     (["bounds", "--sweep-max", "20"], "weak_fisher"),
+    (["bounds", "--sweep-max", "20"], "qfi_rotation_exact_selections"),
     (["montecarlo", "--mode", "1,1"], "montecarlo_lockin"),
     (["hologram", "--mode", "3,3", "--grid", "2048"], "synthesize_hg_field"),
 ])

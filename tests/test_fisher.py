@@ -20,6 +20,8 @@ import pytest
 
 from hgsense import fisher
 from hgsense.errors import (
+    ConfigError,
+    DegeneratePostSelectionError,
     InvalidStateError,
     NoSensitivityError,
     SmallProbabilityWarning,
@@ -666,7 +668,19 @@ def test_weak_regime_guard():
     with pytest.raises(WeakRegimeError):
         qfi_weak_approx(s, Parameter.ALPHA)
     variances = (variance(s.operator(), s.pointer),)
-    assert weak_fisher(s, (Parameter.ALPHA,), variances)[0][0] > 0.0
+    assert weak_fisher((pre, post), s.axis, s.alpha, (Parameter.ALPHA,),
+                       variances)[0][0] > 0.0
+
+
+def test_weak_fisher_refuses_an_orthogonal_pair_and_a_nonfinite_alpha():
+    # the pair and alpha are read directly: no WeakScenario refuses them first
+    pair = (QubitState.from_amplitudes(1.0, 0.0),
+            QubitState.from_amplitudes(0.0, 1.0))
+    with pytest.raises(DegeneratePostSelectionError, match="orthogonal"):
+        weak_fisher(pair, PauliAxis.z(), 1e-3, tuple(Parameter), (1.0,))
+    with pytest.raises(ConfigError, match="alpha nan must be finite"):
+        weak_fisher(post_selected_pair(0.1), PauliAxis.z(), math.nan,
+                    tuple(Parameter), (1.0,))
 
 
 def test_weak_approx_overstates_fisher_past_regime():
