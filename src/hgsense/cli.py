@@ -27,7 +27,13 @@ import functools
 import math
 import sys
 
-from .errors import ConfigError, HgSenseError, finite, finite_positive
+from .errors import (
+    ConfigError,
+    HgSenseError,
+    finite,
+    finite_in,
+    finite_positive,
+)
 from .experiment import (
     DEFAULT_DITHER_RAD,
     DEFAULT_DRIVE_HZ,
@@ -46,18 +52,7 @@ from .experiment import (
     table_json,
     write_run_config,
 )
-from .fields import (
-    check_grating_period,
-    check_side,
-    first_order_extract,
-    gaussian_illumination,
-    hologram_phase,
-    mode_purity,
-    modulate,
-    synthesize_hg_field,
-    write_field_binary,
-    write_phase_pgm,
-)
+from .fields import hologram_readout, mode_purity, write_field_binary
 from .fisher import (
     Parameter,
     min_detectable_rotation,
@@ -129,6 +124,9 @@ def _bound_row(*cells) -> tuple:
 
 
 def cmd_bounds(args) -> int:
+    for flag, limit in (("--grid-max", args.grid_max),
+                        ("--sweep-max", args.sweep_max)):
+        finite_in(flag, limit, 0, math.inf, ends="[)")  # else rows go missing
     epsilon = math.radians(args.epsilon_deg)
     cot2 = check_epsilon(epsilon)
     budget = _budget(args)
@@ -176,8 +174,6 @@ def cmd_bounds(args) -> int:
                  for method, fisher in (("exact", exact_qfi),
                                         ("weak-approx", approx_qfi))]
 
-    if not rows:
-        raise ConfigError("sweep limits produce no rows")
     write_bound_csv(args.out, rows)
     _maybe_config(args, {
         **_budget_keys(epsilon, budget), "alpha_breakdown_rad": alpha_breakdown,
@@ -234,20 +230,11 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_hologram(args) -> int:
     idx = _parse_mode(args.mode)
-    # refused before the first grid is built, the side first
-    check_grating_period(args.grating_period, check_side(args.grid))
-    target = synthesize_hg_field(idx, 1.0, side=args.grid)
-    incident = gaussian_illumination(args.illum_scale, target)
-    phase = hologram_phase(target, incident, args.grating_period)
-    del target  # each grid goes after its last reader: 2.5 grids at most
-    # the mask is written before the readout, so the extraction runs without
-    # it; it is renamed into place after the .fgrd, or removed if a step fails
+    # the mask is streamed into a staged file, renamed into place after the
+    # .fgrd or removed if a step fails
     with staged(args.out + ".pgm") as pgm:
-        write_phase_pgm(pgm, phase)
-        modulated = modulate(incident, phase)
-        del incident, phase
-        extracted = first_order_extract(modulated, args.grating_period)
-        del modulated
+        extracted = hologram_readout(idx, args.grid, args.grating_period,
+                                     args.illum_scale, pgm)
         purity = mode_purity(extracted, idx)
         write_field_binary(args.out + ".fgrd", extracted)
     print(f"wrote {args.out}.pgm and {args.out}.fgrd")

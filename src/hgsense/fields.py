@@ -14,12 +14,16 @@ Holograms use the J1-type phase-only encoding of Arrizon et al., JOSA A 24,
 inverts J1 by one polynomial fitted at import.
 The readout is separable: only the band of the first-order pinhole is
 Fourier transformed, and purity contracts the 1-D factors of the ideal mode.
-Rotation, the hologram encoding and the inverse row FFT of the readout work
-in row blocks. FieldGrid and PhaseMap adopt a read-only array that owns its
-data, so the producers here freeze their fresh buffers. The CLI chain peaks
-at 2.5 complex grids plus the larger of the encoder's row-block temporaries
-(about 0.65 MiB) and the readout's pinhole band (side^2 / P samples): 10.6,
-41.0, 164.0, ~656 MiB at 512, 1024, 2048, 4096 px and P = 16.
+Rotation, the hologram encoding, the PGM levels and both row FFTs of the
+readout work in row blocks. FieldGrid and PhaseMap adopt a read-only array
+that owns its data, so the producers here freeze their fresh buffers. The
+CLI chain, hologram_readout, streams the mask and the modulated field from
+the 1-D factors of the mode and the illumination, so its one complex grid
+is the output. It peaks at that grid plus the larger of the pinhole band
+(side^2 / P samples) and the inverse row FFT's block scratch (about
+0.28 MiB): 4.3, 17.1, 68.2, ~272 MiB at 512, 1024, 2048, 4096 px and P = 16.
+Below 256 px the encoder's row-block temporaries (about 0.9 MiB with the
+band) set it.
 
 File formats
 ------------
@@ -129,6 +133,23 @@ def _row_blocks(side: int) -> list:
     return [slice(start, start + rows) for start in range(0, side, rows)]
 
 
+def _pairwise_sum(values, start: int, stop: int) -> float:
+    """np.sum of the flat values that values(a, b) returns for [a, b), bitwise,
+    with no array longer than _BLOCK_SAMPLES.
+
+    numpy sums a contiguous float64 run pairwise (pairwise_sum, PW_BLOCKSIZE
+    128): a longer run splits at half its length rounded down to a multiple
+    of 8. Splitting the same way and summing each short run with np.sum walks
+    the same tree; a test pins it against np.sum of whole grids.
+    """
+    if stop - start <= _BLOCK_SAMPLES:
+        return float(np.sum(values(start, stop)))
+    half = (stop - start) // 2
+    half -= half % 8
+    return (_pairwise_sum(values, start, start + half)
+            + _pairwise_sum(values, start + half, stop))
+
+
 def _frozen(f: np.ndarray) -> np.ndarray:
     f.flags.writeable = False  # a fresh buffer: FieldGrid adopts it uncopied
     return f
@@ -188,6 +209,40 @@ def synthesize_superposition(state: ModeState, sigma0: float,
     phi = np.array([hg_factor(int(k), sigma0, axis) for k in orders])
     total = phi.T @ amp[np.ix_(orders, orders)].T @ phi
     return FieldGrid(_unit_power(total, pitch, "superposition"), pitch, sigma0)
+
+
+class _Separable:
+    """The real grid outer(a, b) at unit power, built one row block at a time.
+
+    Bitwise the real part of the complex grid that synthesize_hg_field or
+    gaussian_illumination builds from the same factors; its imaginary part
+    is +0. Dividing re + 0i by s > 0 gives (re + 0) * (1 / s), so a -0 (a
+    zero factor times a negative one) turns +0 before the scale. The power
+    is summed as np.sum sums the whole grid, and the largest magnitude is
+    taken before the scale: a positive factor keeps it the largest.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, pitch: float, name: str):
+        side, peaks = len(a), []
+
+        def squares(start, stop):
+            first = start % side
+            run = np.multiply.outer(a[start // side:(stop - 1) // side + 1],
+                                    b).ravel()[first:first + stop - start]
+            peaks.append(np.abs(run).max())
+            return np.square(run, out=run)
+
+        power = _pairwise_sum(squares, 0, side * side) * pitch ** 2
+        self.a, self.b = a, b
+        self.scale = 1.0 / math.sqrt(
+            finite_positive(f"{name} has power", power))
+        self.peak = float(np.max(peaks)) * self.scale
+
+    def rows(self, b: slice) -> np.ndarray:
+        block = np.multiply.outer(self.a[b], self.b)
+        block += 0.0
+        block *= self.scale
+        return block
 
 
 def gaussian_illumination(sigma: float, grid_like: FieldGrid) -> FieldGrid:
@@ -295,13 +350,38 @@ class PhaseMap:
         arr = _adopted(self.values, float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("phase map must be square")
-        top = max(float(arr.max()), -float(arr.min()))  # max |H|, no abs grid
-        finite_in("largest phase magnitude", top, 0.0, math.pi + 1e-9)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _phase_checked(arr))
 
     @property
     def side(self) -> int:
         return self.values.shape[0]
+
+
+def _phase_checked(values: np.ndarray) -> np.ndarray:
+    top = max(float(values.max()), -float(values.min()))  # max |H|, no abs grid
+    finite_in("largest phase magnitude", top, 0.0, math.pi + 1e-9)
+    return values
+
+
+def _relative_amplitude(a_out, a_in, in_floor: float,
+                        out_floor: float) -> np.ndarray:
+    """A_rel = |target| / |incident| of one row block, 0 where the
+    illumination is at most in_floor; target weight above out_floor there
+    is unreachable."""
+    valid = a_in > in_floor
+    if np.any(a_out[~valid] > out_floor):
+        raise UnreachableAmplitudeError(
+            "target has weight where the illumination is empty")
+    return np.divide(a_out, a_in, where=valid, out=np.zeros_like(a_in))
+
+
+def _encoded(rel: np.ndarray, sin_phi: np.ndarray, peak: float) -> np.ndarray:
+    """H = f(A_rel) sin(phi) of one row block, written over rel: A_rel is
+    scaled so that peak reaches the peak of J1 (full modulation depth)."""
+    if peak != 0.0:  # scaled in place, so rel becomes the depth target
+        rel *= J1_PEAK / peak
+        np.minimum(rel, J1_PEAK, out=rel)  # the peak may land an ulp above
+    return np.multiply(_j1_inverse_array(rel), sin_phi, out=rel)
 
 
 def hologram_phase(target: FieldGrid, incident: FieldGrid,
@@ -322,34 +402,65 @@ def hologram_phase(target: FieldGrid, incident: FieldGrid,
         [np.abs(incident.samples[b]).max() for b in blocks]))
     out_floor = 1e-6 * float(out.max())
     for b in blocks:
-        a_in, a_out = np.abs(incident.samples[b]), out[b]
-        valid = a_in > in_floor
-        if np.any(a_out[~valid] > out_floor):
-            raise UnreachableAmplitudeError(
-                "target has weight where the illumination is empty")
-        out[b] = np.divide(a_out, a_in, where=valid, out=np.zeros_like(a_in))
+        out[b] = _relative_amplitude(out[b], np.abs(incident.samples[b]),
+                                     in_floor, out_floor)
     peak = float(out.max())
     grating = 2.0 * math.pi * np.arange(target.side, dtype=float) / period
     for b in blocks:
-        rel = out[b]
-        if peak != 0.0:  # scaled in place, so rel becomes the depth target
-            rel *= J1_PEAK / peak
-            np.minimum(rel, J1_PEAK, out=rel)  # the peak may land an ulp above
         phi = np.angle(target.samples[b]) - np.angle(incident.samples[b])
         phi += grating
-        np.multiply(_j1_inverse_array(rel), np.sin(phi, out=phi), out=rel)
+        _encoded(out[b], np.sin(phi, out=phi), peak)
     return PhaseMap(_frozen(out))
+
+
+def _transmission(phase: np.ndarray, incident: np.ndarray) -> np.ndarray:
+    transmission = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=transmission.real)
+    np.sin(phase, out=transmission.imag)
+    transmission *= incident
+    return transmission
 
 
 def modulate(incident: FieldGrid, phase: PhaseMap) -> FieldGrid:
     """Field right after the phase mask: incident * exp(i H)."""
     if phase.side != incident.side:
         raise GridMismatchError("phase map and field sides differ")
-    transmission = np.empty(phase.values.shape, dtype=complex)
-    np.cos(phase.values, out=transmission.real)
-    np.sin(phase.values, out=transmission.imag)
-    transmission *= incident.samples
-    return incident.with_samples(_frozen(transmission))
+    return incident.with_samples(
+        _frozen(_transmission(phase.values, incident.samples)))
+
+
+def _first_order(modulated_rows, side: int, grating_period: float,
+                 pitch: float) -> np.ndarray:
+    """The first_order_extract samples of the field whose row blocks
+    modulated_rows(b) returns, read in the order of _row_blocks.
+
+    Each block's row FFT is kept on the pinhole columns only; that band gets
+    its column FFT, window and inverse, is dropped once it sits in the one
+    output grid, and the inverse row FFT runs there block by block.
+    """
+    carrier = 1.0 / grating_period  # cycles per pixel along x
+    freq = np.fft.fftfreq(side)
+    kx = np.flatnonzero(np.abs(freq - carrier) <= carrier / 2.0)
+    blocks = _row_blocks(side)
+    band = np.empty((side, kx.size), dtype=complex)
+    for b in blocks:
+        band[b] = np.fft.fft(modulated_rows(b), axis=1)[:, kx]
+    band = np.fft.fft(band, axis=0)
+    band[np.abs(freq) > carrier / 2.0] = 0.0
+    band = np.fft.ifft(band, axis=0)
+    out = np.zeros((side, side), dtype=complex)
+    out[:, kx] = band
+    del band
+    tilt = np.exp(-2j * math.pi * np.arange(side) / grating_period)
+    for b in blocks:
+        out[b] = np.fft.ifft(out[b], axis=1)
+        out[b] *= tilt  # removes the carrier
+    flat = out.reshape(-1)
+    power = _pairwise_sum(lambda a, b: np.abs(flat[a:b]) ** 2, 0,
+                          flat.size) * pitch ** 2
+    if power >= _RENORM_FLOOR:
+        out /= math.sqrt(power)
+    return _frozen(out)
 
 
 def first_order_extract(modulated: FieldGrid, grating_period: float) -> FieldGrid:
@@ -363,23 +474,55 @@ def first_order_extract(modulated: FieldGrid, grating_period: float) -> FieldGri
     Renormalization is skipped when the windowed power is numerically empty
     (below 1e-9) so that a blank mask legitimately yields a dark output.
     """
-    side = modulated.side
-    check_grating_period(grating_period, side)
-    carrier = 1.0 / grating_period  # cycles per pixel along x
-    freq = np.fft.fftfreq(side)
-    kx = np.flatnonzero(np.abs(freq - carrier) <= carrier / 2.0)
-    rows = np.fft.fft(modulated.samples, axis=1)
-    band = np.fft.fft(rows[:, kx], axis=0)
-    band[np.abs(freq) > carrier / 2.0] = 0.0
-    rows[...] = 0.0  # reused as the zeroed grid of the inverse row FFT
-    rows[:, kx] = np.fft.ifft(band, axis=0)
-    for b in _row_blocks(side):  # in place, bitwise the whole-grid ifft
-        rows[b] = np.fft.ifft(rows[b], axis=1)
-    rows *= np.exp(-2j * math.pi * np.arange(side) / grating_period)
-    power = float(np.sum(np.abs(rows) ** 2)) * modulated.pitch ** 2
-    if power >= _RENORM_FLOOR:
-        rows /= math.sqrt(power)
-    return modulated.with_samples(_frozen(rows))
+    check_grating_period(grating_period, modulated.side)
+    return modulated.with_samples(_first_order(
+        lambda b: modulated.samples[b], modulated.side, grating_period,
+        modulated.pitch))
+
+
+def hologram_readout(idx: ModeIndex, side: int, grating_period: float,
+                     illum_scale: float, pgm_path) -> FieldGrid:
+    """The hologram of HG(m, n) under a Gaussian illumination illum_scale
+    times wider, written to pgm_path, and its first-order readout.
+
+    Bitwise the chain synthesize_hg_field, gaussian_illumination,
+    hologram_phase, write_phase_pgm (into pgm_path directly), modulate and
+    first_order_extract, with its refusals in the same order, but streamed
+    in row blocks from the 1-D factors: the output is the one grid it
+    allocates. Both fields are real, so the target's phase is pi where its
+    real part has the sign bit set and 0 elsewhere, and the illumination's
+    is 0. A refusal can leave pgm_path partly written, so callers pass a
+    staged file.
+    """
+    check_grating_period(grating_period, check_side(side))
+    pitch, axis = _window(side, 1.0)
+    target = _Separable(hg_factor(idx.n, 1.0, axis),
+                        hg_factor(idx.m, 1.0, axis), pitch,
+                        f"HG({idx.m}, {idx.n}) field")
+    g = hg_factor(0, illum_scale, axis)
+    incident = _Separable(g, g, pitch, "gaussian illumination")
+    in_floor, out_floor = 1e-8 * incident.peak, 1e-6 * target.peak
+
+    def relative(b):
+        t, a_in = target.rows(b), incident.rows(b)
+        return t, a_in, _relative_amplitude(np.abs(t), a_in, in_floor,
+                                            out_floor)
+
+    peak = float(np.max([relative(b)[2].max() for b in _row_blocks(side)]))
+    grating = 2.0 * math.pi * np.arange(side, dtype=float) / grating_period
+    sines = np.sin(grating), np.sin(math.pi + grating)
+    with open(pgm_path, "wb") as handle:
+        handle.write(_pgm_header(side))
+
+        def modulated(b):
+            t, a_in, rel = relative(b)
+            phase = _phase_checked(_encoded(
+                rel, np.where(np.signbit(t), sines[1], sines[0]), peak))
+            handle.write(_pgm_levels(phase))
+            return _transmission(phase, a_in.astype(complex))
+
+        samples = _first_order(modulated, side, grating_period, pitch)
+    return FieldGrid(samples, pitch, 1.0)
 
 
 _FGRD_HEADER = struct.Struct("<4sII4d")
@@ -417,13 +560,19 @@ def read_field_binary(path) -> FieldGrid:
     return FieldGrid(_frozen(samples), pitch, sigma0)
 
 
+def _pgm_header(side: int) -> bytes:
+    return f"P5\n{side} {side}\n255\n".encode("ascii")
+
+
+def _pgm_levels(phase: np.ndarray) -> np.ndarray:
+    levels = phase + math.pi  # [-pi, pi] -> [0, 255]
+    levels /= 2 * math.pi
+    levels *= 255.0
+    return np.clip(np.round(levels, out=levels), 0, 255,
+                   out=levels).astype(np.uint8)
+
+
 def write_phase_pgm(path, phase: PhaseMap):
     """Dump the phase map as an 8-bit binary PGM, [-pi, pi] -> [0, 255]."""
-    image = np.empty(phase.values.shape, dtype=np.uint8)
-    for b in _row_blocks(phase.side):  # float scratch one row block at a time
-        levels = phase.values[b] + math.pi
-        levels /= 2 * math.pi
-        levels *= 255.0
-        image[b] = np.clip(np.round(levels, out=levels), 0, 255, out=levels)
-    header = f"P5\n{phase.side} {phase.side}\n255\n".encode("ascii")
-    write_atomic(path, header, image)
+    write_atomic(path, _pgm_header(phase.side), *[
+        _pgm_levels(phase.values[b]) for b in _row_blocks(phase.side)])

@@ -4,9 +4,10 @@ The package computes every readout on the vectors it spans (the
 two-outcome fisher.CarrierReadout) and on the bands and 1-D factors of
 separable fields, resamples rotated fields and encodes and writes holograms
 in row blocks, memoizes each generator block's eigendecomposition and
-evaluates each stencil point once. The helpers here take dense operator
-matrices, full 2-D transforms, full 2-D mode grids, whole-grid fancy
-indexing and whole-grid temporaries, a fresh eigendecomposition per call
+evaluates each stencil point once, and streams the hologram chain from
+the 1-D mode factors. The helpers here take dense operator matrices, full
+2-D transforms, full 2-D mode grids, whole-grid fancy indexing and
+whole-grid temporaries, a fresh eigendecomposition per call
 and the nine-evaluation stencil instead, so a test can check the structured
 route against the textbook one. final_pointer_first_order is the first-order
 post-selected pointer that the tests hold against the exact evolution; no
@@ -207,6 +208,29 @@ def first_order_extract_fft(modulated: FieldGrid, grating_period: float) -> Fiel
     if out.power >= _RENORM_FLOOR:
         out = out.with_samples(baseband / math.sqrt(out.power))
     return out
+
+
+def first_order_extract_whole_grid(modulated: FieldGrid,
+                                   grating_period: float) -> FieldGrid:
+    """The pinhole-band readout of fields.first_order_extract on whole-grid
+    temporaries: one row FFT of the whole grid, the inverse row FFT of a
+    zeroed whole grid holding the band, and the power summed by one np.sum
+    of a whole power grid."""
+    side = modulated.side
+    carrier = 1.0 / grating_period  # cycles per pixel along x
+    freq = np.fft.fftfreq(side)
+    kx = np.flatnonzero(np.abs(freq - carrier) <= carrier / 2.0)
+    rows = np.fft.fft(modulated.samples, axis=1)
+    band = np.fft.fft(rows[:, kx], axis=0)
+    band[np.abs(freq) > carrier / 2.0] = 0.0
+    rows[...] = 0.0
+    rows[:, kx] = np.fft.ifft(band, axis=0)
+    rows = np.fft.ifft(rows, axis=1)
+    rows *= np.exp(-2j * math.pi * np.arange(side) / grating_period)
+    power = float(np.sum(np.abs(rows) ** 2)) * modulated.pitch ** 2
+    if power >= _RENORM_FLOOR:
+        rows /= math.sqrt(power)
+    return modulated.with_samples(rows)
 
 
 def mode_purity_2d(field: FieldGrid, idx) -> float:

@@ -74,10 +74,13 @@ def test_bounds_sweep_deterministic(tmp_path):
 
 
 def test_bounds_empty_sweep_fails(tmp_path, capsys):
+    # only a negative limit empties every family, and it is refused by name
     code = main(["bounds", "--grid-max", "0", "--sweep-max", "-1",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "no rows" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: --sweep-max -1 must be finite "
+                                       "and lie in [0, inf)\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bounds_refuses_unsupported_order_before_sweeping(
@@ -196,14 +199,15 @@ def test_hologram_writes_outputs(tmp_path, capsys):
 
 @pytest.mark.parametrize("side, purity", [(256, "0.986747"),
                                           (512, "0.999864")])
-def test_hologram_peak_is_the_declared_two_and_a_half_complex_grids(
+def test_hologram_peak_is_the_output_grid_plus_the_pinhole_band(
         side, purity, tmp_path, capsys):
-    # the declared peak is 2.5 complex grids plus a scratch term: the mask is
-    # written and dropped before the extraction, each grid is freed after its
-    # last reader and the mask is encoded in row blocks (about 0.65 MiB of
-    # block temporaries, 0.65 grid at 256 px). Half a grid more breaks the
-    # bound at 512 px. A 128 px run first takes the one-time allocations
-    # (about 0.2 MiB) out of it
+    # the mask is streamed from the 1-D factors into the staged file, so the
+    # one full grid is the output: the declared peak is that grid plus the
+    # larger of the pinhole band (side^2 / P samples) and the inverse row
+    # FFT's block scratch (about 0.28 MiB); measured 1.28 grids at 256 px
+    # and 1.08 at 512 px. The bound allows both terms and 0.1 MiB more, so
+    # a sixth of a grid more breaks it at 256 px and about a tenth at 512 px. A
+    # 128 px run first takes the one-time allocations (about 0.2 MiB) out
     assert main(["hologram", "--mode", "1,1", "--grid", "128",
                  "--out", str(tmp_path / "warm")]) == 0
     tracemalloc.start()
@@ -213,7 +217,7 @@ def test_hologram_peak_is_the_declared_two_and_a_half_complex_grids(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.6 * 16 * side ** 2 + 0.7 * 2 ** 20
+    assert peak <= 16 * side ** 2 * (1 + 1 / 16) + 0.4 * 2 ** 20
     assert f"first-order purity: {purity}" in capsys.readouterr().out
 
 
@@ -226,6 +230,9 @@ def test_hologram_peak_is_the_declared_two_and_a_half_complex_grids(
      "expected a comma-separated float list, got 'x'"),
     (["montecarlo", "--mode", "1,1", "--seed", "x"],
      "argument --seed: invalid int value: 'x'"),
+    # a negative sweep limit would drop whole families from the CSV
+    (["bounds", "--grid-max", "-2", "--sweep-max", "1"], "--grid-max -2"),
+    (["bounds", "--sweep-max", "-3"], "--sweep-max -3"),
 ])
 def test_refusal_names_the_input(argv, name, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x"),
@@ -330,9 +337,10 @@ _NO_MEMORY = ("Unable to allocate 256. MiB for an array with shape "
     (["montecarlo", "--mode", "1,1", "--trials", "10"], cli,
      "montecarlo_lockin"),
     (["table2"], cli, "sensitivity_table"),
-    # after the mask is staged: no .pgm and no temp file may stay behind
-    (["hologram", "--mode", "3,3", "--grid", "128"], cli,
-     "first_order_extract"),
+    # with the mask staged, before and after it is written: no .pgm and no
+    # temp file may stay behind
+    (["hologram", "--mode", "3,3", "--grid", "128"], cli, "hologram_readout"),
+    (["hologram", "--mode", "3,3", "--grid", "128"], cli, "mode_purity"),
 ])
 def test_out_of_memory_is_one_error_line_naming_the_command(
         argv, owner, name, tmp_path, capsys, monkeypatch):
@@ -454,7 +462,7 @@ def _no_work(*args, **kwargs):
     (["bounds", "--sweep-max", "20"], "weak_fisher"),
     (["bounds", "--sweep-max", "20"], "qfi_rotation_exact_selections"),
     (["montecarlo", "--mode", "1,1"], "montecarlo_lockin"),
-    (["hologram", "--mode", "3,3", "--grid", "2048"], "synthesize_hg_field"),
+    (["hologram", "--mode", "3,3", "--grid", "2048"], "hologram_readout"),
 ])
 @pytest.mark.parametrize("flag", ["--out", "--config-out"])
 @pytest.mark.parametrize("where, problem", [

@@ -28,6 +28,7 @@ from hgsense.fields import (
     FieldGrid,
     PhaseMap,
     _j1_inverse_array,
+    _pairwise_sum,
     _unit_power,
     first_order_extract,
     gaussian_illumination,
@@ -194,6 +195,18 @@ def test_in_place_unit_power_is_bitwise_the_division(side):
     got = _unit_power(f.copy(), pitch, "field")
     assert np.array_equal(got, want)
     assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("side", [128, 129, 300, 512, 1000, 1024, 2048])
+def test_tree_walked_sum_is_bitwise_np_sum_of_the_whole_grid(side):
+    # the streamed readout sums its grid powers by walking numpy's pairwise
+    # tree; a numpy release that changes the tree must fail here. Summands
+    # of both signs make the rounding follow the tree: positive ones of one
+    # size mostly round alike in any order
+    grid = np.random.default_rng(side).normal(size=(side, side))
+    flat = grid.reshape(-1)
+    assert (_pairwise_sum(lambda a, b: flat[a:b], 0, flat.size)
+            == float(np.sum(grid)))
 
 
 def test_unit_power_refuses_an_empty_or_overflowing_field():

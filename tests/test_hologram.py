@@ -24,12 +24,18 @@ from hgsense.fields import (
     first_order_extract,
     gaussian_illumination,
     hologram_phase,
+    hologram_readout,
     mode_purity,
     modulate,
     synthesize_hg_field,
 )
 from hgsense.modes import ModeIndex
-from reference import first_order_extract_fft, hologram_phase_whole_grid
+from reference import (
+    first_order_extract_fft,
+    first_order_extract_whole_grid,
+    hologram_phase_whole_grid,
+    write_phase_pgm_whole_grid,
+)
 
 PERIOD = 16.0
 
@@ -183,6 +189,9 @@ def test_band_extraction_matches_full_fft(side):
         peak = np.max(np.abs(want.samples))
         assert np.max(np.abs(got.samples - want.samples)) <= 1e-13 * peak
         assert (got.pitch, got.sigma0) == (want.pitch, want.sigma0)
+        # row blocks and a tree-walked power sum: bitwise the whole grids
+        assert (got.samples.tobytes()
+                == first_order_extract_whole_grid(field, period).samples.tobytes())
 
 
 def test_modulate_matches_complex_exponential():
@@ -192,3 +201,41 @@ def test_modulate_matches_complex_exponential():
     got = modulate(illum, mask).samples
     want = illum.samples * np.exp(1j * mask.values)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("side, period, mode, scale", [
+    (128, 16.0, (1, 1), 3.0),
+    (129, 4.0, (2, 1), 3.0),  # an odd side and order: -0 in the outer product
+    (129, 7.5, (12, 12), 3.0),
+    (300, 7.5, (4, 1), 2.0),
+    (300, 16.0, (0, 0), 3.0),
+    (512, 4.0, (3, 3), 5.0),
+    (512, 16.0, (12, 12), 3.0),
+    (256, 16.0, (3, 3), 0.3),  # weight where the illumination is empty
+    (128, 16.0, (3, 3), 1e-9),  # an illumination that underflows
+])
+def test_streamed_readout_is_bitwise_the_whole_grid_chain(side, period, mode,
+                                                          scale, tmp_path):
+    idx = ModeIndex(*mode)
+    streamed, whole = tmp_path / "streamed.pgm", tmp_path / "whole.pgm"
+    try:
+        target = synthesize_hg_field(idx, 1.0, side=side)
+        illum = gaussian_illumination(scale, target)
+        mask = hologram_phase_whole_grid(target, illum, period)
+    except Exception as exc:  # the same refusal, with the same message
+        with pytest.raises(type(exc)) as refused:
+            hologram_readout(idx, side, period, scale, streamed)
+        assert str(refused.value) == str(exc)
+        return
+    got = hologram_readout(idx, side, period, scale, streamed)
+    write_phase_pgm_whole_grid(whole, mask)
+    assert streamed.read_bytes() == whole.read_bytes()
+    drivers = first_order_extract(
+        modulate(illum, hologram_phase(target, illum, period)), period)
+    for want in (first_order_extract_whole_grid(modulate(illum, mask), period),
+                 drivers):
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert (got.pitch, got.sigma0) == (want.pitch, want.sigma0)
+    assert not got.samples.flags.writeable and got.samples.flags.owndata
+    near = first_order_extract_fft(modulate(illum, mask), period).samples
+    assert np.max(np.abs(got.samples - near)) <= 1e-13 * np.max(np.abs(near))
