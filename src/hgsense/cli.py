@@ -126,7 +126,7 @@ def _bound_row(*cells) -> tuple:
 def cmd_bounds(args) -> int:
     for flag, limit in (("--grid-max", args.grid_max),
                         ("--sweep-max", args.sweep_max)):
-        finite_in(flag, limit, 0, math.inf, ends="[)")  # else rows go missing
+        finite_in(flag, limit, 0, math.inf, ends="[)")  # else a family is lost
     epsilon = math.radians(args.epsilon_deg)
     cot2 = check_epsilon(epsilon)
     budget = _budget(args)

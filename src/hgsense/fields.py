@@ -238,11 +238,11 @@ class _Separable:
             finite_positive(f"{name} has power", power))
         self.peak = float(np.max(peaks)) * self.scale
 
-    def rows(self, b: slice) -> np.ndarray:
-        block = np.multiply.outer(self.a[b], self.b)
-        block += 0.0
-        block *= self.scale
-        return block
+    def rows(self, block: slice) -> np.ndarray:
+        out = np.multiply.outer(self.a[block], self.b)
+        out += 0.0
+        out *= self.scale
+        return out
 
 
 def gaussian_illumination(sigma: float, grid_like: FieldGrid) -> FieldGrid:
