@@ -206,8 +206,9 @@ def test_hologram_peak_is_the_output_grid_plus_the_pinhole_band(
     # larger of the pinhole band (side^2 / P samples) and the inverse row
     # FFT's block scratch (about 0.28 MiB); measured 1.28 grids at 256 px
     # and 1.08 at 512 px. The bound allows both terms and 0.1 MiB more, so
-    # a sixth of a grid more breaks it at 256 px and about a tenth at 512 px. A
-    # 128 px run first takes the one-time allocations (about 0.2 MiB) out
+    # a sixth of a grid more breaks it at 256 px and about a tenth at
+    # 512 px. A 128 px run first takes the one-time allocations (about
+    # 0.2 MiB) out of it
     assert main(["hologram", "--mode", "1,1", "--grid", "128",
                  "--out", str(tmp_path / "warm")]) == 0
     tracemalloc.start()

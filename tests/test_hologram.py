@@ -190,8 +190,8 @@ def test_band_extraction_matches_full_fft(side):
         assert np.max(np.abs(got.samples - want.samples)) <= 1e-13 * peak
         assert (got.pitch, got.sigma0) == (want.pitch, want.sigma0)
         # row blocks and a tree-walked power sum: bitwise the whole grids
-        assert (got.samples.tobytes()
-                == first_order_extract_whole_grid(field, period).samples.tobytes())
+        whole = first_order_extract_whole_grid(field, period)
+        assert got.samples.tobytes() == whole.samples.tobytes()
 
 
 def test_modulate_matches_complex_exponential():
