@@ -134,6 +134,8 @@ def cmd_bounds(args) -> int:
     # the breakdown family's exact sweep runs first: its largest pointer and
     # each selection pair are refused before anything evolves. One evolution
     # of |o, o> serves every epsilon
+    for eps_b in args.breakdown_epsilons:
+        check_epsilon(eps_b, "--breakdown-epsilons angle")
     breakdown = [post_selected_pair(eps_b) for eps_b in args.breakdown_epsilons]
     orders = range(1, args.sweep_max + 1)
     exact = qfi_rotation_exact_selections(

@@ -140,12 +140,12 @@ class NoiseModel:
                   ends="[)")
 
 
-def check_epsilon(epsilon: float) -> float:
-    """cot(epsilon)^2, or ConfigError unless the post-selection angle lies in
+def check_epsilon(epsilon: float, name: str = "post-selection angle") -> float:
+    """cot(epsilon)^2, or ConfigError naming name unless epsilon lies in
     (0, pi/2) with a finite cot^2 (an angle under ~1e-154 rad has none)."""
-    finite_in("post-selection angle", epsilon, 0.0, math.pi / 2, ends="()")
+    finite_in(name, epsilon, 0.0, math.pi / 2, ends="()")
     tan2 = math.tan(epsilon) ** 2
-    return finite(f"cot^2 of the post-selection angle {epsilon}:",
+    return finite(f"cot^2 of the {name} {epsilon}:",
                   1.0 / tan2 if tan2 else math.inf)
 
 

@@ -43,7 +43,7 @@ from .modes import (
     second_moment,
     variance,
 )
-from .output import format_cell, write_atomic
+from .output import write_atomic
 from .weak import (
     Coupling,
     DensityMatrix,
@@ -51,6 +51,7 @@ from .weak import (
     PauliAxis,
     QubitState,
     WeakScenario,
+    _coupling_eig,
     _post_selected_branches,
     _selection_amplitudes,
     monitor_branches,
@@ -120,12 +121,9 @@ def _stencil_value(fn: Callable[[float], np.ndarray],
 
 def qfi_pure_numeric(state_fn: Callable[[float], ModeState], g: float,
                      step: float | None = None) -> float:
-    """Fisher information of a pure-state family by numeric differentiation.
-
-    Uses a fourth-order stencil on the normalized state vector and evaluates
-    4 (<d psi|d psi> - |<psi|d psi>|^2). A doubled-step recomputation guards
-    against a step small enough to hit round-off cancellation.
-    """
+    """Fisher information 4 (<d psi|d psi> - |<psi|d psi>|^2) of a pure-state
+    family by the fourth-order stencil on its normalized vector, guarded by
+    a doubled-step recomputation against round-off cancellation."""
     vec = lambda x: state_fn(x).amplitudes
     psi = vec(g)
 
@@ -235,11 +233,9 @@ def min_detectable_rotation(idx: ModeIndex, epsilon: float, n_photons: float) ->
 
 def hamiltonian_bound(parameter: Parameter, s: WeakScenario,
                       n_samples: float = 1.0) -> BoundResult:
-    """Variance bound 1 / (N * 4 |dM_w/dg|^2 <delta Omega^2>).
-
-    Requires the weak regime; estimating theta or phi additionally needs a
-    nonzero coupling strength (their signal enters multiplied by alpha).
-    """
+    """Variance bound 1 / (N * 4 |dM_w/dg|^2 <delta Omega^2>) in the weak
+    regime; theta or phi also need a nonzero alpha, which multiplies their
+    signal."""
     finite_positive("sample count", n_samples)
     if parameter is not Parameter.ALPHA:
         finite_positive("alpha of an axis-angle estimate", s.alpha)
@@ -262,11 +258,9 @@ def _sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
 
 
 def sld_solve(rho: DensityMatrix, drho: np.ndarray) -> OperatorMatrix:
-    """Symmetric logarithmic derivative L with rho L + L rho = 2 drho.
-
-    The dense reference on the full truncated basis; qfi_mixed_monitor
-    solves the same equation on the branch plane.
-    """
+    """Symmetric logarithmic derivative L with rho L + L rho = 2 drho: the
+    dense reference on the full truncated basis, which qfi_mixed_monitor
+    solves on the branch plane."""
     d = np.asarray(drho, dtype=complex)
     if d.shape != rho.entries.shape:
         raise InvalidStateError("derivative shape differs from the state")
@@ -298,10 +292,8 @@ def qfi_mixed_monitor(qubit: QubitState, alpha: float, pointer: ModeState) -> fl
 
 def qfi_mixed_closed_form(qubit: QubitState, alpha: float,
                           pointer: ModeState) -> float:
-    """Closed form 1 - delta^2 with delta = Re <psi_+|psi_->.
-
-    Independent of the SLD pipeline; shares only the branch propagation.
-    """
+    """Closed form 1 - delta^2 with delta = Re <psi_+|psi_->, independent of
+    the SLD pipeline: it shares only the branch propagation."""
     fwd, bwd = monitor_branches(alpha, pointer)
     delta = float(np.real(np.vdot(fwd, bwd)))
     return 1.0 - delta ** 2
@@ -330,25 +322,25 @@ def qfi_rotation_exact_selections(pairs: Sequence[tuple], axis: PauliAxis,
     + a- exp(+i alpha Lz)|m, n> (as in final_pointer_exact) has
     d phi/d alpha = -i Lz (a+ exp(-i alpha Lz) - a- exp(+i alpha Lz))|m, n>,
     so F = 4 (<dphi|dphi> / <phi|phi> - |<phi|dphi>|^2 / <phi|phi>^2) needs
-    no stencil. Each pair is checked and its a+- formed once for all
-    pointers, each pointer evolves once at +-alpha for all pairs, and Lz
-    applies to each branch difference's flat amplitudes, on the one shell
-    m + n they occupy. Raises TotalExtinctionError where
-    final_pointer_exact does.
-    """
+    no stencil. Each pair's a+- are formed once, each pointer evolves once
+    at +-alpha, and Lz applies to each branch difference through the memo
+    entry of the shell m + n, read once per pointer. Raises
+    TotalExtinctionError where final_pointer_exact does."""
     finite("alpha", alpha)
     amplitudes = [_selection_amplitudes(pre, post, axis)
                   for pre, post in pairs]
     out = []
     for idx in indices:
-        pointer = ModeState.basis(idx.total, idx.m, idx.n)
-        lz = Generator(Coupling.OAM, pointer.cutoff)
-        fwd, bwd = lz.evolve((alpha, -alpha), pointer)
+        shell = idx.total
+        fwd, bwd = Generator(Coupling.OAM, shell).evolve(
+            (alpha, -alpha), ModeState.basis(shell, idx.m, idx.n))
+        block, *_, flat = _coupling_eig(Coupling.OAM, shell, shell, None)
         row = []
         for amps in amplitudes:
-            plus, minus, norm2 = _post_selected_branches(amps, fwd, bwd)
-            dphi = -1j * lz.apply(plus - minus)
-            overlap = np.vdot(plus + minus, dphi)
+            plus, minus, phi, norm2 = _post_selected_branches(amps, fwd, bwd)
+            dphi = np.zeros_like(phi)
+            dphi[flat] = -1j * (block @ (plus - minus)[flat])
+            overlap = np.vdot(phi, dphi)
             row.append(4.0 * (float(np.real(np.vdot(dphi, dphi))) / norm2
                               - abs(overlap) ** 2 / norm2 ** 2))
         out.append(row)
@@ -364,12 +356,18 @@ def write_bound_csv(path, rows: Iterable[Sequence]):
 
     Each row is a sequence of cells in the order of BOUND_CSV_COLUMNS, the
     header: the row family, the method, the coupling and the post-selection
-    angle, then m, n, parameter, fisher_info and variance_bound. Cells use
-    output.format_cell, so output is reproducible byte for byte. A line is
-    its cells joined by commas and ends in CRLF: csv.writer's bytes for
-    numbers and labels, which hold no comma, quote or line break.
+    angle, then m, n, parameter, fisher_info and variance_bound. Each
+    sequence of cell types gets one %-format with output.format_cell's
+    bytes: "%.12g" for floats (numpy's too), "%s" for the rest. Lines end
+    in CRLF: csv.writer's bytes for cells with no comma, quote or break.
     """
+    formats = {}
     lines = [",".join(BOUND_CSV_COLUMNS)]
-    lines += [",".join(map(format_cell, row)) for row in rows]
+    for row in rows:
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = ",".join(["%.12g" if isinstance(v, float)
+                                       else "%s" for v in row])
+        lines.append(formats[types] % tuple(row))
     lines.append("")
     write_atomic(path, "\r\n".join(lines))

@@ -13,12 +13,12 @@ fisher.weak_fisher and the branch amplitudes <f|P+-|i> are built on it.
 
 Omega is applied and exponentiated by one block kernel, Generator: one
 tridiagonal Lz block per shell m + n, or one px block along the m axis.
-A block depends only on the coupling, the cutoff and its shell (Lz) or
-sigma0 (px), so _coupling_eig memoizes each block with its eigh pair under
-that key, least recently used out past _EIG_CACHE_SIZE = 128 entries; apply
-reads the block and evolve the pair. A k-row key holds 32 k^2 + 8 k bytes
-(block, eigenvectors, eigenvalues), with k <= cutoff + 1: at most 4.0 MB up
-to cutoff 30, 68 MB at cutoff 128 (HG(64, 64) in its own shell).
+_coupling_eig memoizes each block with its eigh pair and the flat basis
+indices of its rows, keyed by the coupling, the cutoff and the shell (Lz) or
+sigma0 (px), least recently used out past _EIG_CACHE_SIZE = 128 entries;
+apply reads the block, evolve the pair, and both gather and scatter through
+the indices. A k-row key holds 32 k^2 + 16 k bytes, k <= cutoff + 1: at most
+4.0 MB up to cutoff 30, 68 MB at cutoff 128 (HG(64, 64) in its own shell).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegeneratePostSelectionError,
     InvalidStateError,
     NoCarrierError,
@@ -94,10 +95,8 @@ class QubitState:
 
 
 def post_selected_pair(epsilon: float) -> tuple[QubitState, QubitState]:
-    """Diagonal input and an analyzer rotated epsilon short of extinction.
-
-    The pair gives weak value A_w = cot(epsilon) for the sigma_z observable.
-    """
+    """Diagonal input and an analyzer rotated epsilon short of extinction:
+    the pair gives weak value A_w = cot(epsilon) for sigma_z."""
     finite("post-selection angle", epsilon)
     pre = QubitState.plus()
     post = QubitState.from_amplitudes(
@@ -183,24 +182,32 @@ def _tridiagonal(upper: np.ndarray) -> np.ndarray:
     return np.diag(1j * upper, 1) + np.diag(-1j * upper, -1)
 
 
-def _shell_rows(cutoff: int, s: int) -> np.ndarray:
-    """j = m over the Lz shell s = m + n inside the truncation, ascending."""
-    return np.arange(max(0, s - cutoff), min(s, cutoff) + 1)
-
-
 @functools.lru_cache(maxsize=_EIG_CACHE_SIZE)
 def _coupling_eig(coupling: Coupling, cutoff: int, shell: int | None,
                   sigma0: float | None) -> tuple:
-    """Read-only (block, w, v), one invariant block of a coupling and its eigh
-    pair: the Lz block of shell (sigma0 None) or the p block of sigma0."""
+    """Read-only (block, w, v, index): one invariant block of a coupling, its
+    eigh pair and the flat indices of its rows, a column: the Lz block of
+    shell (sigma0 None) or the p block of sigma0, its rows taken at n = 0."""
     if coupling is Coupling.MOMENTUM_X:
-        block = _tridiagonal(-np.sqrt(np.arange(1, cutoff + 1)) / (2.0 * sigma0))
+        m, n = np.arange(cutoff + 1), 0
+        block = _tridiagonal(-np.sqrt(m[1:]) / (2.0 * sigma0))
     else:
-        j = _shell_rows(cutoff, shell)[1:]
-        block = _tridiagonal(np.sqrt(j * (shell - j + 1)))
-    w, v = np.linalg.eigh(block)
-    block.flags.writeable = w.flags.writeable = v.flags.writeable = False
-    return block, w, v
+        m = np.arange(max(0, shell - cutoff), min(shell, cutoff) + 1)
+        n = shell - m  # <m-1|Lz|m> = i sqrt(m (shell - m + 1))
+        block = _tridiagonal(np.sqrt(m[1:] * n[:-1]))
+    entry = block, *np.linalg.eigh(block), (m * (cutoff + 1) + n)[:, None]
+    for array in entry:
+        array.flags.writeable = False
+    return entry
+
+
+@functools.lru_cache(maxsize=_EIG_CACHE_SIZE)
+def _shell_ids(cutoff: int) -> np.ndarray:
+    """Read-only shell m + n of each flat basis index at one cutoff: 8
+    (cutoff + 1)^2 bytes, where a state's occupied Lz shells are read."""
+    ids = np.add.outer(np.arange(cutoff + 1), np.arange(cutoff + 1)).ravel()
+    ids.flags.writeable = False
+    return ids
 
 
 @dataclass(frozen=True)
@@ -211,9 +218,8 @@ class Generator:
     max(0, s - cutoff) to min(s, cutoff), with <j-1|Lz|j> = i sqrt(j (s-j+1))
     (exactly the truncation of lz_matrix). MOMENTUM_X: px = p (x) 1, one
     (cutoff + 1)-square block along m, <j-1|p|j> = -i sqrt(j) / (2 sigma0).
-    Only blocks a state has support on are read, each from the memo
-    and none larger than (cutoff + 1)-square.
-    """
+    Only the blocks a state has support on are read, each with its flat
+    indices from the memo, and none is larger than (cutoff + 1)-square."""
 
     coupling: Coupling
     cutoff: int
@@ -225,54 +231,55 @@ class Generator:
         finite_in("cutoff", self.cutoff, 0, math.inf, ends="[)")
         positive_square("sigma0", self.sigma0)
 
-    def _grid(self, state: ModeState | np.ndarray) -> np.ndarray:
+    def _flat(self, state: ModeState | np.ndarray) -> np.ndarray:
         if isinstance(state, ModeState):
             if state.cutoff != self.cutoff:
                 raise ValueError("operator and state truncations differ")
             state = state.amplitudes
-        return state.reshape(self.cutoff + 1, self.cutoff + 1)
+        return state.reshape(basis_dim(self.cutoff))
 
     def _blocks(self, x: np.ndarray):
-        """Yield (memo key, (rows, cols) in the grid) per block x has
-        support on."""
+        """Yield (memo entry, flat indices) per block x has support on."""
         if self.coupling is Coupling.MOMENTUM_X:
-            yield ((self.coupling, self.cutoff, None, self.sigma0),
-                   (slice(None), np.flatnonzero(np.any(x != 0, axis=0))))
+            entry = _coupling_eig(self.coupling, self.cutoff, None, self.sigma0)
+            grid = x.reshape(self.cutoff + 1, self.cutoff + 1)
+            yield entry, entry[3] + np.flatnonzero(np.any(grid != 0, axis=0))
             return
         # occupied shells, sorted; np.unique would import numpy.ma on first use
-        for s in map(int, np.flatnonzero(np.bincount(np.add(*np.nonzero(x))))):
-            j = _shell_rows(self.cutoff, s)
-            yield ((self.coupling, self.cutoff, s, None),
-                   (j[:, None], s - j[:, None]))
+        for s in np.flatnonzero(np.bincount(_shell_ids(self.cutoff)[x != 0])):
+            entry = _coupling_eig(self.coupling, self.cutoff, int(s), None)
+            yield entry, entry[3]
 
     def apply(self, state: ModeState | np.ndarray) -> np.ndarray:
         """Omega |state> as a flat amplitude vector; state is a ModeState or
         its flat amplitudes."""
-        x = self._grid(state)
+        x = self._flat(state)
         out = np.zeros_like(x)
-        for key, (rows, cols) in self._blocks(x):
-            out[rows, cols] = _coupling_eig(*key)[0] @ x[rows, cols]
-        return out.reshape(-1)
+        for (block, *_), index in self._blocks(x):
+            out[index] = block @ x[index]
+        return out
 
     def evolve(self, alphas, state: ModeState) -> np.ndarray:
-        """exp(-i alpha Omega) |state> for each alpha, one flat row per alpha."""
-        x = self._grid(state)
+        """exp(-i alpha Omega) |state> for each alpha, one flat row per alpha;
+        ConfigError where a phase alpha w overflows."""
+        x = self._flat(state)
         alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-        out = np.zeros((len(alphas),) + x.shape, dtype=complex)
-        for key, (rows, cols) in self._blocks(x):
-            _, w, v = _coupling_eig(*key)
+        peak = float(np.max(np.abs(alphas), initial=0.0))  # NaN propagates
+        out = np.zeros((len(alphas), x.size), dtype=complex)
+        for (_, w, v, _), index in self._blocks(x):
+            if not math.isfinite(peak * max(-w[0], w[-1]).item()):  # w sorted
+                raise ConfigError(f"alpha {peak} times a generator eigenvalue "
+                                  f"in [{w[0]}, {w[-1]}] is not finite")
             phases = np.exp(-1j * np.multiply.outer(alphas, w))[:, :, None]
-            out[:, rows, cols] = v @ (phases * (v.conj().T @ x[rows, cols]))
-        return out.reshape(len(alphas), -1)
+            out[:, index] = v @ (phases * (v.conj().T @ x[index]))
+        return out
 
 
 @dataclass(frozen=True)
 class WeakScenario:
-    """One measurement configuration: coupling, selections, pointer.
-
-    The operations that rely on the first-order expansion require
-    |alpha * A_w| < WEAK_LIMIT; the exact evolution ignores it.
-    """
+    """One measurement configuration: coupling, selections, pointer. What
+    relies on the first-order expansion requires |alpha * A_w| < WEAK_LIMIT;
+    the exact evolution ignores it."""
 
     alpha: float
     pre: QubitState
@@ -305,8 +312,7 @@ def carrier_state(idx: ModeIndex, cutoff: int) -> ModeState:
 
     [sqrt(m(n+1)) |m-1, n+1> - sqrt((m+1)n) |m+1, n-1>] / sqrt(2mn + m + n);
     Lz |m, n> = i sqrt(2mn + m + n) times this state. Both the pointer and
-    its carrier must lie inside the truncation.
-    """
+    its carrier must lie inside the truncation."""
     m, n = idx.m, idx.n
     if m == 0 and n == 0:
         raise NoCarrierError("the fundamental mode has no rotation carrier")
@@ -332,16 +338,13 @@ def _selection_amplitudes(pre: QubitState, post: QubitState,
 
 def _post_selected_branches(amplitudes: tuple[complex, complex],
                             fwd: np.ndarray, bwd: np.ndarray
-                            ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The two branches of the exact post-selected pointer and its norm.
-
-    Splits exp(-i alpha A x Omega) along the +-1 projectors of the axis:
-    returns a+ fwd and a- bwd (fwd, bwd: the pointer after exp(-+ i alpha
-    Omega); amplitudes: a+- from _selection_amplitudes) and the probability
-    |sum|^2 (exact within the truncation). Raises TotalExtinctionError when
-    the sum underflows, or falls below ORTHOGONALITY_FLOOR^2 times |plus|^2
-    + |minus|^2, where it is round-off of cancelling branches.
-    """
+                            ) -> tuple[np.ndarray, ...]:
+    """Branches a+ fwd and a- bwd of the exact post-selected pointer, their
+    sum and its norm |sum|^2, from exp(-i alpha A x Omega) split along the
+    +-1 projectors of the axis (fwd, bwd: the pointer after exp(-+ i alpha
+    Omega); a+- from _selection_amplitudes). TotalExtinctionError where
+    |sum|^2 underflows, or falls below ORTHOGONALITY_FLOOR^2 (|plus|^2 +
+    |minus|^2): round-off of cancelling branches."""
     amp_plus, amp_minus = amplitudes
     plus, minus = amp_plus * fwd, amp_minus * bwd
     vec = plus + minus
@@ -350,21 +353,17 @@ def _post_selected_branches(amplitudes: tuple[complex, complex],
     if not prob >= max(1e-300, ORTHOGONALITY_FLOOR ** 2 * branches):  # NaN too
         raise TotalExtinctionError(
             "post-selected amplitude underflowed or cancelled to round-off")
-    return plus, minus, prob
+    return plus, minus, vec, prob
 
 
 def final_pointer_exact(s: WeakScenario) -> ExactPointer:
-    """Exact post-selected pointer at any coupling strength.
-
+    """Exact post-selected pointer at any coupling strength,
     |psi~> = <f|P+|i> exp(-i alpha Omega)|psi_i>
-           + <f|P-|i> exp(+i alpha Omega)|psi_i>.
-    Returns the normalized pointer and the post-selection probability
-    |psi~|^2 (exact within the truncation).
-    """
-    plus, minus, prob = _post_selected_branches(
+           + <f|P-|i> exp(+i alpha Omega)|psi_i>: the normalized pointer and
+    the post-selection probability |psi~|^2 (exact within the truncation)."""
+    *_, vec, prob = _post_selected_branches(
         _selection_amplitudes(s.pre, s.post, s.axis),
         *s.operator().evolve((s.alpha, -s.alpha), s.pointer))
-    vec = plus + minus
     return ExactPointer(ModeState(s.pointer.cutoff, vec / math.sqrt(prob)), prob)
 
 
@@ -408,9 +407,8 @@ class DensityMatrix:
 def monitor_branches(alpha: float,
                      pointer: ModeState) -> tuple[np.ndarray, np.ndarray]:
     """Pointer branches exp(-+ i alpha Lz)|psi_i> tagged by the qubit basis."""
-    fwd, bwd = Generator(Coupling.OAM, pointer.cutoff).evolve(
-        (alpha, -alpha), pointer)
-    return fwd, bwd
+    return tuple(Generator(Coupling.OAM, pointer.cutoff).evolve(
+        (alpha, -alpha), pointer))
 
 
 def qubit_monitor_channel(qubit: QubitState, alpha: float,

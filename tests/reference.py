@@ -11,11 +11,14 @@ whole-grid temporaries, a fresh eigendecomposition per call
 and the nine-evaluation stencil instead, so a test can check the structured
 route against the textbook one. final_pointer_first_order is the first-order
 post-selected pointer that the tests hold against the exact evolution; no
-package route uses it. qfi_rotation_exact_selections_per_order is the exact
-rotation QFI as one call per pointer, checking every selection pair through
-a WeakScenario and applying Lz through a ModeState after a shell search; the
-package forms each pair's amplitudes once per sweep and applies Lz on the
-known shell, and a test requires the same floats bit for bit.
+package route uses it. apply_uncached and evolve_uncached build each block
+on the call, find a state's Lz shells by a search of its 2-D grid and gather
+and scatter by 2-D fancy indices; the package reads each block and its flat
+indices from a memo. qfi_rotation_exact_selections_per_order is the exact
+rotation QFI as one call per pointer on those two, checking every selection
+pair through a WeakScenario; the package forms each pair's amplitudes once
+per sweep and applies Lz through the known shell's memo entry, and a test
+requires the same floats bit for bit.
 """
 
 import math
@@ -91,41 +94,64 @@ def qfi_rotation_exact_selections_per_order(pairs, axis: PauliAxis,
                                             alpha: float,
                                             idx: ModeIndex) -> list[float]:
     """Exact QFI about alpha of the basis pointer idx under rotation
-    coupling, one value per (pre, post) selection pair."""
+    coupling, one value per (pre, post) selection pair, through the
+    uncached evolution and a shell search per apply."""
     pointer = ModeState.basis(idx.total, idx.m, idx.n)
     scenarios = [WeakScenario(alpha, pre, post, axis, Coupling.OAM, pointer)
                  for pre, post in pairs]
     lz = Generator(Coupling.OAM, pointer.cutoff)
-    fwd, bwd = lz.evolve((alpha, -alpha), pointer)
+    fwd, bwd = evolve_uncached(lz, (alpha, -alpha), pointer)
     out = []
     for s in scenarios:
         plus, minus, norm2 = _post_selected_branches_of(s, fwd, bwd)
-        dphi = -1j * lz.apply(ModeState(pointer.cutoff, plus - minus))
+        diff = ModeState(pointer.cutoff, plus - minus)
+        dphi = -1j * apply_uncached(lz, diff)
         overlap = np.vdot(plus + minus, dphi)
         out.append(4.0 * (float(np.real(np.vdot(dphi, dphi))) / norm2
                           - abs(overlap) ** 2 / norm2 ** 2))
     return out
 
 
+def _blocks_uncached(gen: Generator, x: np.ndarray) -> list:
+    """(block, (rows, cols) in the 2-D grid x) per block x has support on,
+    each block built on the call: the Lz shells found by a search of x."""
+    if gen.coupling is Coupling.MOMENTUM_X:
+        return [(_tridiagonal(-np.sqrt(np.arange(1, gen.cutoff + 1))
+                              / (2.0 * gen.sigma0)),
+                 (slice(None), np.flatnonzero(np.any(x != 0, axis=0))))]
+    blocks = []
+    for s in np.flatnonzero(np.bincount(np.add(*np.nonzero(x)))):
+        j = np.arange(max(0, s - gen.cutoff), min(s, gen.cutoff) + 1)
+        blocks.append((_tridiagonal(np.sqrt(j[1:] * (s - j[1:] + 1))),
+                       (j[:, None], s - j[:, None])))
+    return blocks
+
+
+def _grid_of(gen: Generator, state) -> np.ndarray:
+    if isinstance(state, ModeState):
+        if state.cutoff != gen.cutoff:
+            raise ValueError("operator and state truncations differ")
+        state = state.amplitudes
+    return state.reshape(gen.cutoff + 1, gen.cutoff + 1)
+
+
+def apply_uncached(gen: Generator, state) -> np.ndarray:
+    """Omega |state> as a flat vector (state a ModeState or its flat
+    amplitudes), gathering and scattering each block by 2-D fancy indices."""
+    x = _grid_of(gen, state)
+    out = np.zeros_like(x)
+    for block, (rows, cols) in _blocks_uncached(gen, x):
+        out[rows, cols] = block @ x[rows, cols]
+    return out.reshape(-1)
+
+
 def evolve_uncached(gen: Generator, alphas, state: ModeState) -> np.ndarray:
     """exp(-i alpha Omega) |state> for each alpha, one flat row per alpha,
     building every block and running its eigh on each call."""
-    if state.cutoff != gen.cutoff:
-        raise ValueError("operator and state truncations differ")
-    x = state.amplitudes.reshape(gen.cutoff + 1, gen.cutoff + 1)
+    x = _grid_of(gen, state)
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     out = np.zeros((len(alphas),) + x.shape, dtype=complex)
-    if gen.coupling is Coupling.MOMENTUM_X:
-        blocks = [(_tridiagonal(-np.sqrt(np.arange(1, gen.cutoff + 1))
-                                / (2.0 * gen.sigma0)),
-                   (slice(None), np.flatnonzero(np.any(x != 0, axis=0))))]
-    else:
-        blocks = []
-        for s in np.flatnonzero(np.bincount(np.add(*np.nonzero(x)))):
-            j = np.arange(max(0, s - gen.cutoff), min(s, gen.cutoff) + 1)
-            blocks.append((_tridiagonal(np.sqrt(j[1:] * (s - j[1:] + 1))),
-                           (j[:, None], s - j[:, None])))
-    for block, (rows, cols) in blocks:
+    for block, (rows, cols) in _blocks_uncached(gen, x):
         w, v = np.linalg.eigh(block)
         phases = np.exp(-1j * np.multiply.outer(alphas, w))[:, :, None]
         out[:, rows, cols] = v @ (phases * (v.conj().T @ x[rows, cols]))

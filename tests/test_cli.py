@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import hgsense
-from hgsense import cli, fields
+from hgsense import cli, fields, weak
 from hgsense.cli import main
 from hgsense.errors import SaturationWarning
 
@@ -85,8 +85,9 @@ def test_bounds_empty_sweep_fails(tmp_path, capsys):
 
 def test_bounds_refuses_unsupported_order_before_sweeping(
         tmp_path, capsys, monkeypatch):
-    # the breakdown family cannot build HG(65, 65), nor select at epsilon 0:
-    # its exact sweep runs first and refuses both before evolving anything,
+    # the breakdown family cannot build HG(65, 65), nor select at an angle
+    # outside (0, pi/2), which --epsilon-deg refuses too (-0.1 would repeat
+    # the rows of 0.1): both are refused before anything evolves,
     # so neither the carrier grid's oam_variance nor the Hamiltonian
     # family's momentum_variance_x may run.
     def no_sweep(*args, **kwargs):
@@ -94,9 +95,14 @@ def test_bounds_refuses_unsupported_order_before_sweeping(
 
     monkeypatch.setattr(cli, "oam_variance", no_sweep)
     monkeypatch.setattr(cli, "momentum_variance_x", no_sweep)
+    monkeypatch.setattr(weak.Generator, "evolve", no_sweep)
     for flags, needle in ((["--sweep-max", "65"], "(65, 65)"),
                           (["--breakdown-epsilons", "0"],
-                           "pre- and post-selection are orthogonal")):
+                           "--breakdown-epsilons angle 0.0 must"),
+                          (["--breakdown-epsilons", "0.1,5"],
+                           "--breakdown-epsilons angle 5.0 must"),
+                          (["--breakdown-epsilons=-0.1,0.1"],
+                           "--breakdown-epsilons angle -0.1 must")):
         assert main(["bounds", *flags,
                      "--out", str(tmp_path / "b.csv")]) == 2
         err = capsys.readouterr().err
@@ -427,6 +433,9 @@ def test_montecarlo_checks_expansion_before_simulating(monkeypatch, tmp_path,
     ["--alpha-rad", "nan"],
     ["--alpha-rad", "inf"],
     ["--breakdown-epsilons", "nan"],
+    ["--breakdown-epsilons", "5"],
+    ["--breakdown-epsilons=-0.1"],  # a bare -0.1 would parse as an option
+    ["--alpha-rad", "1e308"],
 ])
 def test_bounds_rejects_bad_angle_or_coupling(flags, tmp_path, capsys):
     with warnings.catch_warnings():
@@ -436,6 +445,27 @@ def test_bounds_rejects_bad_angle_or_coupling(flags, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--alpha-rad", "1e308", "--sweep-max", "2"],
+     "alpha 1e+308 times a generator eigenvalue in"),
+    (["--breakdown-epsilons", "5"], "--breakdown-epsilons angle 5.0 must"),
+])
+def test_bounds_refusal_is_one_line_under_warnings_as_errors(
+        flags, message, tmp_path):
+    # a fresh interpreter under -W error: an overflowing phase used to reach
+    # np.exp and end in a RuntimeWarning traceback
+    src = os.path.dirname(os.path.dirname(hgsense.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hgsense", "bounds", *flags,
+         "--out", str(tmp_path / "b.csv")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {message}"), proc.stderr
+    assert proc.stderr.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -522,9 +522,11 @@ def test_rotation_qfi_matches_wigner_d_closed_form():
 
 
 def test_rotation_qfi_sweep_is_bitwise_the_per_order_route():
-    # one call over orders 0-30 against one reference call per order, which
-    # checks each pair in a WeakScenario and searches the shell to apply Lz
-    indices = [ModeIndex(order, order) for order in range(31)]
+    # one call over orders 0-30 and off-diagonal pointers against one
+    # reference call per pointer, which checks each pair in a WeakScenario,
+    # builds each block on the call and searches the shell to apply Lz
+    indices = [ModeIndex(order, order) for order in range(31)] + [
+        ModeIndex(0, 5), ModeIndex(3, 9), ModeIndex(12, 1), ModeIndex(1, 0)]
     z_pairs = [post_selected_pair(eps) for eps in (0.01, 0.05, 0.1, 0.5)]
     cli_diag = QubitState.from_amplitudes(1.0, cmath.exp(1j * math.pi / 4.0))
     for axis, pairs in ((PauliAxis.z(), z_pairs),

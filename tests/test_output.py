@@ -105,7 +105,8 @@ def test_bound_csv_keeps_crlf_and_twelve_digits(tmp_path):
 
 def test_bound_csv_bytes_are_csv_writers(tmp_path):
     # every kind of cell a bounds sweep writes: the labels, an empty
-    # epsilon, ints, floats down to the smallest normal, inf and numpy floats
+    # epsilon, ints, floats down to the smallest subnormal, -0, inf, NaN and
+    # numpy floats
     rows = [("projective", "carrier-povm", "oam", 0.0872664625997, 1, 1,
              "alpha", 9.80665e21, 1.0197e-22),
             ("hamiltonian", "quantum-bound", "gaussian-pointer", "", 0, 0,
@@ -113,7 +114,18 @@ def test_bound_csv_bytes_are_csv_writers(tmp_path):
             ("postselection", "weak-approx", "momentum-x", 0.05, 16, 16,
              "phi", np.float64(2.0) / 3, 2.2250738585072014e-308),
             ("postselection", "exact", "oam", 1e-300, 64, 64, "alpha",
-             -1.5, np.float64(1e300))]
+             -1.5, np.float64(1e300)),
+            ("postselection", "exact", "oam", np.float64(0.05), 2, 2,
+             "alpha", 5e-324, -0.0),
+            ("postselection", "exact", "oam", 0.05, 2, 2, "alpha", math.nan,
+             -math.inf)]
+    # rows of one cell-type sequence share a %-format: random bit patterns,
+    # as floats and as numpy floats, must keep format_cell's bytes
+    bits = np.random.default_rng(20231019).integers(0, 2 ** 64, 400,
+                                                    dtype=np.uint64)
+    values = bits.view(np.float64)
+    rows += [("postselection", "exact", "oam", float(a), 3, 3, "alpha",
+              b, float(b)) for a, b in zip(values[::2], values[1::2])]
     target = tmp_path / "b.csv"
     write_bound_csv(target, rows)
     buffer = io.StringIO(newline="")

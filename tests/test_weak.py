@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hgsense.errors import (
     TotalExtinctionError,
     WeakRegimeError,
 )
+from hgsense.fisher import qfi_rotation_exact
 from hgsense.modes import (
     ModeIndex,
     ModeState,
@@ -38,7 +40,11 @@ from hgsense.weak import (
     qubit_monitor_channel,
     weak_value,
 )
-from reference import evolve_uncached, final_pointer_first_order
+from reference import (
+    apply_uncached,
+    evolve_uncached,
+    final_pointer_first_order,
+)
 
 _SIGMAS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -344,6 +350,52 @@ def test_memoized_evolution_is_bitwise_the_uncached_one(coupling):
                 assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
+@pytest.mark.parametrize("coupling", list(Coupling))
+def test_shell_indexed_apply_is_bitwise_the_uncached_one(coupling):
+    # states on each single shell, the truncated ones s > cutoff included,
+    # on no shell and on every shell, given as a ModeState and as flat
+    # amplitudes, against a fresh block per call and 2-D fancy indices
+    rng = np.random.default_rng(20230601)
+    for cutoff in range(25):
+        gen = Generator(coupling, cutoff, 0.7)
+        shells = np.add.outer(np.arange(cutoff + 1),
+                              np.arange(cutoff + 1)).reshape(-1)
+        masks = [shells == s for s in range(2 * cutoff + 1)]
+        for on in masks + [shells < 0, shells >= 0]:
+            vec = np.where(on, rng.normal(size=on.size)
+                           + 1j * rng.normal(size=on.size), 0.0)
+            want = apply_uncached(gen, ModeState(cutoff, vec))
+            for state in (ModeState(cutoff, vec), vec):
+                got = gen.apply(state)
+                assert np.array_equal(got, want), (cutoff, on.nonzero())
+                assert np.array_equal(np.signbit(got.view(float)),
+                                      np.signbit(want.view(float)))
+
+
+def test_evolve_refuses_a_phase_that_overflows():
+    # eigh sorts w, so alpha times its two ends bounds every phase: 1e308
+    # overflows on the shell-4 Lz block (w = -4 ... 4) and 1e300 on a px
+    # block of sigma0 1e-10 (w ~ 1e10); NaN is refused too. No numpy warning
+    # may come first (warnings are errors here)
+    pointer = ModeState.basis(2, 1, 1)
+    for alpha in (1e308, -1e308, math.nan):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"alpha {abs(alpha)} times")):
+            Generator(Coupling.OAM, 2).evolve((0.1, alpha), pointer)
+    with pytest.raises(ConfigError, match="alpha 1e\\+300 times"):
+        Generator(Coupling.MOMENTUM_X, 2, 1e-10).evolve((1e300,), pointer)
+    pre, post = post_selected_pair(0.1)
+    with pytest.raises(ConfigError, match="alpha 1e\\+308 times"):
+        final_pointer_exact(WeakScenario(1e308, pre, post, PauliAxis.z(),
+                                         Coupling.OAM, pointer))
+    with pytest.raises(ConfigError, match="alpha 1e\\+308 times"):
+        qfi_rotation_exact(pre, post, PauliAxis.z(), 1e308, ModeIndex(2, 2))
+    # a phase that stays finite evolves, however large
+    rows = Generator(Coupling.OAM, 2).evolve((1e300, -1e300), pointer)
+    assert np.all(np.isfinite(rows))
+    assert np.linalg.norm(rows, axis=1) == pytest.approx([1.0, 1.0])
+
+
 def test_block_memo_is_read_only_bounded_and_hit_on_repeat():
     memo = weak._coupling_eig
     assert memo.cache_info().maxsize == weak._EIG_CACHE_SIZE
@@ -357,7 +409,7 @@ def test_block_memo_is_read_only_bounded_and_hit_on_repeat():
     assert (after.hits, after.misses) == (before.hits + 2, before.misses)
     for entry in (weak._coupling_eig(Coupling.OAM, 7, 7, None),
                   weak._coupling_eig(Coupling.MOMENTUM_X, 7, None, 0.7)):
-        assert len(entry) == 3  # block, eigenvalues, eigenvectors
+        assert len(entry) == 4  # block, eigenvalues, eigenvectors, indices
         for array in entry:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
