@@ -338,7 +338,7 @@ def qfi_rotation_exact_selections(pairs: Sequence[tuple], axis: PauliAxis,
         row = []
         for amps in amplitudes:
             plus, minus, phi, norm2 = _post_selected_branches(amps, fwd, bwd)
-            dphi = np.zeros_like(phi)
+            dphi = np.zeros(phi.shape, dtype=complex)
             dphi[flat] = -1j * (block @ (plus - minus)[flat])
             overlap = np.vdot(phi, dphi)
             row.append(4.0 * (float(np.real(np.vdot(dphi, dphi))) / norm2

@@ -254,7 +254,7 @@ class Generator:
         """Omega |state> as a flat amplitude vector; state is a ModeState or
         its flat amplitudes."""
         x = self._flat(state)
-        out = np.zeros_like(x)
+        out = np.zeros(x.shape, dtype=complex)  # real amplitudes too
         for (block, *_), index in self._blocks(x):
             out[index] = block @ x[index]
         return out
@@ -264,7 +264,7 @@ class Generator:
         ConfigError where a phase alpha w overflows."""
         x = self._flat(state)
         alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-        peak = float(np.max(np.abs(alphas), initial=0.0))  # NaN propagates
+        peak = float(abs(alphas).max(initial=0.0))  # NaN propagates
         out = np.zeros((len(alphas), x.size), dtype=complex)
         for (_, w, v, _), index in self._blocks(x):
             if not math.isfinite(peak * max(-w[0], w[-1]).item()):  # w sorted

@@ -326,6 +326,9 @@ def test_apply_on_flat_amplitudes_is_bitwise_the_mode_state_one():
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got.view(float)),
                                       np.signbit(want.view(float)))
+                # real amplitudes keep the imaginary part of Omega |state>
+                assert np.array_equal(gen.apply(vec.real),
+                                      gen.apply(ModeState(cutoff, vec.real)))
     with pytest.raises(ValueError):  # flat amplitudes of another truncation
         Generator(Coupling.OAM, 3).apply(np.zeros(basis_dim(4), complex))
 
