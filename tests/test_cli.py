@@ -101,6 +101,7 @@ def test_bounds_refuses_unsupported_order_before_sweeping(
                            "--breakdown-epsilons angle 0.0 must"),
                           (["--breakdown-epsilons", "0.1,5"],
                            "--breakdown-epsilons angle 5.0 must"),
+                          # "-0.1,0.1" alone would parse as an option
                           (["--breakdown-epsilons=-0.1,0.1"],
                            "--breakdown-epsilons angle -0.1 must")):
         assert main(["bounds", *flags,
@@ -434,7 +435,7 @@ def test_montecarlo_checks_expansion_before_simulating(monkeypatch, tmp_path,
     ["--alpha-rad", "inf"],
     ["--breakdown-epsilons", "nan"],
     ["--breakdown-epsilons", "5"],
-    ["--breakdown-epsilons=-0.1"],  # a bare -0.1 would parse as an option
+    ["--breakdown-epsilons", "-0.1"],
     ["--alpha-rad", "1e308"],
 ])
 def test_bounds_rejects_bad_angle_or_coupling(flags, tmp_path, capsys):

@@ -377,7 +377,7 @@ def test_shell_indexed_apply_is_bitwise_the_uncached_one(coupling):
 
 def test_evolve_refuses_a_phase_that_overflows():
     # eigh sorts w, so alpha times its two ends bounds every phase: 1e308
-    # overflows on the shell-4 Lz block (w = -4 ... 4) and 1e300 on a px
+    # overflows on the shell-2 Lz block (w = -2, 0, 2) and 1e300 on a px
     # block of sigma0 1e-10 (w ~ 1e10); NaN is refused too. No numpy warning
     # may come first (warnings are errors here)
     pointer = ModeState.basis(2, 1, 1)
