@@ -26,6 +26,7 @@ import cmath
 import functools
 import math
 import sys
+from collections import namedtuple
 
 from .errors import (
     ConfigError,
@@ -60,7 +61,12 @@ from .fisher import (
     weak_fisher,
     write_bound_csv,
 )
-from .modes import ModeIndex, momentum_variance_x, oam_variance
+from .modes import (
+    MAX_HERMITE_ORDER,
+    ModeIndex,
+    momentum_variance_x,
+    oam_variance,
+)
 from .output import check_writable, format_cell, staged, write_atomic
 from .weak import PauliAxis, QubitState, post_selected_pair
 
@@ -118,6 +124,9 @@ def _maybe_config(args, settings: dict):
         write_run_config(args.config_out, settings)
 
 
+_Orders = namedtuple("_Orders", "m n")  # all the variance closed forms read
+
+
 def _bound_row(*cells) -> tuple:
     """A bounds CSV row: seven cells, the Fisher information, the bound."""
     return cells + (math.inf if cells[-1] == 0.0 else 1.0 / cells[-1],)
@@ -138,11 +147,14 @@ def cmd_bounds(args) -> int:
         check_epsilon(eps_b, "--breakdown-epsilons angle")
     breakdown = [post_selected_pair(eps_b) for eps_b in args.breakdown_epsilons]
     orders = range(1, args.sweep_max + 1)
+    sweep = [ModeIndex(order, order) for order in orders]
+    # the carrier grid's first cell ModeIndex refuses, if any; rows then
+    # pass plain (m, n) pairs to the closed forms
+    ModeIndex(1, min(args.grid_max, MAX_HERMITE_ORDER + 1))
     exact = qfi_rotation_exact_selections(
-        breakdown, PauliAxis.z(), alpha_breakdown,
-        [ModeIndex(order, order) for order in orders])
+        breakdown, PauliAxis.z(), alpha_breakdown, sweep)
     rows = [_bound_row("projective", "carrier-povm", "oam", epsilon, m, n,
-                       "alpha", 4.0 * cot2 * oam_variance(ModeIndex(m, n))
+                       "alpha", 4.0 * cot2 * oam_variance(_Orders(m, n))
                        * budget.photons)
             for m in range(1, args.grid_max + 1)
             for n in range(1, args.grid_max + 1)]
@@ -150,13 +162,13 @@ def cmd_bounds(args) -> int:
     # symmetric selection pair with unit success: A_w = 1/2 on the tilted axis
     diag = QubitState.from_amplitudes(1.0, cmath.exp(1j * math.pi / 4.0))
     sigma0 = 1.0 / math.sqrt(2.0)
+    gaussian = momentum_variance_x(_Orders(0, 0), sigma0)
     variances = {}  # <delta Omega^2> of the pointer by (coupling label, order)
     for order in range(0, args.sweep_max + 1):
-        pointer = ModeIndex(order, order)
+        pointer = _Orders(order, order)
         variances["oam", order] = oam_variance(pointer)
         variances["momentum-x", order] = momentum_variance_x(pointer, sigma0)
-        variances["gaussian-pointer", order] = momentum_variance_x(
-            ModeIndex(0, 0), sigma0)
+        variances["gaussian-pointer", order] = gaussian
     fishers = weak_fisher((diag, diag), PauliAxis(math.pi / 4.0, 0.0), 1e-3,
                           tuple(Parameter), variances.values())
     for (label, order), row in zip(variances, fishers):

@@ -11,7 +11,11 @@ x_i = (i - (side - 1) / 2) * pitch, so the beam axis sits between the four
 central pixels and right-angle rotations land exactly on grid nodes.
 Holograms use the J1-type phase-only encoding of Arrizon et al., JOSA A 24,
 3500 (2007), at full modulation depth on a carrier grating; the depth
-inverts J1 by one polynomial fitted at import.
+inverts J1 by one polynomial with literal coefficients. HG fields and the
+Gaussian illumination are built from their 1-D factors (_Separable), so
+only synthesize_superposition renormalizes a whole complex grid
+(_unit_power). Rotation resamples the real and imaginary planes apart and
+skips one that is all zero.
 The readout is separable: only the band of the first-order pinhole is
 Fourier transformed, and purity contracts the 1-D factors of the ideal mode.
 Rotation, the hologram encoding, the PGM levels and both row FFTs of the
@@ -65,13 +69,9 @@ MIN_COVERAGE_SIGMA = 6.0
 DEFAULT_SIDE = 512
 WINDOW_SIGMA = 8.0
 
-# First maximum of J1, the end of the invertible branch; pinned by a test.
+# First maximum of J1, the end of the invertible branch, and J1 there; pinned
 J1_PEAK_X = 1.8411837813406593
-# J1(x) = sum_k (-1)^k (x/2)^(2k+1) / (k! (k+1)!), double precision in 13 terms
-_J1_SERIES = np.polynomial.Polynomial(np.ravel(
-    [[0.0, (-0.25) ** k / (2 * math.factorial(k) * math.factorial(k + 1))]
-     for k in range(13)]))
-J1_PEAK = float(_J1_SERIES(J1_PEAK_X))
+J1_PEAK = 0.5818652242815964
 
 _RENORM_FLOOR = 1e-9
 _BLOCK_SAMPLES = 16384  # per row block: its temporaries stay in cache
@@ -156,8 +156,9 @@ def _frozen(f: np.ndarray) -> np.ndarray:
 
 
 def _unit_power(f: np.ndarray, pitch: float, name: str) -> np.ndarray:
-    sq = np.abs(f)  # f is fresh: scaled in place
-    power = float(np.sum(np.square(sq, out=sq))) * pitch ** 2
+    flat = f.reshape(-1)  # f is fresh: scaled in place; summed as np.sum would
+    power = _pairwise_sum(lambda a, b: np.square(np.abs(flat[a:b])), 0,
+                          flat.size) * pitch ** 2
     f /= math.sqrt(finite_positive(f"{name} has power", power))
     return _frozen(f)
 
@@ -186,10 +187,9 @@ def synthesize_hg_field(idx: ModeIndex, sigma0: float,
     (columns), each an hg_factor term.
     """
     pitch, c = _window(side, sigma0)
-    f = np.zeros((side, side), dtype=complex)  # outer().astype took 2x as long
-    np.multiply.outer(hg_factor(idx.n, sigma0, c), hg_factor(idx.m, sigma0, c),
-                      out=f.real)
-    return FieldGrid(_unit_power(f, pitch, f"HG({idx.m}, {idx.n}) field"),
+    return FieldGrid(_Separable(hg_factor(idx.n, sigma0, c),
+                                hg_factor(idx.m, sigma0, c), pitch,
+                                f"HG({idx.m}, {idx.n}) field").grid(),
                      pitch, sigma0)
 
 
@@ -214,12 +214,12 @@ def synthesize_superposition(state: ModeState, sigma0: float,
 class _Separable:
     """The real grid outer(a, b) at unit power, built one row block at a time.
 
-    Bitwise the real part of the complex grid that synthesize_hg_field or
-    gaussian_illumination builds from the same factors; its imaginary part
-    is +0. Dividing re + 0i by s > 0 gives (re + 0) * (1 / s), so a -0 (a
-    zero factor times a negative one) turns +0 before the scale. The power
-    is summed as np.sum sums the whole grid, and the largest magnitude is
-    taken before the scale: a positive factor keeps it the largest.
+    Bitwise the complex outer(a, b) divided by its root grid power: its
+    imaginary part is +0, and dividing re + 0i by s > 0 gives (re + 0) *
+    (1 / s), so a -0 (a zero factor times a negative one) turns +0 before
+    the scale. The power is summed as np.sum sums the whole grid, and the
+    largest magnitude is taken before the scale: a positive factor keeps it
+    the largest.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, pitch: float, name: str):
@@ -244,13 +244,19 @@ class _Separable:
         out *= self.scale
         return out
 
+    def grid(self) -> np.ndarray:
+        """The frozen complex grid, imaginary parts +0."""
+        f = np.zeros((len(self.a), len(self.b)), dtype=complex)
+        for block in _row_blocks(len(self.a)):
+            f.real[block] = self.rows(block)
+        return _frozen(f)
+
 
 def gaussian_illumination(sigma: float, grid_like: FieldGrid) -> FieldGrid:
     """Fundamental-mode beam of width sigma sampled on an existing grid."""
     g = hg_factor(0, sigma, grid_like.coords)
-    f = np.outer(g, g).astype(complex)
     return grid_like.with_samples(
-        _unit_power(f, grid_like.pitch, "gaussian illumination"))
+        _Separable(g, g, grid_like.pitch, "gaussian illumination").grid())
 
 
 def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
@@ -259,18 +265,23 @@ def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
     Active rotation: the returned samples are f(R_{-angle} r). Bilinear
     accuracy claims hold for |angle| < pi/4; angles up to pi/2 are accepted
     because right angles map grid nodes onto grid nodes exactly. Samples
-    pulled from outside the window are zero.
+    pulled from outside the window are zero. The real and imaginary planes
+    are resampled apart with float weights; one that is all zero is skipped
+    and stays +0, as complex weights leave a real field's imaginary part.
     """
     finite_in("rotation angle", angle, -math.pi / 2.0 - 1e-12,
               math.pi / 2.0 + 1e-12)
     side, pitch, coords = field.side, field.pitch, field.coords
     c, s = math.cos(angle), math.sin(angle)
     cx, sx, half = c * coords, -s * coords, (side - 1) / 2.0
+    rotated = np.zeros((side, side), dtype=complex)
     # a flat zero border two samples wide: indices clipped into it read zero
     # for both neighbours of a node outside the grid, and one flat index
     # reads all four neighbours through offset views
-    width, padded = side + 4, np.pad(field.samples, 2).ravel()
-    rotated = np.empty((side, side), dtype=complex)
+    width = side + 4
+    planes = [(np.pad(plane, 2).ravel(), out) for plane, out in
+              ((field.samples.real, rotated.real),
+               (field.samples.imag, rotated.imag)) if plane.any()]
     for b in _row_blocks(side):
         y = coords[b, None]
         fc = (cx + s * y) / pitch + half  # fractional source column (x)
@@ -279,11 +290,13 @@ def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
         tc, tr = fc - c0, fr - r0
         k = ((np.clip(r0, -2, side) + 2) * width
              + np.clip(c0, -2, side) + 2).astype(np.intp)
-        rotated[b] = (
-            (1 - tr) * (1 - tc) * padded.take(k)
-            + (1 - tr) * tc * padded[1:].take(k)
-            + tr * (1 - tc) * padded[width:].take(k)
-            + tr * tc * padded[width + 1:].take(k))
+        utr, utc = 1 - tr, 1 - tc
+        weights = (utr * utc, utr * tc, tr * utc, tr * tc)
+        for padded, out in planes:
+            acc = weights[0] * padded.take(k)
+            for w, shift in zip(weights[1:], (1, width, width + 1)):
+                acc += w * padded[shift:].take(k)
+            out[b] = acc
     return field.with_samples(_frozen(rotated))
 
 
@@ -314,21 +327,21 @@ def j1_inverse(target: float) -> float:
     return float(_j1_inverse_array(np.array([target]))[0])
 
 
-def _newton_depth(y: np.ndarray) -> np.ndarray:
-    # Newton from 0: J1 is concave and rising on the branch, so the iterates
-    # climb to each root without crossing the peak.
-    t = J1_PEAK * (1.0 - 0.25 * (y + 1.0) ** 2)
-    x = np.zeros_like(t)
-    for _ in range(20):  # enough for the node nearest the peak
-        x -= (_J1_SERIES(x) - t) / _J1_SERIES.deriv()(x)
-    return x
-
-
 # The depth is analytic in sqrt(J1_PEAK - t) on the whole branch, peak
-# included: one Chebyshev interpolant in y = 2 sqrt(1 - t / J1_PEAK) - 1 covers
-# it, and its power-basis coefficients sum to ~2, so Horner in y is as exact.
-_J1_INVERSE_POLY = np.polynomial.chebyshev.cheb2poly(
-    np.polynomial.chebyshev.chebinterpolate(_newton_depth, 24))
+# included: one degree-24 Chebyshev interpolant in y = 2 sqrt(1 - t / J1_PEAK)
+# - 1 covers it, and its power-basis coefficients (lowest order first) sum to
+# ~2, so Horner in y is as exact. The fit is tests/reference.py's
+# j1_inverse_fit; a test pins these literals within 4 ulp of it.
+_J1_INVERSE_POLY = (
+    0.988831387474254, -0.8849280379817265, -0.05829970609836922,
+    -0.031166104889719402, -0.00817634619134245, -0.0036988749778966434,
+    -0.0014099606662244444, -0.0006343971775169537, -0.00027667050750218244,
+    -0.00012780778617730405, -5.9153091918693185e-05, -2.8080360536413186e-05,
+    -1.3497894430193545e-05, -6.476285327476472e-06, -2.9910669681394365e-06,
+    -1.6487306355254548e-06, -1.1162882201650563e-06, -2.50688706031792e-07,
+    2.1268813483516587e-07, -2.424871587067115e-07, -3.640754606326099e-07,
+    6.576085138399073e-08, 1.3177388232196717e-07, -3.5065751908646416e-08,
+    -3.5385532829164086e-08)
 
 
 def _j1_inverse_array(targets: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ is hg_wavefunction, the product of two one-axis hg_factor terms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Protocol
@@ -114,6 +115,14 @@ class ModeState:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
+
+    @functools.cached_property
+    def shells(self) -> np.ndarray:
+        """Sorted shells m + n with amplitude: found once, read-only."""
+        m, n = np.divmod(np.flatnonzero(self.amplitudes), self.cutoff + 1)
+        shells = np.flatnonzero(np.bincount(m + n))  # np.unique imports ma
+        shells.flags.writeable = False
+        return shells
 
     def normalize(self) -> "ModeState":
         return ModeState(self.cutoff,

@@ -19,6 +19,9 @@ sigma0 (px), least recently used out past _EIG_CACHE_SIZE = 128 entries;
 apply reads the block, evolve the pair, and both gather and scatter through
 the indices. A k-row key holds 32 k^2 + 16 k bytes, k <= cutoff + 1: at most
 4.0 MB up to cutoff 30, 68 MB at cutoff 128 (HG(64, 64) in its own shell).
+What a frozen input fixes is built once and kept, read-only: a QubitState's
+vector (32 bytes), a PauliAxis's matrix (64 bytes), a ModeState's occupied
+Lz shells (8 bytes each) and a WeakScenario's selection amplitudes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -85,9 +88,11 @@ class QubitState:
     def plus(cls) -> "QubitState":
         return cls.from_amplitudes(1.0, 1.0)
 
-    @property
+    @functools.cached_property
     def vector(self) -> np.ndarray:
-        return np.array([self.c0, self.c1], dtype=complex)
+        vec = np.array([self.c0, self.c1], dtype=complex)
+        vec.flags.writeable = False
+        return vec
 
     @property
     def polar_angle(self) -> float:
@@ -126,11 +131,13 @@ class PauliAxis:
                          st * math.sin(self.phi),
                          math.cos(self.theta)])
 
-    @property
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
         ct, st = math.cos(self.theta), math.sin(self.theta)
         ep = cmath.exp(1j * self.phi)
-        return np.array([[ct, st / ep], [st * ep, -ct]], dtype=complex)
+        mat = np.array([[ct, st / ep], [st * ep, -ct]], dtype=complex)
+        mat.flags.writeable = False
+        return mat
 
 
 def _brackets(pre: QubitState, post: QubitState,
@@ -201,15 +208,6 @@ def _coupling_eig(coupling: Coupling, cutoff: int, shell: int | None,
     return entry
 
 
-@functools.lru_cache(maxsize=_EIG_CACHE_SIZE)
-def _shell_ids(cutoff: int) -> np.ndarray:
-    """Read-only shell m + n of each flat basis index at one cutoff: 8
-    (cutoff + 1)^2 bytes, where a state's occupied Lz shells are read."""
-    ids = np.add.outer(np.arange(cutoff + 1), np.arange(cutoff + 1)).ravel()
-    ids.flags.writeable = False
-    return ids
-
-
 @dataclass(frozen=True)
 class Generator:
     """Pointer generator Omega of a coupling, applied block by block.
@@ -238,15 +236,17 @@ class Generator:
             state = state.amplitudes
         return state.reshape(basis_dim(self.cutoff))
 
-    def _blocks(self, x: np.ndarray):
-        """Yield (memo entry, flat indices) per block x has support on."""
+    def _blocks(self, state: ModeState | np.ndarray, x: np.ndarray):
+        """Yield (memo entry, flat indices) per block the state, of flat
+        amplitudes x, has support on; a ModeState keeps its Lz shells."""
         if self.coupling is Coupling.MOMENTUM_X:
             entry = _coupling_eig(self.coupling, self.cutoff, None, self.sigma0)
             grid = x.reshape(self.cutoff + 1, self.cutoff + 1)
             yield entry, entry[3] + np.flatnonzero(np.any(grid != 0, axis=0))
             return
-        # occupied shells, sorted; np.unique would import numpy.ma on first use
-        for s in np.flatnonzero(np.bincount(_shell_ids(self.cutoff)[x != 0])):
+        if not isinstance(state, ModeState):  # its shells are found per call
+            state = ModeState(self.cutoff, x)
+        for s in state.shells:
             entry = _coupling_eig(self.coupling, self.cutoff, int(s), None)
             yield entry, entry[3]
 
@@ -255,7 +255,7 @@ class Generator:
         its flat amplitudes."""
         x = self._flat(state)
         out = np.zeros(x.shape, dtype=complex)  # real amplitudes too
-        for (block, *_), index in self._blocks(x):
+        for (block, *_), index in self._blocks(state, x):
             out[index] = block @ x[index]
         return out
 
@@ -266,7 +266,7 @@ class Generator:
         alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
         peak = float(abs(alphas).max(initial=0.0))  # NaN propagates
         out = np.zeros((len(alphas), x.size), dtype=complex)
-        for (_, w, v, _), index in self._blocks(x):
+        for (_, w, v, _), index in self._blocks(state, x):
             if not math.isfinite(peak * max(-w[0], w[-1]).item()):  # w sorted
                 raise ConfigError(f"alpha {peak} times a generator eigenvalue "
                                   f"in [{w[0]}, {w[-1]}] is not finite")
@@ -279,7 +279,8 @@ class Generator:
 class WeakScenario:
     """One measurement configuration: coupling, selections, pointer. What
     relies on the first-order expansion requires |alpha * A_w| < WEAK_LIMIT;
-    the exact evolution ignores it."""
+    the exact evolution ignores it. The constructor forms the selection
+    amplitudes (<f|P+|i>, <f|P-|i>) once, refusing orthogonal selections."""
 
     alpha: float
     pre: QubitState
@@ -288,11 +289,14 @@ class WeakScenario:
     coupling: Coupling
     pointer: ModeState
     sigma0: float = 1.0
+    selection: tuple[complex, complex] = field(init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
         finite("alpha", self.alpha)
         positive_square("sigma0", self.sigma0)
-        _brackets(self.pre, self.post)  # refuses orthogonal selections
+        object.__setattr__(self, "selection", _selection_amplitudes(
+            self.pre, self.post, self.axis))
 
     @property
     def coupling_strength(self) -> complex:
@@ -362,8 +366,7 @@ def final_pointer_exact(s: WeakScenario) -> ExactPointer:
            + <f|P-|i> exp(+i alpha Omega)|psi_i>: the normalized pointer and
     the post-selection probability |psi~|^2 (exact within the truncation)."""
     *_, vec, prob = _post_selected_branches(
-        _selection_amplitudes(s.pre, s.post, s.axis),
-        *s.operator().evolve((s.alpha, -s.alpha), s.pointer))
+        s.selection, *s.operator().evolve((s.alpha, -s.alpha), s.pointer))
     return ExactPointer(ModeState(s.pointer.cutoff, vec / math.sqrt(prob)), prob)
 
 

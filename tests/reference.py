@@ -18,7 +18,14 @@ indices from a memo. qfi_rotation_exact_selections_per_order is the exact
 rotation QFI as one call per pointer on those two, checking every selection
 pair through a WeakScenario; the package forms each pair's amplitudes once
 per sweep and applies Lz through the known shell's memo entry, and a test
-requires the same floats bit for bit.
+requires the same floats bit for bit. final_pointer_exact_uncached forms a
+scenario's selection amplitudes on each call and evolves through
+evolve_uncached; the package reads the amplitudes its WeakScenario formed
+and the shells its ModeState found once. synthesize_hg_field_complex and
+gaussian_illumination_complex divide a whole complex outer product by its
+root power, where the package builds the grid from its 1-D factors in row
+blocks. j1_inverse_fit is the Newton and Chebyshev fit of the J1 inverse
+whose coefficients the package holds as literals.
 """
 
 import math
@@ -39,6 +46,8 @@ from hgsense.fields import (
     FieldGrid,
     PhaseMap,
     _j1_inverse_array,
+    _unit_power,
+    _window,
     overlap,
 )
 from hgsense.fisher import (
@@ -47,11 +56,12 @@ from hgsense.fisher import (
     _stencil_value,
     default_step,
 )
-from hgsense.modes import ModeIndex, ModeState, hg_wavefunction
+from hgsense.modes import ModeIndex, ModeState, hg_factor, hg_wavefunction
 from hgsense.output import write_atomic
 from hgsense.weak import (
     ORTHOGONALITY_FLOOR,
     Coupling,
+    ExactPointer,
     Generator,
     PauliAxis,
     WeakScenario,
@@ -71,13 +81,25 @@ def final_pointer_first_order(s: WeakScenario) -> ModeState:
     return ModeState(s.pointer.cutoff, vec).normalize()
 
 
+def final_pointer_exact_uncached(s: WeakScenario) -> ExactPointer:
+    """weak.final_pointer_exact with a+- formed from the scenario's
+    selections on the call, a second bracket besides the constructor's, and
+    the pointer evolved by evolve_uncached."""
+    fwd, bwd = evolve_uncached(s.operator(), (s.alpha, -s.alpha), s.pointer)
+    plus, minus, prob = _post_selected_branches_of(s, fwd, bwd)
+    return ExactPointer(ModeState(s.pointer.cutoff,
+                                  (plus + minus) / math.sqrt(prob)), prob)
+
+
 def _post_selected_branches_of(s: WeakScenario, fwd: np.ndarray,
                                bwd: np.ndarray):
     """(a+ fwd, a- bwd, |a+ fwd + a- bwd|^2) with a+- formed from the
     scenario's selections on each call; TotalExtinctionError where the sum
     underflows or cancels to round-off."""
-    braket = complex(np.vdot(s.post.vector, s.pre.vector))
-    bra_a_ket = complex(s.post.vector.conj() @ (s.axis.matrix @ s.pre.vector))
+    pre = np.array([s.pre.c0, s.pre.c1], dtype=complex)
+    post = np.array([s.post.c0, s.post.c1], dtype=complex)
+    braket = complex(np.vdot(post, pre))
+    bra_a_ket = complex(post.conj() @ (s.axis.matrix @ pre))
     amp_plus = 0.5 * (braket + bra_a_ket)
     amp_minus = 0.5 * (braket - bra_a_ket)
     plus, minus = amp_plus * fwd, amp_minus * bwd
@@ -341,3 +363,49 @@ def write_phase_pgm_whole_grid(path, phase: PhaseMap):
     np.clip(np.round(levels, out=levels), 0, 255, out=levels)
     header = f"P5\n{phase.side} {phase.side}\n255\n".encode("ascii")
     write_atomic(path, header, levels.astype(np.uint8))
+
+
+def synthesize_hg_field_complex(idx: ModeIndex, sigma0: float,
+                                side: int) -> FieldGrid:
+    """HG(m, n) as the whole complex outer product of its factors, divided
+    by its root grid power."""
+    pitch, c = _window(side, sigma0)
+    f = np.zeros((side, side), dtype=complex)
+    np.multiply.outer(hg_factor(idx.n, sigma0, c), hg_factor(idx.m, sigma0, c),
+                      out=f.real)
+    return FieldGrid(_unit_power(f, pitch, f"HG({idx.m}, {idx.n}) field"),
+                     pitch, sigma0)
+
+
+def gaussian_illumination_complex(sigma: float,
+                                  grid_like: FieldGrid) -> FieldGrid:
+    """The Gaussian beam as the whole complex outer product of its factor,
+    divided by its root grid power."""
+    g = hg_factor(0, sigma, grid_like.coords)
+    f = np.outer(g, g).astype(complex)
+    return grid_like.with_samples(
+        _unit_power(f, grid_like.pitch, "gaussian illumination"))
+
+
+# J1(x) = sum_k (-1)^k (x/2)^(2k+1) / (k! (k+1)!), double precision in 13 terms
+J1_SERIES = np.polynomial.Polynomial(np.ravel(
+    [[0.0, (-0.25) ** k / (2 * math.factorial(k) * math.factorial(k + 1))]
+     for k in range(13)]))
+
+
+def _newton_depth(y: np.ndarray) -> np.ndarray:
+    # Newton from 0: J1 is concave and rising on the branch, so the iterates
+    # climb to each root without crossing the peak.
+    t = J1_PEAK * (1.0 - 0.25 * (y + 1.0) ** 2)
+    x = np.zeros_like(t)
+    for _ in range(20):  # enough for the node nearest the peak
+        x -= (J1_SERIES(x) - t) / J1_SERIES.deriv()(x)
+    return x
+
+
+def j1_inverse_fit() -> np.ndarray:
+    """Power-basis coefficients of the degree-24 Chebyshev interpolant of the
+    J1 depth in y = 2 sqrt(1 - t / J1_PEAK) - 1, each node solved by Newton
+    on the series."""
+    return np.polynomial.chebyshev.cheb2poly(
+        np.polynomial.chebyshev.chebinterpolate(_newton_depth, 24))

@@ -87,9 +87,10 @@ def test_bounds_refuses_unsupported_order_before_sweeping(
         tmp_path, capsys, monkeypatch):
     # the breakdown family cannot build HG(65, 65), nor select at an angle
     # outside (0, pi/2), which --epsilon-deg refuses too (-0.1 would repeat
-    # the rows of 0.1): both are refused before anything evolves,
-    # so neither the carrier grid's oam_variance nor the Hamiltonian
-    # family's momentum_variance_x may run.
+    # the rows of 0.1), and the carrier grid stops at the same order, its
+    # first refused cell (1, 65) named as when every cell was checked: all
+    # are refused before anything evolves, so neither the carrier grid's
+    # oam_variance nor the Hamiltonian family's momentum_variance_x may run.
     def no_sweep(*args, **kwargs):
         pytest.fail("bounds swept before the breakdown inputs were checked")
 
@@ -97,6 +98,9 @@ def test_bounds_refuses_unsupported_order_before_sweeping(
     monkeypatch.setattr(cli, "momentum_variance_x", no_sweep)
     monkeypatch.setattr(weak.Generator, "evolve", no_sweep)
     for flags, needle in ((["--sweep-max", "65"], "(65, 65)"),
+                          (["--sweep-max", "80"], "(65, 65)"),
+                          (["--grid-max", "65"], "mode (1, 65) above"),
+                          (["--grid-max", "80"], "mode (1, 65) above"),
                           (["--breakdown-epsilons", "0"],
                            "--breakdown-epsilons angle 0.0 must"),
                           (["--breakdown-epsilons", "0.1,5"],
@@ -110,6 +114,18 @@ def test_bounds_refuses_unsupported_order_before_sweeping(
         assert err.startswith("error:") and needle in err
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+def test_bounds_checks_each_order_limit_once(tmp_path, monkeypatch):
+    # the sweep's pointers are the ModeIndex objects the exact QFI reads;
+    # the carrier grid's limit is checked once, and no row builds one
+    built = []
+    check = cli.ModeIndex.__post_init__
+    monkeypatch.setattr(cli.ModeIndex, "__post_init__",
+                        lambda idx: built.append((idx.m, idx.n)) or check(idx))
+    assert main(["bounds", "--grid-max", "7", "--sweep-max", "16",
+                 "--out", str(tmp_path / "b.csv")]) == 0
+    assert built == [(o, o) for o in range(1, 17)] + [(1, 7)]
 
 
 def test_bounds_photon_override(tmp_path):
@@ -172,8 +188,10 @@ def test_non_finite_photon_budget_exits_2(argv, capsys):
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(hgsense.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    # nor numpy.polynomial: the J1 inverse's coefficients are literals
     code = ("import sys, hgsense, hgsense.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"

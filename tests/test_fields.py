@@ -27,6 +27,7 @@ from hgsense.fields import (
     J1_PEAK_X,
     FieldGrid,
     PhaseMap,
+    _J1_INVERSE_POLY,
     _j1_inverse_array,
     _pairwise_sum,
     _unit_power,
@@ -54,8 +55,12 @@ from hgsense.modes import (
 )
 from hgsense.weak import carrier_state
 from reference import (
+    J1_SERIES,
+    gaussian_illumination_complex,
+    j1_inverse_fit,
     mode_purity_2d,
     rotate_field_fancy,
+    synthesize_hg_field_complex,
     write_phase_pgm_whole_grid,
 )
 
@@ -92,6 +97,23 @@ def test_separable_synthesis_matches_direct_evaluation():
     terms = [(ModeIndex(*divmod(i, cutoff + 1)), a) for i, a in enumerate(amp)]
     want = _direct_field(terms, sigma0, grid)
     assert np.max(np.abs(grid.samples - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("side", [128, 129, 257, 512, 1024])
+def test_separable_synthesis_is_bitwise_the_complex_division(side):
+    # the row-blocked grid from the 1-D factors against the whole complex
+    # outer product divided by its root power: every byte, so the +0
+    # imaginary parts and the signs of zeros count
+    for idx in (ModeIndex(0, 0), ModeIndex(1, 0), ModeIndex(3, 2),
+                ModeIndex(0, 12), ModeIndex(7, 11), ModeIndex(12, 12)):
+        got = synthesize_hg_field(idx, 0.9, side=side)
+        want = synthesize_hg_field_complex(idx, 0.9, side)
+        assert got.samples.tobytes() == want.samples.tobytes(), idx
+        assert (got.pitch, got.sigma0) == (want.pitch, want.sigma0)
+        for sigma in (0.4, 3.0):
+            assert (gaussian_illumination(sigma, got).samples.tobytes()
+                    == gaussian_illumination_complex(sigma, got)
+                    .samples.tobytes())
 
 
 def test_superposition_needs_only_orders_with_amplitude():
@@ -172,18 +194,39 @@ def test_rotation_angle_guard():
 
 @pytest.mark.parametrize("side", [128, 129, 257, 512, 1024])
 def test_row_blocked_rotation_is_bitwise_the_fancy_index_route(side):
-    # 129 and 257 leave a partial last row block
+    # 129 and 257 leave a partial last row block. The planes are resampled
+    # apart, so the bytes match for complex noise and for real fields, whose
+    # imaginary plane is skipped and stays +0; one nonzero imaginary sample
+    # must be resampled. An imaginary part of -0 is skipped too: the values
+    # match, but complex weights would give -0 where all four neighbours of
+    # the real part are negative, and the planes give +0
     rng = np.random.default_rng(side)
     noise = FieldGrid(rng.normal(size=(side, side))
                       + 1j * rng.normal(size=(side, side)), 1.0, 1.0)
     mode = synthesize_hg_field(ModeIndex(3, 2), 1.0, side=side)
+    real_noise = FieldGrid(rng.normal(size=(side, side)), 1.0, 1.0)
+    one = mode.samples.copy()
+    one[side // 2, side // 3] += 0.25j
+    one = mode.with_samples(one)
+    negative_zero = mode.samples.copy()
+    negative_zero.imag = -0.0
+    negative_zero = mode.with_samples(negative_zero)
+    assert np.signbit(negative_zero.samples.imag).all()
     for angle in (0.0, 1e-3, -1e-3, 0.3, math.pi / 4, -math.pi / 4,
                   math.pi / 2, -math.pi / 2):
-        for field in (noise, mode):
+        extra = (real_noise, one) if angle in (1e-3, 0.3, -math.pi / 2) else ()
+        for field in (noise, mode, *extra):
             got = rotate_field(field, angle)
-            assert np.array_equal(got.samples,
-                                  rotate_field_fancy(field, angle).samples)
+            want = rotate_field_fancy(field, angle)
+            assert got.samples.tobytes() == want.samples.tobytes()
             assert (got.pitch, got.sigma0) == (field.pitch, field.sigma0)
+        if not extra:
+            continue
+        assert np.count_nonzero(rotate_field(one, angle).samples.imag) >= 1
+        got = rotate_field(negative_zero, angle).samples
+        assert np.array_equal(got, rotate_field_fancy(negative_zero,
+                                                      angle).samples)
+        assert not np.signbit(got.imag).any()
 
 
 @pytest.mark.parametrize("side", [128, 129, 1024])
@@ -441,6 +484,17 @@ def test_j1_inverse_guards():
         j1_inverse(-0.1)
     with pytest.raises(UnreachableAmplitudeError):
         j1_inverse(J1_PEAK + 1e-6)
+
+
+def test_j1_literals_are_the_fit_to_four_ulp():
+    # the coefficients and the peak value are literals written by repr; the
+    # Newton and Chebyshev fit they came from is the oracle
+    fit = j1_inverse_fit()
+    literals = np.array(_J1_INVERSE_POLY)
+    assert literals.shape == fit.shape == (25,)
+    assert np.all(np.abs(literals - fit) <= 4 * np.spacing(np.abs(fit)))
+    peak = float(J1_SERIES(J1_PEAK_X))
+    assert abs(J1_PEAK - peak) <= 4 * np.spacing(peak)
 
 
 def test_j1_peak_constants_match_scipy():

@@ -14,7 +14,13 @@ from hgsense.errors import (
     TotalExtinctionError,
     WeakRegimeError,
 )
-from hgsense.fisher import qfi_rotation_exact
+from hgsense.fisher import (
+    carrier_projection_povm,
+    cfi_povm,
+    qfi_pure_numeric,
+    qfi_rotation_exact,
+    qfi_rotation_exact_selections,
+)
 from hgsense.modes import (
     ModeIndex,
     ModeState,
@@ -43,7 +49,9 @@ from hgsense.weak import (
 from reference import (
     apply_uncached,
     evolve_uncached,
+    final_pointer_exact_uncached,
     final_pointer_first_order,
+    qfi_rotation_exact_selections_per_order,
 )
 
 _SIGMAS = (
@@ -417,6 +425,55 @@ def test_block_memo_is_read_only_bounded_and_hit_on_repeat():
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
+
+
+@pytest.mark.parametrize("coupling", list(Coupling))
+def test_cached_selections_and_shells_are_bitwise_the_uncached_route(
+        coupling):
+    # one ModeState (its shells found once) and one selection pair reused
+    # across calls, then fresh equal ones on every call, against selection
+    # amplitudes formed on each call and the uncached evolution
+    epsilon, axis, m, n = 0.08, PauliAxis(0.4, 5.9), 3, 4
+    cutoff = m + n + (coupling is Coupling.MOMENTUM_X)
+    pre, post = post_selected_pair(epsilon)
+    pointer = ModeState.basis(cutoff, m, n)
+
+    def reused(a, route=final_pointer_exact):
+        return route(WeakScenario(a, pre, post, axis, coupling, pointer))
+
+    def fresh(a, route=final_pointer_exact):
+        return route(WeakScenario(a, *post_selected_pair(epsilon), axis,
+                                  coupling, ModeState.basis(cutoff, m, n)))
+
+    def uncached(a):
+        return fresh(a, final_pointer_exact_uncached)
+
+    readout = carrier_projection_povm(
+        carrier_state(ModeIndex(m, n), cutoff) if coupling is Coupling.OAM
+        else ModeState.basis(cutoff, m + 1, n))
+    for family in (reused, fresh):
+        for alpha in (1e-3, -0.02, 0.7):
+            got, want = family(alpha), uncached(alpha)
+            assert (got.pointer.amplitudes.tobytes()
+                    == want.pointer.amplitudes.tobytes())
+            assert got.success_prob.hex() == want.success_prob.hex()
+        for fisher in (qfi_pure_numeric, lambda f, a: cfi_povm(f, a, readout)):
+            got = fisher(lambda a: family(a).pointer, 1e-3)
+            want = fisher(lambda a: uncached(a).pointer, 1e-3)
+            assert got.hex() == want.hex(), (family, fisher)
+    pairs = [(pre, post), post_selected_pair(0.3)]
+    for indices in ([ModeIndex(m, n)], [ModeIndex(m, n), ModeIndex(2, 2)]):
+        got = qfi_rotation_exact_selections(pairs, axis, 0.02, indices)
+        assert got == [qfi_rotation_exact_selections_per_order(
+            pairs, axis, 0.02, idx) for idx in indices]
+    # what is cached is read-only, and kept
+    assert pointer.shells is pointer.shells
+    assert pointer.shells.tolist() == [m + n]
+    for array in (pre.vector, post.vector, axis.matrix, pointer.shells):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert pre.vector is pre.vector and axis.matrix is axis.matrix
 
 
 def test_density_matrix_validation():
