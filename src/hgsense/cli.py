@@ -70,6 +70,9 @@ from .modes import (
 from .output import check_writable, format_cell, staged, write_atomic
 from .weak import PauliAxis, QubitState, post_selected_pair
 
+_Orders = namedtuple("_Orders", "m n")  # all the variance closed forms read
+
+
 def _parse_mode(text: str) -> ModeIndex:
     try:
         m, n = map(int, text.split(","))
@@ -122,9 +125,6 @@ def _emit(args, text: str):
 def _maybe_config(args, settings: dict):
     if args.config_out:
         write_run_config(args.config_out, settings)
-
-
-_Orders = namedtuple("_Orders", "m n")  # all the variance closed forms read
 
 
 def _bound_row(*cells) -> tuple:

@@ -15,7 +15,7 @@ inverts J1 by one polynomial with literal coefficients. HG fields and the
 Gaussian illumination are built from their 1-D factors (_Separable), so
 only synthesize_superposition renormalizes a whole complex grid
 (_unit_power). Rotation resamples the real and imaginary planes apart and
-skips one that is all zero.
+skips an imaginary plane that is all zero.
 The readout is separable: only the band of the first-order pinhole is
 Fourier transformed, and purity contracts the 1-D factors of the ideal mode.
 Rotation, the hologram encoding, the PGM levels and both row FFTs of the
@@ -69,7 +69,7 @@ MIN_COVERAGE_SIGMA = 6.0
 DEFAULT_SIDE = 512
 WINDOW_SIGMA = 8.0
 
-# First maximum of J1, the end of the invertible branch, and J1 there; pinned
+# J1's first maximum, the end of its invertible branch, and J1 there; tested
 J1_PEAK_X = 1.8411837813406593
 J1_PEAK = 0.5818652242815964
 
@@ -217,26 +217,25 @@ class _Separable:
     Bitwise the complex outer(a, b) divided by its root grid power: its
     imaginary part is +0, and dividing re + 0i by s > 0 gives (re + 0) *
     (1 / s), so a -0 (a zero factor times a negative one) turns +0 before
-    the scale. The power is summed as np.sum sums the whole grid, and the
-    largest magnitude is taken before the scale: a positive factor keeps it
-    the largest.
+    the scale. The power is summed as np.sum sums the whole grid. The
+    largest magnitude is max|a| max|b|, the largest rounded product, taken
+    before the scale: a positive factor keeps it the largest.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, pitch: float, name: str):
-        side, peaks = len(a), []
+        side = len(a)
 
         def squares(start, stop):
             first = start % side
             run = np.multiply.outer(a[start // side:(stop - 1) // side + 1],
                                     b).ravel()[first:first + stop - start]
-            peaks.append(np.abs(run).max())
             return np.square(run, out=run)
 
         power = _pairwise_sum(squares, 0, side * side) * pitch ** 2
         self.a, self.b = a, b
         self.scale = 1.0 / math.sqrt(
             finite_positive(f"{name} has power", power))
-        self.peak = float(np.max(peaks)) * self.scale
+        self.peak = float(np.abs(a).max() * np.abs(b).max()) * self.scale
 
     def rows(self, block: slice) -> np.ndarray:
         out = np.multiply.outer(self.a[block], self.b)
@@ -266,8 +265,8 @@ def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
     accuracy claims hold for |angle| < pi/4; angles up to pi/2 are accepted
     because right angles map grid nodes onto grid nodes exactly. Samples
     pulled from outside the window are zero. The real and imaginary planes
-    are resampled apart with float weights; one that is all zero is skipped
-    and stays +0, as complex weights leave a real field's imaginary part.
+    are resampled apart with float weights; an imaginary plane that is all
+    zero is skipped and stays +0, as complex weights leave it.
     """
     finite_in("rotation angle", angle, -math.pi / 2.0 - 1e-12,
               math.pi / 2.0 + 1e-12)
@@ -279,23 +278,35 @@ def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
     # for both neighbours of a node outside the grid, and one flat index
     # reads all four neighbours through offset views
     width = side + 4
-    planes = [(np.pad(plane, 2).ravel(), out) for plane, out in
-              ((field.samples.real, rotated.real),
-               (field.samples.imag, rotated.imag)) if plane.any()]
+    planes = [(np.pad(field.samples.real, 2).ravel(), rotated.real)]
+    if field.samples.imag.any():
+        planes.append((np.pad(field.samples.imag, 2).ravel(), rotated.imag))
     for b in _row_blocks(side):
         y = coords[b, None]
-        fc = (cx + s * y) / pitch + half  # fractional source column (x)
-        fr = (sx + c * y) / pitch + half  # and row (y)
-        c0, r0 = np.floor(fc), np.floor(fr)
-        tc, tr = fc - c0, fr - r0
-        k = ((np.clip(r0, -2, side) + 2) * width
-             + np.clip(c0, -2, side) + 2).astype(np.intp)
+        tc, tr = cx + s * y, sx + c * y
+        for t in (tc, tr):  # fractional source column (x) and row (y)
+            t /= pitch
+            t += half
+        c0, r0 = np.floor(tc), np.floor(tr)
+        tc -= c0
+        tr -= r0
+        np.clip(r0, -2, side, out=r0)
+        r0 *= width
+        r0 += np.clip(c0, -2, side, out=c0)
+        r0 += 2 * width + 2
+        k = r0.astype(np.intp)
         utr, utc = 1 - tr, 1 - tc
-        weights = (utr * utc, utr * tc, tr * utc, tr * tc)
+        weights = (utr, tc, tr, tr * tc)  # the first three scaled below
+        tr *= utc
+        tc *= utr
+        utr *= utc
         for padded, out in planes:
-            acc = weights[0] * padded.take(k)
+            acc, term = padded.take(k), np.empty_like(utc)
+            acc *= weights[0]
             for w, shift in zip(weights[1:], (1, width, width + 1)):
-                acc += w * padded[shift:].take(k)
+                padded[shift:].take(k, out=term)
+                term *= w
+                acc += term
             out[b] = acc
     return field.with_samples(_frozen(rotated))
 

@@ -198,8 +198,8 @@ def test_row_blocked_rotation_is_bitwise_the_fancy_index_route(side):
     # apart, so the bytes match for complex noise and for real fields, whose
     # imaginary plane is skipped and stays +0; one nonzero imaginary sample
     # must be resampled. An imaginary part of -0 is skipped too: the values
-    # match, but complex weights would give -0 where all four neighbours of
-    # the real part are negative, and the planes give +0
+    # match, but complex weights give -0 where all four neighbours of the
+    # real part are negative, and the skipped plane stays +0
     rng = np.random.default_rng(side)
     noise = FieldGrid(rng.normal(size=(side, side))
                       + 1j * rng.normal(size=(side, side)), 1.0, 1.0)
