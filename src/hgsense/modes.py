@@ -110,7 +110,10 @@ class ModeState:
     def basis(cls, cutoff: int, m: int, n: int) -> "ModeState":
         amp = np.zeros(basis_dim(cutoff), dtype=complex)
         amp[flat_index(m, n, cutoff)] = 1.0
-        return cls(cutoff, amp)
+        state, shells = cls(cutoff, amp), np.array([m + n])
+        shells.flags.writeable = False
+        state.__dict__["shells"] = shells  # the one shell, kept as found
+        return state
 
     @property
     def norm(self) -> float:

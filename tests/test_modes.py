@@ -201,6 +201,26 @@ def test_mode_state_immutability_and_normalize():
         state.amplitudes[0] = 7.0
 
 
+def test_shells_are_found_once_read_only_and_set_for_basis_states():
+    # a basis state is built with its one shell; any other state finds its
+    # shells on first use, sorted and without repeats, and keeps them
+    rng = np.random.default_rng(11)
+    for cutoff in range(7):
+        ids = np.add.outer(np.arange(cutoff + 1), np.arange(cutoff + 1))
+        for m in range(cutoff + 1):
+            for n in range(cutoff + 1):
+                basis = ModeState.basis(cutoff, m, n)
+                found = ModeState(cutoff, basis.amplitudes).shells
+                assert basis.shells.tobytes() == found.tobytes() == ids[
+                    m, n].reshape(1).astype(np.intp).tobytes()
+        vec = np.where(rng.random(basis_dim(cutoff)) < 0.3, 1.0 + 1j, 0.0)
+        state = ModeState(cutoff, vec)
+        want = sorted({int(i) for i in ids.ravel()[vec != 0]})
+        assert state.shells.tolist() == want and state.shells is state.shells
+        for shells in (state.shells, basis.shells):
+            assert not shells.flags.writeable
+
+
 def test_mode_index_guards():
     with pytest.raises(ValueError):
         ModeIndex(-1, 0)
