@@ -19,15 +19,20 @@ skips an imaginary plane that is all zero.
 The readout is separable: only the band of the first-order pinhole is
 Fourier transformed, and purity contracts the 1-D factors of the ideal mode.
 Rotation, the hologram encoding, the PGM levels and both row FFTs of the
-readout work in row blocks. FieldGrid and PhaseMap adopt a read-only array
-that owns its data, so the producers here freeze their fresh buffers. The
-CLI chain, hologram_readout, streams the mask and the modulated field from
-the 1-D factors of the mode and the illumination, so its one complex grid
-is the output. It peaks at that grid plus the larger of the pinhole band
-(side^2 / P samples) and the inverse row FFT's block scratch (about
-0.28 MiB): 4.3, 17.1, 68.2, ~272 MiB at 512, 1024, 2048, 4096 px and P = 16.
-Below 256 px the encoder's row-block temporaries (about 0.9 MiB with the
-band) set it.
+readout work in row blocks; the inverse row FFT runs in place. FieldGrid and
+PhaseMap adopt a read-only array that owns its data, so the producers here
+freeze their fresh buffers. The CLI chain, hologram_readout, streams the
+mask and the modulated field from the 1-D factors of the mode and the
+illumination, so its one complex grid is the output. The magnitudes of the
+factors are even on the symmetric axis, so A_rel and its J1 depth are taken
+on the top-left quadrant only: the rows run in mirror pairs, a block of the
+upper half and then its mirror rows, which reuse the block's depth and
+incident rows reversed, and each block's PGM rows are written at their own
+offset of the file. The chain peaks at the output grid plus the larger of
+the pinhole band (side^2 / P samples) and the power sum's two leaf runs
+(0.25 MiB): 4.3, 17.1, 68.2, ~272 MiB at 512, 1024, 2048, 4096 px and
+P = 16. Below 256 px the encoder's row-block temporaries (about 0.55 MiB
+with the band) set it.
 
 File formats
 ------------
@@ -237,8 +242,8 @@ class _Separable:
             finite_positive(f"{name} has power", power))
         self.peak = float(np.abs(a).max() * np.abs(b).max()) * self.scale
 
-    def rows(self, block: slice) -> np.ndarray:
-        out = np.multiply.outer(self.a[block], self.b)
+    def rows(self, block: slice, columns: slice = slice(None)) -> np.ndarray:
+        out = np.multiply.outer(self.a[block], self.b[columns])
         out += 0.0
         out *= self.scale
         return out
@@ -399,13 +404,13 @@ def _relative_amplitude(a_out, a_in, in_floor: float,
     return np.divide(a_out, a_in, where=valid, out=np.zeros_like(a_in))
 
 
-def _encoded(rel: np.ndarray, sin_phi: np.ndarray, peak: float) -> np.ndarray:
-    """H = f(A_rel) sin(phi) of one row block, written over rel: A_rel is
-    scaled so that peak reaches the peak of J1 (full modulation depth)."""
+def _depth(rel: np.ndarray, peak: float) -> np.ndarray:
+    """The J1 depth f(A_rel) of one row block: A_rel is scaled so that peak
+    reaches the peak of J1 (full modulation depth)."""
     if peak != 0.0:  # scaled in place, so rel becomes the depth target
         rel *= J1_PEAK / peak
         np.minimum(rel, J1_PEAK, out=rel)  # the peak may land an ulp above
-    return np.multiply(_j1_inverse_array(rel), sin_phi, out=rel)
+    return _j1_inverse_array(rel)
 
 
 def hologram_phase(target: FieldGrid, incident: FieldGrid,
@@ -433,7 +438,7 @@ def hologram_phase(target: FieldGrid, incident: FieldGrid,
     for b in blocks:
         phi = np.angle(target.samples[b]) - np.angle(incident.samples[b])
         phi += grating
-        _encoded(out[b], np.sin(phi, out=phi), peak)
+        np.multiply(_depth(out[b], peak), np.sin(phi, out=phi), out=out[b])
     return PhaseMap(_frozen(out))
 
 
@@ -453,22 +458,23 @@ def modulate(incident: FieldGrid, phase: PhaseMap) -> FieldGrid:
         _frozen(_transmission(phase.values, incident.samples)))
 
 
-def _first_order(modulated_rows, side: int, grating_period: float,
-                 pitch: float) -> np.ndarray:
+def _first_order(modulated_rows, order: list, side: int,
+                 grating_period: float, pitch: float) -> np.ndarray:
     """The first_order_extract samples of the field whose row blocks
-    modulated_rows(b) returns, read in the order of _row_blocks.
+    modulated_rows(b) returns, read in the block order given, whose blocks
+    cover the rows once.
 
     Each block's row FFT is kept on the pinhole columns only; that band gets
     its column FFT, window and inverse, is dropped once it sits in the one
-    output grid, and the inverse row FFT runs there block by block.
+    output grid, and the inverse row FFT runs there in place, block by block.
     """
     carrier = 1.0 / grating_period  # cycles per pixel along x
     freq = np.fft.fftfreq(side)
     kx = np.flatnonzero(np.abs(freq - carrier) <= carrier / 2.0)
-    blocks = _row_blocks(side)
     band = np.empty((side, kx.size), dtype=complex)
-    for b in blocks:
+    for b in order:
         band[b] = np.fft.fft(modulated_rows(b), axis=1)[:, kx]
+    del modulated_rows  # and with it whatever the row source still holds
     band = np.fft.fft(band, axis=0)
     band[np.abs(freq) > carrier / 2.0] = 0.0
     band = np.fft.ifft(band, axis=0)
@@ -476,9 +482,10 @@ def _first_order(modulated_rows, side: int, grating_period: float,
     out[:, kx] = band
     del band
     tilt = np.exp(-2j * math.pi * np.arange(side) / grating_period)
-    for b in blocks:
-        out[b] = np.fft.ifft(out[b], axis=1)
-        out[b] *= tilt  # removes the carrier
+    for b in _row_blocks(side):
+        rows = out[b]
+        np.fft.ifft(rows, axis=1, out=rows)
+        rows *= tilt  # removes the carrier
     flat = out.reshape(-1)
     power = _pairwise_sum(lambda a, b: np.abs(flat[a:b]) ** 2, 0,
                           flat.size) * pitch ** 2
@@ -500,8 +507,8 @@ def first_order_extract(modulated: FieldGrid, grating_period: float) -> FieldGri
     """
     check_grating_period(grating_period, modulated.side)
     return modulated.with_samples(_first_order(
-        lambda b: modulated.samples[b], modulated.side, grating_period,
-        modulated.pitch))
+        lambda b: modulated.samples[b], _row_blocks(modulated.side),
+        modulated.side, grating_period, modulated.pitch))
 
 
 def hologram_readout(idx: ModeIndex, side: int, grating_period: float,
@@ -515,8 +522,16 @@ def hologram_readout(idx: ModeIndex, side: int, grating_period: float,
     in row blocks from the 1-D factors: the output is the one grid it
     allocates. Both fields are real, so the target's phase is pi where its
     real part has the sign bit set and 0 elsewhere, and the illumination's
-    is 0. A refusal can leave pgm_path partly written, so callers pass a
-    staged file.
+    is 0. The magnitude of each 1-D factor is even on the symmetric axis,
+    so A_rel and its J1 depth are the same under both mirrors, bit for bit:
+    the peak and the refusal come from the top-left quadrant, and the
+    encoder runs the rows in mirror pairs, a top block [s, e) of the upper
+    half and then its mirror rows [max(side - e, h), side - s), h the
+    upper half's height. The top block's depth is inverted on the left h
+    columns and mirrored to full width; the mirror block reads it, and the
+    incident rows, reversed, and then drops them. Each block's PGM rows go
+    to their own offset of pgm_path. A refusal can leave pgm_path partly
+    written, so callers pass a staged file.
     """
     check_grating_period(grating_period, check_side(side))
     pitch, axis = _window(side, 1.0)
@@ -526,26 +541,48 @@ def hologram_readout(idx: ModeIndex, side: int, grating_period: float,
     g = hg_factor(0, illum_scale, axis)
     incident = _Separable(g, g, pitch, "gaussian illumination")
     in_floor, out_floor = 1e-8 * incident.peak, 1e-6 * target.peak
-
-    def relative(b):
-        t, a_in = target.rows(b), incident.rows(b)
-        return t, a_in, _relative_amplitude(np.abs(t), a_in, in_floor,
-                                            out_floor)
-
-    peak = float(np.max([relative(b)[2].max() for b in _row_blocks(side)]))
+    half = (side + 1) // 2  # the upper rows and left columns, middle included
+    rows = max(1, _BLOCK_SAMPLES // side)
+    tops = [slice(s, min(s + rows, half)) for s in range(0, half, rows)]
+    order = [b for top in tops  # an odd side's middle row has no mirror
+             for b in (top, slice(max(side - top.stop, half),
+                                  side - top.start))
+             if b.start < b.stop]
+    left = slice(0, half)
+    peak = float(np.max([
+        _relative_amplitude(np.abs(target.rows(b, left)),
+                            incident.rows(b, left), in_floor, out_floor).max()
+        for b in tops]))
     grating = 2.0 * math.pi * np.arange(side, dtype=float) / grating_period
     sines = np.sin(grating), np.sin(math.pi + grating)
+    header = _pgm_header(side)
+    kept = []  # a top block's start, depth and incident rows, for its mirror
     with open(pgm_path, "wb") as handle:
-        handle.write(_pgm_header(side))
+        handle.write(header)
 
         def modulated(b):
-            t, a_in, rel = relative(b)
-            phase = _phase_checked(_encoded(
-                rel, np.where(np.signbit(t), sines[1], sines[0]), peak))
-            handle.write(_pgm_levels(phase))
+            t = target.rows(b)
+            if b.start < half:
+                a_in = incident.rows(b)
+                depth = np.empty_like(a_in)
+                depth[:, :half] = _depth(_relative_amplitude(
+                    np.abs(t[:, :half]), a_in[:, :half], in_floor, out_floor),
+                    peak)
+                depth[:, half:] = depth[:, side - half - 1::-1]
+                if b.start < side - half:  # its mirror rows follow
+                    kept[:] = b.start, depth, a_in
+            else:
+                start, depth, a_in = kept
+                kept.clear()
+                depth, a_in = (held[:side - b.start - start][::-1]
+                               for held in (depth, a_in))
+            phase = np.where(np.signbit(t), sines[1], sines[0])
+            phase *= depth
+            handle.seek(len(header) + b.start * side)
+            handle.write(_pgm_levels(_phase_checked(phase)))
             return _transmission(phase, a_in.astype(complex))
 
-        samples = _first_order(modulated, side, grating_period, pitch)
+        samples = _first_order(modulated, order, side, grating_period, pitch)
     return FieldGrid(samples, pitch, 1.0)
 
 

@@ -38,6 +38,8 @@ CASES = {
     "4,1 at 300 px, period 7.5": ["--mode", "4,1", "--grid", "300",
                                   "--grating-period", "7.5"],
     "0,0 at 256 px": ["--mode", "0,0", "--grid", "256"],
+    "5,2 at 257 px, period 5": ["--mode", "5,2", "--grid", "257",
+                                "--grating-period", "5"],
 }
 TEXT_CASES = {
     "bounds, defaults": ["bounds"],

@@ -31,6 +31,7 @@ from hgsense.fields import (
     _j1_inverse_array,
     _pairwise_sum,
     _unit_power,
+    _window,
     first_order_extract,
     gaussian_illumination,
     hologram_phase,
@@ -50,6 +51,7 @@ from hgsense.modes import (
     ModeState,
     basis_dim,
     flat_index,
+    hg_factor,
     hg_wavefunction,
     oam_variance,
 )
@@ -97,6 +99,20 @@ def test_separable_synthesis_matches_direct_evaluation():
     terms = [(ModeIndex(*divmod(i, cutoff + 1)), a) for i, a in enumerate(amp)]
     want = _direct_field(terms, sigma0, grid)
     assert np.max(np.abs(grid.samples - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("side", [128, 129, 257, 300, 512, 1023, 1024])
+def test_factor_magnitudes_are_even_on_the_grid_axis_bit_for_bit(side):
+    # hologram_readout inverts J1 on one quadrant and mirrors the depth to
+    # the other three: that is bitwise only while the axis is exactly odd
+    # and every factor's magnitude exactly even on it
+    pitch, axis = _window(side, 1.0)
+    # 0 - x rather than -x: an odd side's middle sample is +0, not -0
+    assert axis.tobytes() == (0.0 - axis[::-1]).tobytes()
+    for sigma in (1.0, 0.3, 1.5, 3.0):
+        for k in range(31):
+            mag = np.abs(hg_factor(k, sigma, axis))
+            assert mag.tobytes() == mag[::-1].tobytes(), (k, sigma)
 
 
 @pytest.mark.parametrize("side", [128, 129, 257, 512, 1024])

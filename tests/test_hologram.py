@@ -213,6 +213,11 @@ def test_modulate_matches_complex_exponential():
     (512, 16.0, (12, 12), 3.0),
     (256, 16.0, (3, 3), 0.3),  # weight where the illumination is empty
     (128, 16.0, (3, 3), 1e-9),  # an illumination that underflows
+    # mirror blocks off the _row_blocks edges, odd orders, odd sides
+    (257, 5.0, (5, 2), 3.0),
+    (1023, 16.0, (0, 7), 3.0),
+    (1024, 16.0, (3, 4), 1.5),
+    (257, 16.0, (3, 3), 0.3),  # the refusal at an odd side
 ])
 def test_streamed_readout_is_bitwise_the_whole_grid_chain(side, period, mode,
                                                           scale, tmp_path):
