@@ -8,6 +8,7 @@ with a message that gives the value's name, the value and the rule.
 """
 
 import math
+import numbers
 
 
 class HgSenseError(Exception):
@@ -83,6 +84,14 @@ def finite(name, value, error=ConfigError):
     """value, unless it is NaN or infinite."""
     if not math.isfinite(value):
         raise error(f"{name} {value} must be finite")
+    return value
+
+
+def integer(name, value, error=ConfigError):
+    """value, unless it is a bool or not an integer (numpy integers pass)."""
+    if type(value) is not int and (  # an int skips the ~0.6 us ABC check
+            type(value) is bool or not isinstance(value, numbers.Integral)):
+        raise error(f"{name} {value} must be an integer")
     return value
 
 

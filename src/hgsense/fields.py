@@ -29,8 +29,8 @@ on the top-left quadrant only: the rows run in mirror pairs, a block of the
 upper half and then its mirror rows, which reuse the block's depth and
 incident rows reversed, and each block's PGM rows are written at their own
 offset of the file. The chain peaks at the output grid plus the larger of
-the pinhole band (side^2 / P samples) and the power sum's two leaf runs
-(0.25 MiB): 4.3, 17.1, 68.2, ~272 MiB at 512, 1024, 2048, 4096 px and
+the pinhole band (side^2 / P samples) and the power sum's one leaf run
+(0.125 MiB): 4.3, 17.1, 68.2, ~272 MiB at 512, 1024, 2048, 4096 px and
 P = 16. Below 256 px the encoder's row-block temporaries (about 0.55 MiB
 with the band) set it.
 
@@ -57,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CoverageError,
     GridMismatchError,
     SeparationError,
@@ -93,7 +94,7 @@ class FieldGrid:
     def __post_init__(self):
         arr = _adopted(self.samples, complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("samples must be a square 2-D array")
+            raise ConfigError("samples must be a square 2-D array")
         finite_in("grid side", arr.shape[0], MIN_SIDE, math.inf, ends="[)")
         finite_positive("pitch", self.pitch)
         positive_square("sigma0", self.sigma0)
@@ -113,7 +114,7 @@ class FieldGrid:
 
     @property
     def power(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2) * self.pitch ** 2)
+        return _grid_power(self.samples, self.pitch)
 
     def with_samples(self, samples: np.ndarray) -> "FieldGrid":
         return FieldGrid(samples, self.pitch, self.sigma0)
@@ -160,10 +161,20 @@ def _frozen(f: np.ndarray) -> np.ndarray:
     return f
 
 
+def _grid_power(f: np.ndarray, pitch: float) -> float:
+    """pitch^2 sum |f|^2, summed as np.sum sums the whole grid; each leaf
+    squares its abs run in place, so one run is alive at a time."""
+    flat = f.reshape(-1)
+
+    def squares(start, stop):
+        run = np.abs(flat[start:stop])
+        return np.square(run, out=run)
+
+    return _pairwise_sum(squares, 0, flat.size) * pitch ** 2
+
+
 def _unit_power(f: np.ndarray, pitch: float, name: str) -> np.ndarray:
-    flat = f.reshape(-1)  # f is fresh: scaled in place; summed as np.sum would
-    power = _pairwise_sum(lambda a, b: np.square(np.abs(flat[a:b])), 0,
-                          flat.size) * pitch ** 2
+    power = _grid_power(f, pitch)  # f is fresh: scaled in place
     f /= math.sqrt(finite_positive(f"{name} has power", power))
     return _frozen(f)
 
@@ -378,7 +389,7 @@ class PhaseMap:
     def __post_init__(self):
         arr = _adopted(self.values, float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("phase map must be square")
+            raise ConfigError("phase map must be square")
         object.__setattr__(self, "values", _phase_checked(arr))
 
     @property
@@ -486,9 +497,7 @@ def _first_order(modulated_rows, order: list, side: int,
         rows = out[b]
         np.fft.ifft(rows, axis=1, out=rows)
         rows *= tilt  # removes the carrier
-    flat = out.reshape(-1)
-    power = _pairwise_sum(lambda a, b: np.abs(flat[a:b]) ** 2, 0,
-                          flat.size) * pitch ** 2
+    power = _grid_power(out, pitch)
     if power >= _RENORM_FLOOR:
         out /= math.sqrt(power)
     return _frozen(out)

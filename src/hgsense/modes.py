@@ -27,10 +27,12 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from .errors import (
+    ConfigError,
     UnsupportedOrderError,
     finite,
     finite_in,
     finite_positive,
+    integer,
     positive_square,
 )
 
@@ -65,6 +67,8 @@ class ModeIndex:
     n: int
 
     def __post_init__(self):
+        integer("mode index", self.m)
+        integer("mode index", self.n)
         finite_in("mode index", min(self.m, self.n), 0, math.inf, ends="[)")
         if max(self.m, self.n) > MAX_HERMITE_ORDER:
             raise UnsupportedOrderError(
@@ -78,7 +82,7 @@ class ModeIndex:
 def flat_index(m: int, n: int, cutoff: int) -> int:
     """Position of |m, n> in the flattened basis (row-major in m)."""
     if not (0 <= m <= cutoff and 0 <= n <= cutoff):
-        raise ValueError(f"({m}, {n}) outside basis with cutoff {cutoff}")
+        raise ConfigError(f"({m}, {n}) outside basis with cutoff {cutoff}")
     return m * (cutoff + 1) + n
 
 
@@ -98,10 +102,11 @@ class ModeState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        finite_in("cutoff", self.cutoff, 0, math.inf, ends="[)")
+        finite_in("cutoff", integer("cutoff", self.cutoff), 0, math.inf,
+                  ends="[)")
         amp = np.array(self.amplitudes, dtype=complex)
         if amp.shape != (basis_dim(self.cutoff),):
-            raise ValueError(
+            raise ConfigError(
                 f"expected {basis_dim(self.cutoff)} amplitudes, got {amp.shape}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)

@@ -321,7 +321,7 @@ def carrier_state(idx: ModeIndex, cutoff: int) -> ModeState:
     if m == 0 and n == 0:
         raise NoCarrierError("the fundamental mode has no rotation carrier")
     if (m >= 1 and n + 1 > cutoff) or (n >= 1 and m + 1 > cutoff):
-        raise ValueError(
+        raise ConfigError(
             f"cutoff {cutoff} cannot hold the carrier of ({m}, {n})")
     lz_psi = Generator(Coupling.OAM, cutoff).apply(ModeState.basis(cutoff, m, n))
     return ModeState(cutoff, lz_psi / (1j * math.sqrt(oam_variance(idx))))

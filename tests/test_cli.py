@@ -188,12 +188,14 @@ def test_non_finite_photon_budget_exits_2(argv, capsys):
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(hgsense.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    # nor numpy.polynomial: the J1 inverse's coefficients are literals
+    # nor numpy.polynomial: the J1 inverse's coefficients are literals; and
+    # with warnings as errors, the import warns of nothing
     code = ("import sys, hgsense, hgsense.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
             " or m.startswith('numpy.polynomial')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=60).stdout
     assert out.strip() == "[]"
 
 
@@ -228,12 +230,11 @@ def test_hologram_peak_is_the_output_grid_plus_the_pinhole_band(
         side, purity, tmp_path, capsys):
     # the mask is streamed from the 1-D factors into the staged file, so the
     # one full grid is the output: the declared peak is that grid plus the
-    # larger of the pinhole band (side^2 / P samples) and the inverse row
-    # FFT's block scratch (about 0.28 MiB); measured 1.28 grids at 256 px
-    # and 1.08 at 512 px. The bound allows both terms and 0.1 MiB more, so
-    # a sixth of a grid more breaks it at 256 px and about a tenth at
-    # 512 px. A 128 px run first takes the one-time allocations (about
-    # 0.2 MiB) out of it
+    # larger of the pinhole band (side^2 / P samples) and the power sum's
+    # leaf run (0.125 MiB); measured 1.16 grids at 256 px and 1.08 at
+    # 512 px. The bound allows the band and 0.4 MiB more, so about 0.3 of a
+    # grid more breaks it at 256 px and about a tenth at 512 px. A 128 px
+    # run first takes the one-time allocations (about 0.2 MiB) out of it
     assert main(["hologram", "--mode", "1,1", "--grid", "128",
                  "--out", str(tmp_path / "warm")]) == 0
     tracemalloc.start()

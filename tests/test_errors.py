@@ -39,6 +39,7 @@ from hgsense.weak import (
     PauliAxis,
     QubitState,
     WeakScenario,
+    carrier_state,
     post_selected_pair,
 )
 
@@ -64,6 +65,23 @@ def test_guards_return_the_value_or_name_it_in_the_error():
     for bad in (0.0, -1.0, 1e-170, 1e160):  # the square underflows or overflows
         with pytest.raises(ConfigError, match="finite, nonzero square"):
             positive_square("sigma0", bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ModeState(1, np.zeros(3)), "expected 4 amplitudes, got (3,)"),
+    (lambda: ModeState.basis(2, 3, 0), "(3, 0) outside basis with cutoff 2"),
+    (lambda: carrier_state(ModeIndex(3, 3), 2),
+     "cutoff 2 cannot hold the carrier of (3, 3)"),
+    (lambda: FieldGrid(np.zeros((128, 129)), 0.1, 1.0),
+     "samples must be a square 2-D array"),
+    (lambda: PhaseMap(np.zeros((4, 5))), "phase map must be square"),
+], ids=["amplitude-count", "flat-index", "carrier-cutoff", "field-grid-shape",
+        "phase-map-shape"])
+def test_shape_and_basis_refusals_are_package_errors(call, message):
+    with pytest.raises(HgSenseError) as refused:
+        call()
+    assert str(refused.value) == message
+    assert isinstance(refused.value, ValueError)  # as before, for callers
 
 
 REALS = st.one_of(

@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import j0, j1
 
 from hgsense.errors import (
     GridMismatchError,
@@ -28,6 +27,7 @@ from hgsense.fields import (
     mode_purity,
     modulate,
     synthesize_hg_field,
+    write_phase_pgm,
 )
 from hgsense.modes import ModeIndex
 from reference import (
@@ -78,7 +78,9 @@ def test_uniform_mask_splits_power_like_bessel():
                  & (np.abs(fx[:, None]) <= carrier / 2))
     ratio = (float(np.sum(np.abs(spectrum * zero_win) ** 2))
              / float(np.sum(np.abs(spectrum * first_win) ** 2)))
-    expected = (float(j0(J1_PEAK_X)) / float(j1(J1_PEAK_X))) ** 2
+    special = pytest.importorskip("scipy.special")
+    expected = (float(special.j0(J1_PEAK_X))
+                / float(special.j1(J1_PEAK_X))) ** 2
     assert ratio == pytest.approx(expected, rel=0.02)
 
 
@@ -235,8 +237,10 @@ def test_streamed_readout_is_bitwise_the_whole_grid_chain(side, period, mode,
     got = hologram_readout(idx, side, period, scale, streamed)
     write_phase_pgm_whole_grid(whole, mask)
     assert streamed.read_bytes() == whole.read_bytes()
-    drivers = first_order_extract(
-        modulate(illum, hologram_phase(target, illum, period)), period)
+    drivers_mask = hologram_phase(target, illum, period)
+    write_phase_pgm(whole, drivers_mask)
+    assert streamed.read_bytes() == whole.read_bytes()
+    drivers = first_order_extract(modulate(illum, drivers_mask), period)
     for want in (first_order_extract_whole_grid(modulate(illum, mask), period),
                  drivers):
         assert got.samples.tobytes() == want.samples.tobytes()

@@ -227,3 +227,19 @@ def test_mode_index_guards():
     with pytest.raises(UnsupportedOrderError):
         ModeIndex(65, 0)
     assert ModeIndex(2, 3).total == 5
+    assert ModeIndex(np.int64(2), np.int32(3)).total == 5
+    assert ModeState(np.int64(1), np.ones(4)).cutoff == 1
+
+
+@pytest.mark.parametrize("make, args", [
+    (ModeIndex, (2.5, 1)),
+    (ModeIndex, (1, 2.0)),
+    (ModeIndex, (True, 0)),
+    (ModeIndex, (0, np.float64(3.0))),
+    (ModeState, (1.5, np.zeros(4))),
+    (ModeState, (True, np.zeros(4))),
+])
+def test_orders_and_cutoffs_must_be_integers(make, args):
+    # ModeIndex(2.5, 1) was accepted, and oam_variance then read 8.5
+    with pytest.raises(ConfigError, match=" must be an integer$"):
+        make(*args)

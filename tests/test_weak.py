@@ -17,6 +17,7 @@ from hgsense.errors import (
 from hgsense.fisher import (
     carrier_projection_povm,
     cfi_povm,
+    qfi_mixed_monitor,
     qfi_pure_numeric,
     qfi_rotation_exact,
     qfi_rotation_exact_selections,
@@ -425,6 +426,33 @@ def test_block_memo_is_read_only_bounded_and_hit_on_repeat():
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
+
+
+def test_stencil_fisher_routes_read_each_shell_eigh_again():
+    # two rounds of the numeric QFI, the carrier CFI and the monitor QFI on
+    # HG(3, 4): the second round reads the memo only, and gives the same
+    # finite values
+    idx = ModeIndex(3, 4)
+    pre, post = post_selected_pair(0.1)
+    pointer = ModeState.basis(idx.total, idx.m, idx.n)
+
+    def family(alpha):
+        return final_pointer_exact(WeakScenario(
+            alpha, pre, post, PauliAxis.z(), Coupling.OAM, pointer)).pointer
+
+    readout = carrier_projection_povm(carrier_state(idx, idx.total))
+    qubit = QubitState.from_angles(1.1, 0.0)
+    weak._coupling_eig.cache_clear()
+    rounds = []
+    for _ in range(2):
+        before = weak._coupling_eig.cache_info()
+        rounds.append((qfi_pure_numeric(family, 1e-3),
+                       cfi_povm(family, 1e-3, readout),
+                       qfi_mixed_monitor(qubit, 1e-3, pointer)))
+        after = weak._coupling_eig.cache_info()
+    assert all(math.isfinite(v) for v in rounds[0])
+    assert rounds[1] == rounds[0]
+    assert after.hits > before.hits and after.misses == before.misses
 
 
 @pytest.mark.parametrize("coupling", list(Coupling))
