@@ -28,11 +28,14 @@ factors are even on the symmetric axis, so A_rel and its J1 depth are taken
 on the top-left quadrant only: the rows run in mirror pairs, a block of the
 upper half and then its mirror rows, which reuse the block's depth and
 incident rows reversed, and each block's PGM rows are written at their own
-offset of the file. The chain peaks at the output grid plus the larger of
-the pinhole band (side^2 / P samples) and the power sum's one leaf run
-(0.125 MiB): 4.3, 17.1, 68.2, ~272 MiB at 512, 1024, 2048, 4096 px and
-P = 16. Below 256 px the encoder's row-block temporaries (about 0.55 MiB
-with the band) set it.
+offset of the file. For an even row order the row factor itself is even,
+so a mirror block copies its top block's PGM levels and band rows reversed.
+The real illumination and the output's scale multiply each plane as floats,
+bitwise the complex product and division. The chain peaks at the output
+grid plus the larger of the pinhole band (side^2 / P samples) and the power
+sum's one leaf run (0.125 MiB): 4.3, 17.1, 68.2, ~272 MiB at 512, 1024,
+2048, 4096 px and P = 16. Below 256 px the encoder's row-block temporaries
+(about 0.55 MiB with the band) set it.
 
 File formats
 ------------
@@ -453,11 +456,11 @@ def hologram_phase(target: FieldGrid, incident: FieldGrid,
     return PhaseMap(_frozen(out))
 
 
-def _transmission(phase: np.ndarray, incident: np.ndarray) -> np.ndarray:
+def _transmission(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) as cos(phase) + i sin(phase)."""
     transmission = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=transmission.real)
     np.sin(phase, out=transmission.imag)
-    transmission *= incident
     return transmission
 
 
@@ -465,15 +468,18 @@ def modulate(incident: FieldGrid, phase: PhaseMap) -> FieldGrid:
     """Field right after the phase mask: incident * exp(i H)."""
     if phase.side != incident.side:
         raise GridMismatchError("phase map and field sides differ")
-    return incident.with_samples(
-        _frozen(_transmission(phase.values, incident.samples)))
+    transmission = _transmission(phase.values)
+    transmission *= incident.samples
+    return incident.with_samples(_frozen(transmission))
 
 
 def _first_order(modulated_rows, order: list, side: int,
                  grating_period: float, pitch: float) -> np.ndarray:
     """The first_order_extract samples of the field whose row blocks
     modulated_rows(b) returns, read in the block order given, whose blocks
-    cover the rows once.
+    cover the rows once. None stands for a block whose rows are its mirror
+    rows [side - b.stop, side - b.start) reversed, read before it: their
+    band rows are copied reversed.
 
     Each block's row FFT is kept on the pinhole columns only; that band gets
     its column FFT, window and inverse, is dropped once it sits in the one
@@ -484,8 +490,10 @@ def _first_order(modulated_rows, order: list, side: int,
     kx = np.flatnonzero(np.abs(freq - carrier) <= carrier / 2.0)
     band = np.empty((side, kx.size), dtype=complex)
     for b in order:
-        band[b] = np.fft.fft(modulated_rows(b), axis=1)[:, kx]
-    del modulated_rows  # and with it whatever the row source still holds
+        rows = modulated_rows(b)
+        band[b] = (band[side - b.stop:side - b.start][::-1] if rows is None
+                   else np.fft.fft(rows, axis=1)[:, kx])
+    del modulated_rows, rows  # and whatever the row source still holds
     band = np.fft.fft(band, axis=0)
     band[np.abs(freq) > carrier / 2.0] = 0.0
     band = np.fft.ifft(band, axis=0)
@@ -499,7 +507,14 @@ def _first_order(modulated_rows, order: list, side: int,
         rows *= tilt  # removes the carrier
     power = _grid_power(out, pitch)
     if power >= _RENORM_FLOOR:
-        out /= math.sqrt(power)
+        # numpy's (re + i im) / s is (re + im 0, im - re 0) (1 / s): each part
+        # times 1 / s while all are finite (so is the power) and none is zero,
+        # whose sign the complex division sets
+        parts = out.view(float)
+        if power < math.inf and parts.all():
+            parts *= 1.0 / math.sqrt(power)
+        else:
+            out /= math.sqrt(power)
     return _frozen(out)
 
 
@@ -538,9 +553,20 @@ def hologram_readout(idx: ModeIndex, side: int, grating_period: float,
     half and then its mirror rows [max(side - e, h), side - s), h the
     upper half's height. The top block's depth is inverted on the left h
     columns and mirrored to full width; the mirror block reads it, and the
-    incident rows, reversed, and then drops them. Each block's PGM rows go
-    to their own offset of pgm_path. A refusal can leave pgm_path partly
-    written, so callers pass a staged file.
+    incident rows, reversed, and then drops them. For an even n, hg_factor(n)
+    is even bit for bit, sign included, so a mirror block is its top block
+    reversed: it writes the top block's PGM levels reversed and returns no
+    rows, and _first_order copies the top block's band rows reversed. Each
+    block's PGM rows go to their own offset of pgm_path. A refusal can leave
+    pgm_path partly written, so callers pass a staged file.
+
+    numpy's product of cos H + i sin H with the illumination a + 0i is
+    (a cos H - 0 sin H) + i (0 cos H + a sin H), which differs from the
+    planes times a only where a cos H or a sin H is -0. Neither is: H is
+    never -0 (the depth is at least f(0) > 0, and the grating's sines vanish
+    only at column 0, as +0), and a run that is not refused has a > 0, far
+    from underflow (so narrow an illumination leaves target weight where it
+    is empty).
     """
     check_grating_period(grating_period, check_side(side))
     pitch, axis = _window(side, 1.0)
@@ -565,11 +591,23 @@ def hologram_readout(idx: ModeIndex, side: int, grating_period: float,
     grating = 2.0 * math.pi * np.arange(side, dtype=float) / grating_period
     sines = np.sin(grating), np.sin(math.pi + grating)
     header = _pgm_header(side)
-    kept = []  # a top block's start, depth and incident rows, for its mirror
+    even = idx.n % 2 == 0  # the row factor, so every row, is even bit for bit
+    # what a mirror block reads: its top block's start, then the top block's
+    # PGM levels (even n) or its depth and incident rows (odd n)
+    kept = []
     with open(pgm_path, "wb") as handle:
         handle.write(header)
 
         def modulated(b):
+            handle.seek(len(header) + b.start * side)
+            if b.start >= half:  # a mirror block: its top block's rows reversed
+                start, *held = kept
+                kept.clear()
+                held = [h[:side - b.start - start][::-1] for h in held]
+                if even:
+                    handle.write(np.ascontiguousarray(held[0]))
+                    return None  # _first_order reverses the top block's band
+                depth, a_in = held
             t = target.rows(b)
             if b.start < half:
                 a_in = incident.rows(b)
@@ -578,18 +616,16 @@ def hologram_readout(idx: ModeIndex, side: int, grating_period: float,
                     np.abs(t[:, :half]), a_in[:, :half], in_floor, out_floor),
                     peak)
                 depth[:, half:] = depth[:, side - half - 1::-1]
-                if b.start < side - half:  # its mirror rows follow
-                    kept[:] = b.start, depth, a_in
-            else:
-                start, depth, a_in = kept
-                kept.clear()
-                depth, a_in = (held[:side - b.start - start][::-1]
-                               for held in (depth, a_in))
             phase = np.where(np.signbit(t), sines[1], sines[0])
             phase *= depth
-            handle.seek(len(header) + b.start * side)
-            handle.write(_pgm_levels(_phase_checked(phase)))
-            return _transmission(phase, a_in.astype(complex))
+            levels = _pgm_levels(_phase_checked(phase))
+            handle.write(levels)
+            if b.start < side - half:  # a top block: its mirror rows follow
+                kept[:] = (b.start, levels) if even else (b.start, depth, a_in)
+            transmission = _transmission(phase)
+            transmission.real *= a_in  # bitwise the complex product: above
+            transmission.imag *= a_in
+            return transmission
 
         samples = _first_order(modulated, order, side, grating_period, pitch)
     return FieldGrid(samples, pitch, 1.0)

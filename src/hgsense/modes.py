@@ -43,13 +43,19 @@ def hermite_eval(order: int, x):
     """Physicists' Hermite polynomial H_order(x) by the three-term recurrence.
 
     Accepts scalars or arrays. Orders above MAX_HERMITE_ORDER are refused
-    rather than silently losing precision.
+    rather than silently losing precision; so are a bool or non-integer
+    order and an x that is not finite (one isfinite pass over x).
     """
+    integer("polynomial order", order)
     finite_in("polynomial order", order, 0, math.inf, ends="[)")
     if order > MAX_HERMITE_ORDER:
         raise UnsupportedOrderError(
             f"order {order} above supported bound {MAX_HERMITE_ORDER}")
     arr = np.asarray(x, dtype=float)
+    finite_x = np.isfinite(arr)
+    if not finite_x.all():
+        raise ConfigError(f"Hermite polynomial argument "
+                          f"{arr[~finite_x].flat[0]} must be finite")
     h_prev = np.ones_like(arr)
     if order == 0:
         return float(h_prev) if arr.ndim == 0 else h_prev
@@ -187,14 +193,17 @@ def hg_factor(order: int, sigma0: float, x):
 
     phi_k(x) = H_k(x / (sqrt2 sigma0)) exp(-x^2 / (4 sigma0^2))
                / sqrt(2^k k! sqrt(2 pi) sigma0)
+
+    hermite_eval checks the order and x before the factorial is taken.
     """
     positive_square("sigma0", sigma0)
     xs = np.asarray(x, dtype=float)
+    hermite = hermite_eval(order, xs / (math.sqrt(2.0) * sigma0))
     norm = math.sqrt(2.0 ** order * math.factorial(order)
                      * math.sqrt(2.0 * math.pi) * sigma0)
     with np.errstate(over="ignore"):  # far out in the tail: exp(-inf) = 0
         gauss = np.exp(-xs ** 2 / (4.0 * sigma0 ** 2))
-    val = hermite_eval(order, xs / (math.sqrt(2.0) * sigma0)) * gauss / norm
+    val = hermite * gauss / norm
     return float(val) if np.ndim(val) == 0 else val
 
 

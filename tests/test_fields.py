@@ -102,14 +102,26 @@ def test_separable_synthesis_matches_direct_evaluation():
 def test_factor_magnitudes_are_even_on_the_grid_axis_bit_for_bit(side):
     # hologram_readout inverts J1 on one quadrant and mirrors the depth to
     # the other three: that is bitwise only while the axis is exactly odd
-    # and every factor's magnitude exactly even on it
+    # and every factor's magnitude exactly even on it. For an even row
+    # order it copies a mirror block's rows from its top block's: that
+    # needs the factor itself even, sign bits included
     pitch, axis = _window(side, 1.0)
     # 0 - x rather than -x: an odd side's middle sample is +0, not -0
     assert axis.tobytes() == (0.0 - axis[::-1]).tobytes()
     for sigma in (1.0, 0.3, 1.5, 3.0):
         for k in range(31):
-            mag = np.abs(hg_factor(k, sigma, axis))
+            factor = hg_factor(k, sigma, axis)
+            mag = np.abs(factor)
             assert mag.tobytes() == mag[::-1].tobytes(), (k, sigma)
+            if k % 2 == 0:
+                assert factor.tobytes() == factor[::-1].tobytes(), (k, sigma)
+                continue
+            # odd: negated, but an odd side's middle sample is a zero whose
+            # sign follows the recurrence (-0 for k = 3, 7, ...)
+            outer = side // 2
+            assert (factor[:outer].tobytes()
+                    == (-factor[::-1][:outer]).tobytes()), (k, sigma)
+            assert side % 2 == 0 or factor[outer] == 0.0
 
 
 @pytest.mark.parametrize("side", [128, 129, 257, 512, 1024])

@@ -243,3 +243,24 @@ def test_orders_and_cutoffs_must_be_integers(make, args):
     # ModeIndex(2.5, 1) was accepted, and oam_variance then read 8.5
     with pytest.raises(ConfigError, match=" must be an integer$"):
         make(*args)
+
+
+@pytest.mark.parametrize("call, match", [
+    # a float order raised a bare TypeError, and True read as H_1
+    (lambda: hermite_eval(2.5, 0.3), "polynomial order 2.5 must be an integer"),
+    (lambda: hermite_eval(np.float64(3.0), 0.3), "order 3.0 must be an integer"),
+    (lambda: hermite_eval(True, 0.3), "order True must be an integer"),
+    (lambda: hg_factor(2.5, 1.0, [0.1]), "order 2.5 must be an integer"),
+    (lambda: hg_factor(False, 1.0, [0.1]), "order False must be an integer"),
+    # math.factorial's plain ValueError came first
+    (lambda: hg_factor(-1, 1.0, [0.1]), r"order -1 must be finite and lie in"),
+    # NaN came back as NaN, and inf as NaN with a RuntimeWarning
+    (lambda: hermite_eval(3, math.nan), "argument nan must be finite"),
+    (lambda: hermite_eval(3, [0.5, -math.inf]), "argument -inf must be finite"),
+    (lambda: hg_factor(3, 1.0, [0.0, math.nan]), "argument nan must be finite"),
+    (lambda: hg_factor(0, 1.0, math.inf), "argument inf must be finite"),
+])
+def test_hermite_orders_must_be_integers_and_arguments_finite(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()
+    assert hermite_eval(np.int64(3), 0.5) == hermite_eval(3, 0.5) == -5.0
