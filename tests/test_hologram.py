@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
+from hgsense import fields
 from hgsense.errors import (
     GridMismatchError,
     SeparationError,
     UnreachableAmplitudeError,
 )
-from hgsense import fields
 from hgsense.fields import (
     J1_PEAK_X,
     FieldGrid,
