@@ -30,12 +30,10 @@ upper half and then its mirror rows, which reuse the block's depth and
 incident rows reversed, and each block's PGM rows are written at their own
 offset of the file. For an even row order the row factor itself is even,
 so a mirror block copies its top block's PGM levels and band rows reversed.
-The real illumination and the output's scale multiply each plane as floats,
-bitwise the complex product and division. The chain peaks at the output
-grid plus the larger of the pinhole band (side^2 / P samples) and the power
-sum's one leaf run (0.125 MiB): 4.3, 17.1, 68.2, ~272 MiB at 512, 1024,
-2048, 4096 px and P = 16. Below 256 px the encoder's row-block temporaries
-(about 0.55 MiB with the band) set it.
+The chain peaks at the output grid plus the larger of the pinhole band
+(side^2 / P samples) and the power sum's one leaf run (0.125 MiB): 4.3,
+17.1, 68.2, ~272 MiB at 512, 1024, 2048, 4096 px and P = 16. Below 256 px
+the encoder's row-block temporaries (about 0.55 MiB with the band) set it.
 
 File formats
 ------------
@@ -456,11 +454,11 @@ def hologram_phase(target: FieldGrid, incident: FieldGrid,
     return PhaseMap(_frozen(out))
 
 
-def _transmission(phase: np.ndarray) -> np.ndarray:
-    """exp(i phase) as cos(phase) + i sin(phase)."""
+def _transmission(phase: np.ndarray, incident: np.ndarray) -> np.ndarray:
     transmission = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=transmission.real)
     np.sin(phase, out=transmission.imag)
+    transmission *= incident
     return transmission
 
 
@@ -468,9 +466,8 @@ def modulate(incident: FieldGrid, phase: PhaseMap) -> FieldGrid:
     """Field right after the phase mask: incident * exp(i H)."""
     if phase.side != incident.side:
         raise GridMismatchError("phase map and field sides differ")
-    transmission = _transmission(phase.values)
-    transmission *= incident.samples
-    return incident.with_samples(_frozen(transmission))
+    return incident.with_samples(
+        _frozen(_transmission(phase.values, incident.samples)))
 
 
 def _first_order(modulated_rows, order: list, side: int,
@@ -507,14 +504,7 @@ def _first_order(modulated_rows, order: list, side: int,
         rows *= tilt  # removes the carrier
     power = _grid_power(out, pitch)
     if power >= _RENORM_FLOOR:
-        # numpy's (re + i im) / s is (re + im 0, im - re 0) (1 / s): each part
-        # times 1 / s while all are finite (so is the power) and none is zero,
-        # whose sign the complex division sets
-        parts = out.view(float)
-        if power < math.inf and parts.all():
-            parts *= 1.0 / math.sqrt(power)
-        else:
-            out /= math.sqrt(power)
+        out /= math.sqrt(power)
     return _frozen(out)
 
 
@@ -559,14 +549,6 @@ def hologram_readout(idx: ModeIndex, side: int, grating_period: float,
     rows, and _first_order copies the top block's band rows reversed. Each
     block's PGM rows go to their own offset of pgm_path. A refusal can leave
     pgm_path partly written, so callers pass a staged file.
-
-    numpy's product of cos H + i sin H with the illumination a + 0i is
-    (a cos H - 0 sin H) + i (0 cos H + a sin H), which differs from the
-    planes times a only where a cos H or a sin H is -0. Neither is: H is
-    never -0 (the depth is at least f(0) > 0, and the grating's sines vanish
-    only at column 0, as +0), and a run that is not refused has a > 0, far
-    from underflow (so narrow an illumination leaves target weight where it
-    is empty).
     """
     check_grating_period(grating_period, check_side(side))
     pitch, axis = _window(side, 1.0)
@@ -622,10 +604,7 @@ def hologram_readout(idx: ModeIndex, side: int, grating_period: float,
             handle.write(levels)
             if b.start < side - half:  # a top block: its mirror rows follow
                 kept[:] = (b.start, levels) if even else (b.start, depth, a_in)
-            transmission = _transmission(phase)
-            transmission.real *= a_in  # bitwise the complex product: above
-            transmission.imag *= a_in
-            return transmission
+            return _transmission(phase, a_in.astype(complex))
 
         samples = _first_order(modulated, order, side, grating_period, pitch)
     return FieldGrid(samples, pitch, 1.0)

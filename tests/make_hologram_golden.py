@@ -40,8 +40,6 @@ CASES = {
     "0,0 at 256 px": ["--mode", "0,0", "--grid", "256"],
     "5,2 at 257 px, period 5": ["--mode", "5,2", "--grid", "257",
                                 "--grating-period", "5"],
-    # an even row order: the mirror blocks copy their top blocks' rows
-    "3,4 at 1024 px": ["--mode", "3,4", "--grid", "1024"],
 }
 TEXT_CASES = {
     "bounds, defaults": ["bounds"],
