@@ -11,11 +11,14 @@ x_i = (i - (side - 1) / 2) * pitch, so the beam axis sits between the four
 central pixels and right-angle rotations land exactly on grid nodes.
 Holograms use the J1-type phase-only encoding of Arrizon et al., JOSA A 24,
 3500 (2007), at full modulation depth on a carrier grating; the depth
-inverts J1 by one polynomial with literal coefficients. HG fields and the
-Gaussian illumination are built from their 1-D factors (_Separable), so
-only synthesize_superposition renormalizes a whole complex grid
-(_unit_power). Rotation resamples the real and imaginary planes apart and
-skips an imaginary plane that is all zero.
+inverts J1 by one polynomial with literal coefficients. A FieldGrid's
+samples are float64 when the field is real and complex128 otherwise: an HG
+mode, the Gaussian illumination and a superposition whose amplitudes have
+no imaginary part are real grids, and rotating a real grid gives a real
+grid. HG fields and the Gaussian illumination are built from their 1-D
+factors (_Separable), so only synthesize_superposition renormalizes a whole
+grid (_unit_power). Rotation resamples the real and imaginary planes apart
+and skips an imaginary plane that is all zero.
 The readout is separable: only the band of the first-order pinhole is
 Fourier transformed, and purity contracts the 1-D factors of the ideal mode.
 Rotation, the hologram encoding, the PGM levels and both row FFTs of the
@@ -41,7 +44,8 @@ Field binary ("FGRD", version 1): little-endian header
     magic 4s | version u32 | side u32 | pitch f64 | sigma0 f64
     | wavelength f64 | z f64
 followed by side*side complex128 samples (interleaved float64 re, im),
-row-major with the row index running along y. The writer puts 780e-9 and 0
+row-major with the row index running along y; a real grid is written as its
+complex cast. The writer puts 780e-9 and 0
 in wavelength and z; the reader refuses z != 0 or a wavelength that is not
 finite and positive, and drops both.
 
@@ -86,14 +90,29 @@ _BLOCK_SAMPLES = 16384  # per row block: its temporaries stay in cache
 
 @dataclass(frozen=True)
 class FieldGrid:
-    """Complex waist-plane field samples on a square symmetric grid."""
+    """Waist-plane field samples on a square symmetric grid.
+
+    The dtype follows the data: float64 for real input, complex128 for
+    complex input, even when its imaginary part is all zero. A caller's
+    array is copied, and refused if a sample is NaN or infinite. A read-only
+    float64 or complex128 array that owns its data is adopted as it is,
+    with no pass over it: those are the fresh buffers this module's
+    producers freeze on hot paths, built from checked finite factors or
+    grids, and a second pass would cost as much as a stage.
+    """
 
     samples: np.ndarray
     pitch: float
     sigma0: float
 
     def __post_init__(self):
-        arr = _adopted(self.samples, complex)
+        arr = _adopted(self.samples,
+                       complex if np.iscomplexobj(self.samples) else float)
+        if arr is not self.samples:
+            finite_samples = np.isfinite(arr)
+            if not finite_samples.all():
+                raise ConfigError(f"field sample {arr[~finite_samples][0]} "
+                                  "must be finite")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigError("samples must be a square 2-D array")
         finite_in("grid side", arr.shape[0], MIN_SIDE, math.inf, ends="[)")
@@ -216,7 +235,8 @@ def synthesize_superposition(state: ModeState, sigma0: float,
 
     One product Phi^T A^T Phi, with Phi[k] the hg_factor of order k on the
     grid axis and A[m, n] the amplitudes, restricted to the orders that
-    carry amplitude.
+    carry amplitude. When no amplitude has an imaginary part the product is
+    real and so is the grid.
     """
     amp = state.amplitudes.reshape(state.cutoff + 1, state.cutoff + 1)
     orders = np.flatnonzero(np.any(amp != 0, axis=0) | np.any(amp != 0, axis=1))
@@ -224,19 +244,20 @@ def synthesize_superposition(state: ModeState, sigma0: float,
         raise ValueError("zero superposition")
     pitch, axis = _window(side, sigma0)
     phi = np.array([hg_factor(int(k), sigma0, axis) for k in orders])
-    total = phi.T @ amp[np.ix_(orders, orders)].T @ phi
+    amp = amp[np.ix_(orders, orders)]
+    total = phi.T @ (amp if amp.imag.any() else amp.real).T @ phi
     return FieldGrid(_unit_power(total, pitch, "superposition"), pitch, sigma0)
 
 
 class _Separable:
     """The real grid outer(a, b) at unit power, built one row block at a time.
 
-    Bitwise the complex outer(a, b) divided by its root grid power: its
-    imaginary part is +0, and dividing re + 0i by s > 0 gives (re + 0) *
-    (1 / s), so a -0 (a zero factor times a negative one) turns +0 before
-    the scale. The power is summed as np.sum sums the whole grid. The
-    largest magnitude is max|a| max|b|, the largest rounded product, taken
-    before the scale: a positive factor keeps it the largest.
+    Bitwise the real plane of the complex outer(a, b) divided by its root
+    grid power, whose imaginary plane is all +0: dividing re + 0i by s > 0
+    gives (re + 0) * (1 / s), so a -0 (a zero factor times a negative one)
+    turns +0 before the scale. The power is summed as np.sum sums the whole
+    grid. The largest magnitude is max|a| max|b|, the largest rounded
+    product, taken before the scale: a positive factor keeps it the largest.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, pitch: float, name: str):
@@ -254,17 +275,18 @@ class _Separable:
             finite_positive(f"{name} has power", power))
         self.peak = float(np.abs(a).max() * np.abs(b).max()) * self.scale
 
-    def rows(self, block: slice, columns: slice = slice(None)) -> np.ndarray:
-        out = np.multiply.outer(self.a[block], self.b[columns])
+    def rows(self, block: slice, columns: slice = slice(None),
+             out: np.ndarray | None = None) -> np.ndarray:
+        out = np.multiply.outer(self.a[block], self.b[columns], out=out)
         out += 0.0
         out *= self.scale
         return out
 
     def grid(self) -> np.ndarray:
-        """The frozen complex grid, imaginary parts +0."""
-        f = np.zeros((len(self.a), len(self.b)), dtype=complex)
+        """The frozen float64 grid, its rows written in place."""
+        f = np.empty((len(self.a), len(self.b)))
         for block in _row_blocks(len(self.a)):
-            f.real[block] = self.rows(block)
+            self.rows(block, out=f[block])
         return _frozen(f)
 
 
@@ -281,23 +303,25 @@ def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
     Active rotation: the returned samples are f(R_{-angle} r). Bilinear
     accuracy claims hold for |angle| < pi/4; angles up to pi/2 are accepted
     because right angles map grid nodes onto grid nodes exactly. Samples
-    pulled from outside the window are zero. The real and imaginary planes
-    are resampled apart with float weights; an imaginary plane that is all
-    zero is skipped and stays +0, as complex weights leave it.
+    pulled from outside the window are zero. A real grid is resampled into
+    a real grid. A complex grid's real and imaginary planes are resampled
+    apart with float weights; an imaginary plane that is all zero is
+    skipped and stays +0, as complex weights leave it.
     """
     finite_in("rotation angle", angle, -math.pi / 2.0 - 1e-12,
               math.pi / 2.0 + 1e-12)
     side, pitch, coords = field.side, field.pitch, field.coords
     c, s = math.cos(angle), math.sin(angle)
     cx, sx, half = c * coords, -s * coords, (side - 1) / 2.0
-    rotated = np.zeros((side, side), dtype=complex)
+    samples = field.samples
+    rotated = np.zeros((side, side), dtype=samples.dtype)
     # a flat zero border two samples wide: indices clipped into it read zero
     # for both neighbours of a node outside the grid, and one flat index
     # reads all four neighbours through offset views
     width = side + 4
-    planes = [(np.pad(field.samples.real, 2).ravel(), rotated.real)]
-    if field.samples.imag.any():
-        planes.append((np.pad(field.samples.imag, 2).ravel(), rotated.imag))
+    planes = [(np.pad(samples.real, 2).ravel(), rotated.real)]
+    if samples.dtype == complex and samples.imag.any():
+        planes.append((np.pad(samples.imag, 2).ravel(), rotated.imag))
     for b in _row_blocks(side):
         y = coords[b, None]
         tc, tr = cx + s * y, sx + c * y

@@ -301,8 +301,10 @@ def qfi_mixed_closed_form(qubit: QubitState, alpha: float,
 
 def qfi_mixed_quadratic(alpha: float, pointer: ModeState) -> float:
     """Small-alpha approximation 4 alpha^2 <Lz^2> of the monitor QFI."""
+    alpha = float(finite("alpha", alpha))
     op = Generator(Coupling.OAM, pointer.cutoff)
-    return 4.0 * alpha ** 2 * second_moment(op, pointer)
+    return finite("4 alpha^2 <Lz^2>",
+                  4.0 * alpha * alpha * second_moment(op, pointer))
 
 
 def qfi_rotation_exact(pre: QubitState, post: QubitState, axis: PauliAxis,

@@ -194,11 +194,18 @@ def hg_factor(order: int, sigma0: float, x):
     phi_k(x) = H_k(x / (sqrt2 sigma0)) exp(-x^2 / (4 sigma0^2))
                / sqrt(2^k k! sqrt(2 pi) sigma0)
 
-    hermite_eval checks the order and x before the factorial is taken.
+    hermite_eval checks the order and x before the factorial is taken; an
+    x / (sqrt2 sigma0) that overflows is refused before it.
     """
     positive_square("sigma0", sigma0)
     xs = np.asarray(x, dtype=float)
-    hermite = hermite_eval(order, xs / (math.sqrt(2.0) * sigma0))
+    try:
+        with np.errstate(over="raise"):
+            scaled = xs / (math.sqrt(2.0) * sigma0)
+    except FloatingPointError:
+        raise ConfigError(f"x / (sqrt2 sigma0) overflows for x up to "
+                          f"{np.abs(xs).max()} at sigma0 {sigma0}") from None
+    hermite = hermite_eval(order, scaled)
     norm = math.sqrt(2.0 ** order * math.factorial(order)
                      * math.sqrt(2.0 * math.pi) * sigma0)
     with np.errstate(over="ignore"):  # far out in the tail: exp(-inf) = 0

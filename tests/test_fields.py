@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgsense.errors import (
+    ConfigError,
     CoverageError,
     GridMismatchError,
     UnreachableAmplitudeError,
@@ -98,6 +99,20 @@ def test_separable_synthesis_matches_direct_evaluation():
     assert np.max(np.abs(grid.samples - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_superposition_with_real_amplitudes_is_a_real_grid():
+    sigma0, cutoff = 0.8, 6
+    amp = np.random.default_rng(11).normal(size=basis_dim(cutoff))
+    grid = synthesize_superposition(ModeState(cutoff, amp), sigma0, side=SIDE)
+    assert grid.samples.dtype == np.float64
+    terms = [(ModeIndex(*divmod(i, cutoff + 1)), a) for i, a in enumerate(amp)]
+    assert np.max(np.abs(grid.samples - _direct_field(terms, sigma0, grid))
+                  ) <= 1e-12
+    amp = amp.astype(complex)
+    amp[flat_index(2, 3, cutoff)] += 0.5j  # one imaginary part: a complex grid
+    assert synthesize_superposition(ModeState(cutoff, amp), sigma0,
+                                    side=SIDE).samples.dtype == np.complex128
+
+
 @pytest.mark.parametrize("side", [128, 129, 257, 300, 512, 1023, 1024])
 def test_factor_magnitudes_are_even_on_the_grid_axis_bit_for_bit(side):
     # hologram_readout inverts J1 on one quadrant and mirrors the depth to
@@ -126,19 +141,29 @@ def test_factor_magnitudes_are_even_on_the_grid_axis_bit_for_bit(side):
 
 @pytest.mark.parametrize("side", [128, 129, 257, 512, 1024])
 def test_separable_synthesis_is_bitwise_the_complex_division(side):
-    # the row-blocked grid from the 1-D factors against the whole complex
-    # outer product divided by its root power: every byte, so the +0
-    # imaginary parts and the signs of zeros count
+    # the real row-blocked grid from the 1-D factors against the whole
+    # complex outer product divided by its root power: every byte of the
+    # real plane, so the signs of zeros count, and an imaginary plane that
+    # is all +0, which the real grid drops
     for idx in (ModeIndex(0, 0), ModeIndex(1, 0), ModeIndex(3, 2),
                 ModeIndex(0, 12), ModeIndex(7, 11), ModeIndex(12, 12)):
         got = synthesize_hg_field(idx, 0.9, side=side)
         want = synthesize_hg_field_complex(idx, 0.9, side)
-        assert got.samples.tobytes() == want.samples.tobytes(), idx
+        _assert_real_plane_bitwise(got, want)
         assert (got.pitch, got.sigma0) == (want.pitch, want.sigma0)
         for sigma in (0.4, 3.0):
-            assert (gaussian_illumination(sigma, got).samples.tobytes()
-                    == gaussian_illumination_complex(sigma, got)
-                    .samples.tobytes())
+            _assert_real_plane_bitwise(gaussian_illumination(sigma, got),
+                                       gaussian_illumination_complex(sigma, got))
+
+
+def _assert_real_plane_bitwise(got: FieldGrid, want: FieldGrid):
+    """got is a real grid with the bytes of want's real plane, and want's
+    imaginary plane is all +0."""
+    assert got.samples.dtype == np.float64
+    assert got.samples.tobytes() == want.samples.real.tobytes()
+    assert want.samples.dtype == np.complex128
+    assert not want.samples.imag.any()
+    assert not np.signbit(want.samples.imag).any()
 
 
 def test_superposition_needs_only_orders_with_amplitude():
@@ -219,21 +244,23 @@ def test_rotation_angle_guard():
 
 @pytest.mark.parametrize("side", [128, 129, 257, 512, 1024])
 def test_row_blocked_rotation_is_bitwise_the_fancy_index_route(side):
-    # 129 and 257 leave a partial last row block. The planes are resampled
-    # apart, so the bytes match for complex noise and for real fields, whose
-    # imaginary plane is skipped and stays +0; one nonzero imaginary sample
-    # must be resampled. An imaginary part of -0 is skipped too: the values
-    # match, but complex weights give -0 where all four neighbours of the
-    # real part are negative, and the skipped plane stays +0
+    # 129 and 257 leave a partial last row block. A real field is resampled
+    # into a real grid whose bytes are the real plane of the fancy-index
+    # route on its complex cast, and that route's imaginary plane is all
+    # +0. A complex field's planes are resampled apart, so the bytes match
+    # for complex noise; one nonzero imaginary sample must be resampled. An
+    # imaginary part of -0 is skipped: the values match, but complex
+    # weights give -0 where all four neighbours of the real part are
+    # negative, and the skipped plane stays +0
     rng = np.random.default_rng(side)
     noise = FieldGrid(rng.normal(size=(side, side))
                       + 1j * rng.normal(size=(side, side)), 1.0, 1.0)
     mode = synthesize_hg_field(ModeIndex(3, 2), 1.0, side=side)
     real_noise = FieldGrid(rng.normal(size=(side, side)), 1.0, 1.0)
-    one = mode.samples.copy()
+    one = mode.samples.astype(complex)
     one[side // 2, side // 3] += 0.25j
     one = mode.with_samples(one)
-    negative_zero = mode.samples.copy()
+    negative_zero = mode.samples.astype(complex)
     negative_zero.imag = -0.0
     negative_zero = mode.with_samples(negative_zero)
     assert np.signbit(negative_zero.samples.imag).all()
@@ -242,13 +269,16 @@ def test_row_blocked_rotation_is_bitwise_the_fancy_index_route(side):
         extra = (real_noise, one) if angle in (1e-3, 0.3, -math.pi / 2) else ()
         for field in (noise, mode, *extra):
             got = rotate_field(field, angle)
-            want = rotate_field_fancy(field, angle)
-            assert got.samples.tobytes() == want.samples.tobytes()
+            if field.samples.dtype == complex:
+                want = rotate_field_fancy(field, angle)
+                assert got.samples.tobytes() == want.samples.tobytes()
+            else:
+                _assert_real_plane_bitwise(got, rotate_field_fancy(
+                    field.with_samples(field.samples.astype(complex)), angle))
             assert (got.pitch, got.sigma0) == (field.pitch, field.sigma0)
             assert not got.samples.flags.writeable
             assert np.all(np.isfinite(got.samples))
-        got = rotate_field(mode, angle).samples  # a real grid: all +0 imag
-        assert not got.imag.any() and not np.signbit(got.imag).any()
+        assert rotate_field(mode, angle).samples.dtype == np.float64
         if not extra:
             continue
         assert np.count_nonzero(rotate_field(one, angle).samples.imag) >= 1
@@ -319,6 +349,55 @@ def test_field_grid_copies_writeable_arrays_and_adopts_frozen_ones(tmp_path):
     for field in produced:
         assert not field.samples.flags.writeable
         assert field.samples.flags.owndata
+
+
+def test_field_dtype_follows_the_data():
+    side = 128
+    pitch = 16.0 / side
+    ones = np.ones((side, side))
+    for real in (ones, ones.astype(np.float32), ones.astype(int), ones.tolist()):
+        assert FieldGrid(real, pitch, 1.0).samples.dtype == np.float64
+    # a complex input stays complex, even with an imaginary part all zero
+    for cplx in (ones.astype(complex), ones.astype(np.complex64)):
+        assert FieldGrid(cplx, pitch, 1.0).samples.dtype == np.complex128
+    mode = synthesize_hg_field(ModeIndex(3, 2), 1.0, side=side)
+    real_fields = [mode, gaussian_illumination(3.0, mode)]
+    real_fields += [rotate_field(f, angle) for f in real_fields
+                    for angle in (0.0, 0.3, -math.pi / 2)]
+    for field in real_fields:  # a real grid rotates into a real grid
+        assert field.samples.dtype == np.float64
+    cast = mode.with_samples(mode.samples.astype(complex))
+    assert rotate_field(cast, 0.3).samples.dtype == np.complex128
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(1.0, math.nan), complex(-math.inf, 0.0)])
+def test_field_grid_refuses_a_non_finite_sample_it_copies(bad):
+    side = 128
+    samples = np.zeros((side, side), dtype=type(bad))
+    samples[5, 7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for caller in (samples, samples.tolist()):
+            with pytest.raises(ConfigError,
+                               match=r"^field sample .* must be finite$"):
+                FieldGrid(caller, 16.0 / side, 1.0)
+    samples.flags.writeable = False  # adopted as it is: no pass over it
+    assert FieldGrid(samples, 16.0 / side, 1.0).samples is samples
+
+
+def test_real_grid_is_written_as_its_complex_cast(tmp_path):
+    mode = synthesize_hg_field(ModeIndex(3, 2), 0.8, side=129)
+    real, cast = tmp_path / "real.fgrd", tmp_path / "cast.fgrd"
+    write_field_binary(real, mode)
+    write_field_binary(cast, mode.with_samples(mode.samples.astype(complex)))
+    raw = real.read_bytes()
+    assert raw == cast.read_bytes()
+    assert raw.endswith(mode.samples.astype("<c16").tobytes())
+    back = read_field_binary(real)
+    assert back.samples.dtype == np.complex128
+    assert back.samples.real.tobytes() == mode.samples.tobytes()
+    assert not np.signbit(back.samples.imag).any()
 
 
 def test_phase_map_copies_writeable_arrays_and_adopts_frozen_ones():

@@ -685,6 +685,18 @@ def test_weak_fisher_refuses_an_orthogonal_pair_and_a_nonfinite_alpha():
                     tuple(Parameter), (1.0,))
 
 
+@pytest.mark.parametrize("alpha, match", [
+    # NaN and inf came back as the QFI, and 1e200 raised a bare OverflowError
+    (math.nan, r"^alpha nan must be finite$"),
+    (math.inf, r"^alpha inf must be finite$"),
+    (-math.inf, r"^alpha -inf must be finite$"),
+    (1e200, r"^4 alpha\^2 <Lz\^2> inf must be finite$"),
+])
+def test_quadratic_monitor_qfi_refuses_a_non_finite_alpha_or_value(alpha, match):
+    with pytest.raises(ConfigError, match=match):
+        qfi_mixed_quadratic(alpha, ModeState.basis(4, 1, 3))
+
+
 def test_weak_approx_overstates_fisher_past_regime():
     epsilon = 0.1
     pre, post = post_selected_pair(epsilon)

@@ -13,6 +13,7 @@ import pytest
 
 from hgsense import fields
 from hgsense.errors import (
+    ConfigError,
     GridMismatchError,
     SeparationError,
     UnreachableAmplitudeError,
@@ -126,8 +127,13 @@ def test_row_blocked_hologram_is_bitwise_the_whole_grid_route(side):
     illum, pinprick = (gaussian_illumination(s, mode) for s in (3.0, 0.3))
 
     def with_nan(field, row, col):
+        # FieldGrid refuses a NaN in a caller's array; a frozen array that
+        # owns its data is adopted unchecked, as the package's outputs are
         samples = field.samples.copy()
         samples[row, col] = math.nan
+        with pytest.raises(ConfigError, match="field sample nan must be"):
+            field.with_samples(samples)
+        samples.flags.writeable = False
         return field.with_samples(samples)
 
     cases = [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,3 +265,16 @@ def test_hermite_orders_must_be_integers_and_arguments_finite(call, match):
     with pytest.raises(ConfigError, match=match):
         call()
     assert hermite_eval(np.int64(3), 0.5) == hermite_eval(3, 0.5) == -5.0
+
+
+def test_hg_factor_refuses_an_overflowing_scaled_argument():
+    # x / (sqrt2 sigma0) overflowed with numpy's RuntimeWarning, and without
+    # -W error the refusal then named inf, a value the caller never passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([1e200], [0.0, -1e200], 1e200):
+            with pytest.raises(ConfigError, match=(
+                    r"^x / \(sqrt2 sigma0\) overflows for x up to 1e\+200 "
+                    r"at sigma0 1e-150$")):
+                hg_factor(3, 1e-150, x)
+        assert math.isfinite(hg_factor(3, 1e-150, 1e-200))
