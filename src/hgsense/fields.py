@@ -11,14 +11,11 @@ x_i = (i - (side - 1) / 2) * pitch, so the beam axis sits between the four
 central pixels and right-angle rotations land exactly on grid nodes.
 Holograms use the J1-type phase-only encoding of Arrizon et al., JOSA A 24,
 3500 (2007), at full modulation depth on a carrier grating; the depth
-inverts J1 by one polynomial with literal coefficients. A FieldGrid's
-samples are float64 when the field is real and complex128 otherwise: an HG
-mode, the Gaussian illumination and a superposition whose amplitudes have
-no imaginary part are real grids, and rotating a real grid gives a real
-grid. HG fields and the Gaussian illumination are built from their 1-D
-factors (_Separable), so only synthesize_superposition renormalizes a whole
-grid (_unit_power). Rotation resamples the real and imaginary planes apart
-and skips an imaginary plane that is all zero.
+inverts J1 by one polynomial with literal coefficients. A real field is a
+float64 grid (an HG mode, the illumination, a superposition with real
+amplitudes, and their rotations), any other a complex128 grid. HG fields
+and the illumination are built from their 1-D factors (_Separable), so only
+synthesize_superposition renormalizes a whole grid (_unit_power).
 The readout is separable: only the band of the first-order pinhole is
 Fourier transformed, and purity contracts the 1-D factors of the ideal mode.
 Rotation, the hologram encoding, the PGM levels and both row FFTs of the
@@ -45,9 +42,9 @@ Field binary ("FGRD", version 1): little-endian header
     | wavelength f64 | z f64
 followed by side*side complex128 samples (interleaved float64 re, im),
 row-major with the row index running along y; a real grid is written as its
-complex cast. The writer puts 780e-9 and 0
-in wavelength and z; the reader refuses z != 0 or a wavelength that is not
-finite and positive, and drops both.
+complex cast. The writer puts 780e-9 and 0 in wavelength and z; the reader
+refuses z != 0 or a wavelength that is not finite and positive, and drops
+both.
 
 Phase-map image dump: 8-bit binary PGM (P5), phases mapped linearly from
 [-pi, pi] to [0, 255].
@@ -90,15 +87,13 @@ _BLOCK_SAMPLES = 16384  # per row block: its temporaries stay in cache
 
 @dataclass(frozen=True)
 class FieldGrid:
-    """Waist-plane field samples on a square symmetric grid.
+    """Waist-plane field samples on a square symmetric grid: float64 for
+    real input, complex128 for complex input, even with a zero imaginary part.
 
-    The dtype follows the data: float64 for real input, complex128 for
-    complex input, even when its imaginary part is all zero. A caller's
-    array is copied, and refused if a sample is NaN or infinite. A read-only
-    float64 or complex128 array that owns its data is adopted as it is,
-    with no pass over it: those are the fresh buffers this module's
-    producers freeze on hot paths, built from checked finite factors or
-    grids, and a second pass would cost as much as a stage.
+    A caller's array is copied and refused if a sample is NaN or infinite.
+    A read-only array of that dtype that owns its data is adopted with no
+    pass: those are the fresh buffers this module's hot paths freeze, built
+    from checked finite factors or grids.
     """
 
     samples: np.ndarray
@@ -108,11 +103,9 @@ class FieldGrid:
     def __post_init__(self):
         arr = _adopted(self.samples,
                        complex if np.iscomplexobj(self.samples) else float)
-        if arr is not self.samples:
-            finite_samples = np.isfinite(arr)
-            if not finite_samples.all():
-                raise ConfigError(f"field sample {arr[~finite_samples][0]} "
-                                  "must be finite")
+        if arr is not self.samples and not np.isfinite(arr).all():
+            raise ConfigError(f"field sample {arr[~np.isfinite(arr)][0]} "
+                              "must be finite")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigError("samples must be a square 2-D array")
         finite_in("grid side", arr.shape[0], MIN_SIDE, math.inf, ends="[)")
@@ -235,8 +228,7 @@ def synthesize_superposition(state: ModeState, sigma0: float,
 
     One product Phi^T A^T Phi, with Phi[k] the hg_factor of order k on the
     grid axis and A[m, n] the amplitudes, restricted to the orders that
-    carry amplitude. When no amplitude has an imaginary part the product is
-    real and so is the grid.
+    carry amplitude; real when no amplitude has an imaginary part.
     """
     amp = state.amplitudes.reshape(state.cutoff + 1, state.cutoff + 1)
     orders = np.flatnonzero(np.any(amp != 0, axis=0) | np.any(amp != 0, axis=1))
