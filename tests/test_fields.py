@@ -257,7 +257,7 @@ def test_row_blocked_rotation_is_bitwise_the_fancy_index_route(side):
         extra = (real_noise, one) if angle in (1e-3, 0.3, -math.pi / 2) else ()
         for field in (noise, mode, *extra):
             got = rotate_field(field, angle)
-            if field.samples.dtype == complex:
+            if field is noise or field is one:  # the others are real grids
                 want = rotate_field_fancy(field, angle)
                 assert got.samples.tobytes() == want.samples.tobytes()
             else:
