@@ -10,6 +10,8 @@ with a message that gives the value's name, the value and the rule.
 import math
 import numbers
 
+import numpy as np
+
 
 class HgSenseError(Exception):
     """Base class for package errors."""
@@ -120,3 +122,25 @@ def positive_square(name, value):
         raise ConfigError(f"{name} {value} must be positive with a finite, "
                           "nonzero square")
     return value
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only: a fresh buffer that adopted() takes uncopied."""
+    arr.flags.writeable = False
+    return arr
+
+
+def adopted(arr, dtype) -> np.ndarray:
+    """arr if it is a read-only ndarray of dtype that owns its data, taken
+    with no pass; anything else as a frozen copy of dtype."""
+    if (type(arr) is np.ndarray and arr.dtype == dtype
+            and arr.flags.owndata and not arr.flags.writeable):
+        return arr
+    return frozen(np.array(arr, dtype=dtype))
+
+
+def finite_entries(name, arr):
+    """arr, unless an entry is NaN or infinite (one isfinite pass)."""
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name} {arr[~np.isfinite(arr)].flat[0]} must be finite")
+    return arr

@@ -18,12 +18,13 @@ and the illumination are built from their 1-D factors (_Separable), so only
 synthesize_superposition renormalizes a whole grid (_unit_power).
 The readout is separable: only the band of the first-order pinhole is
 Fourier transformed, and purity contracts the 1-D factors of the ideal mode.
-Rotation, the hologram encoding, the PGM levels and both row FFTs of the
-readout work in row blocks; the inverse row FFT runs in place. FieldGrid and
-PhaseMap adopt a read-only array that owns its data, so the producers here
-freeze their fresh buffers. The CLI chain, hologram_readout, streams the
-mask and the modulated field from the 1-D factors of the mode and the
-illumination, so its one complex grid is the output. The magnitudes of the
+The hologram encoding, the PGM levels and both row FFTs of the readout work
+in row blocks, and rotation in square tiles; the inverse row FFT runs in
+place. FieldGrid and PhaseMap adopt a read-only array that owns its data,
+so the producers here freeze their fresh buffers. The CLI chain,
+hologram_readout, streams the mask and the modulated field from the 1-D
+factors of the mode and the illumination, so its one complex grid is the
+output. The magnitudes of the
 factors are even on the symmetric axis, so A_rel and its J1 depth are taken
 on the top-left quadrant only: the rows run in mirror pairs, a block of the
 upper half and then its mirror rows, which reuse the block's depth and
@@ -64,8 +65,11 @@ from .errors import (
     GridMismatchError,
     SeparationError,
     UnreachableAmplitudeError,
+    adopted,
+    finite_entries,
     finite_in,
     finite_positive,
+    frozen,
     positive_square,
 )
 from .modes import ModeIndex, ModeState, hg_factor
@@ -82,7 +86,7 @@ J1_PEAK_X = 1.8411837813406593
 J1_PEAK = 0.5818652242815964
 
 _RENORM_FLOOR = 1e-9
-_BLOCK_SAMPLES = 16384  # per row block: its temporaries stay in cache
+_BLOCK_SAMPLES = 16384  # per row block or tile: its temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -101,11 +105,10 @@ class FieldGrid:
     sigma0: float
 
     def __post_init__(self):
-        arr = _adopted(self.samples,
-                       complex if np.iscomplexobj(self.samples) else float)
-        if arr is not self.samples and not np.isfinite(arr).all():
-            raise ConfigError(f"field sample {arr[~np.isfinite(arr)][0]} "
-                              "must be finite")
+        arr = adopted(self.samples,
+                      complex if np.iscomplexobj(self.samples) else float)
+        if arr is not self.samples:
+            finite_entries("field sample", arr)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigError("samples must be a square 2-D array")
         finite_in("grid side", arr.shape[0], MIN_SIDE, math.inf, ends="[)")
@@ -137,15 +140,6 @@ def _axis(side: int, pitch: float) -> np.ndarray:
     return (np.arange(side) - (side - 1) / 2.0) * pitch
 
 
-def _adopted(arr, dtype) -> np.ndarray:
-    """arr if read-only, owning its data and of dtype; else a frozen copy."""
-    if not (type(arr) is np.ndarray and arr.dtype == dtype
-            and arr.flags.owndata and not arr.flags.writeable):
-        arr = np.array(arr, dtype=dtype)
-        arr.flags.writeable = False
-    return arr
-
-
 def _row_blocks(side: int) -> list:
     """Row slices of about _BLOCK_SAMPLES samples each, the last one partial."""
     rows = max(1, _BLOCK_SAMPLES // side)
@@ -169,11 +163,6 @@ def _pairwise_sum(values, start: int, stop: int) -> float:
             + _pairwise_sum(values, start + half, stop))
 
 
-def _frozen(f: np.ndarray) -> np.ndarray:
-    f.flags.writeable = False  # a fresh buffer: FieldGrid adopts it uncopied
-    return f
-
-
 def _grid_power(f: np.ndarray, pitch: float) -> float:
     """pitch^2 sum |f|^2, summed as np.sum sums the whole grid; each leaf
     squares its abs run in place, so one run is alive at a time."""
@@ -189,7 +178,7 @@ def _grid_power(f: np.ndarray, pitch: float) -> float:
 def _unit_power(f: np.ndarray, pitch: float, name: str) -> np.ndarray:
     power = _grid_power(f, pitch)  # f is fresh: scaled in place
     f /= math.sqrt(finite_positive(f"{name} has power", power))
-    return _frozen(f)
+    return frozen(f)
 
 
 def check_side(side: int) -> int:
@@ -279,7 +268,7 @@ class _Separable:
         f = np.empty((len(self.a), len(self.b)))
         for block in _row_blocks(len(self.a)):
             self.rows(block, out=f[block])
-        return _frozen(f)
+        return frozen(f)
 
 
 def gaussian_illumination(sigma: float, grid_like: FieldGrid) -> FieldGrid:
@@ -298,7 +287,10 @@ def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
     pulled from outside the window are zero. A real grid is resampled into
     a real grid. A complex grid's real and imaginary planes are resampled
     apart with float weights; an imaginary plane that is all zero is
-    skipped and stays +0, as complex weights leave it.
+    skipped and stays +0, as complex weights leave it. The output is
+    walked in square tiles of _BLOCK_SAMPLES samples, each resampled from
+    a copy of its source window that reads zero off the grid, so the call
+    peaks at its output grid plus about 1.4 MiB at any side.
     """
     finite_in("rotation angle", angle, -math.pi / 2.0 - 1e-12,
               math.pi / 2.0 + 1e-12)
@@ -306,42 +298,68 @@ def rotate_field(field: FieldGrid, angle: float) -> FieldGrid:
     c, s = math.cos(angle), math.sin(angle)
     cx, sx, half = c * coords, -s * coords, (side - 1) / 2.0
     samples = field.samples
-    rotated = np.zeros((side, side), dtype=samples.dtype)
-    # a flat zero border two samples wide: indices clipped into it read zero
-    # for both neighbours of a node outside the grid, and one flat index
-    # reads all four neighbours through offset views
-    width = side + 4
-    planes = [(np.pad(samples.real, 2).ravel(), rotated.real)]
+    # np.zeros: a complex grid's skipped all-zero imaginary plane stays +0
+    rotated = (np.zeros if samples.dtype == complex else np.empty)(
+        (side, side), samples.dtype)
+    planes = [(samples.real, rotated.real)]
     if samples.dtype == complex and samples.imag.any():
-        planes.append((np.pad(samples.imag, 2).ravel(), rotated.imag))
-    for b in _row_blocks(side):
-        y = coords[b, None]
-        tc, tr = cx + s * y, sx + c * y
+        planes.append((samples.imag, rotated.imag))
+    tile = math.isqrt(_BLOCK_SAMPLES)
+    # a window spans at most (tile - 1)(|c| + |s|) + 3 samples a side
+    reach = int(tile * (abs(c) + abs(s))) + 4
+    scratch = np.empty(reach * reach)
+
+    def resample(rows, cols):  # one tile: its temporaries die on return
+        y = coords[rows, None]
+        tc, tr = cx[cols] + s * y, sx[cols] + c * y
         for t in (tc, tr):  # fractional source column (x) and row (y)
             t /= pitch
             t += half
         c0, r0 = np.floor(tc), np.floor(tr)
         tc -= c0
         tr -= r0
-        np.clip(r0, -2, side, out=r0)
+        # tc and tr are rounded monotone functions along each tile axis, so
+        # the floors at its corners bound the tile's source window, which
+        # adds the far neighbours and reads zero off the grid
+        bounds = [(int(min(v)), int(max(v)) + 2) for v in (
+            (t[0, 0], t[0, -1], t[-1, 0], t[-1, -1]) for t in (r0, c0))]
+        on_grid = [(min(max(lo, 0), side), min(max(hi, 0), side))
+                   for lo, hi in bounds]
+        (top, bottom), (left, right) = bounds
+        width = right - left
         r0 *= width
-        r0 += np.clip(c0, -2, side, out=c0)
-        r0 += 2 * width + 2
-        k = r0.astype(np.intp)
-        utr, utc = 1 - tr, 1 - tc
+        r0 += c0
+        r0 -= top * width + left
+        k = r0.astype(np.intp)  # flat index into the window
+        utr, utc = np.subtract(1, tr, out=r0), np.subtract(1, tc, out=c0)
         weights = (utr, tc, tr, tr * tc)  # the first three scaled below
         tr *= utc
         tc *= utr
         utr *= utc
-        for padded, out in planes:
-            acc, term = padded.take(k), np.empty_like(utc)
+        window = scratch[:(bottom - top) * width].reshape(-1, width)
+        source = tuple(slice(*ab) for ab in on_grid)
+        target = tuple(slice(a - lo, b - lo)
+                       for (a, b), (lo, _) in zip(on_grid, bounds))
+        term = np.empty_like(utc)
+        for plane, out in planes:
+            if on_grid != bounds:
+                window.fill(0.0)  # the window leaves the grid
+            window[target] = plane[source]
+            # k stays inside the window, so clip only skips take's bounds
+            # check and the copy it buffers for it; window is scratch's head
+            acc = scratch.take(k, mode="clip")
             acc *= weights[0]
             for w, shift in zip(weights[1:], (1, width, width + 1)):
-                padded[shift:].take(k, out=term)
+                scratch[shift:].take(k, out=term, mode="clip")
                 term *= w
                 acc += term
-            out[b] = acc
-    return field.with_samples(_frozen(rotated))
+            out[rows, cols] = acc  # one pass over the output's strided rows
+
+    spans = [slice(start, start + tile) for start in range(0, side, tile)]
+    for rows in spans:
+        for cols in spans:
+            resample(rows, cols)
+    return field.with_samples(frozen(rotated))
 
 
 def overlap(a: FieldGrid, b: FieldGrid) -> complex:
@@ -404,7 +422,7 @@ class PhaseMap:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _adopted(self.values, float)
+        arr = adopted(self.values, float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigError("phase map must be square")
         object.__setattr__(self, "values", _phase_checked(arr))
@@ -467,7 +485,7 @@ def hologram_phase(target: FieldGrid, incident: FieldGrid,
         phi = np.angle(target.samples[b]) - np.angle(incident.samples[b])
         phi += grating
         np.multiply(_depth(out[b], peak), np.sin(phi, out=phi), out=out[b])
-    return PhaseMap(_frozen(out))
+    return PhaseMap(frozen(out))
 
 
 def _transmission(phase: np.ndarray, incident: np.ndarray) -> np.ndarray:
@@ -483,7 +501,7 @@ def modulate(incident: FieldGrid, phase: PhaseMap) -> FieldGrid:
     if phase.side != incident.side:
         raise GridMismatchError("phase map and field sides differ")
     return incident.with_samples(
-        _frozen(_transmission(phase.values, incident.samples)))
+        frozen(_transmission(phase.values, incident.samples)))
 
 
 def _first_order(modulated_rows, order: list, side: int,
@@ -521,7 +539,7 @@ def _first_order(modulated_rows, order: list, side: int,
     power = _grid_power(out, pitch)
     if power >= _RENORM_FLOOR:
         out /= math.sqrt(power)
-    return _frozen(out)
+    return frozen(out)
 
 
 def first_order_extract(modulated: FieldGrid, grating_period: float) -> FieldGrid:
@@ -658,7 +676,7 @@ def read_field_binary(path) -> FieldGrid:
         side, side).astype(complex)
     if not np.all(np.isfinite(samples)):
         raise ValueError("field binary holds samples that are not finite")
-    return FieldGrid(_frozen(samples), pitch, sigma0)
+    return FieldGrid(frozen(samples), pitch, sigma0)
 
 
 def _pgm_header(side: int) -> bytes:

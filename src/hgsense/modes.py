@@ -29,9 +29,12 @@ import numpy as np
 from .errors import (
     ConfigError,
     UnsupportedOrderError,
+    adopted,
     finite,
+    finite_entries,
     finite_in,
     finite_positive,
+    frozen,
     integer,
     positive_square,
 )
@@ -44,7 +47,8 @@ def hermite_eval(order: int, x):
 
     Accepts scalars or arrays. Orders above MAX_HERMITE_ORDER are refused
     rather than silently losing precision; so are a bool or non-integer
-    order and an x that is not finite (one isfinite pass over x).
+    order, an x that is not finite (one isfinite pass over x) and an x
+    whose H_order overflows.
     """
     integer("polynomial order", order)
     finite_in("polynomial order", order, 0, math.inf, ends="[)")
@@ -59,9 +63,14 @@ def hermite_eval(order: int, x):
     h_prev = np.ones_like(arr)
     if order == 0:
         return float(h_prev) if arr.ndim == 0 else h_prev
-    h = 2.0 * arr
-    for k in range(1, order):
-        h, h_prev = 2.0 * arr * h - 2.0 * k * h_prev, h
+    try:
+        with np.errstate(over="raise"):
+            h = 2.0 * arr
+            for k in range(1, order):
+                h, h_prev = 2.0 * arr * h - 2.0 * k * h_prev, h
+    except FloatingPointError:
+        raise ConfigError(f"H_{order}(x) overflows for |x| up to "
+                          f"{np.abs(arr).max()}") from None
     return float(h) if arr.ndim == 0 else h
 
 
@@ -101,7 +110,9 @@ class ModeState:
     """Complex amplitudes over the truncated |m, n> basis.
 
     Amplitudes are stored read-only; normalize() returns a fresh state with
-    unit norm (to 1e-12).
+    unit norm (to 1e-12). A caller's vector is copied and refused if an
+    amplitude is NaN or infinite; a read-only complex vector that owns its
+    data is adopted uncopied, as the producers here and in weak freeze it.
     """
 
     cutoff: int
@@ -110,18 +121,19 @@ class ModeState:
     def __post_init__(self):
         finite_in("cutoff", integer("cutoff", self.cutoff), 0, math.inf,
                   ends="[)")
-        amp = np.array(self.amplitudes, dtype=complex)
+        amp = adopted(self.amplitudes, complex)
+        if amp is not self.amplitudes:
+            finite_entries("amplitude", amp)
         if amp.shape != (basis_dim(self.cutoff),):
             raise ConfigError(
                 f"expected {basis_dim(self.cutoff)} amplitudes, got {amp.shape}")
-        amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
     @classmethod
     def basis(cls, cutoff: int, m: int, n: int) -> "ModeState":
         amp = np.zeros(basis_dim(cutoff), dtype=complex)
         amp[flat_index(m, n, cutoff)] = 1.0
-        state, shells = cls(cutoff, amp), np.array([m + n])
+        state, shells = cls(cutoff, frozen(amp)), np.array([m + n])
         shells.flags.writeable = False
         state.__dict__["shells"] = shells  # the one shell, kept as found
         return state
@@ -139,8 +151,8 @@ class ModeState:
         return shells
 
     def normalize(self) -> "ModeState":
-        return ModeState(self.cutoff,
-                         self.amplitudes / finite_positive("norm", self.norm))
+        return ModeState(self.cutoff, frozen(
+            self.amplitudes / finite_positive("norm", self.norm)))
 
 
 @dataclass(frozen=True)

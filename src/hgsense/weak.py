@@ -45,6 +45,7 @@ from .errors import (
     finite,
     finite_in,
     finite_positive,
+    frozen,
     positive_square,
 )
 from .modes import (
@@ -324,7 +325,8 @@ def carrier_state(idx: ModeIndex, cutoff: int) -> ModeState:
         raise ConfigError(
             f"cutoff {cutoff} cannot hold the carrier of ({m}, {n})")
     lz_psi = Generator(Coupling.OAM, cutoff).apply(ModeState.basis(cutoff, m, n))
-    return ModeState(cutoff, lz_psi / (1j * math.sqrt(oam_variance(idx))))
+    return ModeState(cutoff,
+                     frozen(lz_psi / (1j * math.sqrt(oam_variance(idx)))))
 
 
 class ExactPointer(NamedTuple):
@@ -367,7 +369,8 @@ def final_pointer_exact(s: WeakScenario) -> ExactPointer:
     the post-selection probability |psi~|^2 (exact within the truncation)."""
     *_, vec, prob = _post_selected_branches(
         s.selection, *s.operator().evolve((s.alpha, -s.alpha), s.pointer))
-    return ExactPointer(ModeState(s.pointer.cutoff, vec / math.sqrt(prob)), prob)
+    return ExactPointer(
+        ModeState(s.pointer.cutoff, frozen(vec / math.sqrt(prob))), prob)
 
 
 def require_density(entries: np.ndarray):

@@ -6,6 +6,7 @@ generator matrix, with no shared code between the two routes.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,9 +231,11 @@ def test_rotation_angle_guard():
         rotate_field(f, -2.0)
 
 
-@pytest.mark.parametrize("side", [128, 129, 257, 512, 1024])
+@pytest.mark.parametrize("side", [128, 129, 257, 300, 512, 1024])
 def test_row_blocked_rotation_is_bitwise_the_fancy_index_route(side):
-    # 129 and 257 leave a partial last row block. A real field is resampled
+    # the rotation walks 128 px square tiles: 129, 257 and 300 leave partial
+    # tiles on both axes, and at 1024 px and pi/4 a corner tile's source
+    # window lies wholly off the grid. A real field is resampled
     # into a real grid whose bytes are the real plane of the fancy-index
     # route on its complex cast, and that route's imaginary plane is all
     # +0. A complex field's planes are resampled apart, so the bytes match
@@ -253,7 +256,7 @@ def test_row_blocked_rotation_is_bitwise_the_fancy_index_route(side):
     negative_zero = mode.with_samples(negative_zero)
     assert np.signbit(negative_zero.samples.imag).all()
     for angle in (0.0, 1e-3, -1e-3, 0.3, math.pi / 4, -math.pi / 4,
-                  math.pi / 2, -math.pi / 2):
+                  math.pi / 2, -math.pi / 2, 1.2):
         extra = (real_noise, one) if angle in (1e-3, 0.3, -math.pi / 2) else ()
         for field in (noise, mode, *extra):
             got = rotate_field(field, angle)
@@ -273,6 +276,25 @@ def test_row_blocked_rotation_is_bitwise_the_fancy_index_route(side):
         assert np.array_equal(got, rotate_field_fancy(negative_zero,
                                                       angle).samples)
         assert not np.signbit(got.imag).any()
+
+
+@pytest.mark.parametrize("side", [512, 1024])
+def test_rotation_peak_is_the_output_grid_plus_tile_buffers(side):
+    # each 128 px tile resamples from a copy of its source window into
+    # tile-sized temporaries, so the peak above the output grid does not
+    # grow with the side: about 1.2-1.4 MiB measured at both sides. A
+    # padded copy of the plane alone would take 2 MiB at 512 px
+    real = synthesize_hg_field(ModeIndex(2, 3), 1.0, side=side)
+    for field in (real, real.with_samples(real.samples * (1 + 0.5j))):
+        for angle in (1e-3, math.pi / 4, math.pi / 2):
+            tracemalloc.start()
+            try:
+                rotate_field(field, angle)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= field.samples.nbytes + 2 * 2 ** 20, (
+                field.samples.dtype, angle, peak)
 
 
 @pytest.mark.parametrize("side", [128, 129, 1024])

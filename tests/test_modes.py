@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import hermite as np_hermite
 
 from hgsense.errors import ConfigError, UnsupportedOrderError
+from hgsense.fields import WINDOW_SIGMA
 from hgsense.modes import (
+    MAX_HERMITE_ORDER,
     ModeIndex,
     ModeState,
     OperatorMatrix,
@@ -24,7 +26,7 @@ from hgsense.modes import (
     second_moment,
     variance,
 )
-from hgsense.weak import Coupling, Generator
+from hgsense.weak import Coupling, Generator, carrier_state
 
 
 @settings(max_examples=80, deadline=None)
@@ -202,6 +204,24 @@ def test_mode_state_immutability_and_normalize():
         state.amplitudes[0] = 7.0
 
 
+def test_mode_state_refuses_non_finite_amplitudes_and_adopts_frozen_ones():
+    # [nan, 0, 0, 0] was accepted, and [inf, 0, 0, 0] with an infinite norm
+    for bad, shown in ((math.nan, "(nan+0j)"), (math.inf, "(inf+0j)"),
+                       (complex(0.0, -math.inf), "-infj")):
+        with pytest.raises(ConfigError) as refused:
+            ModeState(1, [bad, 0.0, 0.0, 0.0])
+        assert str(refused.value) == f"amplitude {shown} must be finite"
+    # a caller's vector is copied; a frozen complex one that owns its data
+    # is taken as it is, as the package's producers hand theirs over
+    vec = np.array([0.6, 0.0, 0.0, 0.8j])
+    assert not np.shares_memory(ModeState(1, vec).amplitudes, vec)
+    vec.flags.writeable = False
+    assert ModeState(1, vec).amplitudes is vec
+    state = ModeState.basis(2, 1, 1)
+    for made in (state, state.normalize(), carrier_state(ModeIndex(1, 1), 2)):
+        assert ModeState(2, made.amplitudes).amplitudes is made.amplitudes
+
+
 def test_shells_are_found_once_read_only_and_set_for_basis_states():
     # a basis state is built with its one shell; any other state finds its
     # shells on first use, sorted and without repeats, and keeps them
@@ -278,3 +298,22 @@ def test_hg_factor_refuses_an_overflowing_scaled_argument():
                     r"at sigma0 1e-150$")):
                 hg_factor(3, 1e-150, x)
         assert math.isfinite(hg_factor(3, 1e-150, 1e-200))
+
+
+def test_hermite_refuses_an_overflowing_recurrence():
+    # H_3(1e200) overflowed with numpy's RuntimeWarning, and without -W
+    # error hg_factor's far sample came back NaN: inf times a zero Gaussian
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, big in ((lambda: hermite_eval(3, 1e200), r"1e\+200"),
+                          (lambda: hg_factor(3, 1.0, [1e200, 1.0]),
+                           r"7.07106781186547\d*e\+199"),
+                          (lambda: hermite_eval(1, [-1e308]), r"1e\+308")):
+            with pytest.raises(ConfigError, match=(
+                    r"^H_\d\(x\) overflows for \|x\| up to " + big + "$")):
+                call()
+        # no window of +-WINDOW_SIGMA sigma0 is refused at the top order
+        for sigma0 in (1e-6, 1.0, 1e6):
+            edge = WINDOW_SIGMA * sigma0
+            x = np.linspace(-edge, edge, 4097)
+            assert np.isfinite(hg_factor(MAX_HERMITE_ORDER, sigma0, x)).all()

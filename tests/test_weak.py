@@ -106,7 +106,14 @@ def test_non_finite_qubit_and_coupling_rejected():
         with pytest.raises(ValueError):
             WeakScenario(alpha, pre, post, PauliAxis.z(), Coupling.OAM,
                          pointer)
-    blank = ModeState(2, np.full(basis_dim(2), nan))
+    blank = np.full(basis_dim(2), nan, dtype=complex)
+    with pytest.raises(ConfigError, match=r"^amplitude \(nan\+0j\) must be "
+                                          r"finite$"):
+        ModeState(2, blank)
+    # a frozen vector that owns its data is adopted unchecked, as the
+    # package's own are: a NaN one still reaches the probability guard
+    blank.flags.writeable = False
+    blank = ModeState(2, blank)
     with pytest.raises(TotalExtinctionError):  # a NaN probability
         final_pointer_exact(WeakScenario(1e-3, pre, post, PauliAxis.z(),
                                          Coupling.OAM, blank))
