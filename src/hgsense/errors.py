@@ -5,6 +5,8 @@ semantics still catch precondition failures. The guards are the one spelling
 of "this value must be finite and in range": each returns the value it
 checked, or raises error (ConfigError unless a caller names a narrower class)
 with a message that gives the value's name, the value and the rule.
+Arrays pass through adopted, which takes a frozen buffer that owns its data
+as it is and copies anything else, and finite_entries checks a copy.
 """
 
 import math
@@ -142,5 +144,6 @@ def adopted(arr, dtype) -> np.ndarray:
 def finite_entries(name, arr):
     """arr, unless an entry is NaN or infinite (one isfinite pass)."""
     if not np.isfinite(arr).all():
-        raise ConfigError(f"{name} {arr[~np.isfinite(arr)].flat[0]} must be finite")
+        raise ConfigError(f"{name} {arr[~np.isfinite(arr)].flat[0]} "
+                          "must be finite")
     return arr
