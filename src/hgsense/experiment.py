@@ -36,6 +36,7 @@ from .errors import (
     finite,
     finite_in,
     finite_positive,
+    integer,
 )
 from .modes import ModeIndex, oam_variance
 from .output import format_cell, write_atomic
@@ -220,8 +221,9 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     demodulated quadrature carries sqrt(2) more Poisson noise than the
     window mean, so per-trial SNR values scatter accordingly.
     """
-    finite_in("trials", trials, 10, MAX_TRIALS)  # 10 for a meaningful average
-    finite_in("seed", seed, 0, math.inf, ends="[)")
+    # 10 trials for a meaningful average
+    finite_in("trials", integer("trials", trials), 10, MAX_TRIALS)
+    finite_in("seed", integer("seed", seed), 0, math.inf, ends="[)")
     cot2 = check_epsilon(epsilon)
     k_var = _check_mode(idx)
     finite_in("rotation", alpha, -noise.dither_rad, noise.dither_rad,

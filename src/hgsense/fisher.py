@@ -3,12 +3,14 @@
 Routes: a numeric one (finite-difference Fisher information of any state
 family), the exact post-selected rotation QFI from the closed-form
 derivative of its family, a quadratic weak-coupling one, and closed forms
-for special cases. All evolve the pointer through the one weak.Generator
-kernel, so they cross-check approximations, not evolution code. Sweeps over
-(pre, post) pairs share invariants: weak_fisher forms a pair's selection
-factor 4 |dM_w/dg|^2 once for all pointer variances, and the exact QFI
-forms each pair's amplitudes once for all pointers and evolves each pointer
-once for all pairs. Readouts work on the vectors they span: the carrier
+for special cases. All evolve the pointer through weak's one block
+exponential, _evolve_block, so they cross-check approximations, not
+evolution code. Sweeps over (pre, post) pairs share invariants: weak_fisher
+forms a pair's selection factor 4 |dM_w/dg|^2 once for all pointer
+variances, and the exact QFI forms each pair's amplitudes once for all
+pointers and evolves each pointer once for all pairs on its Lz shell block
+(its vdots stay on the full layout, whose bits the bounds CSV holds).
+Readouts work on the vectors they span: the carrier
 readout, the paper's final projective measurement, is the two-outcome
 CarrierReadout {|c><c|, 1 - |c><c|}, and the dephased-monitor SLD is solved
 on the branch plane, with sld_solve on the full truncated basis as the
@@ -52,6 +54,7 @@ from .weak import (
     QubitState,
     WeakScenario,
     _coupling_eig,
+    _evolve_block,
     _post_selected_branches,
     _selection_amplitudes,
     monitor_branches,
@@ -324,22 +327,25 @@ def qfi_rotation_exact_selections(pairs: Sequence[tuple], axis: PauliAxis,
     + a- exp(+i alpha Lz)|m, n> (as in final_pointer_exact) has
     d phi/d alpha = -i Lz (a+ exp(-i alpha Lz) - a- exp(+i alpha Lz))|m, n>,
     so F = 4 (<dphi|dphi> / <phi|phi> - |<phi|dphi>|^2 / <phi|phi>^2) needs
-    no stencil. Each pair's a+- are formed once, each pointer evolves once
-    at +-alpha, and Lz applies to each branch difference through the memo
-    entry of the shell m + n, read once per pointer. Raises
-    TotalExtinctionError where final_pointer_exact does."""
+    no stencil. Each pair's a+- are formed once; each pointer's column, row
+    m of its shell's memo block at cutoff m + n, evolves once at +-alpha
+    through weak._evolve_block and Lz applies to each branch difference.
+    The vdots run on the full layout: on shell vectors they change bits.
+    Raises TotalExtinctionError where final_pointer_exact does."""
     finite("alpha", alpha)
     amplitudes = [_selection_amplitudes(pre, post, axis)
                   for pre, post in pairs]
+    alphas, peak = np.array((alpha, -alpha), dtype=float), abs(float(alpha))
     out = []
     for idx in indices:
-        shell = idx.total
-        fwd, bwd = Generator(Coupling.OAM, shell).evolve(
-            (alpha, -alpha), ModeState.basis(shell, idx.m, idx.n))
-        block, *_, flat = _coupling_eig(Coupling.OAM, shell, shell, None)
+        shell = idx.total  # the cutoff too: row m of the block is |m, n>
+        block, w, v, flat = _coupling_eig(Coupling.OAM, shell, shell, None)
+        unit = np.eye(shell + 1, 1, -idx.m, dtype=complex)  # 1 at row m
+        branches = np.zeros((2, (shell + 1) ** 2), dtype=complex)
+        branches[:, flat] = _evolve_block(w, v, unit, alphas, peak)
         row = []
         for amps in amplitudes:
-            plus, minus, phi, norm2 = _post_selected_branches(amps, fwd, bwd)
+            plus, minus, phi, norm2 = _post_selected_branches(amps, *branches)
             dphi = np.zeros(phi.shape, dtype=complex)
             dphi[flat] = -1j * (block @ (plus - minus)[flat])
             overlap = np.vdot(phi, dphi)

@@ -16,9 +16,10 @@ tridiagonal Lz block per shell m + n, or one px block along the m axis.
 _coupling_eig memoizes each block with its eigh pair and the flat basis
 indices of its rows, keyed by the coupling, the cutoff and the shell (Lz) or
 sigma0 (px), least recently used out past _EIG_CACHE_SIZE = 128 entries;
-apply reads the block, evolve the pair, and both gather and scatter through
-the indices. A k-row key holds 32 k^2 + 16 k bytes, k <= cutoff + 1: at most
-4.0 MB up to cutoff 30, 68 MB at cutoff 128 (HG(64, 64) in its own shell).
+apply reads the block and evolve the pair through _evolve_block, the one
+exponential (fisher's exact sweep calls it too), both via the indices. A
+k-row key holds 32 k^2 + 16 k bytes, k <= cutoff + 1: at most 4.0 MB up to
+cutoff 30, 68 MB at cutoff 128 (HG(64, 64) in its own shell).
 What a frozen input fixes is built once and kept, read-only: a QubitState's
 vector (32 bytes), a PauliAxis's matrix (64 bytes), a ModeState's occupied
 Lz shells (8 bytes each) and a WeakScenario's selection amplitudes.
@@ -46,6 +47,7 @@ from .errors import (
     finite_in,
     finite_positive,
     frozen,
+    integer,
     positive_square,
 )
 from .modes import (
@@ -227,7 +229,8 @@ class Generator:
     def __post_init__(self):
         if not isinstance(self.coupling, Coupling):
             raise ValueError(f"unknown coupling {self.coupling!r}")
-        finite_in("cutoff", self.cutoff, 0, math.inf, ends="[)")
+        finite_in("cutoff", integer("cutoff", self.cutoff), 0, math.inf,
+                  ends="[)")
         positive_square("sigma0", self.sigma0)
 
     def _flat(self, state: ModeState | np.ndarray) -> np.ndarray:
@@ -261,19 +264,27 @@ class Generator:
         return out
 
     def evolve(self, alphas, state: ModeState) -> np.ndarray:
-        """exp(-i alpha Omega) |state> for each alpha, one flat row per alpha;
-        ConfigError where a phase alpha w overflows."""
+        """exp(-i alpha Omega) |state> for each alpha (a scalar or 1-D), one
+        flat row per alpha; ConfigError where a phase alpha w overflows."""
         x = self._flat(state)
         alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+        if alphas.ndim != 1:
+            raise ConfigError(f"alphas shape {alphas.shape} is not 0-D or 1-D")
         peak = float(abs(alphas).max(initial=0.0))  # NaN propagates
         out = np.zeros((len(alphas), x.size), dtype=complex)
         for (_, w, v, _), index in self._blocks(state, x):
-            if not math.isfinite(peak * max(-w[0], w[-1]).item()):  # w sorted
-                raise ConfigError(f"alpha {peak} times a generator eigenvalue "
-                                  f"in [{w[0]}, {w[-1]}] is not finite")
-            phases = np.exp(-1j * np.multiply.outer(alphas, w))[:, :, None]
-            out[:, index] = v @ (phases * (v.conj().T @ x[index]))
+            out[:, index] = _evolve_block(w, v, x[index], alphas, peak)
         return out
+
+
+def _evolve_block(w, v, column, alphas, peak: float) -> np.ndarray:
+    """exp(-i alpha B) column per alpha, shape (alphas, k, 1), from the eigh
+    pair (w, v) of block B; ConfigError where peak |alpha| w overflows."""
+    if not math.isfinite(peak * max(-w[0], w[-1]).item()):  # w sorted
+        raise ConfigError(f"alpha {peak} times a generator eigenvalue "
+                          f"in [{w[0]}, {w[-1]}] is not finite")
+    phases = np.exp(-1j * np.multiply.outer(alphas, w))[:, :, None]
+    return v @ (phases * (v.conj().T @ column))
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,27 @@ def test_montecarlo_guards():
     assert huge.seed == 10 ** 400 and len(huge.samples) == 10
 
 
+def test_montecarlo_refuses_non_integer_seed_and_trials(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("generator seeded before the integer guard")
+
+    # a float or bool count is refused before any draw, as the CLI's ints
+    # never are
+    monkeypatch.setattr(experiment.np.random, "default_rng", no_draw)
+    for kwargs, text in (({"seed": 1.5}, "seed 1.5"),
+                         ({"seed": True}, "seed True"),
+                         ({"seed": 2.0}, "seed 2.0"),
+                         ({"trials": 12.0}, "trials 12.0"),
+                         ({"trials": True}, "trials True")):
+        with pytest.raises(ConfigError, match=f"{text} must be an integer"):
+            montecarlo_lockin(MODE, EPSILON, 1e-6, PhotonBudget(),
+                              NoiseModel(), **kwargs)
+    monkeypatch.undo()
+    run = montecarlo_lockin(MODE, EPSILON, 1e-6, PhotonBudget(), NoiseModel(),
+                            seed=np.int64(3), trials=np.int64(10))
+    assert run.seed == 3 and len(run.samples) == 10
+
+
 def test_montecarlo_rejects_nan_rotation_and_oversized_trials(monkeypatch):
     with pytest.raises(ExpansionInvalidError, match="finite"):
         montecarlo_lockin(MODE, EPSILON, math.nan, PhotonBudget(),

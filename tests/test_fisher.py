@@ -3,8 +3,8 @@
 Everything that matters is computed at least twice: finite differences
 against closed forms, classical readouts against the quantum ceiling, the
 SLD pipeline against the rank-2 closed form. Pointer evolution itself has
-one implementation, weak.Generator, pinned against the dense matrices in
-test_weak and here against a Wigner small-d (Jacobi polynomial) oracle,
+one implementation, weak._evolve_block behind Generator.evolve and the
+exact QFI sweep, pinned against the dense matrices in test_weak and here against a Wigner small-d (Jacobi polynomial) oracle,
 which also gives the exact rotation QFI in closed form, and against the
 displacement (Laguerre polynomial) oracle of the momentum coupling. Dense
 POVMs are computed on the test side, in reference.dense_cfi.
@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hgsense import fisher
+from hgsense import fisher, weak
 from hgsense.errors import (
     ConfigError,
     DegeneratePostSelectionError,
@@ -563,12 +563,13 @@ def test_rotation_qfi_shares_the_extinction_guard(monkeypatch):
                         ModeState.basis(1, 1, 0))
     assert final_pointer_exact(near).success_prob == pytest.approx(
         math.sin(1e-8) ** 2, rel=1e-6)
-    # a basis pointer cannot underflow the norm; a kernel returning NaN
-    # branches must stop both routes at the same guard
-    monkeypatch.setattr(
-        Generator, "evolve",
-        lambda self, alphas, state: np.full((2, basis_dim(self.cutoff)),
-                                            np.nan, dtype=complex))
+    # a basis pointer cannot underflow the norm; a block kernel returning
+    # NaN branches must stop both routes at the same guard
+    def nan_block(w, v, column, alphas, peak):
+        return np.full((len(alphas), *column.shape), np.nan, dtype=complex)
+
+    for namespace in (weak, fisher):  # each module that binds the kernel
+        monkeypatch.setattr(namespace, "_evolve_block", nan_block)
     pre, post = post_selected_pair(0.1)
     s = WeakScenario(1e-3, pre, post, PauliAxis.z(), Coupling.OAM,
                      ModeState.basis(2, 1, 1))

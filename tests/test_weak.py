@@ -325,6 +325,22 @@ def test_generator_matches_dense_oracle():
         Generator("oam", 3)
 
 
+def test_generator_refuses_a_non_integer_cutoff_and_2d_alphas():
+    # as ModeState does: a float or bool cutoff fails at construction with
+    # ConfigError, not later in evolve with a bare numpy error
+    for bad in (2.5, 2.0, True, np.float64(2.0)):
+        with pytest.raises(ConfigError, match=f"cutoff {bad} must be an "
+                                              "integer"):
+            Generator(Coupling.OAM, bad)
+    assert Generator(Coupling.OAM, np.int64(2)).cutoff == 2
+    gen, pointer = Generator(Coupling.OAM, 2), ModeState.basis(2, 1, 1)
+    with pytest.raises(ConfigError, match=r"alphas shape \(2, 1\) is not "
+                                          "0-D or 1-D"):
+        gen.evolve([[0.1], [-0.1]], pointer)
+    assert np.array_equal(gen.evolve(0.1, pointer),
+                          gen.evolve((0.1,), pointer))
+
+
 def test_apply_on_flat_amplitudes_is_bitwise_the_mode_state_one():
     # flat amplitudes, as the exact rotation QFI passes its branch
     # differences, give the bits of the same amplitudes in a ModeState
@@ -409,6 +425,15 @@ def test_evolve_refuses_a_phase_that_overflows():
                                          Coupling.OAM, pointer))
     with pytest.raises(ConfigError, match="alpha 1e\\+308 times"):
         qfi_rotation_exact(pre, post, PauliAxis.z(), 1e308, ModeIndex(2, 2))
+    # the exact sweep evolves on its shell block with evolve's guard text,
+    # which the bounds CLI's --alpha-rad 1e308 refusal prints
+    with pytest.raises(ConfigError) as want:
+        Generator(Coupling.OAM, 6).evolve((1e308, -1e308),
+                                          ModeState.basis(6, 3, 3))
+    with pytest.raises(ConfigError) as got:
+        qfi_rotation_exact_selections([(pre, post)], PauliAxis.z(), 1e308,
+                                      [ModeIndex(3, 3)])
+    assert str(got.value) == str(want.value)
     # a phase that stays finite evolves, however large
     rows = Generator(Coupling.OAM, 2).evolve((1e300, -1e300), pointer)
     assert np.all(np.isfinite(rows))
