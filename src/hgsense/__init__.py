@@ -45,7 +45,6 @@ from .fields import (
     first_order_extract,
     gaussian_illumination,
     hologram_phase,
-    j1_inverse,
     mode_purity,
     modulate,
     overlap,

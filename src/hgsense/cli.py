@@ -12,8 +12,8 @@ montecarlo  photon-counting lock-in simulation, per-trial SNR samples
 hologram    phase-only hologram for a target mode plus the simulated
             first-order readout
 
-Parse failures, domain precondition failures, unwritable outputs and
-running out of memory exit with status 2 and a one-line message on stderr;
+Parse failures, domain precondition failures, unwritable outputs, running
+out of memory and warnings raised as errors exit 2 with one stderr line;
 the directory of every --out and --config-out is checked before any work.
 Files go through output.write_atomic; stdout gets the same text a file
 would.
@@ -93,14 +93,16 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _budget(args) -> PhotonBudget:
-    budget = PhotonBudget(power=args.power_w, integration=args.tau_s,
-                          wavelength=args.wavelength_m)
+    """--photons sets the power the run uses, and only the power used meets
+    the saturation check; --power-w must still be finite and positive."""
+    power = finite_positive("power", args.power_w)
     if args.photons is not None:
         photons = finite_positive("--photons", args.photons)
-        power = photons * budget.photon_energy / budget.integration
-        budget = PhotonBudget(power=power, integration=args.tau_s,
-                              wavelength=args.wavelength_m)
-    return budget
+        # window and wavelength checked, as a budget does, below saturation
+        window = PhotonBudget(DEFAULT_POWER_W, args.tau_s, args.wavelength_m)
+        power = photons * window.photon_energy / window.integration
+    return PhotonBudget(power=power, integration=args.tau_s,
+                        wavelength=args.wavelength_m)
 
 
 def _budget_keys(epsilon: float, budget: PhotonBudget) -> dict:
@@ -375,6 +377,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: {args.command} ran out of memory: {exc}",
               file=sys.stderr)
+        return 2
+    except Warning as exc:  # raised only where warnings are errors (-W error)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

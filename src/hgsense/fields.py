@@ -222,7 +222,7 @@ def synthesize_superposition(state: ModeState, sigma0: float,
     amp = state.amplitudes.reshape(state.cutoff + 1, state.cutoff + 1)
     orders = np.flatnonzero(np.any(amp != 0, axis=0) | np.any(amp != 0, axis=1))
     if len(orders) == 0:
-        raise ValueError("zero superposition")
+        raise ConfigError("zero superposition")
     pitch, axis = _window(side, sigma0)
     phi = np.array([hg_factor(int(k), sigma0, axis) for k in orders])
     amp = amp[np.ix_(orders, orders)]
@@ -380,15 +380,6 @@ def mode_purity(field: FieldGrid, idx: ModeIndex) -> float:
     return float(amp ** 2 / (np.vdot(fy, fy).real * np.vdot(fx, fx).real))
 
 
-def j1_inverse(target: float) -> float:
-    """Depth f with J1(f) = target on the rising branch [0, J1_PEAK_X].
-
-    One series evaluation; targets outside [0, J1_PEAK] are unreachable.
-    """
-    finite_in("amplitude", target, 0.0, J1_PEAK, UnreachableAmplitudeError)
-    return float(_j1_inverse_array(np.array([target]))[0])
-
-
 # The depth is analytic in sqrt(J1_PEAK - t) on the whole branch, peak
 # included: one degree-24 Chebyshev interpolant in y = 2 sqrt(1 - t / J1_PEAK)
 # - 1 covers it, and its power-basis coefficients (lowest order first) sum to
@@ -407,6 +398,8 @@ _J1_INVERSE_POLY = (
 
 
 def _j1_inverse_array(targets: np.ndarray) -> np.ndarray:
+    """Depth f with J1(f) = t on the rising branch [0, J1_PEAK_X] per target
+    t in [0, J1_PEAK], which the caller keeps: one series evaluation."""
     y = 2.0 * np.sqrt(1.0 - targets / J1_PEAK) - 1.0  # a row block at most
     depth = np.full_like(y, _J1_INVERSE_POLY[-1])
     for a in _J1_INVERSE_POLY[-2::-1]:  # Horner in place
@@ -660,22 +653,22 @@ def read_field_binary(path) -> FieldGrid:
     with open(path, "rb") as handle:
         raw = handle.read()
     if len(raw) < _FGRD_HEADER.size:
-        raise ValueError("not a version-1 field binary")
+        raise ConfigError("not a version-1 field binary")
     magic, version, side, pitch, sigma0, wavelength, z = _FGRD_HEADER.unpack_from(raw)
     if magic != b"FGRD" or version != 1:
-        raise ValueError("not a version-1 field binary")
+        raise ConfigError("not a version-1 field binary")
     finite_positive("wavelength", wavelength)
     if z != 0.0:
-        raise ValueError(f"field binary at z = {z}, not at the waist z = 0")
+        raise ConfigError(f"field binary at z = {z}, not at the waist z = 0")
     want = side * side * 16
     if len(raw) - _FGRD_HEADER.size != want:
-        raise ValueError(
+        raise ConfigError(
             f"payload of {len(raw) - _FGRD_HEADER.size} bytes; a {side} x "
             f"{side} grid needs {want}")
     samples = np.frombuffer(raw, "<c16", offset=_FGRD_HEADER.size).reshape(
         side, side).astype(complex)
     if not np.all(np.isfinite(samples)):
-        raise ValueError("field binary holds samples that are not finite")
+        raise ConfigError("field binary holds samples that are not finite")
     return FieldGrid(frozen(samples), pitch, sigma0)
 
 

@@ -13,8 +13,8 @@ pointers and evolves each pointer once for all pairs on its Lz shell block
 Readouts work on the vectors they span: the carrier
 readout, the paper's final projective measurement, is the two-outcome
 CarrierReadout {|c><c|, 1 - |c><c|}, and the dephased-monitor SLD is solved
-on the branch plane, with sld_solve on the full truncated basis as the
-reference.
+on the branch plane, with sld_solve on plain matrices of the full truncated
+basis (weak.qubit_monitor_channel's density matrix) as the reference.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InvalidStateError,
     NoSensitivityError,
     SmallProbabilityWarning,
@@ -36,19 +37,12 @@ from .errors import (
     finite,
     finite_in,
     finite_positive,
+    frozen,
 )
-from .modes import (
-    ModeIndex,
-    ModeState,
-    OperatorMatrix,
-    oam_variance,
-    second_moment,
-    variance,
-)
+from .modes import ModeIndex, ModeState, oam_variance, second_moment, variance
 from .output import write_atomic
 from .weak import (
     Coupling,
-    DensityMatrix,
     Generator,
     PauliAxis,
     QubitState,
@@ -181,7 +175,7 @@ class CarrierReadout:
     def probabilities(self, state: ModeState) -> np.ndarray:
         """The two outcome probabilities (p, |psi|^2 - p) for state."""
         if state.cutoff != self.carrier.cutoff:
-            raise ValueError("readout and state truncations differ")
+            raise ConfigError("readout and state truncations differ")
         psi = state.amplitudes
         p = abs(np.vdot(self.carrier.amplitudes, psi)) ** 2
         return np.array([p, float(np.real(np.vdot(psi, psi))) - p])
@@ -260,16 +254,19 @@ def _sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     return 0.5 * (l_mat + l_mat.conj().T)  # scrub round-off asymmetry
 
 
-def sld_solve(rho: DensityMatrix, drho: np.ndarray) -> OperatorMatrix:
-    """Symmetric logarithmic derivative L with rho L + L rho = 2 drho: the
-    dense reference on the full truncated basis, which qfi_mixed_monitor
-    solves on the branch plane."""
+def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
+    """Symmetric logarithmic derivative L with rho L + L rho = 2 drho, read-
+    only: the dense reference on the full truncated basis, which
+    qfi_mixed_monitor solves on the branch plane. rho must pass
+    require_density."""
+    rho = np.asarray(rho, dtype=complex)
+    require_density(rho)
     d = np.asarray(drho, dtype=complex)
-    if d.shape != rho.entries.shape:
+    if d.shape != rho.shape:
         raise InvalidStateError("derivative shape differs from the state")
     if np.max(np.abs(d - d.conj().T)) > 1e-10:
         raise InvalidStateError("derivative matrix not Hermitian")
-    return OperatorMatrix(rho.cutoff, _sld(rho.entries, d), hermitian=True)
+    return frozen(_sld(rho, d))
 
 
 def qfi_mixed_monitor(qubit: QubitState, alpha: float, pointer: ModeState) -> float:

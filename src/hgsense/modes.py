@@ -10,10 +10,11 @@ divmod(index, cutoff + 1) gives (m, n) back.
 Raising past the cutoff discards the raised amplitude; matrices are exact
 on the interior block m, n <= cutoff - 1.
 
-The dense matrices here (ladder_matrices, lz_matrix, momentum_matrix_x) are
-built from one 1-D lowering matrix by Kronecker products. They are not
-exported from the package: they are the small-cutoff reference that tests
-pin the block kernel weak.Generator against, which does the evolution. Nor
+The one operator type on this basis is the block kernel weak.Generator,
+which second_moment and variance read. The dense matrices here
+(ladder_matrices, lz_matrix, momentum_matrix_x) are read-only arrays, not
+exported from the package, built from one 1-D lowering matrix by Kronecker
+products: the small-cutoff reference that tests pin the kernel against. Nor
 is hg_wavefunction, the product of two one-axis hg_factor terms.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,6 +39,9 @@ from .errors import (
     integer,
     positive_square,
 )
+
+if TYPE_CHECKING:
+    from .weak import Generator
 
 MAX_HERMITE_ORDER = 64
 
@@ -155,45 +159,13 @@ class ModeState:
             self.amplitudes / finite_positive("norm", self.norm)))
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense operator on the truncated basis, same flat-index order."""
-
-    cutoff: int
-    entries: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        ent = np.array(self.entries, dtype=complex)
-        dim = basis_dim(self.cutoff)
-        if ent.shape != (dim, dim):
-            raise ValueError(f"expected {dim}x{dim} entries, got {ent.shape}")
-        if self.hermitian:
-            dev = np.max(np.abs(ent - ent.conj().T))
-            if dev > 1e-12:
-                raise ValueError(f"matrix not Hermitian (deviation {dev:.3e})")
-        ent.flags.writeable = False
-        object.__setattr__(self, "entries", ent)
-
-    def apply(self, state: ModeState) -> np.ndarray:
-        if state.cutoff != self.cutoff:
-            raise ValueError("operator and state truncations differ")
-        return self.entries @ state.amplitudes
-
-
-class StateOperator(Protocol):
-    """Maps a state to op|state>: OperatorMatrix or weak.Generator."""
-
-    def apply(self, state: ModeState) -> np.ndarray: ...
-
-
-def second_moment(op: StateOperator, state: ModeState) -> float:
+def second_moment(op: Generator, state: ModeState) -> float:
     """<state| op^dagger op |state>; equals <op^2> for Hermitian op."""
     v = op.apply(state)
     return finite("second moment", float(np.real(np.vdot(v, v))))
 
 
-def variance(op: StateOperator, state: ModeState) -> float:
+def variance(op: Generator, state: ModeState) -> float:
     """<op^dagger op> - |<op>|^2, both moments from one op.apply."""
     v = op.apply(state)
     mu = complex(np.vdot(state.amplitudes, v))
@@ -240,15 +212,9 @@ def hg_wavefunction(idx: ModeIndex, sigma0: float, x, y):
     return hg_factor(idx.m, sigma0, x) * hg_factor(idx.n, sigma0, y)
 
 
-class LadderOps(NamedTuple):
-    ax: OperatorMatrix
-    ax_dag: OperatorMatrix
-    ay: OperatorMatrix
-    ay_dag: OperatorMatrix
-
-
-def ladder_matrices(cutoff: int) -> LadderOps:
-    """Truncated ladder operators for both transverse axes.
+def ladder_matrices(cutoff: int) -> tuple[np.ndarray, ...]:
+    """Truncated ladder operators (ax, ax_dag, ay, ay_dag) for both
+    transverse axes, as read-only complex matrices.
 
     ax = a (x) 1 and ay = 1 (x) a from the one-axis lowering matrix a with
     <k-1|a|k> = sqrt(k), so ax |m, n> = sqrt(m) |m-1, n> and
@@ -259,29 +225,25 @@ def ladder_matrices(cutoff: int) -> LadderOps:
     a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
     eye = np.eye(cutoff + 1)
     ax, ay = np.kron(a, eye), np.kron(eye, a)
-    return LadderOps(*(OperatorMatrix(cutoff, op)
-                       for op in (ax, ax.T, ay, ay.T)))
+    return tuple(frozen(op.astype(complex)) for op in (ax, ax.T, ay, ay.T))
 
 
-def lz_matrix(cutoff: int) -> OperatorMatrix:
+def lz_matrix(cutoff: int) -> np.ndarray:
     """Orbital angular momentum i(ax ay_dag - ax_dag ay) on the truncated basis.
 
     Hermitian everywhere; the action on boundary modes m = cutoff or
     n = cutoff loses the raised component, so moment checks should stay on
     the interior block.
     """
-    ops = ladder_matrices(cutoff)
-    lz = 1j * (ops.ax.entries @ ops.ay_dag.entries
-               - ops.ax_dag.entries @ ops.ay.entries)
-    return OperatorMatrix(cutoff, lz, hermitian=True)
+    ax, ax_dag, ay, ay_dag = ladder_matrices(cutoff)
+    return frozen(1j * (ax @ ay_dag - ax_dag @ ay))
 
 
-def momentum_matrix_x(cutoff: int, sigma0: float) -> OperatorMatrix:
+def momentum_matrix_x(cutoff: int, sigma0: float) -> np.ndarray:
     """Transverse momentum px = -i (ax - ax_dag) / (2 sigma0)."""
     positive_square("sigma0", sigma0)
-    ops = ladder_matrices(cutoff)
-    px = -1j * (ops.ax.entries - ops.ax_dag.entries) / (2.0 * sigma0)
-    return OperatorMatrix(cutoff, px, hermitian=True)
+    ax, ax_dag, _, _ = ladder_matrices(cutoff)
+    return frozen(-1j * (ax - ax_dag) / (2.0 * sigma0))
 
 
 def oam_variance(idx: ModeIndex) -> float:

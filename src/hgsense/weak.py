@@ -11,8 +11,8 @@ on the pointer. A selection pair has one reader, _brackets (<f|i> and
 <f|M|i>): the weak value A_w = <f|A|i> / <f|i>, the Pauli weak values of
 fisher.weak_fisher and the branch amplitudes <f|P+-|i> are built on it.
 
-Omega is applied and exponentiated by one block kernel, Generator: one
-tridiagonal Lz block per shell m + n, or one px block along the m axis.
+Omega is applied to a ModeState and exponentiated by one block kernel,
+Generator: one tridiagonal Lz block per shell m + n, or one px block on m.
 _coupling_eig memoizes each block with its eigh pair and the flat basis
 indices of its rows, keyed by the coupling, the cutoff and the shell (Lz) or
 sigma0 (px), least recently used out past _EIG_CACHE_SIZE = 128 entries;
@@ -22,7 +22,8 @@ k-row key holds 32 k^2 + 16 k bytes, k <= cutoff + 1: at most 4.0 MB up to
 cutoff 30, 68 MB at cutoff 128 (HG(64, 64) in its own shell).
 What a frozen input fixes is built once and kept, read-only: a QubitState's
 vector (32 bytes), a PauliAxis's matrix (64 bytes), a ModeState's occupied
-Lz shells (8 bytes each) and a WeakScenario's selection amplitudes.
+Lz shells (8 bytes each) and a WeakScenario's selection amplitudes. The
+dense references coupling_matrix and qubit_monitor_channel return arrays.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ from .errors import (
 from .modes import (
     ModeIndex,
     ModeState,
-    OperatorMatrix,
-    basis_dim,
     lz_matrix,
     momentum_matrix_x,
     oam_variance,
@@ -179,12 +178,12 @@ class Coupling(Enum):
     MOMENTUM_X = "momentum_x"  # beam displacement, generator px
 
 
-def coupling_matrix(coupling: Coupling, cutoff: int, sigma0: float = 1.0) -> OperatorMatrix:
+def coupling_matrix(coupling: Coupling, cutoff: int, sigma0: float = 1.0) -> np.ndarray:
     if coupling is Coupling.OAM:
         return lz_matrix(cutoff)
     if coupling is Coupling.MOMENTUM_X:
         return momentum_matrix_x(cutoff, sigma0)
-    raise ValueError(f"unknown coupling {coupling!r}")
+    raise ConfigError(f"unknown coupling {coupling!r}")
 
 
 def _tridiagonal(upper: np.ndarray) -> np.ndarray:
@@ -220,7 +219,8 @@ class Generator:
     (exactly the truncation of lz_matrix). MOMENTUM_X: px = p (x) 1, one
     (cutoff + 1)-square block along m, <j-1|p|j> = -i sqrt(j) / (2 sigma0).
     Only the blocks a state has support on are read, each with its flat
-    indices from the memo, and none is larger than (cutoff + 1)-square."""
+    indices from the memo, and none is larger than (cutoff + 1)-square.
+    ConfigError refuses a state that is not a ModeState of the cutoff."""
 
     coupling: Coupling
     cutoff: int
@@ -228,38 +228,38 @@ class Generator:
 
     def __post_init__(self):
         if not isinstance(self.coupling, Coupling):
-            raise ValueError(f"unknown coupling {self.coupling!r}")
+            raise ConfigError(f"unknown coupling {self.coupling!r}")
         finite_in("cutoff", integer("cutoff", self.cutoff), 0, math.inf,
                   ends="[)")
         positive_square("sigma0", self.sigma0)
 
-    def _flat(self, state: ModeState | np.ndarray) -> np.ndarray:
-        if isinstance(state, ModeState):
-            if state.cutoff != self.cutoff:
-                raise ValueError("operator and state truncations differ")
-            state = state.amplitudes
-        return state.reshape(basis_dim(self.cutoff))
+    def _flat(self, state: ModeState) -> np.ndarray:
+        """The amplitudes of state, a ModeState of this cutoff."""
+        if not isinstance(state, ModeState):
+            raise ConfigError(f"generator takes a ModeState, not a "
+                              f"{type(state).__name__}")
+        if state.cutoff != self.cutoff:
+            raise ConfigError(f"operator and state truncations differ: "
+                              f"cutoff {self.cutoff} and {state.cutoff}")
+        return state.amplitudes
 
-    def _blocks(self, state: ModeState | np.ndarray, x: np.ndarray):
-        """Yield (memo entry, flat indices) per block the state, of flat
-        amplitudes x, has support on; a ModeState keeps its Lz shells."""
+    def _blocks(self, state: ModeState):
+        """Yield (memo entry, flat indices) per block the state has support
+        on: its Lz shells, or the columns n of its p block."""
         if self.coupling is Coupling.MOMENTUM_X:
             entry = _coupling_eig(self.coupling, self.cutoff, None, self.sigma0)
-            grid = x.reshape(self.cutoff + 1, self.cutoff + 1)
+            grid = state.amplitudes.reshape(self.cutoff + 1, self.cutoff + 1)
             yield entry, entry[3] + np.flatnonzero(np.any(grid != 0, axis=0))
             return
-        if not isinstance(state, ModeState):  # its shells are found per call
-            state = ModeState(self.cutoff, x)
         for s in state.shells:
             entry = _coupling_eig(self.coupling, self.cutoff, int(s), None)
             yield entry, entry[3]
 
-    def apply(self, state: ModeState | np.ndarray) -> np.ndarray:
-        """Omega |state> as a flat amplitude vector; state is a ModeState or
-        its flat amplitudes."""
+    def apply(self, state: ModeState) -> np.ndarray:
+        """Omega |state> as a flat amplitude vector."""
         x = self._flat(state)
-        out = np.zeros(x.shape, dtype=complex)  # real amplitudes too
-        for (block, *_), index in self._blocks(state, x):
+        out = np.zeros(x.shape, dtype=complex)
+        for (block, *_), index in self._blocks(state):
             out[index] = block @ x[index]
         return out
 
@@ -272,7 +272,7 @@ class Generator:
             raise ConfigError(f"alphas shape {alphas.shape} is not 0-D or 1-D")
         peak = float(abs(alphas).max(initial=0.0))  # NaN propagates
         out = np.zeros((len(alphas), x.size), dtype=complex)
-        for (_, w, v, _), index in self._blocks(state, x):
+        for (_, w, v, _), index in self._blocks(state):
             out[:, index] = _evolve_block(w, v, x[index], alphas, peak)
         return out
 
@@ -400,27 +400,6 @@ def require_density(entries: np.ndarray):
         raise InvalidStateError("density matrix not positive semidefinite") from None
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Pointer density operator; validated by require_density."""
-
-    cutoff: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        ent = np.array(self.entries, dtype=complex)
-        dim = basis_dim(self.cutoff)
-        if ent.shape != (dim, dim):
-            raise InvalidStateError(
-                f"expected {dim}x{dim} entries, got {ent.shape}")
-        require_density(ent)
-        ent.flags.writeable = False
-        object.__setattr__(self, "entries", ent)
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.entries @ self.entries)))
-
-
 def monitor_branches(alpha: float,
                      pointer: ModeState) -> tuple[np.ndarray, np.ndarray]:
     """Pointer branches exp(-+ i alpha Lz)|psi_i> tagged by the qubit basis."""
@@ -429,8 +408,8 @@ def monitor_branches(alpha: float,
 
 
 def qubit_monitor_channel(qubit: QubitState, alpha: float,
-                          pointer: ModeState) -> DensityMatrix:
-    """Pointer state after the qubit which-path record is traced out.
+                          pointer: ModeState) -> np.ndarray:
+    """Read-only pointer density matrix once the qubit record is traced out.
 
     The monitor couples through rotation (Lz). With qubit weights
     cos^2(theta/2), sin^2(theta/2) the pointer dephases into a rank-<=2
@@ -439,4 +418,5 @@ def qubit_monitor_channel(qubit: QubitState, alpha: float,
     fwd, bwd = monitor_branches(alpha, pointer)
     w0, w1 = abs(qubit.c0) ** 2, abs(qubit.c1) ** 2
     rho = w0 * np.outer(fwd, fwd.conj()) + w1 * np.outer(bwd, bwd.conj())
-    return DensityMatrix(pointer.cutoff, rho)
+    require_density(rho)
+    return frozen(rho)

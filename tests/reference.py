@@ -1,23 +1,24 @@
 """Reference routes that live beside the tests, not in the package.
 
-The package computes every readout on the vectors it spans (the
-two-outcome fisher.CarrierReadout) and on the bands and 1-D factors of
-separable fields, resamples rotated fields and encodes and writes holograms
-in row blocks, memoizes each generator block's eigendecomposition and
-evaluates each stencil point once, and streams the hologram chain from
-the 1-D mode factors. The helpers here take dense operator matrices, full
-2-D transforms, full 2-D mode grids, whole-grid fancy indexing and
-whole-grid temporaries, a fresh eigendecomposition per call
-and the nine-evaluation stencil instead, so a test can check the structured
-route against the textbook one. final_pointer_first_order is the first-order
-post-selected pointer that the tests hold against the exact evolution; no
-package route uses it. apply_uncached and evolve_uncached build each block
-on the call, find a state's Lz shells by a search of its 2-D grid and gather
-and scatter by 2-D fancy indices; the package reads each block and its flat
-indices from a memo. qfi_rotation_exact_selections_per_order is the exact
-rotation QFI as one call per pointer on those two, checking every selection
-pair through a WeakScenario; the package forms each pair's amplitudes once
-per sweep and applies Lz through the known shell's memo entry, and a test
+The package computes every readout on the vectors it spans (the two-outcome
+fisher.CarrierReadout) and on the bands and 1-D factors of separable
+fields, resamples rotated fields and encodes and writes holograms in row
+blocks, memoizes each generator block's eigendecomposition and evaluates
+each stencil point once, and streams the hologram chain from the 1-D mode
+factors. The helpers here take dense matrices as plain arrays (a POVM's
+elements, or modes.lz_matrix and its kin for dense_variance), full 2-D
+transforms, full 2-D mode grids, whole-grid fancy indexing and whole-grid
+temporaries, a fresh eigendecomposition per call and the nine-evaluation
+stencil instead, so a test can check the structured route against the
+textbook one. final_pointer_first_order is the first-order post-selected
+pointer that the tests hold against the exact evolution; no package route
+uses it. apply_uncached and evolve_uncached build each block on the call,
+find a state's Lz shells by a search of its 2-D grid and gather and scatter
+by 2-D fancy indices; the package reads each block and its flat indices
+from a memo. qfi_rotation_exact_selections_per_order is the exact rotation
+QFI as one call per pointer on those two, checking every selection pair
+through a WeakScenario; the package forms each pair's amplitudes once per
+sweep and applies Lz through the known shell's memo entry, and a test
 requires the same floats bit for bit. final_pointer_exact_uncached forms a
 scenario's selection amplitudes on each call and evolves through
 evolve_uncached; the package reads the amplitudes its WeakScenario formed
@@ -149,17 +150,15 @@ def _blocks_uncached(gen: Generator, x: np.ndarray) -> list:
     return blocks
 
 
-def _grid_of(gen: Generator, state) -> np.ndarray:
-    if isinstance(state, ModeState):
-        if state.cutoff != gen.cutoff:
-            raise ValueError("operator and state truncations differ")
-        state = state.amplitudes
-    return state.reshape(gen.cutoff + 1, gen.cutoff + 1)
+def _grid_of(gen: Generator, state: ModeState) -> np.ndarray:
+    if state.cutoff != gen.cutoff:
+        raise ValueError("operator and state truncations differ")
+    return state.amplitudes.reshape(gen.cutoff + 1, gen.cutoff + 1)
 
 
-def apply_uncached(gen: Generator, state) -> np.ndarray:
-    """Omega |state> as a flat vector (state a ModeState or its flat
-    amplitudes), gathering and scattering each block by 2-D fancy indices."""
+def apply_uncached(gen: Generator, state: ModeState) -> np.ndarray:
+    """Omega |state> as a flat vector, gathering and scattering each block
+    by 2-D fancy indices."""
     x = _grid_of(gen, state)
     out = np.zeros_like(x)
     for block, (rows, cols) in _blocks_uncached(gen, x):
@@ -178,6 +177,14 @@ def evolve_uncached(gen: Generator, alphas, state: ModeState) -> np.ndarray:
         phases = np.exp(-1j * np.multiply.outer(alphas, w))[:, :, None]
         out[:, rows, cols] = v @ (phases * (v.conj().T @ x[rows, cols]))
     return out.reshape(len(alphas), -1)
+
+
+def dense_variance(matrix: np.ndarray, state: ModeState) -> float:
+    """<M^dagger M> - |<M>|^2 of a dense matrix M on state, the moments that
+    modes.variance forms from a Generator."""
+    v = matrix @ state.amplitudes
+    mu = complex(np.vdot(state.amplitudes, v))
+    return float(np.real(np.vdot(v, v))) - abs(mu) ** 2
 
 
 def stencil_value_nine_calls(fn, reduce, g, step):

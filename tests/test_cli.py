@@ -6,6 +6,8 @@ edits.
 """
 
 import argparse
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -140,6 +142,49 @@ def test_bounds_photon_override(tmp_path):
     assert float(settings["epsilon_rad"]) == pytest.approx(math.radians(5.0))
 
 
+@pytest.mark.parametrize("argv", [
+    ["table2"],
+    ["montecarlo", "--mode", "1,1", "--trials", "10"],
+    ["bounds", "--grid-max", "2", "--sweep-max", "2"],
+])
+def test_power_that_photons_replace_is_not_checked_for_saturation(argv,
+                                                                  tmp_path):
+    # --photons sets the power the run uses (about 9.4e-11 W here), so a
+    # saturating --power-w neither warns nor changes a byte
+    written = []
+    for power in (["--power-w", "1e-6"], []):
+        out = tmp_path / f"run{len(written)}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, *power, "--photons", "4.04e7",
+                         "--out", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_a_warning_raised_as_an_error_is_one_error_line(capsys):
+    argv = ["table2", "--photons", "1e300"]  # a power far past saturation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SaturationWarning: power ")
+    assert captured.err.count("\n") == 1
+    src = os.path.dirname(os.path.dirname(hgsense.__file__))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "hgsense",
+                           *argv], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == captured.err
+    # without -W error the run warns once and succeeds, as it always has
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [w.category for w in caught] == [SaturationWarning]
+
+
 def test_montecarlo_stdout(capsys):
     assert main(["montecarlo", "--mode", "1,1", "--trials", "10",
                  "--seed", "5"]) == 0
@@ -197,6 +242,22 @@ def test_import_loads_no_scipy():
                          check=True, capture_output=True, text=True,
                          timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_every_traced_name_resolves_to_a_package_callable():
+    # the bench tracer wraps hgsense functions by module and name; a name
+    # deleted from the package breaks its traced runs. tracer.py imports
+    # only the stdlib at module level
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = tracer.function_names()
+    assert names
+    missing = [name for name in names if not callable(getattr(
+        importlib.import_module("hgsense." + name.split(".")[0]),
+        name.split(".")[1], None))]
+    assert missing == []
 
 
 def test_montecarlo_rejects_bad_modes(capsys):

@@ -9,6 +9,7 @@ an HgSenseError.
 
 import dataclasses
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -26,7 +27,13 @@ from hgsense.errors import (
     positive_square,
 )
 from hgsense.experiment import DriveCalibration, NoiseModel, PhotonBudget
-from hgsense.fields import FieldGrid, PhaseMap
+from hgsense.fields import (
+    FieldGrid,
+    PhaseMap,
+    read_field_binary,
+    synthesize_superposition,
+)
+from hgsense.fisher import carrier_projection_povm
 from hgsense.modes import (
     ModeIndex,
     ModeState,
@@ -40,6 +47,7 @@ from hgsense.weak import (
     QubitState,
     WeakScenario,
     carrier_state,
+    coupling_matrix,
     post_selected_pair,
 )
 
@@ -67,19 +75,50 @@ def test_guards_return_the_value_or_name_it_in_the_error():
             positive_square("sigma0", bad)
 
 
+def _fgrd(version=1, side=1, z=0.0) -> bytes:
+    """An FGRD header: pitch 0.1, sigma0 1 and wavelength 780 nm."""
+    return struct.pack("<4sII4d", b"FGRD", version, side, 0.1, 1.0, 780e-9, z)
+
+
+def _read_fgrd(tmp_path, raw: bytes):
+    path = tmp_path / "field.fgrd"
+    path.write_bytes(raw)
+    return read_field_binary(path)
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: ModeState(1, np.zeros(3)), "expected 4 amplitudes, got (3,)"),
-    (lambda: ModeState.basis(2, 3, 0), "(3, 0) outside basis with cutoff 2"),
-    (lambda: carrier_state(ModeIndex(3, 3), 2),
+    (lambda _: ModeState(1, np.zeros(3)), "expected 4 amplitudes, got (3,)"),
+    (lambda _: ModeState.basis(2, 3, 0),
+     "(3, 0) outside basis with cutoff 2"),
+    (lambda _: carrier_state(ModeIndex(3, 3), 2),
      "cutoff 2 cannot hold the carrier of (3, 3)"),
-    (lambda: FieldGrid(np.zeros((128, 129)), 0.1, 1.0),
+    (lambda _: FieldGrid(np.zeros((128, 129)), 0.1, 1.0),
      "samples must be a square 2-D array"),
-    (lambda: PhaseMap(np.zeros((4, 5))), "phase map must be square"),
+    (lambda _: PhaseMap(np.zeros((4, 5))), "phase map must be square"),
+    (lambda _: synthesize_superposition(ModeState(1, np.zeros(4)), 1.0),
+     "zero superposition"),
+    (lambda tmp: _read_fgrd(tmp, b"FGRD"), "not a version-1 field binary"),
+    (lambda tmp: _read_fgrd(tmp, _fgrd(version=2)),
+     "not a version-1 field binary"),
+    (lambda tmp: _read_fgrd(tmp, _fgrd(z=1.0)),
+     "field binary at z = 1.0, not at the waist z = 0"),
+    (lambda tmp: _read_fgrd(tmp, _fgrd(side=2)),
+     "payload of 0 bytes; a 2 x 2 grid needs 64"),
+    (lambda tmp: _read_fgrd(tmp, _fgrd() + np.array([np.nan], "<c16")
+                            .tobytes()),
+     "field binary holds samples that are not finite"),
+    (lambda _: carrier_projection_povm(carrier_state(ModeIndex(1, 1), 2))
+     .probabilities(ModeState.basis(3, 1, 1)),
+     "readout and state truncations differ"),
+    (lambda _: coupling_matrix("oam", 2), "unknown coupling 'oam'"),
+    (lambda _: Generator("oam", 2), "unknown coupling 'oam'"),
 ], ids=["amplitude-count", "flat-index", "carrier-cutoff", "field-grid-shape",
-        "phase-map-shape"])
-def test_shape_and_basis_refusals_are_package_errors(call, message):
+        "phase-map-shape", "zero-superposition", "fgrd-short", "fgrd-version",
+        "fgrd-off-waist", "fgrd-payload", "fgrd-not-finite",
+        "readout-cutoff", "coupling-matrix", "generator-coupling"])
+def test_shape_and_basis_refusals_are_package_errors(call, message, tmp_path):
     with pytest.raises(HgSenseError) as refused:
-        call()
+        call(tmp_path)
     assert str(refused.value) == message
     assert isinstance(refused.value, ValueError)  # as before, for callers
 
