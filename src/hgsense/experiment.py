@@ -95,7 +95,7 @@ class PhotonBudget:
             warnings.warn(
                 f"power {self.power:.3g} W exceeds detector saturation "
                 f"{DETECTOR_SATURATION_W:.3g} W",
-                SaturationWarning, stacklevel=2)
+                SaturationWarning, stacklevel=3)
 
     @property
     def photon_energy(self) -> float:

@@ -221,7 +221,7 @@ def ladder_matrices(cutoff: int) -> tuple[np.ndarray, ...]:
     ax_dag |m, n> = sqrt(m+1) |m+1, n> while m + 1 <= cutoff; amplitude
     raised out of the basis is discarded.
     """
-    finite_in("cutoff", cutoff, 0, math.inf, ends="[)")
+    finite_in("cutoff", integer("cutoff", cutoff), 0, math.inf, ends="[)")
     a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
     eye = np.eye(cutoff + 1)
     ax, ay = np.kron(a, eye), np.kron(eye, a)

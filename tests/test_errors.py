@@ -38,6 +38,9 @@ from hgsense.modes import (
     ModeIndex,
     ModeState,
     basis_dim,
+    ladder_matrices,
+    lz_matrix,
+    momentum_matrix_x,
     momentum_variance_x,
 )
 from hgsense.weak import (
@@ -112,10 +115,17 @@ def _read_fgrd(tmp_path, raw: bytes):
      "readout and state truncations differ"),
     (lambda _: coupling_matrix("oam", 2), "unknown coupling 'oam'"),
     (lambda _: Generator("oam", 2), "unknown coupling 'oam'"),
+    (lambda _: ladder_matrices(2.5), "cutoff 2.5 must be an integer"),
+    (lambda _: momentum_matrix_x(2.5, 1.0), "cutoff 2.5 must be an integer"),
+    (lambda _: coupling_matrix(Coupling.OAM, 2.5),
+     "cutoff 2.5 must be an integer"),
+    (lambda _: lz_matrix(True), "cutoff True must be an integer"),
 ], ids=["amplitude-count", "flat-index", "carrier-cutoff", "field-grid-shape",
         "phase-map-shape", "zero-superposition", "fgrd-short", "fgrd-version",
         "fgrd-off-waist", "fgrd-payload", "fgrd-not-finite",
-        "readout-cutoff", "coupling-matrix", "generator-coupling"])
+        "readout-cutoff", "coupling-matrix", "generator-coupling",
+        "ladder-cutoff", "momentum-cutoff", "coupling-cutoff",
+        "lz-bool-cutoff"])
 def test_shape_and_basis_refusals_are_package_errors(call, message, tmp_path):
     with pytest.raises(HgSenseError) as refused:
         call(tmp_path)

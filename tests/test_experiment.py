@@ -65,8 +65,10 @@ def test_budget_guards_and_saturation():
     with pytest.raises(ConfigError,
                        match="photons inf must be finite and positive"):
         PhotonBudget(power=1e300)
-    with pytest.warns(SaturationWarning):
+    with pytest.warns(SaturationWarning) as record:
         PhotonBudget(power=2e-9)
+    # named at the caller, not in the dataclass-generated __init__ (<string>)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_noise_and_calibration_guards():
