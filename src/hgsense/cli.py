@@ -42,6 +42,8 @@ from .experiment import (
     DEFAULT_POWER_W,
     DEFAULT_ROTATION_PER_VOLT,
     DEFAULT_WAVELENGTH_M,
+    LIGHT_SPEED,
+    PLANCK,
     DriveCalibration,
     NoiseModel,
     PhotonBudget,
@@ -94,15 +96,27 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _budget(args) -> PhotonBudget:
     """--photons sets the power the run uses, and only the power used meets
-    the saturation check; --power-w must still be finite and positive."""
+    the saturation check; --power-w must still be finite and positive. A
+    budget that is refused names the flags it was built from."""
     power = finite_positive("power", args.power_w)
-    if args.photons is not None:
-        photons = finite_positive("--photons", args.photons)
-        # window and wavelength checked, as a budget does, below saturation
-        window = PhotonBudget(DEFAULT_POWER_W, args.tau_s, args.wavelength_m)
-        power = photons * window.photon_energy / window.integration
-    return PhotonBudget(power=power, integration=args.tau_s,
-                        wavelength=args.wavelength_m)
+    try:
+        if args.photons is not None:
+            photons = finite_positive("photons", args.photons)
+            # window and wavelength checked as a budget checks them
+            energy = finite_positive("photon_energy", PLANCK * LIGHT_SPEED
+                                     / finite_positive("wavelength",
+                                                       args.wavelength_m))
+            power = photons * energy / finite_positive("integration",
+                                                       args.tau_s)
+        return PhotonBudget(power=power, integration=args.tau_s,
+                            wavelength=args.wavelength_m)
+    except ConfigError as exc:
+        given = ("--power-w", args.power_w) if args.photons is None else (
+            "--photons", args.photons)
+        flags = ", ".join(f"{flag} {value!r}" for flag, value in (
+            given, ("--tau-s", args.tau_s),
+            ("--wavelength-m", args.wavelength_m)))
+        raise ConfigError(f"{flags}: {exc}") from None
 
 
 def _budget_keys(epsilon: float, budget: PhotonBudget) -> dict:
@@ -155,9 +169,10 @@ def cmd_bounds(args) -> int:
     ModeIndex(1, min(args.grid_max, MAX_HERMITE_ORDER + 1))
     exact = qfi_rotation_exact_selections(
         breakdown, PauliAxis.z(), alpha_breakdown, sweep)
+    photons = budget.photons
     rows = [_bound_row("projective", "carrier-povm", "oam", epsilon, m, n,
                        "alpha", 4.0 * cot2 * oam_variance(_Orders(m, n))
-                       * budget.photons)
+                       * photons)
             for m in range(1, args.grid_max + 1)
             for n in range(1, args.grid_max + 1)]
 

@@ -78,10 +78,17 @@ REFERENCE_SHOT_LEVEL_V = {
 }
 
 
+# Fewest detected photons per integration window a budget may give: the
+# lock-in model's noise is the Poisson spread of a photon count, which says
+# nothing about a window that detects less than one photon.
+MIN_PHOTONS = 1.0
+
+
 @dataclass(frozen=True)
 class PhotonBudget:
     """Detected optical power, integration window and wavelength; the photon
-    energy and the photons per window they give must be finite and positive."""
+    energy they give must be finite and positive, and the photons per window
+    finite and at least MIN_PHOTONS."""
 
     power: float = DEFAULT_POWER_W
     integration: float = DEFAULT_INTEGRATION_S
@@ -91,6 +98,8 @@ class PhotonBudget:
         for name in ("power", "integration", "wavelength", "photon_energy",
                      "photons"):  # in this order: each derives from those before
             finite_positive(name, getattr(self, name))
+        finite_in("detected photons per window", self.photons, MIN_PHOTONS,
+                  math.inf, ends="[)")
         if self.power > DETECTOR_SATURATION_W:
             warnings.warn(
                 f"power {self.power:.3g} W exceeds detector saturation "

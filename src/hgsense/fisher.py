@@ -126,7 +126,7 @@ def qfi_pure_numeric(state_fn: Callable[[float], ModeState], g: float,
 
     def qfi(dpsi: np.ndarray) -> float:
         overlap = np.vdot(psi, dpsi)
-        return 4.0 * float(np.real(np.vdot(dpsi, dpsi)) - abs(overlap) ** 2)
+        return 4.0 * float(np.vdot(dpsi, dpsi).real - abs(overlap) ** 2)
 
     return _stencil_value(vec, qfi, g, step)
 
@@ -178,7 +178,7 @@ class CarrierReadout:
             raise ConfigError("readout and state truncations differ")
         psi = state.amplitudes
         p = abs(np.vdot(self.carrier.amplitudes, psi)) ** 2
-        return np.array([p, float(np.real(np.vdot(psi, psi))) - p])
+        return np.array([p, np.vdot(psi, psi).real.item() - p])
 
 
 def carrier_projection_povm(carrier: ModeState) -> CarrierReadout:
@@ -295,7 +295,7 @@ def qfi_mixed_closed_form(qubit: QubitState, alpha: float,
     """Closed form 1 - delta^2 with delta = Re <psi_+|psi_->, independent of
     the SLD pipeline: it shares only the branch propagation."""
     fwd, bwd = monitor_branches(alpha, pointer)
-    delta = float(np.real(np.vdot(fwd, bwd)))
+    delta = np.vdot(fwd, bwd).real.item()
     return 1.0 - delta ** 2
 
 
@@ -336,17 +336,18 @@ def qfi_rotation_exact_selections(pairs: Sequence[tuple], axis: PauliAxis,
     out = []
     for idx in indices:
         shell = idx.total  # the cutoff too: row m of the block is |m, n>
-        block, w, v, flat = _coupling_eig(Coupling.OAM, shell, shell, None)
+        entry = _coupling_eig(Coupling.OAM, shell, shell, None)
         unit = np.eye(shell + 1, 1, -idx.m, dtype=complex)  # 1 at row m
         branches = np.zeros((2, (shell + 1) ** 2), dtype=complex)
-        branches[:, flat] = _evolve_block(w, v, unit, alphas, peak)
+        branches[entry.rows] = _evolve_block(entry, unit, alphas, peak)
+        flat = entry.index
         row = []
         for amps in amplitudes:
             plus, minus, phi, norm2 = _post_selected_branches(amps, *branches)
             dphi = np.zeros(phi.shape, dtype=complex)
-            dphi[flat] = -1j * (block @ (plus - minus)[flat])
+            dphi[flat] = -1j * (entry.matrix @ (plus - minus)[flat])
             overlap = np.vdot(phi, dphi)
-            row.append(4.0 * (float(np.real(np.vdot(dphi, dphi))) / norm2
+            row.append(4.0 * (np.vdot(dphi, dphi).real.item() / norm2
                               - abs(overlap) ** 2 / norm2 ** 2))
         out.append(row)
     return out

@@ -13,13 +13,20 @@ fisher.weak_fisher and the branch amplitudes <f|P+-|i> are built on it.
 
 Omega is applied to a ModeState and exponentiated by one block kernel,
 Generator: one tridiagonal Lz block per shell m + n, or one px block on m.
-_coupling_eig memoizes each block with its eigh pair and the flat basis
-indices of its rows, keyed by the coupling, the cutoff and the shell (Lz) or
-sigma0 (px), least recently used out past _EIG_CACHE_SIZE = 128 entries;
-apply reads the block and evolve the pair through _evolve_block, the one
-exponential (fisher's exact sweep calls it too), both via the indices. A
-k-row key holds 32 k^2 + 16 k bytes, k <= cutoff + 1: at most 4.0 MB up to
-cutoff 30, 68 MB at cutoff 128 (HG(64, 64) in its own shell).
+Two bounded memos, least recently used out, hold what a call would
+otherwise rebuild, read-only:
+- _coupling_eig, up to _EIG_CACHE_SIZE = 128 keys of the coupling, the
+  cutoff and the shell (Lz) or sigma0 (px), holds one _Block: the block,
+  its eigh pair, v.conj().T, the extreme |w| for the overflow guard and the
+  flat basis indices of its rows, with the basic slice of an Lz shell's
+  rows. apply reads the block and evolve the rest through _evolve_block,
+  the one exponential (fisher's exact sweep calls it too). A k-row key
+  holds 48 k^2 + 16 k bytes, k <= cutoff + 1: at most 6.0 MB up to cutoff
+  30, 103 MB at cutoff 128 (HG(64, 64) in its own shell).
+- _selection_memo, up to _SELECTION_CACHE_SIZE = 128 keys of the bits of a
+  selection pair's two vectors and axis matrix (a -0.0 is its own key),
+  holds the amplitudes <f|P+-|i>: about 0.45 KB a key with Python's object
+  headers.
 What a frozen input fixes is built once and kept, read-only: a QubitState's
 vector (32 bytes), a PauliAxis's matrix (64 bytes), a ModeState's occupied
 Lz shells (8 bytes each) and a WeakScenario's selection amplitudes. The
@@ -62,6 +69,7 @@ from .modes import (
 ORTHOGONALITY_FLOOR = 1e-12
 WEAK_LIMIT = 0.1  # bound on |alpha A_w| for the first-order expansion
 _EIG_CACHE_SIZE = 128  # entries the block memo keeps, least recent out
+_SELECTION_CACHE_SIZE = 128  # selection triples the amplitude memo keeps
 
 
 @dataclass(frozen=True)
@@ -142,21 +150,22 @@ class PauliAxis:
         return mat
 
 
-def _brackets(pre: QubitState, post: QubitState,
+def _brackets(pre: np.ndarray, post: np.ndarray,
               *mats: np.ndarray) -> tuple[complex, ...]:
-    """(<f|i>, <f|M|i> for each M), refused where the selections are
-    orthogonal: the one reader of a selection pair."""
-    overlap = complex(np.vdot(post.vector, pre.vector))
+    """(<f|i>, <f|M|i> for each M) of the selection vectors pre |i> and
+    post |f>, refused where they are orthogonal: the one reader of a
+    selection pair."""
+    overlap = complex(np.vdot(post, pre))
     if abs(overlap) <= ORTHOGONALITY_FLOOR:
         raise DegeneratePostSelectionError(
             "pre- and post-selection are orthogonal; weak value undefined")
-    bra = post.vector.conj()
-    return (overlap, *(complex(bra @ (mat @ pre.vector)) for mat in mats))
+    bra = post.conj()
+    return (overlap, *(complex(bra @ (mat @ pre)) for mat in mats))
 
 
 def weak_value(pre: QubitState, post: QubitState, axis: PauliAxis) -> complex:
     """<f|A|i> / <f|i> for A = axis observable."""
-    overlap, bra_a_ket = _brackets(pre, post, axis.matrix)
+    overlap, bra_a_ket = _brackets(pre.vector, post.vector, axis.matrix)
     return bra_a_ket / overlap
 
 
@@ -167,7 +176,8 @@ _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def pauli_weak_values(pre: QubitState, post: QubitState) -> tuple[complex, complex, complex]:
     """Weak values of sigma_x, sigma_y, sigma_z for the selection pair."""
-    overlap, *brackets = _brackets(pre, post, _SIGMA_X, _SIGMA_Y, _SIGMA_Z)
+    overlap, *brackets = _brackets(pre.vector, post.vector, _SIGMA_X,
+                                   _SIGMA_Y, _SIGMA_Z)
     return tuple(b / overlap for b in brackets)
 
 
@@ -191,23 +201,46 @@ def _tridiagonal(upper: np.ndarray) -> np.ndarray:
     return np.diag(1j * upper, 1) + np.diag(-1j * upper, -1)
 
 
+class _Block(NamedTuple):
+    """One invariant block of a coupling with what each evolution reads, all
+    read-only: its eigh pair (w ascending), vh = v.conj().T (an F-ordered
+    view), the extreme |w| for the overflow guard, the flat indices of its
+    rows as a column, and for an Lz shell the same rows as the basic slice
+    key of a flat row per alpha (None for the p block)."""
+
+    matrix: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    vh: np.ndarray
+    w_peak: float
+    index: np.ndarray
+    rows: tuple | None
+
+
 @functools.lru_cache(maxsize=_EIG_CACHE_SIZE)
 def _coupling_eig(coupling: Coupling, cutoff: int, shell: int | None,
-                  sigma0: float | None) -> tuple:
-    """Read-only (block, w, v, index): one invariant block of a coupling, its
-    eigh pair and the flat indices of its rows, a column: the Lz block of
+                  sigma0: float | None) -> _Block:
+    """The _Block of one invariant block of a coupling: the Lz block of
     shell (sigma0 None) or the p block of sigma0, its rows taken at n = 0."""
     if coupling is Coupling.MOMENTUM_X:
         m, n = np.arange(cutoff + 1), 0
         block = _tridiagonal(-np.sqrt(m[1:]) / (2.0 * sigma0))
+        rows = None
     else:
-        m = np.arange(max(0, shell - cutoff), min(shell, cutoff) + 1)
+        lo, hi = max(0, shell - cutoff), min(shell, cutoff)  # m's ends
+        m = np.arange(lo, hi + 1)
         n = shell - m  # <m-1|Lz|m> = i sqrt(m (shell - m + 1))
         block = _tridiagonal(np.sqrt(m[1:] * n[:-1]))
-    entry = block, *np.linalg.eigh(block), (m * (cutoff + 1) + n)[:, None]
-    for array in entry:
+        # flat m (cutoff + 1) + n = m cutoff + shell on the shell
+        rows = (slice(None), slice(lo * cutoff + shell,
+                                   hi * cutoff + shell + 1, max(cutoff, 1)),
+                None)
+    w, v = np.linalg.eigh(block)
+    arrays = block, w, v, v.conj(), (m * (cutoff + 1) + n)[:, None]
+    for array in arrays:
         array.flags.writeable = False
-    return entry
+    block, w, v, vc, index = arrays
+    return _Block(block, w, v, vc.T, max(-w[0], w[-1]).item(), index, rows)
 
 
 @dataclass(frozen=True)
@@ -244,47 +277,50 @@ class Generator:
         return state.amplitudes
 
     def _blocks(self, state: ModeState):
-        """Yield (memo entry, flat indices) per block the state has support
-        on: its Lz shells, or the columns n of its p block."""
+        """Yield (memo entry, flat indices, key of those rows in a flat row
+        per alpha) per block the state has support on: its Lz shells, or
+        the columns n of its p block."""
         if self.coupling is Coupling.MOMENTUM_X:
             entry = _coupling_eig(self.coupling, self.cutoff, None, self.sigma0)
             grid = state.amplitudes.reshape(self.cutoff + 1, self.cutoff + 1)
-            yield entry, entry[3] + np.flatnonzero(np.any(grid != 0, axis=0))
+            index = entry.index + np.flatnonzero(np.any(grid != 0, axis=0))
+            yield entry, index, (slice(None), index)
             return
         for s in state.shells:
             entry = _coupling_eig(self.coupling, self.cutoff, int(s), None)
-            yield entry, entry[3]
+            yield entry, entry.index, entry.rows
 
     def apply(self, state: ModeState) -> np.ndarray:
         """Omega |state> as a flat amplitude vector."""
         x = self._flat(state)
         out = np.zeros(x.shape, dtype=complex)
-        for (block, *_), index in self._blocks(state):
-            out[index] = block @ x[index]
+        for entry, index, _ in self._blocks(state):
+            out[index] = entry.matrix @ x[index]
         return out
 
     def evolve(self, alphas, state: ModeState) -> np.ndarray:
         """exp(-i alpha Omega) |state> for each alpha (a scalar or 1-D), one
         flat row per alpha; ConfigError where a phase alpha w overflows."""
         x = self._flat(state)
-        alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+        alphas = np.array(alphas, dtype=float, ndmin=1)
         if alphas.ndim != 1:
             raise ConfigError(f"alphas shape {alphas.shape} is not 0-D or 1-D")
-        peak = float(abs(alphas).max(initial=0.0))  # NaN propagates
+        peak = abs(alphas).max(initial=0.0).item()  # NaN propagates
         out = np.zeros((len(alphas), x.size), dtype=complex)
-        for (_, w, v, _), index in self._blocks(state):
-            out[:, index] = _evolve_block(w, v, x[index], alphas, peak)
+        for entry, index, rows in self._blocks(state):
+            out[rows] = _evolve_block(entry, x[index], alphas, peak)
         return out
 
 
-def _evolve_block(w, v, column, alphas, peak: float) -> np.ndarray:
+def _evolve_block(entry: _Block, column, alphas, peak: float) -> np.ndarray:
     """exp(-i alpha B) column per alpha, shape (alphas, k, 1), from the eigh
-    pair (w, v) of block B; ConfigError where peak |alpha| w overflows."""
-    if not math.isfinite(peak * max(-w[0], w[-1]).item()):  # w sorted
+    pair of the block B of a memo entry; ConfigError where peak |alpha| w
+    overflows."""
+    if not math.isfinite(peak * entry.w_peak):
         raise ConfigError(f"alpha {peak} times a generator eigenvalue "
-                          f"in [{w[0]}, {w[-1]}] is not finite")
-    phases = np.exp(-1j * np.multiply.outer(alphas, w))[:, :, None]
-    return v @ (phases * (v.conj().T @ column))
+                          f"in [{entry.w[0]}, {entry.w[-1]}] is not finite")
+    phases = np.exp(-1j * np.multiply.outer(alphas, entry.w))[:, :, None]
+    return entry.v @ (phases * (entry.vh @ column))
 
 
 @dataclass(frozen=True)
@@ -348,8 +384,19 @@ class ExactPointer(NamedTuple):
 def _selection_amplitudes(pre: QubitState, post: QubitState,
                           axis: PauliAxis) -> tuple[complex, complex]:
     """a+- = <f|P+-|i> = (<f|i> +- <f|A|i>) / 2 over the +-1 projectors of
-    the axis, refused where the selections are orthogonal."""
-    braket, bra_a_ket = _brackets(pre, post, axis.matrix)
+    the axis, refused where the selections are orthogonal: read from a memo
+    keyed on the bits of the two vectors and the axis matrix, so a -0.0 in
+    either is its own key."""
+    return _selection_memo(pre.vector.tobytes(), post.vector.tobytes(),
+                           axis.matrix.tobytes())
+
+
+@functools.lru_cache(maxsize=_SELECTION_CACHE_SIZE)
+def _selection_memo(pre: bytes, post: bytes,
+                    axis: bytes) -> tuple[complex, complex]:
+    braket, bra_a_ket = _brackets(
+        np.frombuffer(pre, dtype=complex), np.frombuffer(post, dtype=complex),
+        np.frombuffer(axis, dtype=complex).reshape(2, 2))
     return 0.5 * (braket + bra_a_ket), 0.5 * (braket - bra_a_ket)
 
 
@@ -365,8 +412,8 @@ def _post_selected_branches(amplitudes: tuple[complex, complex],
     amp_plus, amp_minus = amplitudes
     plus, minus = amp_plus * fwd, amp_minus * bwd
     vec = plus + minus
-    prob = float(np.real(np.vdot(vec, vec)))
-    branches = float(np.real(np.vdot(plus, plus) + np.vdot(minus, minus)))
+    prob = np.vdot(vec, vec).real.item()
+    branches = (np.vdot(plus, plus) + np.vdot(minus, minus)).real.item()
     if not prob >= max(1e-300, ORTHOGONALITY_FLOOR ** 2 * branches):  # NaN too
         raise TotalExtinctionError(
             "post-selected amplitude underflowed or cancelled to round-off")

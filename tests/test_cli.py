@@ -230,6 +230,28 @@ def test_non_finite_photon_budget_exits_2(argv, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["table2", "--power-w", "1e-300"], "--power-w 1e-300"),
+    (["table2", "--photons", "1e-300"], "--photons 1e-300"),
+    (["table2", "--wavelength-m", "5e-324"], "--wavelength-m 5e-324"),
+    (["montecarlo", "--mode", "1,1", "--tau-s", "1e-300", "--trials", "10"],
+     "--tau-s 1e-300"),
+    (["montecarlo", "--mode", "1,1", "--photons", "0.5", "--trials", "10"],
+     "--photons 0.5"),
+])
+def test_budget_below_one_photon_per_window_exits_2(argv, flag, capsys):
+    # finite results outside any physical domain (a minimum detectable
+    # rotation of 1e139 rad and more) are refused, naming the flag and the
+    # photons per window
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert flag in captured.err
+    assert "detected photons per window" in captured.err
+
+
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(hgsense.__file__))
     env = dict(os.environ, PYTHONPATH=src)

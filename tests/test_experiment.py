@@ -71,6 +71,22 @@ def test_budget_guards_and_saturation():
     assert [w.filename for w in record] == [__file__]
 
 
+def test_budget_below_one_photon_per_window_is_refused():
+    # finite and positive, but no photon to count: a vanishing power, window
+    # or wavelength; one photon per window is the least a budget may give
+    for fields in ({"power": 1e-300}, {"integration": 1e-300},
+                   {"wavelength": 5e-324}):
+        with pytest.raises(ConfigError, match="detected photons per window "
+                                              r".* must be finite and lie "
+                                              r"in \[1.0, inf\)"):
+            PhotonBudget(**fields)
+    energy = PhotonBudget().photon_energy
+    power = 2.0 * energy / experiment.DEFAULT_INTEGRATION_S  # two photons
+    assert PhotonBudget(power=power).photons == pytest.approx(2.0)
+    with pytest.raises(ConfigError, match="photons per window 0.5"):
+        PhotonBudget(power=power / 4.0)
+
+
 def test_noise_and_calibration_guards():
     with pytest.raises(ConfigError):
         NoiseModel(dither_rad=0.0)

@@ -563,7 +563,7 @@ def test_rotation_qfi_shares_the_extinction_guard(monkeypatch):
         math.sin(1e-8) ** 2, rel=1e-6)
     # a basis pointer cannot underflow the norm; a block kernel returning
     # NaN branches must stop both routes at the same guard
-    def nan_block(w, v, column, alphas, peak):
+    def nan_block(entry, column, alphas, peak):
         return np.full((len(alphas), *column.shape), np.nan, dtype=complex)
 
     for namespace in (weak, fisher):  # each module that binds the kernel

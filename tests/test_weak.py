@@ -351,6 +351,10 @@ def test_generator_refuses_a_non_integer_cutoff_and_2d_alphas():
         gen.evolve([[0.1], [-0.1]], pointer)
     assert np.array_equal(gen.evolve(0.1, pointer),
                           gen.evolve((0.1,), pointer))
+    # no alpha, no row: an empty evolution keeps the flat width
+    for coupling in Coupling:
+        rows = Generator(coupling, 2).evolve((), pointer)
+        assert rows.shape == (0, basis_dim(2)) and rows.dtype == complex
 
 
 @pytest.mark.parametrize("coupling", list(Coupling))
@@ -440,11 +444,40 @@ def test_block_memo_is_read_only_bounded_and_hit_on_repeat():
     assert (after.hits, after.misses) == (before.hits + 2, before.misses)
     for entry in (weak._coupling_eig(Coupling.OAM, 7, 7, None),
                   weak._coupling_eig(Coupling.MOMENTUM_X, 7, None, 0.7)):
-        assert len(entry) == 4  # block, eigenvalues, eigenvectors, indices
-        for array in entry:
+        # block, eigh pair, v^dagger, extreme |w|, indices, rows' slice key
+        assert len(entry) == 7
+        block, w, v, vh, w_peak, index, rows = entry
+        for array in (block, w, v, vh, index):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
+        assert vh.flags.f_contiguous and np.array_equal(vh, v.conj().T)
+        assert type(w_peak) is float and w_peak == np.abs(w).max()
+    # an Lz shell's slice key reaches the rows of its flat indices, in
+    # order, on the truncated shells too; the p block has none
+    assert entry.rows is None
+    for cutoff, shell in ((7, 7), (7, 12), (7, 14), (0, 0), (1, 2)):
+        lz = weak._coupling_eig(Coupling.OAM, cutoff, shell, None)
+        flat = np.arange(3 * (cutoff + 1) ** 2).reshape(3, -1)
+        assert np.array_equal(flat[lz.rows], flat[:, lz.index])
+    # the selection memo: bounded, hit by equal selections, and keyed on
+    # bits, so a -0.0 imaginary part is a key of its own
+    memo = weak._selection_memo
+    memo.cache_clear()
+    assert memo.cache_info().maxsize == weak._SELECTION_CACHE_SIZE
+    pre, post = post_selected_pair(0.1)
+    twin = QubitState(complex(pre.c0, -0.0), pre.c1)
+    assert twin == pre
+    WeakScenario(1e-3, pre, post, PauliAxis.z(), Coupling.OAM, state)
+    WeakScenario(2e-3, *post_selected_pair(0.1), PauliAxis.z(),
+                 Coupling.OAM, state)
+    WeakScenario(1e-3, twin, post, PauliAxis.z(), Coupling.OAM, state)
+    info = memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+    for k in range(weak._SELECTION_CACHE_SIZE + 1):
+        WeakScenario(1e-3, *post_selected_pair(0.1 + 1e-3 * k),
+                     PauliAxis.z(), Coupling.OAM, state)
+    assert memo.cache_info().currsize == weak._SELECTION_CACHE_SIZE
 
 
 def test_stencil_fisher_routes_read_each_shell_eigh_again():
@@ -508,7 +541,19 @@ def test_cached_selections_and_shells_are_bitwise_the_uncached_route(
             got = fisher(lambda a: family(a).pointer, 1e-3)
             want = fisher(lambda a: uncached(a).pointer, 1e-3)
             assert got.hex() == want.hex(), (family, fisher)
-    pairs = [(pre, post), post_selected_pair(0.3)]
+    # the same pair with -0.0 imaginary parts: equal, with other bits, so
+    # read from its own memo key, and bitwise its uncached route
+    twins = [QubitState(complex(q.c0, -0.0), complex(q.c1, -0.0))
+             for q in (pre, post)]
+    assert twins == [pre, post]
+    assert twins[0].vector.tobytes() != pre.vector.tobytes()
+    for alpha in (1e-3, -0.02, 0.7):
+        s = WeakScenario(alpha, *twins, axis, coupling, pointer)
+        got, want = final_pointer_exact(s), final_pointer_exact_uncached(s)
+        assert (got.pointer.amplitudes.tobytes()
+                == want.pointer.amplitudes.tobytes())
+        assert got.success_prob.hex() == want.success_prob.hex()
+    pairs = [(pre, post), post_selected_pair(0.3), tuple(twins)]
     for indices in ([ModeIndex(m, n)], [ModeIndex(m, n), ModeIndex(2, 2)]):
         got = qfi_rotation_exact_selections(pairs, axis, 0.02, indices)
         assert got == [qfi_rotation_exact_selections_per_order(
