@@ -236,11 +236,11 @@ def _coupling_eig(coupling: Coupling, cutoff: int, shell: int | None,
                                    hi * cutoff + shell + 1, max(cutoff, 1)),
                 None)
     w, v = np.linalg.eigh(block)
-    arrays = block, w, v, v.conj(), (m * (cutoff + 1) + n)[:, None]
-    for array in arrays:
+    entry = _Block(block, w, v, v.conj().T, max(-w[0], w[-1]).item(),
+                   (m * (cutoff + 1) + n)[:, None], rows)
+    for array in (block, w, v, entry.vh, entry.index):
         array.flags.writeable = False
-    block, w, v, vc, index = arrays
-    return _Block(block, w, v, vc.T, max(-w[0], w[-1]).item(), index, rows)
+    return entry
 
 
 @dataclass(frozen=True)
