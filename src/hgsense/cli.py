@@ -30,7 +30,9 @@ from collections import namedtuple
 
 from .errors import (
     ConfigError,
+    ExpansionInvalidError,
     HgSenseError,
+    WeakRegimeError,
     finite,
     finite_in,
     finite_positive,
@@ -111,12 +113,17 @@ def _budget(args) -> PhotonBudget:
         return PhotonBudget(power=power, integration=args.tau_s,
                             wavelength=args.wavelength_m)
     except ConfigError as exc:
-        given = ("--power-w", args.power_w) if args.photons is None else (
-            "--photons", args.photons)
-        flags = ", ".join(f"{flag} {value!r}" for flag, value in (
-            given, ("--tau-s", args.tau_s),
-            ("--wavelength-m", args.wavelength_m)))
-        raise ConfigError(f"{flags}: {exc}") from None
+        raise ConfigError(f"{_budget_flags(args)}: {exc}") from None
+
+
+def _budget_flags(args, *first) -> str:
+    """The flags a budget is built from, after the (flag, value) pairs
+    first, as the text a refusal names them by."""
+    given = ("--power-w", args.power_w) if args.photons is None else (
+        "--photons", args.photons)
+    return ", ".join(f"{flag} {value!r}" for flag, value in (
+        *first, given, ("--tau-s", args.tau_s),
+        ("--wavelength-m", args.wavelength_m)))
 
 
 def _budget_keys(epsilon: float, budget: PhotonBudget) -> dict:
@@ -216,7 +223,11 @@ def cmd_table2(args) -> int:
     epsilon = math.radians(args.epsilon_deg)
     budget = _budget(args)
     cal = _calibration(args)
-    rows = sensitivity_table(epsilon, budget, cal)
+    try:
+        rows = sensitivity_table(epsilon, budget, cal)
+    except (WeakRegimeError, ExpansionInvalidError) as exc:  # first order
+        flags = _budget_flags(args, ("--epsilon-deg", args.epsilon_deg))
+        raise type(exc)(f"{flags}: {exc}") from None
     _emit(args, (table_json if args.format == "json" else table_csv)(rows))
     _maybe_config(args, {**_budget_keys(epsilon, budget),
                          "rotation_per_volt": cal.rotation_per_volt})

@@ -5,8 +5,9 @@ semantics still catch precondition failures. The guards are the one spelling
 of "this value must be finite and in range": each returns the value it
 checked, or raises error (ConfigError unless a caller names a narrower class)
 with a message that gives the value's name, the value and the rule.
-Arrays pass through adopted, which takes a frozen buffer that owns its data
-as it is and copies anything else, and finite_entries checks a copy.
+An array enters a constructor through adopted, which takes a frozen buffer
+of its dtype that owns its data as it is, and copies, freezes and checks
+anything else; frozen is the one place a buffer is made read-only.
 """
 
 import math
@@ -127,23 +128,21 @@ def positive_square(name, value):
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:
-    """arr made read-only: a fresh buffer that adopted() takes uncopied."""
+    """arr made read-only in place: a fresh buffer, which adopted() then
+    takes uncopied, or a view of one."""
     arr.flags.writeable = False
     return arr
 
 
-def adopted(arr, dtype) -> np.ndarray:
+def adopted(name, arr, dtype) -> np.ndarray:
     """arr if it is a read-only ndarray of dtype that owns its data, taken
-    with no pass; anything else as a frozen copy of dtype."""
+    with no pass; anything else as a frozen copy of dtype, unless an entry
+    of the copy is NaN or infinite (one isfinite pass)."""
     if (type(arr) is np.ndarray and arr.dtype == dtype
             and arr.flags.owndata and not arr.flags.writeable):
         return arr
-    return frozen(np.array(arr, dtype=dtype))
-
-
-def finite_entries(name, arr):
-    """arr, unless an entry is NaN or infinite (one isfinite pass)."""
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{name} {arr[~np.isfinite(arr)].flat[0]} "
+    copy = np.array(arr, dtype=dtype)
+    if not np.isfinite(copy).all():
+        raise ConfigError(f"{name} {copy[~np.isfinite(copy)].flat[0]} "
                           "must be finite")
-    return arr
+    return frozen(copy)

@@ -33,13 +33,16 @@ from .errors import (
     ExpansionInvalidError,
     NoSensitivityError,
     SaturationWarning,
+    WeakRegimeError,
     finite,
     finite_in,
     finite_positive,
+    frozen,
     integer,
 )
 from .modes import ModeIndex, oam_variance
 from .output import format_cell, write_atomic
+from .weak import WEAK_LIMIT
 
 PLANCK = 6.62607015e-34
 LIGHT_SPEED = 299792458.0
@@ -80,7 +83,10 @@ REFERENCE_SHOT_LEVEL_V = {
 
 # Fewest detected photons per integration window a budget may give: the
 # lock-in model's noise is the Poisson spread of a photon count, which says
-# nothing about a window that detects less than one photon.
+# nothing about a window that detects less than one photon. A count given
+# per window (the CLI's --photons) reaches the budget as a power and comes
+# back through four roundings of half an ulp each, so a shortfall of up to
+# 2 ulp of MIN_PHOTONS is that rounding and passes.
 MIN_PHOTONS = 1.0
 
 
@@ -88,7 +94,7 @@ MIN_PHOTONS = 1.0
 class PhotonBudget:
     """Detected optical power, integration window and wavelength; the photon
     energy they give must be finite and positive, and the photons per window
-    finite and at least MIN_PHOTONS."""
+    finite and at least MIN_PHOTONS, less 2 ulp of round-trip rounding."""
 
     power: float = DEFAULT_POWER_W
     integration: float = DEFAULT_INTEGRATION_S
@@ -98,8 +104,9 @@ class PhotonBudget:
         for name in ("power", "integration", "wavelength", "photon_energy",
                      "photons"):  # in this order: each derives from those before
             finite_positive(name, getattr(self, name))
-        finite_in("detected photons per window", self.photons, MIN_PHOTONS,
-                  math.inf, ends="[)")
+        if self.photons < MIN_PHOTONS - 2.0 * math.ulp(MIN_PHOTONS):
+            finite_in("detected photons per window", self.photons, MIN_PHOTONS,
+                      math.inf, ends="[)")
         if self.power > DETECTOR_SATURATION_W:
             warnings.warn(
                 f"power {self.power:.3g} W exceeds detector saturation "
@@ -170,7 +177,8 @@ def _check_expansion(alpha: float, dither_rad: float):
     finite("rotation", alpha, ExpansionInvalidError)
     if abs(alpha) > 0.1 * dither_rad:
         raise ExpansionInvalidError(
-            f"rotation {alpha} not small against the dither {dither_rad}")
+            f"rotation {alpha} not small against the dither {dither_rad}: "
+            "|rotation| must be at most 0.1 dither")
 
 
 def demod_signal(idx: ModeIndex, epsilon: float, alpha: float,
@@ -268,9 +276,8 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
         shot_hat = budget.volts_per_rate * math.sqrt(rate_hat / t_dem)
         level = math.hypot(shot_hat, noise.electrical_v)
         samples[k] = v_demod / level if level > 0.0 else 0.0
-    samples.flags.writeable = False
     return LockinResult(float(samples.mean()), float(samples.std(ddof=1)),
-                        samples, seed)
+                        frozen(samples), seed)
 
 
 class ModeSensitivity(NamedTuple):
@@ -287,14 +294,25 @@ def sensitivity_table(epsilon: float,
                       cal: DriveCalibration = DriveCalibration(),
                       ) -> list[ModeSensitivity]:
     """Minimum detectable rotation per benchmarked mode
-    (REFERENCE_DRIVE_SNR1_V), with the measured drive and rotation."""
+    (REFERENCE_DRIVE_SNR1_V), with the measured drive and rotation. A row
+    outside the first-order formula is refused: WeakRegimeError unless
+    |alpha_min cot eps| < WEAK_LIMIT (require_weak_regime's bound, A_w =
+    cot eps), ExpansionInvalidError unless alpha_min <= 0.1
+    DEFAULT_DITHER_RAD (_check_expansion's rule, which montecarlo keeps)."""
     from .fisher import min_detectable_rotation
 
-    check_epsilon(epsilon)
+    cot = math.sqrt(check_epsilon(epsilon))  # A_w of post_selected_pair
     rows = []
     for (m, n), ref_v in REFERENCE_DRIVE_SNR1_V.items():
         alpha_min = min_detectable_rotation(ModeIndex(m, n), epsilon,
                                             budget.photons)
+        try:
+            finite_in("weak-regime |alpha * A_w|", alpha_min * cot, 0.0,
+                      WEAK_LIMIT, WeakRegimeError, "[)")
+            _check_expansion(alpha_min, DEFAULT_DITHER_RAD)
+        except (WeakRegimeError, ExpansionInvalidError) as exc:
+            raise type(exc)(f"mode ({m}, {n}) minimum detectable rotation "
+                            f"{alpha_min!r} rad: {exc}") from None
         rows.append(ModeSensitivity(
             m, n, alpha_min, cal.volts(alpha_min), ref_v, cal.rotation(ref_v)))
     return rows

@@ -67,7 +67,6 @@ from .errors import (
     SeparationError,
     UnreachableAmplitudeError,
     adopted,
-    finite_entries,
     finite_in,
     finite_positive,
     frozen,
@@ -95,10 +94,10 @@ class FieldGrid:
     """Waist-plane field samples on a square symmetric grid: float64 for
     real input, complex128 for complex input, even with a zero imaginary part.
 
-    A caller's array is copied and refused if a sample is NaN or infinite.
-    A read-only array of that dtype that owns its data is adopted with no
-    pass: those are the fresh buffers this module's hot paths freeze, built
-    from checked finite factors or grids.
+    Samples enter through errors.adopted: a caller's array is copied and
+    refused if a sample is NaN or infinite; a read-only array of that dtype
+    that owns its data (a fresh buffer this module's hot paths freeze, built
+    from checked finite factors or grids) is adopted with no pass.
     """
 
     samples: np.ndarray
@@ -106,10 +105,8 @@ class FieldGrid:
     sigma0: float
 
     def __post_init__(self):
-        arr = adopted(self.samples,
+        arr = adopted("field sample", self.samples,
                       complex if np.iscomplexobj(self.samples) else float)
-        if arr is not self.samples:
-            finite_entries("field sample", arr)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigError("samples must be a square 2-D array")
         finite_in("grid side", arr.shape[0], MIN_SIDE, math.inf, ends="[)")
@@ -415,12 +412,15 @@ def _j1_inverse_array(targets: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseMap:
-    """Square phase hologram in radians, each |H| at most pi."""
+    """Square phase hologram in radians, each |H| at most pi. Values enter
+    through errors.adopted: a caller's array is copied and refused if a
+    value is NaN or infinite; hologram_phase's frozen grid is adopted with
+    no pass. Then max H and -min H are checked against pi."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = adopted(self.values, float)
+        arr = adopted("phase", self.values, float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigError("phase map must be square")
         object.__setattr__(self, "values", _phase_checked(arr))

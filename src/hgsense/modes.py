@@ -32,7 +32,6 @@ from .errors import (
     UnsupportedOrderError,
     adopted,
     finite,
-    finite_entries,
     finite_in,
     finite_positive,
     frozen,
@@ -114,9 +113,9 @@ class ModeState:
     """Complex amplitudes over the truncated |m, n> basis.
 
     Amplitudes are stored read-only; normalize() returns a fresh state with
-    unit norm (to 1e-12). A caller's vector is copied and refused if an
-    amplitude is NaN or infinite; a read-only complex vector that owns its
-    data is adopted uncopied, as the producers here and in weak freeze it.
+    unit norm (to 1e-12). Built through errors.adopted: a caller's vector is
+    copied and refused if an amplitude is NaN or infinite; a frozen complex
+    vector that owns its data, as modes and weak make, is taken with no pass.
     """
 
     cutoff: int
@@ -125,9 +124,7 @@ class ModeState:
     def __post_init__(self):
         finite_in("cutoff", integer("cutoff", self.cutoff), 0, math.inf,
                   ends="[)")
-        amp = adopted(self.amplitudes, complex)
-        if amp is not self.amplitudes:
-            finite_entries("amplitude", amp)
+        amp = adopted("amplitude", self.amplitudes, complex)
         if amp.shape != (basis_dim(self.cutoff),):
             raise ConfigError(
                 f"expected {basis_dim(self.cutoff)} amplitudes, got {amp.shape}")
@@ -137,9 +134,8 @@ class ModeState:
     def basis(cls, cutoff: int, m: int, n: int) -> "ModeState":
         amp = np.zeros(basis_dim(cutoff), dtype=complex)
         amp[flat_index(m, n, cutoff)] = 1.0
-        state, shells = cls(cutoff, frozen(amp)), np.array([m + n])
-        shells.flags.writeable = False
-        state.__dict__["shells"] = shells  # the one shell, kept as found
+        state = cls(cutoff, frozen(amp))
+        state.__dict__["shells"] = frozen(np.array([m + n]))  # its one shell
         return state
 
     @property
@@ -150,9 +146,7 @@ class ModeState:
     def shells(self) -> np.ndarray:
         """Sorted shells m + n with amplitude: found once, read-only."""
         m, n = np.divmod(np.flatnonzero(self.amplitudes), self.cutoff + 1)
-        shells = np.flatnonzero(np.bincount(m + n))  # np.unique imports ma
-        shells.flags.writeable = False
-        return shells
+        return frozen(np.flatnonzero(np.bincount(m + n)))  # np.unique imports ma
 
     def normalize(self) -> "ModeState":
         return ModeState(self.cutoff, frozen(

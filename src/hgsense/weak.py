@@ -100,9 +100,7 @@ class QubitState:
 
     @functools.cached_property
     def vector(self) -> np.ndarray:
-        vec = np.array([self.c0, self.c1], dtype=complex)
-        vec.flags.writeable = False
-        return vec
+        return frozen(np.array([self.c0, self.c1], dtype=complex))
 
     @property
     def polar_angle(self) -> float:
@@ -145,9 +143,7 @@ class PauliAxis:
     def matrix(self) -> np.ndarray:
         ct, st = math.cos(self.theta), math.sin(self.theta)
         ep = cmath.exp(1j * self.phi)
-        mat = np.array([[ct, st / ep], [st * ep, -ct]], dtype=complex)
-        mat.flags.writeable = False
-        return mat
+        return frozen(np.array([[ct, st / ep], [st * ep, -ct]], complex))
 
 
 def _brackets(pre: np.ndarray, post: np.ndarray,
@@ -235,12 +231,9 @@ def _coupling_eig(coupling: Coupling, cutoff: int, shell: int | None,
         rows = (slice(None), slice(lo * cutoff + shell,
                                    hi * cutoff + shell + 1, max(cutoff, 1)),
                 None)
-    w, v = np.linalg.eigh(block)
-    entry = _Block(block, w, v, v.conj().T, max(-w[0], w[-1]).item(),
-                   (m * (cutoff + 1) + n)[:, None], rows)
-    for array in (block, w, v, entry.vh, entry.index):
-        array.flags.writeable = False
-    return entry
+    w, v = map(frozen, np.linalg.eigh(frozen(block)))
+    return _Block(block, w, v, frozen(v.conj().T), max(-w[0], w[-1]).item(),
+                  frozen((m * (cutoff + 1) + n)[:, None]), rows)
 
 
 @dataclass(frozen=True)

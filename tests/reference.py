@@ -40,6 +40,7 @@ from hgsense.errors import (
     TotalExtinctionError,
     UnreachableAmplitudeError,
     finite_positive,
+    frozen,
 )
 from hgsense.fields import (
     _RENORM_FLOOR,
@@ -358,7 +359,8 @@ def hologram_phase_whole_grid(target: FieldGrid, incident: FieldGrid,
     depth = _j1_inverse_array(rel)
     phi = np.angle(target.samples) - np.angle(incident.samples)
     phi += 2.0 * math.pi * np.arange(target.side, dtype=float) / grating_period
-    return PhaseMap(np.multiply(depth, np.sin(phi, out=phi), out=phi))
+    # frozen as hologram_phase's grid is, so PhaseMap adopts both unchecked
+    return PhaseMap(frozen(np.multiply(depth, np.sin(phi, out=phi), out=phi)))
 
 
 def write_phase_pgm_whole_grid(path, phase: PhaseMap):

@@ -6,6 +6,7 @@ edits.
 """
 
 import argparse
+import csv
 import importlib
 import importlib.util
 import json
@@ -250,6 +251,44 @@ def test_budget_below_one_photon_per_window_exits_2(argv, flag, capsys):
     assert captured.err.count("\n") == 1
     assert flag in captured.err
     assert "detected photons per window" in captured.err
+
+
+def test_one_photon_per_window_survives_its_round_trip(tmp_path, capsys):
+    # --photons 1 becomes a power, which the budget turns back one ulp short
+    # of one photon at this window: that rounding is not a refusal
+    argv = ["bounds", "--grid-max", "2", "--sweep-max", "2",
+            "--tau-s", "0.13366834170854272", "--out", str(tmp_path / "b.csv"),
+            "--config-out", str(tmp_path / "b.cfg")]
+    assert main(argv + ["--photons", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    assert "photons = 0.9999999999999998\n" in (tmp_path / "b.cfg").read_text()
+    assert main(argv + ["--photons", "0.5"]) == 2
+    assert "detected photons per window 0.49" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["table2", "--photons", "2"], "--epsilon-deg 5.0, --photons 2.0, "),
+    (["table2", "--epsilon-deg", "80", "--photons", "5"],
+     "--epsilon-deg 80.0, --photons 5.0, "),
+    (["table2", "--photons", "20"], "--epsilon-deg 5.0, --photons 20.0, "),
+])
+def test_table2_refuses_a_rotation_outside_the_first_order(argv, flags,
+                                                           capsys):
+    # a finite table row of 0.0155 rad (two photons) or 0.634 rad (80 deg,
+    # five photons) breaks |alpha cot eps| < WEAK_LIMIT; twenty photons give
+    # 0.0049 rad, past 0.1 of the dither depth
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        f"error: {flags}--tau-s 0.10908, --wavelength-m 7.8e-07: mode (1, 1) "
+        "minimum detectable rotation ")
+    assert ("lie in [0.0, 0.1)" in captured.err
+            or "|rotation| must be at most 0.1 dither" in captured.err)
+    # montecarlo's rotation, twice the table's, stays refused too
+    assert main(["montecarlo", "--mode", "1,1", "--photons", "2"]) == 2
+    assert "not small against the dither" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():
@@ -652,8 +691,29 @@ def _float_flags():
             if action.type in (float, cli._parse_float_list)]
 
 
-@pytest.mark.parametrize("value",
-                         ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"])
+def _numeric_rows(text: str):
+    """Each row of a CSV or JSON output, '# key = value' lines included, as
+    a dict of the cells that read as numbers."""
+    if text.startswith("["):
+        rows = json.loads(text)
+    else:
+        lines = text.splitlines()
+        rows = [dict([line[2:].split(" = ")]) for line in lines
+                if line.startswith("# ")]
+        rows += csv.DictReader(line for line in lines
+                               if not line.startswith("# "))
+    for row in rows:
+        numbers = {}
+        for column, cell in row.items():
+            try:
+                numbers[column] = float(cell)
+            except ValueError:  # a label, or an empty angle
+                continue
+        yield numbers
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e-300",
+                                   "1e300", "5e-324"])
 @pytest.mark.parametrize("command, flag", _float_flags())
 def test_every_float_flag_gives_a_finite_run_or_one_error_line(
         command, flag, value, tmp_path, capsys):
@@ -678,3 +738,8 @@ def test_every_float_flag_gives_a_finite_run_or_one_error_line(
     assert all(math.isfinite(float(v)) for v in settings.values()), settings
     if command != "hologram":
         assert "nan" not in out.read_text()
+        # every number is finite but the bound of a zero Fisher information
+        for row in _numeric_rows(out.read_text()):
+            assert all(math.isfinite(v) for k, v in row.items()
+                       if (k, v, row.get("fisher_info")) != (
+                           "variance_bound", math.inf, 0.0)), row

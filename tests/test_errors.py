@@ -21,9 +21,11 @@ from hgsense.errors import (
     HgSenseError,
     SaturationWarning,
     SeparationError,
+    adopted,
     finite,
     finite_in,
     finite_positive,
+    frozen,
     positive_square,
 )
 from hgsense.experiment import DriveCalibration, NoiseModel, PhotonBudget
@@ -76,6 +78,29 @@ def test_guards_return_the_value_or_name_it_in_the_error():
     for bad in (0.0, -1.0, 1e-170, 1e160):  # the square underflows or overflows
         with pytest.raises(ConfigError, match="finite, nonzero square"):
             positive_square("sigma0", bad)
+
+
+def test_adopted_takes_a_frozen_buffer_and_checks_every_copy():
+    mine = frozen(np.array([1.0, math.nan]))  # read-only, owns its data
+    assert adopted("x", mine, float) is mine  # no pass: the NaN stays
+    for copied in (frozen(mine.astype(np.float32)), mine[::-1],
+                   [1.0, math.nan], np.array([1.0, math.nan])):
+        # another dtype, a view, a list and a writeable array are copied
+        with pytest.raises(ConfigError, match=r"^x nan must be finite$"):
+            adopted("x", copied, float)
+    caller = np.array([[3, 1]])
+    got = adopted("x", caller, float)
+    assert got.dtype == float and not got.flags.writeable
+    assert got.flags.owndata and not np.shares_memory(got, caller)
+    # each constructor names its entries by the rule's one spelling
+    for build, shown in ((lambda a: ModeState(0, a[5, 7:8]),
+                          r"amplitude \(nan\+0j\)"),
+                         (lambda a: FieldGrid(a, 0.1, 1.0), "field sample nan"),
+                         (lambda a: PhaseMap(a), "phase nan")):
+        grid = np.zeros((128, 128))
+        grid[5, 7] = math.nan
+        with pytest.raises(ConfigError, match=rf"^{shown} must be finite$"):
+            build(grid)
 
 
 def _fgrd(version=1, side=1, z=0.0) -> bytes:

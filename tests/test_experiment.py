@@ -19,8 +19,12 @@ from hgsense.errors import (
     ExpansionInvalidError,
     NoSensitivityError,
     SaturationWarning,
+    WeakRegimeError,
 )
 from hgsense.experiment import (
+    DEFAULT_DITHER_RAD,
+    LIGHT_SPEED,
+    PLANCK,
     REFERENCE_SHOT_LEVEL_V,
     DriveCalibration,
     ModeSensitivity,
@@ -85,6 +89,28 @@ def test_budget_below_one_photon_per_window_is_refused():
     assert PhotonBudget(power=power).photons == pytest.approx(2.0)
     with pytest.raises(ConfigError, match="photons per window 0.5"):
         PhotonBudget(power=power / 4.0)
+
+
+def test_one_photon_sent_through_the_power_comes_back_as_one():
+    # the CLI's --photons 1 becomes photons * energy / tau, and the budget
+    # turns that back one ulp short at this window: the rounding passes, and
+    # the floor still refuses what lies further below it
+    tau = 0.13366834170854272
+    energy = PLANCK * LIGHT_SPEED / experiment.DEFAULT_WAVELENGTH_M
+    budget = PhotonBudget(power=1.0 * energy / tau, integration=tau)
+    assert budget.photons == 0.9999999999999998
+    for photons in (1.0 - 1e-12, 0.999):
+        with pytest.raises(ConfigError, match=r"photons per window 0.999\d* "
+                                              r"must be finite and lie in "
+                                              r"\[1.0, inf\)$"):
+            PhotonBudget(power=photons * energy / tau, integration=tau)
+    # every budget of one photon per window, at random windows and
+    # wavelengths, survives the round trip
+    rng = np.random.default_rng(20)
+    for tau, wavelength in 10.0 ** rng.uniform((-6, -9), (2, -5), (2000, 2)):
+        energy = PLANCK * LIGHT_SPEED / wavelength
+        PhotonBudget(power=energy / tau, integration=tau,
+                     wavelength=wavelength)
 
 
 def test_noise_and_calibration_guards():
@@ -313,6 +339,27 @@ def test_sensitivity_table_contents():
             row.drive_v_reference * cal.rotation_per_volt, rel=1e-12)
         # model and measured drive voltages agree to a few percent
         assert abs(row.drive_v_model / row.drive_v_reference - 1.0) < 0.03
+
+
+def test_sensitivity_table_refuses_rotations_outside_the_first_order():
+    # |alpha_min cot eps| must stay below WEAK_LIMIT and alpha_min at most
+    # 0.1 of the dither depth, or the first-order formula does not hold
+    two = PhotonBudget(power=2.0 * PhotonBudget().power
+                       / PhotonBudget().photons)
+    with pytest.raises(WeakRegimeError, match=r"^mode \(1, 1\) minimum "
+                       r"detectable rotation 0.0154\d* rad: weak-regime "
+                       r"\|alpha \* A_w\| 0.176\d* must be finite and lie "
+                       r"in \[0.0, 0.1\)$"):
+        sensitivity_table(EPSILON, two)
+    twenty = PhotonBudget(power=10.0 * two.power)
+    assert 0.1 * DEFAULT_DITHER_RAD < min_detectable_rotation(
+        MODE, EPSILON, twenty.photons) < 0.1 * math.tan(EPSILON)
+    with pytest.raises(ExpansionInvalidError, match=r"^mode \(1, 1\) minimum "
+                       r"detectable rotation 0.0048\d* rad: rotation .* not "
+                       "small against the dither 0.0063"):
+        sensitivity_table(EPSILON, twenty)
+    # the defaults lie far inside both bounds
+    assert sensitivity_table(EPSILON)[0].alpha_min_rad < 1e-5
 
 
 def test_table_serialization(tmp_path):
