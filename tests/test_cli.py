@@ -692,16 +692,12 @@ def _float_flags():
 
 
 def _numeric_rows(text: str):
-    """Each row of a CSV or JSON output, '# key = value' lines included, as
-    a dict of the cells that read as numbers."""
-    if text.startswith("["):
-        rows = json.loads(text)
-    else:
-        lines = text.splitlines()
-        rows = [dict([line[2:].split(" = ")]) for line in lines
-                if line.startswith("# ")]
-        rows += csv.DictReader(line for line in lines
-                               if not line.startswith("# "))
+    """Each row of a CSV output, '# key = value' lines included, as a dict
+    of the cells that read as numbers."""
+    lines = text.splitlines()
+    rows = [dict([line[2:].split(" = ")]) for line in lines
+            if line.startswith("# ")]
+    rows += csv.DictReader(line for line in lines if not line.startswith("# "))
     for row in rows:
         numbers = {}
         for column, cell in row.items():
