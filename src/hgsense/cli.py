@@ -71,7 +71,7 @@ from .modes import (
     momentum_variance_x,
     oam_variance,
 )
-from .output import check_writable, format_cell, staged, write_atomic
+from .output import check_writable, format_rows, staged, write_atomic
 from .weak import PauliAxis, QubitState, post_selected_pair
 
 _Orders = namedtuple("_Orders", "m n")  # all the variance closed forms read
@@ -81,7 +81,7 @@ def _parse_mode(text: str) -> ModeIndex:
     try:
         m, n = map(int, text.split(","))
     except ValueError:
-        raise ValueError(f"--mode expects 'm,n', got {text!r}") from None
+        raise ConfigError(f"--mode expects 'm,n', got {text!r}") from None
     return ModeIndex(m, n)
 
 
@@ -150,11 +150,6 @@ def _maybe_config(args, settings: dict):
         write_run_config(args.config_out, settings)
 
 
-def _bound_row(*cells) -> tuple:
-    """A bounds CSV row: seven cells, the Fisher information, the bound."""
-    return cells + (math.inf if cells[-1] == 0.0 else 1.0 / cells[-1],)
-
-
 def cmd_bounds(args) -> int:
     for flag, limit in (("--grid-max", args.grid_max),
                         ("--sweep-max", args.sweep_max)):
@@ -177,9 +172,8 @@ def cmd_bounds(args) -> int:
     exact = qfi_rotation_exact_selections(
         breakdown, PauliAxis.z(), alpha_breakdown, sweep)
     photons = budget.photons
-    rows = [_bound_row("projective", "carrier-povm", "oam", epsilon, m, n,
-                       "alpha", 4.0 * cot2 * oam_variance(_Orders(m, n))
-                       * photons)
+    rows = [("projective", "carrier-povm", "oam", epsilon, m, n, "alpha",
+             4.0 * cot2 * oam_variance(_Orders(m, n)) * photons)
             for m in range(1, args.grid_max + 1)
             for n in range(1, args.grid_max + 1)]
 
@@ -196,8 +190,8 @@ def cmd_bounds(args) -> int:
     fishers = weak_fisher((diag, diag), PauliAxis(math.pi / 4.0, 0.0), 1e-3,
                           tuple(Parameter), variances.values())
     for (label, order), row in zip(variances, fishers):
-        rows += [_bound_row("hamiltonian", "quantum-bound", label, "", order,
-                            order, parameter.value, fisher)
+        rows += [("hamiltonian", "quantum-bound", label, "", order, order,
+                  parameter.value, fisher)
                  for parameter, fisher in zip(Parameter, row)]
 
     for eps_b, pair, by_order in zip(args.breakdown_epsilons, breakdown,
@@ -205,8 +199,8 @@ def cmd_bounds(args) -> int:
         approx = weak_fisher(pair, PauliAxis.z(), alpha_breakdown,
                              (Parameter.ALPHA,),
                              [variances["oam", order] for order in orders])
-        rows += [_bound_row("postselection", method, "oam", eps_b, order,
-                            order, "alpha", fisher)
+        rows += [("postselection", method, "oam", eps_b, order, order,
+                  "alpha", fisher)
                  for order, exact_qfi, (approx_qfi,) in zip(orders, by_order,
                                                             approx)
                  for method, fisher in (("exact", exact_qfi),
@@ -250,17 +244,12 @@ def cmd_montecarlo(args) -> int:
                              noise.dither_rad, noise.electrical_v)
     result = montecarlo_lockin(idx, epsilon, alpha, budget, noise,
                                seed=args.seed, trials=args.trials)
-    lines = [
-        f"# seed = {result.seed}",
-        f"# mode = {idx.m},{idx.n}",
-        f"# alpha_rad = {format_cell(alpha)}",
-        f"# analytic_snr = {format_cell(reference)}",
-        "label,snr",
-    ]
-    lines += [f"trial{k:04d},{format_cell(v)}"
-              for k, v in enumerate(result.samples)]
-    lines.append(f"mean,{format_cell(result.mean_snr)}")
-    lines.append(f"std,{format_cell(result.std_snr)}")
+    header = [("# seed", result.seed), ("# mode", f"{idx.m},{idx.n}"),
+              ("# alpha_rad", alpha), ("# analytic_snr", reference)]
+    trials = [(f"trial{k:04d}", v) for k, v in enumerate(result.samples)]
+    lines = format_rows(header, sep=" = ") + format_rows(
+        [("label", "snr"), *trials, ("mean", result.mean_snr),
+         ("std", result.std_snr)])
     _emit(args, "\n".join(lines) + "\n")
     _maybe_config(args, {
         **_budget_keys(epsilon, budget), "alpha_rad": alpha,

@@ -41,7 +41,7 @@ from .errors import (
     integer,
 )
 from .modes import ModeIndex, oam_variance
-from .output import format_cell, write_atomic
+from .output import format_rows, write_atomic
 from .weak import WEAK_LIMIT
 
 PLANCK = 6.62607015e-34
@@ -319,9 +319,8 @@ def sensitivity_table(epsilon: float,
 
 
 def table_csv(rows: Sequence[ModeSensitivity]) -> str:
-    """The sensitivity table as CSV text, cells by output.format_cell."""
-    lines = [",".join(ModeSensitivity._fields)]
-    lines += [",".join(format_cell(value) for value in row) for row in rows]
+    """The sensitivity table as CSV text, cells by output.format_rows."""
+    lines = [",".join(ModeSensitivity._fields), *format_rows(rows)]
     return "\n".join(lines) + "\n"
 
 

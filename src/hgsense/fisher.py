@@ -40,7 +40,7 @@ from .errors import (
     frozen,
 )
 from .modes import ModeIndex, ModeState, oam_variance, second_moment, variance
-from .output import write_atomic
+from .output import format_rows, write_atomic
 from .weak import (
     Coupling,
     Generator,
@@ -68,6 +68,11 @@ class Parameter(Enum):
     PHI = "phi"
 
 
+def variance_bound(fisher_info: float, n_samples: float = 1.0) -> float:
+    """The Cramer-Rao variance bound 1 / (N F); inf at zero information."""
+    return math.inf if fisher_info == 0.0 else 1.0 / (n_samples * fisher_info)
+
+
 @dataclass(frozen=True)
 class BoundResult:
     """Per-sample Fisher information and the matching variance bound."""
@@ -80,8 +85,8 @@ class BoundResult:
     @classmethod
     def from_fisher(cls, parameter: Parameter, fisher_info: float,
                     n_samples: float) -> "BoundResult":
-        bound = math.inf if fisher_info == 0.0 else 1.0 / (n_samples * fisher_info)
-        return cls(parameter, fisher_info, n_samples, bound)
+        return cls(parameter, fisher_info, n_samples,
+                   variance_bound(fisher_info, n_samples))
 
 
 def default_step(g: float) -> float:
@@ -347,8 +352,8 @@ def qfi_rotation_exact_selections(pairs: Sequence[tuple], axis: PauliAxis,
             dphi = np.zeros(phi.shape, dtype=complex)
             dphi[flat] = -1j * (entry.matrix @ (plus - minus)[flat])
             overlap = np.vdot(phi, dphi)
-            row.append(4.0 * (np.vdot(dphi, dphi).real.item() / norm2
-                              - abs(overlap) ** 2 / norm2 ** 2))
+            row.append(float(4.0 * (np.vdot(dphi, dphi).real.item() / norm2
+                                    - abs(overlap) ** 2 / norm2 ** 2)))
         out.append(row)
     return out
 
@@ -360,20 +365,12 @@ BOUND_CSV_COLUMNS = ("family", "method", "coupling", "epsilon", "m", "n",
 def write_bound_csv(path, rows: Iterable[Sequence]):
     """Emit bound-sweep rows as CSV through output.write_atomic.
 
-    Each row is a sequence of cells in the order of BOUND_CSV_COLUMNS, the
-    header: the row family, the method, the coupling and the post-selection
-    angle, then m, n, parameter, fisher_info and variance_bound. Each
-    sequence of cell types gets one %-format with output.format_cell's
-    bytes: "%.12g" for floats (numpy's too), "%s" for the rest. Lines end
-    in CRLF: csv.writer's bytes for cells with no comma, quote or break.
+    The header is BOUND_CSV_COLUMNS. Each row holds its cells up to
+    fisher_info: the row family, the method, the coupling and the
+    post-selection angle, then m, n, parameter and fisher_info, a Fisher
+    information of the whole photon budget. variance_bound appends the last
+    cell, and output.format_rows writes every cell. Lines end in CRLF:
+    csv.writer's bytes for cells with no comma, quote or break.
     """
-    formats = {}
-    lines = [",".join(BOUND_CSV_COLUMNS)]
-    for row in rows:
-        types = tuple(map(type, row))
-        if types not in formats:
-            formats[types] = ",".join(["%.12g" if isinstance(v, float)
-                                       else "%s" for v in row])
-        lines.append(formats[types] % tuple(row))
-    lines.append("")
-    write_atomic(path, "\r\n".join(lines))
+    lines = format_rows((*row, variance_bound(row[-1])) for row in rows)
+    write_atomic(path, "\r\n".join([",".join(BOUND_CSV_COLUMNS), *lines, ""]))

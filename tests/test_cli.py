@@ -23,7 +23,7 @@ import pytest
 import hgsense
 from hgsense import cli, fields, weak
 from hgsense.cli import main
-from hgsense.errors import SaturationWarning
+from hgsense.errors import ConfigError, SaturationWarning
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table2_golden.csv"
 GOLDEN_BOUNDS = Path(__file__).parent / "data" / "bounds_golden.csv"
@@ -319,6 +319,13 @@ def test_every_traced_name_resolves_to_a_package_callable():
         importlib.import_module("hgsense." + name.split(".")[0]),
         name.split(".")[1], None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("text", ["1,", "1,x", "banana", "1,2,3"])
+def test_malformed_mode_is_a_config_error(text):
+    with pytest.raises(ConfigError) as exc:
+        cli._parse_mode(text)
+    assert str(exc.value) == f"--mode expects 'm,n', got {text!r}"
 
 
 def test_montecarlo_rejects_bad_modes(capsys):
@@ -681,14 +688,13 @@ SWEEP_ARGV = {"bounds": ["--grid-max", "2", "--sweep-max", "2"],
               "hologram": ["--mode", "1,1", "--grid", "128"]}
 
 
-def _float_flags():
-    """(subcommand, flag) for every flag the parser reads as floats."""
+def _flags(*types):
+    """(subcommand, flag) for every flag the parser reads with one of types."""
     sub = next(action for action in cli.build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
     return [(command, action.option_strings[0])
             for command, parser in sub.choices.items()
-            for action in parser._actions
-            if action.type in (float, cli._parse_float_list)]
+            for action in parser._actions if action.type in types]
 
 
 def _numeric_rows(text: str):
@@ -708,34 +714,86 @@ def _numeric_rows(text: str):
         yield numbers
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e-300",
-                                   "1e300", "5e-324"])
-@pytest.mark.parametrize("command, flag", _float_flags())
-def test_every_float_flag_gives_a_finite_run_or_one_error_line(
-        command, flag, value, tmp_path, capsys):
-    # --flag=value form: a bare -inf would parse as an option
-    out, cfg = tmp_path / "out", tmp_path / "run.cfg"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main([command, *SWEEP_ARGV[command], f"{flag}={value}",
-                     "--out", str(out), "--config-out", str(cfg)])
-    captured = capsys.readouterr()
-    assert [w.message for w in caught
-            if w.category is not SaturationWarning] == []
-    if value in ("nan", "inf", "-inf"):  # refused, naming the cause
-        assert code == 2 and "finite" in captured.err, captured.err
+def _assert_finite_run_or_one_error_line(command, code, err, tmp_path):
+    """Exit 2 with one error line and nothing written, or exit 0 with every
+    number of the run's settings and CSV output finite but the inf bound of
+    a zero Fisher information."""
     if code == 2:
-        assert captured.err.startswith("error:")
-        assert captured.err.count("\n") == 1
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
         return
-    assert code == 0 and captured.err == ""
-    settings = dict(line.split(" = ") for line in cfg.read_text().splitlines())
+    assert code == 0 and err == ""
+    cfg = (tmp_path / "run.cfg").read_text()
+    settings = dict(line.split(" = ") for line in cfg.splitlines())
     assert all(math.isfinite(float(v)) for v in settings.values()), settings
     if command != "hologram":
-        assert "nan" not in out.read_text()
+        out = (tmp_path / "out").read_text()
+        assert "nan" not in out
         # every number is finite but the bound of a zero Fisher information
-        for row in _numeric_rows(out.read_text()):
+        for row in _numeric_rows(out):
             assert all(math.isfinite(v) for k, v in row.items()
                        if (k, v, row.get("fisher_info")) != (
                            "variance_bound", math.inf, 0.0)), row
+
+
+def _run_flag(command, flag, value, tmp_path, capsys):
+    """main on the subcommand's small run with flag=value; its exit code and
+    stderr. No warning but a saturation one may escape."""
+    # --flag=value form: a bare -inf would parse as an option
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, *SWEEP_ARGV[command], f"{flag}={value}",
+                     "--out", str(tmp_path / "out"),
+                     "--config-out", str(tmp_path / "run.cfg")])
+    assert [w.message for w in caught
+            if w.category is not SaturationWarning] == []
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e-300",
+                                   "1e300", "5e-324"])
+@pytest.mark.parametrize("command, flag", _flags(float, cli._parse_float_list))
+def test_every_float_flag_gives_a_finite_run_or_one_error_line(
+        command, flag, value, tmp_path, capsys):
+    code, err = _run_flag(command, flag, value, tmp_path, capsys)
+    if value in ("nan", "inf", "-inf"):  # refused, naming the cause
+        assert code == 2 and "finite" in err, err
+    _assert_finite_run_or_one_error_line(command, code, err, tmp_path)
+
+
+# the documented bounds of each integer flag, +-1, but for accepted values
+# too slow for the suite (--trials 100000, --grid 4096, --sweep-max 64):
+# trials in [10, MAX_TRIALS], a grid side in [MIN_SIDE, MAX_SIDE], orders up
+# to MAX_HERMITE_ORDER and a seed from 0
+INT_BOUNDS = {"--grid-max": [65], "--sweep-max": [65], "--seed": [],
+              "--trials": [9, 10, 100001], "--grid": [127, 128, 4097]}
+
+
+def test_every_int_flag_has_its_bounds_listed():
+    assert sorted(flag for _, flag in _flags(int)) == sorted(INT_BOUNDS)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for command, flag in _flags(int)
+    for value in [-1, 0, *INT_BOUNDS[flag], 10 ** 30]])
+def test_every_int_flag_gives_a_finite_run_or_one_error_line(
+        command, flag, value, tmp_path, capsys):
+    code, err = _run_flag(command, flag, value, tmp_path, capsys)
+    if value < 0:
+        assert code == 2, err
+    _assert_finite_run_or_one_error_line(command, code, err, tmp_path)
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_ARGV))
+def test_small_run_under_warnings_as_errors(command, tmp_path):
+    # a fresh interpreter with warnings raised as errors
+    src = os.path.dirname(os.path.dirname(hgsense.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hgsense", command,
+         *SWEEP_ARGV[command], "--out", str(tmp_path / "out"),
+         "--config-out", str(tmp_path / "run.cfg")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    _assert_finite_run_or_one_error_line(command, proc.returncode,
+                                         proc.stderr, tmp_path)

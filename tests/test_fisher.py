@@ -535,6 +535,9 @@ def test_rotation_qfi_sweep_is_bitwise_the_per_order_route():
             want = [qfi_rotation_exact_selections_per_order(
                 pairs, axis, alpha, idx) for idx in indices]
             assert got == want, (axis, alpha)
+            assert {type(v) for row in got for v in row} == {float}
+    assert type(qfi_rotation_exact(*z_pairs[0], PauliAxis.z(), 100.0,
+                                   ModeIndex(3, 3))) is float
     # at exact extinction both refuse with the same error
     plus, z = QubitState.plus(), PauliAxis.z()
     with pytest.raises(TotalExtinctionError) as want:
@@ -751,12 +754,14 @@ def test_default_step_floors():
 
 def test_bound_csv_output(tmp_path):
     path = tmp_path / "bounds.csv"
-    rows = [("projective", "", "", "", 1, 1, "alpha", 1234.5678901234567,
-             1.0 / 3.0)]
+    rows = [("projective", "", "", "", 1, 1, "alpha", 1234.5678901234567)]
     write_bound_csv(path, rows)
     text = path.read_text().splitlines()
     assert text[0] == ",".join(BOUND_CSV_COLUMNS) == (
         "family,method,coupling,epsilon,m,n,parameter,fisher_info,"
         "variance_bound")
-    assert text[1] == "projective,,,,1,1,alpha,1234.56789012,0.333333333333"
+    # the writer appends the bound BoundResult gives one sample
+    bound = BoundResult.from_fisher(Parameter.ALPHA, rows[0][-1], 1.0)
+    assert format(bound.variance_bound, ".12g") == "0.00081000000729"
+    assert text[1] == "projective,,,,1,1,alpha,1234.56789012,0.00081000000729"
     assert not list(tmp_path.glob("*.tmp"))

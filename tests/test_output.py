@@ -1,4 +1,4 @@
-"""The one write path: atomic replacement and the 12-digit cell format."""
+"""The one write path: atomic replacement and the one 12-digit row formatter."""
 
 import csv
 import io
@@ -23,7 +23,7 @@ from hgsense.fields import (
 )
 from hgsense.fisher import BOUND_CSV_COLUMNS, write_bound_csv
 from hgsense.modes import ModeIndex
-from hgsense.output import format_cell, write_atomic
+from hgsense.output import format_rows, write_atomic
 
 _PHASE = PhaseMap(np.zeros((64, 64)))
 
@@ -33,8 +33,7 @@ WRITERS = {
     "parts": lambda path: write_atomic(path, "head\n", b"\0",
                                        np.arange(8, dtype=np.uint8)),
     "bound_csv": lambda path: write_bound_csv(
-        path, [{"m": 1, "n": 1, "parameter": "alpha", "fisher_info": 1.0,
-                "variance_bound": 1.0}]),
+        path, [("", "", "", "", 1, 1, "alpha", 1.0)]),
     "table_csv": lambda path: write_atomic(path,
                                            table_csv(sensitivity_table(0.1))),
     "table_json": lambda path: write_atomic(
@@ -96,48 +95,69 @@ def test_binary_writers_emit_header_then_samples(tmp_path):
 
 def test_bound_csv_keeps_crlf_and_twelve_digits(tmp_path):
     target = tmp_path / "b.csv"
-    write_bound_csv(target, [("", "", "", "", 1, 2, "alpha", 3.0, 1 / 3)])
+    write_bound_csv(target, [("", "", "", "", 1, 2, "alpha", 3.0)])
     assert target.read_bytes() == (
         b"family,method,coupling,epsilon,m,n,parameter,fisher_info,"
         b"variance_bound\r\n"
         b",,,,1,2,alpha,3,0.333333333333\r\n")
 
 
+def _cell(value) -> str:
+    """The oracle of a text cell: floats (numpy's too) with 12 significant
+    digits, anything else by str."""
+    return format(value, ".12g") if isinstance(value, float) else str(value)
+
+
 def test_bound_csv_bytes_are_csv_writers(tmp_path):
     # every kind of cell a bounds sweep writes: the labels, an empty
     # epsilon, ints, floats down to the smallest subnormal, -0, inf, NaN and
-    # numpy floats
+    # numpy floats; the writer appends 1 / fisher_info, inf at zero
     rows = [("projective", "carrier-povm", "oam", 0.0872664625997, 1, 1,
-             "alpha", 9.80665e21, 1.0197e-22),
+             "alpha", 9.80665e21),
             ("hamiltonian", "quantum-bound", "gaussian-pointer", "", 0, 0,
-             "theta", 0.0, math.inf),
+             "theta", 0.0),
             ("postselection", "weak-approx", "momentum-x", 0.05, 16, 16,
-             "phi", np.float64(2.0) / 3, 2.2250738585072014e-308),
+             "phi", np.float64(2.0) / 3),
             ("postselection", "exact", "oam", 1e-300, 64, 64, "alpha",
-             -1.5, np.float64(1e300)),
+             -1.5),
             ("postselection", "exact", "oam", np.float64(0.05), 2, 2,
-             "alpha", 5e-324, -0.0),
-            ("postselection", "exact", "oam", 0.05, 2, 2, "alpha", math.nan,
-             -math.inf)]
+             "alpha", 5e-324),
+            ("postselection", "exact", "oam", 0.05, 2, 2, "alpha", math.nan)]
     # rows of one cell-type sequence share a %-format: random bit patterns,
-    # as floats and as numpy floats, must keep format_cell's bytes
+    # as floats and as numpy floats, must keep the oracle's bytes
     bits = np.random.default_rng(20231019).integers(0, 2 ** 64, 400,
                                                     dtype=np.uint64)
     values = bits.view(np.float64)
-    rows += [("postselection", "exact", "oam", float(a), 3, 3, "alpha",
-              b, float(b)) for a, b in zip(values[::2], values[1::2])]
+    rows += [("postselection", "exact", "oam", float(a), 3, 3, "alpha", b)
+             for a, b in zip(values[::2], values[1::2])]
     target = tmp_path / "b.csv"
     write_bound_csv(target, rows)
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
     writer.writerow(BOUND_CSV_COLUMNS)
-    writer.writerows(map(format_cell, row) for row in rows)
+    writer.writerows([*map(_cell, row),
+                      _cell(math.inf if row[-1] == 0.0 else 1.0 / row[-1])]
+                     for row in rows)
     assert target.read_bytes() == buffer.getvalue().encode()
 
 
-def test_format_cell():
-    assert format_cell(1 / 3) == "0.333333333333"
-    assert format_cell(np.float64(2.0) / 3) == "0.666666666667"
-    assert format_cell(math.inf) == "inf"
-    assert format_cell(7) == "7"
-    assert format_cell("alpha") == "alpha"
+def test_every_text_row_has_the_oracle_bytes():
+    # one-cell rows, a table2 row and montecarlo rows: numpy float trials,
+    # then the float mean and std
+    cells = [1 / 3, np.float64(2.0) / 3, math.inf, -math.inf, -0.0,
+             2.2250738585072014e-308, np.float64(1e300), 1.0197e-22, 7,
+             "alpha"]
+    assert format_rows([(v,) for v in cells]) == [
+        "0.333333333333", "0.666666666667", "inf", "-inf", "-0",
+        "2.22507385851e-308", "1e+300", "1.0197e-22", "7", "alpha"]
+    table = sensitivity_table(math.radians(5.0))
+    samples = np.random.default_rng(7).normal(1.0, 0.3, 5)
+    trials = [(f"trial{k:04d}", v) for k, v in enumerate(samples)]
+    stats = [("mean", float(samples.mean())),
+             ("std", float(samples.std(ddof=1)))]
+    for rows in (table[:1], trials + stats):
+        assert format_rows(rows) == [",".join(map(_cell, row))
+                                     for row in rows]
+    assert format_rows([("# seed", 4), ("# alpha_rad", 0.1 / 3)],
+                       sep=" = ") == ["# seed = 4",
+                                      "# alpha_rad = 0.0333333333333"]
