@@ -68,7 +68,7 @@ class Parameter(Enum):
     PHI = "phi"
 
 
-def variance_bound(fisher_info: float, n_samples: float = 1.0) -> float:
+def variance_bound(fisher_info: float, n_samples: float) -> float:
     """The Cramer-Rao variance bound 1 / (N F); inf at zero information."""
     return math.inf if fisher_info == 0.0 else 1.0 / (n_samples * fisher_info)
 
@@ -365,12 +365,12 @@ BOUND_CSV_COLUMNS = ("family", "method", "coupling", "epsilon", "m", "n",
 def write_bound_csv(path, rows: Iterable[Sequence]):
     """Emit bound-sweep rows as CSV through output.write_atomic.
 
-    The header is BOUND_CSV_COLUMNS. Each row holds its cells up to
+    The header is BOUND_CSV_COLUMNS. Each row holds the cells up to
     fisher_info: the row family, the method, the coupling and the
-    post-selection angle, then m, n, parameter and fisher_info, a Fisher
-    information of the whole photon budget. variance_bound appends the last
-    cell, and output.format_rows writes every cell. Lines end in CRLF:
-    csv.writer's bytes for cells with no comma, quote or break.
+    post-selection angle, then m, n, parameter and fisher_info.
+    variance_bound(fisher_info, 1.0) appends the last cell, and
+    output.format_rows writes every cell. Lines end in CRLF: csv.writer's
+    bytes for cells with no comma, quote or break.
     """
-    lines = format_rows((*row, variance_bound(row[-1])) for row in rows)
+    lines = format_rows((*row, variance_bound(row[-1], 1.0)) for row in rows)
     write_atomic(path, "\r\n".join([",".join(BOUND_CSV_COLUMNS), *lines, ""]))

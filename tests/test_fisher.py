@@ -760,7 +760,7 @@ def test_bound_csv_output(tmp_path):
     assert text[0] == ",".join(BOUND_CSV_COLUMNS) == (
         "family,method,coupling,epsilon,m,n,parameter,fisher_info,"
         "variance_bound")
-    # the writer appends the bound BoundResult gives one sample
+    # the writer appends the bound that BoundResult gives at one sample
     bound = BoundResult.from_fisher(Parameter.ALPHA, rows[0][-1], 1.0)
     assert format(bound.variance_bound, ".12g") == "0.00081000000729"
     assert text[1] == "projective,,,,1,1,alpha,1234.56789012,0.00081000000729"
