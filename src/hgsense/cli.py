@@ -27,6 +27,7 @@ import functools
 import math
 import sys
 from collections import namedtuple
+from itertools import chain
 
 from .errors import (
     ConfigError,
@@ -246,10 +247,11 @@ def cmd_montecarlo(args) -> int:
                                seed=args.seed, trials=args.trials)
     header = [("# seed", result.seed), ("# mode", f"{idx.m},{idx.n}"),
               ("# alpha_rad", alpha), ("# analytic_snr", reference)]
-    trials = [(f"trial{k:04d}", v) for k, v in enumerate(result.samples)]
-    lines = format_rows(header, sep=" = ") + format_rows(
-        [("label", "snr"), *trials, ("mean", result.mean_snr),
-         ("std", result.std_snr)])
+    # streamed: no row tuple of a trial outlives its line
+    trials = ((f"trial{k:04d}", v) for k, v in enumerate(result.samples))
+    lines = format_rows(header, sep=" = ") + format_rows(chain(
+        [("label", "snr")], trials,
+        [("mean", result.mean_snr), ("std", result.std_snr)]))
     _emit(args, "\n".join(lines) + "\n")
     _maybe_config(args, {
         **_budget_keys(epsilon, budget), "alpha_rad": alpha,
