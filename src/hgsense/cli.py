@@ -249,9 +249,9 @@ def cmd_montecarlo(args) -> int:
               ("# alpha_rad", alpha), ("# analytic_snr", reference)]
     # streamed: no row tuple of a trial outlives its line
     trials = ((f"trial{k:04d}", v) for k, v in enumerate(result.samples))
-    lines = format_rows(header, sep=" = ") + format_rows(chain(
+    lines = format_rows(header, " = ") + format_rows(chain(
         [("label", "snr")], trials,
-        [("mean", result.mean_snr), ("std", result.std_snr)]))
+        [("mean", result.mean_snr), ("std", result.std_snr)]), ",")
     _emit(args, "\n".join(lines) + "\n")
     _maybe_config(args, {
         **_budget_keys(epsilon, budget), "alpha_rad": alpha,

@@ -320,7 +320,7 @@ def sensitivity_table(epsilon: float,
 
 def table_csv(rows: Sequence[ModeSensitivity]) -> str:
     """The sensitivity table as CSV text, cells by output.format_rows."""
-    lines = [",".join(ModeSensitivity._fields), *format_rows(rows)]
+    lines = [",".join(ModeSensitivity._fields), *format_rows(rows, ",")]
     return "\n".join(lines) + "\n"
 
 

@@ -372,5 +372,6 @@ def write_bound_csv(path, rows: Iterable[Sequence]):
     output.format_rows writes every cell. Lines end in CRLF: csv.writer's
     bytes for cells with no comma, quote or break.
     """
-    lines = format_rows((*row, variance_bound(row[-1], 1.0)) for row in rows)
+    cells = ((*row, variance_bound(row[-1], 1.0)) for row in rows)
+    lines = format_rows(cells, ",")
     write_atomic(path, "\r\n".join([",".join(BOUND_CSV_COLUMNS), *lines, ""]))

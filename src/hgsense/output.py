@@ -1,4 +1,4 @@
-"""The one output path: atomic file writes and the one formatter of text rows."""
+"""The one output path: atomic file writes and the one text-row formatter."""
 
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ def write_atomic(path, *parts):
             handle.write(part.encode() if isinstance(part, str) else part)
 
 
-def format_rows(rows, sep=",") -> list[str]:
+def format_rows(rows, sep: str) -> list[str]:
     """Each row's cells joined by sep, one line per row: floats (numpy's too)
     with 12 significant digits, anything else by str. Rows of one sequence of
     cell types share one %-format, so a row costs one %-operation."""

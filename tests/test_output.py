@@ -1,4 +1,4 @@
-"""The one write path: atomic replacement and the one 12-digit row formatter."""
+"""The one write path: atomic replacement and the 12-digit row formatter."""
 
 import csv
 import io
@@ -147,7 +147,7 @@ def test_every_text_row_has_the_oracle_bytes():
     cells = [1 / 3, np.float64(2.0) / 3, math.inf, -math.inf, -0.0,
              2.2250738585072014e-308, np.float64(1e300), 1.0197e-22, 7,
              "alpha"]
-    assert format_rows([(v,) for v in cells]) == [
+    assert format_rows([(v,) for v in cells], ",") == [
         "0.333333333333", "0.666666666667", "inf", "-inf", "-0",
         "2.22507385851e-308", "1e+300", "1.0197e-22", "7", "alpha"]
     table = sensitivity_table(math.radians(5.0))
@@ -156,8 +156,7 @@ def test_every_text_row_has_the_oracle_bytes():
     stats = [("mean", float(samples.mean())),
              ("std", float(samples.std(ddof=1)))]
     for rows in (table[:1], trials + stats):
-        assert format_rows(rows) == [",".join(map(_cell, row))
-                                     for row in rows]
-    assert format_rows([("# seed", 4), ("# alpha_rad", 0.1 / 3)],
-                       sep=" = ") == ["# seed = 4",
-                                      "# alpha_rad = 0.0333333333333"]
+        assert format_rows(rows, ",") == [",".join(map(_cell, row))
+                                          for row in rows]
+    assert format_rows([("# seed", 4), ("# alpha_rad", 0.1 / 3)], " = ") == [
+        "# seed = 4", "# alpha_rad = 0.0333333333333"]
