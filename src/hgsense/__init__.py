@@ -32,6 +32,7 @@ from .experiment import (
     NoiseModel,
     PhotonBudget,
     demod_signal,
+    min_detectable_rotation,
     montecarlo_lockin,
     sensitivity_table,
     shot_noise_level,
@@ -62,7 +63,6 @@ from .fisher import (
     carrier_projection_povm,
     cfi_povm,
     hamiltonian_bound,
-    min_detectable_rotation,
     qfi_mixed_closed_form,
     qfi_mixed_monitor,
     qfi_mixed_quadratic,

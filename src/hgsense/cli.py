@@ -51,6 +51,7 @@ from .experiment import (
     NoiseModel,
     PhotonBudget,
     check_epsilon,
+    min_detectable_rotation,
     montecarlo_lockin,
     sensitivity_table,
     snr as analytic_snr,
@@ -61,7 +62,6 @@ from .experiment import (
 from .fields import hologram_readout, mode_purity, write_field_binary
 from .fisher import (
     Parameter,
-    min_detectable_rotation,
     qfi_rotation_exact_selections,
     weak_fisher,
     write_bound_csv,
@@ -232,7 +232,6 @@ def cmd_table2(args) -> int:
 def cmd_montecarlo(args) -> int:
     idx = _parse_mode(args.mode)
     epsilon = math.radians(args.epsilon_deg)
-    check_epsilon(epsilon)
     budget = _budget(args)
     noise = NoiseModel(dither_rad=args.alpha0_rad,
                        drive_frequency=args.f_drive,
@@ -310,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     physics.add_argument("--wavelength-m", type=float,
                          default=DEFAULT_WAVELENGTH_M)
     physics.add_argument("--photons", type=float, default=None,
-                         help="override detected photons per window "
-                              "(rescales power)")
+                         help="override detected photons per window, "
+                              "rescaling power (bounds: projective rows "
+                              "only; the rest are per photon)")
 
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config-out", default=None,

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .modes import ModeIndex, oam_variance
 from .output import format_rows, write_atomic
-from .weak import WEAK_LIMIT
+from .weak import check_weak_regime
 
 PLANCK = 6.62607015e-34
 LIGHT_SPEED = 299792458.0
@@ -218,6 +218,16 @@ def snr(idx: ModeIndex, epsilon: float, alpha: float,
     return signal / math.hypot(shot, electrical_v)
 
 
+def min_detectable_rotation(idx: ModeIndex, epsilon: float, n_photons: float) -> float:
+    """Unit-SNR rotation 1 / (sqrt(2mn+m+n) * 2 |cot eps| * sqrt(N)), where
+    snr reads 1 on shot noise alone; the mode and eps meet snr's rules."""
+    k_var = _check_mode(idx)
+    finite_positive("photon number", n_photons)
+    check_epsilon(epsilon)
+    cot = abs(math.cos(epsilon) / math.sin(epsilon))
+    return 1.0 / (math.sqrt(k_var) * 2.0 * cot * math.sqrt(n_photons))
+
+
 class LockinResult(NamedTuple):
     mean_snr: float
     std_snr: float
@@ -295,20 +305,17 @@ def sensitivity_table(epsilon: float,
                       ) -> list[ModeSensitivity]:
     """Minimum detectable rotation per benchmarked mode
     (REFERENCE_DRIVE_SNR1_V), with the measured drive and rotation. A row
-    outside the first-order formula is refused: WeakRegimeError unless
-    |alpha_min cot eps| < WEAK_LIMIT (require_weak_regime's bound, A_w =
-    cot eps), ExpansionInvalidError unless alpha_min <= 0.1
-    DEFAULT_DITHER_RAD (_check_expansion's rule, which montecarlo keeps)."""
-    from .fisher import min_detectable_rotation
-
+    outside the first-order formula is refused: WeakRegimeError where
+    weak.check_weak_regime refuses alpha_min cot eps (A_w = cot eps),
+    ExpansionInvalidError unless alpha_min <= 0.1 DEFAULT_DITHER_RAD
+    (_check_expansion's rule, which montecarlo keeps)."""
     cot = math.sqrt(check_epsilon(epsilon))  # A_w of post_selected_pair
     rows = []
     for (m, n), ref_v in REFERENCE_DRIVE_SNR1_V.items():
         alpha_min = min_detectable_rotation(ModeIndex(m, n), epsilon,
                                             budget.photons)
         try:
-            finite_in("weak-regime |alpha * A_w|", alpha_min * cot, 0.0,
-                      WEAK_LIMIT, WeakRegimeError, "[)")
+            check_weak_regime(alpha_min * cot)
             _check_expansion(alpha_min, DEFAULT_DITHER_RAD)
         except (WeakRegimeError, ExpansionInvalidError) as exc:
             raise type(exc)(f"mode ({m}, {n}) minimum detectable rotation "

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     InvalidStateError,
-    NoSensitivityError,
     SmallProbabilityWarning,
     StepSizeError,
     finite,
@@ -39,7 +38,7 @@ from .errors import (
     finite_positive,
     frozen,
 )
-from .modes import ModeIndex, ModeState, oam_variance, second_moment, variance
+from .modes import ModeIndex, ModeState, second_moment, variance
 from .output import format_rows, write_atomic
 from .weak import (
     Coupling,
@@ -218,21 +217,6 @@ def cfi_povm(state_fn: Callable[[float], ModeState], g: float,
     return _stencil_value(probs, fisher_sum, g, step)
 
 
-def min_detectable_rotation(idx: ModeIndex, epsilon: float, n_photons: float) -> float:
-    """Unit-SNR rotation 1 / (sqrt(2mn+m+n) * 2 |cot eps| * sqrt(N))."""
-    if idx.m == 0 and idx.n == 0:
-        raise NoSensitivityError("fundamental mode has no rotation sensitivity")
-    finite_positive("photon number", n_photons)
-    finite("post-selection angle", epsilon)
-    # |cot epsilon| neither infinite nor zero: no amplification at cos = 0
-    finite_in("|sin| of the post-selection angle", abs(math.sin(epsilon)),
-              1e-12, 1.0, ends="(]")
-    finite_in("|cos| of the post-selection angle", abs(math.cos(epsilon)),
-              1e-12, 1.0, ends="(]")
-    cot = abs(math.cos(epsilon) / math.sin(epsilon))
-    return 1.0 / (math.sqrt(oam_variance(idx)) * 2.0 * cot * math.sqrt(n_photons))
-
-
 def hamiltonian_bound(parameter: Parameter, s: WeakScenario,
                       n_samples: float = 1.0) -> BoundResult:
     """Variance bound 1 / (N * 4 |dM_w/dg|^2 <delta Omega^2>) in the weak
@@ -358,6 +342,8 @@ def qfi_rotation_exact_selections(pairs: Sequence[tuple], axis: PauliAxis,
     return out
 
 
+# fisher_info and variance_bound are at the run's photon budget in projective
+# rows and per photon in hamiltonian and postselection rows.
 BOUND_CSV_COLUMNS = ("family", "method", "coupling", "epsilon", "m", "n",
                      "parameter", "fisher_info", "variance_bound")
 
@@ -367,7 +353,8 @@ def write_bound_csv(path, rows: Iterable[Sequence]):
 
     The header is BOUND_CSV_COLUMNS. Each row holds the cells up to
     fisher_info: the row family, the method, the coupling and the
-    post-selection angle, then m, n, parameter and fisher_info.
+    post-selection angle, then m, n, parameter and fisher_info (projective
+    at the run's photon budget, the rest per photon).
     variance_bound(fisher_info, 1.0) appends the last cell, and
     output.format_rows writes every cell. Lines end in CRLF: csv.writer's
     bytes for cells with no comma, quote or break.

@@ -348,8 +348,13 @@ class WeakScenario:
         return Generator(self.coupling, self.pointer.cutoff, self.sigma0)
 
     def require_weak_regime(self):
-        finite_in("weak-regime |alpha * A_w|", abs(self.coupling_strength),
-                  0.0, WEAK_LIMIT, WeakRegimeError, "[)")
+        check_weak_regime(self.coupling_strength)
+
+
+def check_weak_regime(coupling_strength: complex) -> float:
+    """|alpha A_w| of M_w, or WeakRegimeError unless it is below WEAK_LIMIT."""
+    return finite_in("weak-regime |alpha * A_w|", abs(coupling_strength),
+                     0.0, WEAK_LIMIT, WeakRegimeError, "[)")
 
 
 def carrier_state(idx: ModeIndex, cutoff: int) -> ModeState:

@@ -17,6 +17,7 @@ from hgsense.experiment import (
     DriveCalibration,
     NoiseModel,
     PhotonBudget,
+    min_detectable_rotation,
     montecarlo_lockin,
     snr as analytic_snr,
 )
@@ -36,7 +37,6 @@ from hgsense.fisher import (
     Parameter,
     carrier_projection_povm,
     cfi_povm,
-    min_detectable_rotation,
     qfi_mixed_closed_form,
     qfi_mixed_monitor,
     qfi_mixed_quadratic,

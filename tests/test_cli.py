@@ -132,15 +132,44 @@ def test_bounds_checks_each_order_limit_once(tmp_path, monkeypatch):
 
 
 def test_bounds_photon_override(tmp_path):
-    out = tmp_path / "b.csv"
-    cfg = tmp_path / "run.cfg"
-    assert main(["bounds", "--grid-max", "2", "--sweep-max", "2",
-                 "--photons", "1e6", "--out", str(out),
-                 "--config-out", str(cfg)]) == 0
-    settings = dict(line.split(" = ") for line in
-                    cfg.read_text().splitlines())
-    assert float(settings["photons"]) == pytest.approx(1e6, rel=1e-9)
-    assert float(settings["epsilon_rad"]) == pytest.approx(math.radians(5.0))
+    # projective rows are at the run's photon budget and every other row is
+    # per photon, so a second budget moves the projective rows alone
+    runs = []
+    for photons in ("1e6", "2e6"):
+        out = tmp_path / f"b{photons}.csv"
+        cfg = tmp_path / f"run{photons}.cfg"
+        assert main(["bounds", "--grid-max", "2", "--sweep-max", "2",
+                     "--photons", photons, "--out", str(out),
+                     "--config-out", str(cfg)]) == 0
+        settings = dict(line.split(" = ") for line in
+                        cfg.read_text().splitlines())
+        assert float(settings["photons"]) == pytest.approx(float(photons),
+                                                           rel=1e-9)
+        assert float(settings["epsilon_rad"]) == pytest.approx(
+            math.radians(5.0))
+        runs.append((float(settings["photons"]),
+                     float(settings["epsilon_rad"]),
+                     out.read_text().splitlines()))
+    (n1, eps, first), (n2, _, second) = runs
+    assert first[0] == second[0] and len(first) == len(second)
+    columns = first[0].split(",")
+    families = []
+    for line1, line2 in zip(first[1:], second[1:]):
+        row1, row2 = (dict(zip(columns, line.split(",")))
+                      for line in (line1, line2))
+        families.append(row1["family"])
+        if row1["family"] != "projective":
+            assert line1 == line2
+            continue
+        assert float(row2["fisher_info"]) == pytest.approx(
+            float(row1["fisher_info"]) * n2 / n1, rel=1e-11)
+        for row, n_photons in ((row1, n1), (row2, n2)):
+            idx = hgsense.ModeIndex(int(row["m"]), int(row["n"]))
+            # the CSV keeps 12 digits
+            assert float(row["variance_bound"]) == pytest.approx(
+                hgsense.min_detectable_rotation(idx, eps, n_photons) ** 2,
+                rel=1e-11)
+    assert families.count("projective") == 4 and len(set(families)) == 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,6 +32,7 @@ from hgsense.experiment import (
     PhotonBudget,
     check_epsilon,
     demod_signal,
+    min_detectable_rotation,
     montecarlo_lockin,
     sensitivity_table,
     shot_noise_level,
@@ -40,7 +41,6 @@ from hgsense.experiment import (
     table_json,
     write_run_config,
 )
-from hgsense.fisher import min_detectable_rotation
 from hgsense.modes import ModeIndex
 from hgsense.output import write_atomic
 

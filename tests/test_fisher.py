@@ -29,6 +29,7 @@ from hgsense.errors import (
     TotalExtinctionError,
     WeakRegimeError,
 )
+from hgsense.experiment import min_detectable_rotation
 from hgsense.fisher import (
     BOUND_CSV_COLUMNS,
     BoundResult,
@@ -38,7 +39,6 @@ from hgsense.fisher import (
     cfi_povm,
     default_step,
     hamiltonian_bound,
-    min_detectable_rotation,
     qfi_mixed_closed_form,
     qfi_mixed_monitor,
     qfi_mixed_quadratic,
@@ -285,6 +285,10 @@ def test_min_detectable_rotation_frozen_values():
         min_detectable_rotation(ModeIndex(1, 1), math.nan, 1e6)
     with pytest.raises(ValueError):
         min_detectable_rotation(ModeIndex(1, 1), math.pi, 1e6)
+    # a finite, nonzero |cot| outside (0, pi/2): snr and table2 refuse it too
+    for outside in (-0.1, 2.0):
+        with pytest.raises(ConfigError, match="post-selection angle"):
+            min_detectable_rotation(ModeIndex(1, 1), outside, 1e6)
     for vanishing_cot in (math.pi / 2, 3 * math.pi / 2):
         with pytest.raises(ValueError):
             min_detectable_rotation(ModeIndex(1, 1), vanishing_cot, 1e6)
