@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -66,6 +68,10 @@ MAX_SAMPLES_PER_TRIAL = 10 ** 6
 # the defaults), and largest count of time bins over all its trials.
 MAX_TRIALS = 10 ** 5
 MAX_RUN_BINS = MAX_TRIALS * 2200
+# A Monte Carlo run splits its trials over at most MAX_WORKERS processes,
+# one per usable CPU, with no fewer than MIN_BLOCK_TRIALS trials each.
+MAX_WORKERS = 8
+MIN_BLOCK_TRIALS = 100
 
 # Measured benchmarks for diagonal modes: drive voltage giving unit SNR and
 # the shot-noise floor at the lock-in output. Model predictions track these
@@ -247,6 +253,12 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     own mean count rate (plus the electrical floor in quadrature). The
     demodulated quadrature carries sqrt(2) more Poisson noise than the
     window mean, so per-trial SNR values scatter accordingly.
+
+    Trial k draws only from default_rng([seed, k]), so on Linux the trials
+    run in contiguous blocks, one per usable CPU (at most MAX_WORKERS, each
+    of at least MIN_BLOCK_TRIALS trials; see _run_blocks), and the result is
+    bitwise the one-process run. Elsewhere, with one usable CPU, or while
+    other Python threads run, every trial runs in the calling process.
     """
     # 10 trials for a meaningful average
     finite_in("trials", integer("trials", trials), 10, MAX_TRIALS)
@@ -274,20 +286,107 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     expected = rates * dt
     volts_per_count = budget.volts_per_rate / dt
 
+    def fill(block: np.ndarray, start: int):
+        """The samples of trials start, start + 1, ... into block."""
+        for j in range(block.size):
+            rng = np.random.default_rng([seed, start + j])
+            counts = rng.poisson(expected)
+            v = volts_per_count * counts
+            if noise.electrical_v > 0.0:
+                v = v + rng.normal(0.0, noise.electrical_v * math.sqrt(n_dem),
+                                   n_dem)
+            v_demod = (2.0 / n_dem) * float(np.sum(v * ref))
+            rate_hat = float(counts.sum()) / t_dem
+            shot_hat = budget.volts_per_rate * math.sqrt(rate_hat / t_dem)
+            level = math.hypot(shot_hat, noise.electrical_v)
+            block[j] = v_demod / level if level > 0.0 else 0.0
+
     samples = np.empty(trials)
-    for k in range(trials):
-        rng = np.random.default_rng([seed, k])
-        counts = rng.poisson(expected)
-        v = volts_per_count * counts
-        if noise.electrical_v > 0.0:
-            v = v + rng.normal(0.0, noise.electrical_v * math.sqrt(n_dem), n_dem)
-        v_demod = (2.0 / n_dem) * float(np.sum(v * ref))
-        rate_hat = float(counts.sum()) / t_dem
-        shot_hat = budget.volts_per_rate * math.sqrt(rate_hat / t_dem)
-        level = math.hypot(shot_hat, noise.electrical_v)
-        samples[k] = v_demod / level if level > 0.0 else 0.0
+    _run_blocks(fill, samples)
     return LockinResult(float(samples.mean()), float(samples.std(ddof=1)),
                         frozen(samples), seed)
+
+
+def _worker_count(trials: int) -> int:
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):  # a thread's locks would fork
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), MAX_WORKERS,
+                      trials // MIN_BLOCK_TRIALS))
+
+
+def _run_blocks(fill, samples: np.ndarray):
+    """fill(samples[lo:hi], lo) over contiguous blocks of samples, block 0
+    in this process and each other block in a forked child that sends its
+    float64 bytes back through a pipe. A child that fails sends no data, and
+    a block whose child sends short data is filled here again, so its errors
+    and warnings surface as in one process. Children still running when
+    this raises are killed."""
+    workers = _worker_count(samples.size)
+    edges = [samples.size * w // workers for w in range(workers + 1)]
+    blocks = [(samples[lo:hi], lo) for lo, hi in zip(edges, edges[1:])]
+    children = {}  # block number -> (pid, reader of its pipe)
+    try:
+        for w in range(1, workers):
+            try:
+                children[w] = _fork_block(fill, *blocks[w])
+            except OSError:  # no pipe or no fork: the block runs here
+                pass
+        fill(*blocks[0])
+        for w in range(1, workers):
+            block, start = blocks[w]
+            data = b""
+            if w in children:
+                pid, reader = children[w]
+                data = reader.read()  # to EOF before waitpid: a block can
+                reader.close()        # outgrow the pipe buffer
+                os.waitpid(pid, 0)
+                del children[w]
+            if len(data) == block.nbytes:
+                block[:] = np.frombuffer(data)
+            else:
+                fill(block, start)
+    finally:
+        if children:
+            import signal  # only here: its import would cost every run
+            for pid, reader in children.values():
+                reader.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_block(fill, block: np.ndarray, start: int):
+    """Fork a child that fills block with warnings as errors, writes its
+    bytes to a pipe and leaves by os._exit, so it never flushes this
+    process's buffers or runs its atexit hooks; (pid, reader of the pipe)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork while other OS threads run. numpy's
+            # BLAS pool is such threads, and a child makes no BLAS call.
+            warnings.filterwarnings(
+                "ignore", "This process .* is multi-threaded",
+                DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fill(block, start)
+            data = memoryview(block.tobytes())
+            while data:
+                data = data[os.write(write_fd, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
 
 
 class ModeSensitivity(NamedTuple):

@@ -142,6 +142,11 @@ def weak_fisher(pair: tuple[QubitState, QubitState], axis: PauliAxis,
     M_w = alpha A_w of the (pre, post) pair on axis, with each selection
     factor computed once from the pair's Pauli weak values. The |alpha A_w|
     guard is the caller's, so breakdown sweeps can run past its validity.
+
+    Measured on the bounds breakdown family (|o, o> under rotation), the
+    exact QFI is this value times 1 / (1 + x^2)^2, x = alpha |A_w| dOmega
+    with dOmega^2 the pointer variance, while alpha dOmega << 1: within
+    2e-5 at alpha = 1e-4 and 2e-3 at 1e-3, orders 1-25, eps 0.01-0.1.
     """
     finite("alpha", alpha)
     sxw, syw, szw = pauli_weak_values(*pair)
@@ -155,7 +160,9 @@ def weak_fisher(pair: tuple[QubitState, QubitState], axis: PauliAxis,
 
 
 def qfi_weak_approx(s: WeakScenario, parameter: Parameter) -> float:
-    """weak_fisher at the pointer variance of s, inside the |alpha A_w| guard."""
+    """weak_fisher at the pointer variance of s, inside the |alpha A_w| guard.
+    The guard ignores the spread: the exact QFI is this value over
+    (1 + x^2)^2, x = |alpha A_w| dOmega (see weak_fisher)."""
     s.require_weak_regime()
     return weak_fisher((s.pre, s.post), s.axis, s.alpha, (parameter,),
                        (variance(s.operator(), s.pointer),))[0][0]

@@ -8,6 +8,9 @@ spare.
 
 import json
 import math
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +325,215 @@ def test_montecarlo_caps_run_bins_before_simulating(monkeypatch):
                  "--trials", str(experiment.MAX_TRIALS)]) == 2
     # every trial count valid at the defaults (2180 bins a trial) stays valid
     assert experiment.MAX_RUN_BINS >= experiment.MAX_TRIALS * 2180
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+def _count_forks(monkeypatch) -> list:
+    """The pids of the children forked from here on, as a live list."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _lockin(trials, noise=NoiseModel(electrical_v=0.0),
+            budget=PhotonBudget()):
+    alpha = 5 * min_detectable_rotation(MODE, EPSILON, budget.photons)
+    return montecarlo_lockin(MODE, EPSILON, alpha, budget, noise, seed=7,
+                             trials=trials)
+
+
+def _assert_bitwise(run, one):
+    assert run.samples.tobytes() == one.samples.tobytes()
+    assert (run.mean_snr, run.std_snr, run.seed) == (
+        one.mean_snr, one.std_snr, one.seed)
+
+
+@pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
+def test_montecarlo_split_over_cpus_is_bitwise_one_process(monkeypatch,
+                                                           electrical_v):
+    noise = NoiseModel(electrical_v=electrical_v)
+    forks = _count_forks(monkeypatch)
+    for trials in (10, 100, 101, 401, 4000):
+        runs = []
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            forks.clear()
+            runs.append(_lockin(trials, noise))
+            # one process per CPU, each with at least MIN_BLOCK_TRIALS
+            workers = min(cpus, max(1, trials // experiment.MIN_BLOCK_TRIALS))
+            assert len(forks) == workers - 1
+            _assert_no_child()
+        for run in runs[1:]:
+            _assert_bitwise(run, runs[0])
+
+
+def test_montecarlo_block_larger_than_a_pipe_buffer(monkeypatch):
+    # 40 bins a trial keep it short. An 8500-trial block sends 68 kB, past
+    # the 64 KiB a pipe buffers, so the parent must read it before it waits
+    budget = PhotonBudget(integration=0.002)
+    _cpus(monkeypatch, 2)
+    split = _lockin(17000, budget=budget)
+    _assert_no_child()
+    _cpus(monkeypatch, 1)
+    _assert_bitwise(split, _lockin(17000, budget=budget))
+
+
+def test_montecarlo_stays_in_one_process(monkeypatch):
+    _cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    one = _lockin(401)
+    assert len(forks) == 2
+    # another Python thread could hold a lock the child would inherit
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        _assert_bitwise(_lockin(401), one)
+    finally:
+        release.set()
+        other.join()
+    monkeypatch.delattr(os, "sched_getaffinity")  # not Linux
+    _assert_bitwise(_lockin(401), one)
+    assert len(forks) == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_montecarlo_forks_quietly_beside_native_threads(monkeypatch):
+    # Python 3.12+ warns so on fork while numpy's BLAS threads run
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, "
+                      "use of fork() may lead to deadlocks in the child.",
+                      DeprecationWarning, stacklevel=2)
+        return fork()
+
+    _cpus(monkeypatch, 1)
+    one = _lockin(200)
+    monkeypatch.setattr(os, "fork", warning_fork)
+    forks = _count_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    _assert_bitwise(_lockin(200), one)
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def _faulty_draws(monkeypatch, fault):
+    """default_rng that runs fault(trial) first, in every process."""
+    draw = np.random.default_rng
+
+    def faulty(key):
+        fault(key[1])
+        return draw(key)
+
+    monkeypatch.setattr(np.random, "default_rng", faulty)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["raise", "warn", "short"])
+def test_montecarlo_refills_a_failed_child_block(monkeypatch, kind):
+    _cpus(monkeypatch, 1)
+    one = _lockin(401)
+    parent = os.getpid()
+
+    def fault(trial):
+        if os.getpid() != parent and trial % 50 == 0:
+            if kind == "raise":
+                raise ValueError("child draw")
+            if kind == "warn":  # an error in the child
+                warnings.warn("child draw", RuntimeWarning)
+
+    def write_one_sample(fd, data):  # then leave as if all went well
+        if os.getpid() == parent:
+            return write(fd, data)
+        write(fd, bytes(data[:8]))
+        os._exit(0)
+
+    _faulty_draws(monkeypatch, fault)
+    write = os.write
+    if kind == "short":
+        monkeypatch.setattr(os, "write", write_one_sample)
+    _cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    _assert_bitwise(_lockin(401), one)
+    assert len(forks) == 2
+    _assert_no_child()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("error", [ValueError, RuntimeWarning])
+def test_montecarlo_block_error_raises_as_in_one_process(monkeypatch, error):
+    def fault(trial):
+        if trial == 250:  # in the second of three blocks
+            if issubclass(error, Warning):
+                warnings.warn("trial 250", error)
+            raise error("trial 250")
+
+    _faulty_draws(monkeypatch, fault)
+    raised = []
+    forks = _count_forks(monkeypatch)
+    for cpus in (1, 3):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(error) as info:
+            _lockin(401)
+        raised.append((type(info.value), str(info.value)))
+        _assert_no_child()
+    assert raised == [(error, "trial 250")] * 2
+    assert len(forks) == 2
+
+
+def test_montecarlo_child_warning_surfaces_as_in_one_process(monkeypatch):
+    def fault(trial):
+        if trial == 250:
+            warnings.warn("trial 250", RuntimeWarning)
+
+    _faulty_draws(monkeypatch, fault)
+    forks = _count_forks(monkeypatch)
+    runs, caught = [], []
+    for cpus in (1, 3):
+        _cpus(monkeypatch, cpus)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            runs.append(_lockin(401))
+        caught.append([(w.category, str(w.message)) for w in seen])
+        _assert_no_child()
+    assert caught == [[(RuntimeWarning, "trial 250")]] * 2
+    _assert_bitwise(runs[1], runs[0])
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("error", [ValueError("trial 5"), KeyboardInterrupt()])
+def test_montecarlo_parent_error_kills_every_child(monkeypatch, error):
+    parent = os.getpid()
+
+    def fault(trial):
+        if os.getpid() == parent and trial == 5:
+            raise error
+
+    _faulty_draws(monkeypatch, fault)
+    _cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(type(error)) as info:
+        _lockin(4000)
+    assert info.value is error
+    assert len(forks) == 2
+    _assert_no_child()
 
 
 def test_sensitivity_table_contents():

@@ -721,6 +721,33 @@ def test_weak_approx_overstates_fisher_past_regime():
     assert abs(exact_out / naive - 1.0) > 0.10
 
 
+@pytest.mark.parametrize("alpha, bound", [(1e-4, 4e-5), (1e-3, 3.6e-3)])
+def test_exact_over_first_order_qfi_follows_the_spread_law(alpha, bound):
+    # the bounds breakdown family: |o, o> under post_selected_pair(eps),
+    # A_w = cot eps. exact / first order = 1 / (1 + x^2)^2 with
+    # x = alpha |A_w| sqrt(2mn+m+n), while alpha sqrt(2mn+m+n) << 1; the
+    # worst deviation measured 2.0e-5 at alpha = 1e-4 and 1.8e-3 at 1e-3
+    epsilons = (0.01, 0.02, 0.03, 0.05, 0.07, 0.1)
+    orders = range(1, 26)
+    variances = [oam_variance(ModeIndex(o, o)) for o in orders]
+    pairs = [post_selected_pair(eps) for eps in epsilons]
+    exact = qfi_rotation_exact_selections(
+        pairs, PauliAxis.z(), alpha, [ModeIndex(o, o) for o in orders])
+    xs, deviations = [], []
+    for column, (eps, pair) in enumerate(zip(epsilons, pairs)):
+        first = weak_fisher(pair, PauliAxis.z(), alpha, (Parameter.ALPHA,),
+                            variances)
+        for row, var in enumerate(variances):
+            x = alpha / math.tan(eps) * math.sqrt(var)
+            xs.append(x)
+            ratio = exact[row][column] / first[row][0]
+            deviations.append(abs(ratio * (1.0 + x * x) ** 2 - 1.0))
+    assert max(deviations) < bound
+    # at alpha = 1e-3 the law is pinned well past the regime: x reaches 3.6,
+    # where the first-order QFI is 196 times the exact one
+    assert max(xs) > 3600.0 * alpha
+
+
 def test_small_probability_outcomes_warn_and_drop():
     cutoff = 2
     frozen = ModeState.basis(cutoff, 0, 0)
