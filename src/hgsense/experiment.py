@@ -308,8 +308,10 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
 
 
 def _worker_count(trials: int) -> int:
+    # another Python thread may hold a lock that a forked child would
+    # inherit held, so a run beside one stays in this process
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):  # a thread's locks would fork
+            or threading.active_count() > 1):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), MAX_WORKERS,
                       trials // MIN_BLOCK_TRIALS))

@@ -329,7 +329,7 @@ def test_montecarlo_caps_run_bins_before_simulating(monkeypatch):
 
 def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)))
+                        lambda pid: set(range(count)), raising=False)
 
 
 def _count_forks(monkeypatch) -> list:
@@ -459,6 +459,8 @@ def test_montecarlo_refills_a_failed_child_block(monkeypatch, kind):
             if kind == "warn":  # an error in the child
                 warnings.warn("child draw", RuntimeWarning)
 
+    write = os.write
+
     def write_one_sample(fd, data):  # then leave as if all went well
         if os.getpid() == parent:
             return write(fd, data)
@@ -466,7 +468,6 @@ def test_montecarlo_refills_a_failed_child_block(monkeypatch, kind):
         os._exit(0)
 
     _faulty_draws(monkeypatch, fault)
-    write = os.write
     if kind == "short":
         monkeypatch.setattr(os, "write", write_one_sample)
     _cpus(monkeypatch, 3)
@@ -474,6 +475,19 @@ def test_montecarlo_refills_a_failed_child_block(monkeypatch, kind):
     _assert_bitwise(_lockin(401), one)
     assert len(forks) == 2
     _assert_no_child()
+
+
+def test_montecarlo_runs_a_block_here_when_fork_fails(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    _cpus(monkeypatch, 1)
+    one = _lockin(401)
+    open_fds = len(os.listdir("/dev/fd"))
+    monkeypatch.setattr(os, "fork", no_fork)
+    _cpus(monkeypatch, 3)
+    _assert_bitwise(_lockin(401), one)
+    assert len(os.listdir("/dev/fd")) == open_fds  # both pipe ends closed
 
 
 @pytest.mark.filterwarnings("error")
@@ -518,6 +532,7 @@ def test_montecarlo_child_warning_surfaces_as_in_one_process(monkeypatch):
     assert len(forks) == 2
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("error", [ValueError("trial 5"), KeyboardInterrupt()])
 def test_montecarlo_parent_error_kills_every_child(monkeypatch, error):
     parent = os.getpid()
