@@ -69,7 +69,13 @@ MAX_SAMPLES_PER_TRIAL = 10 ** 6
 MAX_TRIALS = 10 ** 5
 MAX_RUN_BINS = MAX_TRIALS * 2200
 # A Monte Carlo run splits its trials over at most MAX_WORKERS processes,
-# one per usable CPU, with no fewer than MIN_BLOCK_TRIALS trials each.
+# one per usable CPU, with no fewer than MIN_BLOCK_TRIALS trials each. On 2
+# CPUs a fork cost about 4 ms in a warm process: two blocks of 12 trials or
+# fewer ran slower than one process, of 25 even, of 50 or more faster. In
+# a fresh process each side of a fork spent about 10 ms more CPU on page
+# faults, hence the margin. The CPU count is the affinity mask, which does
+# not see a CPU quota; no run had more than 2 CPUs, so the cap of 8 is a
+# limit, not a measured optimum.
 MAX_WORKERS = 8
 MIN_BLOCK_TRIALS = 100
 
@@ -259,6 +265,8 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     of at least MIN_BLOCK_TRIALS trials; see _run_blocks), and the result is
     bitwise the one-process run. Elsewhere, with one usable CPU, or while
     other Python threads run, every trial runs in the calling process.
+    Usable CPUs are the affinity mask: under a CPU quota the blocks share
+    the CPUs the quota gives.
     """
     # 10 trials for a meaningful average
     finite_in("trials", integer("trials", trials), 10, MAX_TRIALS)
@@ -310,8 +318,7 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
 def _worker_count(trials: int) -> int:
     # another Python thread may hold a lock that a forked child would
     # inherit held, so a run beside one stays in this process
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), MAX_WORKERS,
                       trials // MIN_BLOCK_TRIALS))
