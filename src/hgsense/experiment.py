@@ -10,7 +10,9 @@ detected photon rate is
 with K the angular-momentum variance of the pointer mode. Demodulating the
 photocurrent at the drive frequency yields a signal linear in ``alpha``; the
 noise floor is the Poisson fluctuation of the window-averaged rate plus any
-electrical noise. Conventions:
+electrical noise. The Monte Carlo samples the rate in 1/(20 f) time bins,
+but draws each trial's photons once per drive phase over the whole window,
+since the bins of one phase share a rate. Conventions:
 
 * the quoted shot level is the standard deviation of the window-mean voltage
   estimator (the DC bin), not of the demodulated quadrature, which carries
@@ -61,23 +63,32 @@ DEFAULT_DITHER_RAD = 6.3e-3
 DEFAULT_ELECTRICAL_V = 35.75e-6
 
 SAMPLES_PER_CYCLE = 20
-# Largest count of time bins one Monte Carlo trial may hold (about 8 MB per
-# float64 array); the defaults need 2180.
+# Largest count of 1/(20 f) time bins one Monte Carlo trial's window may
+# span; the defaults need 2180. A trial draws one count per drive phase, so
+# its memory and time no longer grow with the bins: this bound, and
+# MAX_RUN_BINS over all trials of a run, keep the windows the model accepts
+# (a drive frequency of 1e9 Hz is refused, not simulated).
 MAX_SAMPLES_PER_TRIAL = 10 ** 6
-# Largest trial count of one Monte Carlo run (a trial takes about 0.2 ms at
+# Largest trial count of one Monte Carlo run (a trial takes about 30 us at
 # the defaults), and largest count of time bins over all its trials.
 MAX_TRIALS = 10 ** 5
 MAX_RUN_BINS = MAX_TRIALS * 2200
+# Most photons a window may expect: past 2**53 a count's sum against the
+# reference loses integer precision in float64, and near 2**63 the sum of
+# the counts overflows int64.
+MAX_WINDOW_COUNTS = 2 ** 53
 # A Monte Carlo run splits its trials over at most MAX_WORKERS processes,
-# one per usable CPU, with no fewer than MIN_BLOCK_TRIALS trials each. On 2
-# CPUs a fork cost about 4 ms in a warm process: two blocks of 12 trials or
-# fewer ran slower than one process, of 25 even, of 50 or more faster. In
-# a fresh process each side of a fork spent about 10 ms more CPU on page
-# faults, hence the margin. The CPU count is the affinity mask, which does
-# not see a CPU quota; no run had more than 2 CPUs, so the cap of 8 is a
-# limit, not a measured optimum.
+# one per usable CPU, with no fewer than MIN_BLOCK_TRIALS trials each. At
+# about 30-45 us a trial on 2 CPUs, a fork cost about 5 ms in a warm
+# process: two blocks of 50 trials ran slower than one process (0.65x), of
+# 100 even, of 200 or more faster (1.25x at 400 trials). A fork from a fresh
+# process costs about 2000 page faults a side more: there a 400-trial split
+# read 0.67x, 600-800 trials even, 1000 1.13x and 1600 1.25x, hence blocks
+# of 500. Usable CPUs are the affinity mask, capped by a cgroup v2 quota;
+# no run had more than 2 CPUs, so the cap of 8 is a limit, not a measured
+# optimum.
 MAX_WORKERS = 8
-MIN_BLOCK_TRIALS = 100
+MIN_BLOCK_TRIALS = 500
 
 # Measured benchmarks for diagonal modes: drive voltage giving unit SNR and
 # the shot-noise floor at the lock-in output. Model predictions track these
@@ -253,20 +264,25 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
                       seed: int = 0, trials: int = 400) -> LockinResult:
     """Simulate repeated lock-in acquisitions with Poisson photon counting.
 
-    Each trial draws photon counts in 1/(20 f) time bins from the dark-port
-    rate model, demodulates the in-phase quadrature over a whole number of
-    drive cycles, and normalizes by the shot level inferred from that trial's
-    own mean count rate (plus the electrical floor in quadrature). The
-    demodulated quadrature carries sqrt(2) more Poisson noise than the
-    window mean, so per-trial SNR values scatter accordingly.
+    Each trial demodulates the in-phase quadrature of Poisson photon counts
+    in 1/(20 f) time bins over a whole number of drive cycles, and
+    normalizes by the shot level inferred from that trial's own mean count
+    rate (plus the electrical floor in quadrature). The demodulated
+    quadrature carries sqrt(2) more Poisson noise than the window mean, so
+    per-trial SNR values scatter accordingly. The bins of one drive phase
+    share a rate and the reference, so the trial draws one Poisson count
+    per phase over the whole window and, with electrical noise, one normal
+    for that noise's sum against the reference: the same distribution of
+    samples as a draw per bin. A window expecting more than
+    MAX_WINDOW_COUNTS photons is refused.
 
-    Trial k draws only from default_rng([seed, k]), so on Linux the trials
-    run in contiguous blocks, one per usable CPU (at most MAX_WORKERS, each
-    of at least MIN_BLOCK_TRIALS trials; see _run_blocks), and the result is
-    bitwise the one-process run. Elsewhere, with one usable CPU, or while
-    other Python threads run, every trial runs in the calling process.
-    Usable CPUs are the affinity mask: under a CPU quota the blocks share
-    the CPUs the quota gives.
+    Trial k draws only from default_rng([seed, k]), Poisson counts first,
+    so on Linux the trials run in contiguous blocks, one per usable CPU (at
+    most MAX_WORKERS, each of at least MIN_BLOCK_TRIALS trials; see
+    _run_blocks), and the result is bitwise the one-process run. Elsewhere,
+    with one usable CPU, or while other Python threads run, every trial runs
+    in the calling process. Usable CPUs are the affinity mask, and no more
+    than the process's cgroup v2 CPU quota gives.
     """
     # 10 trials for a meaningful average
     finite_in("trials", integer("trials", trials), 10, MAX_TRIALS)
@@ -285,25 +301,33 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     finite_in("time bins a run", trials * n_dem, 0, MAX_RUN_BINS)
     t_dem = n_dem * dt
 
-    t = (np.arange(n_dem) + 0.5) * dt
+    # every bin of one drive phase has the same rate, and a trial reads its
+    # counts only through sum(counts * ref) and sum(counts): by Poisson
+    # additivity one count per phase over the whole window holds them both
+    t = (np.arange(SAMPLES_PER_CYCLE) + 0.5) * dt
     ref = np.cos(2.0 * math.pi * noise.drive_frequency * t)
     rate_in = budget.power / budget.photon_energy
     geometry = rate_in * k_var * cot2
     rates = geometry * (noise.dither_rad ** 2 + alpha ** 2
                         + 2.0 * alpha * noise.dither_rad * ref)
-    expected = rates * dt
+    expected = rates * (dt * cycles)
+    finite_in("expected photons a window", float(expected.sum()), 0,
+              MAX_WINDOW_COUNTS)
     volts_per_count = budget.volts_per_rate / dt
+    # the electrical noise of each bin, std electrical_v sqrt(n_dem), enters
+    # only through its sum against ref over the window's n_dem bins
+    electrical_std = (noise.electrical_v * math.sqrt(n_dem)
+                      * math.sqrt(cycles * float(ref @ ref)))
 
     def fill(block: np.ndarray, start: int):
         """The samples of trials start, start + 1, ... into block."""
         for j in range(block.size):
             rng = np.random.default_rng([seed, start + j])
             counts = rng.poisson(expected)
-            v = volts_per_count * counts
+            v_ref = volts_per_count * float(counts @ ref)
             if noise.electrical_v > 0.0:
-                v = v + rng.normal(0.0, noise.electrical_v * math.sqrt(n_dem),
-                                   n_dem)
-            v_demod = (2.0 / n_dem) * float(np.sum(v * ref))
+                v_ref += rng.normal(0.0, electrical_std)
+            v_demod = (2.0 / n_dem) * v_ref
             rate_hat = float(counts.sum()) / t_dem
             shot_hat = budget.volts_per_rate * math.sqrt(rate_hat / t_dem)
             level = math.hypot(shot_hat, noise.electrical_v)
@@ -320,8 +344,31 @@ def _worker_count(trials: int) -> int:
     # inherit held, so a run beside one stays in this process
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), MAX_WORKERS,
-                      trials // MIN_BLOCK_TRIALS))
+    return max(1, min(len(os.sched_getaffinity(0)), _quota_cpus(),
+                      MAX_WORKERS, trials // MIN_BLOCK_TRIALS))
+
+
+def _read_cpu_max() -> str:
+    """The cgroup v2 cpu.max of this process's own cgroup, or "" where
+    there is none (cgroup v1, or no cgroup file system)."""
+    try:
+        with open("/proc/self/cgroup") as f:
+            path = next(line[3:].strip() for line in f
+                        if line.startswith("0::"))
+        with open(f"/sys/fs/cgroup{path}/cpu.max") as f:
+            return f.read()
+    except (OSError, StopIteration):
+        return ""
+
+
+def _quota_cpus() -> float:
+    """CPUs a cgroup v2 quota gives this process, ceil(quota / period), or
+    inf without a quota."""
+    fields = _read_cpu_max().split()  # "max 100000" when unlimited
+    if len(fields) != 2 or not all(map(str.isdigit, fields)):
+        return math.inf
+    quota, period = map(int, fields)
+    return math.ceil(quota / period) if period else math.inf
 
 
 def _run_blocks(fill, samples: np.ndarray):

@@ -26,7 +26,11 @@ and the shells its ModeState found once. synthesize_hg_field_complex and
 gaussian_illumination_complex divide a whole complex outer product by its
 root power, where the package builds the grid from its 1-D factors in row
 blocks. j1_inverse_fit is the Newton and Chebyshev fit of the J1 inverse
-whose coefficients the package holds as literals.
+whose coefficients the package holds as literals. lockin_bin_means and
+montecarlo_lockin_per_bin are the lock-in Monte Carlo as it drew before
+experiment.montecarlo_lockin drew once per drive phase: a Poisson count
+and, with electrical noise, a normal for every 1/(20 f) time bin of the
+window, all trials in this process.
 """
 
 import math
@@ -52,13 +56,20 @@ from hgsense.fields import (
     _window,
     overlap,
 )
+from hgsense.experiment import SAMPLES_PER_CYCLE, check_epsilon
 from hgsense.fisher import (
     _STENCIL_RTOL,
     PROBABILITY_FLOOR,
     _stencil_value,
     default_step,
 )
-from hgsense.modes import ModeIndex, ModeState, hg_factor, hg_wavefunction
+from hgsense.modes import (
+    ModeIndex,
+    ModeState,
+    hg_factor,
+    hg_wavefunction,
+    oam_variance,
+)
 from hgsense.output import write_atomic
 from hgsense.weak import (
     ORTHOGONALITY_FLOOR,
@@ -418,3 +429,45 @@ def j1_inverse_fit() -> np.ndarray:
     on the series."""
     return np.polynomial.chebyshev.cheb2poly(
         np.polynomial.chebyshev.chebinterpolate(_newton_depth, 24))
+
+
+def lockin_bin_means(idx: ModeIndex, epsilon: float, alpha: float, budget,
+                     noise):
+    """(mean photon count of each 1/(20 f) time bin of the window, the
+    reference cos(2 pi f t) at each bin's centre)."""
+    dt = 1.0 / (SAMPLES_PER_CYCLE * noise.drive_frequency)
+    cycles = math.floor(noise.drive_frequency * budget.integration)
+    t = (np.arange(SAMPLES_PER_CYCLE * cycles) + 0.5) * dt
+    ref = np.cos(2.0 * math.pi * noise.drive_frequency * t)
+    geometry = (budget.power / budget.photon_energy * oam_variance(idx)
+                * check_epsilon(epsilon))
+    rates = geometry * (noise.dither_rad ** 2 + alpha ** 2
+                        + 2.0 * alpha * noise.dither_rad * ref)
+    return rates * dt, ref
+
+
+def montecarlo_lockin_per_bin(idx: ModeIndex, epsilon: float, alpha: float,
+                              budget, noise, seed: int,
+                              trials: int) -> np.ndarray:
+    """Per-trial SNR samples with a Poisson count and, with electrical
+    noise, a normal of std electrical_v sqrt(n) drawn for each of the n time
+    bins; trial k draws from default_rng([seed, k])."""
+    expected, ref = lockin_bin_means(idx, epsilon, alpha, budget, noise)
+    n_dem = ref.size
+    dt = 1.0 / (SAMPLES_PER_CYCLE * noise.drive_frequency)
+    t_dem = n_dem * dt
+    volts_per_count = budget.volts_per_rate / dt
+    samples = np.empty(trials)
+    for k in range(trials):
+        rng = np.random.default_rng([seed, k])
+        counts = rng.poisson(expected)
+        v = volts_per_count * counts
+        if noise.electrical_v > 0.0:
+            v = v + rng.normal(0.0, noise.electrical_v * math.sqrt(n_dem),
+                               n_dem)
+        v_demod = (2.0 / n_dem) * float(np.sum(v * ref))
+        rate_hat = float(counts.sum()) / t_dem
+        shot_hat = budget.volts_per_rate * math.sqrt(rate_hat / t_dem)
+        level = math.hypot(shot_hat, noise.electrical_v)
+        samples[k] = v_demod / level if level > 0.0 else 0.0
+    return samples

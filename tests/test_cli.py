@@ -357,6 +357,22 @@ def test_malformed_mode_is_a_config_error(text):
     assert str(exc.value) == f"--mode expects 'm,n', got {text!r}"
 
 
+@pytest.mark.parametrize("power, count", [("1e4", "8.877320383096206e+19"),
+                                          ("1e6", "8.877320383096207e+21")])
+def test_montecarlo_refuses_a_window_count_float64_cannot_hold(power, count,
+                                                               capsys):
+    # such a window's counts lose integer precision in float64 and their
+    # sum overflows int64; the run is refused before any draw
+    with pytest.warns(SaturationWarning):
+        assert main(["montecarlo", "--mode", "1,1", "--power-w", power,
+                     "--trials", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"error: expected photons a window {count} must be finite and lie "
+        "in [0, 9007199254740992]")
+
+
 def test_montecarlo_rejects_bad_modes(capsys):
     assert main(["montecarlo", "--mode", "0,0", "--trials", "10"]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -6,6 +6,7 @@ verified against larger-trial runs so the asserted margins hold with room to
 spare.
 """
 
+import io
 import json
 import math
 import os
@@ -46,6 +47,7 @@ from hgsense.experiment import (
 )
 from hgsense.modes import ModeIndex
 from hgsense.output import write_atomic
+from reference import lockin_bin_means, montecarlo_lockin_per_bin
 
 EPSILON = math.radians(5.0)
 MODE = ModeIndex(1, 1)
@@ -231,6 +233,73 @@ def test_montecarlo_with_electrical_floor():
     assert res.mean_snr == pytest.approx(expected, rel=0.05)
 
 
+class _RecordedDraws:
+    """A generator whose poisson and normal draws log their parameters."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def poisson(self, lam):
+        self._log.append(("poisson", np.array(lam)))
+        return self._rng.poisson(lam)
+
+    def normal(self, loc, scale):
+        self._log.append(("normal", scale))
+        return self._rng.normal(loc, scale)
+
+
+@pytest.mark.parametrize("budget, noise, alpha", [
+    (PhotonBudget(), NoiseModel(), 1e-6),
+    (PhotonBudget(power=3e-11, integration=0.0523),
+     NoiseModel(dither_rad=4e-3, drive_frequency=777.0, electrical_v=0.0),
+     -2e-7),
+    (PhotonBudget(power=3e-11, integration=0.0523),
+     NoiseModel(dither_rad=4e-3, drive_frequency=777.0, electrical_v=1e-5),
+     3e-7),
+])
+def test_montecarlo_draws_once_per_phase_what_the_bins_sum_to(monkeypatch,
+                                                              budget, noise,
+                                                              alpha):
+    # a phase's count over the window sums that phase's bin counts, so its
+    # mean sums their means over the cycles; the electrical noise of the n
+    # bins, std electrical_v sqrt(n) each, enters through its sum against
+    # the reference, of std electrical_v sqrt(n) |ref|
+    log, draw = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda key: _RecordedDraws(draw(key), log))
+    _cpus(monkeypatch, 1)
+    montecarlo_lockin(MODE, EPSILON, alpha, budget, noise, seed=3, trials=10)
+    bins, ref = lockin_bin_means(MODE, EPSILON, alpha, budget, noise)
+    phases = bins.reshape(-1, experiment.SAMPLES_PER_CYCLE).sum(axis=0)
+    std = noise.electrical_v * math.sqrt(ref.size) * math.sqrt(ref @ ref)
+    draws = ["poisson", "normal"] if noise.electrical_v else ["poisson"]
+    assert [name for name, _ in log] == draws * 10
+    for name, value in log:
+        if name == "poisson":
+            np.testing.assert_allclose(value, phases, rtol=1e-12, atol=0.0)
+        else:
+            assert value == pytest.approx(std, rel=1e-12)
+
+
+@pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
+def test_montecarlo_samples_match_the_per_bin_oracle(electrical_v):
+    # the same distribution, other samples: the mean and std of 2000 trials
+    # agree with the per-bin draws' within 4 standard errors
+    budget = PhotonBudget()
+    noise = NoiseModel(electrical_v=electrical_v)
+    alpha = 5 * min_detectable_rotation(MODE, EPSILON, budget.photons)
+    trials = 2000
+    phases = montecarlo_lockin(MODE, EPSILON, alpha, budget, noise, seed=31,
+                               trials=trials).samples
+    bins = montecarlo_lockin_per_bin(MODE, EPSILON, alpha, budget, noise,
+                                     seed=32, trials=trials)
+    spread = math.sqrt(phases.var(ddof=1) + bins.var(ddof=1))
+    assert (abs(phases.mean() - bins.mean())
+            < 4.0 * spread / math.sqrt(trials))
+    assert (abs(phases.std(ddof=1) - bins.std(ddof=1))
+            < 4.0 * spread / math.sqrt(2 * (trials - 1)))
+
+
 def test_montecarlo_guards():
     budget = PhotonBudget()
     noise = NoiseModel()
@@ -309,8 +378,8 @@ def test_montecarlo_caps_trials_before_allocating(monkeypatch):
 
 
 def test_montecarlo_caps_run_bins_before_simulating(monkeypatch):
-    # 9.8e5 bins a trial passes the per-trial cap, but 100000 such trials
-    # would run for hours
+    # 9.8e5 bins a trial passes the per-trial cap, but not 100000 such
+    # trials: the run cap keeps the windows a run may span
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulation started before the run cap")
 
@@ -327,9 +396,38 @@ def test_montecarlo_caps_run_bins_before_simulating(monkeypatch):
     assert experiment.MAX_RUN_BINS >= experiment.MAX_TRIALS * 2180
 
 
+def test_montecarlo_refuses_a_window_count_float64_cannot_hold(monkeypatch):
+    # past 2**53 expected photons a window a count loses integer precision
+    # in float64, and near 2**63 the sum of the counts overflows int64
+    def no_draw(*args, **kwargs):
+        raise AssertionError("generator seeded before the window-count guard")
+
+    with pytest.warns(SaturationWarning):
+        budgets = [PhotonBudget(power=power) for power in (1.1, 1e4, 1e6)]
+        under = PhotonBudget(power=0.9)
+    monkeypatch.setattr(experiment.np.random, "default_rng", no_draw)
+    for budget in budgets:
+        with pytest.raises(ConfigError, match=r"expected photons a window "
+                                              r"\S+ must be finite and lie "
+                                              r"in \[0, 9007199254740992\]"):
+            montecarlo_lockin(MODE, EPSILON, 1e-6, budget, NoiseModel(),
+                              trials=10)
+    monkeypatch.undo()
+    # just under the limit the samples still track the analytic SNR
+    alpha = 2 * min_detectable_rotation(MODE, EPSILON, under.photons)
+    res = montecarlo_lockin(MODE, EPSILON, alpha, under,
+                            NoiseModel(electrical_v=0.0), seed=22, trials=400)
+    assert (abs(res.mean_snr - snr(MODE, EPSILON, alpha, under))
+            < 4.0 * res.std_snr / math.sqrt(400))
+
+
 def _cpus(monkeypatch, count):
+    """count usable CPUs, no CPU quota, and blocks of at least 100 trials:
+    the split tests' trial counts are sized to that block minimum."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(experiment, "_read_cpu_max", lambda: "")
+    monkeypatch.setattr(experiment, "MIN_BLOCK_TRIALS", 100)
 
 
 def _count_forks(monkeypatch) -> list:
@@ -381,6 +479,56 @@ def test_montecarlo_split_over_cpus_is_bitwise_one_process(monkeypatch,
             _assert_no_child()
         for run in runs[1:]:
             _assert_bitwise(run, runs[0])
+
+
+def test_montecarlo_blocks_hold_at_least_min_block_trials(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(experiment, "_read_cpu_max", lambda: "")
+    forks = _count_forks(monkeypatch)
+    _lockin(2 * experiment.MIN_BLOCK_TRIALS - 1)
+    assert forks == []
+    _lockin(2 * experiment.MIN_BLOCK_TRIALS)
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("cpu_max, workers", [
+    ("max 100000\n", 3),  # no quota
+    ("", 3),  # no cgroup v2 cpu.max
+    ("100000 100000\n", 1),
+    ("150000 100000\n", 2),  # 1.5 CPUs of time: both blocks may run
+    ("50000 100000\n", 1),
+    ("400000 100000\n", 3),  # the mask is the smaller
+])
+def test_worker_count_takes_the_cpu_quota(monkeypatch, cpu_max, workers):
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(experiment, "_read_cpu_max", lambda: cpu_max)
+    assert experiment._worker_count(4000) == workers
+    forks = _count_forks(monkeypatch)
+    one = _lockin(401)
+    assert len(forks) == workers - 1
+    _cpus(monkeypatch, 1)
+    _assert_bitwise(_lockin(401), one)
+
+
+def test_cpu_max_reader_follows_the_cgroup_v2_path(monkeypatch):
+    files = {"/proc/self/cgroup": "1:cpu:/\n0::/jobs/a\n",
+             "/sys/fs/cgroup/jobs/a/cpu.max": "150000 100000\n"}
+
+    def fake_open(path):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr(experiment, "open", fake_open, raising=False)
+    assert experiment._read_cpu_max() == "150000 100000\n"
+    assert experiment._quota_cpus() == 2
+    del files["/sys/fs/cgroup/jobs/a/cpu.max"]  # the cpu controller on v1
+    assert experiment._read_cpu_max() == ""
+    files["/proc/self/cgroup"] = "1:cpu:/\n"  # no v2 hierarchy at all
+    assert experiment._read_cpu_max() == ""
+    assert experiment._quota_cpus() == math.inf
 
 
 def test_montecarlo_block_larger_than_a_pipe_buffer(monkeypatch):
