@@ -65,11 +65,11 @@ DEFAULT_ELECTRICAL_V = 35.75e-6
 SAMPLES_PER_CYCLE = 20
 # Largest count of 1/(20 f) time bins one Monte Carlo trial's window may
 # span; the defaults need 2180. A trial draws one count per drive phase, so
-# its memory and time no longer grow with the bins: this bound, and
-# MAX_RUN_BINS over all trials of a run, keep the windows the model accepts
-# (a drive frequency of 1e9 Hz is refused, not simulated).
+# its memory and time do not grow with the bins: this bound, and
+# MAX_RUN_BINS over all trials of a run, set which windows the model
+# accepts (a drive frequency of 1e9 Hz is refused, not simulated).
 MAX_SAMPLES_PER_TRIAL = 10 ** 6
-# Largest trial count of one Monte Carlo run (a trial takes about 30 us at
+# Largest trial count of one Monte Carlo run (a trial takes about 40 us at
 # the defaults), and largest count of time bins over all its trials.
 MAX_TRIALS = 10 ** 5
 MAX_RUN_BINS = MAX_TRIALS * 2200
@@ -79,7 +79,7 @@ MAX_RUN_BINS = MAX_TRIALS * 2200
 MAX_WINDOW_COUNTS = 2 ** 53
 # A Monte Carlo run splits its trials over at most MAX_WORKERS processes,
 # one per usable CPU, with no fewer than MIN_BLOCK_TRIALS trials each. At
-# about 30-45 us a trial on 2 CPUs, a fork cost about 5 ms in a warm
+# about 40 us a trial on 2 CPUs, a fork cost about 5 ms in a warm
 # process: two blocks of 50 trials ran slower than one process (0.65x), of
 # 100 even, of 200 or more faster (1.25x at 400 trials). A fork from a fresh
 # process costs about 2000 page faults a side more: there a 400-trial split
@@ -364,11 +364,10 @@ def _read_cpu_max() -> str:
 def _quota_cpus() -> float:
     """CPUs a cgroup v2 quota gives this process, ceil(quota / period), or
     inf without a quota."""
-    fields = _read_cpu_max().split()  # "max 100000" when unlimited
-    if len(fields) != 2 or not all(map(str.isdigit, fields)):
+    fields = _read_cpu_max().split()
+    if len(fields) != 2 or fields[0] == "max":  # "max 100000": no quota
         return math.inf
-    quota, period = map(int, fields)
-    return math.ceil(quota / period) if period else math.inf
+    return math.ceil(int(fields[0]) / int(fields[1]))
 
 
 def _run_blocks(fill, samples: np.ndarray):

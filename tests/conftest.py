@@ -29,3 +29,7 @@ def _watchdog():
     faulthandler.dump_traceback_later(TEST_TIMEOUT_S, exit=True, file=_stderr)
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+def pytest_unconfigure(config):
+    _stderr.close()
