@@ -12,7 +12,9 @@ photocurrent at the drive frequency yields a signal linear in ``alpha``; the
 noise floor is the Poisson fluctuation of the window-averaged rate plus any
 electrical noise. The Monte Carlo samples the rate in 1/(20 f) time bins,
 but draws each trial's photons once per drive phase over the whole window,
-since the bins of one phase share a rate. Conventions:
+since the bins of one phase share a rate; a run draws all its trials in one
+call from each of two streams, one for the counts and one for the
+electrical noise. Conventions:
 
 * the quoted shot level is the standard deviation of the window-mean voltage
   estimator (the DC bin), not of the demodulated quadrature, which carries
@@ -25,8 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -69,26 +69,15 @@ SAMPLES_PER_CYCLE = 20
 # MAX_RUN_BINS over all trials of a run, set which windows the model
 # accepts (a drive frequency of 1e9 Hz is refused, not simulated).
 MAX_SAMPLES_PER_TRIAL = 10 ** 6
-# Largest trial count of one Monte Carlo run (a trial takes about 40 us at
-# the defaults), and largest count of time bins over all its trials.
+# Largest trial count of one Monte Carlo run, and largest count of time bins
+# over all its trials. A run holds its counts and their float64 copy at
+# once, about 330 bytes a trial, so MAX_TRIALS peaks near 33 MB.
 MAX_TRIALS = 10 ** 5
 MAX_RUN_BINS = MAX_TRIALS * 2200
 # Most photons a window may expect: past 2**53 a count's sum against the
 # reference loses integer precision in float64, and near 2**63 the sum of
 # the counts overflows int64.
 MAX_WINDOW_COUNTS = 2 ** 53
-# A Monte Carlo run splits its trials over at most MAX_WORKERS processes,
-# one per usable CPU, with no fewer than MIN_BLOCK_TRIALS trials each. At
-# about 40 us a trial on 2 CPUs, a fork cost about 5 ms in a warm
-# process: two blocks of 50 trials ran slower than one process (0.65x), of
-# 100 even, of 200 or more faster (1.25x at 400 trials). A fork from a fresh
-# process costs about 2000 page faults a side more: there a 400-trial split
-# read 0.67x, 600-800 trials even, 1000 1.13x and 1600 1.25x, hence blocks
-# of 500. Usable CPUs are the affinity mask, capped by a cgroup v2 quota;
-# no run had more than 2 CPUs, so the cap of 8 is a limit, not a measured
-# optimum.
-MAX_WORKERS = 8
-MIN_BLOCK_TRIALS = 500
 
 # Measured benchmarks for diagonal modes: drive voltage giving unit SNR and
 # the shot-noise floor at the lock-in output. Model predictions track these
@@ -270,19 +259,17 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     rate (plus the electrical floor in quadrature). The demodulated
     quadrature carries sqrt(2) more Poisson noise than the window mean, so
     per-trial SNR values scatter accordingly. The bins of one drive phase
-    share a rate and the reference, so the trial draws one Poisson count
-    per phase over the whole window and, with electrical noise, one normal
-    for that noise's sum against the reference: the same distribution of
-    samples as a draw per bin. A window expecting more than
+    share a rate and the reference, so a trial's counts are one Poisson
+    count per phase over the whole window and, with electrical noise, one
+    normal for that noise's sum against the reference: the same
+    distribution of samples as a draw per bin. A window expecting more than
     MAX_WINDOW_COUNTS photons is refused.
 
-    Trial k draws only from default_rng([seed, k]), Poisson counts first,
-    so on Linux the trials run in contiguous blocks, one per usable CPU (at
-    most MAX_WORKERS, each of at least MIN_BLOCK_TRIALS trials; see
-    _run_blocks), and the result is bitwise the one-process run. Elsewhere,
-    with one usable CPU, or while other Python threads run, every trial runs
-    in the calling process. Usable CPUs are the affinity mask, and no more
-    than the process's cgroup v2 CPU quota gives.
+    The run draws every trial at once in this process, from two streams
+    that SeedSequence(seed) spawns: a (trials, 20) array of Poisson counts
+    from the first and, with electrical noise, trials normals from the
+    second. Both fill in trial order, so trial k's sample depends only on
+    seed and k: a shorter run is a prefix of a longer one.
     """
     # 10 trials for a meaningful average
     finite_in("trials", integer("trials", trials), 10, MAX_TRIALS)
@@ -319,129 +306,20 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     electrical_std = (noise.electrical_v * math.sqrt(n_dem)
                       * math.sqrt(cycles * float(ref @ ref)))
 
-    def fill(block: np.ndarray, start: int):
-        """The samples of trials start, start + 1, ... into block."""
-        for j in range(block.size):
-            rng = np.random.default_rng([seed, start + j])
-            counts = rng.poisson(expected)
-            v_ref = volts_per_count * float(counts @ ref)
-            if noise.electrical_v > 0.0:
-                v_ref += rng.normal(0.0, electrical_std)
-            v_demod = (2.0 / n_dem) * v_ref
-            rate_hat = float(counts.sum()) / t_dem
-            shot_hat = budget.volts_per_rate * math.sqrt(rate_hat / t_dem)
-            level = math.hypot(shot_hat, noise.electrical_v)
-            block[j] = v_demod / level if level > 0.0 else 0.0
-
-    samples = np.empty(trials)
-    _run_blocks(fill, samples)
+    counts_rng, noise_rng = (np.random.default_rng(child) for child
+                             in np.random.SeedSequence(seed).spawn(2))
+    counts = counts_rng.poisson(expected, (trials, SAMPLES_PER_CYCLE))
+    v_ref = volts_per_count * (counts @ ref)
+    if noise.electrical_v > 0.0:
+        v_ref += noise_rng.normal(0.0, electrical_std, trials)
+    v_demod = (2.0 / n_dem) * v_ref
+    rate_hat = counts.sum(axis=1) / t_dem
+    shot_hat = budget.volts_per_rate * np.sqrt(rate_hat / t_dem)
+    level = np.hypot(shot_hat, noise.electrical_v)
+    samples = np.divide(v_demod, level, out=np.zeros(trials),
+                        where=level > 0.0)
     return LockinResult(float(samples.mean()), float(samples.std(ddof=1)),
                         frozen(samples), seed)
-
-
-def _worker_count(trials: int) -> int:
-    # another Python thread may hold a lock that a forked child would
-    # inherit held, so a run beside one stays in this process
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), _quota_cpus(),
-                      MAX_WORKERS, trials // MIN_BLOCK_TRIALS))
-
-
-def _read_cpu_max() -> str:
-    """The cgroup v2 cpu.max of this process's own cgroup, or "" where
-    there is none (cgroup v1, or no cgroup file system)."""
-    try:
-        with open("/proc/self/cgroup") as f:
-            path = next(line[3:].strip() for line in f
-                        if line.startswith("0::"))
-        with open(f"/sys/fs/cgroup{path}/cpu.max") as f:
-            return f.read()
-    except (OSError, StopIteration):
-        return ""
-
-
-def _quota_cpus() -> float:
-    """CPUs a cgroup v2 quota gives this process, ceil(quota / period), or
-    inf without a quota."""
-    fields = _read_cpu_max().split()
-    if len(fields) != 2 or fields[0] == "max":  # "max 100000": no quota
-        return math.inf
-    return math.ceil(int(fields[0]) / int(fields[1]))
-
-
-def _run_blocks(fill, samples: np.ndarray):
-    """fill(samples[lo:hi], lo) over contiguous blocks of samples, block 0
-    in this process and each other block in a forked child that sends its
-    float64 bytes back through a pipe. A child that fails sends no data, and
-    a block whose child sends short data is filled here again, so its errors
-    and warnings surface as in one process. Children still running when
-    this raises are killed."""
-    workers = _worker_count(samples.size)
-    edges = [samples.size * w // workers for w in range(workers + 1)]
-    blocks = [(samples[lo:hi], lo) for lo, hi in zip(edges, edges[1:])]
-    children = {}  # block number -> (pid, reader of its pipe)
-    try:
-        for w in range(1, workers):
-            try:
-                children[w] = _fork_block(fill, *blocks[w])
-            except OSError:  # no pipe or no fork: the block runs here
-                pass
-        fill(*blocks[0])
-        for w in range(1, workers):
-            block, start = blocks[w]
-            data = b""
-            if w in children:
-                pid, reader = children[w]
-                data = reader.read()  # to EOF before waitpid: a block can
-                reader.close()        # outgrow the pipe buffer
-                os.waitpid(pid, 0)
-                del children[w]
-            if len(data) == block.nbytes:
-                block[:] = np.frombuffer(data)
-            else:
-                fill(block, start)
-    finally:
-        if children:
-            import signal  # only here: its import would cost every run
-            for pid, reader in children.values():
-                reader.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _fork_block(fill, block: np.ndarray, start: int):
-    """Fork a child that fills block with warnings as errors, writes its
-    bytes to a pipe and leaves by os._exit, so it never flushes this
-    process's buffers or runs its atexit hooks; (pid, reader of the pipe)."""
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on fork while other OS threads run. numpy's
-            # BLAS pool is such threads, and a child makes no BLAS call.
-            warnings.filterwarnings(
-                "ignore", "This process .* is multi-threaded",
-                DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                fill(block, start)
-            data = memoryview(block.tobytes())
-            while data:
-                data = data[os.write(write_fd, data):]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
 
 
 class ModeSensitivity(NamedTuple):

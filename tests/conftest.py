@@ -1,8 +1,8 @@
 """A per-test watchdog, since pytest-timeout is not a test dependency.
 
-A test still running after TEST_TIMEOUT_S seconds (a deadlock on the Monte
-Carlo fork path, say) dumps every thread's traceback to the run's stderr and
-ends the run, where it would otherwise hang it. The slowest test takes a few
+A test still running after TEST_TIMEOUT_S seconds (a deadlock, or a loop
+that never ends) dumps every thread's traceback to the run's stderr and ends
+the run, where it would otherwise hang it. The slowest test takes a few
 seconds.
 """
 

@@ -364,7 +364,7 @@ def test_criterion_09():
             alpha = k * alpha_unit
             v = cal.volts(alpha)
             res = montecarlo_lockin(idx, epsilon, alpha, budget, noise,
-                                    seed=seed, trials=100)
+                                    seed=seed, trials=2500)
             num += res.mean_snr * v
             den += v * v
         slopes[idx] = num / den

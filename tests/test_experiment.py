@@ -6,12 +6,9 @@ verified against larger-trial runs so the asserted margins hold with room to
 spare.
 """
 
-import io
 import json
 import math
-import os
-import threading
-import warnings
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,13 +236,13 @@ class _RecordedDraws:
     def __init__(self, rng, log):
         self._rng, self._log = rng, log
 
-    def poisson(self, lam):
-        self._log.append(("poisson", np.array(lam)))
-        return self._rng.poisson(lam)
+    def poisson(self, lam, size):
+        self._log.append(("poisson", np.array(lam), size))
+        return self._rng.poisson(lam, size)
 
-    def normal(self, loc, scale):
-        self._log.append(("normal", scale))
-        return self._rng.normal(loc, scale)
+    def normal(self, loc, scale, size):
+        self._log.append(("normal", scale, size))
+        return self._rng.normal(loc, scale, size)
 
 
 @pytest.mark.parametrize("budget, noise, alpha", [
@@ -263,22 +260,24 @@ def test_montecarlo_draws_once_per_phase_what_the_bins_sum_to(monkeypatch,
     # a phase's count over the window sums that phase's bin counts, so its
     # mean sums their means over the cycles; the electrical noise of the n
     # bins, std electrical_v sqrt(n) each, enters through its sum against
-    # the reference, of std electrical_v sqrt(n) |ref|
+    # the reference, of std electrical_v sqrt(n) |ref|. One call of each
+    # draws every trial of the run.
     log, draw = [], np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
-                        lambda key: _RecordedDraws(draw(key), log))
-    _cpus(monkeypatch, 1)
+                        lambda seed: _RecordedDraws(draw(seed), log))
     montecarlo_lockin(MODE, EPSILON, alpha, budget, noise, seed=3, trials=10)
     bins, ref = lockin_bin_means(MODE, EPSILON, alpha, budget, noise)
     phases = bins.reshape(-1, experiment.SAMPLES_PER_CYCLE).sum(axis=0)
     std = noise.electrical_v * math.sqrt(ref.size) * math.sqrt(ref @ ref)
     draws = ["poisson", "normal"] if noise.electrical_v else ["poisson"]
-    assert [name for name, _ in log] == draws * 10
-    for name, value in log:
-        if name == "poisson":
-            np.testing.assert_allclose(value, phases, rtol=1e-12, atol=0.0)
-        else:
-            assert value == pytest.approx(std, rel=1e-12)
+    assert [name for name, *_ in log] == draws
+    _, means, size = log[0]
+    assert size == (10, experiment.SAMPLES_PER_CYCLE)
+    np.testing.assert_allclose(means, phases, rtol=1e-12, atol=0.0)
+    if noise.electrical_v:
+        _, scale, size = log[1]
+        assert size == 10
+        assert scale == pytest.approx(std, rel=1e-12)
 
 
 @pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
@@ -362,10 +361,10 @@ def test_montecarlo_rejects_nan_rotation_and_oversized_trials(monkeypatch):
 
 
 def test_montecarlo_caps_trials_before_allocating(monkeypatch):
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("sample array allocated before the trial cap")
+    def no_draw(*args, **kwargs):
+        raise AssertionError("generator seeded before the trial cap")
 
-    monkeypatch.setattr(experiment.np, "empty", no_allocation)
+    monkeypatch.setattr(experiment.np.random, "default_rng", no_draw)
     with pytest.raises(ConfigError, match=r"trials 100001 must be finite and "
                                           r"lie in \[10, 100000\]"):
         montecarlo_lockin(MODE, EPSILON, 1e-6, PhotonBudget(), NoiseModel(),
@@ -383,7 +382,6 @@ def test_montecarlo_caps_run_bins_before_simulating(monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulation started before the run cap")
 
-    monkeypatch.setattr(experiment.np, "empty", no_simulation)
     monkeypatch.setattr(experiment.np.random, "default_rng", no_simulation)
     with pytest.raises(ConfigError, match="bins a run"):
         montecarlo_lockin(MODE, EPSILON, 1e-6, PhotonBudget(),
@@ -421,282 +419,31 @@ def test_montecarlo_refuses_a_window_count_float64_cannot_hold(monkeypatch):
             < 4.0 * res.std_snr / math.sqrt(400))
 
 
-def _cpus(monkeypatch, count):
-    """count usable CPUs, no CPU quota, and blocks of at least 100 trials:
-    the split tests' trial counts are sized to that block minimum."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)), raising=False)
-    monkeypatch.setattr(experiment, "_read_cpu_max", lambda: "")
-    monkeypatch.setattr(experiment, "MIN_BLOCK_TRIALS", 100)
-
-
-def _count_forks(monkeypatch) -> list:
-    """The pids of the children forked from here on, as a live list."""
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _lockin(trials, noise=NoiseModel(electrical_v=0.0),
-            budget=PhotonBudget()):
-    alpha = 5 * min_detectable_rotation(MODE, EPSILON, budget.photons)
-    return montecarlo_lockin(MODE, EPSILON, alpha, budget, noise, seed=7,
-                             trials=trials)
-
-
-def _assert_bitwise(run, one):
-    assert run.samples.tobytes() == one.samples.tobytes()
-    assert (run.mean_snr, run.std_snr, run.seed) == (
-        one.mean_snr, one.std_snr, one.seed)
+def _lockin(trials, noise):
+    alpha = 5 * min_detectable_rotation(MODE, EPSILON, PhotonBudget().photons)
+    return montecarlo_lockin(MODE, EPSILON, alpha, PhotonBudget(), noise,
+                             seed=7, trials=trials)
 
 
 @pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
-def test_montecarlo_split_over_cpus_is_bitwise_one_process(monkeypatch,
-                                                           electrical_v):
+def test_montecarlo_shorter_run_is_a_prefix_of_a_longer_one(electrical_v):
+    # both streams fill in trial order, so a sample depends on the seed and
+    # its trial index alone
     noise = NoiseModel(electrical_v=electrical_v)
-    forks = _count_forks(monkeypatch)
-    for trials in (10, 100, 101, 401, 4000):
-        runs = []
-        for cpus in (1, 2, 3):
-            _cpus(monkeypatch, cpus)
-            forks.clear()
-            runs.append(_lockin(trials, noise))
-            # one process per CPU, each with at least MIN_BLOCK_TRIALS
-            workers = min(cpus, max(1, trials // experiment.MIN_BLOCK_TRIALS))
-            assert len(forks) == workers - 1
-            _assert_no_child()
-        for run in runs[1:]:
-            _assert_bitwise(run, runs[0])
+    long, short = _lockin(1000, noise), _lockin(400, noise)
+    assert long.samples[:400].tobytes() == short.samples.tobytes()
 
 
-def test_montecarlo_blocks_hold_at_least_min_block_trials(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    monkeypatch.setattr(experiment, "_read_cpu_max", lambda: "")
-    forks = _count_forks(monkeypatch)
-    _lockin(2 * experiment.MIN_BLOCK_TRIALS - 1)
-    assert forks == []
-    _lockin(2 * experiment.MIN_BLOCK_TRIALS)
-    assert len(forks) == 1
-    _assert_no_child()
-
-
-@pytest.mark.parametrize("cpu_max, workers", [
-    ("max 100000\n", 3),  # no quota
-    ("", 3),  # no cgroup v2 cpu.max
-    ("100000 100000\n", 1),
-    ("150000 100000\n", 2),  # 1.5 CPUs of time: both blocks may run
-    ("50000 100000\n", 1),
-    ("400000 100000\n", 3),  # the mask is the smaller
-])
-def test_worker_count_takes_the_cpu_quota(monkeypatch, cpu_max, workers):
-    _cpus(monkeypatch, 3)
-    monkeypatch.setattr(experiment, "_read_cpu_max", lambda: cpu_max)
-    assert experiment._worker_count(4000) == workers
-    forks = _count_forks(monkeypatch)
-    one = _lockin(401)
-    assert len(forks) == workers - 1
-    _cpus(monkeypatch, 1)
-    _assert_bitwise(_lockin(401), one)
-
-
-def test_cpu_max_reader_follows_the_cgroup_v2_path(monkeypatch):
-    files = {"/proc/self/cgroup": "1:cpu:/\n0::/jobs/a\n",
-             "/sys/fs/cgroup/jobs/a/cpu.max": "150000 100000\n"}
-
-    def fake_open(path):
-        if path not in files:
-            raise FileNotFoundError(path)
-        return io.StringIO(files[path])
-
-    monkeypatch.setattr(experiment, "open", fake_open, raising=False)
-    assert experiment._read_cpu_max() == "150000 100000\n"
-    assert experiment._quota_cpus() == 2
-    del files["/sys/fs/cgroup/jobs/a/cpu.max"]  # the cpu controller on v1
-    assert experiment._read_cpu_max() == ""
-    files["/proc/self/cgroup"] = "1:cpu:/\n"  # no v2 hierarchy at all
-    assert experiment._read_cpu_max() == ""
-    assert experiment._quota_cpus() == math.inf
-
-
-def test_montecarlo_block_larger_than_a_pipe_buffer(monkeypatch):
-    # 40 bins a trial keep it short. An 8500-trial block sends 68 kB, past
-    # the 64 KiB a pipe buffers, so the parent must read it before it waits
-    budget = PhotonBudget(integration=0.002)
-    _cpus(monkeypatch, 2)
-    split = _lockin(17000, budget=budget)
-    _assert_no_child()
-    _cpus(monkeypatch, 1)
-    _assert_bitwise(split, _lockin(17000, budget=budget))
-
-
-def test_montecarlo_stays_in_one_process(monkeypatch):
-    _cpus(monkeypatch, 3)
-    forks = _count_forks(monkeypatch)
-    one = _lockin(401)
-    assert len(forks) == 2
-    # another Python thread could hold a lock the child would inherit
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
+def test_montecarlo_memory_at_the_trial_cap():
+    # the counts and their float64 copy, about 330 bytes a trial: 33 MB at
+    # MAX_TRIALS
+    tracemalloc.start()
     try:
-        _assert_bitwise(_lockin(401), one)
+        _lockin(experiment.MAX_TRIALS, NoiseModel())
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        release.set()
-        other.join()
-    monkeypatch.delattr(os, "sched_getaffinity")  # not Linux
-    _assert_bitwise(_lockin(401), one)
-    assert len(forks) == 2
-
-
-@pytest.mark.filterwarnings("error")
-def test_montecarlo_forks_quietly_beside_native_threads(monkeypatch):
-    # Python 3.12+ warns so on fork while numpy's BLAS threads run
-    fork = os.fork
-
-    def warning_fork():
-        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, "
-                      "use of fork() may lead to deadlocks in the child.",
-                      DeprecationWarning, stacklevel=2)
-        return fork()
-
-    _cpus(monkeypatch, 1)
-    one = _lockin(200)
-    monkeypatch.setattr(os, "fork", warning_fork)
-    forks = _count_forks(monkeypatch)
-    _cpus(monkeypatch, 2)
-    _assert_bitwise(_lockin(200), one)
-    assert len(forks) == 1
-    _assert_no_child()
-
-
-def _faulty_draws(monkeypatch, fault):
-    """default_rng that runs fault(trial) first, in every process."""
-    draw = np.random.default_rng
-
-    def faulty(key):
-        fault(key[1])
-        return draw(key)
-
-    monkeypatch.setattr(np.random, "default_rng", faulty)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("kind", ["raise", "warn", "short"])
-def test_montecarlo_refills_a_failed_child_block(monkeypatch, kind):
-    _cpus(monkeypatch, 1)
-    one = _lockin(401)
-    parent = os.getpid()
-
-    def fault(trial):
-        if os.getpid() != parent and trial % 50 == 0:
-            if kind == "raise":
-                raise ValueError("child draw")
-            if kind == "warn":  # an error in the child
-                warnings.warn("child draw", RuntimeWarning)
-
-    write = os.write
-
-    def write_one_sample(fd, data):  # then leave as if all went well
-        if os.getpid() == parent:
-            return write(fd, data)
-        write(fd, bytes(data[:8]))
-        os._exit(0)
-
-    _faulty_draws(monkeypatch, fault)
-    if kind == "short":
-        monkeypatch.setattr(os, "write", write_one_sample)
-    _cpus(monkeypatch, 3)
-    forks = _count_forks(monkeypatch)
-    _assert_bitwise(_lockin(401), one)
-    assert len(forks) == 2
-    _assert_no_child()
-
-
-def test_montecarlo_runs_a_block_here_when_fork_fails(monkeypatch):
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    _cpus(monkeypatch, 1)
-    one = _lockin(401)
-    open_fds = len(os.listdir("/dev/fd"))
-    monkeypatch.setattr(os, "fork", no_fork)
-    _cpus(monkeypatch, 3)
-    _assert_bitwise(_lockin(401), one)
-    assert len(os.listdir("/dev/fd")) == open_fds  # both pipe ends closed
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("error", [ValueError, RuntimeWarning])
-def test_montecarlo_block_error_raises_as_in_one_process(monkeypatch, error):
-    def fault(trial):
-        if trial == 250:  # in the second of three blocks
-            if issubclass(error, Warning):
-                warnings.warn("trial 250", error)
-            raise error("trial 250")
-
-    _faulty_draws(monkeypatch, fault)
-    raised = []
-    forks = _count_forks(monkeypatch)
-    for cpus in (1, 3):
-        _cpus(monkeypatch, cpus)
-        with pytest.raises(error) as info:
-            _lockin(401)
-        raised.append((type(info.value), str(info.value)))
-        _assert_no_child()
-    assert raised == [(error, "trial 250")] * 2
-    assert len(forks) == 2
-
-
-def test_montecarlo_child_warning_surfaces_as_in_one_process(monkeypatch):
-    def fault(trial):
-        if trial == 250:
-            warnings.warn("trial 250", RuntimeWarning)
-
-    _faulty_draws(monkeypatch, fault)
-    forks = _count_forks(monkeypatch)
-    runs, caught = [], []
-    for cpus in (1, 3):
-        _cpus(monkeypatch, cpus)
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            runs.append(_lockin(401))
-        caught.append([(w.category, str(w.message)) for w in seen])
-        _assert_no_child()
-    assert caught == [[(RuntimeWarning, "trial 250")]] * 2
-    _assert_bitwise(runs[1], runs[0])
-    assert len(forks) == 2
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("error", [ValueError("trial 5"), KeyboardInterrupt()])
-def test_montecarlo_parent_error_kills_every_child(monkeypatch, error):
-    parent = os.getpid()
-
-    def fault(trial):
-        if os.getpid() == parent and trial == 5:
-            raise error
-
-    _faulty_draws(monkeypatch, fault)
-    _cpus(monkeypatch, 3)
-    forks = _count_forks(monkeypatch)
-    with pytest.raises(type(error)) as info:
-        _lockin(4000)
-    assert info.value is error
-    assert len(forks) == 2
-    _assert_no_child()
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_sensitivity_table_contents():
