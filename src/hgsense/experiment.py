@@ -70,8 +70,9 @@ SAMPLES_PER_CYCLE = 20
 # accepts (a drive frequency of 1e9 Hz is refused, not simulated).
 MAX_SAMPLES_PER_TRIAL = 10 ** 6
 # Largest trial count of one Monte Carlo run, and largest count of time bins
-# over all its trials. A run holds its counts and their float64 copy at
-# once, about 330 bytes a trial, so MAX_TRIALS peaks near 33 MB.
+# over all its trials. A run holds its counts and their float64 products
+# with the reference at once, about 330 bytes a trial, so MAX_TRIALS peaks
+# near 33 MB.
 MAX_TRIALS = 10 ** 5
 MAX_RUN_BINS = MAX_TRIALS * 2200
 # Most photons a window may expect: past 2**53 a count's sum against the
@@ -309,7 +310,9 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     counts_rng, noise_rng = (np.random.default_rng(child) for child
                              in np.random.SeedSequence(seed).spawn(2))
     counts = counts_rng.poisson(expected, (trials, SAMPLES_PER_CYCLE))
-    v_ref = volts_per_count * (counts @ ref)
+    # a row sum, not counts @ ref: BLAS orders a row's sum by the row count
+    # and its threads, so a shorter run would not be a prefix of a longer one
+    v_ref = volts_per_count * (counts * ref).sum(axis=1)
     if noise.electrical_v > 0.0:
         v_ref += noise_rng.normal(0.0, electrical_std, trials)
     v_demod = (2.0 / n_dem) * v_ref

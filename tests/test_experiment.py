@@ -8,6 +8,10 @@ spare.
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -237,12 +241,23 @@ class _RecordedDraws:
         self._rng, self._log = rng, log
 
     def poisson(self, lam, size):
-        self._log.append(("poisson", np.array(lam), size))
-        return self._rng.poisson(lam, size)
+        drawn = self._rng.poisson(lam, size)
+        self._log.append(("poisson", np.array(lam), size, drawn))
+        return drawn
 
     def normal(self, loc, scale, size):
-        self._log.append(("normal", scale, size))
-        return self._rng.normal(loc, scale, size)
+        drawn = self._rng.normal(loc, scale, size)
+        self._log.append(("normal", scale, size, drawn))
+        return drawn
+
+
+def _record_draws(monkeypatch) -> list:
+    """(name, parameter, size, drawn) of every poisson and normal call made
+    from here on, as a live list."""
+    log, draw = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _RecordedDraws(draw(seed), log))
+    return log
 
 
 @pytest.mark.parametrize("budget, noise, alpha", [
@@ -262,20 +277,18 @@ def test_montecarlo_draws_once_per_phase_what_the_bins_sum_to(monkeypatch,
     # bins, std electrical_v sqrt(n) each, enters through its sum against
     # the reference, of std electrical_v sqrt(n) |ref|. One call of each
     # draws every trial of the run.
-    log, draw = [], np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: _RecordedDraws(draw(seed), log))
+    log = _record_draws(monkeypatch)
     montecarlo_lockin(MODE, EPSILON, alpha, budget, noise, seed=3, trials=10)
     bins, ref = lockin_bin_means(MODE, EPSILON, alpha, budget, noise)
     phases = bins.reshape(-1, experiment.SAMPLES_PER_CYCLE).sum(axis=0)
     std = noise.electrical_v * math.sqrt(ref.size) * math.sqrt(ref @ ref)
     draws = ["poisson", "normal"] if noise.electrical_v else ["poisson"]
     assert [name for name, *_ in log] == draws
-    _, means, size = log[0]
+    _, means, size, _ = log[0]
     assert size == (10, experiment.SAMPLES_PER_CYCLE)
     np.testing.assert_allclose(means, phases, rtol=1e-12, atol=0.0)
     if noise.electrical_v:
-        _, scale, size = log[1]
+        _, scale, size, _ = log[1]
         assert size == 10
         assert scale == pytest.approx(std, rel=1e-12)
 
@@ -434,16 +447,182 @@ def test_montecarlo_shorter_run_is_a_prefix_of_a_longer_one(electrical_v):
     assert long.samples[:400].tobytes() == short.samples.tobytes()
 
 
-def test_montecarlo_memory_at_the_trial_cap():
-    # the counts and their float64 copy, about 330 bytes a trial: 33 MB at
-    # MAX_TRIALS
+@pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
+def test_montecarlo_least_run_is_a_prefix_of_the_largest(electrical_v):
+    noise = NoiseModel(electrical_v=electrical_v)
+    least, largest = _lockin(10, noise), _lockin(experiment.MAX_TRIALS, noise)
+    assert largest.samples[:10].tobytes() == least.samples.tobytes()
+
+
+@pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
+def test_montecarlo_memory_at_the_trial_cap(electrical_v):
+    # the counts and their float64 products with the reference, about 330
+    # bytes a trial: 33 MB at MAX_TRIALS
     tracemalloc.start()
     try:
-        _lockin(experiment.MAX_TRIALS, NoiseModel())
+        _lockin(experiment.MAX_TRIALS, NoiseModel(electrical_v=electrical_v))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+@pytest.mark.parametrize("seed", [0, 22, 2 ** 64 + 5])
+@pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
+def test_montecarlo_draws_from_the_two_streams_its_seed_spawns(monkeypatch,
+                                                               seed,
+                                                               electrical_v):
+    # the counts from SeedSequence(seed)'s first child, the electrical noise
+    # from its second, one call each
+    log = _record_draws(monkeypatch)
+    montecarlo_lockin(MODE, EPSILON, 1e-6, PhotonBudget(),
+                      NoiseModel(electrical_v=electrical_v), seed=seed,
+                      trials=50)
+    monkeypatch.undo()
+    counts_rng, noise_rng = (np.random.default_rng(child) for child
+                             in np.random.SeedSequence(seed).spawn(2))
+    _, means, size, counts = log[0]
+    assert np.array_equal(counts, counts_rng.poisson(means, size))
+    if electrical_v:
+        _, scale, size, sums = log[1]
+        assert sums.tobytes() == noise_rng.normal(0.0, scale, size).tobytes()
+    assert len(log) == (2 if electrical_v else 1)
+
+
+@pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
+def test_montecarlo_samples_are_the_lockin_arithmetic_on_the_draws(
+        monkeypatch, electrical_v):
+    # trial by trial: demodulate the phase counts (and the noise sum)
+    # against the reference, and divide by the shot level of the trial's
+    # own count, the electrical floor in quadrature
+    budget, noise = PhotonBudget(), NoiseModel(electrical_v=electrical_v)
+    log = _record_draws(monkeypatch)
+    run = montecarlo_lockin(MODE, EPSILON, 1e-6, budget, noise, seed=5,
+                            trials=200)
+    _, ref = lockin_bin_means(MODE, EPSILON, 1e-6, budget, noise)
+    n_dem = ref.size
+    dt = 1.0 / (experiment.SAMPLES_PER_CYCLE * noise.drive_frequency)
+    t_dem = n_dem * dt
+    counts = log[0][3]
+    sums = log[1][3] if electrical_v else np.zeros(200)
+    expected = []
+    for row, noise_sum in zip(counts, sums):
+        v_ref = (budget.volts_per_rate / dt * math.fsum(
+            row * ref[:experiment.SAMPLES_PER_CYCLE]) + noise_sum)
+        rate_hat = math.fsum(row) / t_dem
+        level = math.hypot(budget.volts_per_rate * math.sqrt(rate_hat / t_dem),
+                           electrical_v)
+        expected.append(2.0 / n_dem * v_ref / level)
+    np.testing.assert_allclose(run.samples, expected, rtol=1e-9, atol=1e-12)
+
+
+def test_montecarlo_counts_do_not_depend_on_the_electrical_noise(monkeypatch):
+    # the noise has a stream of its own, so turning it on leaves the counts
+    # a seed gives as they were
+    log = _record_draws(monkeypatch)
+    for electrical_v in (0.0, 35.75e-6):
+        montecarlo_lockin(MODE, EPSILON, 1e-6, PhotonBudget(),
+                          NoiseModel(electrical_v=electrical_v), seed=9,
+                          trials=300)
+    quiet, noisy = (counts for name, *_, counts in log if name == "poisson")
+    assert np.array_equal(quiet, noisy)
+    assert [name for name, *_ in log] == ["poisson", "poisson", "normal"]
+
+
+class _DarkTrials(_RecordedDraws):
+    """Draws as recorded, but every third trial counts no photon."""
+
+    def poisson(self, lam, size):
+        counts = super().poisson(lam, size).copy()
+        counts[::3] = 0
+        return counts
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
+def test_montecarlo_trial_without_photons(monkeypatch, electrical_v):
+    # no count and no electrical noise: no level to divide by, and the
+    # sample reads 0 without a warning; with the electrical floor the level
+    # is that floor, and the sample is the noise alone
+    log, draw = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _DarkTrials(draw(seed), log))
+    run = montecarlo_lockin(MODE, EPSILON, 1e-6, PhotonBudget(),
+                            NoiseModel(electrical_v=electrical_v), seed=4,
+                            trials=30)
+    dark = run.samples[::3]
+    if electrical_v:
+        n_dem = experiment.SAMPLES_PER_CYCLE * math.floor(
+            experiment.DEFAULT_DRIVE_HZ * experiment.DEFAULT_INTEGRATION_S)
+        sums = log[1][3][::3]
+        np.testing.assert_allclose(dark, 2.0 / n_dem * sums / electrical_v,
+                                   rtol=1e-12, atol=0.0)
+        assert np.all(dark != 0.0)
+    else:
+        assert dark.tobytes() == np.zeros(10).tobytes()
+    assert np.all(np.isfinite(run.samples))
+    assert np.all(np.delete(run.samples, np.s_[::3]) != 0.0)
+
+
+@pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
+def test_montecarlo_summary_is_that_of_its_samples(electrical_v):
+    run = _lockin(500, NoiseModel(electrical_v=electrical_v))
+    assert type(run.mean_snr) is float and type(run.std_snr) is float
+    assert run.mean_snr == float(run.samples.mean())
+    assert run.std_snr == float(run.samples.std(ddof=1))
+    assert run.samples.dtype == np.float64 and run.samples.shape == (500,)
+    assert run.seed == 7
+
+
+def test_montecarlo_runs_in_the_calling_process(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the run started a process or a thread")
+
+    one = _lockin(2000, NoiseModel())
+    threads = threading.active_count()
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(subprocess, "Popen", refused)
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    assert _lockin(2000, NoiseModel()).samples.tobytes() == one.samples.tobytes()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_montecarlo_csv_does_not_depend_on_blas_threads(tmp_path, threads):
+    # the trials' sums against the reference are row sums, not BLAS
+    # products: a run held to one or two BLAS threads writes the bytes this
+    # process writes
+    argv = ["montecarlo", "--mode", "3,2", "--trials", "2000",
+            "--electrical-v", "35.75e-6", "--out"]
+    assert main([*argv, str(tmp_path / "here.csv")]) == 0
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "hgsense",
+                           *argv, str(tmp_path / "held.csv")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert ((tmp_path / "held.csv").read_bytes()
+            == (tmp_path / "here.csv").read_bytes())
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+@pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
+def test_montecarlo_mean_and_spread_per_mode(m, electrical_v):
+    # one rotation for every mode, so the shot-limited SNR grows as the root
+    # of the OAM variance (sqrt(15) from HG11 to HG55); the demodulated
+    # quadrature carries sqrt(2) of the window-mean noise, electrical noise
+    # included, so the samples spread by sqrt(2) whatever the mode
+    idx, trials = ModeIndex(m, m), 2000
+    alpha = 5 * min_detectable_rotation(MODE, EPSILON, PhotonBudget().photons)
+    run = montecarlo_lockin(idx, EPSILON, alpha, PhotonBudget(),
+                            NoiseModel(electrical_v=electrical_v), seed=41,
+                            trials=trials)
+    expected = snr(idx, EPSILON, alpha, electrical_v=electrical_v)
+    assert (abs(run.mean_snr - expected)
+            < 4.0 * run.std_snr / math.sqrt(trials))
+    assert (abs(run.std_snr - math.sqrt(2.0))
+            < 4.0 * math.sqrt(2.0) / math.sqrt(2 * (trials - 1)))
 
 
 def test_sensitivity_table_contents():
