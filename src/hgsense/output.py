@@ -1,10 +1,11 @@
-"""The one output path: atomic file writes and the one text-row formatter."""
+"""The one output path: atomic file writes and the text-row formatters."""
 
 from __future__ import annotations
 
 import contextlib
 import os
 import tempfile
+from itertools import chain
 
 from .errors import ConfigError
 
@@ -49,16 +50,40 @@ def write_atomic(path, *parts):
             handle.write(part.encode() if isinstance(part, str) else part)
 
 
+# the float cell of every text row: 12 significant digits
+FLOAT_CELL = "%.12g"
+
+
 def format_rows(rows, sep: str) -> list[str]:
     """Each row's cells joined by sep, one line per row: floats (numpy's too)
-    with 12 significant digits, anything else by str. Rows of one sequence of
-    cell types share one %-format, so a row costs one %-operation."""
+    as FLOAT_CELL, anything else by str. Rows of one sequence of cell types
+    share one %-format, so a row costs one %-operation."""
     formats = {}
     lines = []
     for row in rows:
         types = tuple(map(type, row))
         if types not in formats:
-            formats[types] = sep.join(["%.12g" if isinstance(v, float)
+            formats[types] = sep.join([FLOAT_CELL if isinstance(v, float)
                                        else "%s" for v in row])
         lines.append(formats[types] % tuple(row))
     return lines
+
+
+def format_indexed(prefix: str, values, sep: str) -> str:
+    """One line per float in values, each ending in a newline:
+    <prefix><k:04d><sep><value> with k counting from 0 and the value a
+    FLOAT_CELL, so a line has the bytes format_rows gives the row
+    (f"{prefix}{k:04d}", value). The whole run is one %-operation on one
+    template. Pass a numpy array as tolist(): Python floats format faster.
+
+    At 10**5 values (experiment.MAX_TRIALS) the traced peak is about 12.7 MB,
+    the floats tolist makes included: the template (1.6 MB), one flat tuple
+    of the indices and values with their int and float objects (about 7 MB)
+    and the text (2.5 MB). One string a row, the route this replaced, held
+    10**5 line strings (about 7 MB) and peaked at 13.2 MB. Both stay under
+    montecarlo_lockin's own peak at that size (about 33 MB)."""
+    count = len(values)
+    cells = tuple(chain.from_iterable(zip(range(count), values)))
+    line = "%s%%04d%s%s\n" % (prefix.replace("%", "%%"),
+                               sep.replace("%", "%%"), FLOAT_CELL)
+    return (line * count) % cells

@@ -232,6 +232,26 @@ def test_montecarlo_stdout(capsys):
     assert len(lines) == 5 + 10 + 2
 
 
+@pytest.mark.parametrize("noise", [[], ["--electrical-v", "3e-5"]])
+def test_montecarlo_short_csv_is_a_prefix_of_a_long_one(noise, tmp_path,
+                                                        capsys):
+    argv = ["montecarlo", "--mode", "2,3", "--seed", "11", *noise]
+    assert main(argv + ["--trials", "10"]) == 0
+    short = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--trials", "10001"]) == 0
+    stdout = capsys.readouterr().out
+    target = tmp_path / "mc.csv"
+    assert main(argv + ["--trials", "10001", "--out", str(target)]) == 0
+    # as lists of lines, kept ends and all: a failure names the first one
+    assert (target.read_bytes().splitlines(keepends=True)
+            == stdout.encode().splitlines(keepends=True))
+    long = stdout.splitlines()
+    # the header, label row and the ten trials, then the widened last label
+    assert long[:15] == short[:15]
+    assert short[15].startswith("mean,") and len(short) == 17
+    assert long[-3].startswith("trial10000,") and len(long) == 5 + 10001 + 2
+
+
 def test_montecarlo_out_and_config(tmp_path):
     out = tmp_path / "mc.csv"
     cfg = tmp_path / "mc.cfg"

@@ -23,7 +23,7 @@ from hgsense.fields import (
 )
 from hgsense.fisher import BOUND_CSV_COLUMNS, write_bound_csv
 from hgsense.modes import ModeIndex
-from hgsense.output import format_rows, write_atomic
+from hgsense.output import format_indexed, format_rows, write_atomic
 
 _PHASE = PhaseMap(np.zeros((64, 64)))
 
@@ -160,3 +160,41 @@ def test_every_text_row_has_the_oracle_bytes():
                                           for row in rows]
     assert format_rows([("# seed", 4), ("# alpha_rad", 0.1 / 3)], " = ") == [
         "# seed = 4", "# alpha_rad = 0.0333333333333"]
+
+
+def _indexed_rows(values) -> str:
+    """The oracle of format_indexed: format_rows over the trial rows."""
+    rows = ((f"trial{k:04d}", v) for k, v in enumerate(values))
+    return "".join(f"{line}\n" for line in format_rows(rows, ","))
+
+
+def test_indexed_lines_are_format_rows_bytes():
+    # numpy floats of a read-only array, as a Monte Carlo run returns them:
+    # random bit patterns (NaN and inf among them), with the signed zero,
+    # the smallest subnormal, a huge, an integral and a negative value at
+    # the first indices and at 9999 and 10000, where the label widens
+    bits = np.random.default_rng(20261020).integers(0, 2 ** 64, 10001,
+                                                    dtype=np.uint64)
+    values = bits.view(np.float64).copy()
+    special = [-0.0, 5e-324, 1e300, 2.0, -0.7]
+    values[:5] = special
+    values[9996:] = special
+    values.setflags(write=False)
+    # compared as lists of lines, kept ends and all, so that a failure
+    # reports the first line that differs rather than diffing 10**4 lines
+    text = format_indexed("trial", values.tolist(), ",")
+    lines = text.splitlines(keepends=True)
+    assert lines == _indexed_rows(values).splitlines(keepends=True)
+    assert format_indexed("trial", values, ",").splitlines(True) == lines
+    lines = text.splitlines()
+    assert lines[:5] == ["trial0000,-0", "trial0001,4.94065645841e-324",
+                         "trial0002,1e+300", "trial0003,2",
+                         "trial0004,-0.7"]
+    assert lines[9999:] == ["trial9999,2", "trial10000,-0.7"]
+    assert len(lines) == 10001 and text.endswith("\n")
+
+
+def test_indexed_lines_take_prefix_and_sep_literally():
+    assert format_indexed("trial", [], ",") == ""
+    assert format_indexed("a%s", [1.0, 0.25], "%d") == (
+        "a%s0000%d1\na%s0001%d0.25\n")
