@@ -1,4 +1,4 @@
-"""The one write path: atomic replacement and the 12-digit row formatter."""
+"""The one write path: atomic replacement and the 12-digit row formatters."""
 
 import csv
 import io
