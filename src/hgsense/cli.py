@@ -2,10 +2,7 @@
 
 Subcommands:
 
-bounds      precision-bound sweeps over pointer modes, three families in one
-            CSV: carrier-readout information at the working post-selection,
-            quantum bounds for coupling strength and axis angles, and an
-            exact-vs-quadratic comparison past the weak-coupling regime
+bounds      the precision-bound table of fisher.bound_rows as one CSV
 table2      minimum detectable rotation per mode with drive-voltage
             equivalents and measured benchmarks
 montecarlo  photon-counting lock-in simulation, per-trial SNR samples
@@ -22,11 +19,9 @@ would.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import math
 import sys
-from collections import namedtuple
 
 from .errors import (
     ConfigError,
@@ -59,18 +54,8 @@ from .experiment import (
     write_run_config,
 )
 from .fields import hologram_readout, mode_purity, write_field_binary
-from .fisher import (
-    Parameter,
-    qfi_rotation_exact_selections,
-    weak_fisher,
-    write_bound_csv,
-)
-from .modes import (
-    MAX_HERMITE_ORDER,
-    ModeIndex,
-    momentum_variance_x,
-    oam_variance,
-)
+from .fisher import bound_rows, write_bound_csv
+from .modes import ModeIndex
 from .output import (
     check_writable,
     format_indexed,
@@ -78,9 +63,6 @@ from .output import (
     staged,
     write_atomic,
 )
-from .weak import PauliAxis, QubitState, post_selected_pair
-
-_Orders = namedtuple("_Orders", "m n")  # all the variance closed forms read
 
 
 def _parse_mode(text: str) -> ModeIndex:
@@ -162,58 +144,14 @@ def cmd_bounds(args) -> int:
                         ("--sweep-max", args.sweep_max)):
         finite_in(flag, limit, 0, math.inf, ends="[)")  # else a family is lost
     epsilon = math.radians(args.epsilon_deg)
-    cot2 = check_epsilon(epsilon)
+    check_epsilon(epsilon)
     budget = _budget(args)
     alpha_breakdown = finite("--alpha-rad", args.alpha_rad)
-    # the breakdown family's exact sweep runs first: its largest pointer and
-    # each selection pair are refused before anything evolves. One evolution
-    # of |o, o> serves every epsilon
     for eps_b in args.breakdown_epsilons:
         check_epsilon(eps_b, "--breakdown-epsilons angle")
-    breakdown = [post_selected_pair(eps_b) for eps_b in args.breakdown_epsilons]
-    orders = range(1, args.sweep_max + 1)
-    sweep = [ModeIndex(order, order) for order in orders]
-    # the carrier grid's first cell ModeIndex refuses, if any; rows then
-    # pass plain (m, n) pairs to the closed forms
-    ModeIndex(1, min(args.grid_max, MAX_HERMITE_ORDER + 1))
-    exact = qfi_rotation_exact_selections(
-        breakdown, PauliAxis.z(), alpha_breakdown, sweep)
-    photons = budget.photons
-    rows = [("projective", "carrier-povm", "oam", epsilon, m, n, "alpha",
-             4.0 * cot2 * oam_variance(_Orders(m, n)) * photons)
-            for m in range(1, args.grid_max + 1)
-            for n in range(1, args.grid_max + 1)]
-
-    # symmetric selection pair with unit success: A_w = 1/2 on the tilted axis
-    diag = QubitState.from_amplitudes(1.0, cmath.exp(1j * math.pi / 4.0))
-    sigma0 = 1.0 / math.sqrt(2.0)
-    gaussian = momentum_variance_x(_Orders(0, 0), sigma0)
-    variances = {}  # <delta Omega^2> of the pointer by (coupling label, order)
-    for order in range(0, args.sweep_max + 1):
-        pointer = _Orders(order, order)
-        variances["oam", order] = oam_variance(pointer)
-        variances["momentum-x", order] = momentum_variance_x(pointer, sigma0)
-        variances["gaussian-pointer", order] = gaussian
-    fishers = weak_fisher((diag, diag), PauliAxis(math.pi / 4.0, 0.0), 1e-3,
-                          tuple(Parameter), variances.values())
-    for (label, order), row in zip(variances, fishers):
-        rows += [("hamiltonian", "quantum-bound", label, "", order, order,
-                  parameter.value, fisher)
-                 for parameter, fisher in zip(Parameter, row)]
-
-    for eps_b, pair, by_order in zip(args.breakdown_epsilons, breakdown,
-                                     zip(*exact)):
-        approx = weak_fisher(pair, PauliAxis.z(), alpha_breakdown,
-                             (Parameter.ALPHA,),
-                             [variances["oam", order] for order in orders])
-        rows += [("postselection", method, "oam", eps_b, order, order,
-                  "alpha", fisher)
-                 for order, exact_qfi, (approx_qfi,) in zip(orders, by_order,
-                                                            approx)
-                 for method, fisher in (("exact", exact_qfi),
-                                        ("weak-approx", approx_qfi))]
-
-    write_bound_csv(args.out, rows)
+    write_bound_csv(args.out, bound_rows(
+        epsilon, budget.photons, args.grid_max, args.sweep_max,
+        alpha_breakdown, args.breakdown_epsilons))
     _maybe_config(args, {
         **_budget_keys(epsilon, budget), "alpha_breakdown_rad": alpha_breakdown,
         "grid_max": args.grid_max, "sweep_max": args.sweep_max})

@@ -37,7 +37,7 @@ class DegeneratePostSelectionError(HgSenseError, ValueError):
 
 
 class WeakRegimeError(HgSenseError, ValueError):
-    """|alpha * A_w| exceeds the configured weak-coupling guard."""
+    """x = |alpha * A_w| dOmega exceeds the weak-coupling guard."""
 
 
 class TotalExtinctionError(HgSenseError, ArithmeticError):

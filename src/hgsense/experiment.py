@@ -7,7 +7,18 @@ detected photon rate is
     rate(t) = rate_in * K * cot(eps)^2
               * (alpha0^2 + alpha^2 + 2 alpha alpha0 cos(w t))
 
-with K the angular-momentum variance of the pointer mode. Demodulating the
+with K = 2mn + m + n the angular-momentum variance of the pointer mode.
+The rate is first order in the rotation: against the exact post-selected
+carrier probability P_c (weak.final_pointer_exact's success probability
+times |<c|psi~>|^2 on weak.carrier_state c), the law
+
+    1 - P_c / (cos(eps)^2 K alpha^2) = alpha^2 <Lz^4> / (3 <Lz^2>),
+    <Lz^4> = (3 K^2 - 4 K + 3 (m - n)^2) / 2    (modes.oam_fourth_moment),
+
+independent of eps: to 0.22% of the deficit itself for orders up to
+(10, 10), eps from 1 to 20 deg and alpha up to 6.93e-3. A dither alpha0
+whose deficit exceeds DITHER_DEFICIT_LIMIT is refused, in the analytic
+model and in the Monte Carlo alike. Demodulating the
 photocurrent at the drive frequency yields a signal linear in ``alpha``; the
 noise floor is the Poisson fluctuation of the window-averaged rate plus any
 electrical noise. The Monte Carlo samples the rate in 1/(20 f) time bins,
@@ -44,7 +55,7 @@ from .errors import (
     frozen,
     integer,
 )
-from .modes import ModeIndex, oam_variance
+from .modes import ModeIndex, oam_fourth_moment, oam_variance
 from .output import format_rows, write_atomic
 from .weak import check_weak_regime
 
@@ -61,6 +72,11 @@ DEFAULT_ROTATION_PER_VOLT = 4.4e-6
 DEFAULT_DRIVE_HZ = 1000.0
 DEFAULT_DITHER_RAD = 6.3e-3
 DEFAULT_ELECTRICAL_V = 35.75e-6
+# Largest carrier-rate deficit alpha0^2 <Lz^4> / (3 <Lz^2>) a dither may
+# give (see the module docstring). At DEFAULT_DITHER_RAD, 1% refuses no
+# order with m + n <= 30, HG(15, 16) and HG(14, 17) first, and every
+# diagonal order from HG(16, 16).
+DITHER_DEFICIT_LIMIT = 0.01
 
 SAMPLES_PER_CYCLE = 20
 # Largest count of 1/(20 f) time bins one Monte Carlo trial's window may
@@ -194,6 +210,16 @@ def _check_expansion(alpha: float, dither_rad: float):
             "|rotation| must be at most 0.1 dither")
 
 
+def _check_dither(idx: ModeIndex, dither_rad: float):
+    """Refuse a dither whose carrier-rate deficit alpha0^2 <Lz^4> / (3 K)
+    exceeds DITHER_DEFICIT_LIMIT (see the module docstring)."""
+    finite_in(f"rate deficit alpha0^2 <Lz^4> / (3 <Lz^2>) of mode "
+              f"({idx.m}, {idx.n}) at the dither {dither_rad} rad:",
+              dither_rad ** 2 * oam_fourth_moment(idx)
+              / (3.0 * oam_variance(idx)), 0.0, DITHER_DEFICIT_LIMIT,
+              ExpansionInvalidError)
+
+
 def demod_signal(idx: ModeIndex, epsilon: float, alpha: float,
                  budget: PhotonBudget = PhotonBudget(),
                  dither_rad: float = DEFAULT_DITHER_RAD) -> float:
@@ -201,6 +227,7 @@ def demod_signal(idx: ModeIndex, epsilon: float, alpha: float,
     check_epsilon(epsilon)
     k_var = _check_mode(idx)
     _check_expansion(alpha, dither_rad)
+    _check_dither(idx, dither_rad)
     cot = 1.0 / math.tan(epsilon)
     dc_volts = DETECTOR_GAIN_V_PER_W * budget.power
     return 2.0 * k_var * cot ** 2 * dither_rad * alpha * dc_volts
@@ -277,6 +304,7 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     finite_in("seed", integer("seed", seed), 0, math.inf, ends="[)")
     cot2 = check_epsilon(epsilon)
     k_var = _check_mode(idx)
+    _check_dither(idx, noise.dither_rad)
     finite_in("rotation", alpha, -noise.dither_rad, noise.dither_rad,
               ExpansionInvalidError, "()")
     finite_in("samples per trial", SAMPLES_PER_CYCLE * noise.drive_frequency
@@ -341,17 +369,21 @@ def sensitivity_table(epsilon: float,
     """Minimum detectable rotation per benchmarked mode
     (REFERENCE_DRIVE_SNR1_V), with the measured drive and rotation. A row
     outside the first-order formula is refused: WeakRegimeError where
-    weak.check_weak_regime refuses alpha_min cot eps (A_w = cot eps),
-    ExpansionInvalidError unless alpha_min <= 0.1 DEFAULT_DITHER_RAD
-    (_check_expansion's rule, which montecarlo keeps)."""
+    weak.check_weak_regime refuses x = alpha_min cot eps sqrt(2mn+m+n)
+    (A_w = cot eps), which is 1 / (2 sqrt N) for every mode and eps, so a
+    budget of N <= 25 detected photons is refused (at N = 25, x rounds to
+    either side of WEAK_LIMIT); ExpansionInvalidError unless alpha_min <=
+    0.1 DEFAULT_DITHER_RAD (_check_expansion's rule, which montecarlo
+    keeps)."""
     cot = math.sqrt(check_epsilon(epsilon))  # A_w of post_selected_pair
     rows = []
     for (m, n), ref_v in REFERENCE_DRIVE_SNR1_V.items():
-        alpha_min = min_detectable_rotation(ModeIndex(m, n), epsilon,
-                                            budget.photons)
+        idx = ModeIndex(m, n)
+        alpha_min = min_detectable_rotation(idx, epsilon, budget.photons)
         try:
-            check_weak_regime(alpha_min * cot)
+            check_weak_regime(alpha_min * cot, math.sqrt(oam_variance(idx)))
             _check_expansion(alpha_min, DEFAULT_DITHER_RAD)
+            _check_dither(idx, DEFAULT_DITHER_RAD)
         except (WeakRegimeError, ExpansionInvalidError) as exc:
             raise type(exc)(f"mode ({m}, {n}) minimum detectable rotation "
                             f"{alpha_min!r} rad: {exc}") from None

@@ -9,9 +9,9 @@ evolution code. Sweeps over (pre, post) pairs share invariants: weak_fisher
 forms a pair's selection factor 4 |dM_w/dg|^2 once for all pointer
 variances, and the exact QFI forms each pair's amplitudes once for all
 pointers and evolves each pointer once for all pairs on its Lz shell block
-(its vdots stay on the full layout, whose bits the bounds CSV holds).
-Readouts work on the vectors they span: the carrier
-readout, the paper's final projective measurement, is the two-outcome
+(its vdots stay on the full layout, whose bits bound_rows, the bounds
+table, holds). Readouts work on the vectors they span: the carrier readout,
+the paper's final projective measurement, is the two-outcome
 CarrierReadout {|c><c|, 1 - |c><c|}, and the dephased-monitor SLD is solved
 on the branch plane, with sld_solve on plain matrices of the full truncated
 basis (weak.qubit_monitor_channel's density matrix) as the reference.
@@ -19,9 +19,11 @@ basis (weak.qubit_monitor_channel's density matrix) as the reference.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -37,8 +39,17 @@ from .errors import (
     finite_in,
     finite_positive,
     frozen,
+    integer,
 )
-from .modes import ModeIndex, ModeState, second_moment, variance
+from .experiment import check_epsilon
+from .modes import (
+    MAX_HERMITE_ORDER,
+    ModeIndex,
+    ModeState,
+    momentum_variance_x,
+    oam_variance,
+    second_moment,
+)
 from .output import format_rows, write_atomic
 from .weak import (
     Coupling,
@@ -52,11 +63,13 @@ from .weak import (
     _selection_amplitudes,
     monitor_branches,
     pauli_weak_values,
+    post_selected_pair,
     require_density,
 )
 
 PROBABILITY_FLOOR = 1e-15
 _STENCIL_RTOL = 0.25
+_Orders = namedtuple("_Orders", "m n")  # all the variance closed forms read
 
 
 class Parameter(Enum):
@@ -140,7 +153,7 @@ def weak_fisher(pair: tuple[QubitState, QubitState], axis: PauliAxis,
                 variances: Iterable[float]) -> list[list[float]]:
     """4 |dM_w/dg|^2 <dOmega^2> per pointer variance (rows) and parameter,
     M_w = alpha A_w of the (pre, post) pair on axis, with each selection
-    factor computed once from the pair's Pauli weak values. The |alpha A_w|
+    factor computed once from the pair's Pauli weak values. The weak-regime
     guard is the caller's, so breakdown sweeps can run past its validity.
 
     Measured on the bounds breakdown family (|o, o> under rotation), the
@@ -160,12 +173,12 @@ def weak_fisher(pair: tuple[QubitState, QubitState], axis: PauliAxis,
 
 
 def qfi_weak_approx(s: WeakScenario, parameter: Parameter) -> float:
-    """weak_fisher at the pointer variance of s, inside the |alpha A_w| guard.
-    The guard ignores the spread: the exact QFI is this value over
-    (1 + x^2)^2, x = |alpha A_w| dOmega (see weak_fisher)."""
-    s.require_weak_regime()
+    """weak_fisher at the pointer variance dOmega^2 of s, refused unless
+    x = |alpha A_w| dOmega is below WEAK_LIMIT: on the bounds breakdown
+    family the exact QFI is this value over (1 + x^2)^2 (see weak_fisher),
+    about 2% less at the limit."""
     return weak_fisher((s.pre, s.post), s.axis, s.alpha, (parameter,),
-                       (variance(s.operator(), s.pointer),))[0][0]
+                       (s.require_weak_regime(),))[0][0]
 
 
 @dataclass(frozen=True)
@@ -349,23 +362,71 @@ def qfi_rotation_exact_selections(pairs: Sequence[tuple], axis: PauliAxis,
     return out
 
 
-# fisher_info and variance_bound are at the run's photon budget in projective
-# rows and per photon in hamiltonian and postselection rows.
+def bound_rows(epsilon: float, photons: float, grid_max: int, sweep_max: int,
+               alpha_breakdown: float, breakdown_epsilons: Sequence[float]
+               ) -> list[tuple]:
+    """The bounds table's rows up to fisher_info: projective, the carrier
+    readout's 4 cot^2 eps (2mn + m + n) a photon at epsilon, times photons,
+    1 <= m, n <= grid_max; per photon, hamiltonian, weak_fisher per Parameter
+    of the symmetric pair with unit success (A_w = 1/2 on the tilted axis) at
+    sigma0 = 1/sqrt2 on |o, o> and the Gaussian, 0 <= o <= sweep_max, and
+    postselection, the exact and first-order QFI of |o, o>, o >= 1, per
+    breakdown angle. Pointers and pairs are refused before anything evolves."""
+    for name, limit in (("grid_max", grid_max), ("sweep_max", sweep_max)):
+        finite_in(name, integer(name, limit), 0, math.inf, ends="[)")
+    cot2 = check_epsilon(epsilon)
+    finite_positive("photons", photons)
+    breakdown = [post_selected_pair(eps_b) for eps_b in breakdown_epsilons]
+    orders = range(1, sweep_max + 1)
+    sweep = [ModeIndex(order, order) for order in orders]
+    # the grid's limit, checked once: its rows pass plain (m, n) pairs
+    ModeIndex(1, min(grid_max, MAX_HERMITE_ORDER + 1))
+    exact = qfi_rotation_exact_selections(
+        breakdown, PauliAxis.z(), alpha_breakdown, sweep)
+
+    def carrier(k_var: float) -> float:  # the rule, in the CSV's bits
+        return 4.0 * cot2 * k_var
+    rows = [("projective", "carrier-povm", "oam", epsilon, m, n, "alpha",
+             carrier(oam_variance(_Orders(m, n))) * photons)
+            for m in range(1, grid_max + 1) for n in range(1, grid_max + 1)]
+    diag = QubitState.from_amplitudes(1.0, cmath.exp(1j * math.pi / 4.0))
+    sigma0 = 1.0 / math.sqrt(2.0)
+    gaussian = momentum_variance_x(_Orders(0, 0), sigma0)
+    variances = {}  # <delta Omega^2> of the pointer by (coupling label, order)
+    for order in range(0, sweep_max + 1):
+        pointer = _Orders(order, order)
+        variances["oam", order] = oam_variance(pointer)
+        variances["momentum-x", order] = momentum_variance_x(pointer, sigma0)
+        variances["gaussian-pointer", order] = gaussian
+    fishers = weak_fisher((diag, diag), PauliAxis(math.pi / 4.0, 0.0), 1e-3,
+                          tuple(Parameter), variances.values())
+    for (label, order), row in zip(variances, fishers):
+        rows += [("hamiltonian", "quantum-bound", label, "", order, order,
+                  parameter.value, fisher)
+                 for parameter, fisher in zip(Parameter, row)]
+    for eps_b, pair, by_order in zip(breakdown_epsilons, breakdown,
+                                     zip(*exact)):
+        approx = weak_fisher(pair, PauliAxis.z(), alpha_breakdown,
+                             (Parameter.ALPHA,),
+                             [variances["oam", order] for order in orders])
+        rows += [("postselection", method, "oam", eps_b, order, order,
+                  "alpha", fisher)
+                 for order, exact_qfi, (approx_qfi,) in zip(orders, by_order,
+                                                            approx)
+                 for method, fisher in (("exact", exact_qfi),
+                                        ("weak-approx", approx_qfi))]
+    return rows
+
+
 BOUND_CSV_COLUMNS = ("family", "method", "coupling", "epsilon", "m", "n",
                      "parameter", "fisher_info", "variance_bound")
 
 
 def write_bound_csv(path, rows: Iterable[Sequence]):
-    """Emit bound-sweep rows as CSV through output.write_atomic.
-
-    The header is BOUND_CSV_COLUMNS. Each row holds the cells up to
-    fisher_info: the row family, the method, the coupling and the
-    post-selection angle, then m, n, parameter and fisher_info (projective
-    at the run's photon budget, the rest per photon).
-    variance_bound(fisher_info, 1.0) appends the last cell, and
-    output.format_rows writes every cell. Lines end in CRLF: csv.writer's
-    bytes for cells with no comma, quote or break.
-    """
+    """Emit bound_rows' rows as CSV through output.write_atomic under the
+    header BOUND_CSV_COLUMNS: variance_bound(fisher_info, 1.0) appends the
+    last cell and output.format_rows writes every cell. Lines end in CRLF:
+    csv.writer's bytes for cells with no comma, quote or break."""
     cells = ((*row, variance_bound(row[-1], 1.0)) for row in rows)
     lines = format_rows(cells, ",")
     write_atomic(path, "\r\n".join([",".join(BOUND_CSV_COLUMNS), *lines, ""]))

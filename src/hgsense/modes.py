@@ -245,6 +245,12 @@ def oam_variance(idx: ModeIndex) -> float:
     return float(2 * idx.m * idx.n + idx.m + idx.n)
 
 
+def oam_fourth_moment(idx: ModeIndex) -> float:
+    """<Lz^4> on |m, n>: (3K^2 - 4K + 3(m - n)^2) / 2 with K = 2mn + m + n."""
+    k_var = 2 * idx.m * idx.n + idx.m + idx.n
+    return (3 * k_var * k_var - 4 * k_var + 3 * (idx.m - idx.n) ** 2) / 2.0
+
+
 def momentum_variance_x(idx: ModeIndex, sigma0: float) -> float:
     """<delta px^2> on |m, n>: (2m + 1) / (4 sigma0^2), which must be finite."""
     positive_square("sigma0", sigma0)

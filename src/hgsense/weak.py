@@ -64,10 +64,11 @@ from .modes import (
     lz_matrix,
     momentum_matrix_x,
     oam_variance,
+    variance,
 )
 
 ORTHOGONALITY_FLOOR = 1e-12
-WEAK_LIMIT = 0.1  # bound on |alpha A_w| for the first-order expansion
+WEAK_LIMIT = 0.1  # bound on x = |alpha A_w| dOmega of the first order
 _EIG_CACHE_SIZE = 128  # entries the block memo keeps, least recent out
 _SELECTION_CACHE_SIZE = 128  # selection triples the amplitude memo keeps
 
@@ -319,9 +320,10 @@ def _evolve_block(entry: _Block, column, alphas, peak: float) -> np.ndarray:
 @dataclass(frozen=True)
 class WeakScenario:
     """One measurement configuration: coupling, selections, pointer. What
-    relies on the first-order expansion requires |alpha * A_w| < WEAK_LIMIT;
-    the exact evolution ignores it. The constructor forms the selection
-    amplitudes (<f|P+|i>, <f|P-|i>) once, refusing orthogonal selections."""
+    relies on the first-order expansion requires x = |alpha A_w| dOmega <
+    WEAK_LIMIT; the exact evolution ignores it. The constructor forms the
+    selection amplitudes (<f|P+|i>, <f|P-|i>) once, refusing orthogonal
+    selections."""
 
     alpha: float
     pre: QubitState
@@ -341,20 +343,30 @@ class WeakScenario:
 
     @property
     def coupling_strength(self) -> complex:
-        """M_w = alpha * A_w, the small parameter of the expansion."""
+        """M_w = alpha * A_w; times the pointer spread, the expansion's x."""
         return self.alpha * weak_value(self.pre, self.post, self.axis)
 
     def operator(self) -> Generator:
         return Generator(self.coupling, self.pointer.cutoff, self.sigma0)
 
-    def require_weak_regime(self):
-        check_weak_regime(self.coupling_strength)
+    def require_weak_regime(self) -> float:
+        """The pointer variance dOmega^2 of the generator, once
+        check_weak_regime passes M_w on its spread dOmega."""
+        var = variance(self.operator(), self.pointer)
+        # an Lz eigenstate's variance can round below 0: its spread is 0
+        check_weak_regime(self.coupling_strength, math.sqrt(max(var, 0.0)))
+        return var
 
 
-def check_weak_regime(coupling_strength: complex) -> float:
-    """|alpha A_w| of M_w, or WeakRegimeError unless it is below WEAK_LIMIT."""
-    return finite_in("weak-regime |alpha * A_w|", abs(coupling_strength),
-                     0.0, WEAK_LIMIT, WeakRegimeError, "[)")
+def check_weak_regime(coupling_strength: complex, spread: float) -> float:
+    """x = |alpha A_w| dOmega of M_w on a pointer of spread dOmega, or
+    WeakRegimeError unless x is below WEAK_LIMIT: the first-order expansion
+    of exp(-i alpha A Omega) needs x << 1 (Duck, Stevenson and Sudarshan,
+    PRD 40, 2112 (1989)), not |alpha A_w| << 1."""
+    strength = abs(coupling_strength)
+    return finite_in(f"weak-regime x = |alpha * A_w| {strength!r} * dOmega "
+                     f"{spread!r} =", strength * spread, 0.0, WEAK_LIMIT,
+                     WeakRegimeError, "[)")
 
 
 def carrier_state(idx: ModeIndex, cutoff: int) -> ModeState:

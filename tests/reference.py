@@ -10,27 +10,28 @@ elements, or modes.lz_matrix and its kin for dense_variance), full 2-D
 transforms, full 2-D mode grids, whole-grid fancy indexing and whole-grid
 temporaries, a fresh eigendecomposition per call and the nine-evaluation
 stencil instead, so a test can check the structured route against the
-textbook one. final_pointer_first_order is the first-order post-selected
-pointer that the tests hold against the exact evolution; no package route
-uses it. apply_uncached and evolve_uncached build each block on the call,
-find a state's Lz shells by a search of its 2-D grid and gather and scatter
-by 2-D fancy indices; the package reads each block and its flat indices
-from a memo. qfi_rotation_exact_selections_per_order is the exact rotation
-QFI as one call per pointer on those two, checking every selection pair
-through a WeakScenario; the package forms each pair's amplitudes once per
-sweep and applies Lz through the known shell's memo entry, and a test
-requires the same floats bit for bit. final_pointer_exact_uncached forms a
-scenario's selection amplitudes on each call and evolves through
-evolve_uncached; the package reads the amplitudes its WeakScenario formed
-and the shells its ModeState found once. synthesize_hg_field_complex and
-gaussian_illumination_complex divide a whole complex outer product by its
-root power, where the package builds the grid from its 1-D factors in row
-blocks. j1_inverse_fit is the Newton and Chebyshev fit of the J1 inverse
-whose coefficients the package holds as literals. lockin_bin_means and
-montecarlo_lockin_per_bin are the lock-in Monte Carlo as it drew before
-experiment.montecarlo_lockin drew once per drive phase: a Poisson count
-and, with electrical noise, a normal for every 1/(20 f) time bin of the
-window, all trials in this process.
+textbook one. first_order_pointer is the first-order post-selected pointer
+that the tests hold against the exact evolution, and
+final_pointer_first_order the same inside the library's weak-regime guard;
+no package route uses either. apply_uncached and evolve_uncached build each
+block on the call, find a state's Lz shells by a search of its 2-D grid and
+gather and scatter by 2-D fancy indices; the package reads each block and
+its flat indices from a memo. qfi_rotation_exact_selections_per_order is the
+exact rotation QFI as one call per pointer on those two, checking every
+selection pair through a WeakScenario; the package forms each pair's
+amplitudes once per sweep and applies Lz through the known shell's memo
+entry, and a test requires the same floats bit for bit.
+final_pointer_exact_uncached forms a scenario's selection amplitudes on each
+call and evolves through evolve_uncached; the package reads the amplitudes
+its WeakScenario formed and the shells its ModeState found once.
+synthesize_hg_field_complex and gaussian_illumination_complex divide a whole
+complex outer product by its root power, where the package builds the grid
+from its 1-D factors in row blocks. j1_inverse_fit is the Newton and
+Chebyshev fit of the J1 inverse whose coefficients the package holds as
+literals. lockin_bin_means and montecarlo_lockin_per_bin are the lock-in
+Monte Carlo as it drew before experiment.montecarlo_lockin drew once per
+drive phase: a Poisson count and, with electrical noise, a normal for every
+1/(20 f) time bin of the window, all trials in this process.
 """
 
 import math
@@ -83,11 +84,14 @@ from hgsense.weak import (
 
 
 def final_pointer_first_order(s: WeakScenario) -> ModeState:
-    """Post-selected pointer N (1 - i M_w Omega)|psi_i>, normalized.
-
-    Valid only inside the weak-regime guard.
-    """
+    """first_order_pointer of s inside the library's weak-regime guard."""
     s.require_weak_regime()
+    return first_order_pointer(s)
+
+
+def first_order_pointer(s: WeakScenario) -> ModeState:
+    """Post-selected pointer N (1 - i M_w Omega)|psi_i>, normalized, with no
+    guard: a test of how its error scales may leave the weak regime."""
     mw = s.coupling_strength
     omega = s.operator()
     vec = s.pointer.amplitudes - 1j * mw * omega.apply(s.pointer)

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import hgsense
-from hgsense import cli, fields, weak
+from hgsense import cli, fields, fisher, weak
 from hgsense.cli import main
 from hgsense.errors import ConfigError, SaturationWarning
 
@@ -97,8 +97,8 @@ def test_bounds_refuses_unsupported_order_before_sweeping(
     def no_sweep(*args, **kwargs):
         pytest.fail("bounds swept before the breakdown inputs were checked")
 
-    monkeypatch.setattr(cli, "oam_variance", no_sweep)
-    monkeypatch.setattr(cli, "momentum_variance_x", no_sweep)
+    monkeypatch.setattr(fisher, "oam_variance", no_sweep)
+    monkeypatch.setattr(fisher, "momentum_variance_x", no_sweep)
     monkeypatch.setattr(weak.Generator, "evolve", no_sweep)
     for flags, needle in ((["--sweep-max", "65"], "(65, 65)"),
                           (["--sweep-max", "80"], "(65, 65)"),
@@ -323,9 +323,10 @@ def test_one_photon_per_window_survives_its_round_trip(tmp_path, capsys):
 ])
 def test_table2_refuses_a_rotation_outside_the_first_order(argv, flags,
                                                            capsys):
-    # a finite table row of 0.0155 rad (two photons) or 0.634 rad (80 deg,
-    # five photons) breaks |alpha cot eps| < WEAK_LIMIT; twenty photons give
-    # 0.0049 rad, past 0.1 of the dither depth
+    # a finite table row of 0.0155 rad (two photons), 0.634 rad (80 deg,
+    # five photons) or 0.0049 rad (twenty photons) breaks x = |alpha cot eps|
+    # sqrt(2mn+m+n) = 1 / (2 sqrt N) < WEAK_LIMIT, which refuses N <= 25;
+    # twenty photons' rotation is past 0.1 of the dither depth too
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -552,8 +553,8 @@ _NO_MEMORY = ("Unable to allocate 256. MiB for an array with shape "
 @pytest.mark.parametrize("argv, owner, name", [
     # the first array a 4096 px synthesis builds: nothing large is allocated
     (["hologram", "--mode", "3,3", "--grid", "4096"], fields, "_axis"),
-    (["bounds", "--grid-max", "2", "--sweep-max", "2"], cli, "weak_fisher"),
-    (["bounds", "--grid-max", "2", "--sweep-max", "2"], cli,
+    (["bounds", "--grid-max", "2", "--sweep-max", "2"], fisher, "weak_fisher"),
+    (["bounds", "--grid-max", "2", "--sweep-max", "2"], fisher,
      "qfi_rotation_exact_selections"),
     (["montecarlo", "--mode", "1,1", "--trials", "10"], cli,
      "montecarlo_lockin"),
@@ -720,7 +721,8 @@ def test_unwritable_output_is_refused_before_any_work(
     access = os.access
     monkeypatch.setattr(os, "access", lambda path, mode: (
         os.path.basename(path) != "locked" and access(path, mode)))
-    monkeypatch.setattr(cli, name, _no_work)
+    # the bounds table's sweeps run inside fisher.bound_rows
+    monkeypatch.setattr(fisher if argv[0] == "bounds" else cli, name, _no_work)
     bad = tmp_path / where
     outs = {"--out": str(tmp_path / "out"),
             "--config-out": str(tmp_path / "c.cfg"), flag: str(bad)}

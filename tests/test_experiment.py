@@ -28,6 +28,7 @@ from hgsense.errors import (
 )
 from hgsense.experiment import (
     DEFAULT_DITHER_RAD,
+    DITHER_DEFICIT_LIMIT,
     LIGHT_SPEED,
     PLANCK,
     REFERENCE_SHOT_LEVEL_V,
@@ -46,8 +47,16 @@ from hgsense.experiment import (
     table_json,
     write_run_config,
 )
-from hgsense.modes import ModeIndex
+from hgsense.modes import ModeIndex, ModeState, oam_fourth_moment, oam_variance
 from hgsense.output import write_atomic
+from hgsense.weak import (
+    Coupling,
+    PauliAxis,
+    WeakScenario,
+    carrier_state,
+    final_pointer_exact,
+    post_selected_pair,
+)
 from reference import lockin_bin_means, montecarlo_lockin_per_bin
 
 EPSILON = math.radians(5.0)
@@ -189,6 +198,59 @@ def test_demod_guards():
         demod_signal(MODE, EPSILON, 1e-7, dither_rad=0.1)
     with pytest.raises(ExpansionInvalidError):
         demod_signal(MODE, EPSILON, 1e-3)  # alpha not small vs dither
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 3), (3, 3), (5, 5),
+                                  (6, 2), (7, 0), (10, 10)])
+def test_carrier_probability_falls_short_of_the_rate_model_by_the_deficit(
+        m, n):
+    # the lock-in rate is first order: the exact post-selected carrier
+    # probability P_c gives 1 - P_c / (cos^2 eps K alpha^2) =
+    # alpha^2 <Lz^4> / (3 <Lz^2>) for every eps. The worst relative
+    # deviation measured 2.2e-3, at HG(10, 10) and 1.1 times the default dither
+    idx = ModeIndex(m, n)
+    pointer = ModeState.basis(m + n + 1, m, n)
+    carrier = carrier_state(idx, m + n + 1).amplitudes
+    k_var = oam_variance(idx)
+    deviations = []
+    for eps in map(math.radians, (1.0, 5.0, 20.0)):
+        pre, post = post_selected_pair(eps)
+        for alpha in (1e-3, DEFAULT_DITHER_RAD, 1.1 * DEFAULT_DITHER_RAD):
+            exact = final_pointer_exact(WeakScenario(
+                alpha, pre, post, PauliAxis.z(), Coupling.OAM, pointer))
+            p_c = exact.success_prob * abs(
+                np.vdot(carrier, exact.pointer.amplitudes)) ** 2
+            shortfall = 1.0 - p_c / (math.cos(eps) ** 2 * k_var * alpha ** 2)
+            deficit = alpha ** 2 * oam_fourth_moment(idx) / (3.0 * k_var)
+            deviations.append(abs(shortfall / deficit - 1.0))
+    assert max(deviations) < 4.5e-3
+
+
+def test_dither_whose_rate_deficit_passes_the_limit_is_refused():
+    # alpha0^2 <Lz^4> / (3 <Lz^2>) above 1%: the analytic model, the table
+    # rule and the Monte Carlo all refuse it, naming the deficit, the mode
+    # and the dither. At the default dither HG(15, 15) passes and HG(16, 16)
+    # does not; the paper's HG(5, 5) is at 0.12%
+    assert DITHER_DEFICIT_LIMIT == 0.01
+    budget, noise = PhotonBudget(), NoiseModel()
+    for idx, dither, deficit in ((ModeIndex(10, 10), 0.09, r"0.8855\d*"),
+                                 (ModeIndex(16, 16), DEFAULT_DITHER_RAD,
+                                  r"0.01076\d*")):
+        message = (rf"^rate deficit alpha0\^2 <Lz\^4> / \(3 <Lz\^2>\) of mode "
+                   rf"\({idx.m}, {idx.n}\) at the dither {dither} rad: "
+                   rf"{deficit} must be finite and lie in \[0.0, 0.01\]$")
+        with pytest.raises(ExpansionInvalidError, match=message):
+            snr(idx, EPSILON, 1e-6, budget, dither)
+        with pytest.raises(ExpansionInvalidError, match=message):
+            montecarlo_lockin(idx, EPSILON, 1e-6, budget,
+                              NoiseModel(dither_rad=dither), trials=10)
+    for m in (5, 15):
+        idx = ModeIndex(m, m)
+        assert snr(idx, EPSILON, 1e-6, budget) > 0.0
+        assert montecarlo_lockin(idx, EPSILON, 1e-6, budget, noise,
+                                 trials=10).samples.size == 10
+    assert DEFAULT_DITHER_RAD ** 2 * oam_fourth_moment(ModeIndex(5, 5)) / (
+        3.0 * oam_variance(ModeIndex(5, 5))) == pytest.approx(1.164e-3, rel=1e-3)
 
 
 def test_montecarlo_deterministic_and_locked():
@@ -643,22 +705,34 @@ def test_sensitivity_table_contents():
 
 
 def test_sensitivity_table_refuses_rotations_outside_the_first_order():
-    # |alpha_min cot eps| must stay below WEAK_LIMIT and alpha_min at most
-    # 0.1 of the dither depth, or the first-order formula does not hold
+    # x = |alpha_min cot eps| sqrt(2mn+m+n) = 1 / (2 sqrt N) must stay below
+    # WEAK_LIMIT and alpha_min at most 0.1 of the dither depth, or the
+    # first-order formula does not hold
     two = PhotonBudget(power=2.0 * PhotonBudget().power
                        / PhotonBudget().photons)
     with pytest.raises(WeakRegimeError, match=r"^mode \(1, 1\) minimum "
                        r"detectable rotation 0.0154\d* rad: weak-regime "
-                       r"\|alpha \* A_w\| 0.176\d* must be finite and lie "
-                       r"in \[0.0, 0.1\)$"):
+                       r"x = \|alpha \* A_w\| 0.176\d* \* dOmega 2.0 = "
+                       r"0.3535\d* must be finite and lie in \[0.0, 0.1\)$"):
         sensitivity_table(EPSILON, two)
+    # twenty photons give x = 0.112: the weak rule refuses them first
     twenty = PhotonBudget(power=10.0 * two.power)
-    assert 0.1 * DEFAULT_DITHER_RAD < min_detectable_rotation(
-        MODE, EPSILON, twenty.photons) < 0.1 * math.tan(EPSILON)
-    with pytest.raises(ExpansionInvalidError, match=r"^mode \(1, 1\) minimum "
-                       r"detectable rotation 0.0048\d* rad: rotation .* not "
-                       "small against the dither 0.0063"):
+    with pytest.raises(WeakRegimeError, match=r"^mode \(1, 1\) minimum "
+                       r"detectable rotation 0.0048\d* rad: weak-regime "
+                       r"x = .* = 0.1118\d* must be finite and lie in "
+                       r"\[0.0, 0.1\)$"):
         sensitivity_table(EPSILON, twenty)
+    # thirty photons give x = 0.091, inside the weak rule, and a rotation
+    # past 0.1 of the dither depth
+    thirty = PhotonBudget(power=15.0 * two.power)
+    alpha_min = min_detectable_rotation(MODE, EPSILON, thirty.photons)
+    assert alpha_min / math.tan(EPSILON) * 2.0 == pytest.approx(
+        0.0913, abs=1e-4)
+    assert 0.1 * DEFAULT_DITHER_RAD < alpha_min
+    with pytest.raises(ExpansionInvalidError, match=r"^mode \(1, 1\) minimum "
+                       r"detectable rotation 0.00399\d* rad: rotation .* not "
+                       "small against the dither 0.0063"):
+        sensitivity_table(EPSILON, thirty)
     # the defaults lie far inside both bounds
     assert sensitivity_table(EPSILON)[0].alpha_min_rad < 1e-5
 

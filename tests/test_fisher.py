@@ -14,6 +14,7 @@ import cmath
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,14 +28,16 @@ from hgsense.errors import (
     SmallProbabilityWarning,
     StepSizeError,
     TotalExtinctionError,
+    UnsupportedOrderError,
     WeakRegimeError,
 )
-from hgsense.experiment import min_detectable_rotation
+from hgsense.experiment import PhotonBudget, min_detectable_rotation
 from hgsense.fisher import (
     BOUND_CSV_COLUMNS,
     BoundResult,
     CarrierReadout,
     Parameter,
+    bound_rows,
     carrier_projection_povm,
     cfi_povm,
     default_step,
@@ -680,6 +683,36 @@ def test_weak_regime_guard():
                        variances)[0][0] > 0.0
 
 
+def test_weak_regime_counts_the_pointer_spread():
+    # HG(25, 25) at |alpha A_w| = 0.0999 has x = 0.0999 sqrt(1300) = 3.6,
+    # where the first-order information, 5.20e7, is 195 times the exact one
+    pre, post = post_selected_pair(0.01)
+    pointer = ModeState.basis(50, 25, 25)
+    wide = WeakScenario(0.0999 * math.tan(0.01), pre, post, PauliAxis.z(),
+                        Coupling.OAM, pointer)
+    message = (r"^weak-regime x = \|alpha \* A_w\| 0.099\d* \* dOmega "
+               r"36.05\d* = 3.60\d* must be finite and lie in \[0.0, 0.1\)$")
+    with pytest.raises(WeakRegimeError, match=message):
+        qfi_weak_approx(wide, Parameter.ALPHA)
+    with pytest.raises(WeakRegimeError, match=message):
+        hamiltonian_bound(Parameter.ALPHA, wide)
+    (first,), = weak_fisher((pre, post), PauliAxis.z(), wide.alpha,
+                            (Parameter.ALPHA,), (1300.0,))
+    exact = qfi_rotation_exact(pre, post, PauliAxis.z(), wide.alpha,
+                               ModeIndex(25, 25))
+    assert first == pytest.approx(5.2e7, rel=1e-3)
+    assert exact == pytest.approx(2.66e5, rel=1e-2)
+    # x = 0.099 passes, and the exact QFI is within (1 + x^2)^2 of the value
+    inside = WeakScenario(0.099 / math.sqrt(1300.0) * math.tan(0.01), pre,
+                          post, PauliAxis.z(), Coupling.OAM, pointer)
+    first = qfi_weak_approx(inside, Parameter.ALPHA)
+    assert first == hamiltonian_bound(Parameter.ALPHA, inside).fisher_info
+    exact = qfi_rotation_exact(pre, post, PauliAxis.z(), inside.alpha,
+                               ModeIndex(25, 25))
+    assert exact / first * (1.0 + 0.099 ** 2) ** 2 == pytest.approx(
+        1.0, abs=1e-3)
+
+
 def test_weak_fisher_refuses_an_orthogonal_pair_and_a_nonfinite_alpha():
     # the pair and alpha are read directly: no WeakScenario refuses them first
     pair = (QubitState.from_amplitudes(1.0, 0.0),
@@ -781,6 +814,62 @@ def test_hamiltonian_bound_guards():
 def test_default_step_floors():
     assert default_step(0.0) == 1e-6
     assert default_step(100.0) == pytest.approx(1e-2)
+
+
+def test_bound_rows_are_the_bounds_csv(tmp_path):
+    # the bounds table without the CLI: the golden arguments' rows, written
+    # by write_bound_csv, are the golden CSV that cmd_bounds writes
+    rows = bound_rows(math.radians(5.0), PhotonBudget().photons, 3, 6, 0.02,
+                      [0.1, 0.05, 0.01])
+    assert len(rows) == 9 + 3 * 3 * 7 + 3 * 2 * 6
+    assert {len(row) for row in rows} == {BOUND_CSV_COLUMNS.index(
+        "fisher_info") + 1}
+    write_bound_csv(tmp_path / "bounds.csv", rows)
+    golden = Path(__file__).parent / "data" / "bounds_golden.csv"
+    assert (tmp_path / "bounds.csv").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("args, error, match", [
+    ((0.1, 1.0, -1, 2, 1e-3, ()), ConfigError, r"^grid_max -1 must be"),
+    ((0.1, 1.0, 2, 2.5, 1e-3, ()), ConfigError,
+     r"^sweep_max 2.5 must be an integer$"),
+    ((0.0, 1.0, 2, 2, 1e-3, ()), ConfigError, r"^post-selection angle 0.0"),
+    ((0.1, math.nan, 2, 2, 1e-3, ()), ConfigError,
+     r"^photons nan must be finite and positive$"),
+    ((0.1, 1.0, 2, 65, 1e-3, ()), UnsupportedOrderError, r"\(65, 65\)"),
+    ((0.1, 1.0, 65, 2, 1e-3, ()), UnsupportedOrderError, r"\(1, 65\)"),
+    ((0.1, 1.0, 2, 2, math.nan, (0.1,)), ConfigError,
+     r"^alpha nan must be finite$"),
+    # a breakdown angle at extinction selects orthogonally
+    ((0.1, 1.0, 2, 2, 1e-3, (0.0,)), DegeneratePostSelectionError,
+     "orthogonal"),
+])
+def test_bound_rows_refuses_its_inputs_before_evolving(args, error, match,
+                                                       monkeypatch):
+    def no_sweep(*args, **kwargs):
+        pytest.fail("bound_rows evolved before its inputs were checked")
+
+    monkeypatch.setattr(weak, "_evolve_block", no_sweep)
+    monkeypatch.setattr(fisher, "_evolve_block", no_sweep)
+    with pytest.raises(error, match=match):
+        bound_rows(*args)
+
+
+def test_min_detectable_rotation_is_the_carrier_rule_to_a_few_ulp():
+    # experiment keeps its own arithmetic; the bounds table's projective
+    # rows, 4 cot^2 eps K N, give it back as 1 / sqrt(F) to a few ulp
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for _ in range(300):
+        m, n = (int(k) for k in rng.integers(1, 17, 2))
+        eps = float(rng.uniform(1e-3, math.pi / 2 - 1e-3))
+        n_photons = float(10.0 ** rng.uniform(0.0, 12.0))
+        rows = bound_rows(eps, n_photons, max(m, n), 0, 1e-3, ())
+        (fisher_info,) = [row[-1] for row in rows if row[4:6] == (m, n)]
+        alpha_min = min_detectable_rotation(ModeIndex(m, n), eps, n_photons)
+        worst = max(worst, abs(alpha_min - 1.0 / math.sqrt(fisher_info))
+                    / math.ulp(alpha_min))
+    assert worst <= 4.0
 
 
 def test_bound_csv_output(tmp_path):

@@ -21,6 +21,7 @@ from hgsense.modes import (
     lz_matrix,
     momentum_matrix_x,
     momentum_variance_x,
+    oam_fourth_moment,
     oam_variance,
     second_moment,
     variance,
@@ -148,6 +149,19 @@ def test_lz_variance_formula_interior(m, n):
         0.0, abs=1e-12)
     assert dense_variance(lz, state) == pytest.approx(
         oam_variance(ModeIndex(m, n)), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("m, n", [
+    (1, 0), (1, 1), (2, 1), (3, 3), (5, 5), (6, 2), (7, 0), (9, 4), (4, 11),
+    (10, 10), (12, 3), (20, 20), (30, 30)])
+def test_lz_fourth_moment_closed_form(m, n):
+    # <Lz^4> = |Lz^2 psi|^2 by the shell kernel, Lz applied twice; the shell
+    # m + n lies whole inside the cutoff m + n
+    op = Generator(Coupling.OAM, m + n)
+    lz_psi = op.apply(ModeState.basis(m + n, m, n))
+    lz2_psi = op.apply(ModeState(m + n, lz_psi))
+    assert oam_fourth_moment(ModeIndex(m, n)) == pytest.approx(
+        np.vdot(lz2_psi, lz2_psi).real, rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [0, 1, 3, 6])

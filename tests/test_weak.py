@@ -52,6 +52,7 @@ from reference import (
     evolve_uncached,
     final_pointer_exact_uncached,
     final_pointer_first_order,
+    first_order_pointer,
     qfi_rotation_exact_selections_per_order,
 )
 
@@ -218,6 +219,18 @@ def test_weak_regime_guard():
     final_pointer_exact(s)  # exact route has no such restriction
 
 
+def test_weak_regime_reads_a_rounded_negative_variance_as_no_spread():
+    # an Lz eigenstate has no spread, but its variance rounds to -5.7e-14 at
+    # shell 20 of cutoff 11; the guard must take x = 0, not the square root
+    entry = weak._coupling_eig(Coupling.OAM, 11, 20, None)
+    amp = np.zeros(12 ** 2, dtype=complex)
+    amp[entry.index[:, 0]] = entry.v[:, 0]
+    pre, post = post_selected_pair(0.01)
+    s = WeakScenario(5e-3, pre, post, PauliAxis.z(), Coupling.OAM,
+                     ModeState(11, amp))
+    assert -1e-12 < s.require_weak_regime() < 0.0
+
+
 def test_total_extinction_raised():
     # a numerically null pointer must be refused, not normalized into noise
     pre, post = post_selected_pair(0.1)
@@ -234,9 +247,9 @@ def test_first_order_deficit_scales_quartically_generic_mode():
     pre, post = post_selected_pair(epsilon)
     pointer = ModeState.basis(3, 1, 2)
 
-    def mismatch(alpha):
+    def mismatch(alpha):  # x reaches 0.1 at alpha = 4e-3: no guard here
         s = WeakScenario(alpha, pre, post, PauliAxis.z(), Coupling.OAM, pointer)
-        fo = final_pointer_first_order(s)
+        fo = first_order_pointer(s)
         ex = final_pointer_exact(s).pointer
         return 1.0 - abs(np.vdot(fo.amplitudes, ex.amplitudes)) ** 2
 
@@ -252,9 +265,9 @@ def test_first_order_deficit_sextic_on_1_1():
     pre, post = post_selected_pair(epsilon)
     pointer = ModeState.basis(2, 1, 1)
 
-    def mismatch(alpha):
+    def mismatch(alpha):  # x reaches 0.16 at alpha = 8e-3: no guard here
         s = WeakScenario(alpha, pre, post, PauliAxis.z(), Coupling.OAM, pointer)
-        fo = final_pointer_first_order(s)
+        fo = first_order_pointer(s)
         ex = final_pointer_exact(s).pointer
         return 1.0 - abs(np.vdot(fo.amplitudes, ex.amplitudes)) ** 2
 
