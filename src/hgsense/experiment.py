@@ -383,7 +383,6 @@ def sensitivity_table(epsilon: float,
         try:
             check_weak_regime(alpha_min * cot, math.sqrt(oam_variance(idx)))
             _check_expansion(alpha_min, DEFAULT_DITHER_RAD)
-            _check_dither(idx, DEFAULT_DITHER_RAD)
         except (WeakRegimeError, ExpansionInvalidError) as exc:
             raise type(exc)(f"mode ({m}, {n}) minimum detectable rotation "
                             f"{alpha_min!r} rad: {exc}") from None

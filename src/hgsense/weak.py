@@ -352,9 +352,9 @@ class WeakScenario:
     def require_weak_regime(self) -> float:
         """The pointer variance dOmega^2 of the generator, once
         check_weak_regime passes M_w on its spread dOmega."""
-        var = variance(self.operator(), self.pointer)
         # an Lz eigenstate's variance can round below 0: its spread is 0
-        check_weak_regime(self.coupling_strength, math.sqrt(max(var, 0.0)))
+        var = max(variance(self.operator(), self.pointer), 0.0)
+        check_weak_regime(self.coupling_strength, math.sqrt(var))
         return var
 
 

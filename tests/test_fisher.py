@@ -31,7 +31,11 @@ from hgsense.errors import (
     UnsupportedOrderError,
     WeakRegimeError,
 )
-from hgsense.experiment import PhotonBudget, min_detectable_rotation
+from hgsense.experiment import (
+    PhotonBudget,
+    check_epsilon,
+    min_detectable_rotation,
+)
 from hgsense.fisher import (
     BOUND_CSV_COLUMNS,
     BoundResult,
@@ -713,6 +717,22 @@ def test_weak_regime_counts_the_pointer_spread():
         1.0, abs=1e-3)
 
 
+def test_weak_regime_reads_a_rounded_negative_variance_as_no_spread():
+    # an Lz eigenstate has no spread, but its variance rounds to -5.7e-14 at
+    # shell 20 of cutoff 11: the guard takes x = 0, not a square root, and
+    # the first-order information is 0, not negative
+    entry = weak._coupling_eig(Coupling.OAM, 11, 20, None)
+    amp = np.zeros(12 ** 2, dtype=complex)
+    amp[entry.index[:, 0]] = entry.v[:, 0]
+    pointer = ModeState(11, amp)
+    assert -1e-12 < variance(Generator(Coupling.OAM, 11), pointer) < 0.0
+    pre, post = post_selected_pair(0.01)
+    s = WeakScenario(5e-3, pre, post, PauliAxis.z(), Coupling.OAM, pointer)
+    assert s.require_weak_regime() == 0.0
+    bound = hamiltonian_bound(Parameter.ALPHA, s)
+    assert bound.fisher_info == 0.0 and bound.variance_bound == math.inf
+
+
 def test_weak_fisher_refuses_an_orthogonal_pair_and_a_nonfinite_alpha():
     # the pair and alpha are read directly: no WeakScenario refuses them first
     pair = (QubitState.from_amplitudes(1.0, 0.0),
@@ -857,7 +877,8 @@ def test_bound_rows_refuses_its_inputs_before_evolving(args, error, match,
 
 def test_min_detectable_rotation_is_the_carrier_rule_to_a_few_ulp():
     # experiment keeps its own arithmetic; the bounds table's projective
-    # rows, 4 cot^2 eps K N, give it back as 1 / sqrt(F) to a few ulp
+    # rows, 4 cot^2 eps K N in that order to the bit, give it back as
+    # 1 / sqrt(F) to a few ulp
     rng = np.random.default_rng(41)
     worst = 0.0
     for _ in range(300):
@@ -866,6 +887,8 @@ def test_min_detectable_rotation_is_the_carrier_rule_to_a_few_ulp():
         n_photons = float(10.0 ** rng.uniform(0.0, 12.0))
         rows = bound_rows(eps, n_photons, max(m, n), 0, 1e-3, ())
         (fisher_info,) = [row[-1] for row in rows if row[4:6] == (m, n)]
+        assert fisher_info == (4.0 * check_epsilon(eps)
+                               * oam_variance(ModeIndex(m, n)) * n_photons)
         alpha_min = min_detectable_rotation(ModeIndex(m, n), eps, n_photons)
         worst = max(worst, abs(alpha_min - 1.0 / math.sqrt(fisher_info))
                     / math.ulp(alpha_min))

@@ -219,18 +219,6 @@ def test_weak_regime_guard():
     final_pointer_exact(s)  # exact route has no such restriction
 
 
-def test_weak_regime_reads_a_rounded_negative_variance_as_no_spread():
-    # an Lz eigenstate has no spread, but its variance rounds to -5.7e-14 at
-    # shell 20 of cutoff 11; the guard must take x = 0, not the square root
-    entry = weak._coupling_eig(Coupling.OAM, 11, 20, None)
-    amp = np.zeros(12 ** 2, dtype=complex)
-    amp[entry.index[:, 0]] = entry.v[:, 0]
-    pre, post = post_selected_pair(0.01)
-    s = WeakScenario(5e-3, pre, post, PauliAxis.z(), Coupling.OAM,
-                     ModeState(11, amp))
-    assert -1e-12 < s.require_weak_regime() < 0.0
-
-
 def test_total_extinction_raised():
     # a numerically null pointer must be refused, not normalized into noise
     pre, post = post_selected_pair(0.1)
