@@ -22,10 +22,9 @@ model and in the Monte Carlo alike. Demodulating the
 photocurrent at the drive frequency yields a signal linear in ``alpha``; the
 noise floor is the Poisson fluctuation of the window-averaged rate plus any
 electrical noise. The Monte Carlo samples the rate in 1/(20 f) time bins,
-but draws each trial's photons once per drive phase over the whole window,
-since the bins of one phase share a rate; a run draws all its trials in one
-call from each of two streams, one for the counts and one for the
-electrical noise. Conventions:
+but draws one count per mirrored pair of drive phases, a (trials, 10) draw,
+as phases k and 19 - k share a rate; a run draws every trial in one call
+from each of two streams, for the counts and the electrical noise. Conventions:
 
 * the quoted shot level is the standard deviation of the window-mean voltage
   estimator (the DC bin), not of the demodulated quadrature, which carries
@@ -80,15 +79,15 @@ DITHER_DEFICIT_LIMIT = 0.01
 
 SAMPLES_PER_CYCLE = 20
 # Largest count of 1/(20 f) time bins one Monte Carlo trial's window may
-# span; the defaults need 2180. A trial draws one count per drive phase, so
-# its memory and time do not grow with the bins: this bound, and
-# MAX_RUN_BINS over all trials of a run, set which windows the model
-# accepts (a drive frequency of 1e9 Hz is refused, not simulated).
+# span; the defaults need 2180. A trial draws one count per mirrored pair of
+# drive phases, so its memory and time do not grow with the bins: this
+# bound, and MAX_RUN_BINS over all trials of a run, set which windows the
+# model accepts (a drive frequency of 1e9 Hz is refused, not simulated).
 MAX_SAMPLES_PER_TRIAL = 10 ** 6
 # Largest trial count of one Monte Carlo run, and largest count of time bins
-# over all its trials. A run holds its counts and their float64 products
-# with the reference at once, about 330 bytes a trial, so MAX_TRIALS peaks
-# near 33 MB.
+# over all its trials. A run holds its (trials, 10) counts and their float64
+# products with the reference at once, about 170 bytes a trial, so
+# MAX_TRIALS peaks near 17 MB.
 MAX_TRIALS = 10 ** 5
 MAX_RUN_BINS = MAX_TRIALS * 2200
 # Most photons a window may expect: past 2**53 a count's sum against the
@@ -287,17 +286,17 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     rate (plus the electrical floor in quadrature). The demodulated
     quadrature carries sqrt(2) more Poisson noise than the window mean, so
     per-trial SNR values scatter accordingly. The bins of one drive phase
-    share a rate and the reference, so a trial's counts are one Poisson
-    count per phase over the whole window and, with electrical noise, one
-    normal for that noise's sum against the reference: the same
-    distribution of samples as a draw per bin. A window expecting more than
-    MAX_WINDOW_COUNTS photons is refused.
+    share a rate and the reference, and so do phases k and 19 - k, so a
+    trial draws one count per mirrored pair of drive phases over the whole
+    window and, with electrical noise, one normal for that noise's sum
+    against the reference: the same distribution of samples as a draw per
+    bin. A window expecting more than MAX_WINDOW_COUNTS photons is refused.
 
     The run draws every trial at once in this process, from two streams
-    that SeedSequence(seed) spawns: a (trials, 20) array of Poisson counts
-    from the first and, with electrical noise, trials normals from the
-    second. Both fill in trial order, so trial k's sample depends only on
-    seed and k: a shorter run is a prefix of a longer one.
+    that SeedSequence(seed) spawns: the counts, a (trials, 10) draw, from
+    the first and, with electrical noise, trials normals from the second.
+    Both fill in trial order, so trial k's sample depends only on seed and
+    k: a shorter run is a prefix of a longer one.
     """
     # 10 trials for a meaningful average
     finite_in("trials", integer("trials", trials), 10, MAX_TRIALS)
@@ -319,11 +318,11 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
 
     # every bin of one drive phase has the same rate, and a trial reads its
     # counts only through sum(counts * ref) and sum(counts): by Poisson
-    # additivity one count per phase over the whole window holds them both
+    # additivity one count of twice the mean over the whole window holds
+    # both phases k and 19 - k, which share the reference ref[k]
     t = (np.arange(SAMPLES_PER_CYCLE) + 0.5) * dt
     ref = np.cos(2.0 * math.pi * noise.drive_frequency * t)
-    rate_in = budget.power / budget.photon_energy
-    geometry = rate_in * k_var * cot2
+    geometry = budget.power / budget.photon_energy * k_var * cot2
     rates = geometry * (noise.dither_rad ** 2 + alpha ** 2
                         + 2.0 * alpha * noise.dither_rad * ref)
     expected = rates * (dt * cycles)
@@ -337,10 +336,11 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
 
     counts_rng, noise_rng = (np.random.default_rng(child) for child
                              in np.random.SeedSequence(seed).spawn(2))
-    counts = counts_rng.poisson(expected, (trials, SAMPLES_PER_CYCLE))
+    pairs = SAMPLES_PER_CYCLE // 2
+    counts = counts_rng.poisson(2.0 * expected[:pairs], (trials, pairs))
     # a row sum, not counts @ ref: BLAS orders a row's sum by the row count
     # and its threads, so a shorter run would not be a prefix of a longer one
-    v_ref = volts_per_count * (counts * ref).sum(axis=1)
+    v_ref = volts_per_count * (counts * ref[:pairs]).sum(axis=1)
     if noise.electrical_v > 0.0:
         v_ref += noise_rng.normal(0.0, electrical_std, trials)
     v_demod = (2.0 / n_dem) * v_ref

@@ -81,7 +81,7 @@ def format_indexed(prefix: str, values, sep: str) -> str:
     of the indices and values with their int and float objects (about 7 MB)
     and the text (2.5 MB). One string a row, the route this replaced, held
     10**5 line strings (about 7 MB) and peaked at 13.2 MB. Both stay under
-    montecarlo_lockin's own peak at that size (about 33 MB)."""
+    montecarlo_lockin's own peak at that size (about 17 MB)."""
     count = len(values)
     cells = tuple(chain.from_iterable(zip(range(count), values)))
     line = "%s%%04d%s%s\n" % (prefix.replace("%", "%%"),

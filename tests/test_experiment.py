@@ -331,11 +331,11 @@ def _record_draws(monkeypatch) -> list:
      NoiseModel(dither_rad=4e-3, drive_frequency=777.0, electrical_v=1e-5),
      3e-7),
 ])
-def test_montecarlo_draws_once_per_phase_what_the_bins_sum_to(monkeypatch,
-                                                              budget, noise,
-                                                              alpha):
-    # a phase's count over the window sums that phase's bin counts, so its
-    # mean sums their means over the cycles; the electrical noise of the n
+def test_montecarlo_draws_once_per_phase_pair_what_the_bins_sum_to(
+        monkeypatch, budget, noise, alpha):
+    # a phase's count over the window sums that phase's bin counts, and
+    # phases k and 19 - k share a rate, so the count of pair k has the mean
+    # of both phases' bins over the cycles; the electrical noise of the n
     # bins, std electrical_v sqrt(n) each, enters through its sum against
     # the reference, of std electrical_v sqrt(n) |ref|. One call of each
     # draws every trial of the run.
@@ -343,16 +343,58 @@ def test_montecarlo_draws_once_per_phase_what_the_bins_sum_to(monkeypatch,
     montecarlo_lockin(MODE, EPSILON, alpha, budget, noise, seed=3, trials=10)
     bins, ref = lockin_bin_means(MODE, EPSILON, alpha, budget, noise)
     phases = bins.reshape(-1, experiment.SAMPLES_PER_CYCLE).sum(axis=0)
+    pairs = experiment.SAMPLES_PER_CYCLE // 2
     std = noise.electrical_v * math.sqrt(ref.size) * math.sqrt(ref @ ref)
     draws = ["poisson", "normal"] if noise.electrical_v else ["poisson"]
     assert [name for name, *_ in log] == draws
     _, means, size, _ = log[0]
-    assert size == (10, experiment.SAMPLES_PER_CYCLE)
-    np.testing.assert_allclose(means, phases, rtol=1e-12, atol=0.0)
+    assert size == (10, pairs)
+    np.testing.assert_allclose(means, phases[:pairs] + phases[:pairs - 1:-1],
+                               rtol=1e-12, atol=0.0)
     if noise.electrical_v:
         _, scale, size, _ = log[1]
         assert size == 10
         assert scale == pytest.approx(std, rel=1e-12)
+
+
+class _LoggedCounts(np.ndarray):
+    """Counts that log the operands of every ufunc applied to them, and
+    then act as a plain array."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(x).view(np.ndarray) for x in inputs]
+        self.log.append((ufunc, plain))
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class _LoggedCountDraws(_RecordedDraws):
+    def poisson(self, lam, size):
+        counts = super().poisson(lam, size).view(_LoggedCounts)
+        counts.log = self._log
+        return counts
+
+
+@pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
+def test_montecarlo_reads_each_phase_pair_against_one_reference(
+        monkeypatch, electrical_v):
+    # the counts meet exactly 10 reference values, one a mirrored pair of
+    # phases: each within 4e-16 of the per-bin cos of both phases, which
+    # differ by up to 3.3e-16 when each is taken on its own
+    log, draw = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _LoggedCountDraws(draw(seed), log))
+    noise = NoiseModel(electrical_v=electrical_v)
+    montecarlo_lockin(MODE, EPSILON, 1e-6, PhotonBudget(), noise, seed=6,
+                      trials=20)
+    products = [operands for ufunc, operands in
+                (entry for entry in log if entry[0] is np.multiply)]
+    assert len(products) == 1
+    counts, pair_ref = products[0]
+    assert counts.shape == (20, 10) and pair_ref.shape == (10,)
+    _, ref = lockin_bin_means(MODE, EPSILON, 1e-6, PhotonBudget(), noise)
+    for k, value in enumerate(pair_ref):
+        assert abs(value - ref[k]) <= 4e-16
+        assert abs(value - ref[19 - k]) <= 4e-16
 
 
 @pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
@@ -518,15 +560,16 @@ def test_montecarlo_least_run_is_a_prefix_of_the_largest(electrical_v):
 
 @pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
 def test_montecarlo_memory_at_the_trial_cap(electrical_v):
-    # the counts and their float64 products with the reference, about 330
-    # bytes a trial: 33 MB at MAX_TRIALS
+    # the (trials, 10) counts and their float64 products with the
+    # reference, about 170 bytes a trial: 16.8 MB at MAX_TRIALS, where the
+    # draw of a count per phase peaked at 32.8 MB
     tracemalloc.start()
     try:
         _lockin(experiment.MAX_TRIALS, NoiseModel(electrical_v=electrical_v))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 20e6
 
 
 @pytest.mark.parametrize("seed", [0, 22, 2 ** 64 + 5])
@@ -570,7 +613,7 @@ def test_montecarlo_samples_are_the_lockin_arithmetic_on_the_draws(
     expected = []
     for row, noise_sum in zip(counts, sums):
         v_ref = (budget.volts_per_rate / dt * math.fsum(
-            row * ref[:experiment.SAMPLES_PER_CYCLE]) + noise_sum)
+            row * ref[:experiment.SAMPLES_PER_CYCLE // 2]) + noise_sum)
         rate_hat = math.fsum(row) / t_dem
         level = math.hypot(budget.volts_per_rate * math.sqrt(rate_hat / t_dem),
                            electrical_v)
