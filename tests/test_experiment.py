@@ -368,6 +368,8 @@ class _LoggedCounts(np.ndarray):
 
 
 class _LoggedCountDraws(_RecordedDraws):
+    """Draws as recorded, whose counts log the ufuncs they enter."""
+
     def poisson(self, lam, size):
         counts = super().poisson(lam, size).view(_LoggedCounts)
         counts.log = self._log
@@ -386,8 +388,7 @@ def test_montecarlo_reads_each_phase_pair_against_one_reference(
     noise = NoiseModel(electrical_v=electrical_v)
     montecarlo_lockin(MODE, EPSILON, 1e-6, PhotonBudget(), noise, seed=6,
                       trials=20)
-    products = [operands for ufunc, operands in
-                (entry for entry in log if entry[0] is np.multiply)]
+    products = [entry[1] for entry in log if entry[0] is np.multiply]
     assert len(products) == 1
     counts, pair_ref = products[0]
     assert counts.shape == (20, 10) and pair_ref.shape == (10,)
@@ -561,8 +562,8 @@ def test_montecarlo_least_run_is_a_prefix_of_the_largest(electrical_v):
 @pytest.mark.parametrize("electrical_v", [0.0, 35.75e-6])
 def test_montecarlo_memory_at_the_trial_cap(electrical_v):
     # the (trials, 10) counts and their float64 products with the
-    # reference, about 170 bytes a trial: 16.8 MB at MAX_TRIALS, where the
-    # draw of a count per phase peaked at 32.8 MB
+    # reference, about 170 bytes a trial: 16.8 MB at MAX_TRIALS, where a
+    # (trials, 20) draw, a count per phase, peaks at 32.8 MB
     tracemalloc.start()
     try:
         _lockin(experiment.MAX_TRIALS, NoiseModel(electrical_v=electrical_v))
