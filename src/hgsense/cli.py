@@ -11,7 +11,8 @@ hologram    phase-only hologram for a target mode plus the simulated
 
 Parse failures, domain precondition failures, unwritable outputs, running
 out of memory and warnings raised as errors exit 2 with one stderr line;
-the directory of every --out and --config-out is checked before any work.
+every --out and --config-out is checked before any work. DOMAINS states
+each numeric flag's domain for --help; the library enforces it.
 Files go through output.write_atomic; stdout gets the same text a file
 would.
 """
@@ -23,6 +24,7 @@ import functools
 import math
 import sys
 
+from . import experiment, fields, modes
 from .errors import (
     ConfigError,
     ExpansionInvalidError,
@@ -63,6 +65,45 @@ from .output import (
     staged,
     write_atomic,
 )
+
+# Each numeric flag's domain as the library (or cmd_bounds) checks it: an
+# interval (lo, hi, ends) and any rule naming another flag, or a rule alone
+# where the interval depends on one; a "command --flag" key is that
+# subcommand's. build_parser appends domain's text to each flag's help.
+_POSITIVE = (0, math.inf, "()")
+DOMAINS = {
+    "--grid": (fields.MIN_SIDE, fields.MAX_SIDE, "[]"),
+    "--grating-period": f"in [{fields.MIN_GRATING_PX:g}, --grid / 2]",
+    "--mode": f"orders <= {modes.MAX_HERMITE_ORDER}",
+    **dict.fromkeys(("--grid-max", "--sweep-max"),
+                    (0, modes.MAX_HERMITE_ORDER, "[]")),
+    "--trials": (experiment.MIN_TRIALS, experiment.MAX_TRIALS, "[]",
+                 f"trials x time bins <= {experiment.MAX_RUN_BINS:g}"),
+    "--seed": (0, math.inf, "[)"),
+    "--epsilon-deg": (0, 90, "()"),
+    "--breakdown-epsilons": (0, math.pi / 2, "()"),
+    "--alpha0-rad": (0, experiment.MAX_DITHER_RAD, "()", "rate deficit <= "
+                     f"{experiment.DITHER_DEFICIT_LIMIT:g} for --mode"),
+    "bounds --alpha-rad": (-math.inf, math.inf, "()"),
+    "montecarlo --alpha-rad":
+        f"|alpha| <= {experiment.MAX_ROTATION_PER_DITHER:g} --alpha0-rad",
+    "--electrical-v": (0, math.inf, "[)"),
+    "--photons": (experiment.MIN_PHOTONS, math.inf, "[)"),
+    **dict.fromkeys(("--power-w", "--tau-s", "--wavelength-m"), (*_POSITIVE,
+        f"at least {experiment.MIN_PHOTONS:g} detected photon a window")),
+    "--f-drive": (*_POSITIVE, "a whole cycle, at most "
+                  f"{experiment.MAX_SAMPLES_PER_TRIAL:g} time bins a window"),
+    **dict.fromkeys(("--volts-per-rad-cal", "--illum-scale"), _POSITIVE),
+}
+
+
+def domain(command: str, flag: str) -> str:
+    """flag's domain in command, as --help states it."""
+    entry = DOMAINS.get(f"{command} {flag}", DOMAINS.get(flag, ""))
+    if isinstance(entry, str):
+        return entry
+    lo, hi, ends, *rule = entry
+    return "; ".join([f"in {ends[0]}{lo:g}, {hi:g}{ends[1]}", *rule])
 
 
 def _parse_mode(text: str) -> ModeIndex:
@@ -109,7 +150,7 @@ def _budget_flags(args, *first) -> str:
     first, as the text a refusal names them by."""
     given = ("--power-w", args.power_w) if args.photons is None else (
         "--photons", args.photons)
-    return ", ".join(f"{flag} {value!r}" for flag, value in (
+    return ", ".join(f"{flag} {value}" for flag, value in (
         *first, given, ("--tau-s", args.tau_s),
         ("--wavelength-m", args.wavelength_m)))
 
@@ -184,8 +225,15 @@ def cmd_montecarlo(args) -> int:
     if alpha is None:
         alpha = 2.0 * min_detectable_rotation(idx, epsilon, budget.photons)
     # the analytic reference guards the expansion: check it before simulating
-    reference = analytic_snr(idx, epsilon, alpha, budget,
-                             noise.dither_rad, noise.electrical_v)
+    try:
+        reference = analytic_snr(idx, epsilon, alpha, budget,
+                                 noise.dither_rad, noise.electrical_v)
+    except ExpansionInvalidError as exc:  # name a default rotation's inputs
+        if args.alpha_rad is not None:
+            raise
+        flags = _budget_flags(args, ("--mode", args.mode),
+                              ("--epsilon-deg", args.epsilon_deg))
+        raise type(exc)(f"{flags}: {exc}") from None
     result = montecarlo_lockin(idx, epsilon, alpha, budget, noise,
                                seed=args.seed, trials=args.trials)
     header = [("# seed", result.seed), ("# mode", f"{idx.m},{idx.n}"),
@@ -261,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config-out", default=None,
                         help="also dump resolved settings as key = value text")
+    config.set_defaults(out_suffixes=("",))
 
     p_bounds = sub.add_parser(
         "bounds", parents=[physics, config],
@@ -318,7 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="illumination width relative to the mode waist")
     p_holo.add_argument("--out", required=True,
                         help="output stem for the .pgm and .fgrd files")
-    p_holo.set_defaults(handler=cmd_hologram)
+    p_holo.set_defaults(handler=cmd_hologram, out_suffixes=(".pgm", ".fgrd"))
+    # three subcommands share each physics flag's action: append once
+    owners = {action: command for command, p in sub.choices.items()
+              for action in p._actions}
+    for action, command in owners.items():
+        if text := domain(command, action.option_strings[0]):
+            action.help = "; ".join(filter(None, (action.help, text)))
     return parser
 
 
@@ -329,9 +384,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        for path in (args.out, args.config_out):
+        for path, suffixes in ((args.out, args.out_suffixes),
+                               (args.config_out, ("",))):
             if path is not None:
-                check_writable(path)
+                check_writable(path, suffixes)
         return args.handler(args)
     except (HgSenseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

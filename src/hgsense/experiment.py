@@ -76,6 +76,10 @@ DEFAULT_ELECTRICAL_V = 35.75e-6
 # order with m + n <= 30, HG(15, 16) and HG(14, 17) first, and every
 # diagonal order from HG(16, 16).
 DITHER_DEFICIT_LIMIT = 0.01
+# _check_expansion's alpha << alpha0 << 1: a dither depth below
+# MAX_DITHER_RAD, a |rotation| at most MAX_ROTATION_PER_DITHER of it.
+MAX_DITHER_RAD = 0.1
+MAX_ROTATION_PER_DITHER = 0.1
 
 SAMPLES_PER_CYCLE = 20
 # Largest count of 1/(20 f) time bins one Monte Carlo trial's window may
@@ -84,10 +88,11 @@ SAMPLES_PER_CYCLE = 20
 # bound, and MAX_RUN_BINS over all trials of a run, set which windows the
 # model accepts (a drive frequency of 1e9 Hz is refused, not simulated).
 MAX_SAMPLES_PER_TRIAL = 10 ** 6
-# Largest trial count of one Monte Carlo run, and largest count of time bins
-# over all its trials. A run holds its (trials, 10) counts and their float64
-# products with the reference at once, about 170 bytes a trial, so
-# MAX_TRIALS peaks near 17 MB.
+# Fewest and most trials of one Monte Carlo run (ten for a meaningful
+# average), and most time bins over all its trials. A run holds its
+# (trials, 10) counts and their float64 products with the reference at
+# once, about 170 bytes a trial, so MAX_TRIALS peaks near 17 MB.
+MIN_TRIALS = 10
 MAX_TRIALS = 10 ** 5
 MAX_RUN_BINS = MAX_TRIALS * 2200
 # Most photons a window may expect: past 2**53 a count's sum against the
@@ -200,13 +205,13 @@ def _check_mode(idx: ModeIndex) -> float:
 
 
 def _check_expansion(alpha: float, dither_rad: float):
-    finite_in("dither depth", dither_rad, 0.0, 0.1, ExpansionInvalidError,
-              "()")
+    finite_in("dither depth", dither_rad, 0.0, MAX_DITHER_RAD,
+              ExpansionInvalidError, "()")
     finite("rotation", alpha, ExpansionInvalidError)
-    if abs(alpha) > 0.1 * dither_rad:
+    if abs(alpha) > MAX_ROTATION_PER_DITHER * dither_rad:
         raise ExpansionInvalidError(
             f"rotation {alpha} not small against the dither {dither_rad}: "
-            "|rotation| must be at most 0.1 dither")
+            f"|rotation| must be at most {MAX_ROTATION_PER_DITHER} dither")
 
 
 def _check_dither(idx: ModeIndex, dither_rad: float):
@@ -298,8 +303,7 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     Both fill in trial order, so trial k's sample depends only on seed and
     k: a shorter run is a prefix of a longer one.
     """
-    # 10 trials for a meaningful average
-    finite_in("trials", integer("trials", trials), 10, MAX_TRIALS)
+    finite_in("trials", integer("trials", trials), MIN_TRIALS, MAX_TRIALS)
     finite_in("seed", integer("seed", seed), 0, math.inf, ends="[)")
     cot2 = check_epsilon(epsilon)
     k_var = _check_mode(idx)
@@ -373,8 +377,8 @@ def sensitivity_table(epsilon: float,
     (A_w = cot eps), which is 1 / (2 sqrt N) for every mode and eps, so a
     budget of N <= 25 detected photons is refused (at N = 25, x rounds to
     either side of WEAK_LIMIT); ExpansionInvalidError unless alpha_min <=
-    0.1 DEFAULT_DITHER_RAD (_check_expansion's rule, which montecarlo
-    keeps)."""
+    MAX_ROTATION_PER_DITHER * DEFAULT_DITHER_RAD (_check_expansion's rule,
+    which montecarlo keeps)."""
     cot = math.sqrt(check_epsilon(epsilon))  # A_w of post_selected_pair
     rows = []
     for (m, n), ref_v in REFERENCE_DRIVE_SNR1_V.items():

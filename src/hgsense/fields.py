@@ -77,6 +77,7 @@ from .output import write_atomic
 
 MIN_SIDE = 128
 MAX_SIDE = 4096  # 256 MiB per complex128 grid
+MIN_GRATING_PX = 4.0  # the finest carrier period a grid resolves
 MIN_COVERAGE_SIGMA = 6.0
 DEFAULT_SIDE = 512
 WINDOW_SIGMA = 8.0
@@ -184,9 +185,9 @@ def check_side(side: int) -> int:
 
 
 def check_grating_period(grating_period: float, side: int) -> float:
-    """4 px resolve the carrier; above side / 2 it falls in the zeroth order."""
-    return finite_in("grating period in px", grating_period, 4.0, side / 2.0,
-                     SeparationError)
+    """MIN_GRATING_PX resolve the carrier; past side / 2 it is zeroth order."""
+    return finite_in("grating period in px", grating_period, MIN_GRATING_PX,
+                     side / 2.0, SeparationError)
 
 
 def _window(side: int, sigma0: float):

@@ -10,10 +10,15 @@ from itertools import chain
 from .errors import ConfigError
 
 
-def check_writable(path):
-    """Refuse, naming path, an output whose directory is missing, is not a
-    directory or is not writable, so a run can fail before it computes."""
-    directory = os.path.dirname(os.fspath(path)) or "."
+def check_writable(path, suffixes=("",)):
+    """Refuse, naming it, an output path that is empty, whose directory is
+    missing, is not a directory or is not writable, or that with one of the
+    suffixes its writes append is a directory, so a run can fail before it
+    computes."""
+    path = os.fspath(path)
+    if not path:
+        raise ConfigError("cannot write '': the path is empty")
+    directory = os.path.dirname(path) or "."
     if not os.path.exists(directory):
         problem = "does not exist"
     elif not os.path.isdir(directory):
@@ -21,6 +26,9 @@ def check_writable(path):
     elif not os.access(directory, os.W_OK | os.X_OK):
         problem = "is not writable"
     else:
+        for target in (path + suffix for suffix in suffixes):
+            if os.path.isdir(target):
+                raise ConfigError(f"cannot write {target}: it is a directory")
         return
     raise ConfigError(f"cannot write {path}: directory {directory} {problem}")
 
@@ -79,9 +87,8 @@ def format_indexed(prefix: str, values, sep: str) -> str:
     At 10**5 values (experiment.MAX_TRIALS) the traced peak is about 12.7 MB,
     the floats tolist makes included: the template (1.6 MB), one flat tuple
     of the indices and values with their int and float objects (about 7 MB)
-    and the text (2.5 MB). One string a row, the route this replaced, held
-    10**5 line strings (about 7 MB) and peaked at 13.2 MB. Both stay under
-    montecarlo_lockin's own peak at that size (about 17 MB)."""
+    and the text (2.5 MB), under montecarlo_lockin's own peak at that size
+    (about 17 MB)."""
     count = len(values)
     cells = tuple(chain.from_iterable(zip(range(count), values)))
     line = "%s%%04d%s%s\n" % (prefix.replace("%", "%%"),

@@ -12,6 +12,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -21,9 +22,10 @@ from pathlib import Path
 import pytest
 
 import hgsense
-from hgsense import cli, fields, fisher, weak
+from hgsense import cli, experiment, fields, fisher, weak
 from hgsense.cli import main
 from hgsense.errors import ConfigError, SaturationWarning
+from hgsense.modes import MAX_HERMITE_ORDER
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table2_golden.csv"
 GOLDEN_BOUNDS = Path(__file__).parent / "data" / "bounds_golden.csv"
@@ -88,22 +90,25 @@ def test_bounds_empty_sweep_fails(tmp_path, capsys):
 
 def test_bounds_refuses_unsupported_order_before_sweeping(
         tmp_path, capsys, monkeypatch):
-    # the breakdown family cannot build HG(65, 65), nor select at an angle
-    # outside (0, pi/2), which --epsilon-deg refuses too (-0.1 would repeat
-    # the rows of 0.1), and the carrier grid stops at the same order, its
-    # first refused cell (1, 65) named as when every cell was checked: all
-    # are refused before anything evolves, so neither the carrier grid's
-    # oam_variance nor the Hamiltonian family's momentum_variance_x may run.
+    # the breakdown family cannot build an order past MAX_HERMITE_ORDER, nor
+    # select at an angle outside its table interval, which --epsilon-deg
+    # refuses too (-0.1 would repeat the rows of 0.1), and the carrier grid
+    # stops at the same order, its first refused cell (1, past) named as
+    # when every cell was checked: all are refused before anything evolves,
+    # so neither the carrier grid's oam_variance nor the Hamiltonian
+    # family's momentum_variance_x may run.
     def no_sweep(*args, **kwargs):
         pytest.fail("bounds swept before the breakdown inputs were checked")
 
     monkeypatch.setattr(fisher, "oam_variance", no_sweep)
     monkeypatch.setattr(fisher, "momentum_variance_x", no_sweep)
     monkeypatch.setattr(weak.Generator, "evolve", no_sweep)
-    for flags, needle in ((["--sweep-max", "65"], "(65, 65)"),
-                          (["--sweep-max", "80"], "(65, 65)"),
-                          (["--grid-max", "65"], "mode (1, 65) above"),
-                          (["--grid-max", "80"], "mode (1, 65) above"),
+    past = MAX_HERMITE_ORDER + 1
+    top, cell = f"({past}, {past})", f"mode (1, {past}) above"
+    for flags, needle in ((["--sweep-max", str(past)], top),
+                          (["--sweep-max", "80"], top),
+                          (["--grid-max", str(past)], cell),
+                          (["--grid-max", "80"], cell),
                           (["--breakdown-epsilons", "0"],
                            "--breakdown-epsilons angle 0.0 must"),
                           (["--breakdown-epsilons", "0.1,5"],
@@ -326,7 +331,8 @@ def test_table2_refuses_a_rotation_outside_the_first_order(argv, flags,
     # a finite table row of 0.0155 rad (two photons), 0.634 rad (80 deg,
     # five photons) or 0.0049 rad (twenty photons) breaks x = |alpha cot eps|
     # sqrt(2mn+m+n) = 1 / (2 sqrt N) < WEAK_LIMIT, which refuses N <= 25;
-    # twenty photons' rotation is past 0.1 of the dither depth too
+    # twenty photons' rotation is past MAX_ROTATION_PER_DITHER of the dither
+    # depth too
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -334,11 +340,17 @@ def test_table2_refuses_a_rotation_outside_the_first_order(argv, flags,
     assert captured.err.startswith(
         f"error: {flags}--tau-s 0.10908, --wavelength-m 7.8e-07: mode (1, 1) "
         "minimum detectable rotation ")
-    assert ("lie in [0.0, 0.1)" in captured.err
-            or "|rotation| must be at most 0.1 dither" in captured.err)
-    # montecarlo's rotation, twice the table's, stays refused too
+    ratio = experiment.MAX_ROTATION_PER_DITHER
+    assert (f"lie in [0.0, {weak.WEAK_LIMIT})" in captured.err
+            or f"|rotation| must be at most {ratio} dither" in captured.err)
+    # montecarlo's default rotation, twice the table's, stays refused too,
+    # naming the flags it was derived from
     assert main(["montecarlo", "--mode", "1,1", "--photons", "2"]) == 2
-    assert "not small against the dither" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: --mode 1,1, --epsilon-deg 5.0, --photons "
+                          "2.0, --tau-s 0.10908, --wavelength-m 7.8e-07: "
+                          "rotation ")
+    assert "not small against the dither" in err
 
 
 def test_import_loads_no_scipy():
@@ -391,7 +403,7 @@ def test_montecarlo_refuses_a_window_count_float64_cannot_hold(power, count,
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == (
         f"error: expected photons a window {count} must be finite and lie "
-        "in [0, 9007199254740992]")
+        f"in [0, {experiment.MAX_WINDOW_COUNTS}]")
 
 
 def test_montecarlo_rejects_bad_modes(capsys):
@@ -478,12 +490,63 @@ def test_missing_out_is_one_error_line(command, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_help_still_exits_0(capsys):
-    for argv in (["--help"], ["bounds", "--help"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: hgsense")
+def _subparsers():
+    """{subcommand: its parser}."""
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def _entry(command, flag):
+    """The table's entry for flag in command, or None."""
+    return cli.DOMAINS.get(f"{command} {flag}", cli.DOMAINS.get(flag))
+
+
+def _help_entries(text: str) -> dict:
+    """Each option of a --help text by its first flag, its lines joined and
+    its whitespace folded."""
+    entries = {}
+    for line in text.splitlines():
+        if line.startswith("  -"):
+            flag = line.split()[0].rstrip(",")
+            entries[flag] = ""
+        if line.startswith("  ") and entries:
+            entries[flag] += " " + line
+    return {flag: " ".join(entry.split()) for flag, entry in entries.items()}
+
+
+@pytest.mark.parametrize("command", [None, "bounds", "table2", "montecarlo",
+                                     "hologram"])
+def test_help_still_exits_0(command, capsys):
+    # a subcommand's help ends each flag's line with its table text, and
+    # every numeric flag has an entry
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: hgsense {command or ''}".rstrip())
+    if command is None:
+        return
+    entries = _help_entries(out)
+    stated = []
+    for action in _subparsers()[command]._actions:
+        flag = action.option_strings[0]
+        if _entry(command, flag) is None:
+            assert action.type not in (int, float, cli._parse_float_list)
+            continue
+        text = " ".join(cli.domain(command, flag).split())
+        assert entries[flag].endswith(text), (entries[flag], text)
+        stated.append(flag)
+    assert stated
+
+
+def test_every_table_key_names_a_flag_of_its_subcommand():
+    parsers = _subparsers()
+    flags = {(command, action.option_strings[0])
+             for command, parser in parsers.items()
+             for action in parser._actions}
+    for key in cli.DOMAINS:
+        *command, flag = key.split()
+        assert any((c, flag) in flags for c in command or parsers), key
 
 
 def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
@@ -509,7 +572,8 @@ def test_hologram_rejects_tight_grating(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("side", ["0", "-4", "4097"])
+@pytest.mark.parametrize("side", [0, -4, fields.MIN_SIDE - 1,
+                                  fields.MAX_SIDE + 1])
 def test_hologram_rejects_grid_side_before_allocating(
         side, tmp_path, capsys, monkeypatch):
     def no_axis(*args):  # the first array a synthesis builds
@@ -518,30 +582,34 @@ def test_hologram_rejects_grid_side_before_allocating(
     monkeypatch.setattr(fields, "_axis", no_axis)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning would be a 2nd line
-        assert main(["hologram", "--mode", "1,1", "--grid", side,
+        assert main(["hologram", "--mode", "1,1", f"--grid={side}",
                      "--out", str(tmp_path / "x"),
                      "--config-out", str(tmp_path / "c.cfg")]) == 2
     captured = capsys.readouterr()
     assert captured.err == (f"error: grid side {side} must be finite and lie "
-                            "in [128, 4096]\n")
+                            f"in [{fields.MIN_SIDE}, {fields.MAX_SIDE}]\n")
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("grid, period, top", [
-    ("512", "2", "256.0"), ("512", "257", "256.0"), ("4096", "2", "2048.0")])
+@pytest.mark.parametrize("grid, period", [
+    (512, 2.0), (512, 257.0), (fields.MAX_SIDE, 2.0),
+    (fields.MIN_SIDE, math.nextafter(fields.MIN_GRATING_PX, 0.0)),
+    (fields.MIN_SIDE, math.nextafter(fields.MIN_SIDE / 2, math.inf))])
 def test_hologram_rejects_grating_period_before_allocating(
-        grid, period, top, tmp_path, capsys, monkeypatch):
+        grid, period, tmp_path, capsys, monkeypatch):
     def no_axis(*args):  # the first array a synthesis builds
         pytest.fail("grid axis built before the grating period was checked")
 
     monkeypatch.setattr(fields, "_axis", no_axis)
-    assert main(["hologram", "--mode", "3,3", "--grid", grid,
-                 "--grating-period", period, "--out", str(tmp_path / "x"),
+    assert main(["hologram", "--mode", "3,3", "--grid", str(grid),
+                 "--grating-period", repr(period),
+                 "--out", str(tmp_path / "x"),
                  "--config-out", str(tmp_path / "c.cfg")]) == 2
     captured = capsys.readouterr()
-    assert captured.err == (f"error: grating period in px {float(period)} "
-                            f"must be finite and lie in [4.0, {top}]\n")
+    assert captured.err == (f"error: grating period in px {period} must be "
+                            f"finite and lie in [{fields.MIN_GRATING_PX}, "
+                            f"{grid / 2}]\n")
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -551,8 +619,9 @@ _NO_MEMORY = ("Unable to allocate 256. MiB for an array with shape "
 
 
 @pytest.mark.parametrize("argv, owner, name", [
-    # the first array a 4096 px synthesis builds: nothing large is allocated
-    (["hologram", "--mode", "3,3", "--grid", "4096"], fields, "_axis"),
+    # the first array the largest synthesis builds: nothing large is allocated
+    (["hologram", "--mode", "3,3", "--grid", str(fields.MAX_SIDE)], fields,
+     "_axis"),
     (["bounds", "--grid-max", "2", "--sweep-max", "2"], fisher, "weak_fisher"),
     (["bounds", "--grid-max", "2", "--sweep-max", "2"], fisher,
      "qfi_rotation_exact_selections"),
@@ -712,26 +781,35 @@ def _no_work(*args, **kwargs):
 ])
 @pytest.mark.parametrize("flag", ["--out", "--config-out"])
 @pytest.mark.parametrize("where, problem", [
-    ("missing/x", "does not exist"), ("file/x", "is not a directory"),
-    ("locked/x", "is not writable")])
+    ("missing/x", "directory {parent} does not exist"),
+    ("file/x", "directory {parent} is not a directory"),
+    ("locked/x", "directory {parent} is not writable"),
+    # hologram's --out is a stem: it writes dir.pgm, a directory here
+    ("dir", "it is a directory"), ("", "the path is empty")])
 def test_unwritable_output_is_refused_before_any_work(
         argv, name, flag, where, problem, tmp_path, capsys, monkeypatch):
     (tmp_path / "file").write_text("")  # a file where a directory should be
     (tmp_path / "locked").mkdir()  # denied below: root may write anywhere
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir.pgm").mkdir()
     access = os.access
     monkeypatch.setattr(os, "access", lambda path, mode: (
         os.path.basename(path) != "locked" and access(path, mode)))
     # the bounds table's sweeps run inside fisher.bound_rows
     monkeypatch.setattr(fisher if argv[0] == "bounds" else cli, name, _no_work)
-    bad = tmp_path / where
+    bad = str(tmp_path / where) if where else ""
     outs = {"--out": str(tmp_path / "out"),
-            "--config-out": str(tmp_path / "c.cfg"), flag: str(bad)}
+            "--config-out": str(tmp_path / "c.cfg"), flag: bad}
     assert main(argv + [a for kv in outs.items() for a in kv]) == 2
+    named = bad or "''"
+    if (argv[0], flag, where) == ("hologram", "--out", "dir"):
+        named += ".pgm"
     captured = capsys.readouterr()
-    assert captured.err == (f"error: cannot write {bad}: directory "
-                            f"{bad.parent} {problem}\n")
+    assert captured.err == (f"error: cannot write {named}: "
+                            f"{problem.format(parent=os.path.dirname(bad))}\n")
     assert captured.out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "locked"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dir", "dir.pgm", "file", "locked"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -757,11 +835,27 @@ SWEEP_ARGV = {"bounds": ["--grid-max", "2", "--sweep-max", "2"],
 
 def _flags(*types):
     """(subcommand, flag) for every flag the parser reads with one of types."""
-    sub = next(action for action in cli.build_parser()._actions
-               if isinstance(action, argparse._SubParsersAction))
     return [(command, action.option_strings[0])
-            for command, parser in sub.choices.items()
+            for command, parser in _subparsers().items()
             for action in parser._actions if action.type in types]
+
+
+def _ends(command, flag):
+    """(bound, outward, closed) for each finite end of the table interval of
+    flag in command; outward is -1 at the low end and 1 at the high end."""
+    entry = _entry(command, flag)
+    if not isinstance(entry, tuple):  # a rule alone
+        return []
+    lo, hi, ends, *_ = entry
+    return [(bound, outward, end in "[]") for bound, outward, end in
+            ((lo, -1, ends[0]), (hi, 1, ends[1])) if math.isfinite(bound)]
+
+
+def _outside(command, flag, value) -> bool:
+    """Whether value lies outside the table interval of flag in command."""
+    return any(value * outward > bound * outward
+               or (value == bound and not closed)
+               for bound, outward, closed in _ends(command, flag))
 
 
 def _numeric_rows(text: str):
@@ -804,13 +898,13 @@ def _assert_finite_run_or_one_error_line(command, code, err, tmp_path):
                            "variance_bound", math.inf, 0.0)), row
 
 
-def _run_flag(command, flag, value, tmp_path, capsys):
-    """main on the subcommand's small run with flag=value; its exit code and
-    stderr. No warning but a saturation one may escape."""
+def _run_flag(command, flag, value, tmp_path, capsys, *extra):
+    """main on the subcommand's small run, then extra, with flag=value; its
+    exit code and stderr. No warning but a saturation one may escape."""
     # --flag=value form: a bare -inf would parse as an option
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main([command, *SWEEP_ARGV[command], f"{flag}={value}",
+        code = main([command, *SWEEP_ARGV[command], *extra, f"{flag}={value}",
                      "--out", str(tmp_path / "out"),
                      "--config-out", str(tmp_path / "run.cfg")])
     assert [w.message for w in caught
@@ -818,34 +912,147 @@ def _run_flag(command, flag, value, tmp_path, capsys):
     return code, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e-300",
-                                   "1e300", "5e-324"])
-@pytest.mark.parametrize("command, flag", _flags(float, cli._parse_float_list))
+FLOAT_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "5e-324"]
+
+
+def _float_values(command, flag):
+    """FLOAT_VALUES, then each finite end of the table interval and one ulp
+    past it where it is closed."""
+    probes = [float(bound) for bound, _, _ in _ends(command, flag)]
+    probes += [math.nextafter(bound, outward * math.inf)
+               for bound, outward, closed in _ends(command, flag) if closed]
+    known = set(map(float, FLOAT_VALUES))
+    return FLOAT_VALUES + [repr(v) for v in dict.fromkeys(probes)
+                           if v not in known]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value)
+    for command, flag in _flags(float, cli._parse_float_list)
+    for value in _float_values(command, flag)])
 def test_every_float_flag_gives_a_finite_run_or_one_error_line(
         command, flag, value, tmp_path, capsys):
     code, err = _run_flag(command, flag, value, tmp_path, capsys)
     if value in ("nan", "inf", "-inf"):  # refused, naming the cause
         assert code == 2 and "finite" in err, err
+    # outside the table interval is refused, but one ulp under MIN_PHOTONS:
+    # a count --photons sets comes back from its power up to 2 ulp short
+    if _outside(command, flag, float(value)) and flag != "--photons":
+        assert code == 2, err
     _assert_finite_run_or_one_error_line(command, code, err, tmp_path)
 
 
-# the documented bounds of each integer flag, +-1, but for accepted values
-# too slow for the suite (--trials 100000, --grid 4096, --sweep-max 64):
-# trials in [10, MAX_TRIALS], a grid side in [MIN_SIDE, MAX_SIDE], orders up
-# to MAX_HERMITE_ORDER and a seed from 0
-INT_BOUNDS = {"--grid-max": [65], "--sweep-max": [65], "--seed": [],
-              "--trials": [9, 10, 100001], "--grid": [127, 128, 4097]}
+def _int_values(command, flag):
+    """-1, 0 and 10**30, each finite low end of the table interval +-1 and
+    one past each finite high end: the accepted values at a high end are
+    too slow for the suite (a MAX_SIDE grid, a MAX_HERMITE_ORDER sweep), and
+    test_each_table_bound_is_where_the_library_starts_to_refuse accepts
+    them through the library."""
+    values = {-1, 0, 10 ** 30}
+    for bound, outward, _ in _ends(command, flag):
+        values |= {bound - 1, bound, bound + 1} if outward < 0 else {bound + 1}
+    return sorted(values)
 
 
 @pytest.mark.parametrize("command, flag, value", [
     (command, flag, value) for command, flag in _flags(int)
-    for value in [-1, 0, *INT_BOUNDS[flag], 10 ** 30]])
+    for value in _int_values(command, flag)])
 def test_every_int_flag_gives_a_finite_run_or_one_error_line(
         command, flag, value, tmp_path, capsys):
     code, err = _run_flag(command, flag, value, tmp_path, capsys)
-    if value < 0:
+    if _outside(command, flag, value):
         assert code == 2, err
     _assert_finite_run_or_one_error_line(command, code, err, tmp_path)
+
+
+def _table_ends():
+    """(command, flag, bound, outward, closed) for each finite end of each
+    table interval, in the first subcommand that takes the flag."""
+    first = {}
+    for command, flag in _flags(int, float, cli._parse_float_list):
+        first.setdefault(flag, command)
+    return [(command, flag, *end) for flag, command in first.items()
+            for end in _ends(command, flag)]
+
+
+# what refuses the first value outside each end of a flag's table interval,
+# as the message names it ({v} is the value), one for both ends or a pair
+REFUSED = {
+    "--grid": "grid side {v} must",
+    "--grid-max": ("--grid-max {v} must", "mode (1, {v}) above"),
+    "--sweep-max": ("--sweep-max {v} must", "mode ({v}, {v}) above"),
+    "--trials": "trials {v} must",
+    "--seed": "seed {v} must",
+    "--epsilon-deg": "post-selection angle",
+    "--breakdown-epsilons": "--breakdown-epsilons angle {v} must",
+    "--alpha0-rad": ("dither {v} must", "dither depth {v} must"),
+    "--electrical-v": "electrical noise {v} must",
+    "--photons": "detected photons per window",
+    "--power-w": "power {v} must",
+    "--tau-s": "integration {v} must",
+    "--wavelength-m": "wavelength {v} must",
+    "--f-drive": "drive frequency {v} must",
+    "--volts-per-rad-cal": "--volts-per-rad-cal {v} must",
+    "--illum-scale": "sigma0 {v} must",
+}
+# the accepted high ends too slow for a run, each through the cheapest
+# library call that applies the flag's check
+HIGH_END_ACCEPTED = {
+    "--grid": fields.check_side,
+    # the carrier grid's first cell, and the sweep's last pointer
+    "--grid-max": lambda order: hgsense.ModeIndex(1, order),
+    "--sweep-max": lambda order: hgsense.ModeIndex(order, order),
+    "--trials": lambda trials: hgsense.montecarlo_lockin(
+        hgsense.ModeIndex(1, 1), math.radians(5.0), 1e-6, trials=trials),
+}
+# HG(1, 0)'s rate deficit alpha0^2 / 3 stays under DITHER_DEFICIT_LIMIT up
+# to the dither cap, so the cap is the rule that refuses there
+EXTRA_ARGV = {"--alpha0-rad": ["--mode", "1,0"]}
+
+
+@pytest.mark.parametrize("command, flag, bound, outward, closed",
+                         _table_ends())
+def test_each_table_bound_is_where_the_library_starts_to_refuse(
+        command, flag, bound, outward, closed, tmp_path, capsys):
+    # one step past the bound is refused through the command line, by the
+    # check REFUSED names; the last value inside is accepted. An open end
+    # at zero is refused at zero: just inside it the smallest float gives
+    # derived values (a cot^2, a photon count, an inverse) out of range
+    integral = (command, flag) in _flags(int)
+    if integral or not closed:
+        past = bound + outward if integral else float(bound)
+    elif flag == "--photons":  # past the budget's 2 ulp rounding allowance
+        past = bound - 4 * math.ulp(bound)
+    else:
+        past = math.nextafter(bound, outward * math.inf)
+    text = str(past) if integral else repr(past)
+    extra = EXTRA_ARGV.get(flag, [])
+    code, err = _run_flag(command, flag, text, tmp_path, capsys, *extra)
+    needle = REFUSED[flag]
+    if isinstance(needle, tuple):
+        needle = needle[outward > 0]
+    assert code == 2 and needle.format(v=text) in err, err
+    assert err.count("\n") == 1
+    if not closed and bound == 0:
+        return
+    inside = bound if closed else math.nextafter(bound, -outward * math.inf)
+    if outward > 0 and flag in HIGH_END_ACCEPTED:
+        HIGH_END_ACCEPTED[flag](inside)
+        return
+    text = str(inside) if integral else repr(inside)
+    code, err = _run_flag(command, flag, text, tmp_path, capsys, *extra)
+    assert (code, err) == (0, "")
+
+
+def test_ci_refuses_each_int_flag_one_past_its_table_bound():
+    # the last four runs of CI's refusal loop put an integer flag one past
+    # its table bound: they cannot drift from the library's constants
+    workflow = Path(__file__).parents[1] / ".github/workflows/tests.yml"
+    loop = workflow.read_text().split("for args in ", 1)[1].split("; do")[0]
+    runs = [entry.split() for entry in re.findall(r'"([^"]*)"', loop)]
+    past = {run[-2]: int(run[-1]) for run in runs[-4:]}
+    assert past == {flag: cli.DOMAINS[flag][1] + 1 for flag in (
+        "--sweep-max", "--grid-max", "--trials", "--grid")}
 
 
 @pytest.mark.parametrize("command", sorted(SWEEP_ARGV))

@@ -437,6 +437,23 @@ def test_montecarlo_guards():
     assert huge.seed == 10 ** 400 and len(huge.samples) == 10
 
 
+def test_trial_and_expansion_bounds_keep_their_digits():
+    # the command line's domain table and its tests read MIN_TRIALS,
+    # MAX_DITHER_RAD and MAX_ROTATION_PER_DITHER: their values are pinned here
+    with pytest.raises(ConfigError, match=r"^trials 9 must be finite and "
+                                          r"lie in \[10, 100000\]$"):
+        montecarlo_lockin(MODE, EPSILON, 1e-6, trials=9)
+    # HG(1, 0)'s rate deficit at the cap is a third of DITHER_DEFICIT_LIMIT
+    demod_signal(ModeIndex(1, 0), EPSILON, 1e-7, dither_rad=0.0999)
+    with pytest.raises(ExpansionInvalidError, match=r"^dither depth 0.1 must "
+                       r"be finite and lie in \(0.0, 0.1\)$"):
+        demod_signal(ModeIndex(1, 0), EPSILON, 1e-7, dither_rad=0.1)
+    demod_signal(MODE, EPSILON, 6.3e-4, dither_rad=6.3e-3)
+    with pytest.raises(ExpansionInvalidError, match=r"\|rotation\| must be "
+                                                    r"at most 0.1 dither$"):
+        demod_signal(MODE, EPSILON, 6.4e-4, dither_rad=6.3e-3)
+
+
 def test_montecarlo_refuses_non_integer_seed_and_trials(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("generator seeded before the integer guard")

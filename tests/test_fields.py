@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hgsense.errors import (
     CoverageError,
     GridMismatchError,
+    SeparationError,
     UnsupportedOrderError,
 )
 from hgsense.fields import (
@@ -29,6 +30,7 @@ from hgsense.fields import (
     _pairwise_sum,
     _unit_power,
     _window,
+    check_grating_period,
     first_order_extract,
     gaussian_illumination,
     hologram_phase,
@@ -649,6 +651,18 @@ def test_hologram_phase_refuses_bad_grating_period(period):
     incident = gaussian_illumination(3.0, target)
     with pytest.raises(ValueError, match="grating period"):
         hologram_phase(target, incident, period)
+
+
+def test_grating_period_rule_keeps_its_digits():
+    # the command line's domain table and its tests read MIN_GRATING_PX: its
+    # value is pinned here, and both ends of the rule accept; one step past
+    # either is refused in test_cli.py
+    assert check_grating_period(4.0, 128) == 4.0
+    assert check_grating_period(64.0, 128) == 64.0
+    with pytest.raises(SeparationError, match=r"^grating period in px "
+                       r"3.9999999999999996 must be finite and lie in "
+                       r"\[4.0, 64.0\]$"):
+        check_grating_period(math.nextafter(4.0, 0.0), 128)
 
 
 def test_phase_map_validation():

@@ -75,7 +75,9 @@ def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def summary(runs: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    """The runs with their median and quartiles; one run is all three."""
+    q1, median, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
+                      if len(runs) > 1 else runs * 3)
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
