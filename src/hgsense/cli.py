@@ -41,8 +41,6 @@ from .experiment import (
     DEFAULT_POWER_W,
     DEFAULT_ROTATION_PER_VOLT,
     DEFAULT_WAVELENGTH_M,
-    LIGHT_SPEED,
-    PLANCK,
     DriveCalibration,
     NoiseModel,
     PhotonBudget,
@@ -131,16 +129,10 @@ def _budget(args) -> PhotonBudget:
     budget that is refused names the flags it was built from."""
     power = finite_positive("power", args.power_w)
     try:
-        if args.photons is not None:
-            photons = finite_positive("photons", args.photons)
-            # window and wavelength checked as a budget checks them
-            energy = finite_positive("photon_energy", PLANCK * LIGHT_SPEED
-                                     / finite_positive("wavelength",
-                                                       args.wavelength_m))
-            power = photons * energy / finite_positive("integration",
-                                                       args.tau_s)
-        return PhotonBudget(power=power, integration=args.tau_s,
-                            wavelength=args.wavelength_m)
+        if args.photons is None:
+            return PhotonBudget(power, args.tau_s, args.wavelength_m)
+        return PhotonBudget.from_photons(args.photons, args.tau_s,
+                                         args.wavelength_m)
     except ConfigError as exc:
         raise ConfigError(f"{_budget_flags(args)}: {exc}") from None
 
@@ -185,7 +177,6 @@ def cmd_bounds(args) -> int:
                         ("--sweep-max", args.sweep_max)):
         finite_in(flag, limit, 0, math.inf, ends="[)")  # else a family is lost
     epsilon = math.radians(args.epsilon_deg)
-    check_epsilon(epsilon)
     budget = _budget(args)
     alpha_breakdown = finite("--alpha-rad", args.alpha_rad)
     for eps_b in args.breakdown_epsilons:
@@ -218,9 +209,7 @@ def cmd_montecarlo(args) -> int:
     idx = _parse_mode(args.mode)
     epsilon = math.radians(args.epsilon_deg)
     budget = _budget(args)
-    noise = NoiseModel(dither_rad=args.alpha0_rad,
-                       drive_frequency=args.f_drive,
-                       electrical_v=args.electrical_v)
+    noise = NoiseModel(args.alpha0_rad, args.f_drive, args.electrical_v)
     alpha = args.alpha_rad
     if alpha is None:
         alpha = 2.0 * min_detectable_rotation(idx, epsilon, budget.photons)

@@ -16,15 +16,15 @@ times |<c|psi~>|^2 on weak.carrier_state c), the law
     <Lz^4> = (3 K^2 - 4 K + 3 (m - n)^2) / 2    (modes.oam_fourth_moment),
 
 independent of eps: to 0.22% of the deficit itself for orders up to
-(10, 10), eps from 1 to 20 deg and alpha up to 6.93e-3. A dither alpha0
-whose deficit exceeds DITHER_DEFICIT_LIMIT is refused, in the analytic
-model and in the Monte Carlo alike. Demodulating the
-photocurrent at the drive frequency yields a signal linear in ``alpha``; the
-noise floor is the Poisson fluctuation of the window-averaged rate plus any
-electrical noise. The Monte Carlo samples the rate in 1/(20 f) time bins,
-but draws one count per mirrored pair of drive phases, a (trials, 10) draw,
-as phases k and 19 - k share a rate; a run draws every trial in one call
-from each of two streams, for the counts and the electrical noise. Conventions:
+(10, 10), eps from 1 to 20 deg and alpha up to 6.93e-3. Each lock-in input
+has one guard, called by every function that takes it, so the analytic
+model, the Monte Carlo and the CLI refuse alike: a dither depth outside
+(0, MAX_DITHER_RAD) or whose deficit exceeds DITHER_DEFICIT_LIMIT, a
+|rotation| above MAX_ROTATION_PER_DITHER of the dither, a negative
+electrical floor. Demodulating the photocurrent at the drive frequency
+yields a signal linear in ``alpha``; the noise floor is the Poisson
+fluctuation of the window-averaged rate plus any electrical noise, which
+montecarlo_lockin samples. Conventions:
 
 * the quoted shot level is the standard deviation of the window-mean voltage
   estimator (the DC bin), not of the demodulated quadrature, which carries
@@ -76,8 +76,8 @@ DEFAULT_ELECTRICAL_V = 35.75e-6
 # order with m + n <= 30, HG(15, 16) and HG(14, 17) first, and every
 # diagonal order from HG(16, 16).
 DITHER_DEFICIT_LIMIT = 0.01
-# _check_expansion's alpha << alpha0 << 1: a dither depth below
-# MAX_DITHER_RAD, a |rotation| at most MAX_ROTATION_PER_DITHER of it.
+# alpha << alpha0 << 1: _check_dither's depth below MAX_DITHER_RAD, and
+# _check_expansion's |rotation| at most MAX_ROTATION_PER_DITHER of it.
 MAX_DITHER_RAD = 0.1
 MAX_ROTATION_PER_DITHER = 0.1
 
@@ -116,10 +116,9 @@ REFERENCE_SHOT_LEVEL_V = {
 
 # Fewest detected photons per integration window a budget may give: the
 # lock-in model's noise is the Poisson spread of a photon count, which says
-# nothing about a window that detects less than one photon. A count given
-# per window (the CLI's --photons) reaches the budget as a power and comes
-# back through four roundings of half an ulp each, so a shortfall of up to
-# 2 ulp of MIN_PHOTONS is that rounding and passes.
+# nothing about a window that detects less than one photon. A count that
+# from_photons turns into a power comes back through four roundings of half
+# an ulp each, so a shortfall of up to 2 ulp of MIN_PHOTONS passes.
 MIN_PHOTONS = 1.0
 
 
@@ -146,6 +145,17 @@ class PhotonBudget:
                 f"{DETECTOR_SATURATION_W:.3g} W",
                 SaturationWarning, stacklevel=3)
 
+    @classmethod
+    def from_photons(cls, photons: float,
+                     integration: float = DEFAULT_INTEGRATION_S,
+                     wavelength: float = DEFAULT_WAVELENGTH_M) -> PhotonBudget:
+        """The budget at the power that detects photons a window."""
+        power = finite_positive("photons", photons) * finite_positive(
+            "photon_energy", PLANCK * LIGHT_SPEED
+            / finite_positive("wavelength", wavelength))
+        return cls(power / finite_positive("integration", integration),
+                   integration, wavelength)
+
     @property
     def photon_energy(self) -> float:
         return PLANCK * LIGHT_SPEED / self.wavelength
@@ -171,10 +181,10 @@ class DriveCalibration:
         finite_positive("rotation per volt", self.rotation_per_volt)
 
     def rotation(self, volts: float) -> float:
-        return volts * self.rotation_per_volt
+        return finite("volts", volts) * self.rotation_per_volt
 
     def volts(self, rotation: float) -> float:
-        return rotation / self.rotation_per_volt
+        return finite("rotation", rotation) / self.rotation_per_volt
 
 
 @dataclass(frozen=True)
@@ -186,8 +196,11 @@ class NoiseModel:
     def __post_init__(self):
         finite_positive("dither", self.dither_rad)
         finite_positive("drive frequency", self.drive_frequency)
-        finite_in("electrical noise", self.electrical_v, 0.0, math.inf,
-                  ends="[)")
+        _check_electrical(self.electrical_v)
+
+
+def _check_electrical(volts: float) -> float:
+    return finite_in("electrical noise", volts, 0.0, math.inf, ends="[)")
 
 
 def check_epsilon(epsilon: float, name: str = "post-selection angle") -> float:
@@ -205,8 +218,6 @@ def _check_mode(idx: ModeIndex) -> float:
 
 
 def _check_expansion(alpha: float, dither_rad: float):
-    finite_in("dither depth", dither_rad, 0.0, MAX_DITHER_RAD,
-              ExpansionInvalidError, "()")
     finite("rotation", alpha, ExpansionInvalidError)
     if abs(alpha) > MAX_ROTATION_PER_DITHER * dither_rad:
         raise ExpansionInvalidError(
@@ -215,8 +226,9 @@ def _check_expansion(alpha: float, dither_rad: float):
 
 
 def _check_dither(idx: ModeIndex, dither_rad: float):
-    """Refuse a dither whose carrier-rate deficit alpha0^2 <Lz^4> / (3 K)
-    exceeds DITHER_DEFICIT_LIMIT (see the module docstring)."""
+    """The depth rule, then the deficit rule (see the module docstring)."""
+    finite_in("dither depth", dither_rad, 0.0, MAX_DITHER_RAD,
+              ExpansionInvalidError, "()")
     finite_in(f"rate deficit alpha0^2 <Lz^4> / (3 <Lz^2>) of mode "
               f"({idx.m}, {idx.n}) at the dither {dither_rad} rad:",
               dither_rad ** 2 * oam_fourth_moment(idx)
@@ -230,8 +242,8 @@ def demod_signal(idx: ModeIndex, epsilon: float, alpha: float,
     """Mean demodulated lock-in voltage for a static rotation alpha."""
     check_epsilon(epsilon)
     k_var = _check_mode(idx)
-    _check_expansion(alpha, dither_rad)
     _check_dither(idx, dither_rad)
+    _check_expansion(alpha, dither_rad)
     cot = 1.0 / math.tan(epsilon)
     dc_volts = DETECTOR_GAIN_V_PER_W * budget.power
     return 2.0 * k_var * cot ** 2 * dither_rad * alpha * dc_volts
@@ -243,6 +255,7 @@ def shot_noise_level(idx: ModeIndex, epsilon: float,
     """Poisson noise of the window-mean voltage at the dark port, in volts."""
     check_epsilon(epsilon)
     k_var = _check_mode(idx)
+    _check_dither(idx, dither_rad)
     cot = abs(1.0 / math.tan(epsilon))
     return (budget.volts_per_rate * math.sqrt(k_var) * cot * dither_rad
             * math.sqrt(budget.photons) / budget.integration)
@@ -259,7 +272,7 @@ def snr(idx: ModeIndex, epsilon: float, alpha: float,
     """
     signal = demod_signal(idx, epsilon, alpha, budget, dither_rad)
     shot = shot_noise_level(idx, epsilon, budget, dither_rad)
-    return signal / math.hypot(shot, electrical_v)
+    return signal / math.hypot(shot, _check_electrical(electrical_v))
 
 
 def min_detectable_rotation(idx: ModeIndex, epsilon: float, n_photons: float) -> float:
@@ -308,8 +321,7 @@ def montecarlo_lockin(idx: ModeIndex, epsilon: float, alpha: float,
     cot2 = check_epsilon(epsilon)
     k_var = _check_mode(idx)
     _check_dither(idx, noise.dither_rad)
-    finite_in("rotation", alpha, -noise.dither_rad, noise.dither_rad,
-              ExpansionInvalidError, "()")
+    _check_expansion(alpha, noise.dither_rad)
     finite_in("samples per trial", SAMPLES_PER_CYCLE * noise.drive_frequency
               * budget.integration, 0, MAX_SAMPLES_PER_TRIAL)
 
@@ -377,8 +389,7 @@ def sensitivity_table(epsilon: float,
     (A_w = cot eps), which is 1 / (2 sqrt N) for every mode and eps, so a
     budget of N <= 25 detected photons is refused (at N = 25, x rounds to
     either side of WEAK_LIMIT); ExpansionInvalidError unless alpha_min <=
-    MAX_ROTATION_PER_DITHER * DEFAULT_DITHER_RAD (_check_expansion's rule,
-    which montecarlo keeps)."""
+    MAX_ROTATION_PER_DITHER * DEFAULT_DITHER_RAD (_check_expansion)."""
     cot = math.sqrt(check_epsilon(epsilon))  # A_w of post_selected_pair
     rows = []
     for (m, n), ref_v in REFERENCE_DRIVE_SNR1_V.items():

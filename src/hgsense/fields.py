@@ -463,13 +463,13 @@ def hologram_phase(target: FieldGrid, incident: FieldGrid,
     """Phase-only encoding H = f(A_rel) sin(phi_out - phi_in + phi_grating).
 
     The relative amplitude A_rel = |target| / |incident| is scaled so its
-    maximum reaches the peak of J1 (full modulation depth). grating_period
-    is in pixels along x. Each pass works on row blocks of one float grid.
+    maximum reaches the peak of J1 (full modulation depth) on one float grid,
+    in row blocks; grating_period, in px along x, meets check_grating_period.
     """
     if target.side != incident.side or not math.isclose(
             target.pitch, incident.pitch, rel_tol=1e-12):
         raise GridMismatchError("target and incident grids differ")
-    finite_positive("grating period", grating_period)
+    check_grating_period(grating_period, target.side)
     period, blocks = float(grating_period), _row_blocks(target.side)
     out = np.abs(target.samples)  # the one grid: |target|, then A_rel, then H
     in_floor = 1e-8 * float(np.max(  # np.max of the block maxima keeps a NaN

@@ -50,6 +50,11 @@ TEXT_CASES = {
     "montecarlo 1,2 at 1e7 photons": ["montecarlo", "--mode", "1,2",
                                       "--photons", "1e7",
                                       "--electrical-v", "1e-5"],
+    "table2 at 1e7 photons": ["table2", "--photons", "1e7"],
+    # one photon a window comes back from its power one ulp short
+    "bounds at one photon a window": ["bounds", "--grid-max", "2",
+                                      "--sweep-max", "2", "--photons", "1",
+                                      "--tau-s", "0.13366834170854272"],
 }
 FGRD_HEADER_BYTES = 44
 STRIDE = 16  # a 32 x 32 sample lattice at 512 px, 9 x 9 at 129 px

@@ -24,7 +24,7 @@ import pytest
 import hgsense
 from hgsense import cli, experiment, fields, fisher, weak
 from hgsense.cli import main
-from hgsense.errors import ConfigError, SaturationWarning
+from hgsense.errors import ConfigError, HgSenseError, SaturationWarning
 from hgsense.modes import MAX_HERMITE_ORDER
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table2_golden.csv"
@@ -1042,6 +1042,76 @@ def test_each_table_bound_is_where_the_library_starts_to_refuse(
     text = str(inside) if integral else repr(inside)
     code, err = _run_flag(command, flag, text, tmp_path, capsys, *extra)
     assert (code, err) == (0, "")
+
+
+_EPS = math.radians(5.0)
+_HG10, _HG11 = hgsense.ModeIndex(1, 0), hgsense.ModeIndex(1, 1)
+_ROTATION = experiment.MAX_ROTATION_PER_DITHER * experiment.DEFAULT_DITHER_RAD
+
+
+def _hologram_fields():
+    target = fields.synthesize_hg_field(_HG11, 1.0, 128)
+    return target, fields.gaussian_illumination(3.0, target)
+
+
+# per flag that a lock-in, hologram or budget guard reads: a run of its
+# subcommand, the values one step past its cli.DOMAINS bounds, and every
+# library entry point that takes the parameter, called with it. The dither's
+# low end is NoiseModel's positive rule, which the run reaches first; at its
+# high end HG(1, 0)'s rate deficit passes, so only the depth cap refuses.
+ONE_STEP_PAST = {
+    "--alpha0-rad": (
+        ["montecarlo", "--mode", "1,0", "--trials", "10", "--alpha-rad",
+         "1e-7"], [cli.DOMAINS["--alpha0-rad"][1]], {
+            "demod_signal": lambda d: experiment.demod_signal(
+                _HG10, _EPS, 1e-7, dither_rad=d),
+            "shot_noise_level": lambda d: experiment.shot_noise_level(
+                _HG10, _EPS, dither_rad=d),
+            "snr": lambda d: experiment.snr(_HG10, _EPS, 1e-7, dither_rad=d),
+            "montecarlo_lockin": lambda d: experiment.montecarlo_lockin(
+                _HG10, _EPS, 1e-7, noise=experiment.NoiseModel(d),
+                trials=10)}),
+    "--alpha-rad": (
+        ["montecarlo", "--mode", "1,1", "--trials", "10"],
+        [math.nextafter(_ROTATION, math.inf),
+         -math.nextafter(_ROTATION, math.inf)], {
+            "snr": lambda a: experiment.snr(_HG11, _EPS, a),
+            "montecarlo_lockin": lambda a: experiment.montecarlo_lockin(
+                _HG11, _EPS, a, trials=10)}),
+    "--grating-period": (
+        ["hologram", "--mode", "1,1", "--grid", "128"],
+        [math.nextafter(fields.MIN_GRATING_PX, 0.0),
+         math.nextafter(128 / 2, math.inf)], {
+            "hologram_phase": lambda p: fields.hologram_phase(
+                *_hologram_fields(), p),
+            "first_order_extract": lambda p: fields.first_order_extract(
+                _hologram_fields()[0], p),
+            "hologram_readout": lambda p: fields.hologram_readout(
+                _HG11, 128, p, 3.0, os.devnull)}),
+    "--electrical-v": (
+        ["montecarlo", "--mode", "1,1", "--trials", "10"],
+        [math.nextafter(cli.DOMAINS["--electrical-v"][0], -math.inf)], {
+            "NoiseModel": lambda v: experiment.NoiseModel(electrical_v=v),
+            "snr": lambda v: experiment.snr(_HG11, _EPS, 1e-7,
+                                            electrical_v=v)}),
+}
+
+
+@pytest.mark.parametrize("flag, value, entry", [
+    (flag, value, entry) for flag, (_, values, calls) in ONE_STEP_PAST.items()
+    for value in values for entry in calls])
+def test_every_entry_point_refuses_one_step_past_the_table(flag, value, entry,
+                                                           tmp_path):
+    # the library call raises what the run raises: its class and its message
+    argv, _, calls = ONE_STEP_PAST[flag]
+    args = cli.build_parser().parse_args(
+        [*argv, f"{flag}={value!r}", "--out", str(tmp_path / "out")])
+    with pytest.raises(HgSenseError) as run:
+        args.handler(args)
+    with pytest.raises(HgSenseError) as call:
+        calls[entry](value)
+    assert (type(call.value), str(call.value)) == (type(run.value),
+                                                   str(run.value))
 
 
 def test_ci_refuses_each_int_flag_one_past_its_table_bound():

@@ -107,13 +107,14 @@ def test_budget_below_one_photon_per_window_is_refused():
 
 
 def test_one_photon_sent_through_the_power_comes_back_as_one():
-    # the CLI's --photons 1 becomes photons * energy / tau, and the budget
-    # turns that back one ulp short at this window: the rounding passes, and
-    # the floor still refuses what lies further below it
+    # from_photons (the CLI's --photons) turns 1 into photons * energy / tau,
+    # and the budget turns that back one ulp short at this window: the
+    # rounding passes, and the floor still refuses what lies further below it
     tau = 0.13366834170854272
     energy = PLANCK * LIGHT_SPEED / experiment.DEFAULT_WAVELENGTH_M
     budget = PhotonBudget(power=1.0 * energy / tau, integration=tau)
     assert budget.photons == 0.9999999999999998
+    assert PhotonBudget.from_photons(1.0, tau) == budget
     for photons in (1.0 - 1e-12, 0.999):
         with pytest.raises(ConfigError, match=r"photons per window 0.999\d* "
                                               r"must be finite and lie in "
@@ -128,6 +129,28 @@ def test_one_photon_sent_through_the_power_comes_back_as_one():
                      wavelength=wavelength)
 
 
+def test_from_photons_keeps_the_bits_and_the_order_of_its_checks():
+    # power = photons * (h c / wavelength) / integration, in that order
+    tau, wavelength = 0.13366834170854272, 633e-9
+    energy = PLANCK * LIGHT_SPEED / wavelength
+    for photons in (1.0, 1e7, 4.04e7, 2.5e8):
+        assert PhotonBudget.from_photons(photons, tau, wavelength) == (
+            PhotonBudget(photons * energy / tau, tau, wavelength))
+    assert PhotonBudget.from_photons(4.04e7) == PhotonBudget(
+        4.04e7 * PhotonBudget().photon_energy / PhotonBudget().integration)
+    # photons first, then the wavelength, its photon energy and the window;
+    # the power they give last, as the budget checks it
+    for args, name in (((math.nan, math.nan, math.nan), "photons nan"),
+                       ((-1.0, 1.0, 780e-9), "photons -1.0"),
+                       ((1.0, math.nan, 0.0), "wavelength 0.0"),
+                       ((1.0, math.nan, 1e300), "photon_energy 0.0"),
+                       ((1.0, math.inf, 780e-9), "integration inf"),
+                       ((1e300, 1e-300, 780e-9), "power inf")):
+        with pytest.raises(ConfigError,
+                           match=f"^{name} must be finite and positive$"):
+            PhotonBudget.from_photons(*args)
+
+
 def test_noise_and_calibration_guards():
     with pytest.raises(ConfigError):
         NoiseModel(dither_rad=0.0)
@@ -140,6 +163,26 @@ def test_noise_and_calibration_guards():
     cal = DriveCalibration(4.4e-6)
     assert cal.volts(cal.rotation(0.7)) == pytest.approx(0.7, rel=1e-15)
     assert cal.rotation(0.5) == pytest.approx(2.2e-6, rel=1e-12)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match=f"^volts {value} must be"):
+            cal.rotation(value)
+        with pytest.raises(ConfigError, match=f"^rotation {value} must be"):
+            cal.volts(value)
+
+
+def test_shot_level_and_snr_take_the_lockin_rules():
+    # the dither through demod_signal's depth rule and deficit rule
+    for dither in (math.nan, -1e-3, 0.0, 0.1, 0.5):
+        with pytest.raises(ExpansionInvalidError,
+                           match=f"^dither depth {dither} must"):
+            shot_noise_level(MODE, EPSILON, dither_rad=dither)
+    with pytest.raises(ExpansionInvalidError, match="^rate deficit"):
+        shot_noise_level(ModeIndex(10, 10), EPSILON, dither_rad=0.09)
+    # the electrical floor through NoiseModel's [0, inf) rule
+    for volts in (math.nan, math.inf, -1.0):
+        with pytest.raises(ConfigError,
+                           match=f"^electrical noise {volts} must"):
+            snr(MODE, EPSILON, 1e-7, electrical_v=volts)
 
 
 def test_snr_closed_form():
@@ -424,6 +467,15 @@ def test_montecarlo_guards():
         montecarlo_lockin(MODE, EPSILON, 1e-6, budget, noise, trials=5)
     with pytest.raises(ExpansionInvalidError):
         montecarlo_lockin(MODE, EPSILON, noise.dither_rad, budget, noise)
+    # snr's rules: the depth cap, where HG(1, 0)'s rate deficit alone would
+    # pass, and |rotation| at most MAX_ROTATION_PER_DITHER of the dither
+    with pytest.raises(ExpansionInvalidError, match="^dither depth 0.15 "):
+        montecarlo_lockin(ModeIndex(1, 0), EPSILON, 0.01, budget,
+                          NoiseModel(dither_rad=0.15))
+    with pytest.raises(ExpansionInvalidError,
+                       match="^rotation 0.04 not small against the dither"):
+        montecarlo_lockin(MODE, EPSILON, 0.04, budget,
+                          NoiseModel(dither_rad=0.05))
     with pytest.raises(ConfigError):
         montecarlo_lockin(MODE, EPSILON, 1e-6,
                           PhotonBudget(integration=1e-4), noise)

@@ -645,7 +645,8 @@ def test_j1_inverse_array_matches_bisection_oracle():
     assert depth.min() >= 0.0 and depth.max() <= J1_PEAK_X
 
 
-@pytest.mark.parametrize("period", [math.nan, math.inf, 0.0, -8.0])
+# past the carrier resolution, and past side / 2 of the 128 px grid
+@pytest.mark.parametrize("period", [math.nan, math.inf, 0.0, -8.0, 2.0, 65.0])
 def test_hologram_phase_refuses_bad_grating_period(period):
     target = synthesize_hg_field(ModeIndex(1, 1), 1.0, side=128)
     incident = gaussian_illumination(3.0, target)
