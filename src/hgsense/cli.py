@@ -44,7 +44,6 @@ from .experiment import (
     DriveCalibration,
     NoiseModel,
     PhotonBudget,
-    check_epsilon,
     min_detectable_rotation,
     montecarlo_lockin,
     sensitivity_table,
@@ -63,6 +62,7 @@ from .output import (
     staged,
     write_atomic,
 )
+from .weak import check_epsilon
 
 # Each numeric flag's domain as the library (or cmd_bounds) checks it: an
 # interval (lo, hi, ends) and any rule naming another flag, or a rule alone

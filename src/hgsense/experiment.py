@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -56,7 +57,7 @@ from .errors import (
 )
 from .modes import ModeIndex, oam_fourth_moment, oam_variance
 from .output import format_rows, write_atomic
-from .weak import check_weak_regime
+from .weak import check_epsilon, check_weak_regime
 
 PLANCK = 6.62607015e-34
 LIGHT_SPEED = 299792458.0
@@ -140,10 +141,10 @@ class PhotonBudget:
             finite_in("detected photons per window", self.photons, MIN_PHOTONS,
                       math.inf, ends="[)")
         if self.power > DETECTOR_SATURATION_W:
-            warnings.warn(
+            warnings.warn(  # at the caller of __init__, or of from_photons
                 f"power {self.power:.3g} W exceeds detector saturation "
-                f"{DETECTOR_SATURATION_W:.3g} W",
-                SaturationWarning, stacklevel=3)
+                f"{DETECTOR_SATURATION_W:.3g} W", SaturationWarning,
+                stacklevel=3 + (sys._getframe(2).f_globals is globals()))
 
     @classmethod
     def from_photons(cls, photons: float,
@@ -181,10 +182,12 @@ class DriveCalibration:
         finite_positive("rotation per volt", self.rotation_per_volt)
 
     def rotation(self, volts: float) -> float:
-        return finite("volts", volts) * self.rotation_per_volt
+        return finite(f"rotation at {volts} V:",
+                      finite("volts", volts) * self.rotation_per_volt)
 
     def volts(self, rotation: float) -> float:
-        return finite("rotation", rotation) / self.rotation_per_volt
+        return finite(f"drive for {rotation} rad:",
+                      finite("rotation", rotation) / self.rotation_per_volt)
 
 
 @dataclass(frozen=True)
@@ -201,15 +204,6 @@ class NoiseModel:
 
 def _check_electrical(volts: float) -> float:
     return finite_in("electrical noise", volts, 0.0, math.inf, ends="[)")
-
-
-def check_epsilon(epsilon: float, name: str = "post-selection angle") -> float:
-    """cot(epsilon)^2, or ConfigError naming name unless epsilon lies in
-    (0, pi/2) with a finite cot^2 (an angle under ~1e-154 rad has none)."""
-    finite_in(name, epsilon, 0.0, math.pi / 2, ends="()")
-    tan2 = math.tan(epsilon) ** 2
-    return finite(f"cot^2 of the {name} {epsilon}:",
-                  1.0 / tan2 if tan2 else math.inf)
 
 
 def _check_mode(idx: ModeIndex) -> float:

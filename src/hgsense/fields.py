@@ -106,11 +106,11 @@ class FieldGrid:
     sigma0: float
 
     def __post_init__(self):
+        if len(shape := np.shape(self.samples)) != 2 or shape[0] != shape[1]:
+            raise ConfigError("samples must be a square 2-D array")
+        check_side(shape[0])  # before a caller's array is copied
         arr = adopted("field sample", self.samples,
                       complex if np.iscomplexobj(self.samples) else float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ConfigError("samples must be a square 2-D array")
-        finite_in("grid side", arr.shape[0], MIN_SIDE, math.inf, ends="[)")
         finite_positive("pitch", self.pitch)
         positive_square("sigma0", self.sigma0)
         finite_in("window half-width", 0.5 * arr.shape[0] * self.pitch,

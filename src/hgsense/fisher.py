@@ -41,7 +41,6 @@ from .errors import (
     frozen,
     integer,
 )
-from .experiment import check_epsilon
 from .modes import (
     MAX_HERMITE_ORDER,
     ModeIndex,
@@ -61,6 +60,7 @@ from .weak import (
     _evolve_block,
     _post_selected_branches,
     _selection_amplitudes,
+    check_epsilon,
     monitor_branches,
     pauli_weak_values,
     post_selected_pair,

@@ -108,10 +108,19 @@ class QubitState:
         return 2.0 * math.atan2(abs(self.c1), abs(self.c0))
 
 
+def check_epsilon(epsilon: float, name: str = "post-selection angle") -> float:
+    """cot(epsilon)^2, or ConfigError naming name unless epsilon lies in
+    (0, pi/2) with a finite cot^2 (an angle under ~1e-154 rad has none)."""
+    finite_in(name, epsilon, 0.0, math.pi / 2, ends="()")
+    tan2 = math.tan(epsilon) ** 2
+    return finite(f"cot^2 of the {name} {epsilon}:",
+                  1.0 / tan2 if tan2 else math.inf)
+
+
 def post_selected_pair(epsilon: float) -> tuple[QubitState, QubitState]:
     """Diagonal input and an analyzer rotated epsilon short of extinction:
     the pair gives weak value A_w = cot(epsilon) for sigma_z."""
-    finite("post-selection angle", epsilon)
+    check_epsilon(epsilon)
     pre = QubitState.plus()
     post = QubitState.from_amplitudes(
         math.cos(math.pi / 4.0 - epsilon), -math.sin(math.pi / 4.0 - epsilon))

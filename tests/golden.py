@@ -6,7 +6,7 @@ Run it from anywhere inside the repository:
 
 It unpacks the parent's src with `git archive PARENT_SHA src` into a
 temporary directory, then runs each CASES (as `hologram`) and TEXT_CASES
-argv of make_hologram_golden.py, plus the bounds golden arguments, as a
+argv of make_hologram_golden.py, plus its BOUNDS_GOLDEN_ARGV, as a
 fresh `python -m hgsense` on both trees. Per case it compares the exit
 status, stderr, stdout without its "wrote" line and every file written,
 and prints one line. It exits 1 if any case differs. The .fgrd bytes
@@ -20,11 +20,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from make_hologram_golden import CASES, TEXT_CASES
+from make_hologram_golden import BOUNDS_GOLDEN_ARGV, CASES, TEXT_CASES
 
 HERE = Path(__file__).resolve().parent
-BOUNDS_GOLDEN = ["bounds", "--grid-max", "3", "--sweep-max", "6",
-                 "--breakdown-epsilons", "0.1,0.05,0.01", "--alpha-rad", "0.02"]
 
 
 def runs() -> dict:
@@ -34,7 +32,8 @@ def runs() -> dict:
     out.update({name: [*argv, *(["--out", "bounds.csv"]
                                 if argv[0] == "bounds" else [])]
                 for name, argv in TEXT_CASES.items()})
-    out["bounds, golden arguments"] = [*BOUNDS_GOLDEN, "--out", "bounds.csv"]
+    out["bounds, golden arguments"] = [*BOUNDS_GOLDEN_ARGV,
+                                       "--out", "bounds.csv"]
     return {name: [*argv, "--config-out", "run.cfg"]
             for name, argv in out.items()}
 

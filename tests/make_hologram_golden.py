@@ -56,6 +56,12 @@ TEXT_CASES = {
                                       "--sweep-max", "2", "--photons", "1",
                                       "--tau-s", "0.13366834170854272"],
 }
+# the bounds run that wrote tests/data/bounds_golden.csv, which this script
+# does not write: golden.py, the CLI and Fisher tests and CI's "Bounds sweep
+# matches the golden file" step run it (a test reads the step)
+BOUNDS_GOLDEN_ARGV = ["bounds", "--grid-max", "3", "--sweep-max", "6",
+                      "--breakdown-epsilons", "0.1,0.05,0.01",
+                      "--alpha-rad", "0.02"]
 FGRD_HEADER_BYTES = 44
 STRIDE = 16  # a 32 x 32 sample lattice at 512 px, 9 x 9 at 129 px
 # ulp changes in the synthesized fields move the samples by up to 1.7e-9:

@@ -57,7 +57,7 @@ from hgsense.fields import (
     _window,
     overlap,
 )
-from hgsense.experiment import SAMPLES_PER_CYCLE, check_epsilon
+from hgsense.experiment import SAMPLES_PER_CYCLE
 from hgsense.fisher import (
     _STENCIL_RTOL,
     PROBABILITY_FLOOR,
@@ -80,6 +80,7 @@ from hgsense.weak import (
     PauliAxis,
     WeakScenario,
     _tridiagonal,
+    check_epsilon,
 )
 
 

@@ -13,25 +13,25 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hgsense
-from hgsense import cli, experiment, fields, fisher, weak
+from hgsense import cli, errors, experiment, fields, fisher, weak
 from hgsense.cli import main
 from hgsense.errors import ConfigError, HgSenseError, SaturationWarning
 from hgsense.modes import MAX_HERMITE_ORDER
+from make_hologram_golden import BOUNDS_GOLDEN_ARGV
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table2_golden.csv"
 GOLDEN_BOUNDS = Path(__file__).parent / "data" / "bounds_golden.csv"
-GOLDEN_BOUNDS_ARGV = ["bounds", "--grid-max", "3", "--sweep-max", "6",
-                      "--breakdown-epsilons", "0.1,0.05,0.01",
-                      "--alpha-rad", "0.02"]
 
 
 def test_table2_stdout_matches_golden(capsys):
@@ -57,7 +57,7 @@ def test_table2_json_format(capsys):
 
 def test_bounds_out_file_matches_golden(tmp_path):
     target = tmp_path / "bounds.csv"
-    assert main(GOLDEN_BOUNDS_ARGV + ["--out", str(target)]) == 0
+    assert main(BOUNDS_GOLDEN_ARGV + ["--out", str(target)]) == 0
     assert target.read_bytes() == GOLDEN_BOUNDS.read_bytes()
 
 
@@ -551,12 +551,12 @@ def test_every_table_key_names_a_flag_of_its_subcommand():
 
 def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     first, again = tmp_path / "first.csv", tmp_path / "again.csv"
-    assert main(GOLDEN_BOUNDS_ARGV + ["--out", str(first)]) == 0
+    assert main(BOUNDS_GOLDEN_ARGV + ["--out", str(first)]) == 0
     assert main(["hologram", "--mode", "1,1", "--grid", "128",
                  "--out", str(tmp_path / "holo")]) == 0
     assert main(["bounds", "--breakdown-epsilons", "x",
                  "--out", str(tmp_path / "refused.csv")]) == 2
-    assert main(GOLDEN_BOUNDS_ARGV + ["--out", str(again)]) == 0
+    assert main(BOUNDS_GOLDEN_ARGV + ["--out", str(again)]) == 0
     assert first.read_bytes() == GOLDEN_BOUNDS.read_bytes()
     assert again.read_bytes() == GOLDEN_BOUNDS.read_bytes()
     assert cli.build_parser() is cli.build_parser()
@@ -1088,6 +1088,17 @@ ONE_STEP_PAST = {
                 _hologram_fields()[0], p),
             "hologram_readout": lambda p: fields.hologram_readout(
                 _HG11, 128, p, 3.0, os.devnull)}),
+    # a caller-built FieldGrid takes the side rule too, before it copies: the
+    # frozen zeros are adopted, so no page of the 4097-px grid is touched
+    "--grid": (
+        ["hologram", "--mode", "1,1"], [fields.MIN_SIDE - 1,
+                                        fields.MAX_SIDE + 1], {
+            "FieldGrid": lambda s: fields.FieldGrid(
+                errors.frozen(np.zeros((s, s))), 16.0 / s, 1.0),
+            "synthesize_hg_field": lambda s: fields.synthesize_hg_field(
+                _HG11, 1.0, s),
+            "hologram_readout": lambda s: fields.hologram_readout(
+                _HG11, s, 8.0, 3.0, os.devnull)}),
     "--electrical-v": (
         ["montecarlo", "--mode", "1,1", "--trials", "10"],
         [math.nextafter(cli.DOMAINS["--electrical-v"][0], -math.inf)], {
@@ -1123,6 +1134,19 @@ def test_ci_refuses_each_int_flag_one_past_its_table_bound():
     past = {run[-2]: int(run[-1]) for run in runs[-4:]}
     assert past == {flag: cli.DOMAINS[flag][1] + 1 for flag in (
         "--sweep-max", "--grid-max", "--trials", "--grid")}
+
+
+def test_ci_compares_the_golden_bounds_arguments_with_the_golden_file():
+    # CI's cmp step runs the argv that wrote the golden CSV, spelled once
+    workflow = Path(__file__).parents[1] / ".github/workflows/tests.yml"
+    step = workflow.read_text().split(
+        "- name: Bounds sweep matches the golden file\n", 1)[1]
+    script = step.split("run: |\n", 1)[1].replace("\\\n", "")
+    run, compare = [shlex.split(line) for line in script.splitlines()[:2]]
+    out = "$RUNNER_TEMP/bounds-golden.csv"
+    assert run == ["python", "-W", "error", "-m", "hgsense",
+                   *BOUNDS_GOLDEN_ARGV, "--out", out]
+    assert compare == ["cmp", out, "tests/data/bounds_golden.csv"]
 
 
 @pytest.mark.parametrize("command", sorted(SWEEP_ARGV))

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -84,10 +85,14 @@ def test_budget_guards_and_saturation():
     with pytest.raises(ConfigError,
                        match="photons inf must be finite and positive"):
         PhotonBudget(power=1e300)
-    with pytest.warns(SaturationWarning) as record:
-        PhotonBudget(power=2e-9)
     # named at the caller, not in the dataclass-generated __init__ (<string>)
-    assert [w.filename for w in record] == [__file__]
+    # nor in from_photons, which builds the budget for its own caller
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        PhotonBudget(power=2e-9)
+        PhotonBudget.from_photons(1e10)
+    assert [(w.category, w.filename) for w in record] == [
+        (SaturationWarning, __file__)] * 2
 
 
 def test_budget_below_one_photon_per_window_is_refused():
@@ -168,6 +173,13 @@ def test_noise_and_calibration_guards():
             cal.rotation(value)
         with pytest.raises(ConfigError, match=f"^rotation {value} must be"):
             cal.volts(value)
+    # a finite input whose product or quotient overflows
+    with pytest.raises(ConfigError,
+                       match=r"^drive for 10000000000\.0 rad: inf must"):
+        DriveCalibration(1e-300).volts(1e10)
+    with pytest.raises(ConfigError,
+                       match=r"^rotation at 10000000000\.0 V: inf must"):
+        DriveCalibration(1e300).rotation(1e10)
 
 
 def test_shot_level_and_snr_take_the_lockin_rules():

@@ -31,11 +31,8 @@ from hgsense.errors import (
     UnsupportedOrderError,
     WeakRegimeError,
 )
-from hgsense.experiment import (
-    PhotonBudget,
-    check_epsilon,
-    min_detectable_rotation,
-)
+from hgsense.cli import build_parser
+from hgsense.experiment import PhotonBudget, min_detectable_rotation
 from hgsense.fisher import (
     BOUND_CSV_COLUMNS,
     BoundResult,
@@ -73,11 +70,13 @@ from hgsense.weak import (
     QubitState,
     WeakScenario,
     carrier_state,
+    check_epsilon,
     final_pointer_exact,
     monitor_branches,
     post_selected_pair,
     qubit_monitor_channel,
 )
+from make_hologram_golden import BOUNDS_GOLDEN_ARGV
 from reference import (
     dense_cfi,
     dense_variance,
@@ -837,16 +836,19 @@ def test_default_step_floors():
 
 
 def test_bound_rows_are_the_bounds_csv(tmp_path):
-    # the bounds table without the CLI: the golden arguments' rows, written
+    # the bounds table without cmd_bounds: the golden arguments' rows, written
     # by write_bound_csv, are the golden CSV that cmd_bounds writes
-    rows = bound_rows(math.radians(5.0), PhotonBudget().photons, 3, 6, 0.02,
-                      [0.1, 0.05, 0.01])
+    out = tmp_path / "bounds.csv"
+    args = build_parser().parse_args([*BOUNDS_GOLDEN_ARGV, "--out", str(out)])
+    rows = bound_rows(math.radians(args.epsilon_deg), PhotonBudget().photons,
+                      args.grid_max, args.sweep_max, args.alpha_rad,
+                      args.breakdown_epsilons)
     assert len(rows) == 9 + 3 * 3 * 7 + 3 * 2 * 6
     assert {len(row) for row in rows} == {BOUND_CSV_COLUMNS.index(
         "fisher_info") + 1}
-    write_bound_csv(tmp_path / "bounds.csv", rows)
+    write_bound_csv(out, rows)
     golden = Path(__file__).parent / "data" / "bounds_golden.csv"
-    assert (tmp_path / "bounds.csv").read_bytes() == golden.read_bytes()
+    assert out.read_bytes() == golden.read_bytes()
 
 
 @pytest.mark.parametrize("args, error, match", [
@@ -860,9 +862,10 @@ def test_bound_rows_are_the_bounds_csv(tmp_path):
     ((0.1, 1.0, 65, 2, 1e-3, ()), UnsupportedOrderError, r"\(1, 65\)"),
     ((0.1, 1.0, 2, 2, math.nan, (0.1,)), ConfigError,
      r"^alpha nan must be finite$"),
-    # a breakdown angle at extinction selects orthogonally
-    ((0.1, 1.0, 2, 2, 1e-3, (0.0,)), DegeneratePostSelectionError,
-     "orthogonal"),
+    # a breakdown angle takes post_selected_pair's rule, as the CLI's does
+    *[((0.1, 1.0, 2, 2, 1e-3, (eps_b,)), ConfigError,
+       rf"^post-selection angle {eps_b!r} must be finite and lie in")
+      for eps_b in (0.0, -0.1, math.pi / 2, 5.0)],
 ])
 def test_bound_rows_refuses_its_inputs_before_evolving(args, error, match,
                                                        monkeypatch):

@@ -97,7 +97,8 @@ def test_non_finite_qubit_and_coupling_rejected():
                   lambda: QubitState(1.0, complex(0.0, nan))):
         with pytest.raises(ValueError):
             build()
-    for epsilon in (nan, math.inf, -math.inf):
+    # the angle takes check_epsilon's rule: (0, pi/2), a finite cot^2
+    for epsilon in (nan, math.inf, -math.inf, 0.0, -0.1, math.pi / 2, 5.0):
         with pytest.raises(ConfigError,
                            match="post-selection angle .* must be finite"):
             post_selected_pair(epsilon)
