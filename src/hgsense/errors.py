@@ -136,12 +136,17 @@ def frozen(arr: np.ndarray) -> np.ndarray:
 
 def adopted(name, arr, dtype) -> np.ndarray:
     """arr if it is a read-only ndarray of dtype that owns its data, taken
-    with no pass; anything else as a frozen copy of dtype, unless an entry
-    of the copy is NaN or infinite (one isfinite pass)."""
+    with no pass; anything else as a frozen copy of dtype, unless numpy
+    cannot convert it (a ragged nesting, or entries of another kind) or an
+    entry of the copy is NaN or infinite (one isfinite pass)."""
     if (type(arr) is np.ndarray and arr.dtype == dtype
             and arr.flags.owndata and not arr.flags.writeable):
         return arr
-    copy = np.array(arr, dtype=dtype)
+    try:
+        copy = np.array(arr, dtype=dtype)
+    except (ValueError, TypeError):
+        raise ConfigError(f"{name} values must form a regular "
+                          f"{dtype.__name__} array") from None
     if not np.isfinite(copy).all():
         raise ConfigError(f"{name} {copy[~np.isfinite(copy)].flat[0]} "
                           "must be finite")

@@ -106,7 +106,11 @@ class FieldGrid:
     sigma0: float
 
     def __post_init__(self):
-        if len(shape := np.shape(self.samples)) != 2 or shape[0] != shape[1]:
+        try:
+            shape = np.shape(self.samples)
+        except ValueError:  # a ragged nesting has no shape
+            shape = ()
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise ConfigError("samples must be a square 2-D array")
         check_side(shape[0])  # before a caller's array is copied
         arr = adopted("field sample", self.samples,

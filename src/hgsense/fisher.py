@@ -115,7 +115,9 @@ def _stencil_value(fn: Callable[[float], np.ndarray],
     curvature): values that disagree by more than _STENCIL_RTOL raise
     StepSizeError. The two stencils share g +- 2h, so fn runs once at each of
     the six points g + k h, k in {+-1, +-2, +-4}: with the caller's value at
-    g, a Fisher routine evaluates its family 7 times.
+    g, a Fisher routine evaluates its family 7 times. The QFI and CFI of one
+    exact-pointer family at one point share those seven evaluations through
+    weak.final_pointer_exact's memo.
     """
     h = finite_positive("step", default_step(g) if step is None else step)
     at = functools.cache(lambda k: np.asarray(fn(g + k * h)))

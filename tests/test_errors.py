@@ -145,12 +145,22 @@ def _read_fgrd(tmp_path, raw: bytes):
     (lambda _: coupling_matrix(Coupling.OAM, 2.5),
      "cutoff 2.5 must be an integer"),
     (lambda _: lz_matrix(True), "cutoff True must be an integer"),
+    (lambda _: FieldGrid([[1, 2], [3]], 0.1, 1.0),
+     "samples must be a square 2-D array"),
+    (lambda _: ModeState(1, [[1, 2], [3]]),
+     "amplitude values must form a regular complex array"),
+    (lambda _: ModeState(0, [1, [2]]),
+     "amplitude values must form a regular complex array"),
+    (lambda _: PhaseMap([[0.1, 0.2], [0.3]]),
+     "phase values must form a regular float array"),
+    (lambda _: PhaseMap([[1j]]), "phase values must form a regular float array"),
 ], ids=["amplitude-count", "flat-index", "carrier-cutoff", "field-grid-shape",
         "phase-map-shape", "zero-superposition", "fgrd-short", "fgrd-version",
         "fgrd-off-waist", "fgrd-payload", "fgrd-not-finite",
         "readout-cutoff", "coupling-matrix", "generator-coupling",
         "ladder-cutoff", "momentum-cutoff", "coupling-cutoff",
-        "lz-bool-cutoff"])
+        "lz-bool-cutoff", "field-grid-ragged", "amplitude-ragged",
+        "amplitude-ragged-scalar", "phase-map-ragged", "phase-map-complex"])
 def test_shape_and_basis_refusals_are_package_errors(call, message, tmp_path):
     with pytest.raises(HgSenseError) as refused:
         call(tmp_path)

@@ -570,6 +570,81 @@ def test_cached_selections_and_shells_are_bitwise_the_uncached_route(
     assert pre.vector is pre.vector and axis.matrix is axis.matrix
 
 
+def test_qfi_and_cfi_of_one_family_evolve_its_seven_points_once(
+        monkeypatch):
+    # a rotation-exact op: the numeric QFI, then the carrier CFI, of one
+    # basis-pointer family read the same seven stencil points, so the
+    # pointer memo evolves each once, and both values are bitwise those of
+    # the uncached route
+    idx, alpha = ModeIndex(3, 4), 1e-3
+    pre, post = post_selected_pair(0.05)
+    pointer = ModeState.basis(idx.total, idx.m, idx.n)
+    readout = carrier_projection_povm(carrier_state(idx, idx.total))
+
+    def family(a, route=final_pointer_exact):
+        return route(WeakScenario(a, pre, post, PauliAxis.z(), Coupling.OAM,
+                                  pointer)).pointer
+
+    def both(fam):
+        return qfi_pure_numeric(fam, alpha), cfi_povm(fam, alpha, readout)
+
+    calls = []
+    evolve = Generator.evolve
+
+    def counted(self, alphas, state):
+        calls.append(alphas)
+        return evolve(self, alphas, state)
+
+    monkeypatch.setattr(Generator, "evolve", counted)
+    got = both(family)
+    assert len(calls) == 7
+    want = both(lambda a: family(a, final_pointer_exact_uncached))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_exact_pointer_memo_keys_on_bits_and_keeps_no_refusal():
+    memo = weak._pointer_memo
+    memo.cache_clear()
+    assert memo.cache_info().maxsize == weak._POINTER_CACHE_SIZE >= 7
+    pre, post = post_selected_pair(0.1)
+    pointer = ModeState.basis(5, 2, 3)
+
+    def scenario(alpha, coupling=Coupling.OAM, sigma0=1.0):
+        return WeakScenario(alpha, pre, post, PauliAxis.z(), coupling,
+                            pointer, sigma0)
+
+    # a+- formed by the brackets carry no -0.0 (each sum starts at +0.0),
+    # so the twin's selection is set on the scenario: equal a+-, other bits
+    plus, minus = scenario(1e-3).selection
+    twin = scenario(1e-3)
+    object.__setattr__(twin, "selection", (complex(plus.real, -0.0), minus))
+    assert twin.selection == scenario(1e-3).selection
+    keys = [scenario(0.0), scenario(-0.0), scenario(1e-3), twin,
+            scenario(1e-3, Coupling.MOMENTUM_X), scenario(1e-3, sigma0=2.0)]
+    for count, s in enumerate(keys, 1):
+        got = final_pointer_exact(s)
+        assert memo.cache_info().misses == count  # a key of its own
+        assert final_pointer_exact(s) is got
+        want = final_pointer_exact_uncached(s)
+        assert (got.pointer.amplitudes.tobytes()
+                == want.pointer.amplitudes.tobytes())
+        assert got.success_prob.hex() == want.success_prob.hex()
+        assert not got.pointer.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            got.pointer.amplitudes[0] = 0
+    # a refusal is raised again, not kept
+    plus_state = QubitState.plus()
+    dark = WeakScenario(math.pi / 2, plus_state, plus_state, PauliAxis.z(),
+                        Coupling.OAM, ModeState.basis(1, 1, 0))
+    for _ in range(2):
+        with pytest.raises(TotalExtinctionError):
+            final_pointer_exact(dark)
+    assert memo.cache_info().currsize == len(keys)
+    for k in range(2 * weak._POINTER_CACHE_SIZE):
+        final_pointer_exact(scenario(1e-3 * (k + 2)))
+    assert memo.cache_info().currsize == weak._POINTER_CACHE_SIZE
+
+
 def test_density_matrix_validation():
     cutoff = 2
     dim = basis_dim(cutoff)
