@@ -23,7 +23,8 @@ amplitudes once per sweep and applies Lz through the known shell's memo
 entry, and a test requires the same floats bit for bit.
 final_pointer_exact_uncached forms a scenario's selection amplitudes on each
 call and evolves through evolve_uncached; the package reads the amplitudes
-its WeakScenario formed and the shells its ModeState found once.
+its WeakScenario formed and the shells its ModeState found once, and keeps
+its last exact pointers in a memo.
 synthesize_hg_field_complex and gaussian_illumination_complex divide a whole
 complex outer product by its root power, where the package builds the grid
 from its 1-D factors in row blocks. j1_inverse_fit is the Newton and
