@@ -33,6 +33,7 @@ from .errors import (
     finite,
     finite_in,
     finite_positive,
+    naming,
 )
 from .experiment import (
     DEFAULT_DITHER_RAD,
@@ -128,13 +129,11 @@ def _budget(args) -> PhotonBudget:
     the saturation check; --power-w must still be finite and positive. A
     budget that is refused names the flags it was built from."""
     power = finite_positive("power", args.power_w)
-    try:
+    with naming(_budget_flags(args), ConfigError):
         if args.photons is None:
             return PhotonBudget(power, args.tau_s, args.wavelength_m)
         return PhotonBudget.from_photons(args.photons, args.tau_s,
                                          args.wavelength_m)
-    except ConfigError as exc:
-        raise ConfigError(f"{_budget_flags(args)}: {exc}") from None
 
 
 def _budget_flags(args, *first) -> str:
@@ -154,11 +153,6 @@ def _budget_keys(epsilon: float, budget: PhotonBudget) -> dict:
             "wavelength_m": budget.wavelength}
 
 
-def _calibration(args) -> DriveCalibration:
-    volts = finite_positive("--volts-per-rad-cal", args.volts_per_rad_cal)
-    return DriveCalibration(rotation_per_volt=1.0 / volts)
-
-
 def _emit(args, *parts: str):
     if args.out:
         write_atomic(args.out, *parts)
@@ -167,12 +161,7 @@ def _emit(args, *parts: str):
             sys.stdout.write(part)
 
 
-def _maybe_config(args, settings: dict):
-    if args.config_out:
-        write_run_config(args.config_out, settings)
-
-
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> dict:
     for flag, limit in (("--grid-max", args.grid_max),
                         ("--sweep-max", args.sweep_max)):
         finite_in(flag, limit, 0, math.inf, ends="[)")  # else a family is lost
@@ -184,28 +173,24 @@ def cmd_bounds(args) -> int:
     write_bound_csv(args.out, bound_rows(
         epsilon, budget.photons, args.grid_max, args.sweep_max,
         alpha_breakdown, args.breakdown_epsilons))
-    _maybe_config(args, {
-        **_budget_keys(epsilon, budget), "alpha_breakdown_rad": alpha_breakdown,
-        "grid_max": args.grid_max, "sweep_max": args.sweep_max})
-    return 0
+    return {**_budget_keys(epsilon, budget), "grid_max": args.grid_max,
+            "sweep_max": args.sweep_max, "alpha_breakdown_rad": alpha_breakdown}
 
 
-def cmd_table2(args) -> int:
+def cmd_table2(args) -> dict:
     epsilon = math.radians(args.epsilon_deg)
     budget = _budget(args)
-    cal = _calibration(args)
-    try:
+    cal = DriveCalibration(1.0 / finite_positive("--volts-per-rad-cal",
+                                                 args.volts_per_rad_cal))
+    with naming(_budget_flags(args, ("--epsilon-deg", args.epsilon_deg)),
+                WeakRegimeError, ExpansionInvalidError):  # first order
         rows = sensitivity_table(epsilon, budget, cal)
-    except (WeakRegimeError, ExpansionInvalidError) as exc:  # first order
-        flags = _budget_flags(args, ("--epsilon-deg", args.epsilon_deg))
-        raise type(exc)(f"{flags}: {exc}") from None
     _emit(args, (table_json if args.format == "json" else table_csv)(rows))
-    _maybe_config(args, {**_budget_keys(epsilon, budget),
-                         "rotation_per_volt": cal.rotation_per_volt})
-    return 0
+    return {**_budget_keys(epsilon, budget),
+            "rotation_per_volt": cal.rotation_per_volt}
 
 
-def cmd_montecarlo(args) -> int:
+def cmd_montecarlo(args) -> dict:
     idx = _parse_mode(args.mode)
     epsilon = math.radians(args.epsilon_deg)
     budget = _budget(args)
@@ -214,15 +199,12 @@ def cmd_montecarlo(args) -> int:
     if alpha is None:
         alpha = 2.0 * min_detectable_rotation(idx, epsilon, budget.photons)
     # the analytic reference guards the expansion: check it before simulating
-    try:
+    default = (ExpansionInvalidError,) if args.alpha_rad is None else ()
+    with naming(_budget_flags(args, ("--mode", args.mode),
+                              ("--epsilon-deg", args.epsilon_deg)),
+                *default):  # name a default rotation's inputs
         reference = analytic_snr(idx, epsilon, alpha, budget,
                                  noise.dither_rad, noise.electrical_v)
-    except ExpansionInvalidError as exc:  # name a default rotation's inputs
-        if args.alpha_rad is not None:
-            raise
-        flags = _budget_flags(args, ("--mode", args.mode),
-                              ("--epsilon-deg", args.epsilon_deg))
-        raise type(exc)(f"{flags}: {exc}") from None
     result = montecarlo_lockin(idx, epsilon, alpha, budget, noise,
                                seed=args.seed, trials=args.trials)
     header = [("# seed", result.seed), ("# mode", f"{idx.m},{idx.n}"),
@@ -234,15 +216,13 @@ def cmd_montecarlo(args) -> int:
     _emit(args, "\n".join(head) + "\n",
           format_indexed("trial", result.samples.tolist(), ","),
           "\n".join(tail) + "\n")
-    _maybe_config(args, {
-        **_budget_keys(epsilon, budget), "alpha_rad": alpha,
-        "dither_rad": noise.dither_rad, "electrical_v": noise.electrical_v,
-        "drive_frequency_hz": noise.drive_frequency,
-        "seed": args.seed, "trials": args.trials})
-    return 0
+    return {**_budget_keys(epsilon, budget), "alpha_rad": alpha,
+            "dither_rad": noise.dither_rad, "electrical_v": noise.electrical_v,
+            "drive_frequency_hz": noise.drive_frequency,
+            "seed": args.seed, "trials": args.trials}
 
 
-def cmd_hologram(args) -> int:
+def cmd_hologram(args) -> dict:
     idx = _parse_mode(args.mode)
     # the mask is streamed into a staged file, renamed into place after the
     # .fgrd or removed if a step fails
@@ -253,13 +233,9 @@ def cmd_hologram(args) -> int:
         write_field_binary(args.out + ".fgrd", extracted)
     print(f"wrote {args.out}.pgm and {args.out}.fgrd")
     print(f"first-order purity: {purity:.6f}")
-    _maybe_config(args, {
-        "mode_m": idx.m, "mode_n": idx.n, "grid": args.grid,
-        "grating_period_px": args.grating_period,
-        "illumination_scale": args.illum_scale,
-        "first_order_purity": purity,
-    })
-    return 0
+    return {"grid": args.grid, "grating_period_px": args.grating_period,
+            "mode_m": idx.m, "mode_n": idx.n, "first_order_purity": purity,
+            "illumination_scale": args.illum_scale}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -377,7 +353,10 @@ def main(argv=None) -> int:
                                (args.config_out, ("",))):
             if path is not None:
                 check_writable(path, suffixes)
-        return args.handler(args)
+        settings = args.handler(args)
+        if args.config_out:
+            write_run_config(args.config_out, settings)
+        return 0
     except (HgSenseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,13 +3,15 @@
 Most derive from ValueError as well so callers that only know stdlib
 semantics still catch precondition failures. The guards are the one spelling
 of "this value must be finite and in range": each returns the value it
-checked, or raises error (ConfigError unless a caller names a narrower class)
-with a message that gives the value's name, the value and the rule.
-An array enters a constructor through adopted, which takes a frozen buffer
-of its dtype that owns its data as it is, and copies, freezes and checks
-anything else; frozen is the one place a buffer is made read-only.
+checked, or raises error (ConfigError unless a caller names a narrower
+class) with a message that gives the value's name, the value and the rule;
+naming prefixes a refusal with the inputs it was built from. An array enters
+a constructor through adopted, which takes a frozen buffer of its dtype that
+owns its data as it is, and copies, freezes and checks anything else; frozen
+is the one place a buffer is made read-only.
 """
 
+import contextlib
 import math
 import numbers
 
@@ -92,11 +94,11 @@ def finite(name, value, error=ConfigError):
     return value
 
 
-def integer(name, value, error=ConfigError):
+def integer(name, value):
     """value, unless it is a bool or not an integer (numpy integers pass)."""
     if type(value) is not int and (  # an int skips the ~0.6 us ABC check
             type(value) is bool or not isinstance(value, numbers.Integral)):
-        raise error(f"{name} {value} must be an integer")
+        raise ConfigError(f"{name} {value} must be an integer")
     return value
 
 
@@ -118,6 +120,15 @@ def finite_in(name, value, lo, hi, error=ConfigError, ends="[]"):
     return value
 
 
+@contextlib.contextmanager
+def naming(prefix, *classes):
+    """Re-raise a refusal of classes in the block as f"{prefix}: {exc}"."""
+    try:
+        yield
+    except classes as exc:
+        raise type(exc)(f"{prefix}: {exc}") from None
+
+
 def positive_square(name, value):
     """The beam-waist rule: value, unless it is not positive or its square
     overflows or underflows to zero."""
@@ -136,13 +147,18 @@ def frozen(arr: np.ndarray) -> np.ndarray:
 
 def adopted(name, arr, dtype) -> np.ndarray:
     """arr if it is a read-only ndarray of dtype that owns its data, taken
-    with no pass; anything else as a frozen copy of dtype, unless numpy
-    cannot convert it (a ragged nesting, or entries of another kind) or an
-    entry of the copy is NaN or infinite (one isfinite pass)."""
+    with no pass and for good: writing to it again voids what was built on
+    it (ModeState.shells, weak.final_pointer_exact's memo). Anything else as
+    a frozen copy of dtype, unless numpy cannot convert it (a ragged nesting,
+    entries of another kind, complex ones for a real dtype) or an entry of
+    the copy is NaN or infinite (one isfinite pass)."""
     if (type(arr) is np.ndarray and arr.dtype == dtype
             and arr.flags.owndata and not arr.flags.writeable):
         return arr
     try:
+        if isinstance(arr, np.ndarray) and (
+                arr.dtype.kind == "c" != np.dtype(dtype).kind):
+            raise TypeError  # the cast would warn and drop imaginary parts
         copy = np.array(arr, dtype=dtype)
     except (ValueError, TypeError):
         raise ConfigError(f"{name} values must form a regular "

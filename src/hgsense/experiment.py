@@ -54,6 +54,7 @@ from .errors import (
     finite_positive,
     frozen,
     integer,
+    naming,
 )
 from .modes import ModeIndex, oam_fourth_moment, oam_variance
 from .output import format_rows, write_atomic
@@ -389,12 +390,11 @@ def sensitivity_table(epsilon: float,
     for (m, n), ref_v in REFERENCE_DRIVE_SNR1_V.items():
         idx = ModeIndex(m, n)
         alpha_min = min_detectable_rotation(idx, epsilon, budget.photons)
-        try:
+        with naming(f"mode ({m}, {n}) minimum detectable rotation "
+                    f"{alpha_min!r} rad", WeakRegimeError,
+                    ExpansionInvalidError):
             check_weak_regime(alpha_min * cot, math.sqrt(oam_variance(idx)))
             _check_expansion(alpha_min, DEFAULT_DITHER_RAD)
-        except (WeakRegimeError, ExpansionInvalidError) as exc:
-            raise type(exc)(f"mode ({m}, {n}) minimum detectable rotation "
-                            f"{alpha_min!r} rad: {exc}") from None
         rows.append(ModeSensitivity(
             m, n, alpha_min, cal.volts(alpha_min), ref_v, cal.rotation(ref_v)))
     return rows

@@ -4,14 +4,14 @@ Routes: a numeric one (finite-difference Fisher information of any state
 family), the exact post-selected rotation QFI from the closed-form
 derivative of its family, a quadratic weak-coupling one, and closed forms
 for special cases. All evolve the pointer through weak's one block
-exponential, _evolve_block, so they cross-check approximations, not
-evolution code. Sweeps over (pre, post) pairs share invariants: weak_fisher
-forms a pair's selection factor 4 |dM_w/dg|^2 once for all pointer
-variances, and the exact QFI forms each pair's amplitudes once for all
-pointers and evolves each pointer once for all pairs on its Lz shell block
-(its vdots stay on the full layout, whose bits bound_rows, the bounds
-table, holds). Readouts work on the vectors they span: the carrier readout,
-the paper's final projective measurement, is the two-outcome
+exponential (Generator.evolve, or rotation_family_derivative for the exact
+family), so they cross-check approximations, not evolution code. Sweeps over
+(pre, post) pairs share invariants: weak_fisher forms a pair's selection
+factor 4 |dM_w/dg|^2 once for all pointer variances, and the exact QFI forms
+each pair's amplitudes once for all pointers and evolves each pointer once
+for all pairs (its vdots stay on the full layout, whose bits bound_rows, the
+bounds table, holds). Readouts work on the vectors they span: the carrier
+readout, the paper's final projective measurement, is the two-outcome
 CarrierReadout {|c><c|, 1 - |c><c|}, and the dephased-monitor SLD is solved
 on the branch plane, with sld_solve on plain matrices of the full truncated
 basis (weak.qubit_monitor_channel's density matrix) as the reference.
@@ -56,15 +56,13 @@ from .weak import (
     PauliAxis,
     QubitState,
     WeakScenario,
-    _coupling_eig,
-    _evolve_block,
-    _post_selected_branches,
-    _selection_amplitudes,
     check_epsilon,
     monitor_branches,
     pauli_weak_values,
     post_selected_pair,
     require_density,
+    rotation_family_derivative,
+    selection_amplitudes,
 )
 
 PROBABILITY_FLOOR = 1e-15
@@ -331,37 +329,19 @@ def qfi_rotation_exact_selections(pairs: Sequence[tuple], axis: PauliAxis,
     """Exact QFI about alpha of basis pointers under rotation coupling, one
     row per pointer index and one value per (pre, post) selection pair.
 
-    The post-selected family phi = a+ exp(-i alpha Lz)|m, n>
-    + a- exp(+i alpha Lz)|m, n> (as in final_pointer_exact) has
-    d phi/d alpha = -i Lz (a+ exp(-i alpha Lz) - a- exp(+i alpha Lz))|m, n>,
-    so F = 4 (<dphi|dphi> / <phi|phi> - |<phi|dphi>|^2 / <phi|phi>^2) needs
-    no stencil. Each pair's a+- are formed once; each pointer's column, row
-    m of its shell's memo block at cutoff m + n, evolves once at +-alpha
-    through weak._evolve_block and Lz applies to each branch difference.
-    The vdots run on the full layout: on shell vectors they change bits.
-    Raises TotalExtinctionError where final_pointer_exact does."""
+    F = 4 (<dphi|dphi> / <phi|phi> - |<phi|dphi>|^2 / <phi|phi>^2) on the
+    post-selected family phi and its closed-form derivative dphi, which
+    weak.rotation_family_derivative evolves once per pointer for all pairs
+    (each pair's a+- formed once), so no stencil. The vdots run on the full
+    layout: on shell vectors they change bits. Raises TotalExtinctionError
+    where final_pointer_exact does."""
     finite("alpha", alpha)
-    amplitudes = [_selection_amplitudes(pre, post, axis)
-                  for pre, post in pairs]
-    alphas, peak = np.array((alpha, -alpha), dtype=float), abs(float(alpha))
-    out = []
-    for idx in indices:
-        shell = idx.total  # the cutoff too: row m of the block is |m, n>
-        entry = _coupling_eig(Coupling.OAM, shell, shell, None)
-        unit = np.eye(shell + 1, 1, -idx.m, dtype=complex)  # 1 at row m
-        branches = np.zeros((2, (shell + 1) ** 2), dtype=complex)
-        branches[entry.rows] = _evolve_block(entry, unit, alphas, peak)
-        flat = entry.index
-        row = []
-        for amps in amplitudes:
-            plus, minus, phi, norm2 = _post_selected_branches(amps, *branches)
-            dphi = np.zeros(phi.shape, dtype=complex)
-            dphi[flat] = -1j * (entry.matrix @ (plus - minus)[flat])
-            overlap = np.vdot(phi, dphi)
-            row.append(float(4.0 * (np.vdot(dphi, dphi).real.item() / norm2
-                                    - abs(overlap) ** 2 / norm2 ** 2)))
-        out.append(row)
-    return out
+    amplitudes = [selection_amplitudes(pre, post, axis) for pre, post in pairs]
+    return [[float(4.0 * (np.vdot(dphi, dphi).real.item() / norm2
+                          - abs(np.vdot(phi, dphi)) ** 2 / norm2 ** 2))
+             for phi, dphi, norm2 in rotation_family_derivative(
+                 idx, alpha, amplitudes)]
+            for idx in indices]
 
 
 def bound_rows(epsilon: float, photons: float, grid_max: int, sweep_max: int,

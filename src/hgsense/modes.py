@@ -115,7 +115,9 @@ class ModeState:
     Amplitudes are stored read-only; normalize() returns a fresh state with
     unit norm (to 1e-12). Built through errors.adopted: a caller's vector is
     copied and refused if an amplitude is NaN or infinite; a frozen complex
-    vector that owns its data, as modes and weak make, is taken with no pass.
+    vector that owns its data, as modes and weak make, is taken with no pass
+    and for good: writing to it again voids shells and the memo of
+    weak.final_pointer_exact, which answer for the old amplitudes.
     """
 
     cutoff: int

@@ -10,6 +10,7 @@ eigenspaces of the Pauli axis, which only needs exp(-+ i alpha Omega) acting
 on the pointer. A selection pair has one reader, _brackets (<f|i> and
 <f|M|i>): the weak value A_w = <f|A|i> / <f|i>, the Pauli weak values of
 fisher.weak_fisher and the branch amplitudes <f|P+-|i> are built on it.
+The exact rotation family's alpha-derivative is rotation_family_derivative's.
 
 Omega is applied to a ModeState and exponentiated by one block kernel,
 Generator: one tridiagonal Lz block per shell m + n, or one px block on m.
@@ -19,10 +20,10 @@ otherwise rebuild, read-only:
   cutoff and the shell (Lz) or sigma0 (px), holds one _Block: the block,
   its eigh pair, v.conj().T, the extreme |w| for the overflow guard and the
   flat basis indices of its rows, with the basic slice of an Lz shell's
-  rows. apply reads the block and evolve the rest through _evolve_block,
-  the one exponential (fisher's exact sweep calls it too). A k-row key
-  holds 48 k^2 + 16 k bytes, k <= cutoff + 1: at most 6.0 MB up to cutoff
-  30, 103 MB at cutoff 128 (HG(64, 64) in its own shell).
+  rows. apply reads the block, and evolve and rotation_family_derivative
+  the rest through _evolve_block, the one exponential. A k-row key holds
+  48 k^2 + 16 k bytes, k <= cutoff + 1: at most 6.0 MB up to cutoff 30,
+  103 MB at cutoff 128 (HG(64, 64) in its own shell).
 - _selection_memo, up to _SELECTION_CACHE_SIZE = 128 keys of the bits of a
   selection pair's two vectors and axis matrix (a -0.0 is its own key),
   holds the amplitudes <f|P+-|i>: about 0.45 KB a key with Python's object
@@ -48,7 +49,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -356,7 +357,7 @@ class WeakScenario:
     def __post_init__(self):
         finite("alpha", self.alpha)
         positive_square("sigma0", self.sigma0)
-        object.__setattr__(self, "selection", _selection_amplitudes(
+        object.__setattr__(self, "selection", selection_amplitudes(
             self.pre, self.post, self.axis))
 
     @property
@@ -409,7 +410,7 @@ class ExactPointer(NamedTuple):
     success_prob: float
 
 
-def _selection_amplitudes(pre: QubitState, post: QubitState,
+def selection_amplitudes(pre: QubitState, post: QubitState,
                           axis: PauliAxis) -> tuple[complex, complex]:
     """a+- = <f|P+-|i> = (<f|i> +- <f|A|i>) / 2 over the +-1 projectors of
     the axis, refused where the selections are orthogonal: read from a memo
@@ -434,7 +435,7 @@ def _post_selected_branches(amplitudes: tuple[complex, complex],
     """Branches a+ fwd and a- bwd of the exact post-selected pointer, their
     sum and its norm |sum|^2, from exp(-i alpha A x Omega) split along the
     +-1 projectors of the axis (fwd, bwd: the pointer after exp(-+ i alpha
-    Omega); a+- from _selection_amplitudes). TotalExtinctionError where
+    Omega); a+- from selection_amplitudes). TotalExtinctionError where
     |sum|^2 underflows, or falls below ORTHOGONALITY_FLOOR^2 (|plus|^2 +
     |minus|^2): round-off of cancelling branches."""
     amp_plus, amp_minus = amplitudes
@@ -490,6 +491,26 @@ def _pointer_memo(bits: bytes, coupling: Coupling,
         (complex(re_plus, im_plus), complex(re_minus, im_minus)), *branches)
     return ExactPointer(
         ModeState(pointer.cutoff, frozen(vec / math.sqrt(prob))), prob)
+
+
+def rotation_family_derivative(idx: ModeIndex, alpha: float,
+                               selections: Iterable[tuple]) -> Iterator[tuple]:
+    """Yield (phi, d phi/d alpha, |phi|^2) per selection a+- at cutoff m + n:
+    phi = (a+ exp(-i alpha Lz) + a- exp(+i alpha Lz))|m, n> is
+    final_pointer_exact's family before it normalizes, evolved once for all
+    selections, and refused where final_pointer_exact refuses."""
+    shell = idx.total  # the cutoff too: row m of the block is |m, n>
+    entry = _coupling_eig(Coupling.OAM, shell, shell, None)
+    unit = np.eye(shell + 1, 1, -idx.m, dtype=complex)  # 1 at row m
+    branches = np.zeros((2, (shell + 1) ** 2), dtype=complex)
+    branches[entry.rows] = _evolve_block(
+        entry, unit, np.array((alpha, -alpha), dtype=float), abs(float(alpha)))
+    flat = entry.index
+    for amps in selections:
+        plus, minus, phi, norm2 = _post_selected_branches(amps, *branches)
+        dphi = np.zeros(phi.shape, dtype=complex)
+        dphi[flat] = -1j * (entry.matrix @ (plus - minus)[flat])
+        yield phi, dphi, norm2
 
 
 def require_density(entries: np.ndarray):

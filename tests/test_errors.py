@@ -26,6 +26,7 @@ from hgsense.errors import (
     finite_in,
     finite_positive,
     frozen,
+    naming,
     positive_square,
 )
 from hgsense.experiment import DriveCalibration, NoiseModel, PhotonBudget
@@ -103,6 +104,23 @@ def test_adopted_takes_a_frozen_buffer_and_checks_every_copy():
             build(grid)
 
 
+def test_naming_prefixes_a_refusal_of_its_classes_and_keeps_the_class():
+    with pytest.raises(SeparationError) as refused:
+        with naming("--grid 64", ConfigError, SeparationError):
+            raise SeparationError("orders overlap")
+    assert type(refused.value) is SeparationError
+    assert str(refused.value) == "--grid 64: orders overlap"
+    assert refused.value.__suppress_context__
+    other = ConfigError("period 3.0 must be finite")
+    for classes in ((SeparationError,), ()):  # anything else passes as it is
+        with pytest.raises(ConfigError) as passed:
+            with naming("--grid 64", *classes):
+                raise other
+        assert passed.value is other
+    with naming("--grid 64", ConfigError):
+        pass
+
+
 def _fgrd(version=1, side=1, z=0.0) -> bytes:
     """An FGRD header: pitch 0.1, sigma0 1 and wavelength 780 nm."""
     return struct.pack("<4sII4d", b"FGRD", version, side, 0.1, 1.0, 780e-9, z)
@@ -154,13 +172,16 @@ def _read_fgrd(tmp_path, raw: bytes):
     (lambda _: PhaseMap([[0.1, 0.2], [0.3]]),
      "phase values must form a regular float array"),
     (lambda _: PhaseMap([[1j]]), "phase values must form a regular float array"),
+    (lambda _: PhaseMap(np.array([[1j, 0.5]] * 2)),
+     "phase values must form a regular float array"),
 ], ids=["amplitude-count", "flat-index", "carrier-cutoff", "field-grid-shape",
         "phase-map-shape", "zero-superposition", "fgrd-short", "fgrd-version",
         "fgrd-off-waist", "fgrd-payload", "fgrd-not-finite",
         "readout-cutoff", "coupling-matrix", "generator-coupling",
         "ladder-cutoff", "momentum-cutoff", "coupling-cutoff",
         "lz-bool-cutoff", "field-grid-ragged", "amplitude-ragged",
-        "amplitude-ragged-scalar", "phase-map-ragged", "phase-map-complex"])
+        "amplitude-ragged-scalar", "phase-map-ragged", "phase-map-complex",
+        "phase-map-complex-array"])
 def test_shape_and_basis_refusals_are_package_errors(call, message, tmp_path):
     with pytest.raises(HgSenseError) as refused:
         call(tmp_path)

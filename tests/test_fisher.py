@@ -3,10 +3,12 @@
 Everything that matters is computed at least twice: finite differences
 against closed forms, classical readouts against the quantum ceiling, the
 SLD pipeline against the rank-2 closed form. Pointer evolution itself has
-one implementation, weak._evolve_block behind Generator.evolve and the
-exact QFI sweep, pinned against the dense matrices in test_weak and here against a Wigner small-d (Jacobi polynomial) oracle,
-which also gives the exact rotation QFI in closed form, and against the
-displacement (Laguerre polynomial) oracle of the momentum coupling. Dense
+one implementation, weak._evolve_block behind Generator.evolve and
+weak.rotation_family_derivative (the exact QFI's family), pinned against
+the dense matrices in test_weak and here against a Wigner small-d (Jacobi
+polynomial) oracle, which also gives the exact rotation QFI in closed
+form, and against the displacement (Laguerre polynomial) oracle of the
+momentum coupling. Dense
 POVMs are computed on the test side, in reference.dense_cfi.
 """
 
@@ -579,8 +581,7 @@ def test_rotation_qfi_shares_the_extinction_guard(monkeypatch):
     def nan_block(entry, column, alphas, peak):
         return np.full((len(alphas), *column.shape), np.nan, dtype=complex)
 
-    for namespace in (weak, fisher):  # each module that binds the kernel
-        monkeypatch.setattr(namespace, "_evolve_block", nan_block)
+    monkeypatch.setattr(weak, "_evolve_block", nan_block)  # its one binding
     pre, post = post_selected_pair(0.1)
     s = WeakScenario(1e-3, pre, post, PauliAxis.z(), Coupling.OAM,
                      ModeState.basis(2, 1, 1))
@@ -873,7 +874,6 @@ def test_bound_rows_refuses_its_inputs_before_evolving(args, error, match,
         pytest.fail("bound_rows evolved before its inputs were checked")
 
     monkeypatch.setattr(weak, "_evolve_block", no_sweep)
-    monkeypatch.setattr(fisher, "_evolve_block", no_sweep)
     with pytest.raises(error, match=match):
         bound_rows(*args)
 

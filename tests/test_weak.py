@@ -645,6 +645,35 @@ def test_exact_pointer_memo_keys_on_bits_and_keeps_no_refusal():
     assert memo.cache_info().currsize == weak._POINTER_CACHE_SIZE
 
 
+def test_rotation_family_is_the_exact_pointer_and_its_derivative():
+    # the family fisher's exact QFI reads is final_pointer_exact's before it
+    # normalizes, to the bit, and its closed-form derivative is the
+    # fourth-order stencil of that family
+    idx, alpha, h = ModeIndex(2, 3), 1e-3, 1e-5
+    pointer = ModeState.basis(idx.total, idx.m, idx.n)
+    scenarios = [WeakScenario(alpha, pre, post, PauliAxis.z(), Coupling.OAM,
+                              pointer)
+                 for pre, post in map(post_selected_pair, (0.1, 0.05))]
+    got = list(weak.rotation_family_derivative(
+        idx, alpha, [s.selection for s in scenarios]))
+    assert len(got) == len(scenarios)
+    for s, (phi, dphi, norm2) in zip(scenarios, got):
+        want = final_pointer_exact(s)
+        assert norm2.hex() == want.success_prob.hex()
+        assert ((phi / math.sqrt(norm2)).tobytes()
+                == want.pointer.amplitudes.tobytes())
+
+        def phi_at(k):
+            ((at, _, _),) = weak.rotation_family_derivative(
+                idx, alpha + k * h, [s.selection])
+            return at
+        stencil = (phi_at(-2) - 8 * phi_at(-1) + 8 * phi_at(1)
+                   - phi_at(2)) / (12 * h)
+        np.testing.assert_allclose(dphi, stencil, rtol=0, atol=1e-9)
+    with pytest.raises(ConfigError, match="is not finite"):
+        list(weak.rotation_family_derivative(idx, math.nan, [s.selection]))
+
+
 def test_density_matrix_validation():
     cutoff = 2
     dim = basis_dim(cutoff)
