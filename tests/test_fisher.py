@@ -4,12 +4,11 @@ Everything that matters is computed at least twice: finite differences
 against closed forms, classical readouts against the quantum ceiling, the
 SLD pipeline against the rank-2 closed form. Pointer evolution itself has
 one implementation, weak._evolve_block behind Generator.evolve and
-weak.rotation_family_derivative (the exact QFI's family), pinned against
-the dense matrices in test_weak and here against a Wigner small-d (Jacobi
-polynomial) oracle, which also gives the exact rotation QFI in closed
-form, and against the displacement (Laguerre polynomial) oracle of the
-momentum coupling. Dense
-POVMs are computed on the test side, in reference.dense_cfi.
+weak.rotation_family_derivative (the exact QFI's family), pinned against the
+dense matrices in test_weak and here against a Wigner small-d (Jacobi
+polynomial) oracle, which also gives the exact rotation QFI in closed form,
+and against the displacement (Laguerre polynomial) oracle of the momentum
+coupling. Dense POVMs are computed on the test side, in reference.dense_cfi.
 """
 
 import cmath
