@@ -212,9 +212,10 @@ def cmd_montecarlo(args) -> dict:
     head = format_rows(header, " = ") + format_rows([("label", "snr")], ",")
     tail = format_rows([("mean", result.mean_snr), ("std", result.std_snr)],
                        ",")
-    # the trial rows are most of the text: one %-operation writes them all
+    # the trial rows are most of the text: format_indexed's array kernel
+    # takes the samples as they are
     _emit(args, "\n".join(head) + "\n",
-          format_indexed("trial", result.samples.tolist(), ","),
+          format_indexed("trial", result.samples, ","),
           "\n".join(tail) + "\n")
     return {**_budget_keys(epsilon, budget), "alpha_rad": alpha,
             "dither_rad": noise.dither_rad, "electrical_v": noise.electrical_v,

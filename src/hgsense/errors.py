@@ -14,6 +14,7 @@ is the one place a buffer is made read-only.
 import contextlib
 import math
 import numbers
+import warnings
 
 import numpy as np
 
@@ -145,6 +146,9 @@ def frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning  # np. before 1.25
+
+
 def adopted(name, arr, dtype) -> np.ndarray:
     """arr if it is a read-only ndarray of dtype that owns its data, taken
     with no pass and for good: writing to it again voids what was built on
@@ -156,11 +160,12 @@ def adopted(name, arr, dtype) -> np.ndarray:
             and arr.flags.owndata and not arr.flags.writeable):
         return arr
     try:
-        if isinstance(arr, np.ndarray) and (
-                arr.dtype.kind == "c" != np.dtype(dtype).kind):
-            raise TypeError  # the cast would warn and drop imaginary parts
-        copy = np.array(arr, dtype=dtype)
-    except (ValueError, TypeError):
+        with warnings.catch_warnings():
+            # a complex entry cast to a real dtype would lose its imaginary
+            # part with only this warning: it refuses the copy instead
+            warnings.simplefilter("error", _ComplexWarning)
+            copy = np.array(arr, dtype=dtype)
+    except (ValueError, TypeError, _ComplexWarning):
         raise ConfigError(f"{name} values must form a regular "
                           f"{dtype.__name__} array") from None
     if not np.isfinite(copy).all():

@@ -55,6 +55,11 @@ TEXT_CASES = {
     "bounds at one photon a window": ["bounds", "--grid-max", "2",
                                       "--sweep-max", "2", "--photons", "1",
                                       "--tau-s", "0.13366834170854272"],
+    # labels past trial9999, several blocks of format_indexed's kernel and
+    # electrical noise
+    "montecarlo 3,2, 12000 trials with electrical noise": [
+        "montecarlo", "--mode", "3,2", "--trials", "12000",
+        "--electrical-v", "35.75e-6"],
 }
 # the bounds run that wrote tests/data/bounds_golden.csv, which this script
 # does not write: golden.py, the CLI and Fisher tests and CI's "Bounds sweep

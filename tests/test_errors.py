@@ -174,6 +174,10 @@ def _read_fgrd(tmp_path, raw: bytes):
     (lambda _: PhaseMap([[1j]]), "phase values must form a regular float array"),
     (lambda _: PhaseMap(np.array([[1j, 0.5]] * 2)),
      "phase values must form a regular float array"),
+    (lambda _: PhaseMap([np.array([1j, 0.5])] * 2),
+     "phase values must form a regular float array"),
+    (lambda _: PhaseMap([[np.complex128(1j), 0.5]] * 2),
+     "phase values must form a regular float array"),
 ], ids=["amplitude-count", "flat-index", "carrier-cutoff", "field-grid-shape",
         "phase-map-shape", "zero-superposition", "fgrd-short", "fgrd-version",
         "fgrd-off-waist", "fgrd-payload", "fgrd-not-finite",
@@ -181,7 +185,8 @@ def _read_fgrd(tmp_path, raw: bytes):
         "ladder-cutoff", "momentum-cutoff", "coupling-cutoff",
         "lz-bool-cutoff", "field-grid-ragged", "amplitude-ragged",
         "amplitude-ragged-scalar", "phase-map-ragged", "phase-map-complex",
-        "phase-map-complex-array"])
+        "phase-map-complex-array", "phase-map-complex-array-rows",
+        "phase-map-complex-scalars"])
 def test_shape_and_basis_refusals_are_package_errors(call, message, tmp_path):
     with pytest.raises(HgSenseError) as refused:
         call(tmp_path)
