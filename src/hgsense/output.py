@@ -100,6 +100,7 @@ _BLOCK = 4096  # values a kernel pass takes at once
 _TIE_MARGIN = 2.0 ** -10  # eight times the scaled value's error bound
 _POW10 = (10 ** np.arange(16)).astype(np.float64)  # float64 holds each exactly
 
+
 def _quad_digits():
     """"0000" to "9999", 4 ASCII digits a row."""
     digits = np.empty((10,) * 4 + (4,), np.uint8)
@@ -122,10 +123,10 @@ def _significant_digits():
     """Per group position j and group g, 4 j plus g's digits through its
     last nonzero one, or 0 for g = 0: the maximum over a mantissa's groups
     is its count of significant digits."""
-    through = np.full((10,) * 4, 4)
+    through = np.full((10,) * 4, 4, np.int8)
     for zeros in range(1, 5):  # groups ending in that many zeros
         through[(Ellipsis,) + (0,) * zeros] = 4 - zeros
-    table = through.reshape(-1) + 4 * np.arange(3)[:, None]
+    table = through.reshape(-1) + np.arange(0, 12, 4, dtype=np.int8)[:, None]
     table[:, 0] = 0
     return table
 

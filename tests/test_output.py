@@ -224,7 +224,7 @@ def _around(x) -> list:
 # each with its neighbours, decimal near-ties whose scaled product can round
 # onto one half or across it, the signed zero and the smallest subnormal
 EDGES = [123456789012.5, 123456789013.5, 0.0, 5e-324]
-EDGES += [v for x in ([float(f"1e{k}") for k in range(-5, 13)]
+EDGES += [v for x in ([10.0 ** k for k in range(-5, 13)]
                       + [9.9999999999995e-05, 999999999999.5])
           for v in _around(x)]
 EDGES += [float(f"{digits}e{k}") for k in range(-4, 12)
