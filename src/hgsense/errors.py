@@ -146,7 +146,8 @@ def frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning  # np. before 1.25
+# numpy.exceptions.ComplexWarning, np.ComplexWarning before numpy 1.25
+_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
 
 def adopted(name, arr, dtype) -> np.ndarray:
