@@ -3,18 +3,27 @@
 format_rows writes a row with one %-operation. format_indexed writes the
 Monte Carlo trial rows, most of a run's text, with an array kernel: a value
 v != 0 with e = floor(log10|v|) in [-4, 11] is scaled by the exact power
-10**(11 - e) into [1e11, 1e12) and rounded to its 12 significant digits,
-which table lookups turn into the bytes of its FLOAT_CELL text. The one
-multiplication is correctly rounded, so below 1e12 the scaled value is off
-by at most 2**-13; a value whose scaled value leaves [1e11 + 1, 1e12 - 1],
-or whose fraction lies within _TIE_MARGIN of one half, is written by
-FLOAT_CELL % v itself, as are 0, NaN, inf, subnormals and the exponent form.
-So every row has the bytes of the %-operation, for every float64.
+p = 10**(11 - e) into [1e11, 1e12) and rounded to its 12 significant digits
+M. Its 16 digit slots hold M + 9 * (M // p) * p, which is M with a 0 after
+the units digit, or for e < 0 M behind its leading zeros; the 0 in slot
+e + 4 becomes the ".". Table lookups fill the slots, and one XOR a row turns
+them into the bytes of its FLOAT_CELL text. The one multiplication is
+correctly rounded and round-to-nearest is monotone, and every half-integer
+below 2**40 is a float64. So the scaled value lies on the same side of each
+half-integer as the exact product, or on it, and only a scaled value exactly
+one half from an integer can round otherwise than %.12g does. Such a value,
+one whose scaled value leaves [1e11 + 1, 1e12 - 1], and 0, NaN, inf,
+subnormals and the exponent form are written by FLOAT_CELL % v itself. So
+every row has the bytes of the %-operation, for every float64. The last ulp
+of np.log10 follows numpy's CPU dispatch and can move e by one, which moves
+the scaled value out of that range: it decides only which values take the
+%-operation.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import tempfile
 
@@ -90,114 +99,88 @@ def format_rows(rows, sep: str) -> list[str]:
     return lines
 
 
-# format_indexed's kernel. Each row of a block is built in fixed byte slots:
-# the prefix, the label's 4-digit words (uint32), the separator, then the
-# number's 32 slots (4 uint64 words): "-0.000" and two unused, and each of
-# the 12 digits followed by a "." slot, the last slot holding the newline.
-# A keep-mask per row, looked up by (sign, e, significant digits) for the
-# number, selects the row's text from the slots (np.compress).
+# format_indexed's kernel. A row of a block is built in fixed byte slots:
+# the prefix, the label's 4-digit words (uint32), the separator, "-", "0",
+# the 16 digit slots (4 words) and the newline. Every slot the row's text
+# skips holds 0xFF, a byte UTF-8 never uses, and bytes.translate drops them.
 _BLOCK = 4096  # values a kernel pass takes at once
-_TIE_MARGIN = 2.0 ** -10  # eight times the scaled value's error bound
-_POW10 = (10 ** np.arange(16)).astype(np.float64)  # float64 holds each exactly
 
 
-def _quad_digits():
-    """"0000" to "9999", 4 ASCII digits a row."""
-    digits = np.empty((10,) * 4 + (4,), np.uint8)
-    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    for place in range(4):
-        digits[..., place] = ascii_digits.reshape((10,) + (1,) * (3 - place))
-    return digits.reshape(10000, 4)
+@functools.cache
+def _tables():
+    """The kernel's tables, built on its first call:
+    - "0000" to "9999" as uint32 words of 4 ASCII digits, for the labels
+      and the number's 16 digit slots alike;
+    - per group g of the last three digit words, least significant first,
+      the slot of g's last nonzero digit, or 0 for g = 0: their maximum is
+      the slot of a number's last nonzero digit, "last";
+    - 10**(15 - dot) per dot = e + 4, the slot of the inserted 0;
+    - per (sign * 16 + dot) * 16 + last, the XOR that turns the 5 words
+      from "-0" through the digits into the row's text. It keeps "-" if
+      v < 0; "0." and -e - 1 zeros if e < 0; the digits through the last
+      nonzero one and the units digit; the "." if a digit follows that.
+      Each slot it drops or makes "." holds "-" or "0", so it is a
+      constant XOR: 0xFF for a dropped slot."""
+    quads = np.indices((10,) * 4, np.int8).reshape(4, -1)  # 0000 to 9999
+    places = (np.arange(12, 0, -4, dtype=np.int8)[:, None, None]
+              + np.arange(4, dtype=np.int8)[:, None])  # digit i of group j
+    last = np.max(places * (quads > 0), axis=1)
+    sign, dot, end, slot = np.ix_(np.arange(2), np.arange(16), np.arange(16),
+                                  np.arange(-4, 16))
+    kept = ((slot < -2) | (slot == -2) & (sign == 1)
+            | (np.minimum(dot - 1, 3) <= slot)
+            & (slot <= np.maximum(end, dot - 1)))
+    xors = np.where(kept, (slot == dot) * (ord(".") ^ ord("0")),
+                    np.where(slot == -2, ord("-"), ord("0")) ^ 0xFF)
+    words = (quads.T + ord("0")).astype(np.uint8, order="C").view(np.uint32)
+    powers = (10 ** np.arange(15, -1, -1)).astype(np.float64)  # each exact
+    return (words.ravel(), last, powers,
+            xors.astype(np.uint8).reshape(512, 20).view(np.uint32))
 
 
-def _digit_words(quads):
-    """Per 4-digit group, its digits each followed by a "." slot (uint64);
-    the second row has the newline in its last slot, for the last group."""
-    words = np.full((2, 10000, 8), ord("."), np.uint8)
-    words[:, :, ::2] = quads
-    words[1, :, 7] = ord("\n")
-    return words.view(np.uint64)[..., 0]
-
-
-def _significant_digits():
-    """Per group position j and group g, 4 j plus g's digits through its
-    last nonzero one, or 0 for g = 0: the maximum over a mantissa's groups
-    is its count of significant digits."""
-    through = np.full((10,) * 4, 4, np.int8)
-    for zeros in range(1, 5):  # groups ending in that many zeros
-        through[(Ellipsis,) + (0,) * zeros] = 4 - zeros
-    table = through.reshape(-1) + np.arange(0, 12, 4, dtype=np.int8)[:, None]
-    table[:, 0] = 0
-    return table
-
-
-def _number_masks():
-    """The keep-mask of the 32 number slots, per sign * 208 + (e + 4) * 13
-    + significant digits (4 uint64 words a row): "-" if negative; "0." and
-    -e - 1 zeros if e < 0; the digits through the last significant one and
-    the units digit; the "." after the units digit if a digit follows it;
-    the newline."""
-    sign, e, sig, slot = np.ix_(np.arange(2), np.arange(-4, 12),
-                                np.arange(13), np.arange(32))
-    digit = (slot - 8) // 2
-    kept = np.maximum(sig, e + 1)
-    mask = ((slot == 0) & (sign == 1)
-            | (slot >= 1) & (slot <= 5) & (e < 0) & (slot <= 1 - e)
-            | (slot >= 8) & (slot % 2 == 0) & (digit < kept)
-            | (slot >= 8) & (slot % 2 == 1) & (digit == e) & (sig > e + 1)
-            | (slot == 31))
-    return mask.reshape(-1, 32).view(np.uint64)
-
-
-_QUADS = _quad_digits()
-_LABEL_WORDS = _QUADS.view(np.uint32).ravel()
-_DIGIT_WORDS = _digit_words(_QUADS)
-_SIGNIFICANT = _significant_digits()
-_NUMBER_MASKS = _number_masks()
-_NUMBER_HEAD = np.frombuffer(b"-0.000\0\0", np.uint64)[0]
-
-
-def _write_labels(first, slots, keep):
+def _write_labels(first, slots):
     """The labels first, first + 1, ... into their rows of label words
-    (uint32), most significant first, and their keep-mask (bytes): the
-    digits of k, at least 4, as %04d writes them."""
+    (uint32), most significant first: the digits of k, at least 4, as %04d
+    writes them, a leading zero past those as 0xFF."""
+    table = _tables()[0]
     k = np.arange(first, first + len(slots))
     words = slots.shape[1]
     for j in range(words):
-        slots[:, j] = np.take(_LABEL_WORDS,
-                              k // 10 ** (4 * (words - 1 - j)) % 10000)
+        slots[:, j] = table.take(k // 10 ** (4 * (words - 1 - j)) % 10000)
     if words > 1:
         digits = 4 + sum(k >= 10 ** j for j in range(4, 4 * words))
-        keep[:] = np.arange(4 * words) >= 4 * words - digits[:, None]
+        text = slots.view(np.uint8)
+        text[np.arange(4 * words) < 4 * words - digits[:, None]] = 0xFF
 
 
-def _write_numbers(v, slots, keep):
-    """The FLOAT_CELL text of each value of v into its row of number slots
-    (4 uint64 words) and their keep-mask (4 uint64 words); returns the
-    indices of the values the kernel leaves to the %-operation."""
-    a = np.abs(v)
-    fast = (a >= 1e-4) & (a < 1e12)  # NaN fails too
-    np.copyto(a, 1.0, where=~fast)
+def _write_numbers(v, area, xors):
+    """The FLOAT_CELL text of each value of v into its row of the 5 words
+    from "-0" through the digits, given the XOR table with the row's bytes
+    in it; returns the indices of the values the kernel leaves to the
+    %-operation."""
+    table, last, powers, _ = _tables()
+    # |v| clamped to [1e-4, 1e12], NaN to 1e-4: a value outside scales to
+    # 1e11 or 1e12, which the range test refuses
+    a = np.fmin(np.fmax(np.abs(v), 1e-4), 1e12)
     e = np.log10(a)
-    e = np.clip(np.floor(e, out=e), -4, 11, out=e).astype(np.intp)
-    scaled = a * np.take(_POW10, 11 - e)
-    mantissa = np.rint(scaled)
-    fast &= ((np.abs(scaled - mantissa) <= 0.5 - _TIE_MARGIN)
-             & (scaled >= 1e11 + 1) & (scaled <= 1e12 - 1))
-    mantissa = mantissa.astype(np.int64)
-    top = mantissa // 10 ** 8  # past 9999 only for a value left to %
-    mantissa -= top * 10 ** 8
-    mid = mantissa // 10 ** 4
-    low = mantissa - mid * 10 ** 4
-    significant = np.maximum(np.maximum(
-        np.take(_SIGNIFICANT[0], top, mode="clip"),
-        np.take(_SIGNIFICANT[1], mid)), np.take(_SIGNIFICANT[2], low))
-    slots[:, 0] = _NUMBER_HEAD
-    slots[:, 1] = np.take(_DIGIT_WORDS[0], top, mode="clip")
-    slots[:, 2] = np.take(_DIGIT_WORDS[0], mid)
-    slots[:, 3] = np.take(_DIGIT_WORDS[1], low)
-    keep[:] = np.take(_NUMBER_MASKS, np.signbit(v) * 208 + (e + 4) * 13
-                      + significant, axis=0)
+    dot = np.clip(np.floor(e, out=e), -4, 11, out=e).astype(np.intp) + 4
+    p = powers.take(dot)
+    scaled = a * p
+    digits = np.rint(scaled)
+    fast = ((np.abs(scaled - digits) < 0.5)
+            & (scaled >= 1e11 + 1) & (scaled <= 1e12 - 1))
+    digits += 9 * np.floor(digits / p) * p  # the 0 after the units digit
+    digits = digits.astype(np.int64)  # exact: an integer below 2**53
+    groups = []  # its 4-digit groups, the least significant first
+    for _ in range(3):
+        high = digits // 10000
+        groups.append(digits - high * 10000)
+        digits = high
+    groups.append(digits)
+    end = np.max([t.take(g) for t, g in zip(last, groups)], axis=0)
+    area[:] = xors.take((np.signbit(v) * 16 + dot) * 16 + end, axis=0)
+    for j, group in enumerate(groups):
+        area[:, 4 - j] ^= table.take(group)
     return np.flatnonzero(~fast)
 
 
@@ -207,14 +190,14 @@ def format_indexed(prefix: str, values, sep: str) -> str:
     FLOAT_CELL, so a line has the bytes format_rows gives the row
     (f"{prefix}{k:04d}", value). The kernel the module docstring describes
     writes the rows in blocks of _BLOCK values, at every length; a value it
-    leaves to FLOAT_CELL % v (about 0.2% of Monte Carlo SNR samples, and
-    every value outside [1e-4, 1e12)) has that text put in its number
-    slots. The prefix and the separator are kept as their UTF-8 bytes,
-    whatever characters they hold.
+    leaves to FLOAT_CELL % v (about 0.005% of Monte Carlo SNR samples, and
+    every value outside [1e-4, 1e12)) has that text, right-aligned on the
+    newline, put in the 20 slots that end there. The prefix and the
+    separator are kept as their UTF-8 bytes, whatever characters they hold.
 
     At 10**5 values (experiment.MAX_TRIALS) the traced peak is about
-    5.6 MB: the blocks' text (2.5 MB) and its join (2.5 MB), beside one
-    block's slots, masks and temporaries (about 0.6 MB), under
+    5.2 MB: the blocks' text (2.5 MB) and its join (2.5 MB), beside one
+    block's slots, their copies and temporaries (under 0.6 MB), under
     montecarlo_lockin's own peak at that size (about 17 MB)."""
     values = np.asarray(values, dtype=np.float64)
     count = len(values)
@@ -222,26 +205,28 @@ def format_indexed(prefix: str, values, sep: str) -> str:
     words = -(-len(str(max(count - 1, 0))) // 4)  # 4-digit label words
     label = -(-len(head) // 4) * 4  # the prefix ends where the label starts
     end = label + 4 * words + len(tail)
-    number = -(-end // 8) * 8
-    slots = np.empty((min(count, _BLOCK), number + 32), np.uint8)
-    keep = np.zeros(slots.shape, bool)
-    slots[:, label - len(head):label] = np.frombuffer(head, np.uint8)
-    slots[:, end - len(tail):end] = np.frombuffer(tail, np.uint8)
-    keep[:, label - len(head):end] = True
+    number = -(-(end + 3) // 4) * 4  # the digits, after 3 slots past end
+    row = bytearray(b"\xff" * (number + 20))
+    row[label - len(head):label] = head
+    row[end - len(tail):end] = tail
+    row[number - 2:number + 17] = b"-0" + bytes(16) + b"\n"
+    row = np.frombuffer(row, np.uint8)
+    area = slice(number // 4 - 1, number // 4 + 4)
+    xors = _tables()[3] ^ row.view(np.uint32)[area]
+    slots = np.repeat(row[None], min(count, _BLOCK), axis=0)
     labels = slots.view(np.uint32)[:, label // 4:label // 4 + words]
-    numbers = slots.view(np.uint64)[:, number // 8:]
-    number_keep = keep.view(np.uint64)[:, number // 8:]
+    numbers = slots.view(np.uint32)[:, area]
     blocks = []
     for start in range(0, count, _BLOCK):
         v = values[start:start + _BLOCK]
         n = len(v)
-        _write_labels(start, labels[:n], keep[:n, label:label + 4 * words])
-        rest = _write_numbers(v, numbers[:n], number_keep[:n])
-        if len(rest):  # the %-operation's text, NUL-padded, in their slots
-            cells = np.array([FLOAT_CELL % x + "\n" for x in v[rest].tolist()],
-                             "S32").view(np.uint8).reshape(-1, 32)
-            slots[rest, number:] = cells
-            keep[rest, number:] = cells != 0
-        blocks.append(str(np.compress(keep[:n].ravel(), slots[:n].ravel()),
+        _write_labels(start, labels[:n])
+        rest = _write_numbers(v, numbers[:n], xors)
+        if len(rest):
+            cells = b"".join((FLOAT_CELL % x + "\n").encode().rjust(20, b"\xff")
+                             for x in v[rest].tolist())
+            slots[rest, number - 3:number + 17] = np.frombuffer(
+                cells, np.uint8).reshape(-1, 20)
+        blocks.append(str(slots[:n].tobytes().translate(None, b"\xff"),
                           "utf-8"))  # a block holds whole rows
     return "".join(blocks)

@@ -60,6 +60,11 @@ TEXT_CASES = {
     "montecarlo 3,2, 12000 trials with electrical noise": [
         "montecarlo", "--mode", "3,2", "--trials", "12000",
         "--electrical-v", "35.75e-6"],
+    # SNR samples around 0 through the kernel: about half of them negative,
+    # some in [1e-4, 0.1), where the text starts "0.", and a block boundary
+    "montecarlo 3,3 at 1e-9 rad, 4097 trials": [
+        "montecarlo", "--mode", "3,3", "--alpha-rad", "1e-9",
+        "--trials", "4097"],
 }
 # the bounds run that wrote tests/data/bounds_golden.csv, which this script
 # does not write: golden.py, the CLI and Fisher tests and CI's "Bounds sweep

@@ -5,12 +5,16 @@ import io
 import math
 import os
 import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hgsense
 from hgsense.experiment import (
     MAX_TRIALS,
     sensitivity_table,
@@ -245,6 +249,44 @@ def test_indexed_kernel_rows_are_float_cell_bytes(count, prefix, sep):
     values[::7] = np.resize(EDGES, len(values[::7]))
     lines = format_indexed(prefix, values, sep).splitlines(keepends=True)
     assert lines == _cell_lines(prefix, values.tolist(), sep)
+
+
+@pytest.mark.parametrize("toward", [-math.inf, math.inf])
+def test_indexed_kernel_bytes_do_not_follow_the_last_ulp_of_log10(
+        toward, monkeypatch):
+    # numpy's CPU dispatch picks the np.log10 loop, and an ulp of it can move
+    # e by one at a power of ten: that may only hand the value to the
+    # %-operation
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: np.nextafter(log10(x), toward))
+    lines = format_indexed("trial", EDGES, ",").splitlines(keepends=True)
+    assert lines == _cell_lines("trial", EDGES, ",")
+
+
+def test_indexed_kernel_tables_are_built_on_first_use(tmp_path):
+    # the import and the commands that write no trial rows pay nothing for
+    # the kernel's tables; the first montecarlo run builds them
+    src = os.path.dirname(os.path.dirname(hgsense.__file__))
+    code = textwrap.dedent("""
+        import contextlib, io
+        from hgsense import output
+        from hgsense.cli import main
+        built = [output._tables.cache_info().currsize]
+        for argv in (["bounds", "--grid-max", "2", "--sweep-max", "2",
+                      "--out", "bounds.csv"], ["table2"],
+                     ["hologram", "--mode", "1,1", "--grid", "128",
+                      "--out", "holo"],
+                     ["montecarlo", "--mode", "3,3", "--trials", "10"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            built.append(output._tables.cache_info().currsize)
+        print(built)
+    """)
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert out.strip() == "[0, 0, 0, 0, 1]"
 
 
 def _from_bits(bits: int) -> float:
