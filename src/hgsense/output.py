@@ -11,8 +11,8 @@ them into the bytes of its FLOAT_CELL text. The one multiplication is
 correctly rounded and round-to-nearest is monotone, and every half-integer
 below 2**40 is a float64. So the scaled value lies on the same side of each
 half-integer as the exact product, or on it, and only a scaled value exactly
-one half from an integer can round otherwise than %.12g does. Such a value,
-one whose scaled value leaves [1e11 + 1, 1e12 - 1], and 0, NaN, inf,
+one half from an integer can round otherwise than FLOAT_CELL does. Such a
+value, one whose scaled value leaves [1e11 + 1, 1e12 - 1], and 0, NaN, inf,
 subnormals and the exponent form are written by FLOAT_CELL % v itself. So
 every row has the bytes of the %-operation, for every float64. The last ulp
 of np.log10 follows numpy's CPU dispatch and can move e by one, which moves
@@ -112,15 +112,15 @@ def _tables():
     - "0000" to "9999" as uint32 words of 4 ASCII digits, for the labels
       and the number's 16 digit slots alike;
     - per group g of the last three digit words, least significant first,
-      the slot of g's last nonzero digit, or 0 for g = 0: their maximum is
-      the slot of a number's last nonzero digit, "last";
+      the slot of g's last nonzero digit, or 0 for g = 0: their maximum,
+      end, is the slot of a number's last nonzero digit;
     - 10**(15 - dot) per dot = e + 4, the slot of the inserted 0;
-    - per (sign * 16 + dot) * 16 + last, the XOR that turns the 5 words
-      from "-0" through the digits into the row's text. It keeps "-" if
-      v < 0; "0." and -e - 1 zeros if e < 0; the digits through the last
-      nonzero one and the units digit; the "." if a digit follows that.
-      Each slot it drops or makes "." holds "-" or "0", so it is a
-      constant XOR: 0xFF for a dropped slot."""
+    - per (sign * 16 + dot) * 16 + end, the XOR that turns the 5 words of
+      slots -4 to 15, "-" at -2, "0" at -1 and the digits from 0, into the
+      row's text. That keeps "-" if v < 0; "0." and -e - 1 zeros if e < 0;
+      the digits through the last nonzero one and the units digit; the "."
+      if a digit follows that. Each slot it drops or makes "." holds "-" or
+      "0", so a constant XOR sets it: to 0xFF if dropped."""
     quads = np.indices((10,) * 4, np.int8).reshape(4, -1)  # 0000 to 9999
     places = (np.arange(12, 0, -4, dtype=np.int8)[:, None, None]
               + np.arange(4, dtype=np.int8)[:, None])  # digit i of group j
@@ -154,8 +154,8 @@ def _write_labels(first, slots):
 
 
 def _write_numbers(v, area, xors):
-    """The FLOAT_CELL text of each value of v into its row of the 5 words
-    from "-0" through the digits, given the XOR table with the row's bytes
+    """The FLOAT_CELL text of each value of v into its row's 5 words of
+    slots -4 to 15 (see _tables), given the XOR table with the row's bytes
     in it; returns the indices of the values the kernel leaves to the
     %-operation."""
     table, last, powers, _ = _tables()
@@ -205,7 +205,7 @@ def format_indexed(prefix: str, values, sep: str) -> str:
     words = -(-len(str(max(count - 1, 0))) // 4)  # 4-digit label words
     label = -(-len(head) // 4) * 4  # the prefix ends where the label starts
     end = label + 4 * words + len(tail)
-    number = -(-(end + 3) // 4) * 4  # the digits, after 3 slots past end
+    number = -(-(end + 3) // 4) * 4  # the digits, 3 slots or more past end
     row = bytearray(b"\xff" * (number + 20))
     row[label - len(head):label] = head
     row[end - len(tail):end] = tail
@@ -222,9 +222,9 @@ def format_indexed(prefix: str, values, sep: str) -> str:
         n = len(v)
         _write_labels(start, labels[:n])
         rest = _write_numbers(v, numbers[:n], xors)
-        if len(rest):
-            cells = b"".join((FLOAT_CELL % x + "\n").encode().rjust(20, b"\xff")
-                             for x in v[rest].tolist())
+        if len(rest):  # on the newline; the next block rewrites the rest
+            cells = b"".join((FLOAT_CELL % x + "\n").encode().rjust(
+                20, b"\xff") for x in v[rest].tolist())
             slots[rest, number - 3:number + 17] = np.frombuffer(
                 cells, np.uint8).reshape(-1, 20)
         blocks.append(str(slots[:n].tobytes().translate(None, b"\xff"),
