@@ -3,18 +3,18 @@
 Routes: a numeric one (finite-difference Fisher information of any state
 family), the exact post-selected rotation QFI from the closed-form
 derivative of its family, a quadratic weak-coupling one, and closed forms
-for special cases. All evolve the pointer through weak's one block
-exponential (Generator.evolve, or rotation_family_derivative for the exact
+for special cases. All evolve the pointer on the eigh pairs of weak's block
+memo (Generator.evolve, or weak.rotation_family_eigenbasis for the exact
 family), so they cross-check approximations, not evolution code. Sweeps over
 (pre, post) pairs share invariants: weak_fisher forms a pair's selection
-factor 4 |dM_w/dg|^2 once for all pointer variances, and the exact QFI forms
-each pair's amplitudes once for all pointers and evolves each pointer once
-for all pairs (its vdots stay on the full layout, whose bits bound_rows, the
-bounds table, holds). Readouts work on the vectors they span: the carrier
-readout, the paper's final projective measurement, is the two-outcome
-CarrierReadout {|c><c|, 1 - |c><c|}, and the dephased-monitor SLD is solved
-on the branch plane, with sld_solve on plain matrices of the full truncated
-basis (weak.qubit_monitor_channel's density matrix) as the reference.
+factor 4 |dM_w/dg|^2 once for all pointer variances, and the exact QFI takes
+every pointer and pair in one pass on the eigenvectors of each Lz shell,
+through a projected form that keeps its digits near extinction. Readouts
+work on the vectors they span: the carrier readout, the paper's final
+projective measurement, is the two-outcome CarrierReadout {|c><c|, 1 -
+|c><c|}, and the dephased-monitor SLD is solved on the branch plane, with
+sld_solve on plain matrices of the full truncated basis
+(weak.qubit_monitor_channel's density matrix) as the reference.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .weak import (
     pauli_weak_values,
     post_selected_pair,
     require_density,
-    rotation_family_derivative,
+    rotation_family_eigenbasis,
     selection_amplitudes,
 )
 
@@ -329,19 +329,22 @@ def qfi_rotation_exact_selections(pairs: Sequence[tuple], axis: PauliAxis,
     """Exact QFI about alpha of basis pointers under rotation coupling, one
     row per pointer index and one value per (pre, post) selection pair.
 
-    F = 4 (<dphi|dphi> / <phi|phi> - |<phi|dphi>|^2 / <phi|phi>^2) on the
-    post-selected family phi and its closed-form derivative dphi, which
-    weak.rotation_family_derivative evolves once per pointer for all pairs
-    (each pair's a+- formed once), so no stencil. The vdots run on the full
-    layout: on shell vectors they change bits. Raises TotalExtinctionError
-    where final_pointer_exact does."""
+    weak.rotation_family_eigenbasis gives every family phi and its closed-form
+    derivative dphi in one pass (each pair's a+- formed once), so no stencil.
+    With c = <phi|dphi> / <phi|phi>, F = 4 |dphi - c phi|^2 / <phi|phi>, the
+    projected form (Braunstein and Caves, PRL 72, 3439 (1994)): a sum of
+    squares, where 4 (<dphi|dphi> / <phi|phi> - |c|^2) cancels. Against the
+    60-digit oracle of tests/test_fisher.py, HG(1, 1) to HG(25, 25) at alpha
+    1e-7 to 1e-3, the relative error measured 1.5e-15 for eps >= 1e-3,
+    5.5e-15 at 1e-4 and 2.8e-13 at 1e-5 and 1e-6. Raises
+    TotalExtinctionError where final_pointer_exact does."""
     finite("alpha", alpha)
     amplitudes = [selection_amplitudes(pre, post, axis) for pre, post in pairs]
-    return [[float(4.0 * (np.vdot(dphi, dphi).real.item() / norm2
-                          - abs(np.vdot(phi, dphi)) ** 2 / norm2 ** 2))
-             for phi, dphi, norm2 in rotation_family_derivative(
-                 idx, alpha, amplitudes)]
-            for idx in indices]
+    starts, sizes, phi, dphi, norm2, overlap = rotation_family_eigenbasis(
+        indices, alpha, amplitudes)
+    resid = dphi - np.repeat(overlap / norm2, sizes, axis=1) * phi
+    spread = np.add.reduceat((resid * resid.conj()).real, starts, axis=1)
+    return (4.0 * (spread / norm2)).T.tolist()
 
 
 def bound_rows(epsilon: float, photons: float, grid_max: int, sweep_max: int,

@@ -145,8 +145,9 @@ def _write_labels(first, slots):
     table = _tables()[0]
     k = np.arange(first, first + len(slots))
     words = slots.shape[1]
-    for j in range(words):
-        slots[:, j] = table.take(k // 10 ** (4 * (words - 1 - j)) % 10000)
+    for j in range(words):  # one word holds every label below 10 000 as is
+        slots[:, j] = table.take(
+            k if words == 1 else k // 10 ** (4 * (words - 1 - j)) % 10000)
     if words > 1:
         digits = 4 + sum(k >= 10 ** j for j in range(4, 4 * words))
         text = slots.view(np.uint8)

@@ -8,9 +8,10 @@ for displacement), post-select the qubit on |f>, and read the pointer out.
 The pointer is evolved exactly: the coupling splits along the +-1
 eigenspaces of the Pauli axis, which only needs exp(-+ i alpha Omega) acting
 on the pointer. A selection pair has one reader, _brackets (<f|i> and
-<f|M|i>): the weak value A_w = <f|A|i> / <f|i>, the Pauli weak values of
-fisher.weak_fisher and the branch amplitudes <f|P+-|i> are built on it.
-The exact rotation family's alpha-derivative is rotation_family_derivative's.
+<f|M|i>, in Python arithmetic: no BLAS kernel sets their bits): the weak
+value A_w = <f|A|i> / <f|i>, the Pauli weak values of fisher.weak_fisher and
+the branch amplitudes <f|P+-|i> are built on it. The exact rotation family
+of basis pointers and its derivative are rotation_family_eigenbasis's.
 
 Omega is applied to a ModeState and exponentiated by one block kernel,
 Generator: one tridiagonal Lz block per shell m + n, or one px block on m.
@@ -20,10 +21,10 @@ otherwise rebuild, read-only:
   cutoff and the shell (Lz) or sigma0 (px), holds one _Block: the block,
   its eigh pair, v.conj().T, the extreme |w| for the overflow guard and the
   flat basis indices of its rows, with the basic slice of an Lz shell's
-  rows. apply reads the block, and evolve and rotation_family_derivative
-  the rest through _evolve_block, the one exponential. A k-row key holds
-  48 k^2 + 16 k bytes, k <= cutoff + 1: at most 6.0 MB up to cutoff 30,
-  103 MB at cutoff 128 (HG(64, 64) in its own shell).
+  rows. apply reads the block, evolve the rest through _evolve_block, and
+  rotation_family_eigenbasis w and v^dagger, both behind _check_phase. A
+  k-row key holds 48 k^2 + 16 k bytes, k <= cutoff + 1: at most 6.0 MB up
+  to cutoff 30, 103 MB at cutoff 128 (HG(64, 64) in its own shell).
 - _selection_memo, up to _SELECTION_CACHE_SIZE = 128 keys of the bits of a
   selection pair's two vectors and axis matrix (a -0.0 is its own key),
   holds the amplitudes <f|P+-|i>: about 0.45 KB a key with Python's object
@@ -49,7 +50,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,12 +172,13 @@ def _brackets(pre: np.ndarray, post: np.ndarray,
     """(<f|i>, <f|M|i> for each M) of the selection vectors pre |i> and
     post |f>, refused where they are orthogonal: the one reader of a
     selection pair."""
-    overlap = complex(np.vdot(post, pre))
+    (f0, f1), (i0, i1) = post.conj().tolist(), pre.tolist()
+    overlap = f0 * i0 + f1 * i1
     if abs(overlap) <= ORTHOGONALITY_FLOOR:
         raise DegeneratePostSelectionError(
             "pre- and post-selection are orthogonal; weak value undefined")
-    bra = post.conj()
-    return (overlap, *(complex(bra @ (mat @ pre)) for mat in mats))
+    return (overlap, *(f0 * (a * i0 + b * i1) + f1 * (c * i0 + d * i1)
+                       for (a, b), (c, d) in map(np.ndarray.tolist, mats)))
 
 
 def weak_value(pre: QubitState, post: QubitState, axis: PauliAxis) -> complex:
@@ -325,13 +327,19 @@ class Generator:
         return out
 
 
+def _check_phase(entry: _Block, peak: float):
+    """ConfigError where peak |alpha| times an eigenvalue of a memo entry
+    overflows: the sorted w's two ends bound every phase."""
+    if not math.isfinite(peak * entry.w_peak):
+        raise ConfigError(f"alpha {peak} times a generator eigenvalue "
+                          f"in [{entry.w[0]}, {entry.w[-1]}] is not finite")
+
+
 def _evolve_block(entry: _Block, column, alphas, peak: float) -> np.ndarray:
     """exp(-i alpha B) column per alpha, shape (alphas, k, 1), from the eigh
     pair of the block B of a memo entry; ConfigError where peak |alpha| w
     overflows."""
-    if not math.isfinite(peak * entry.w_peak):
-        raise ConfigError(f"alpha {peak} times a generator eigenvalue "
-                          f"in [{entry.w[0]}, {entry.w[-1]}] is not finite")
+    _check_phase(entry, peak)
     phases = np.exp(-1j * np.multiply.outer(alphas, entry.w))[:, :, None]
     return entry.v @ (phases * (entry.vh @ column))
 
@@ -429,24 +437,16 @@ def _selection_memo(pre: bytes, post: bytes,
     return 0.5 * (braket + bra_a_ket), 0.5 * (braket - bra_a_ket)
 
 
-def _post_selected_branches(amplitudes: tuple[complex, complex],
-                            fwd: np.ndarray, bwd: np.ndarray
-                            ) -> tuple[np.ndarray, ...]:
-    """Branches a+ fwd and a- bwd of the exact post-selected pointer, their
-    sum and its norm |sum|^2, from exp(-i alpha A x Omega) split along the
-    +-1 projectors of the axis (fwd, bwd: the pointer after exp(-+ i alpha
-    Omega); a+- from selection_amplitudes). TotalExtinctionError where
-    |sum|^2 underflows, or falls below ORTHOGONALITY_FLOOR^2 (|plus|^2 +
-    |minus|^2): round-off of cancelling branches."""
-    amp_plus, amp_minus = amplitudes
-    plus, minus = amp_plus * fwd, amp_minus * bwd
-    vec = plus + minus
-    prob = np.vdot(vec, vec).real.item()
-    branches = (np.vdot(plus, plus) + np.vdot(minus, minus)).real.item()
-    if not prob >= max(1e-300, ORTHOGONALITY_FLOOR ** 2 * branches):  # NaN too
+def _check_light(prob, branches):
+    """TotalExtinctionError unless each post-selected |phi|^2 in prob is at
+    least 1e-300 (underflow) and ORTHOGONALITY_FLOOR^2 times the |plus|^2 +
+    |minus|^2 of its branches (round-off of cancelling branches), a NaN
+    failing too: the extinction guard of every exact post-selected family."""
+    floor = np.fmax(np.multiply(branches, ORTHOGONALITY_FLOOR ** 2), 1e-300)
+    light = np.greater_equal(prob, floor)
+    if np.count_nonzero(light) != light.size:
         raise TotalExtinctionError(
             "post-selected amplitude underflowed or cancelled to round-off")
-    return plus, minus, vec, prob
 
 
 class _Same:
@@ -482,35 +482,64 @@ def final_pointer_exact(s: WeakScenario) -> ExactPointer:
 @functools.lru_cache(maxsize=_POINTER_CACHE_SIZE)
 def _pointer_memo(bits: bytes, coupling: Coupling,
                   pointer: _Same) -> ExactPointer:
+    """final_pointer_exact from the branches a+ fwd and a- bwd (fwd, bwd:
+    the pointer after exp(-+ i alpha Omega)), refused by _check_light."""
     alpha, re_plus, im_plus, re_minus, im_minus, sigma0 = struct.unpack(
         "<6d", bits)
     pointer = pointer.obj
-    branches = Generator(coupling, pointer.cutoff, sigma0).evolve(
+    fwd, bwd = Generator(coupling, pointer.cutoff, sigma0).evolve(
         (alpha, -alpha), pointer)
-    *_, vec, prob = _post_selected_branches(
-        (complex(re_plus, im_plus), complex(re_minus, im_minus)), *branches)
+    plus = complex(re_plus, im_plus) * fwd
+    minus = complex(re_minus, im_minus) * bwd
+    vec = plus + minus
+    prob = np.vdot(vec, vec).real.item()
+    _check_light(prob, (np.vdot(plus, plus) + np.vdot(minus, minus)).real)
     return ExactPointer(
         ModeState(pointer.cutoff, frozen(vec / math.sqrt(prob))), prob)
 
 
-def rotation_family_derivative(idx: ModeIndex, alpha: float,
-                               selections: Iterable[tuple]) -> Iterator[tuple]:
-    """Yield (phi, d phi/d alpha, |phi|^2) per selection a+- at cutoff m + n:
-    phi = (a+ exp(-i alpha Lz) + a- exp(+i alpha Lz))|m, n> is
-    final_pointer_exact's family before it normalizes, evolved once for all
-    selections, and refused where final_pointer_exact refuses."""
-    shell = idx.total  # the cutoff too: row m of the block is |m, n>
-    entry = _coupling_eig(Coupling.OAM, shell, shell, None)
-    unit = np.eye(shell + 1, 1, -idx.m, dtype=complex)  # 1 at row m
-    branches = np.zeros((2, (shell + 1) ** 2), dtype=complex)
-    branches[entry.rows] = _evolve_block(
-        entry, unit, np.array((alpha, -alpha), dtype=float), abs(float(alpha)))
-    flat = entry.index
-    for amps in selections:
-        plus, minus, phi, norm2 = _post_selected_branches(amps, *branches)
-        dphi = np.zeros(phi.shape, dtype=complex)
-        dphi[flat] = -1j * (entry.matrix @ (plus - minus)[flat])
-        yield phi, dphi, norm2
+def rotation_family_eigenbasis(indices: Iterable[ModeIndex], alpha: float,
+                               selections: Sequence[tuple]) -> tuple:
+    """final_pointer_exact's family phi = (a+ exp(-i alpha Lz) + a-
+    exp(i alpha Lz))|m, n> before it normalizes, and dphi = d phi/d alpha, of
+    each basis pointer (at cutoff m + n) and selection a+-, on the memo's
+    eigenvectors v_j of the pointer's shell (eigenvalues w_j): with
+    u_j = <v_j|m, n>, s = a+ + a- (exact where a- ~ -a+, by Sterbenz's
+    lemma) and d = a+ - a-, phi_j = u_j (s cos alpha w_j - i d sin alpha w_j)
+    and dphi_j = -u_j w_j (s sin alpha w_j + i d cos alpha w_j), so no
+    branches cancel. Returns (starts, sizes, phi, dphi, norm2, overlap): the
+    pointers' components back to back, phi and dphi one row per selection,
+    and <phi|phi> and <phi|dphi> as segment sums per selection (rows) and
+    pointer. Refused where evolve and final_pointer_exact refuse."""
+    peak, w, u, starts, sizes, total = abs(float(alpha)), [], [], [], [], 0
+    for idx in indices:
+        entry = _coupling_eig(Coupling.OAM, idx.total, idx.total, None)
+        _check_phase(entry, peak)
+        w.append(entry.w)
+        u.append(entry.vh[:, idx.m])
+        starts.append(total)
+        sizes.append(len(entry.w))
+        total += sizes[-1]
+    w = np.concatenate(w or [np.empty(0)])
+    # u cos, u sin, u w cos and u w sin, from real parts set in place
+    basis = np.zeros((4, total), dtype=complex)
+    parts, theta = basis.real, alpha * w
+    np.cos(theta, out=parts[0])
+    np.sin(theta, out=parts[1])
+    np.multiply(parts[:2], w, out=parts[2:])
+    basis = (basis * np.concatenate(u or [np.empty(0)])).reshape(2, 2, total)
+    coef, branches = [], []
+    for plus, minus in selections:  # phi on basis[0], dphi on basis[1]
+        s, d = plus + minus, plus - minus
+        coef += (s, -1j * d, -1j * d, -s)
+        branches.append([abs(plus) ** 2 + abs(minus) ** 2])
+    coef = np.array(coef, dtype=complex).reshape(-1, 2, 2, 1)
+    family = coef[:, :, 0] * basis[:, 0] + coef[:, :, 1] * basis[:, 1]
+    starts, sizes = np.array([starts, sizes], dtype=np.intp)
+    sums = np.add.reduceat(family[:, :1].conj() * family, starts, axis=2)
+    _check_light(sums[:, 0].real, np.array(branches))
+    return (starts, sizes, family[:, 0], family[:, 1], sums[:, 0].real,
+            sums[:, 1])
 
 
 def require_density(entries: np.ndarray):

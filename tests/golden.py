@@ -9,9 +9,9 @@ temporary directory, then runs each CASES (as `hologram`) and TEXT_CASES
 argv of make_hologram_golden.py, plus its BOUNDS_GOLDEN_ARGV, as a
 fresh `python -m hgsense` on both trees. Per case it compares the exit
 status, stderr, stdout without its "wrote" line and every file written,
-and prints one line. It exits 1 if any case differs. The .fgrd bytes
-follow numpy's CPU dispatch, so the claim holds between two runs on one
-machine.
+and prints one line, and under it the first SHOWN differing lines of each
+output that differs. It exits 1 if any case differs. The .fgrd bytes follow
+numpy's CPU dispatch, so the claim holds between two runs on one machine.
 """
 
 import os
@@ -23,6 +23,7 @@ from pathlib import Path
 from make_hologram_golden import BOUNDS_GOLDEN_ARGV, CASES, TEXT_CASES
 
 HERE = Path(__file__).resolve().parent
+SHOWN = 5  # differing lines printed per differing output
 
 
 def runs() -> dict:
@@ -61,6 +62,22 @@ def source_of(src: Path) -> Path:
     return Path(proc.stdout.strip()).resolve()
 
 
+def moved_lines(parent: bytes, here: bytes, limit: int = SHOWN) -> list:
+    """The first limit lines in which two text outputs differ, each as
+    "line N: parent -> here", and a count of the rest; one line for an
+    output that is not UTF-8 text or that differs only in its length."""
+    try:
+        old, new = (data.decode().splitlines() for data in (parent, here))
+    except UnicodeDecodeError:
+        return [f"binary: {len(parent)} -> {len(here)} bytes"]
+    moved = [f"line {k}: {a!r} -> {b!r}"
+             for k, (a, b) in enumerate(zip(old, new), 1) if a != b]
+    if len(old) != len(new):
+        moved.append(f"{len(old)} -> {len(new)} lines")
+    rest = len(moved) - limit
+    return moved[:limit] + ([f"... {rest} more"] if rest > 0 else [])
+
+
 def main(argv: list) -> int:
     if len(argv) != 1:
         print("usage: python tests/golden.py PARENT_SHA", file=sys.stderr)
@@ -89,6 +106,10 @@ def main(argv: list) -> int:
             files = len(keys) - 3
             print(f"{name}: " + (f"differs in {', '.join(diff)}" if diff
                                  else f"identical ({files} files)"))
+            for key in diff:
+                for line in moved_lines(got["parent"].get(key, b""),
+                                        got["here"].get(key, b"")):
+                    print(f"  {key} {line}")
     return 1 if differing else 0
 
 

@@ -17,10 +17,11 @@ no package route uses either. apply_uncached and evolve_uncached build each
 block on the call, find a state's Lz shells by a search of its 2-D grid and
 gather and scatter by 2-D fancy indices; the package reads each block and
 its flat indices from a memo. qfi_rotation_exact_selections_per_order is the
-exact rotation QFI as one call per pointer on those two, checking every
-selection pair through a WeakScenario; the package forms each pair's
-amplitudes once per sweep and applies Lz through the known shell's memo
-entry, and a test requires the same floats bit for bit.
+exact rotation QFI as one call per pointer and selection pair, checking
+every pair through a WeakScenario and running eigh on a shell block built on
+the call; the package forms each pair's amplitudes once per sweep and runs
+all pointers and pairs in one pass over the memo's shells, and a test
+requires the same floats bit for bit.
 final_pointer_exact_uncached forms a scenario's selection amplitudes on each
 call and evolves through evolve_uncached; the package reads the amplitudes
 its WeakScenario formed and the shells its ModeState found once, and keeps
@@ -110,17 +111,25 @@ def final_pointer_exact_uncached(s: WeakScenario) -> ExactPointer:
                                   (plus + minus) / math.sqrt(prob)), prob)
 
 
+def _selection_amplitudes_of(s: WeakScenario) -> tuple[complex, complex]:
+    """(a+, a-) = (<f|i> +- <f|A|i>) / 2 formed from the scenario's
+    selections on each call, in Python's complex arithmetic as the package
+    forms them, so no BLAS kernel sets their bits."""
+    (f0, f1), (i0, i1) = (np.array([q.c0, q.c1], dtype=complex).tolist()
+                          for q in (s.post, s.pre))
+    (m00, m01), (m10, m11) = s.axis.matrix.tolist()
+    braket = f0.conjugate() * i0 + f1.conjugate() * i1
+    bra_a_ket = (f0.conjugate() * (m00 * i0 + m01 * i1)
+                 + f1.conjugate() * (m10 * i0 + m11 * i1))
+    return 0.5 * (braket + bra_a_ket), 0.5 * (braket - bra_a_ket)
+
+
 def _post_selected_branches_of(s: WeakScenario, fwd: np.ndarray,
                                bwd: np.ndarray):
     """(a+ fwd, a- bwd, |a+ fwd + a- bwd|^2) with a+- formed from the
     scenario's selections on each call; TotalExtinctionError where the sum
     underflows or cancels to round-off."""
-    pre = np.array([s.pre.c0, s.pre.c1], dtype=complex)
-    post = np.array([s.post.c0, s.post.c1], dtype=complex)
-    braket = complex(np.vdot(post, pre))
-    bra_a_ket = complex(post.conj() @ (s.axis.matrix @ pre))
-    amp_plus = 0.5 * (braket + bra_a_ket)
-    amp_minus = 0.5 * (braket - bra_a_ket)
+    amp_plus, amp_minus = _selection_amplitudes_of(s)
     plus, minus = amp_plus * fwd, amp_minus * bwd
     vec = plus + minus
     prob = float(np.real(np.vdot(vec, vec)))
@@ -135,21 +144,43 @@ def qfi_rotation_exact_selections_per_order(pairs, axis: PauliAxis,
                                             alpha: float,
                                             idx: ModeIndex) -> list[float]:
     """Exact QFI about alpha of the basis pointer idx under rotation
-    coupling, one value per (pre, post) selection pair, through the
-    uncached evolution and a shell search per apply."""
-    pointer = ModeState.basis(idx.total, idx.m, idx.n)
-    scenarios = [WeakScenario(alpha, pre, post, axis, Coupling.OAM, pointer)
-                 for pre, post in pairs]
-    lz = Generator(Coupling.OAM, pointer.cutoff)
-    fwd, bwd = evolve_uncached(lz, (alpha, -alpha), pointer)
+    coupling, one value per (pre, post) selection pair: one order and one
+    pair at a time, each pair checked in a WeakScenario, on the eigh of a
+    shell block built on the call. The arithmetic is the package's
+    eigenbasis formula (weak.rotation_family_eigenbasis, then
+    fisher.qfi_rotation_exact_selections), so a test can require the
+    batched sweep over its memo to give the same bits."""
+    shell, m = idx.total, idx.m
+    pointer = ModeState.basis(shell, m, idx.n)
+    j = np.arange(shell + 1)
+    w, v = np.linalg.eigh(_tridiagonal(np.sqrt(j[1:] * (shell - j[1:] + 1))))
+    basis = np.zeros((4, shell + 1), dtype=complex)
+    parts, theta = basis.real, alpha * w
+    np.cos(theta, out=parts[0])
+    np.sin(theta, out=parts[1])
+    np.multiply(parts[:2], w, out=parts[2:])
+    basis *= np.conj(v[m])
+    basis = basis.reshape(2, 2, shell + 1)
+    starts, sizes = np.zeros(1, dtype=np.intp), np.full(1, shell + 1)
     out = []
-    for s in scenarios:
-        plus, minus, norm2 = _post_selected_branches_of(s, fwd, bwd)
-        diff = ModeState(pointer.cutoff, plus - minus)
-        dphi = -1j * apply_uncached(lz, diff)
-        overlap = np.vdot(plus + minus, dphi)
-        out.append(4.0 * (float(np.real(np.vdot(dphi, dphi))) / norm2
-                          - abs(overlap) ** 2 / norm2 ** 2))
+    for pre, post in pairs:
+        plus, minus = _selection_amplitudes_of(WeakScenario(
+            alpha, pre, post, axis, Coupling.OAM, pointer))
+        s, d = plus + minus, plus - minus
+        coef = np.array([s, -1j * d, -1j * d, -s],
+                        dtype=complex).reshape(1, 2, 2, 1)
+        family = coef[:, :, 0] * basis[:, 0] + coef[:, :, 1] * basis[:, 1]
+        sums = np.add.reduceat(family[:, :1].conj() * family, starts, axis=2)
+        norm2 = sums[:, 0].real
+        if not norm2[0, 0] >= max(1e-300, ORTHOGONALITY_FLOOR ** 2
+                                  * (abs(plus) ** 2 + abs(minus) ** 2)):
+            raise TotalExtinctionError(
+                "post-selected amplitude underflowed or cancelled to "
+                "round-off")
+        resid = family[:, 1] - np.repeat(sums[:, 1] / norm2, sizes,
+                                         axis=1) * family[:, 0]
+        spread = np.add.reduceat((resid * resid.conj()).real, starts, axis=1)
+        out.append(float(4.0 * (spread / norm2)[0, 0]))
     return out
 
 

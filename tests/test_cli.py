@@ -78,6 +78,19 @@ def test_bounds_sweep_deterministic(tmp_path):
     assert families == {"projective", "hamiltonian", "postselection"}
 
 
+def test_bounds_prints_the_exact_row_near_extinction_to_its_last_digit(
+        tmp_path):
+    # HG(3, 3) at a breakdown angle of 1e-6 rad: a 60-digit oracle gives
+    # 0.16669543098485; a family formed from its cancelling branches prints
+    # 0.166695429012, wrong from the 8th digit
+    target = tmp_path / "bounds.csv"
+    assert main(["bounds", "--sweep-max", "3", "--breakdown-epsilons",
+                 "1e-6", "--out", str(target)]) == 0
+    (row,) = [line for line in target.read_text().splitlines()
+              if line.startswith("postselection,exact,oam,1e-06,3,3,")]
+    assert row.split(",")[7] == "0.166695430985"
+
+
 def test_bounds_empty_sweep_fails(tmp_path, capsys):
     # only a negative limit empties every family, and it is refused by name
     code = main(["bounds", "--grid-max", "0", "--sweep-max", "-1",
@@ -102,6 +115,7 @@ def test_bounds_refuses_unsupported_order_before_sweeping(
 
     monkeypatch.setattr(fisher, "oam_variance", no_sweep)
     monkeypatch.setattr(fisher, "momentum_variance_x", no_sweep)
+    monkeypatch.setattr(fisher, "rotation_family_eigenbasis", no_sweep)
     monkeypatch.setattr(weak.Generator, "evolve", no_sweep)
     past = MAX_HERMITE_ORDER + 1
     top, cell = f"({past}, {past})", f"mode (1, {past}) above"

@@ -2,13 +2,14 @@
 
 Everything that matters is computed at least twice: finite differences
 against closed forms, classical readouts against the quantum ceiling, the
-SLD pipeline against the rank-2 closed form. Pointer evolution itself has
-one implementation, weak._evolve_block behind Generator.evolve and
-weak.rotation_family_derivative (the exact QFI's family), pinned against the
-dense matrices in test_weak and here against a Wigner small-d (Jacobi
-polynomial) oracle, which also gives the exact rotation QFI in closed form,
-and against the displacement (Laguerre polynomial) oracle of the momentum
-coupling. Dense POVMs are computed on the test side, in reference.dense_cfi.
+SLD pipeline against the rank-2 closed form. Pointer evolution reads one
+memo of eigh pairs, through weak._evolve_block behind Generator.evolve and
+through weak.rotation_family_eigenbasis (the exact QFI's family), pinned
+against the dense matrices in test_weak and here against a Wigner small-d
+(Jacobi polynomial) oracle, which also gives the exact rotation QFI in
+closed form, in float and at 60 digits in mpmath, and against the
+displacement (Laguerre polynomial) oracle of the momentum coupling. Dense
+POVMs are computed on the test side, in reference.dense_cfi.
 """
 
 import cmath
@@ -530,6 +531,52 @@ def test_rotation_qfi_matches_wigner_d_closed_form():
                 assert got == pytest.approx(want, rel=rel), (epsilon, alpha)
 
 
+def _rotation_qfi_oracle(mp, a_plus: complex, a_minus: complex,
+                         alpha: float, m: int, n: int):
+    """_rotation_qfi_closed_form at mp's 60 digits, from the library's float
+    a+- taken as exact: C = P_n^(0,m-n)(cos 2 theta) cos^(m-n) theta (m >= n)
+    by mpmath.jacobi, its derivatives by mpmath.diffs, so no eigh and no
+    truncation. <phi|phi> = S + r C, the form _rotation_qfi_closed_form
+    rewrites to keep digits in float."""
+    with mp.workdps(60):
+        a_plus, a_minus = mp.mpc(a_plus), mp.mpc(a_minus)
+        low, b = min(m, n), abs(m - n)
+        c, c1, c2 = mp.diffs(lambda t: mp.jacobi(low, 0, b, mp.cos(2 * t))
+                             * mp.cos(t) ** b, 2 * mp.mpf(alpha), 2)
+        spread = abs(a_plus) ** 2 + abs(a_minus) ** 2
+        r = 2 * mp.re(mp.conj(a_plus) * a_minus)
+        norm2 = spread + r * c
+        dphi2 = spread * (2 * m * n + m + n) + r * c2
+        return 4 * (dphi2 / norm2 - (r * c1) ** 2 / norm2 ** 2)
+
+
+# the bound the exact QFI holds against the oracle, by post-selection angle:
+# measured worst 1.4e-13 at 1e-6 and 2.8e-13 at 1e-5 (HG(25, 25), alpha
+# 1e-3, where F is 1e-14 of its first-order value), 5.5e-15 at 1e-4 and
+# 1.5e-15 from 1e-3 up. A family formed from its cancelling branches gives
+# 2.9e-8, 6.5e-10, 2.0e-11, 1.3e-13 and 1.1e-14 from 1e-6 to 0.01, and the
+# unprojected 4 (<dphi|dphi> / <phi|phi> - |<phi|dphi>|^2 / <phi|phi>^2)
+# 1.4e-9 at 1e-6
+_ORACLE_BOUND = {1e-6: 1e-12, 1e-5: 1e-12, 1e-4: 2e-14, 1e-3: 5e-15,
+                 1e-2: 5e-15, math.radians(5.0): 5e-15, 0.5: 5e-15}
+
+
+def test_rotation_qfi_holds_a_60_digit_oracle_across_the_angle_domain():
+    mp = pytest.importorskip("mpmath").mp
+    pointers = [(o, o) for o in (1, 3, 6, 10, 25)] + [(1, 0), (0, 5), (3, 9),
+                                                      (12, 1)]
+    for epsilon, bound in _ORACLE_BOUND.items():
+        pre, post = post_selected_pair(epsilon)
+        a_plus, a_minus = weak.selection_amplitudes(pre, post, PauliAxis.z())
+        for alpha in (1e-3, 1e-5, 1e-7):
+            for m, n in pointers:
+                want = _rotation_qfi_oracle(mp, a_plus, a_minus, alpha, m, n)
+                got = qfi_rotation_exact(pre, post, PauliAxis.z(), alpha,
+                                         ModeIndex(m, n))
+                err = float(abs(got - want) / want)
+                assert err <= bound, (epsilon, alpha, m, n, err)
+
+
 def test_rotation_qfi_sweep_is_bitwise_the_per_order_route():
     # one call over orders 0-30 and off-diagonal pointers against one
     # reference call per pointer, which checks each pair in a WeakScenario,
@@ -575,12 +622,17 @@ def test_rotation_qfi_shares_the_extinction_guard(monkeypatch):
                         ModeState.basis(1, 1, 0))
     assert final_pointer_exact(near).success_prob == pytest.approx(
         math.sin(1e-8) ** 2, rel=1e-6)
-    # a basis pointer cannot underflow the norm; a block kernel returning
-    # NaN branches must stop both routes at the same guard
-    def nan_block(entry, column, alphas, peak):
-        return np.full((len(alphas), *column.shape), np.nan, dtype=complex)
+    # a basis pointer cannot underflow the norm; NaN eigenvalues in the
+    # block memo, where both routes read their shell, give NaN branches
+    # (behind a finite overflow bound), which must stop both at the same
+    # guard
+    memo = weak._coupling_eig
 
-    monkeypatch.setattr(weak, "_evolve_block", nan_block)  # its one binding
+    def nan_shell(*key):
+        entry = memo(*key)
+        return entry._replace(w=np.full_like(entry.w, np.nan))
+
+    monkeypatch.setattr(weak, "_coupling_eig", nan_shell)  # its one binding
     pre, post = post_selected_pair(0.1)
     s = WeakScenario(1e-3, pre, post, PauliAxis.z(), Coupling.OAM,
                      ModeState.basis(2, 1, 1))
@@ -872,7 +924,9 @@ def test_bound_rows_refuses_its_inputs_before_evolving(args, error, match,
     def no_sweep(*args, **kwargs):
         pytest.fail("bound_rows evolved before its inputs were checked")
 
-    monkeypatch.setattr(weak, "_evolve_block", no_sweep)
+    # the exact sweep's kernel, and the block memo that every evolution reads
+    monkeypatch.setattr(fisher, "rotation_family_eigenbasis", no_sweep)
+    monkeypatch.setattr(weak, "_coupling_eig", no_sweep)
     with pytest.raises(error, match=match):
         bound_rows(*args)
 

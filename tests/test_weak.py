@@ -647,31 +647,52 @@ def test_exact_pointer_memo_keys_on_bits_and_keeps_no_refusal():
 
 def test_rotation_family_is_the_exact_pointer_and_its_derivative():
     # the family fisher's exact QFI reads is final_pointer_exact's before it
-    # normalizes, to the bit, and its closed-form derivative is the
-    # fourth-order stencil of that family
-    idx, alpha, h = ModeIndex(2, 3), 1e-3, 1e-5
-    pointer = ModeState.basis(idx.total, idx.m, idx.n)
-    scenarios = [WeakScenario(alpha, pre, post, PauliAxis.z(), Coupling.OAM,
-                              pointer)
-                 for pre, post in map(post_selected_pair, (0.1, 0.05))]
-    got = list(weak.rotation_family_derivative(
-        idx, alpha, [s.selection for s in scenarios]))
-    assert len(got) == len(scenarios)
-    for s, (phi, dphi, norm2) in zip(scenarios, got):
-        want = final_pointer_exact(s)
-        assert norm2.hex() == want.success_prob.hex()
-        assert ((phi / math.sqrt(norm2)).tobytes()
-                == want.pointer.amplitudes.tobytes())
+    # normalizes, on the eigenvectors of its shell: mapped back by them it
+    # is that pointer times sqrt(<phi|phi>) to 1e-14, and <phi|phi> its
+    # success probability to 1e-14 relative (both measured within 6.7e-16;
+    # final_pointer_exact's branches cancel); its closed-form derivative is
+    # the fourth-order stencil of that family to 1e-9, and its Fisher
+    # information the stencil QFI of the normalized family to 1e-9 relative
+    # (measured within 1.6e-12)
+    indices = [ModeIndex(2, 3), ModeIndex(1, 1)]
+    alpha, h = 1e-3, 1e-5
+    scenarios = [[WeakScenario(alpha, pre, post, PauliAxis.z(), Coupling.OAM,
+                               ModeState.basis(idx.total, idx.m, idx.n))
+                  for pre, post in map(post_selected_pair, (0.1, 0.05))]
+                 for idx in indices]
+    selections = [s.selection for s in scenarios[0]]
+    starts, sizes, phi, dphi, norm2, overlap = (
+        weak.rotation_family_eigenbasis(indices, alpha, selections))
+    assert norm2.shape == overlap.shape == (2, 2)
+    assert phi.shape == dphi.shape == (2, 6 + 3)
+    assert starts.tolist() == [0, 6] and sizes.tolist() == [6, 3]
 
-        def phi_at(k):
-            ((at, _, _),) = weak.rotation_family_derivative(
-                idx, alpha + k * h, [s.selection])
-            return at
-        stencil = (phi_at(-2) - 8 * phi_at(-1) + 8 * phi_at(1)
-                   - phi_at(2)) / (12 * h)
-        np.testing.assert_allclose(dphi, stencil, rtol=0, atol=1e-9)
+    def family_at(a):
+        return weak.rotation_family_eigenbasis(indices, a, selections)[2]
+
+    stencil = (family_at(alpha - 2 * h) - 8 * family_at(alpha - h)
+               + 8 * family_at(alpha + h) - family_at(alpha + 2 * h)) / (12 * h)
+    np.testing.assert_allclose(dphi, stencil, rtol=0, atol=1e-9)
+    for k, (idx, row) in enumerate(zip(indices, scenarios)):
+        entry = weak._coupling_eig(Coupling.OAM, idx.total, idx.total, None)
+        part = slice(starts[k], starts[k] + sizes[k])
+        for e, s in enumerate(row):
+            want = final_pointer_exact(s)
+            assert norm2[e, k] == pytest.approx(want.success_prob, rel=1e-14)
+            flat = np.zeros((idx.total + 1) ** 2, dtype=complex)
+            flat[entry.index[:, 0]] = entry.v @ phi[e, part]
+            np.testing.assert_allclose(
+                flat / math.sqrt(norm2[e, k]), want.pointer.amplitudes,
+                rtol=0, atol=1e-14)
+            assert overlap[e, k] == pytest.approx(
+                np.vdot(phi[e, part], dphi[e, part]), rel=1e-15)
+            qfi = qfi_pure_numeric(lambda a: final_pointer_exact(WeakScenario(
+                a, s.pre, s.post, s.axis, s.coupling, s.pointer)).pointer,
+                alpha)
+            assert qfi_rotation_exact(s.pre, s.post, s.axis, alpha,
+                                      idx) == pytest.approx(qfi, rel=1e-9)
     with pytest.raises(ConfigError, match="is not finite"):
-        list(weak.rotation_family_derivative(idx, math.nan, [s.selection]))
+        weak.rotation_family_eigenbasis(indices, math.nan, selections)
 
 
 def test_density_matrix_validation():
