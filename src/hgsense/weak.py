@@ -437,14 +437,12 @@ def _selection_memo(pre: bytes, post: bytes,
     return 0.5 * (braket + bra_a_ket), 0.5 * (braket - bra_a_ket)
 
 
-def _check_light(prob, branches):
-    """TotalExtinctionError unless each post-selected |phi|^2 in prob is at
-    least 1e-300 (underflow) and ORTHOGONALITY_FLOOR^2 times the |plus|^2 +
+def _check_light(prob: float, branches: float):
+    """TotalExtinctionError unless a post-selected |phi|^2 (prob) is at least
+    1e-300 (underflow) and ORTHOGONALITY_FLOOR^2 times the |plus|^2 +
     |minus|^2 of its branches (round-off of cancelling branches), a NaN
     failing too: the extinction guard of every exact post-selected family."""
-    floor = np.fmax(np.multiply(branches, ORTHOGONALITY_FLOOR ** 2), 1e-300)
-    light = np.greater_equal(prob, floor)
-    if np.count_nonzero(light) != light.size:
+    if not prob >= max(1e-300, ORTHOGONALITY_FLOOR ** 2 * branches):
         raise TotalExtinctionError(
             "post-selected amplitude underflowed or cancelled to round-off")
 
@@ -493,7 +491,8 @@ def _pointer_memo(bits: bytes, coupling: Coupling,
     minus = complex(re_minus, im_minus) * bwd
     vec = plus + minus
     prob = np.vdot(vec, vec).real.item()
-    _check_light(prob, (np.vdot(plus, plus) + np.vdot(minus, minus)).real)
+    _check_light(prob, (np.vdot(plus, plus) + np.vdot(minus, minus)).real
+                 .item())
     return ExactPointer(
         ModeState(pointer.cutoff, frozen(vec / math.sqrt(prob))), prob)
 
@@ -528,18 +527,19 @@ def rotation_family_eigenbasis(indices: Iterable[ModeIndex], alpha: float,
     np.sin(theta, out=parts[1])
     np.multiply(parts[:2], w, out=parts[2:])
     basis = (basis * np.concatenate(u or [np.empty(0)])).reshape(2, 2, total)
-    coef, branches = [], []
+    coef = []
     for plus, minus in selections:  # phi on basis[0], dphi on basis[1]
         s, d = plus + minus, plus - minus
         coef += (s, -1j * d, -1j * d, -s)
-        branches.append([abs(plus) ** 2 + abs(minus) ** 2])
     coef = np.array(coef, dtype=complex).reshape(-1, 2, 2, 1)
     family = coef[:, :, 0] * basis[:, 0] + coef[:, :, 1] * basis[:, 1]
     starts, sizes = np.array([starts, sizes], dtype=np.intp)
     sums = np.add.reduceat(family[:, :1].conj() * family, starts, axis=2)
-    _check_light(sums[:, 0].real, np.array(branches))
-    return (starts, sizes, family[:, 0], family[:, 1], sums[:, 0].real,
-            sums[:, 1])
+    norm2 = sums[:, 0].real
+    for low, (plus, minus) in zip(norm2.min(axis=1, initial=np.inf).tolist(),
+                                  selections):
+        _check_light(low, abs(plus) ** 2 + abs(minus) ** 2)
+    return starts, sizes, family[:, 0], family[:, 1], norm2, sums[:, 1]
 
 
 def require_density(entries: np.ndarray):
