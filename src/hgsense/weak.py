@@ -491,8 +491,7 @@ def _pointer_memo(bits: bytes, coupling: Coupling,
     minus = complex(re_minus, im_minus) * bwd
     vec = plus + minus
     prob = np.vdot(vec, vec).real.item()
-    _check_light(prob, (np.vdot(plus, plus) + np.vdot(minus, minus)).real
-                 .item())
+    _check_light(prob, np.vdot(plus, plus).real + np.vdot(minus, minus).real)
     return ExactPointer(
         ModeState(pointer.cutoff, frozen(vec / math.sqrt(prob))), prob)
 
