@@ -9,8 +9,8 @@ detected photon rate is
 
 with K = 2mn + m + n the angular-momentum variance of the pointer mode.
 The rate is first order in the rotation: against the exact post-selected
-carrier probability P_c (weak.final_pointer_exact's success probability
-times |<c|psi~>|^2 on weak.carrier_state c), the law
+carrier probability P_c (weak.final_pointer_exact's success probability,
+within 5e-15 of a 60-digit oracle, times |<c|psi~>|^2 on carrier c), the law
 
     1 - P_c / (cos(eps)^2 K alpha^2) = alpha^2 <Lz^4> / (3 <Lz^2>),
     <Lz^4> = (3 K^2 - 4 K + 3 (m - n)^2) / 2    (modes.oam_fourth_moment),

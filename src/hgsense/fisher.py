@@ -4,7 +4,7 @@ Routes: a numeric one (finite-difference Fisher information of any state
 family), the exact post-selected rotation QFI from the closed-form
 derivative of its family, a quadratic weak-coupling one, and closed forms
 for special cases. All evolve the pointer on the eigh pairs of weak's block
-memo (Generator.evolve, or weak.rotation_family_eigenbasis for the exact
+memo (weak's block kernel, or weak.rotation_family_eigenbasis for the exact
 family), so they cross-check approximations, not evolution code. Sweeps over
 (pre, post) pairs share invariants: weak_fisher forms a pair's selection
 factor 4 |dM_w/dg|^2 once for all pointer variances, and the exact QFI takes
@@ -12,9 +12,9 @@ every pointer and pair in one pass on the eigenvectors of each Lz shell,
 through a projected form that keeps its digits near extinction. Readouts
 work on the vectors they span: the carrier readout, the paper's final
 projective measurement, is the two-outcome CarrierReadout {|c><c|, 1 -
-|c><c|}, and the dephased-monitor SLD is solved on the branch plane, with
-sld_solve on plain matrices of the full truncated basis
-(weak.qubit_monitor_channel's density matrix) as the reference.
+|c><c|}. The dephased monitor takes unit pointers only; its SLD is solved on
+the branch plane, with sld_solve on weak.qubit_monitor_channel's dense
+matrix as the reference, and its closed form sums squares.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .weak import (
     WeakScenario,
     check_epsilon,
     monitor_branches,
+    monitor_separation,
     pauli_weak_values,
     post_selected_pair,
     require_density,
@@ -249,25 +250,11 @@ def hamiltonian_bound(parameter: Parameter, s: WeakScenario,
     return BoundResult.from_fisher(parameter, fisher, n_samples)
 
 
-def _sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
-    """SLD of raw arrays, solved in the eigenbasis of rho:
-    L_jk = 2 <j|drho|k> / (lambda_j + lambda_k), with pairs below 1e-12 set
-    to zero (kernel convention)."""
-    lam, vec = np.linalg.eigh(rho)
-    d_eig = vec.conj().T @ drho @ vec
-    pair = lam[:, None] + lam[None, :]
-    coeff = np.zeros_like(pair)
-    support = pair >= 1e-12
-    coeff[support] = 2.0 / pair[support]
-    l_mat = vec @ (coeff * d_eig) @ vec.conj().T
-    return 0.5 * (l_mat + l_mat.conj().T)  # scrub round-off asymmetry
-
-
 def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative L with rho L + L rho = 2 drho, read-
-    only: the dense reference on the full truncated basis, which
-    qfi_mixed_monitor solves on the branch plane. rho must pass
-    require_density."""
+    only, for rho that passes require_density: L_jk = 2 <j|drho|k> /
+    (lambda_j + lambda_k) on rho's eigenpairs, 0 where the sum is below
+    1e-12. The dense reference for qfi_mixed_monitor's branch plane."""
     rho = np.asarray(rho, dtype=complex)
     require_density(rho)
     d = np.asarray(drho, dtype=complex)
@@ -275,42 +262,65 @@ def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
         raise InvalidStateError("derivative shape differs from the state")
     if np.max(np.abs(d - d.conj().T)) > 1e-10:
         raise InvalidStateError("derivative matrix not Hermitian")
-    return frozen(_sld(rho, d))
+    lam, vec = np.linalg.eigh(rho)
+    pair = lam[:, None] + lam[None, :]
+    coeff = np.divide(2.0, pair, out=np.zeros_like(pair), where=pair >= 1e-12)
+    l_mat = vec @ (coeff * (vec.conj().T @ d @ vec)) @ vec.conj().T
+    return frozen(0.5 * (l_mat + l_mat.conj().T))  # scrub round-off asymmetry
+
+
+def _unit_pointer(pointer: ModeState):
+    """InvalidStateError unless the trace |pointer|^2 is within 1e-10 of 1."""
+    x = pointer.amplitudes
+    finite_in("trace", np.vdot(x, x).real.item(), 1.0 - 1e-10, 1.0 + 1e-10,
+              InvalidStateError)
 
 
 def qfi_mixed_monitor(qubit: QubitState, alpha: float, pointer: ModeState) -> float:
     """Exact Fisher information about the qubit polar angle after dephasing.
 
     rho = cos^2(theta/2) P+ + sin^2(theta/2) P- and d rho/d theta =
-    |c0||c1| (P- - P+) vanish off the plane of the two branches, so the SLD
-    does too. Both are written 2 x 2 in an orthonormal basis Q of the plane
-    (the branch coordinates are R = Q^dagger [fwd, bwd] from a QR
-    decomposition, well defined also for parallel branches, as at alpha =
-    0), where the SLD is solved; returns Tr(rho L^2). The dense reference is
-    sld_solve on qubit_monitor_channel.
+    |c0||c1| (P- - P+) vanish off the branch plane, as the SLD does. Both are
+    written 2 x 2 in Python arithmetic from R = Q^dagger [fwd, bwd] of a QR
+    decomposition (defined for parallel branches too, and free of the Gram
+    cancellation); the plane state gets require_density's trace and
+    eigenvalue checks. F = sum 2 |<j|drho|k>|^2 / (lambda_j + lambda_k) on
+    its eigenpairs, over sums >= 1e-12: Tr(rho L^2) without forming L. The
+    dense reference is sld_solve on qubit_monitor_channel.
     """
+    _unit_pointer(pointer)
     fwd, bwd = monitor_branches(alpha, pointer)
-    f, b = np.linalg.qr(np.column_stack((fwd, bwd)), mode="r").T
-    p_plus, p_minus = np.outer(f, f.conj()), np.outer(b, b.conj())
-    rho = abs(qubit.c0) ** 2 * p_plus + abs(qubit.c1) ** 2 * p_minus
-    require_density(rho)
-    half_sin = abs(qubit.c0) * abs(qubit.c1)  # sin(theta)/2
-    sld = _sld(rho, half_sin * (p_minus - p_plus))
-    return float(np.real(np.trace(rho @ sld @ sld)))
+    r = np.linalg.qr(np.column_stack((fwd, bwd)), mode="r")
+    (f0, b0), (_, b1) = r.tolist()  # P+ = f f^dagger, f = (f0, 0); b too
+    w0, w1 = abs(qubit.c0) ** 2, abs(qubit.c1) ** 2
+    top, low = w0 * abs(f0) ** 2 + w1 * abs(b0) ** 2, w1 * abs(b1) ** 2
+    finite_in("trace", top + low, 1.0 - 1e-10, 1.0 + 1e-10, InvalidStateError)
+    cross = w1 * b0 * b1.conjugate()
+    lam, vec = np.linalg.eigh(np.array([[top, cross],
+                                        [cross.conjugate(), low]]))
+    if not lam[0] >= -1e-10:
+        raise InvalidStateError("density matrix not positive semidefinite")
+    scale = 2.0 * (abs(qubit.c0) * abs(qubit.c1)) ** 2  # 2 (sin(theta)/2)^2
+    eig = list(zip(lam.tolist(), (vec.conj().T @ r).tolist()))  # <j|f>, <j|b>
+    return sum((scale * abs(jb * kb.conjugate() - jf * kf.conjugate()) ** 2
+                / (lj + lk) for lj, (jf, jb) in eig for lk, (kf, kb) in eig
+                if lj + lk >= 1e-12), 0.0)
 
 
 def qfi_mixed_closed_form(qubit: QubitState, alpha: float,
                           pointer: ModeState) -> float:
-    """Closed form 1 - delta^2 with delta = Re <psi_+|psi_->, independent of
-    the SLD pipeline: it shares only the branch propagation."""
-    fwd, bwd = monitor_branches(alpha, pointer)
-    delta = np.vdot(fwd, bwd).real.item()
-    return 1.0 - delta ** 2
+    """Closed form (1 - delta)(1 + delta), delta = Re <psi_+|psi_->, apart
+    from the SLD pipeline: 1 - delta is weak.monitor_separation's sum of
+    squares, so no digits cancel at small alpha."""
+    _unit_pointer(pointer)
+    gap = monitor_separation(alpha, pointer)
+    return gap * (2.0 - gap)
 
 
 def qfi_mixed_quadratic(alpha: float, pointer: ModeState) -> float:
     """Small-alpha approximation 4 alpha^2 <Lz^2> of the monitor QFI."""
     alpha = float(finite("alpha", alpha))
+    _unit_pointer(pointer)
     op = Generator(Coupling.OAM, pointer.cutoff)
     return finite("4 alpha^2 <Lz^2>",
                   4.0 * alpha * alpha * second_moment(op, pointer))

@@ -4,24 +4,25 @@ The chain: prepare qubit |i> and pointer |psi_i>, couple them impulsively
 with strength alpha through a qubit observable (a Pauli axis) and a pointer
 generator (orbital angular momentum for beam rotation, transverse momentum
 for displacement), post-select the qubit on |f>, and read the pointer out.
+A selection pair has one reader, _brackets (<f|i> and <f|M|i>, in Python
+arithmetic: no BLAS kernel sets their bits): the weak value A_w = <f|A|i> /
+<f|i>, the Pauli weak values of fisher.weak_fisher and the branch
+amplitudes a+- = <f|P+-|i> are built on it.
 
-The pointer is evolved exactly: the coupling splits along the +-1
-eigenspaces of the Pauli axis, which only needs exp(-+ i alpha Omega) acting
-on the pointer. A selection pair has one reader, _brackets (<f|i> and
-<f|M|i>, in Python arithmetic: no BLAS kernel sets their bits): the weak
-value A_w = <f|A|i> / <f|i>, the Pauli weak values of fisher.weak_fisher and
-the branch amplitudes <f|P+-|i> are built on it. The exact rotation family
-of basis pointers and its derivative are rotation_family_eigenbasis's.
-
-Omega is applied to a ModeState and exponentiated by one block kernel,
-Generator: one tridiagonal Lz block per shell m + n, or one px block on m.
+Generator applies Omega to a ModeState block by block: one tridiagonal Lz
+block per shell m + n, or one px block on m. Every function of Omega runs
+through one block kernel, Generator._spectral, v (c(w) * v^dagger psi) on
+each block's eigh pair: c = exp(-i alpha w) in evolve, sin(alpha w) in
+monitor_separation, and s cos(alpha w) - i d sin(alpha w) in
+final_pointer_exact, with s = a+ + a- and d = a+ - a-, which never sums the
+branches a+- exp(-+ i alpha Omega)|psi_i> that cancel near extinction.
 Three bounded memos, least recently used out, hold what a call would
 otherwise rebuild, read-only:
 - _coupling_eig, up to _EIG_CACHE_SIZE = 128 keys of the coupling, the
   cutoff and the shell (Lz) or sigma0 (px), holds one _Block: the block,
   its eigh pair, v.conj().T, the extreme |w| for the overflow guard and the
   flat basis indices of its rows, with the basic slice of an Lz shell's
-  rows. apply reads the block, evolve the rest through _evolve_block, and
+  rows. apply reads the block, the kernel the rest, and
   rotation_family_eigenbasis w and v^dagger, both behind _check_phase. A
   k-row key holds 48 k^2 + 16 k bytes, k <= cutoff + 1: at most 6.0 MB up
   to cutoff 30, 103 MB at cutoff 128 (HG(64, 64) in its own shell).
@@ -32,9 +33,9 @@ otherwise rebuild, read-only:
 - _pointer_memo, up to _POINTER_CACHE_SIZE = 16 keys of the bits of alpha,
   a+- and sigma0, the coupling and the pointer itself (by identity, so the
   key keeps it alive; it fixes the cutoff), holds final_pointer_exact's
-  ExactPointer, so a Fisher stencil's seven points evolve once for the QFI
-  and the CFI of one family. An entry holds 16 (cutoff + 1)^2 bytes of
-  amplitudes: 15.4 KB at cutoff 30 and 266 KB at cutoff 128, so at most
+  ExactPointer, so a Fisher stencil's seven points run the kernel once for
+  the QFI and the CFI of one family. An entry holds 16 (cutoff + 1)^2 bytes
+  of amplitudes: 15.4 KB at cutoff 30 and 266 KB at cutoff 128, so at most
   246 KB and 4.3 MB when full, besides the pointers its keys keep alive.
 What a frozen input fixes is built once and kept, read-only: a QubitState's
 vector (32 bytes), a PauliAxis's matrix (64 bytes), a ModeState's occupied
@@ -316,14 +317,23 @@ class Generator:
     def evolve(self, alphas, state: ModeState) -> np.ndarray:
         """exp(-i alpha Omega) |state> for each alpha (a scalar or 1-D), one
         flat row per alpha; ConfigError where a phase alpha w overflows."""
-        x = self._flat(state)
         alphas = np.array(alphas, dtype=float, ndmin=1)
         if alphas.ndim != 1:
             raise ConfigError(f"alphas shape {alphas.shape} is not 0-D or 1-D")
         peak = abs(alphas).max(initial=0.0).item()  # NaN propagates
-        out = np.zeros((len(alphas), x.size), dtype=complex)
-        for entry, index, rows in self._blocks(state):
-            out[rows] = _evolve_block(entry, x[index], alphas, peak)
+        return self._spectral(state, peak, len(alphas), lambda w: np.exp(
+            -1j * np.multiply.outer(alphas, w))[:, :, None])
+
+    def _spectral(self, state: ModeState, peak: float, rows: int,
+                  coef) -> np.ndarray:
+        """The block kernel: v (coef(w) * v^dagger x) per block x the state
+        has support on, from the memo's eigh pair, one flat row per row of
+        coef(w) (shape (rows, k, 1)), behind _check_phase of peak |alpha|."""
+        x = self._flat(state)
+        out = np.zeros((rows, x.size), dtype=complex)
+        for entry, index, key in self._blocks(state):
+            _check_phase(entry, peak)
+            out[key] = entry.v @ (coef(entry.w) * (entry.vh @ x[index]))
         return out
 
 
@@ -333,15 +343,6 @@ def _check_phase(entry: _Block, peak: float):
     if not math.isfinite(peak * entry.w_peak):
         raise ConfigError(f"alpha {peak} times a generator eigenvalue "
                           f"in [{entry.w[0]}, {entry.w[-1]}] is not finite")
-
-
-def _evolve_block(entry: _Block, column, alphas, peak: float) -> np.ndarray:
-    """exp(-i alpha B) column per alpha, shape (alphas, k, 1), from the eigh
-    pair of the block B of a memo entry; ConfigError where peak |alpha| w
-    overflows."""
-    _check_phase(entry, peak)
-    phases = np.exp(-1j * np.multiply.outer(alphas, entry.w))[:, :, None]
-    return entry.v @ (phases * (entry.vh @ column))
 
 
 @dataclass(frozen=True)
@@ -464,13 +465,12 @@ class _Same:
 
 
 def final_pointer_exact(s: WeakScenario) -> ExactPointer:
-    """Exact post-selected pointer at any coupling strength,
-    |psi~> = <f|P+|i> exp(-i alpha Omega)|psi_i>
-           + <f|P-|i> exp(+i alpha Omega)|psi_i>: the normalized pointer and
-    the post-selection probability |psi~|^2 (exact within the truncation).
-    Read from a memo keyed on the bits of alpha, a+- and sigma0 (a -0.0 is
-    its own key), the coupling and the pointer object; what raises is not
-    kept."""
+    """Exact post-selected pointer at any coupling strength, |psi~> =
+    (a+ exp(-i alpha Omega) + a- exp(+i alpha Omega))|psi_i>: the normalized
+    pointer and the post-selection probability |psi~|^2 (exact within the
+    truncation). Read from a memo keyed on the bits of alpha, a+- and sigma0
+    (a -0.0 is its own key), the coupling and the pointer object; what
+    raises is not kept."""
     plus, minus = s.selection
     return _pointer_memo(
         struct.pack("<6d", s.alpha, plus.real, plus.imag, minus.real,
@@ -480,35 +480,34 @@ def final_pointer_exact(s: WeakScenario) -> ExactPointer:
 @functools.lru_cache(maxsize=_POINTER_CACHE_SIZE)
 def _pointer_memo(bits: bytes, coupling: Coupling,
                   pointer: _Same) -> ExactPointer:
-    """final_pointer_exact from the branches a+ fwd and a- bwd (fwd, bwd:
-    the pointer after exp(-+ i alpha Omega)), refused by _check_light."""
-    alpha, re_plus, im_plus, re_minus, im_minus, sigma0 = struct.unpack(
-        "<6d", bits)
-    pointer = pointer.obj
-    fwd, bwd = Generator(coupling, pointer.cutoff, sigma0).evolve(
-        (alpha, -alpha), pointer)
-    plus = complex(re_plus, im_plus) * fwd
-    minus = complex(re_minus, im_minus) * bwd
-    vec = plus + minus
+    """final_pointer_exact in one pass of the block kernel, refused by
+    _check_light against the branches' (|a+|^2 + |a-|^2) |psi_i|^2."""
+    alpha, *parts, sigma0 = struct.unpack("<6d", bits)
+    pointer, x = pointer.obj, pointer.obj.amplitudes
+    plus, minus = complex(*parts[:2]), complex(*parts[2:])
+    s, d = plus + minus, -1j * (plus - minus)
+    (vec,) = Generator(coupling, pointer.cutoff, sigma0)._spectral(
+        pointer, abs(alpha), 1, lambda w: (
+            s * np.cos(alpha * w) + d * np.sin(alpha * w))[None, :, None])
     prob = np.vdot(vec, vec).real.item()
-    _check_light(prob, np.vdot(plus, plus).real + np.vdot(minus, minus).real)
+    _check_light(prob, (abs(plus) ** 2 + abs(minus) ** 2)
+                 * np.vdot(x, x).real.item())
     return ExactPointer(
         ModeState(pointer.cutoff, frozen(vec / math.sqrt(prob))), prob)
 
 
 def rotation_family_eigenbasis(indices: Iterable[ModeIndex], alpha: float,
                                selections: Sequence[tuple]) -> tuple:
-    """final_pointer_exact's family phi = (a+ exp(-i alpha Lz) + a-
-    exp(i alpha Lz))|m, n> before it normalizes, and dphi = d phi/d alpha, of
-    each basis pointer (at cutoff m + n) and selection a+-, on the memo's
-    eigenvectors v_j of the pointer's shell (eigenvalues w_j): with
-    u_j = <v_j|m, n>, s = a+ + a- (exact where a- ~ -a+, by Sterbenz's
-    lemma) and d = a+ - a-, phi_j = u_j (s cos alpha w_j - i d sin alpha w_j)
-    and dphi_j = -u_j w_j (s sin alpha w_j + i d cos alpha w_j), so no
-    branches cancel. Returns (starts, sizes, phi, dphi, norm2, overlap): the
-    pointers' components back to back, phi and dphi one row per selection,
-    and <phi|phi> and <phi|dphi> as segment sums per selection (rows) and
-    pointer. Refused where evolve and final_pointer_exact refuse."""
+    """final_pointer_exact's family phi before it normalizes, and dphi = d
+    phi/d alpha, of each basis pointer |m, n> (at cutoff m + n) and
+    selection a+-, on the memo's eigenpairs (w_j, v_j) of the pointer's
+    shell: with u_j = <v_j|m, n>, phi_j = u_j (s cos alpha w_j - i d sin
+    alpha w_j) (s = a+ + a-, exact where a- ~ -a+ by Sterbenz's lemma) and
+    dphi_j = -u_j w_j (s sin alpha w_j + i d cos alpha w_j). Returns
+    (starts, sizes, phi, dphi, norm2, overlap): the pointers' components
+    back to back, phi and dphi one row per selection, and <phi|phi> and
+    <phi|dphi> as segment sums per selection (rows) and pointer. Refused
+    where evolve and final_pointer_exact refuse."""
     peak, w, u, starts, sizes, total = abs(float(alpha)), [], [], [], [], 0
     for idx in indices:
         entry = _coupling_eig(Coupling.OAM, idx.total, idx.total, None)
@@ -564,14 +563,20 @@ def monitor_branches(alpha: float,
         (alpha, -alpha), pointer))
 
 
+def monitor_separation(alpha: float, pointer: ModeState) -> float:
+    """|psi+ - psi-|^2 / 2 = 2 |sin(alpha Lz) psi_i|^2 of the branches psi+-
+    = exp(-+ i alpha Lz)|psi_i>: 1 - Re <psi+|psi-> of a unit pointer."""
+    (half,) = Generator(Coupling.OAM, pointer.cutoff)._spectral(
+        pointer, abs(alpha), 1, lambda w: np.sin(alpha * w)[None, :, None])
+    return 2.0 * np.vdot(half, half).real.item()
+
+
 def qubit_monitor_channel(qubit: QubitState, alpha: float,
                           pointer: ModeState) -> np.ndarray:
-    """Read-only pointer density matrix once the qubit record is traced out.
-
-    The monitor couples through rotation (Lz). With qubit weights
+    """Read-only pointer density matrix once the qubit record is traced out:
+    the monitor couples through rotation (Lz), and with qubit weights
     cos^2(theta/2), sin^2(theta/2) the pointer dephases into a rank-<=2
-    mixture of the two rotated branches.
-    """
+    mixture of the two rotated branches."""
     fwd, bwd = monitor_branches(alpha, pointer)
     w0, w1 = abs(qubit.c0) ** 2, abs(qubit.c1) ** 2
     rho = w0 * np.outer(fwd, fwd.conj()) + w1 * np.outer(bwd, bwd.conj())

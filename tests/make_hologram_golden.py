@@ -16,7 +16,11 @@ that platform; the test does not read it.
 
 The text outputs of bounds, table2 and montecarlo do not depend on the CPU,
 so for each TEXT_CASES run the SHA-256 of every output is pinned: stdout,
-the --config-out file and, for bounds, the --out CSV.
+the --config-out file and, for bounds, the --out CSV. The numpy version they
+were made on is recorded beside them, and a failing text digest names it
+and the running one: the montecarlo samples follow numpy's Generator
+stream, and a numpy that cannot run on the oldest supported Python may
+change it.
 """
 
 import hashlib
@@ -143,6 +147,7 @@ def main() -> int:
                                 "cpu_features": _cpu_features()},
         "cases": {name: {"argv": argv, **run_case(argv)}
                   for name, argv in CASES.items()},
+        "text_sha256_made_on": {"numpy": np.__version__},
         "text_cases": {name: {"argv": argv, "sha256": run_text_case(argv)}
                        for name, argv in TEXT_CASES.items()},
     }

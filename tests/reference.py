@@ -23,9 +23,10 @@ the call; the package forms each pair's amplitudes once per sweep and runs
 all pointers and pairs in one pass over the memo's shells, and a test
 requires the same floats bit for bit.
 final_pointer_exact_uncached forms a scenario's selection amplitudes on each
-call and evolves through evolve_uncached; the package reads the amplitudes
-its WeakScenario formed and the shells its ModeState found once, and keeps
-its last exact pointers in a memo.
+call and runs eigh on each block it builds on the call, as evolve_uncached
+does; the package reads the amplitudes its WeakScenario formed and the
+shells its ModeState found once, and keeps its last exact pointers in a
+memo.
 synthesize_hg_field_complex and gaussian_illumination_complex divide a whole
 complex outer product by its root power, where the package builds the grid
 from its 1-D factors in row blocks. j1_inverse_fit is the Newton and
@@ -104,11 +105,28 @@ def first_order_pointer(s: WeakScenario) -> ModeState:
 def final_pointer_exact_uncached(s: WeakScenario) -> ExactPointer:
     """weak.final_pointer_exact with a+- formed from the scenario's
     selections on the call, a second bracket besides the constructor's, and
-    the pointer evolved by evolve_uncached."""
-    fwd, bwd = evolve_uncached(s.operator(), (s.alpha, -s.alpha), s.pointer)
-    plus, minus, prob = _post_selected_branches_of(s, fwd, bwd)
-    return ExactPointer(ModeState(s.pointer.cutoff,
-                                  (plus + minus) / math.sqrt(prob)), prob)
+    each block built, its eigh run and its shell found on the call: per
+    block sum_j c_j v_j <v_j|psi_i>, c_j = s cos(alpha w_j)
+    - i d sin(alpha w_j) with s = a+ + a- and d = a+ - a-."""
+    gen, alpha = s.operator(), s.alpha
+    x = _grid_of(gen, s.pointer)
+    plus, minus = _selection_amplitudes_of(s)
+    total, diff = plus + minus, -1j * (plus - minus)
+    vec = np.zeros_like(x)
+    for block, (rows, cols) in _blocks_uncached(gen, x):
+        w, v = np.linalg.eigh(block)
+        coef = total * np.cos(alpha * w) + diff * np.sin(alpha * w)
+        vec[rows, cols] = (v @ (coef[None, :, None]
+                                * (v.conj().T @ x[rows, cols])))[0]
+    vec = vec.reshape(-1)
+    prob = float(np.real(np.vdot(vec, vec)))
+    branches = (abs(plus) ** 2 + abs(minus) ** 2) * float(
+        np.real(np.vdot(x, x)))
+    if not prob >= max(1e-300, ORTHOGONALITY_FLOOR ** 2 * branches):  # NaN too
+        raise TotalExtinctionError(
+            "post-selected amplitude underflowed or cancelled to round-off")
+    return ExactPointer(ModeState(s.pointer.cutoff, vec / math.sqrt(prob)),
+                        prob)
 
 
 def _selection_amplitudes_of(s: WeakScenario) -> tuple[complex, complex]:
@@ -122,22 +140,6 @@ def _selection_amplitudes_of(s: WeakScenario) -> tuple[complex, complex]:
     bra_a_ket = (f0.conjugate() * (m00 * i0 + m01 * i1)
                  + f1.conjugate() * (m10 * i0 + m11 * i1))
     return 0.5 * (braket + bra_a_ket), 0.5 * (braket - bra_a_ket)
-
-
-def _post_selected_branches_of(s: WeakScenario, fwd: np.ndarray,
-                               bwd: np.ndarray):
-    """(a+ fwd, a- bwd, |a+ fwd + a- bwd|^2) with a+- formed from the
-    scenario's selections on each call; TotalExtinctionError where the sum
-    underflows or cancels to round-off."""
-    amp_plus, amp_minus = _selection_amplitudes_of(s)
-    plus, minus = amp_plus * fwd, amp_minus * bwd
-    vec = plus + minus
-    prob = float(np.real(np.vdot(vec, vec)))
-    branches = float(np.real(np.vdot(plus, plus) + np.vdot(minus, minus)))
-    if not prob >= max(1e-300, ORTHOGONALITY_FLOOR ** 2 * branches):  # NaN too
-        raise TotalExtinctionError(
-            "post-selected amplitude underflowed or cancelled to round-off")
-    return plus, minus, prob
 
 
 def qfi_rotation_exact_selections_per_order(pairs, axis: PauliAxis,

@@ -17,6 +17,8 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 import warnings
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from hgsense import cli, errors, experiment, fields, fisher, weak
 from hgsense.cli import main
 from hgsense.errors import ConfigError, HgSenseError, SaturationWarning
 from hgsense.modes import MAX_HERMITE_ORDER
-from make_hologram_golden import BOUNDS_GOLDEN_ARGV
+from make_hologram_golden import BOUNDS_GOLDEN_ARGV, TEXT_CASES
 
 GOLDEN_TABLE = Path(__file__).parent / "data" / "table2_golden.csv"
 GOLDEN_BOUNDS = Path(__file__).parent / "data" / "bounds_golden.csv"
@@ -89,6 +91,40 @@ def test_bounds_prints_the_exact_row_near_extinction_to_its_last_digit(
     (row,) = [line for line in target.read_text().splitlines()
               if line.startswith("postselection,exact,oam,1e-06,3,3,")]
     assert row.split(",")[7] == "0.166695430985"
+
+
+def _tie_margin(value: float) -> float:
+    """Relative distance of a positive float from the nearest tie of its
+    rounding to 12 significant digits, in exact rational arithmetic."""
+    exact = Fraction(value)
+    unit = Fraction(10) ** (Decimal(value).adjusted() - 11)
+    steps = exact / unit
+    return float(abs(steps - math.floor(steps) - Fraction(1, 2)) * unit
+                 / exact)
+
+
+def test_bounds_golden_exact_cells_keep_a_margin_to_rounding_ties(
+        tmp_path, monkeypatch):
+    # the exact cells follow LAPACK's eigh, whose last bits move by up to
+    # 8.9e-16 relative between OpenBLAS core types: each golden run's cell
+    # must lie 2e-15 relative or more from a 12-digit rounding tie, so every
+    # runner prints it alike. Nearest: the default run's HG(13, 13) at
+    # eps 0.05, 2.75e-15; the golden-argument run's, 1.04e-14
+    runs, sweep = [], cli.bound_rows
+    monkeypatch.setattr(cli, "bound_rows",
+                        lambda *args: runs.append(sweep(*args)) or runs[-1])
+    margins = {}
+    for argv in (TEXT_CASES["bounds, defaults"],
+                 TEXT_CASES["bounds at one photon a window"],
+                 BOUNDS_GOLDEN_ARGV):
+        assert main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+        cells = [(row[3], row[4], _tie_margin(row[-1])) for row in runs[-1]
+                 if row[:2] == ("postselection", "exact")]
+        assert cells
+        margins[tuple(argv)] = min(cells, key=lambda cell: cell[2])
+    assert len(runs) == 3
+    for argv, (eps, order, margin) in margins.items():
+        assert margin >= 2e-15, (argv, eps, order, margin)
 
 
 def test_bounds_empty_sweep_fails(tmp_path, capsys):

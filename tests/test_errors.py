@@ -36,7 +36,12 @@ from hgsense.fields import (
     read_field_binary,
     synthesize_superposition,
 )
-from hgsense.fisher import carrier_projection_povm
+from hgsense.fisher import (
+    carrier_projection_povm,
+    qfi_mixed_closed_form,
+    qfi_mixed_monitor,
+    qfi_mixed_quadratic,
+)
 from hgsense.modes import (
     ModeIndex,
     ModeState,
@@ -132,6 +137,11 @@ def _read_fgrd(tmp_path, raw: bytes):
     return read_field_binary(path)
 
 
+# 2|2, 2>: a pointer of norm 2, which each dephased-monitor route refuses
+_MONITOR_ARGS = (QubitState.from_angles(1.1, 0.0), 1e-3,
+                 ModeState(4, 2.0 * ModeState.basis(4, 2, 2).amplitudes))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda _: ModeState(1, np.zeros(3)), "expected 4 amplitudes, got (3,)"),
     (lambda _: ModeState.basis(2, 3, 0),
@@ -178,6 +188,11 @@ def _read_fgrd(tmp_path, raw: bytes):
      "phase values must form a regular float array"),
     (lambda _: PhaseMap([[np.complex128(1j), 0.5]] * 2),
      "phase values must form a regular float array"),
+    *[(call, "trace 4.0 must be finite and lie in [0.9999999999, "
+             "1.0000000001]") for call in (
+        lambda _: qfi_mixed_monitor(*_MONITOR_ARGS),
+        lambda _: qfi_mixed_closed_form(*_MONITOR_ARGS),
+        lambda _: qfi_mixed_quadratic(*_MONITOR_ARGS[1:]))],
 ], ids=["amplitude-count", "flat-index", "carrier-cutoff", "field-grid-shape",
         "phase-map-shape", "zero-superposition", "fgrd-short", "fgrd-version",
         "fgrd-off-waist", "fgrd-payload", "fgrd-not-finite",
@@ -186,7 +201,8 @@ def _read_fgrd(tmp_path, raw: bytes):
         "lz-bool-cutoff", "field-grid-ragged", "amplitude-ragged",
         "amplitude-ragged-scalar", "phase-map-ragged", "phase-map-complex",
         "phase-map-complex-array", "phase-map-complex-array-rows",
-        "phase-map-complex-scalars"])
+        "phase-map-complex-scalars", "monitor-sld-trace",
+        "monitor-closed-form-trace", "monitor-quadratic-trace"])
 def test_shape_and_basis_refusals_are_package_errors(call, message, tmp_path):
     with pytest.raises(HgSenseError) as refused:
         call(tmp_path)

@@ -577,6 +577,82 @@ def test_rotation_qfi_holds_a_60_digit_oracle_across_the_angle_domain():
                 assert err <= bound, (epsilon, alpha, m, n, err)
 
 
+def _rotation_element_mp(mp, m: int, n: int, theta):
+    """C(theta) = <m,n|exp(-i theta Lz)|m,n> at mp's precision, the Wigner-d
+    form of _diagonal_rotation_element by mpmath.jacobi."""
+    low, b = min(m, n), abs(m - n)
+    return mp.jacobi(low, 0, b, mp.cos(2 * theta)) * mp.cos(theta) ** b
+
+
+def test_exact_pointer_success_probability_holds_a_60_digit_oracle():
+    # P_c = |a+|^2 + |a-|^2 + 2 Re(a+* a-) C(2 alpha), from the library's
+    # float a+- taken as exact. Measured worst 2.1e-15; summing the
+    # cancelling branches a+- exp(-+ i alpha Lz)|m, n> read 1.3e-12
+    mp = pytest.importorskip("mpmath").mp
+    for epsilon in (math.radians(5.0), 1e-3, 1e-5, 1e-6):
+        pre, post = post_selected_pair(epsilon)
+        for alpha in (1e-3, 1e-5):
+            for m, n in ((1, 2), (3, 3), (6, 5)):
+                s = WeakScenario(alpha, pre, post, PauliAxis.z(),
+                                 Coupling.OAM, ModeState.basis(m + n, m, n))
+                with mp.workdps(60):
+                    plus, minus = map(mp.mpc, s.selection)
+                    want = (abs(plus) ** 2 + abs(minus) ** 2
+                            + 2 * mp.re(mp.conj(plus) * minus)
+                            * _rotation_element_mp(mp, m, n, 2 * mp.mpf(alpha)))
+                got = final_pointer_exact(s).success_prob
+                err = float(abs(got - want) / want)
+                assert err <= 5e-15, (epsilon, alpha, m, n, err)
+
+
+def test_monitor_routes_hold_a_60_digit_oracle():
+    # 1 - delta^2 with delta = C(2 alpha) on a basis pointer. Measured worst:
+    # 3.1e-15 for the closed form (1 - delta^2 formed from delta read up to
+    # 6.9e-7 at alpha 1e-5) and 3.6e-15 for the SLD on the branch plane
+    mp = pytest.importorskip("mpmath").mp
+    qubit = QubitState.from_angles(1.1, 0.0)
+    for order in range(1, 11):
+        pointer = ModeState.basis(2 * order, order, order)
+        for alpha in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.3):
+            with mp.workdps(60):
+                delta = _rotation_element_mp(mp, order, order,
+                                             2 * mp.mpf(alpha))
+                want = 1 - delta ** 2
+            for route in (qfi_mixed_closed_form, qfi_mixed_monitor):
+                err = float(abs(route(qubit, alpha, pointer) - want) / want)
+                assert err <= 5e-15, (route.__name__, order, alpha, err)
+
+
+def test_monitor_routes_refuse_a_pointer_that_is_not_unit_before_evolving(
+        monkeypatch):
+    # 2|2, 2> gave a closed form of -15.0 and a quadratic value four times
+    # the unit pointer's, and the zero pointer a closed form of 1.0, while
+    # the SLD route refused both: one rule now, before anything evolves
+    def no_evolution(*args):
+        pytest.fail("a monitor route evolved before it checked the pointer")
+
+    qubit = QubitState.from_angles(1.1, 0.0)
+    routes = (lambda p: qfi_mixed_monitor(qubit, 1e-3, p),
+              lambda p: qfi_mixed_closed_form(qubit, 1e-3, p),
+              lambda p: qfi_mixed_quadratic(1e-3, p))
+    unit = ModeState.basis(4, 2, 2).amplitudes
+    with monkeypatch.context() as patch:
+        patch.setattr(weak, "_coupling_eig", no_evolution)
+        for scale, shown in ((2.0, "4.0"), (0.0, "0.0"),
+                             (math.sqrt(1.0 + 2e-10), r"1.0000000002\d*")):
+            for route in routes:
+                with pytest.raises(InvalidStateError,
+                                   match=rf"^trace {shown} must be finite and "
+                                         r"lie in \[0.9999999999, "
+                                         r"1.0000000001\]$"):
+                    route(ModeState(4, scale * unit))
+    # within the tolerance, each route takes the pointer
+    nearly = ModeState(4, math.sqrt(1.0 + 5e-11) * unit)
+    for route in routes:
+        assert route(nearly) == pytest.approx(route(ModeState.basis(4, 2, 2)),
+                                              rel=1e-9)
+
+
 def test_rotation_qfi_sweep_is_bitwise_the_per_order_route():
     # one call over orders 0-30 and off-diagonal pointers against one
     # reference call per pointer, which checks each pair in a WeakScenario,

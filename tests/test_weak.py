@@ -17,6 +17,7 @@ from hgsense.errors import (
 from hgsense.fisher import (
     carrier_projection_povm,
     cfi_povm,
+    qfi_mixed_closed_form,
     qfi_mixed_monitor,
     qfi_pure_numeric,
     qfi_rotation_exact,
@@ -570,12 +571,51 @@ def test_cached_selections_and_shells_are_bitwise_the_uncached_route(
     assert pre.vector is pre.vector and axis.matrix is axis.matrix
 
 
+@pytest.mark.parametrize("coupling", list(Coupling))
+def test_exact_pointer_over_several_blocks_is_bitwise_the_uncached_route(
+        coupling):
+    # a pointer on Lz shells 1, 3 and 4 and, under px, on columns n = 0, 1
+    # and 2: the kernel must read every shell and every column of the p
+    # block, not the first. Bitwise against blocks built and diagonalized
+    # on the call, and to 1e-13 against the two evolved branches (no
+    # extinction here, so they do not cancel)
+    cutoff, axis = 5, PauliAxis(0.4, 5.9)
+    amp = np.zeros(basis_dim(cutoff), dtype=complex)
+    for (m, n), c in {(1, 2): 0.6, (2, 2): -0.2 + 0.3j, (0, 1): -0.5,
+                      (4, 0): 0.1 + 0.4j}.items():
+        amp[flat_index(m, n, cutoff)] = c
+    pointer = ModeState(cutoff, amp).normalize()
+    assert pointer.shells.tolist() == [1, 3, 4]
+    gen = Generator(coupling, cutoff)
+    for epsilon in (0.08, 0.3):
+        pre, post = post_selected_pair(epsilon)
+        for alpha in (1e-3, -0.02, 0.7):
+            s = WeakScenario(alpha, pre, post, axis, coupling, pointer)
+            got, want = final_pointer_exact(s), final_pointer_exact_uncached(s)
+            assert (got.pointer.amplitudes.tobytes()
+                    == want.pointer.amplitudes.tobytes())
+            assert got.success_prob.hex() == want.success_prob.hex()
+            plus, minus = s.selection
+            fwd, bwd = gen.evolve((alpha, -alpha), pointer)
+            np.testing.assert_allclose(
+                got.pointer.amplitudes * math.sqrt(got.success_prob),
+                plus * fwd + minus * bwd, rtol=0, atol=1e-13)
+    # the closed-form monitor information sums every shell too
+    qubit = QubitState.from_angles(1.1, 0.0)
+    for alpha in (1e-3, 0.3):
+        fwd, bwd = monitor_branches(alpha, pointer)
+        assert qfi_mixed_closed_form(qubit, alpha, pointer) == pytest.approx(
+            1.0 - np.vdot(fwd, bwd).real ** 2, rel=1e-9)
+        assert qfi_mixed_monitor(qubit, alpha, pointer) == pytest.approx(
+            qfi_mixed_closed_form(qubit, alpha, pointer), rel=1e-11)
+
+
 def test_qfi_and_cfi_of_one_family_evolve_its_seven_points_once(
         monkeypatch):
     # a rotation-exact op: the numeric QFI, then the carrier CFI, of one
     # basis-pointer family read the same seven stencil points, so the
-    # pointer memo evolves each once, and both values are bitwise those of
-    # the uncached route
+    # pointer memo runs the block kernel once for each, and both values are
+    # bitwise those of the uncached route
     idx, alpha = ModeIndex(3, 4), 1e-3
     pre, post = post_selected_pair(0.05)
     pointer = ModeState.basis(idx.total, idx.m, idx.n)
@@ -589,13 +629,13 @@ def test_qfi_and_cfi_of_one_family_evolve_its_seven_points_once(
         return qfi_pure_numeric(fam, alpha), cfi_povm(fam, alpha, readout)
 
     calls = []
-    evolve = Generator.evolve
+    kernel = Generator._spectral
 
-    def counted(self, alphas, state):
-        calls.append(alphas)
-        return evolve(self, alphas, state)
+    def counted(self, state, peak, rows, coef):
+        calls.append(peak)
+        return kernel(self, state, peak, rows, coef)
 
-    monkeypatch.setattr(Generator, "evolve", counted)
+    monkeypatch.setattr(Generator, "_spectral", counted)
     got = both(family)
     assert len(calls) == 7
     want = both(lambda a: family(a, final_pointer_exact_uncached))
