@@ -290,18 +290,18 @@ def qfi_mixed_monitor(qubit: QubitState, alpha: float, pointer: ModeState) -> fl
     """
     _unit_pointer(pointer)
     fwd, bwd = monitor_branches(alpha, pointer)
-    r = np.linalg.qr(np.column_stack((fwd, bwd)), mode="r")
-    (f0, b0), (_, b1) = r.tolist()  # P+ = f f^dagger, f = (f0, 0); b too
+    (f0, b0), (_, b1) = (np.linalg.qr(np.column_stack((fwd, bwd)), mode="r")
+                         .tolist() + [[0j, 0j]])[:2]  # R is 1 x 2 at cutoff 0
     w0, w1 = abs(qubit.c0) ** 2, abs(qubit.c1) ** 2
     top, low = w0 * abs(f0) ** 2 + w1 * abs(b0) ** 2, w1 * abs(b1) ** 2
     finite_in("trace", top + low, 1.0 - 1e-10, 1.0 + 1e-10, InvalidStateError)
     cross = w1 * b0 * b1.conjugate()
-    lam, vec = np.linalg.eigh(np.array([[top, cross],
-                                        [cross.conjugate(), low]]))
+    lam, vec = np.linalg.eigh([[top, cross], [cross.conjugate(), low]])
     if not lam[0] >= -1e-10:
         raise InvalidStateError("density matrix not positive semidefinite")
     scale = 2.0 * (abs(qubit.c0) * abs(qubit.c1)) ** 2  # 2 (sin(theta)/2)^2
-    eig = list(zip(lam.tolist(), (vec.conj().T @ r).tolist()))  # <j|f>, <j|b>
+    coords = vec.conj().T @ [[f0, b0], [0.0, b1]]  # rows <j|f>, <j|b>
+    eig = list(zip(lam.tolist(), coords.tolist()))
     return sum((scale * abs(jb * kb.conjugate() - jf * kf.conjugate()) ** 2
                 / (lj + lk) for lj, (jf, jb) in eig for lk, (kf, kb) in eig
                 if lj + lk >= 1e-12), 0.0)

@@ -251,7 +251,8 @@ def test_projector_povm_validation():
 
 
 def test_monitor_plane_matches_dense_sld():
-    for m, n in ((1, 1), (2, 2), (3, 1)):
+    # (0, 0) at cutoff 0: one amplitude, so the QR's R has one row
+    for m, n in ((0, 0), (1, 1), (2, 2), (3, 1)):
         pointer = ModeState.basis(m + n, m, n)
         for theta_q in (0.0, 0.4, 1.1, math.pi / 2, 2.8, math.pi):
             qubit = QubitState.from_angles(theta_q, 0.0)
