@@ -286,7 +286,11 @@ def qfi_mixed_monitor(qubit: QubitState, alpha: float, pointer: ModeState) -> fl
     cancellation); the plane state gets require_density's trace and
     eigenvalue checks. F = sum 2 |<j|drho|k>|^2 / (lambda_j + lambda_k) on
     its eigenpairs, over sums >= 1e-12: Tr(rho L^2) without forming L. The
-    dense reference is sld_solve on qubit_monitor_channel.
+    dense reference is sld_solve on qubit_monitor_channel. Inside (0, pi) F
+    does not depend on theta (qfi_mixed_closed_form), but where rho's small
+    eigenvalue min(cos^2, sin^2)(theta/2) (1 - delta^2) is below 5e-13,
+    both SLD routes drop its own pair and read low: under 1e-12 for theta
+    below 5e-6 on HG(2, 2) at alpha 0.05.
     """
     _unit_pointer(pointer)
     fwd, bwd = monitor_branches(alpha, pointer)
@@ -311,17 +315,20 @@ def qfi_mixed_closed_form(qubit: QubitState, alpha: float,
                           pointer: ModeState) -> float:
     """Closed form (1 - delta)(1 + delta), delta = Re <psi_+|psi_->, apart
     from the SLD pipeline: 1 - delta is weak.monitor_separation's sum of
-    squares, so no digits cancel at small alpha."""
+    squares, so no digits cancel at small alpha. It does not depend on the
+    qubit angle theta inside (0, pi), and is 0 at a pure qubit (|c0| |c1|
+    exactly 0), where d rho/d theta vanishes; near one the SLD routes read
+    low, in the band qfi_mixed_monitor gives."""
     _unit_pointer(pointer)
     gap = monitor_separation(alpha, pointer)
-    return gap * (2.0 - gap)
+    return gap * (2.0 - gap) if abs(qubit.c0) * abs(qubit.c1) else 0.0
 
 
 def qfi_mixed_quadratic(alpha: float, pointer: ModeState) -> float:
     """Small-alpha approximation 4 alpha^2 <Lz^2> of the monitor QFI."""
     alpha = float(finite("alpha", alpha))
     _unit_pointer(pointer)
-    op = Generator(Coupling.OAM, pointer.cutoff)
+    op = Generator(Coupling.OAM)
     return finite("4 alpha^2 <Lz^2>",
                   4.0 * alpha * alpha * second_moment(op, pointer))
 

@@ -9,23 +9,23 @@ arithmetic: no BLAS kernel sets their bits): the weak value A_w = <f|A|i> /
 <f|i>, the Pauli weak values of fisher.weak_fisher and the branch
 amplitudes a+- = <f|P+-|i> are built on it.
 
-Generator applies Omega to a ModeState block by block: one tridiagonal Lz
-block per shell m + n, or one px block on m. Every function of Omega runs
-through one block kernel, Generator._spectral, v (c(w) * v^dagger psi) on
-each block's eigh pair: c = exp(-i alpha w) in evolve, sin(alpha w) in
-monitor_separation, and s cos(alpha w) - i d sin(alpha w) in
-final_pointer_exact, with s = a+ + a- and d = a+ - a-, which never sums the
-branches a+- exp(-+ i alpha Omega)|psi_i> that cancel near extinction.
+Generator applies Omega to a ModeState block by block, at the state's
+cutoff: one tridiagonal Lz block per shell m + n, or one px block on m per
+column n, each a strided run of the flat amplitudes. Every function of
+Omega runs through one block kernel, Generator._spectral, v (c(w) *
+v^dagger psi) on each block's eigh pair: c = exp(-i alpha w) in evolve,
+sin(alpha w) in monitor_separation, and s cos(alpha w) - i d sin(alpha w)
+in final_pointer_exact, with s = a+ + a- and d = a+ - a-, which never sums
+the branches a+- exp(-+ i alpha Omega)|psi_i> that cancel near extinction.
 Three bounded memos, least recently used out, hold what a call would
 otherwise rebuild, read-only:
 - _coupling_eig, up to _EIG_CACHE_SIZE = 128 keys of the coupling, the
   cutoff and the shell (Lz) or sigma0 (px), holds one _Block: the block,
-  its eigh pair, v.conj().T, the extreme |w| for the overflow guard and the
-  flat basis indices of its rows, with the basic slice of an Lz shell's
-  rows. apply reads the block, the kernel the rest, and
+  its eigh pair, v.conj().T and the extreme |w| for the overflow guard.
+  apply reads the block, the kernel the rest, and
   rotation_family_eigenbasis w and v^dagger, both behind _check_phase. A
-  k-row key holds 48 k^2 + 16 k bytes, k <= cutoff + 1: at most 6.0 MB up
-  to cutoff 30, 103 MB at cutoff 128 (HG(64, 64) in its own shell).
+  k-row key holds 48 k^2 + 8 k bytes, k <= cutoff + 1: at most 5.9 MB up
+  to cutoff 30, 102 MB at cutoff 128 (HG(64, 64) in its own shell).
 - _selection_memo, up to _SELECTION_CACHE_SIZE = 128 keys of the bits of a
   selection pair's two vectors and axis matrix (a -0.0 is its own key),
   holds the amplitudes <f|P+-|i>: about 0.45 KB a key with Python's object
@@ -66,7 +66,6 @@ from .errors import (
     finite_in,
     finite_positive,
     frozen,
-    integer,
     positive_square,
 )
 from .modes import (
@@ -223,95 +222,76 @@ def _tridiagonal(upper: np.ndarray) -> np.ndarray:
 class _Block(NamedTuple):
     """One invariant block of a coupling with what each evolution reads, all
     read-only: its eigh pair (w ascending), vh = v.conj().T (an F-ordered
-    view), the extreme |w| for the overflow guard, the flat indices of its
-    rows as a column, and for an Lz shell the same rows as the basic slice
-    key of a flat row per alpha (None for the p block)."""
+    view) and the extreme |w| for the overflow guard."""
 
     matrix: np.ndarray
     w: np.ndarray
     v: np.ndarray
     vh: np.ndarray
     w_peak: float
-    index: np.ndarray
-    rows: tuple | None
 
 
 @functools.lru_cache(maxsize=_EIG_CACHE_SIZE)
 def _coupling_eig(coupling: Coupling, cutoff: int, shell: int | None,
                   sigma0: float | None) -> _Block:
     """The _Block of one invariant block of a coupling: the Lz block of
-    shell (sigma0 None) or the p block of sigma0, its rows taken at n = 0."""
+    shell (sigma0 None) or the p block of sigma0."""
     if coupling is Coupling.MOMENTUM_X:
-        m, n = np.arange(cutoff + 1), 0
-        block = _tridiagonal(-np.sqrt(m[1:]) / (2.0 * sigma0))
-        rows = None
-    else:
-        lo, hi = max(0, shell - cutoff), min(shell, cutoff)  # m's ends
-        m = np.arange(lo, hi + 1)
-        n = shell - m  # <m-1|Lz|m> = i sqrt(m (shell - m + 1))
-        block = _tridiagonal(np.sqrt(m[1:] * n[:-1]))
-        # flat m (cutoff + 1) + n = m cutoff + shell on the shell
-        rows = (slice(None), slice(lo * cutoff + shell,
-                                   hi * cutoff + shell + 1, max(cutoff, 1)),
-                None)
+        block = _tridiagonal(-np.sqrt(np.arange(1, cutoff + 1))
+                             / (2.0 * sigma0))
+    else:  # <m-1|Lz|m> = i sqrt(m (shell - m + 1)), m over the shell
+        m = np.arange(max(0, shell - cutoff), min(shell, cutoff) + 1)
+        block = _tridiagonal(np.sqrt(m[1:] * (shell - m[:-1])))
     w, v = map(frozen, np.linalg.eigh(frozen(block)))
-    return _Block(block, w, v, frozen(v.conj().T), max(-w[0], w[-1]).item(),
-                  frozen((m * (cutoff + 1) + n)[:, None]), rows)
+    return _Block(block, w, v, frozen(v.conj().T), max(-w[0], w[-1]).item())
 
 
 @dataclass(frozen=True)
 class Generator:
-    """Pointer generator Omega of a coupling, applied block by block.
+    """Pointer generator Omega of a coupling, applied block by block at the
+    cutoff c of the state it acts on.
 
     OAM: one tridiagonal block per shell s = m + n, over j = m from
-    max(0, s - cutoff) to min(s, cutoff), with <j-1|Lz|j> = i sqrt(j (s-j+1))
+    max(0, s - c) to min(s, c), with <j-1|Lz|j> = i sqrt(j (s-j+1))
     (exactly the truncation of lz_matrix). MOMENTUM_X: px = p (x) 1, one
-    (cutoff + 1)-square block along m, <j-1|p|j> = -i sqrt(j) / (2 sigma0).
-    Only the blocks a state has support on are read, each with its flat
-    indices from the memo, and none is larger than (cutoff + 1)-square.
-    ConfigError refuses a state that is not a ModeState of the cutoff."""
+    (c + 1)-square block along m, <j-1|p|j> = -i sqrt(j) / (2 sigma0), read
+    once per column n. Only the blocks a state has support on are read,
+    each from the memo and each as a strided run of the flat amplitudes,
+    and none is larger than (c + 1)-square. ConfigError refuses a state
+    that is not a ModeState."""
 
     coupling: Coupling
-    cutoff: int
-    sigma0: float = 1.0
+    sigma0: float = field(default=1.0, kw_only=True)
 
     def __post_init__(self):
         if not isinstance(self.coupling, Coupling):
             raise ConfigError(f"unknown coupling {self.coupling!r}")
-        finite_in("cutoff", integer("cutoff", self.cutoff), 0, math.inf,
-                  ends="[)")
         positive_square("sigma0", self.sigma0)
 
-    def _flat(self, state: ModeState) -> np.ndarray:
-        """The amplitudes of state, a ModeState of this cutoff."""
+    def _blocks(self, state: ModeState):
+        """An iterator of (memo entry, rows) per block the ModeState state
+        has support on, rows the basic slice of that block in its flat
+        amplitudes: its Lz shells s, at m c + s, or the columns n of its p
+        block, at m (c + 1) + n."""
         if not isinstance(state, ModeState):
             raise ConfigError(f"generator takes a ModeState, not a "
                               f"{type(state).__name__}")
-        if state.cutoff != self.cutoff:
-            raise ConfigError(f"operator and state truncations differ: "
-                              f"cutoff {self.cutoff} and {state.cutoff}")
-        return state.amplitudes
-
-    def _blocks(self, state: ModeState):
-        """Yield (memo entry, flat indices, key of those rows in a flat row
-        per alpha) per block the state has support on: its Lz shells, or
-        the columns n of its p block."""
+        c = state.cutoff
         if self.coupling is Coupling.MOMENTUM_X:
-            entry = _coupling_eig(self.coupling, self.cutoff, None, self.sigma0)
-            grid = state.amplitudes.reshape(self.cutoff + 1, self.cutoff + 1)
-            index = entry.index + np.flatnonzero(np.any(grid != 0, axis=0))
-            yield entry, index, (slice(None), index)
-            return
-        for s in state.shells:
-            entry = _coupling_eig(self.coupling, self.cutoff, int(s), None)
-            yield entry, entry.index, entry.rows
+            entry = _coupling_eig(self.coupling, c, None, self.sigma0)
+            grid = state.amplitudes.reshape(c + 1, c + 1)
+            return ((entry, slice(n, None, c + 1)) for n in
+                    np.flatnonzero(np.any(grid != 0, axis=0)).tolist())
+        return ((_coupling_eig(self.coupling, c, s, None),
+                 slice(max(0, s - c) * c + s, min(s, c) * c + s + 1,
+                       max(c, 1))) for s in state.shells.tolist())
 
     def apply(self, state: ModeState) -> np.ndarray:
         """Omega |state> as a flat amplitude vector."""
-        x = self._flat(state)
+        blocks, x = self._blocks(state), state.amplitudes
         out = np.zeros(x.shape, dtype=complex)
-        for entry, index, _ in self._blocks(state):
-            out[index] = entry.matrix @ x[index]
+        for entry, rows in blocks:
+            out[rows, None] = entry.matrix @ x[rows, None].copy()
         return out
 
     def evolve(self, alphas, state: ModeState) -> np.ndarray:
@@ -329,11 +309,12 @@ class Generator:
         """The block kernel: v (coef(w) * v^dagger x) per block x the state
         has support on, from the memo's eigh pair, one flat row per row of
         coef(w) (shape (rows, k, 1)), behind _check_phase of peak |alpha|."""
-        x = self._flat(state)
+        blocks, x = self._blocks(state), state.amplitudes
         out = np.zeros((rows, x.size), dtype=complex)
-        for entry, index, key in self._blocks(state):
+        for entry, run in blocks:
             _check_phase(entry, peak)
-            out[key] = entry.v @ (coef(entry.w) * (entry.vh @ x[index]))
+            out[:, run, None] = entry.v @ (
+                coef(entry.w) * (entry.vh @ x[run, None].copy()))
         return out
 
 
@@ -375,7 +356,7 @@ class WeakScenario:
         return self.alpha * weak_value(self.pre, self.post, self.axis)
 
     def operator(self) -> Generator:
-        return Generator(self.coupling, self.pointer.cutoff, self.sigma0)
+        return Generator(self.coupling, sigma0=self.sigma0)
 
     def require_weak_regime(self) -> float:
         """The pointer variance dOmega^2 of the generator, once
@@ -409,7 +390,7 @@ def carrier_state(idx: ModeIndex, cutoff: int) -> ModeState:
     if (m >= 1 and n + 1 > cutoff) or (n >= 1 and m + 1 > cutoff):
         raise ConfigError(
             f"cutoff {cutoff} cannot hold the carrier of ({m}, {n})")
-    lz_psi = Generator(Coupling.OAM, cutoff).apply(ModeState.basis(cutoff, m, n))
+    lz_psi = Generator(Coupling.OAM).apply(ModeState.basis(cutoff, m, n))
     return ModeState(cutoff,
                      frozen(lz_psi / (1j * math.sqrt(oam_variance(idx)))))
 
@@ -486,7 +467,7 @@ def _pointer_memo(bits: bytes, coupling: Coupling,
     pointer, x = pointer.obj, pointer.obj.amplitudes
     plus, minus = complex(*parts[:2]), complex(*parts[2:])
     s, d = plus + minus, -1j * (plus - minus)
-    (vec,) = Generator(coupling, pointer.cutoff, sigma0)._spectral(
+    (vec,) = Generator(coupling, sigma0=sigma0)._spectral(
         pointer, abs(alpha), 1, lambda w: (
             s * np.cos(alpha * w) + d * np.sin(alpha * w))[None, :, None])
     prob = np.vdot(vec, vec).real.item()
@@ -559,14 +540,14 @@ def require_density(entries: np.ndarray):
 def monitor_branches(alpha: float,
                      pointer: ModeState) -> tuple[np.ndarray, np.ndarray]:
     """Pointer branches exp(-+ i alpha Lz)|psi_i> tagged by the qubit basis."""
-    return tuple(Generator(Coupling.OAM, pointer.cutoff).evolve(
+    return tuple(Generator(Coupling.OAM).evolve(
         (alpha, -alpha), pointer))
 
 
 def monitor_separation(alpha: float, pointer: ModeState) -> float:
     """|psi+ - psi-|^2 / 2 = 2 |sin(alpha Lz) psi_i|^2 of the branches psi+-
     = exp(-+ i alpha Lz)|psi_i>: 1 - Re <psi+|psi-> of a unit pointer."""
-    (half,) = Generator(Coupling.OAM, pointer.cutoff)._spectral(
+    (half,) = Generator(Coupling.OAM)._spectral(
         pointer, abs(alpha), 1, lambda w: np.sin(alpha * w)[None, :, None])
     return 2.0 * np.vdot(half, half).real.item()
 

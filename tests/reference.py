@@ -15,8 +15,10 @@ that the tests hold against the exact evolution, and
 final_pointer_first_order the same inside the library's weak-regime guard;
 no package route uses either. apply_uncached and evolve_uncached build each
 block on the call, find a state's Lz shells by a search of its 2-D grid and
-gather and scatter by 2-D fancy indices; the package reads each block and
-its flat indices from a memo. qfi_rotation_exact_selections_per_order is the
+gather and scatter by 2-D fancy indices, the px block once per occupied
+column as the package reads it; the package reads each block from a memo
+and its rows as a strided run of the flat amplitudes.
+qfi_rotation_exact_selections_per_order is the
 exact rotation QFI as one call per pointer and selection pair, checking
 every pair through a WeakScenario and running eigh on a shell block built on
 the call; the package forms each pair's amplitudes once per sweep and runs
@@ -109,7 +111,7 @@ def final_pointer_exact_uncached(s: WeakScenario) -> ExactPointer:
     block sum_j c_j v_j <v_j|psi_i>, c_j = s cos(alpha w_j)
     - i d sin(alpha w_j) with s = a+ + a- and d = a+ - a-."""
     gen, alpha = s.operator(), s.alpha
-    x = _grid_of(gen, s.pointer)
+    x = _grid_of(s.pointer)
     plus, minus = _selection_amplitudes_of(s)
     total, diff = plus + minus, -1j * (plus - minus)
     vec = np.zeros_like(x)
@@ -188,29 +190,31 @@ def qfi_rotation_exact_selections_per_order(pairs, axis: PauliAxis,
 
 def _blocks_uncached(gen: Generator, x: np.ndarray) -> list:
     """(block, (rows, cols) in the 2-D grid x) per block x has support on,
-    each block built on the call: the Lz shells found by a search of x."""
+    each block built on the call: the Lz shells found by a search of x, or
+    the p block, read once per column n that x occupies."""
+    cutoff = len(x) - 1
     if gen.coupling is Coupling.MOMENTUM_X:
-        return [(_tridiagonal(-np.sqrt(np.arange(1, gen.cutoff + 1))
-                              / (2.0 * gen.sigma0)),
-                 (slice(None), np.flatnonzero(np.any(x != 0, axis=0))))]
+        block = _tridiagonal(-np.sqrt(np.arange(1, cutoff + 1))
+                             / (2.0 * gen.sigma0))
+        j = np.arange(cutoff + 1)[:, None]
+        return [(block, (j, n))
+                for n in np.flatnonzero(np.any(x != 0, axis=0))]
     blocks = []
     for s in np.flatnonzero(np.bincount(np.add(*np.nonzero(x)))):
-        j = np.arange(max(0, s - gen.cutoff), min(s, gen.cutoff) + 1)
+        j = np.arange(max(0, s - cutoff), min(s, cutoff) + 1)
         blocks.append((_tridiagonal(np.sqrt(j[1:] * (s - j[1:] + 1))),
                        (j[:, None], s - j[:, None])))
     return blocks
 
 
-def _grid_of(gen: Generator, state: ModeState) -> np.ndarray:
-    if state.cutoff != gen.cutoff:
-        raise ValueError("operator and state truncations differ")
-    return state.amplitudes.reshape(gen.cutoff + 1, gen.cutoff + 1)
+def _grid_of(state: ModeState) -> np.ndarray:
+    return state.amplitudes.reshape(state.cutoff + 1, state.cutoff + 1)
 
 
 def apply_uncached(gen: Generator, state: ModeState) -> np.ndarray:
     """Omega |state> as a flat vector, gathering and scattering each block
     by 2-D fancy indices."""
-    x = _grid_of(gen, state)
+    x = _grid_of(state)
     out = np.zeros_like(x)
     for block, (rows, cols) in _blocks_uncached(gen, x):
         out[rows, cols] = block @ x[rows, cols]
@@ -220,7 +224,7 @@ def apply_uncached(gen: Generator, state: ModeState) -> np.ndarray:
 def evolve_uncached(gen: Generator, alphas, state: ModeState) -> np.ndarray:
     """exp(-i alpha Omega) |state> for each alpha, one flat row per alpha,
     building every block and running its eigh on each call."""
-    x = _grid_of(gen, state)
+    x = _grid_of(state)
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     out = np.zeros((len(alphas),) + x.shape, dtype=complex)
     for block, (rows, cols) in _blocks_uncached(gen, x):

@@ -167,7 +167,7 @@ _MONITOR_ARGS = (QubitState.from_angles(1.1, 0.0), 1e-3,
      .probabilities(ModeState.basis(3, 1, 1)),
      "readout and state truncations differ"),
     (lambda _: coupling_matrix("oam", 2), "unknown coupling 'oam'"),
-    (lambda _: Generator("oam", 2), "unknown coupling 'oam'"),
+    (lambda _: Generator("oam"), "unknown coupling 'oam'"),
     (lambda _: ladder_matrices(2.5), "cutoff 2.5 must be an integer"),
     (lambda _: momentum_matrix_x(2.5, 1.0), "cutoff 2.5 must be an integer"),
     (lambda _: coupling_matrix(Coupling.OAM, 2.5),
@@ -240,8 +240,8 @@ BUILDS = {
         lambda draw: QubitState.from_amplitudes(draw(REALS), draw(REALS)),
     "PauliAxis": lambda draw: PauliAxis(draw(REALS), draw(REALS)),
     "WeakScenario": _pointer_scenario,
-    "Generator": lambda draw: Generator(Coupling.MOMENTUM_X, draw(CUTOFFS),
-                                        draw(REALS)),
+    "Generator": lambda draw: Generator(Coupling.MOMENTUM_X,
+                                        sigma0=draw(REALS)),
     "FieldGrid": lambda draw: FieldGrid(ZEROS, draw(REALS), draw(REALS)),
     "PhaseMap": lambda draw: PhaseMap(np.full((4, 4), draw(REALS))),
     "PhotonBudget": lambda draw: PhotonBudget(draw(REALS), draw(REALS),

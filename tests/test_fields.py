@@ -236,7 +236,7 @@ def test_rotation_error_follows_the_pitch_squared_law(side):
         law = (shell + 1) * (base.pitch / base.sigma0) ** 2 / 16
         for alpha in (1e-4, 1e-2, 0.2):
             exact = np.vdot(carrier.amplitudes, Generator(
-                Coupling.OAM, shell).evolve(
+                Coupling.OAM).evolve(
                     alpha, ModeState.basis(shell, m, n))[0]).real
             amp = overlap(grid, rotate_field(base, alpha)).real
             assert law / 4 < abs(amp / exact - 1) < 2.2 * law

@@ -3,7 +3,7 @@
 Everything that matters is computed at least twice: finite differences
 against closed forms, classical readouts against the quantum ceiling, the
 SLD pipeline against the rank-2 closed form. Pointer evolution reads one
-memo of eigh pairs, through weak._evolve_block behind Generator.evolve and
+memo of eigh pairs, through weak's block kernel behind Generator.evolve and
 through weak.rotation_family_eigenbasis (the exact QFI's family), pinned
 against the dense matrices in test_weak and here against a Wigner small-d
 (Jacobi polynomial) oracle, which also gives the exact rotation QFI in
@@ -483,7 +483,7 @@ def test_wigner_d_oracle_matches_block_evolution():
     for m in range(21):
         for n in range(21 - m):
             cutoff = m + n
-            rows = Generator(Coupling.OAM, cutoff).evolve(
+            rows = Generator(Coupling.OAM).evolve(
                 thetas, ModeState.basis(cutoff, m, n))
             got = rows[:, flat_index(m, n, cutoff)]
             want = [1.0 - _diagonal_rotation_element(m, n, t)[0]
@@ -506,7 +506,7 @@ def test_displacement_oracle_matches_momentum_evolution():
     cutoff = 60
     thetas = np.array([0.05, 0.3, 1.0])
     for sigma0 in (0.5, 1.0 / math.sqrt(2.0), 1.0):
-        gen = Generator(Coupling.MOMENTUM_X, cutoff, sigma0)
+        gen = Generator(Coupling.MOMENTUM_X, sigma0=sigma0)
         for m in range(11):
             for n in (0, 3):
                 rows = gen.evolve(thetas, ModeState.basis(cutoff, m, n))
@@ -607,21 +607,51 @@ def test_exact_pointer_success_probability_holds_a_60_digit_oracle():
 
 
 def test_monitor_routes_hold_a_60_digit_oracle():
-    # 1 - delta^2 with delta = C(2 alpha) on a basis pointer. Measured worst:
-    # 3.1e-15 for the closed form (1 - delta^2 formed from delta read up to
-    # 6.9e-7 at alpha 1e-5) and 3.6e-15 for the SLD on the branch plane
+    # 1 - delta^2 with delta = C(2 alpha) on a basis pointer. Measured worst
+    # on HG(o, o): 3.1e-15 for the closed form (1 - delta^2 formed from
+    # delta read up to 6.9e-7 at alpha 1e-5) and 3.6e-15 for the SLD on the
+    # branch plane; over every 1 <= m, n <= 10, 4.3e-15 and 4.5e-15, both
+    # at HG(10, 7) and alpha 0.01
     mp = pytest.importorskip("mpmath").mp
     qubit = QubitState.from_angles(1.1, 0.0)
-    for order in range(1, 11):
-        pointer = ModeState.basis(2 * order, order, order)
+    pointers = [(o, o) for o in range(1, 11)] + [(10, 7), (7, 10), (2, 9)]
+    for m, n in pointers:
+        pointer = ModeState.basis(m + n, m, n)
         for alpha in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.3):
             with mp.workdps(60):
-                delta = _rotation_element_mp(mp, order, order,
-                                             2 * mp.mpf(alpha))
+                delta = _rotation_element_mp(mp, m, n, 2 * mp.mpf(alpha))
                 want = 1 - delta ** 2
             for route in (qfi_mixed_closed_form, qfi_mixed_monitor):
                 err = float(abs(route(qubit, alpha, pointer) - want) / want)
-                assert err <= 5e-15, (route.__name__, order, alpha, err)
+                assert err <= 5e-15, (route.__name__, m, n, alpha, err)
+
+
+def test_monitor_routes_at_and_near_a_pure_qubit():
+    # inside (0, pi) the information (1 - delta)(1 + delta) does not depend
+    # on the qubit angle; at theta = 0, d rho / d theta vanishes and every
+    # route reads 0. Near it the SLD routes drop the pair of rho's small
+    # eigenvalue, sin^2(theta / 2) (1 - delta^2) < 5e-13, and read low,
+    # while the closed form holds
+    pointer, alpha = ModeState.basis(4, 2, 2), 0.05
+    pure = QubitState.from_angles(0.0, 0.0)
+    rho = qubit_monitor_channel(pure, alpha, pointer)
+    fwd, bwd = monitor_branches(alpha, pointer)
+    drho = abs(pure.c0) * abs(pure.c1) * (np.outer(bwd, bwd.conj())
+                                          - np.outer(fwd, fwd.conj()))
+    sld = sld_solve(rho, drho)
+    assert np.real(np.trace(rho @ sld @ sld)) == 0.0
+    assert qfi_mixed_monitor(pure, alpha, pointer) == 0.0
+    assert qfi_mixed_closed_form(pure, alpha, pointer) == 0.0
+    # a NaN alpha is refused at a pure qubit too: the pointer evolves first
+    with pytest.raises(ConfigError, match="alpha nan times"):
+        qfi_mixed_closed_form(pure, math.nan, pointer)
+    near = QubitState.from_angles(1e-3, 0.0)
+    assert qfi_mixed_monitor(near, alpha, pointer) == pytest.approx(
+        qfi_mixed_closed_form(near, alpha, pointer), rel=1e-11)
+    nearer = QubitState.from_angles(1e-6, 0.0)
+    assert qfi_mixed_closed_form(nearer, alpha, pointer) == pytest.approx(
+        0.114903365245, rel=1e-11)
+    assert qfi_mixed_monitor(nearer, alpha, pointer) < 1e-12
 
 
 def test_monitor_routes_refuse_a_pointer_that_is_not_unit_before_evolving(
@@ -851,9 +881,9 @@ def test_weak_regime_reads_a_rounded_negative_variance_as_no_spread():
     # the first-order information is 0, not negative
     entry = weak._coupling_eig(Coupling.OAM, 11, 20, None)
     amp = np.zeros(12 ** 2, dtype=complex)
-    amp[entry.index[:, 0]] = entry.v[:, 0]
+    amp[[flat_index(m, 20 - m, 11) for m in range(9, 12)]] = entry.v[:, 0]
     pointer = ModeState(11, amp)
-    assert -1e-12 < variance(Generator(Coupling.OAM, 11), pointer) < 0.0
+    assert -1e-12 < variance(Generator(Coupling.OAM), pointer) < 0.0
     pre, post = post_selected_pair(0.01)
     s = WeakScenario(5e-3, pre, post, PauliAxis.z(), Coupling.OAM, pointer)
     assert s.require_weak_regime() == 0.0

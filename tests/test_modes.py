@@ -157,7 +157,7 @@ def test_lz_variance_formula_interior(m, n):
 def test_lz_fourth_moment_closed_form(m, n):
     # <Lz^4> = |Lz^2 psi|^2 by the shell kernel, Lz applied twice; the shell
     # m + n lies whole inside the cutoff m + n
-    op = Generator(Coupling.OAM, m + n)
+    op = Generator(Coupling.OAM)
     lz_psi = op.apply(ModeState.basis(m + n, m, n))
     lz2_psi = op.apply(ModeState(m + n, lz_psi))
     assert oam_fourth_moment(ModeIndex(m, n)) == pytest.approx(
@@ -189,7 +189,7 @@ def test_momentum_variance_refuses_a_square_out_of_range():
 def test_moments_refuse_a_non_finite_result():
     # a subnormal sigma0 square passes the beam-waist rule, but the px block
     # scales as 1 / sigma0, so both moments overflow to inf
-    px = Generator(Coupling.MOMENTUM_X, 2, 1e-160)
+    px = Generator(Coupling.MOMENTUM_X, sigma0=1e-160)
     state = ModeState.basis(2, 1, 0)
     with pytest.raises(ConfigError, match="variance inf must be finite"):
         variance(px, state)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -129,7 +130,7 @@ def test_non_finite_or_non_positive_scales_rejected(bad):
     builds = (
         lambda: WeakScenario(1e-3, pre, post, PauliAxis.z(),
                              Coupling.MOMENTUM_X, pointer, sigma0=bad),
-        lambda: Generator(Coupling.MOMENTUM_X, 2, bad),
+        lambda: Generator(Coupling.MOMENTUM_X, sigma0=bad),
         lambda: momentum_matrix_x(2, bad),
         lambda: momentum_variance_x(ModeIndex(1, 1), bad),
     )
@@ -303,15 +304,18 @@ def test_momentum_coupling_displaces_fundamental():
 
 
 def test_generator_matches_dense_oracle():
-    # random states fill every shell, including the truncated ones s > cutoff
+    # random states fill every shell, including the truncated ones s > cutoff;
+    # one generator per coupling (and per sigma0 under px) acts on states of
+    # every cutoff, each at its own truncation
     rng = np.random.default_rng(20140519)
-    alpha, sigma0 = 0.37, 0.7
-    for cutoff in range(7):
-        dim = basis_dim(cutoff)
-        for coupling, dense in ((Coupling.OAM, lz_matrix(cutoff)),
-                                (Coupling.MOMENTUM_X,
-                                 momentum_matrix_x(cutoff, sigma0))):
-            gen = Generator(coupling, cutoff, sigma0)
+    alpha = 0.37
+    gens = [(Generator(Coupling.OAM), lambda c: lz_matrix(c))] + [
+        (Generator(Coupling.MOMENTUM_X, sigma0=sigma0),
+         lambda c, sigma0=sigma0: momentum_matrix_x(c, sigma0))
+        for sigma0 in (0.7, 1.3)]
+    for gen, dense_of in gens:
+        for cutoff in range(7):
+            dim, dense = basis_dim(cutoff), dense_of(cutoff)
             vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             state = ModeState(cutoff, vec)
             assert np.max(np.abs(gen.apply(state) - dense @ vec)) < 1e-12
@@ -320,9 +324,8 @@ def test_generator_matches_dense_oracle():
             for row, a in zip(evolved, (alpha, -alpha)):
                 want = v @ (np.exp(-1j * a * w) * (v.conj().T @ vec))
                 assert np.max(np.abs(row - want)) < 1e-12
-    # a ModeState of this cutoff only: flat amplitudes, of its own size or
-    # another truncation's, and states of other cutoffs are refused
-    gen = Generator(Coupling.OAM, 3)
+    # a ModeState only: flat amplitudes of any size are refused
+    gen = Generator(Coupling.OAM)
     for flat in (np.zeros(basis_dim(3), complex),
                  np.zeros(basis_dim(4), complex)):
         with pytest.raises(ConfigError, match="generator takes a ModeState, "
@@ -330,25 +333,18 @@ def test_generator_matches_dense_oracle():
             gen.apply(flat)
         with pytest.raises(ConfigError, match="generator takes a ModeState"):
             gen.evolve((0.1,), flat)
-    for cutoff in (2, 4):
-        with pytest.raises(ConfigError, match=f"truncations differ: cutoff "
-                                              f"3 and {cutoff}"):
-            gen.apply(ModeState.basis(cutoff, 1, 1))
-        with pytest.raises(ConfigError, match="truncations differ"):
-            gen.evolve((0.1,), ModeState.basis(cutoff, 1, 1))
     with pytest.raises(ConfigError, match="unknown coupling 'oam'"):
-        Generator("oam", 3)
+        Generator("oam")
 
 
-def test_generator_refuses_a_non_integer_cutoff_and_2d_alphas():
-    # as ModeState does: a float or bool cutoff fails at construction with
-    # ConfigError, not later in evolve with a bare numpy error
-    for bad in (2.5, 2.0, True, np.float64(2.0)):
-        with pytest.raises(ConfigError, match=f"cutoff {bad} must be an "
-                                              "integer"):
-            Generator(Coupling.OAM, bad)
-    assert Generator(Coupling.OAM, np.int64(2)).cutoff == 2
-    gen, pointer = Generator(Coupling.OAM, 2), ModeState.basis(2, 1, 1)
+def test_generator_takes_no_cutoff_and_refuses_2d_alphas():
+    # sigma0 is keyword-only, so a cutoff passed where it once went is
+    # refused, not read as the waist
+    with pytest.raises(TypeError):
+        Generator(Coupling.OAM, 3)
+    assert [f.name for f in dataclasses.fields(Generator)] == [
+        "coupling", "sigma0"]
+    gen, pointer = Generator(Coupling.OAM), ModeState.basis(2, 1, 1)
     with pytest.raises(ConfigError, match=r"alphas shape \(2, 1\) is not "
                                           "0-D or 1-D"):
         gen.evolve([[0.1], [-0.1]], pointer)
@@ -356,7 +352,7 @@ def test_generator_refuses_a_non_integer_cutoff_and_2d_alphas():
                           gen.evolve((0.1,), pointer))
     # no alpha, no row: an empty evolution keeps the flat width
     for coupling in Coupling:
-        rows = Generator(coupling, 2).evolve((), pointer)
+        rows = Generator(coupling).evolve((), pointer)
         assert rows.shape == (0, basis_dim(2)) and rows.dtype == complex
 
 
@@ -371,7 +367,7 @@ def test_memoized_evolution_is_bitwise_the_uncached_one(coupling):
         dim = basis_dim(cutoff)
         state = ModeState(cutoff, rng.normal(size=dim) + 1j * rng.normal(size=dim))
         for sigma0 in (0.7, 1.3):  # keys the p block only
-            gen = Generator(coupling, cutoff, sigma0)
+            gen = Generator(coupling, sigma0=sigma0)
             want = evolve_uncached(gen, alphas, state)
             for _ in range(2):
                 got = gen.evolve(alphas, state)
@@ -387,7 +383,7 @@ def test_shell_indexed_apply_is_bitwise_the_uncached_one(coupling):
     # 2-D fancy indices
     rng = np.random.default_rng(20230601)
     for cutoff in range(25):
-        gen = Generator(coupling, cutoff, 0.7)
+        gen = Generator(coupling, sigma0=0.7)
         shells = np.add.outer(np.arange(cutoff + 1),
                               np.arange(cutoff + 1)).reshape(-1)
         masks = [shells == s for s in range(2 * cutoff + 1)]
@@ -410,9 +406,10 @@ def test_evolve_refuses_a_phase_that_overflows():
     for alpha in (1e308, -1e308, math.nan):
         with pytest.raises(ConfigError,
                            match=re.escape(f"alpha {abs(alpha)} times")):
-            Generator(Coupling.OAM, 2).evolve((0.1, alpha), pointer)
+            Generator(Coupling.OAM).evolve((0.1, alpha), pointer)
     with pytest.raises(ConfigError, match="alpha 1e\\+300 times"):
-        Generator(Coupling.MOMENTUM_X, 2, 1e-10).evolve((1e300,), pointer)
+        Generator(Coupling.MOMENTUM_X, sigma0=1e-10).evolve((1e300,),
+                                                           pointer)
     pre, post = post_selected_pair(0.1)
     with pytest.raises(ConfigError, match="alpha 1e\\+308 times"):
         final_pointer_exact(WeakScenario(1e308, pre, post, PauliAxis.z(),
@@ -422,14 +419,14 @@ def test_evolve_refuses_a_phase_that_overflows():
     # the exact sweep evolves on its shell block with evolve's guard text,
     # which the bounds CLI's --alpha-rad 1e308 refusal prints
     with pytest.raises(ConfigError) as want:
-        Generator(Coupling.OAM, 6).evolve((1e308, -1e308),
-                                          ModeState.basis(6, 3, 3))
+        Generator(Coupling.OAM).evolve((1e308, -1e308),
+                                       ModeState.basis(6, 3, 3))
     with pytest.raises(ConfigError) as got:
         qfi_rotation_exact_selections([(pre, post)], PauliAxis.z(), 1e308,
                                       [ModeIndex(3, 3)])
     assert str(got.value) == str(want.value)
     # a phase that stays finite evolves, however large
-    rows = Generator(Coupling.OAM, 2).evolve((1e300, -1e300), pointer)
+    rows = Generator(Coupling.OAM).evolve((1e300, -1e300), pointer)
     assert np.all(np.isfinite(rows))
     assert np.linalg.norm(rows, axis=1) == pytest.approx([1.0, 1.0])
 
@@ -437,7 +434,7 @@ def test_evolve_refuses_a_phase_that_overflows():
 def test_block_memo_is_read_only_bounded_and_hit_on_repeat():
     memo = weak._coupling_eig
     assert memo.cache_info().maxsize == weak._EIG_CACHE_SIZE
-    gen = Generator(Coupling.OAM, 7)
+    gen = Generator(Coupling.OAM)
     state = ModeState.basis(7, 3, 4)
     gen.evolve((1e-3,), state)
     before = memo.cache_info()
@@ -447,22 +444,26 @@ def test_block_memo_is_read_only_bounded_and_hit_on_repeat():
     assert (after.hits, after.misses) == (before.hits + 2, before.misses)
     for entry in (weak._coupling_eig(Coupling.OAM, 7, 7, None),
                   weak._coupling_eig(Coupling.MOMENTUM_X, 7, None, 0.7)):
-        # block, eigh pair, v^dagger, extreme |w|, indices, rows' slice key
-        assert len(entry) == 7
-        block, w, v, vh, w_peak, index, rows = entry
-        for array in (block, w, v, vh, index):
+        # block, eigh pair, v^dagger, extreme |w|: spectra, no rows
+        assert len(entry) == 5
+        block, w, v, vh, w_peak = entry
+        for array in (block, w, v, vh):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
         assert vh.flags.f_contiguous and np.array_equal(vh, v.conj().T)
         assert type(w_peak) is float and w_peak == np.abs(w).max()
-    # an Lz shell's slice key reaches the rows of its flat indices, in
-    # order, on the truncated shells too; the p block has none
-    assert entry.rows is None
+    # the rows the generator reads for an Lz shell are its flat indices, in
+    # order, on the truncated shells too
     for cutoff, shell in ((7, 7), (7, 12), (7, 14), (0, 0), (1, 2)):
-        lz = weak._coupling_eig(Coupling.OAM, cutoff, shell, None)
-        flat = np.arange(3 * (cutoff + 1) ** 2).reshape(3, -1)
-        assert np.array_equal(flat[lz.rows], flat[:, lz.index])
+        want = [flat_index(m, shell - m, cutoff)
+                for m in range(max(0, shell - cutoff), min(shell, cutoff) + 1)]
+        amp = np.zeros(basis_dim(cutoff), dtype=complex)
+        amp[want[0]] = 1.0
+        ((entry, rows),) = gen._blocks(ModeState(cutoff, amp))
+        assert type(rows) is slice
+        assert np.arange(basis_dim(cutoff))[rows].tolist() == want
+        assert entry is weak._coupling_eig(Coupling.OAM, cutoff, shell, None)
     # the selection memo: bounded, hit by equal selections, and keyed on
     # bits, so a -0.0 imaginary part is a key of its own
     memo = weak._selection_memo
@@ -586,7 +587,7 @@ def test_exact_pointer_over_several_blocks_is_bitwise_the_uncached_route(
         amp[flat_index(m, n, cutoff)] = c
     pointer = ModeState(cutoff, amp).normalize()
     assert pointer.shells.tolist() == [1, 3, 4]
-    gen = Generator(coupling, cutoff)
+    gen = Generator(coupling)
     for epsilon in (0.08, 0.3):
         pre, post = post_selected_pair(epsilon)
         for alpha in (1e-3, -0.02, 0.7):
@@ -608,6 +609,37 @@ def test_exact_pointer_over_several_blocks_is_bitwise_the_uncached_route(
             1.0 - np.vdot(fwd, bwd).real ** 2, rel=1e-9)
         assert qfi_mixed_monitor(qubit, alpha, pointer) == pytest.approx(
             qfi_mixed_closed_form(qubit, alpha, pointer), rel=1e-11)
+
+
+def test_momentum_block_walks_the_occupied_columns_to_the_last():
+    # the p block is read once per column n the pointer occupies: columns 0
+    # and 2 with column 1 empty, and the last column n = cutoff alone.
+    # Bitwise against the uncached route, which walks the columns the same
+    # way, and to 1e-12 against the dense px
+    cutoff, sigma0, axis = 4, 0.7, PauliAxis(0.4, 5.9)
+    gen = Generator(Coupling.MOMENTUM_X, sigma0=sigma0)
+    dense = momentum_matrix_x(cutoff, sigma0)
+    pre, post = post_selected_pair(0.08)
+    rng = np.random.default_rng(20240611)
+    alphas = (0.37, -1e-3, 2.5)
+    for columns in ([0, 2], [cutoff]):
+        grid = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+        grid[:, columns] = rng.normal(size=(cutoff + 1, len(columns)))
+        pointer = ModeState(cutoff, grid.reshape(-1)).normalize()
+        assert [rows for _, rows in gen._blocks(pointer)] == [
+            slice(n, None, cutoff + 1) for n in columns]
+        got = gen.apply(pointer)
+        assert got.tobytes() == apply_uncached(gen, pointer).tobytes()
+        assert np.max(np.abs(got - dense @ pointer.amplitudes)) < 1e-12
+        assert (gen.evolve(alphas, pointer).tobytes()
+                == evolve_uncached(gen, alphas, pointer).tobytes())
+        for alpha in alphas:
+            s = WeakScenario(alpha, pre, post, axis, Coupling.MOMENTUM_X,
+                             pointer, sigma0)
+            got, want = final_pointer_exact(s), final_pointer_exact_uncached(s)
+            assert (got.pointer.amplitudes.tobytes()
+                    == want.pointer.amplitudes.tobytes())
+            assert got.success_prob.hex() == want.success_prob.hex()
 
 
 def test_qfi_and_cfi_of_one_family_evolve_its_seven_points_once(
@@ -720,7 +752,8 @@ def test_rotation_family_is_the_exact_pointer_and_its_derivative():
             want = final_pointer_exact(s)
             assert norm2[e, k] == pytest.approx(want.success_prob, rel=1e-14)
             flat = np.zeros((idx.total + 1) ** 2, dtype=complex)
-            flat[entry.index[:, 0]] = entry.v @ phi[e, part]
+            flat[[flat_index(m, idx.total - m, idx.total)
+                  for m in range(idx.total + 1)]] = entry.v @ phi[e, part]
             np.testing.assert_allclose(
                 flat / math.sqrt(norm2[e, k]), want.pointer.amplitudes,
                 rtol=0, atol=1e-14)
