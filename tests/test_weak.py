@@ -309,7 +309,7 @@ def test_generator_matches_dense_oracle():
     # every cutoff, each at its own truncation
     rng = np.random.default_rng(20140519)
     alpha = 0.37
-    gens = [(Generator(Coupling.OAM), lambda c: lz_matrix(c))] + [
+    gens = [(Generator(Coupling.OAM), lz_matrix)] + [
         (Generator(Coupling.MOMENTUM_X, sigma0=sigma0),
          lambda c, sigma0=sigma0: momentum_matrix_x(c, sigma0))
         for sigma0 in (0.7, 1.3)]
